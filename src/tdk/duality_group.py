@@ -133,20 +133,11 @@ def shear_element(n, B) -> OnnElement:
 
 
 def _unimodular_inverse(G):
-    n = G.shape[0]
-    cols = []
-    for i in range(n):
-        e = np.zeros(n, dtype=object) + 0
-        e[i] = 1
-        x = solve(G, e)
-        if x is None:
-            raise InputError("block is not invertible over the integers")
-        cols.append(x)
-    inv = zeros(n, n)
-    for j, c in enumerate(cols):
-        for i in range(n):
-            inv[i, j] = c[i]
-    return inv
+    # from U @ G @ V == I: G^-1 == V @ U
+    sf = smith_normal_form(G)
+    if sf.diagonal != [1] * G.shape[0]:
+        raise InputError("block is not invertible over the integers")
+    return sf.V.dot(sf.U)
 
 
 def gl_element(n, G) -> OnnElement:

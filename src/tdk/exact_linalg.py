@@ -1,18 +1,41 @@
 """Exact integer matrix algebra and finitely generated abelian groups.
 
-Matrices are 2-dimensional numpy arrays with ``dtype=object`` holding Python
-ints, so all arithmetic is arbitrary precision.  Everything here reduces to
-Smith normal form: ``smith_normal_form`` produces unimodular U, V (and their
-inverses) with ``U @ M @ V`` diagonal with a divisibility chain, and the rest
-of the module (solving, kernels, cokernels, presented groups, subquotients)
-is built on top of it.
+Matrices passed in and out are 2-dimensional numpy arrays with
+``dtype=object`` holding Python ints, so all arithmetic is arbitrary
+precision.  Everything here reduces to Smith normal form, and there is one
+elimination kernel: ``smith_normal_form`` copies the matrix into lists of
+Python ints, eliminates there, and returns a :class:`SmithForm` with
+unimodular U, V such that ``U @ M @ V`` is diagonal with a divisibility
+chain.  The rest of the module (solving, kernels, cokernels, presented
+groups, subquotients) is built on top of it.
 
-Values are immutable after construction and safe to share across threads.
+Factor once, solve many: a matrix that meets several right-hand sides is
+factored once and each right-hand side goes through ``SmithForm.solve``.
+``solve(M, b)`` is the one-shot form.  ``Subquotient`` keeps the factored
+membership matrix, so every reduction, lift check and induced map against
+one subquotient shares a single factorization.
+
+The pivot order is part of the contract, because U and V fix every particular
+solution and every normal-form coordinate that reaches a report: at step t
+the pivot is the first entry of least absolute value in a row-major scan of
+the remaining block.  A unit entry ends the scan early and skips the
+divisibility fold, which changes no pivot.
+
+The benchmark tracer (``benchmark/tracing.py``) relies on two things here:
+``SmithForm.U``, ``.D`` and ``.V`` are 2-dimensional numpy arrays (it reads
+their ``shape``, ``size``, ``max()`` and ``min()``), and the module-level
+names ``smith_normal_form``, ``solve``, ``subquotient`` and ``kernel_basis``
+are what it wraps.  The same tracer reads ``cache_info()`` from the
+``lru_cache``s on the cohomology and page methods of the models, so those
+caches stay as they are.
+
+Values are immutable after construction and safe to share across threads;
+the parts built on first use are deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -48,27 +71,25 @@ __all__ = [
 
 def intmat(data, rows=None, cols=None):
     """Build an object-dtype integer matrix; shape hints cover the empty cases."""
-    if isinstance(data, np.ndarray) and data.dtype == object and data.ndim == 2:
-        a = data.copy()
-    else:
-        data = [[int(x) for x in row] for row in data]
-        if not data or not any(len(r) for r in data):
-            r = rows if rows is not None else len(data)
-            c = cols if cols is not None else 0
-            return np.zeros((r, c), dtype=object) + 0
-        a = np.array(data, dtype=object)
-        if a.ndim != 2:
-            raise DimensionError("matrix data is not rectangular")
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            a[i, j] = int(a[i, j])
+    if isinstance(data, np.ndarray) and data.ndim == 2:
+        if not data.size:
+            return zeros(*data.shape)
+        data = data.tolist()
+    data = [list(map(int, row)) for row in data]
+    if not data or not any(len(r) for r in data):
+        r = rows if rows is not None else len(data)
+        c = cols if cols is not None else 0
+        return zeros(r, c)
+    a = np.array(data, dtype=object)
+    if a.ndim != 2:
+        raise DimensionError("matrix data is not rectangular")
     return a
 
 
 def intvec(data, length=None):
     if isinstance(data, np.ndarray):
         data = data.tolist()
-    vals = [int(x) for x in data]
+    vals = list(map(int, data))
     if not vals:
         return np.zeros(length if length is not None else 0, dtype=object) + 0
     return np.array(vals, dtype=object)
@@ -98,86 +119,146 @@ def mat_eq(a, b):
     )
 
 
-def _is_zero(a):
-    return all(x == 0 for x in a.flat)
+def _array(rows, r, c):
+    """Object matrix from r row lists of length c."""
+    return np.array(rows, dtype=object) if r and c else zeros(r, c)
+
+
+def _identity_rows(n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _nonzeros(row, start=0):
+    return [(j, row[j]) for j in range(start, len(row)) if row[j]]
+
+
+def _axpy(dst, src_nonzeros, q):
+    """dst += q * src, with src given by its nonzero entries."""
+    for j, v in src_nonzeros:
+        dst[j] += q * v
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 
-@dataclass(frozen=True)
 class SmithForm:
-    """U @ M @ V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0."""
+    """U @ M @ V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
 
-    U: np.ndarray
-    D: np.ndarray
-    V: np.ndarray
-    Uinv: np.ndarray
-    Vinv: np.ndarray
+    ``D`` and the inverses ``Uinv`` and ``Vinv`` are built on first use.
+    """
+
+    def __init__(self, shape, diagonal, U, V):
+        self.shape = shape
+        self._diagonal = diagonal
+        self.U = U
+        self.V = V
 
     @property
     def diagonal(self):
-        m, n = self.D.shape
-        return [int(self.D[i, i]) for i in range(min(m, n))]
+        return list(self._diagonal)
 
     @property
     def rank(self):
-        return sum(1 for d in self.diagonal if d != 0)
+        return sum(1 for d in self._diagonal if d != 0)
+
+    @cached_property
+    def D(self):
+        out = zeros(*self.shape)
+        for i, d in enumerate(self._diagonal):
+            out[i, i] = d
+        return out
+
+    @cached_property
+    def Uinv(self):
+        return _unimodular_inverse(self.U)
+
+    @cached_property
+    def Vinv(self):
+        return _unimodular_inverse(self.V)
+
+    def solve(self, b):
+        """One integer solution x of M @ x == b, or None when unsolvable over Z.
+
+        Unsolvability is decided exactly: in Smith coordinates the system
+        splits into congruences c_i = d_i * y_i, so either some d_i fails to
+        divide c_i or a zero row meets a nonzero c_i.
+        """
+        m, n = self.shape
+        b = intvec(b, length=m)
+        if b.shape[0] != m:
+            raise DimensionError(f"solve: got rhs of length {b.shape[0]}, expected {m}")
+        # right-hand sides are mostly sparse: multiply by the needed columns only
+        nz = np.flatnonzero(b)
+        c = self.U[:, nz].dot(b[nz]).tolist()
+        y = [0] * n
+        diag = self._diagonal
+        for i, ci in enumerate(c):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if ci != 0:
+                    return None
+            else:
+                if ci % d != 0:
+                    return None
+                y[i] = ci // d
+        nz = [i for i, yi in enumerate(y) if yi]
+        return self.V[:, nz].dot(np.array([y[i] for i in nz], dtype=object))
+
+
+def _unimodular_inverse(W):
+    """The inverse of a unimodular W: from P @ W @ Q == I, W^-1 == Q @ P."""
+    sf = smith_normal_form(W)
+    return sf.V.dot(sf.U)
 
 
 def smith_normal_form(M):
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     Returns a :class:`SmithForm`.  The nonzero diagonal entries are positive
-    and each divides the next; U, V have determinant +-1 and their exact
-    inverses are tracked alongside.
+    and each divides the next; U, V have determinant +-1.
     """
     A = intmat(M)
     m, n = A.shape
-    U, Ui = eye(m), eye(m)
-    V, Vi = eye(n), eye(n)
-
-    def row_add(i, j, q):  # row_i += q * row_j
-        A[i, :] = A[i, :] + q * A[j, :]
-        U[i, :] = U[i, :] + q * U[j, :]
-        Ui[:, j] = Ui[:, j] - q * Ui[:, i]
+    A = A.tolist()
+    U = _identity_rows(m)
+    Vc = _identity_rows(n)  # columns of V
 
     def row_swap(i, j):
-        A[[i, j], :] = A[[j, i], :]
-        U[[i, j], :] = U[[j, i], :]
-        Ui[:, [i, j]] = Ui[:, [j, i]]
-
-    def row_neg(i):
-        A[i, :] = -A[i, :]
-        U[i, :] = -U[i, :]
-        Ui[:, i] = -Ui[:, i]
-
-    def col_add(i, j, q):  # col_i += q * col_j
-        A[:, i] = A[:, i] + q * A[:, j]
-        V[:, i] = V[:, i] + q * V[:, j]
-        Vi[j, :] = Vi[j, :] - q * Vi[i, :]
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
-        A[:, [i, j]] = A[:, [j, i]]
-        V[:, [i, j]] = V[:, [j, i]]
-        Vi[[i, j], :] = Vi[[j, i], :]
+        # rows above t are zero in every column >= t
+        for r in range(t, m):
+            row = A[r]
+            row[i], row[j] = row[j], row[i]
+        Vc[i], Vc[j] = Vc[j], Vc[i]
 
-    def pivot_position(t):
+    def pivot_position():
+        # first entry of least absolute value, row-major; a unit ends the scan
         best = None
         for i in range(t, m):
+            row = A[i]
             for j in range(t, n):
-                v = abs(A[i, j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        return best
+                v = row[j]
+                if v:
+                    v = abs(v)
+                    if v == 1:
+                        return i, j
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        return None if best is None else best[1:]
 
     t = 0
     while t < min(m, n):
-        found = pivot_position(t)
+        found = pivot_position()
         if found is None:
             break
-        _, pi, pj = found
+        pi, pj = found
         if pi != t:
             row_swap(pi, t)
         if pj != t:
@@ -185,40 +266,67 @@ def smith_normal_form(M):
 
         while True:
             dirty = False
+            pivot_row = None  # nonzeros of A[t] and U[t], taken when first needed
             for i in range(t + 1, m):
-                if A[i, t] != 0:
-                    q = A[i, t] // A[t, t]
-                    row_add(i, t, -q)
-                    if A[i, t] != 0:  # remainder becomes the smaller pivot
-                        row_swap(i, t)
-                        dirty = True
+                a = A[i][t]
+                if a == 0:
+                    continue
+                q = a // A[t][t]
+                if q:
+                    if pivot_row is None:
+                        pivot_row = (_nonzeros(A[t], t), _nonzeros(U[t]))
+                    _axpy(A[i], pivot_row[0], -q)
+                    _axpy(U[i], pivot_row[1], -q)
+                if A[i][t] != 0:  # remainder becomes the smaller pivot
+                    row_swap(i, t)
+                    pivot_row = None
+                    dirty = True
+            pivot_col = None  # nonzeros of column t of A and of V
             for j in range(t + 1, n):
-                if A[t, j] != 0:
-                    q = A[t, j] // A[t, t]
-                    col_add(j, t, -q)
-                    if A[t, j] != 0:
-                        col_swap(j, t)
-                        dirty = True
+                a = A[t][j]
+                if a == 0:
+                    continue
+                q = a // A[t][t]
+                if q:
+                    if pivot_col is None:
+                        pivot_col = (
+                            [(r, A[r][t]) for r in range(t, m) if A[r][t]],
+                            _nonzeros(Vc[t]),
+                        )
+                    for r, v in pivot_col[0]:
+                        A[r][j] -= q * v
+                    _axpy(Vc[j], pivot_col[1], -q)
+                if A[t][j] != 0:
+                    col_swap(j, t)
+                    pivot_col = None
+                    dirty = True
             if dirty:
                 continue
             # enforce the divisibility chain: fold in any non-multiple
-            fold = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i, j] % A[t, t] != 0:
-                        fold = i
-                        break
-                if fold is not None:
-                    break
+            p = A[t][t]
+            if p in (1, -1):  # a unit divides every entry
+                break
+            fold = next(
+                (
+                    i
+                    for i in range(t + 1, m)
+                    if any(A[i][j] % p for j in range(t + 1, n))
+                ),
+                None,
+            )
             if fold is None:
                 break
-            row_add(t, fold, 1)
+            _axpy(A[t], _nonzeros(A[fold], t), 1)
+            _axpy(U[t], _nonzeros(U[fold]), 1)
 
-        if A[t, t] < 0:
-            row_neg(t)
+        if A[t][t] < 0:
+            A[t][t] = -A[t][t]  # the rest of row t is zero
+            U[t] = [-x for x in U[t]]
         t += 1
 
-    return SmithForm(U=U, D=A, V=V, Uinv=Ui, Vinv=Vi)
+    diagonal = [A[i][i] for i in range(min(m, n))]
+    V = _array(Vc, n, n).T
+    return SmithForm((m, n), diagonal, _array(U, m, m), V)
 
 
 def matrix_rank(M):
@@ -228,37 +336,16 @@ def matrix_rank(M):
 def solve(M, b):
     """One integer solution x of M @ x == b, or None when unsolvable over Z.
 
-    Unsolvability is decided exactly: in Smith coordinates the system splits
-    into congruences c_i = d_i * y_i, so either some d_i fails to divide c_i
-    or a zero row meets a nonzero c_i.
+    Factors M once for this one right-hand side; with several right-hand
+    sides, call ``smith_normal_form(M).solve`` on each instead.
     """
-    A = intmat(M)
-    m, n = A.shape
-    b = intvec(b, length=m)
-    if b.shape[0] != m:
-        raise DimensionError(f"solve: got rhs of length {b.shape[0]}, expected {m}")
-    sf = smith_normal_form(A)
-    c = sf.U.dot(b)
-    y = np.zeros(n, dtype=object) + 0
-    diag = sf.diagonal
-    for i in range(m):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return sf.V.dot(y)
+    return smith_normal_form(M).solve(b)
 
 
 def kernel_basis(M):
     """Columns form a basis of the (saturated) integer kernel lattice of M."""
-    A = intmat(M)
-    sf = smith_normal_form(A)
-    r = sf.rank
-    return sf.V[:, r:].copy()
+    sf = smith_normal_form(M)
+    return sf.V[:, sf.rank :].copy()
 
 
 @dataclass(frozen=True)
@@ -462,13 +549,13 @@ class Subquotient:
         self.group = group
 
     @cached_property
-    def _membership_matrix(self):
-        return hstack([self.gens, self.ambient.rels])
+    def _membership(self):
+        return smith_normal_form(hstack([self.gens, self.ambient.rels]))
 
     def coords(self, x):
         """One expression of x over the generators, as ambient-presentation coords."""
         x = intvec(x, length=self.ambient.ngens)
-        sol = solve(self._membership_matrix, x)
+        sol = self._membership.solve(x)
         if sol is None:
             raise NotInSubgroupError("vector is not a member of the subgroup")
         return sol[: self.gens.shape[1]]
@@ -535,14 +622,13 @@ def subquotient(amb, Z, B):
     """
     MZ = _as_matrix(Z, amb.ngens)
     MB = _as_matrix(B, amb.ngens)
-    probe = hstack([MZ, amb.rels])
+    a = MZ.shape[1]
+    K = kernel_basis(hstack([MZ, MB, amb.rels]))
+    sq = Subquotient(ambient=amb, gens=MZ, group=FgAbelianGroup(a, K[:a, :]))
     for j in range(MB.shape[1]):
-        if solve(probe, MB[:, j]) is None:
+        if sq._membership.solve(MB[:, j]) is None:
             raise SubgroupContainmentError(
                 f"generator column {j} of the denominator lies outside the "
                 f"numerator subgroup: {MB[:, j].tolist()}"
             )
-    a = MZ.shape[1]
-    K = kernel_basis(hstack([MZ, MB, amb.rels]))
-    rels = K[:a, :]
-    return Subquotient(ambient=amb, gens=MZ, group=FgAbelianGroup(a, rels))
+    return sq

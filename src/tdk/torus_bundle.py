@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, ModelError
+from .errors import InputError, ModelError, NotInSubgroupError
 from .exact_linalg import (
     FgAbelianGroup,
     GroupHom,
@@ -333,15 +333,18 @@ class BundleModel:
         k = p + q
         cols = []
         for j in range(src.group.ngens):
-            x = src.gens[:, j]
-            dx = self.d(k, x)
-            lam = solve(tgt.gens, dx) if tgt.group.ngens else intvec([], length=0)
-            if lam is None:
+            if not tgt.group.ngens:
+                cols.append(intvec([], length=0))
+                continue
+            # page ambients carry no relations, so the target's factored
+            # membership matrix is its generator matrix
+            try:
+                cols.append(tgt.coords(self.d(k, src.gens[:, j])))
+            except NotInSubgroupError:
                 raise ModelError(
                     "spectral-sequence differential left its target lattice; "
                     "the filtration bookkeeping is inconsistent"
                 )
-            cols.append(lam)
         mat = zeros(tgt.group.ngens, src.group.ngens)
         for j, lam in enumerate(cols):
             for i in range(tgt.group.ngens):

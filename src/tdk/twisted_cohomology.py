@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, ModelError
-from .exact_linalg import intvec, zeros
+from .exact_linalg import intmat, intvec, kernel_basis, matrix_rank, zeros
 from .space_model import Cocycle
 from .tduality_core import Triple
 from .torus_bundle import BundleModel
@@ -42,59 +42,26 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# rational linear algebra (plain Gaussian elimination over Fractions)
+# rational linear algebra, through the integer elimination kernel
 
 
-def _to_rows(M):
-    return [[Fraction(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
-
-
-def _rat_rref(rows, ncols):
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rank, pivots
+def _integral(M):
+    """M with each row scaled by the lcm of its denominators: same Q-row space."""
+    rows = []
+    for row in M.tolist():
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    return intmat(rows, rows=M.shape[0], cols=M.shape[1])
 
 
 def rational_rank(M):
-    if 0 in M.shape:
-        return 0
-    rows = _to_rows(M)
-    rank, _ = _rat_rref(rows, M.shape[1])
-    return rank
+    """Rank over Q of a matrix of ints and Fractions (equal to its Z-rank)."""
+    return matrix_rank(_integral(M))
 
 
 def rational_kernel(M):
-    """Columns spanning ker(M) over Q, as a Fraction object array."""
-    m, n = M.shape
-    if n == 0:
-        return zeros(0, 0)
-    if m == 0:
-        out = zeros(n, n)
-        for i in range(n):
-            out[i, i] = Fraction(1)
-        return out
-    rows = _to_rows(M)
-    rank, pivots = _rat_rref(rows, n)
-    free = [j for j in range(n) if j not in pivots]
-    out = zeros(n, len(free))
-    for fi, j in enumerate(free):
-        out[j, fi] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            out[pc, fi] = -rows[r][j]
-    return out
+    """Integer columns spanning ker(M) over Q."""
+    return kernel_basis(_integral(M))
 
 
 def _hcat(blocks):
