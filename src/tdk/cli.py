@@ -13,6 +13,7 @@ space documents.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -290,7 +291,9 @@ def _cmd_selftest(args):
 # driver
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by every ``run``."""
     parser = argparse.ArgumentParser(
         prog="tdk",
         description=(

@@ -73,6 +73,31 @@ def _parse_int(x, where):
 # differential graded ring models
 
 
+def _sum_terms(pairs):
+    """Sum of coeff * terms over (coeff, sparse cochain) pairs, as a sparse cochain."""
+    out = {}
+    for x, terms in pairs:
+        for c, y in terms.items():
+            out[c] = out.get(c, 0) + x * y
+    return {c: y for c, y in out.items() if y}
+
+
+def _terms(vec, length):
+    """The first ``length`` coordinates of a cochain vector as a sparse cochain."""
+    vals = intvec(vec, length=length).tolist()
+    return {a: vals[a] for a in range(length) if vals[a]}
+
+
+def _columns(mat):
+    """Columns of an integer matrix as sparse cochains."""
+    cols = [{} for _ in range(mat.shape[1])]
+    for r, row in enumerate(mat.tolist()):
+        for c, x in enumerate(row):
+            if x:
+                cols[c][r] = x
+    return cols
+
+
 class DgRingModel:
     """Finite graded ring over Z with differential, given by explicit tables.
 
@@ -82,6 +107,14 @@ class DgRingModel:
     degree i + j.  Pairs involving the unit default to the identity action,
     all other missing pairs to zero.  Products landing above degree D are
     truncated to zero.
+
+    Ring arithmetic runs on these sparse structure constants.  A sparse
+    cochain is a dict {index: coeff} with no zero entries; ``d_columns(k)``
+    holds d_k as one such dict per basis element of degree k, built once
+    from ``diff``.  :meth:`mul_terms`, :meth:`d_terms` and all of
+    :meth:`validate` work on sparse cochains, so their cost follows the
+    nonzero structure constants, not the basis size; :meth:`mul` and
+    :meth:`d` take and return dense object-dtype vectors.
     """
 
     def __init__(self, basis, diff, product, meta=None, check=True):
@@ -92,6 +125,7 @@ class DgRingModel:
         self.diff = {}
         for k, mat in dict(diff).items():
             self.diff[int(k)] = intmat(mat, rows=self.dim(k + 1), cols=self.dim(k))
+        self._dcols = {k: _columns(mat) for k, mat in self.diff.items()}
         self.product = {}
         for key, entry in dict(product).items():
             i, a, j, b = map(int, key)
@@ -128,8 +162,18 @@ class DgRingModel:
             return self.diff[k]
         return zeros(self.dim(k + 1), self.dim(k))
 
+    def d_columns(self, k):
+        """d_k as one sparse cochain per basis element of degree k (read-only)."""
+        cols = self._dcols.get(k)
+        return [{}] * self.dim(k) if cols is None else cols
+
     def d(self, k, vec):
         return self.d_matrix(k).dot(intvec(vec, length=self.dim(k)))
+
+    def d_terms(self, k, u):
+        """d of the sparse cochain u of degree k, as a sparse cochain."""
+        cols = self.d_columns(k)
+        return _sum_terms((x, cols[a]) for a, x in u.items())
 
     def is_closed(self, k, vec):
         return all(x == 0 for x in self.d(k, vec))
@@ -146,28 +190,32 @@ class DgRingModel:
             return {a: 1}
         return {}
 
+    def mul_terms(self, i, u, j, v):
+        """Product of the sparse cochains u (deg i) and v (deg j)."""
+        mul_basis = self.mul_basis
+        return _sum_terms(
+            (x * y, mul_basis(i, a, j, b)) for a, x in u.items() for b, y in v.items()
+        )
+
     def mul(self, i, u, j, v):
         """Product of cochain vectors u (deg i) and v (deg j)."""
         k = i + j
-        out = self.zero_vector(k)
-        if k > self.D:
-            return out
-        u = intvec(u, length=self.dim(i))
-        v = intvec(v, length=self.dim(j))
-        for a in range(self.dim(i)):
-            if u[a] == 0:
-                continue
-            for b in range(self.dim(j)):
-                if v[b] == 0:
-                    continue
-                for c, coeff in self.mul_basis(i, a, j, b).items():
-                    out[c] += u[a] * v[b] * coeff
-        return out
+        out = [0] * self.dim(k)
+        if k <= self.D:
+            prod = self.mul_terms(i, _terms(u, self.dim(i)), j, _terms(v, self.dim(j)))
+            for c, x in prod.items():
+                out[c] = x
+        return intvec(out, length=len(out))
 
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        """Check every model axiom, raising ModelError with a certificate."""
+        """Check every model axiom, raising ModelError with a certificate.
+
+        The axioms are checked in a fixed order, each over every basis pair
+        or triple, so the first failure and its certificate are determined
+        by the model alone.
+        """
         if self.dim(0) != 1:
             raise ModelError(
                 f"degree-0 part has rank {self.dim(0)}, expected 1 (connected base)"
@@ -180,37 +228,42 @@ class DgRingModel:
                     f"differential in degree {k} has shape {mat.shape}, "
                     f"expected {(self.dim(k + 1), self.dim(k))}"
                 )
-        for (i, a, j, b) in self.product:
+        for (i, a, j, b), entry in self.product.items():
             if not (0 <= i <= self.D and 0 <= j <= self.D and i + j <= self.D):
                 raise ModelError(f"product entry for degrees ({i},{j}) out of range")
             if not (0 <= a < self.dim(i) and 0 <= b < self.dim(j)):
                 raise ModelError(f"product entry ({i},{a},{j},{b}) indexes outside the basis")
-        if any(x != 0 for x in self.d(0, self.unit_vector())):
+            if not all(0 <= c < self.dim(i + j) for c in entry):
+                raise ModelError(
+                    f"product entry ({i},{a},{j},{b}) has a result outside degree {i + j}"
+                )
+        dcols = [self.d_columns(k) for k in range(self.D + 1)]
+        mul_basis = self.mul_basis
+        if dcols[0][0]:
             raise ModelError("d(unit) is nonzero")
         # d o d = 0
         for k in range(self.D - 1):
-            comp = self.d_matrix(k + 1).dot(self.d_matrix(k))
             for a in range(self.dim(k)):
-                if any(x != 0 for x in comp[:, a]):
+                if self.d_terms(k + 1, dcols[k][a]):
                     raise ModelError(
                         f"d(d(x)) != 0 for basis element {self.basis[k][a]!r} in degree {k}"
                     )
         # unit acts as identity (explicit entries may not override it)
         for j in range(self.D + 1):
             for b in range(self.dim(j)):
-                if self.mul_basis(0, 0, j, b) != {b: 1} or self.mul_basis(j, b, 0, 0) != {b: 1}:
+                if mul_basis(0, 0, j, b) != {b: 1} or mul_basis(j, b, 0, 0) != {b: 1}:
                     raise ModelError(
                         f"unit does not act as identity on {self.basis[j][b]!r}"
                     )
-        # graded commutativity
+        # graded commutativity (stored entries carry no zero coefficients, so
+        # comparing the dicts compares the products)
         for i in range(self.D + 1):
             for j in range(i, self.D - i + 1):
                 sign = -1 if (i % 2 and j % 2) else 1
                 for a in range(self.dim(i)):
                     for b in range(self.dim(j)):
-                        left = self.mul(i, self.basis_vector(i, a), j, self.basis_vector(j, b))
-                        right = self.mul(j, self.basis_vector(j, b), i, self.basis_vector(i, a))
-                        if any(left[c] != sign * right[c] for c in range(self.dim(i + j))):
+                        right = mul_basis(j, b, i, a)
+                        if mul_basis(i, a, j, b) != {c: sign * x for c, x in right.items()}:
                             raise ModelError(
                                 "graded commutativity fails on pair "
                                 f"({self.basis[i][a]!r}, {self.basis[j][b]!r})"
@@ -220,15 +273,19 @@ class DgRingModel:
             for j in range(self.D + 1 - i):
                 for k in range(self.D + 1 - i - j):
                     for a in range(self.dim(i)):
-                        ea = self.basis_vector(i, a)
                         for b in range(self.dim(j)):
-                            eb = self.basis_vector(j, b)
-                            ab = self.mul(i, ea, j, eb)
+                            ab = mul_basis(i, a, j, b)
                             for c in range(self.dim(k)):
-                                ec = self.basis_vector(k, c)
-                                lhs = self.mul(i + j, ab, k, ec)
-                                rhs = self.mul(i, ea, j + k, self.mul(j, eb, k, ec))
-                                if any(x != y for x, y in zip(lhs, rhs)):
+                                bc = mul_basis(j, b, k, c)
+                                if not (ab or bc):
+                                    continue  # both sides are zero
+                                lhs = _sum_terms(
+                                    (x, mul_basis(i + j, y, k, c)) for y, x in ab.items()
+                                )
+                                rhs = _sum_terms(
+                                    (x, mul_basis(i, a, j + k, y)) for y, x in bc.items()
+                                )
+                                if lhs != rhs:
                                     raise ModelError(
                                         "associativity fails on triple "
                                         f"({self.basis[i][a]!r}, {self.basis[j][b]!r}, "
@@ -239,15 +296,13 @@ class DgRingModel:
             for j in range(self.D - i):
                 sign = -1 if i % 2 else 1
                 for a in range(self.dim(i)):
-                    ea = self.basis_vector(i, a)
-                    da = self.d(i, ea)
                     for b in range(self.dim(j)):
-                        eb = self.basis_vector(j, b)
-                        lhs = self.d(i + j, self.mul(i, ea, j, eb))
-                        rhs = self.mul(i + 1, da, j, eb) + sign * self.mul(
-                            i, ea, j + 1, self.d(j, eb)
-                        )
-                        if any(x != y for x, y in zip(lhs, rhs)):
+                        lhs = self.d_terms(i + j, mul_basis(i, a, j, b))
+                        rhs = _sum_terms((
+                            (1, self.mul_terms(i + 1, dcols[i][a], j, {b: 1})),
+                            (sign, self.mul_terms(i, {a: 1}, j + 1, dcols[j][b])),
+                        ))
+                        if lhs != rhs:
                             raise ModelError(
                                 "Leibniz rule fails on pair "
                                 f"({self.basis[i][a]!r}, {self.basis[j][b]!r})"

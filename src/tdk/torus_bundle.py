@@ -94,7 +94,9 @@ class BundleModel:
     The basis of total degree k lists triples (p, a, S) with p + |S| = k,
     ordered by base degree p, then base index, then the fiber monomial; so
     each filtration step F^p is a basis suffix.  The total model is itself a
-    DgRingModel, with d^2 = 0 verified exactly at build time.
+    DgRingModel, tabulated from the base's structure constants and, unless
+    ``check`` is false, put through the full :meth:`DgRingModel.validate`
+    at build time.
     """
 
     def __init__(self, base: DgRingModel, chern: ChernVector, labels=None, check=True):
@@ -145,30 +147,25 @@ class BundleModel:
     # -- construction --------------------------------------------------------
 
     def _diff_matrix(self, k):
+        base = self.base
+        chern = [{z: int(x) for z, x in enumerate(c) if x} for c in self.chern]
         mat = zeros(len(self.elements[k + 1]) if k + 1 <= self.D else 0,
                     len(self.elements[k]))
         for col, (p, a, S) in enumerate(self.elements[k]):
-            db = self.base.d(p, self.base.basis_vector(p, a))
-            for a2 in range(self.base.dim(p + 1)):
-                if db[a2]:
-                    mat[self.index[k + 1][(p + 1, a2, S)], col] += db[a2]
+            for a2, x in base.d_columns(p)[a].items():
+                mat[self.index[k + 1][(p + 1, a2, S)], col] += x
             sign = -1 if p % 2 else 1
             for i in S:
                 rest = tuple(j for j in S if j != i)
-                prod = self.base.mul(
-                    p, self.base.basis_vector(p, a), 2, self.chern[i]
-                )
-                for a2 in range(self.base.dim(p + 2)):
-                    if prod[a2]:
-                        mat[self.index[k + 1][(p + 2, a2, rest)], col] += (
-                            sign * _eps(i, S) * prod[a2]
-                        )
+                for a2, x in base.mul_terms(p, {a: 1}, 2, chern[i]).items():
+                    mat[self.index[k + 1][(p + 2, a2, rest)], col] += sign * _eps(i, S) * x
         return mat
 
     def _product_table(self):
         product = {}
         for k1 in range(self.D + 1):
             for k2 in range(self.D + 1 - k1):
+                level = self.index[k1 + k2]
                 for n1, (p1, a1, S1) in enumerate(self.elements[k1]):
                     for n2, (p2, a2, S2) in enumerate(self.elements[k2]):
                         if (k1 == 0 and n1 == 0) or (k2 == 0 and n2 == 0):
@@ -178,19 +175,11 @@ class BundleModel:
                             continue
                         if len(S1) % 2 and p2 % 2:
                             sign = -sign
-                        bb = self.base.mul(
-                            p1,
-                            self.base.basis_vector(p1, a1),
-                            p2,
-                            self.base.basis_vector(p2, a2),
-                        )
                         table = {}
-                        for a3 in range(self.base.dim(p1 + p2)):
-                            if bb[a3]:
-                                key = (p1 + p2, a3, merged)
-                                c = self.index[k1 + k2].get(key)
-                                if c is not None:
-                                    table[c] = sign * bb[a3]
+                        for a3, x in self.base.mul_basis(p1, a1, p2, a2).items():
+                            c = level.get((p1 + p2, a3, merged))
+                            if c is not None:
+                                table[c] = sign * x
                         if table:
                             product[(k1, n1, k2, n2)] = table
         return product

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tdk.cli import run
+from tdk.cli import _build_parser, run
 from tdk.fixtures import named_pair, simplicial_doc
 from tdk.serialize import dumps, pair_to_doc, triple_to_doc, pair_from_doc, triple_from_doc
 from tdk.tduality_core import dualize
@@ -140,6 +140,26 @@ def test_unknown_verb_and_options_rejected(tmp_path):
     assert code == 2
     code, _ = run(["dualizable", "--nonsense", "x"])
     assert code == 2
+
+
+def test_shared_parser_after_argument_error(tmp_path, capsys):
+    # ``run`` reuses one parser; an argument error must leave nothing behind
+    # that changes how later calls of other verbs parse
+    pair = pair_file(tmp_path, "hopf_k2")
+    calls = [
+        ["extensions", "--pair", pair],
+        ["cohomology", "--builtin", "torus", "--params", '{"k": "2"}', "--deg", "1"],
+        ["dualizable", "--pair", pair, "--pretty"],
+    ]
+    assert run(["dualizable", "--nonsense", "x"]) == (2, {"error": "argument error"})
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    capsys.readouterr()
+    assert [dumps(doc) for _, doc in shared] == [dumps(doc) for _, doc in fresh]
+    assert [code for code, _ in shared] == [code for code, _ in fresh] == [0, 0, 0]
 
 
 def test_byte_identical_output(tmp_path):

@@ -2,6 +2,10 @@
 
 Each case runs one ``tdk`` verb and compares its standard output (compact
 JSON plus newline) and exit code with the files under ``tests/golden/``.
+Besides the fixture pairs, the corpus reads the total models of three
+fixture bundles as untrusted ``dgring`` documents, intact and with one
+axiom broken per document, so every first-failure certificate of model
+validation is pinned too.
 Any change to an exact answer, a normal-form coordinate or the rendering
 shows up here as a byte difference.
 
@@ -25,6 +29,64 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CODES = os.path.join(GOLDEN, "exit_codes.json")
 SIMPLICIAL = ("boundary-tetrahedron", "torus-7", "projective-plane-6")
 SS_PAGES = (2, 3)
+DGRING_PAIRS = ("hopf", "lens2_k1", "t3_trivial")
+
+
+def _degree(doc, label):
+    return next(k for k, level in enumerate(doc["basis"]) if label in level)
+
+
+def _set_diff(doc, row, col, value):
+    """Entry (row label, column label) of the differential out of col's degree."""
+    k = _degree(doc, col)
+    entry = next(e for e in doc["diff"] if e["deg"] == str(k))
+    entry["matrix"][doc["basis"][k + 1].index(row)][doc["basis"][k].index(col)] = str(value)
+
+
+def _set_product(doc, left, right, result):
+    """Make left * right the combination {label: coeff}, replacing any entry."""
+    i, j = _degree(doc, left), _degree(doc, right)
+    a, b = doc["basis"][i].index(left), doc["basis"][j].index(right)
+    key = (str(i), str(a), str(j), str(b))
+    doc["product"] = [
+        e for e in doc["product"]
+        if (e["i_deg"], e["i_idx"], e["j_deg"], e["j_idx"]) != key
+    ]
+    level = doc["basis"][i + j]
+    doc["product"].append({
+        "i_deg": key[0], "i_idx": key[1], "j_deg": key[2], "j_idx": key[3],
+        "result": [{"idx": str(level.index(c)), "coeff": str(v)} for c, v in result.items()],
+    })
+
+
+def _broken_shape(doc):
+    """The first row of d_1 gets an extra column."""
+    next(e for e in doc["diff"] if e["deg"] == "1")["matrix"][0].append("0")
+
+
+def _broken_range(doc):
+    """A product entry names basis element 9 of degree 1."""
+    doc["product"].append({"i_deg": "1", "i_idx": "9", "j_deg": "1", "j_idx": "0", "result": []})
+
+
+# one document per failure kind: (kind, fixture pair, edit of its total model)
+DGRING_CORRUPTIONS = (
+    ("shape", "hopf", _broken_shape),
+    ("range", "hopf", _broken_range),
+    ("d_unit", "lens2_k1", lambda doc: _set_diff(doc, "y1", "1", 1)),
+    ("d_squared", "hopf", lambda doc: _set_diff(doc, "v2.y1", "v2", 1)),
+    ("unit", "hopf", lambda doc: _set_product(doc, "1", "y1", {"y1": 2})),
+    ("commutativity", "t3_trivial", lambda doc: _set_product(doc, "x1", "x2", {"x1x2": 2})),
+    ("associativity", "t3_trivial", lambda doc: (
+        _set_product(doc, "x1x2", "x3", {"x1x2x3": 2}),
+        _set_product(doc, "x3", "x1x2", {"x1x2x3": 2}),
+    )),
+    ("leibniz", "t3_trivial", lambda doc: _set_diff(doc, "x1x3", "x3", 1)),
+)
+
+
+def total_doc(name):
+    return space_to_doc(named_pair(name).bundle.total)
 
 
 def _write(directory, name, doc):
@@ -62,6 +124,14 @@ def cases(directory):
             triple_path = _write(directory, f"{name}.triple.json", triple)
             yield f"check-triple__{name}", ["check-triple", "--triple", triple_path]
             yield f"tmap__{name}", ["tmap", "--triple", triple_path]
+    for name in DGRING_PAIRS:
+        path = _write(directory, f"{name}.total.json", total_doc(name))
+        yield f"cohomology__{name}_total", ["cohomology", "--base", path]
+    for kind, name, edit in DGRING_CORRUPTIONS:
+        doc = total_doc(name)
+        edit(doc)
+        path = _write(directory, f"{name}.total.{kind}.json", doc)
+        yield f"cohomology__{name}_total_{kind}", ["cohomology", "--base", path]
 
 
 def outputs():

@@ -228,6 +228,77 @@ def test_parse_rejects_commutativity_failure():
     assert "commutativity" in str(err.value)
 
 
+def _torus3_with(product=None, diff=None):
+    """T^3's exterior algebra with some product entries or d_1 entries replaced.
+
+    Degree 1 is x1, x2, x3; degree 2 is x1x2, x1x3, x2x3; degree 3 is x1x2x3.
+    """
+    T = builtin_space("torus", {"k": 3})
+    table = dict(T.product)
+    table.update(product or {})
+    d1 = [[0] * 3 for _ in range(3)]
+    for (row, col), value in (diff or {}).items():
+        d1[row][col] = value
+    return DgRingModel(T.basis, {1: d1}, table, check=False)
+
+
+# one model per failure kind, each breaking exactly the axiom it names
+CERTIFICATES = {
+    "shape": (
+        lambda: DgRingModel([["1"], ["a"], ["b"]], {1: [[1, 2]]}, {}, check=False),
+        "differential in degree 1 has shape (1, 2), expected (1, 1)",
+    ),
+    "range_degrees": (
+        lambda: DgRingModel([["1"], ["a"]], {}, {(1, 0, 1, 0): {0: 1}}, check=False),
+        "product entry for degrees (1,1) out of range",
+    ),
+    "range_index": (
+        lambda: DgRingModel([["1"], ["a"], ["b"]], {}, {(1, 1, 1, 0): {0: 1}}, check=False),
+        "product entry (1,1,1,0) indexes outside the basis",
+    ),
+    "d_unit": (
+        lambda: DgRingModel([["1"], ["a"]], {0: [[1]]}, {}, check=False),
+        "d(unit) is nonzero",
+    ),
+    "d_squared": (
+        lambda: DgRingModel(
+            [["1"], ["a"], ["b"], ["c"]], {1: [[1]], 2: [[1]]}, {}, check=False
+        ),
+        "d(d(x)) != 0 for basis element 'a' in degree 1",
+    ),
+    "unit": (
+        lambda: DgRingModel([["1"], ["a"]], {}, {(0, 0, 1, 0): {0: 2}}, check=False),
+        "unit does not act as identity on 'a'",
+    ),
+    "commutativity": (
+        lambda: DgRingModel(
+            [["1"], ["x", "y"], ["v"]], {},
+            {(1, 0, 1, 1): {0: 1}, (1, 1, 1, 0): {0: 1}}, check=False,
+        ),
+        "graded commutativity fails on pair ('x', 'y')",
+    ),
+    # x1x2 . x3 = 2 x1x2x3 on both sides keeps commutativity but not (x1 x2) x3
+    "associativity": (
+        lambda: _torus3_with(product={(2, 0, 1, 2): {0: 2}, (1, 2, 2, 0): {0: 2}}),
+        "associativity fails on triple ('x1', 'x2', 'x3')",
+    ),
+    # d(x3) = x1x3 keeps d o d = 0 (d_2 = 0) but d(x2 x3) != d(x2) x3 - x2 d(x3)
+    "leibniz": (
+        lambda: _torus3_with(diff={(1, 2): 1}),
+        "Leibniz rule fails on pair ('x2', 'x3')",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CERTIFICATES))
+def test_validate_certificate(kind):
+    build, message = CERTIFICATES[kind]
+    model = build()
+    with pytest.raises(ModelError) as err:
+        model.validate()
+    assert str(err.value) == message
+
+
 def test_parse_rejects_unknown_format_and_bad_schema():
     with pytest.raises(SchemaError):
         parse_space({"format": "cubical"})
