@@ -18,7 +18,14 @@ import numpy as np
 from .errors import InputError, ModelError, UnsupportedElementError
 from .exact_linalg import eye, intmat, intvec, smith_normal_form, solve, zeros
 from .space_model import Cocycle
-from .tduality_core import Pair, Triple, dualize, h3_action, torsor_difference
+from .tduality_core import (
+    Pair,
+    Triple,
+    _substitute_fiber,
+    dualize,
+    h3_action,
+    torsor_difference,
+)
 from .torus_bundle import build_bundle
 
 __all__ = [
@@ -242,23 +249,12 @@ def _classify(g: OnnElement):
 def _flux_base_part(t: Triple):
     """beta with z ~ sum_i zhat_i y_i + pi*(beta); needs a valid triple."""
     m = t.side.bundle
-    base = t.base
-    lead = m.zero_vector(3)
-    for i, z in enumerate(t.dual.bundle.chern):
-        for a in range(base.dim(2)):
-            if z[a]:
-                lead[m.index[3][(2, a, (i,))]] += z[a]
+    lead = m.normal_form_vector(t.dual.bundle.chern)
     block = np.hstack([m.pullback_matrix(3), m.total.d_matrix(2)])
     sol = solve(block, t.side.flux.vector - lead)
     if sol is None:
         raise InputError("triple flux does not have the required leading part")
-    return sol[: base.dim(3)]
-
-
-def _substitute_fiber_map(m_old, m_new, vec, k, images):
-    from .tduality_core import _substitute_fiber
-
-    return _substitute_fiber(m_old, m_new, vec, k, images)
+    return sol[: t.base.dim(3)]
 
 
 def act_on_triple(g: OnnElement, t: Triple) -> Triple:
@@ -290,7 +286,7 @@ def _act_flip(t: Triple) -> Triple:
     for i in range(2 * n):
         new_index = (i + n) % (2 * n)
         images.append(flipped.doubled.element_vector(0, 0, (new_index,)))
-    w_new = -_substitute_fiber_map(t.doubled, flipped.doubled, t.w, 2, images)
+    w_new = -_substitute_fiber(t.doubled, flipped.doubled, t.w, 2, images)
     return flipped.with_data(w=w_new)
 
 
@@ -302,15 +298,7 @@ def _act_shear(t: Triple, B) -> Triple:
     zhat = list(t.dual.bundle.chern)
 
     # canonical triple carrying the same side pair and the same dual bundle
-    normal_rep = m.zero_vector(3)
-    for i, z in enumerate(zhat):
-        for a in range(base.dim(2)):
-            if z[a]:
-                normal_rep[m.index[3][(2, a, (i,))]] += z[a]
-    for a in range(base.dim(3)):
-        if beta[a]:
-            normal_rep[m.index[3][(3, a, ())]] += beta[a]
-    base_pair = Pair(m, Cocycle(3, normal_rep))
+    base_pair = Pair(m, Cocycle(3, m.normal_form_vector(zhat, beta)))
     t0 = dualize(base_pair, choice={"chern_hat": zhat, "beta": beta})
     delta = torsor_difference(t, t0)
 
@@ -320,16 +308,9 @@ def _act_shear(t: Triple, B) -> Triple:
             if B[i, j]:
                 shift[i] = shift[i] + B[i, j] * m.chern[j]
     zhat_new = [zh + sh for zh, sh in zip(zhat, shift)]
-    rep_new = m.zero_vector(3)
-    for i, z in enumerate(zhat_new):
-        for a in range(base.dim(2)):
-            if z[a]:
-                rep_new[m.index[3][(2, a, (i,))]] += z[a]
-    for a in range(base.dim(3)):
-        if beta[a]:
-            rep_new[m.index[3][(3, a, ())]] += beta[a]
     sheared = dualize(
-        Pair(m, Cocycle(3, rep_new)), choice={"chern_hat": zhat_new, "beta": beta}
+        Pair(m, Cocycle(3, m.normal_form_vector(zhat_new, beta))),
+        choice={"chern_hat": zhat_new, "beta": beta},
     )
     return h3_action(sheared, delta)
 
@@ -353,8 +334,8 @@ def _act_gl(t: Triple, G) -> Triple:
                 acc = acc + Ginv[k, i] * t.dual.bundle.chern[k]
         chern_hat_new.append(acc)
 
-    side_new = build_bundle(base, chern_new, check=False)
-    dual_new = build_bundle(base, chern_hat_new, check=False)
+    side_new = build_bundle(base, chern_new)
+    dual_new = build_bundle(base, chern_hat_new)
 
     # old fiber generators in the new coordinates: y = G^{-1} y', yh = G^T yh'
     side_images = []
@@ -372,10 +353,10 @@ def _act_gl(t: Triple, G) -> Triple:
                 acc = acc + G[i, k] * dual_new.element_vector(0, 0, (i,))
         dual_images.append(acc)
 
-    z_new = _substitute_fiber_map(
+    z_new = _substitute_fiber(
         t.side.bundle, side_new, t.side.flux.vector, 3, side_images
     )
-    zh_new = _substitute_fiber_map(
+    zh_new = _substitute_fiber(
         t.dual.bundle, dual_new, t.dual.flux.vector, 3, dual_images
     )
 
@@ -395,5 +376,5 @@ def _act_gl(t: Triple, G) -> Triple:
             if G[i, k]:
                 acc = acc + G[i, k] * out.doubled.element_vector(0, 0, (i + n,))
         doubled_images.append(acc)
-    w_new = _substitute_fiber_map(t.doubled, out.doubled, t.w, 2, doubled_images)
+    w_new = _substitute_fiber(t.doubled, out.doubled, t.w, 2, doubled_images)
     return out.with_data(w=w_new)

@@ -112,13 +112,9 @@ def _check_transgression_suite():
         for i in range(m.n):
             for j in range(i + 1, m.n):
                 yij = m.element_vector(0, 0, (i, j))
-                vec = m.zero_vector(3)
-                for a in range(m.base.dim(2)):
-                    if m.chern[i][a]:
-                        vec[m.index[3][(2, a, (j,))]] += m.chern[i][a]
-                    if m.chern[j][a]:
-                        vec[m.index[3][(2, a, (i,))]] -= m.chern[j][a]
-                if e02.apply_d(yij) != e21.reduce(vec):
+                zhat = [m.base.zero_vector(2) for _ in range(m.n)]
+                zhat[i], zhat[j] = -m.chern[j], m.chern[i]
+                if e02.apply_d(yij) != e21.reduce(m.normal_form_vector(zhat)):
                     return False, f"page-2 product rule failed on model {count}"
         count += 1
     return True, f"transgression and product rule on {count} bundle models"

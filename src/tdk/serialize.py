@@ -121,7 +121,7 @@ def _bundle_to_fields(bundle):
     }
 
 
-def _bundle_from_fields(doc, truncation=None, check=True):
+def _bundle_from_fields(doc, truncation=None):
     for key in ("base", "n", "chern"):
         if key not in doc:
             raise SchemaError(f"bundle document needs a {key!r} field")
@@ -142,7 +142,7 @@ def _bundle_from_fields(doc, truncation=None, check=True):
                 f"chern vector {i} must have length {base.dim(2)}"
             )
         vectors.append([int(str(x)) for x in z])
-    return build_bundle(base, vectors, check=check)
+    return build_bundle(base, vectors)
 
 
 def _flux_from_doc(bundle, doc, key):
@@ -164,7 +164,7 @@ def pair_to_doc(pair: Pair):
 def pair_from_doc(doc, truncation=None):
     if not isinstance(doc, dict) or doc.get("format") != "pair":
         raise SchemaError("expected a document with format 'pair'")
-    bundle = _bundle_from_fields(doc, truncation=truncation, check=True)
+    bundle = _bundle_from_fields(doc, truncation=truncation)
     return Pair(bundle, _flux_from_doc(bundle, doc, "flux"))
 
 
@@ -181,7 +181,7 @@ def triple_to_doc(t: Triple):
 def triple_from_doc(doc, truncation=None):
     if not isinstance(doc, dict) or doc.get("format") != "triple":
         raise SchemaError("expected a document with format 'triple'")
-    side_bundle = _bundle_from_fields(doc, truncation=truncation, check=True)
+    side_bundle = _bundle_from_fields(doc, truncation=truncation)
     base = side_bundle.base
     n = side_bundle.n
     chern_hat = doc.get("chern_hat")
@@ -192,7 +192,7 @@ def triple_from_doc(doc, truncation=None):
         if not isinstance(z, list) or len(z) != base.dim(2):
             raise SchemaError(f"chern_hat vector {i} must have length {base.dim(2)}")
         hat_vectors.append([int(str(x)) for x in z])
-    dual_bundle = build_bundle(base, hat_vectors, check=False)
+    dual_bundle = build_bundle(base, hat_vectors)
     side = Pair(side_bundle, _flux_from_doc(side_bundle, doc, "flux"))
     dual = Pair(dual_bundle, _flux_from_doc(dual_bundle, doc, "flux_hat"))
     w_doc = doc.get("w")

@@ -241,13 +241,7 @@ class DgRingModel:
         mul_basis = self.mul_basis
         if dcols[0][0]:
             raise ModelError("d(unit) is nonzero")
-        # d o d = 0
-        for k in range(self.D - 1):
-            for a in range(self.dim(k)):
-                if self.d_terms(k + 1, dcols[k][a]):
-                    raise ModelError(
-                        f"d(d(x)) != 0 for basis element {self.basis[k][a]!r} in degree {k}"
-                    )
+        self.check_d_squared()
         # unit acts as identity (explicit entries may not override it)
         for j in range(self.D + 1):
             for b in range(self.dim(j)):
@@ -307,6 +301,15 @@ class DgRingModel:
                                 "Leibniz rule fails on pair "
                                 f"({self.basis[i][a]!r}, {self.basis[j][b]!r})"
                             )
+
+    def check_d_squared(self):
+        """Raise ModelError naming the first basis element x with d(d(x)) != 0."""
+        for k in range(self.D - 1):
+            for a, col in enumerate(self.d_columns(k)):
+                if self.d_terms(k + 1, col):
+                    raise ModelError(
+                        f"d(d(x)) != 0 for basis element {self.basis[k][a]!r} in degree {k}"
+                    )
 
     # -- cohomology ----------------------------------------------------------
 
@@ -798,18 +801,18 @@ def _torus_model(k, truncation):
     D = min(k, truncation)
     labels = [f"x{i + 1}" for i in range(k)]
     basis, product, _, _ = _exterior_tables(labels, D)
-    return DgRingModel(basis, {}, product, meta={"name": f"torus{k}"})
+    return DgRingModel(basis, {}, product, meta={"name": f"torus{k}"}, check=False)
 
 
 def _sphere_model(k, truncation):
     basis = [["1"]] + [[] for _ in range(min(k, truncation))]
     if k <= truncation:
         basis[k] = [f"v{k}"]
-    return DgRingModel(basis, {}, {}, meta={"name": f"sphere{k}"})
+    return DgRingModel(basis, {}, {}, meta={"name": f"sphere{k}"}, check=False)
 
 
 def _point_model():
-    return DgRingModel([["1"]], {}, {}, meta={"name": "point"})
+    return DgRingModel([["1"]], {}, {}, meta={"name": "point"}, check=False)
 
 
 def _surface_model(genus, truncation):
@@ -824,7 +827,7 @@ def _surface_model(genus, truncation):
         ia, ib = 2 * g, 2 * g + 1
         product[(1, ia, 1, ib)] = {0: 1}
         product[(1, ib, 1, ia)] = {0: -1}
-    return DgRingModel(basis, {}, product, meta={"name": f"surface{genus}"})
+    return DgRingModel(basis, {}, product, meta={"name": f"surface{genus}"}, check=False)
 
 
 def _heisenberg_model(k, truncation):
@@ -837,14 +840,21 @@ def _heisenberg_model(k, truncation):
     d1 = zeros(len(subsets[2]), len(subsets[1]))
     d1[xy, index[1][(2,)]] = k
     diff[1] = d1
-    return DgRingModel(basis, diff, product, meta={"name": f"heisenberg{k}"})
+    return DgRingModel(
+        basis, diff, product, meta={"name": f"heisenberg{k}"}, check=False
+    )
 
 
 BUILTIN_NAMES = ("point", "sphere", "torus", "surface", "heisenberg")
 
 
 def builtin_space(name, params=None, truncation=DEFAULT_TRUNCATION):
-    """Named base-space model; every builtin passes full validation."""
+    """Named base-space model, built without running :meth:`DgRingModel.validate`.
+
+    The builtins are generated by code that is valid for every parameter;
+    ``tests/test_space_model.py::test_builtins_pass_full_validation`` runs
+    the full check on each of them over a ladder of parameters.
+    """
     params = dict(params or {})
     if name == "point":
         model, used = _point_model(), {}

@@ -112,9 +112,7 @@ class Triple:
                 self.base,
                 list(side.bundle.chern) + list(dual.bundle.chern),
                 labels=side.bundle.labels + _dual_fiber_labels(self.n),
-                check=False,
             )
-            self._assert_d_squared(doubled)
         self.doubled = doubled
         if w is None:
             w = self.standard_w()
@@ -130,13 +128,6 @@ class Triple:
         for i in range(self.n):
             w[self.doubled.index[2][(0, 0, (i, i + self.n))]] = 1
         return w
-
-    @staticmethod
-    def _assert_d_squared(m):
-        for k in range(m.D - 1):
-            comp = m.total.d_matrix(k + 1).dot(m.total.d_matrix(k))
-            if any(x != 0 for x in comp.flat):
-                raise ModelError("doubled model has d o d != 0; base model invalid")
 
     # -- embeddings into the doubled model ------------------------------------
 
@@ -267,16 +258,10 @@ def dualize(pair: Pair, choice=None) -> Triple:
         beta = intvec(choice.get("beta", base.zero_vector(3)), length=base.dim(3))
         if len(zhat) != m.n:
             raise InputError("need one dual chern cocycle per fiber circle")
-        rep = m.zero_vector(3)
         for i, z in enumerate(zhat):
             if not base.is_closed(2, z):
                 raise InputError(f"chosen dual chern cocycle {i} is not closed")
-            for a in range(base.dim(2)):
-                if z[a]:
-                    rep[m.index[3][(2, a, (i,))]] += z[a]
-        for a in range(base.dim(3)):
-            if beta[a]:
-                rep[m.index[3][(3, a, ())]] += beta[a]
+        rep = m.normal_form_vector(zhat, beta)
         if not m.total.is_closed(3, rep):
             raise InputError("chosen normal form is not a cocycle")
         H3 = m.total_cohomology(3)
@@ -286,16 +271,8 @@ def dualize(pair: Pair, choice=None) -> Triple:
         zhat, beta, rep = _normal_form(pair)
 
     side = Pair(m, Cocycle(3, rep))
-    dual_bundle = build_bundle(base, zhat, check=False)
-    dual_flux = dual_bundle.zero_vector(3)
-    for i, zc in enumerate(m.chern):
-        for a in range(base.dim(2)):
-            if zc[a]:
-                dual_flux[dual_bundle.index[3][(2, a, (i,))]] += zc[a]
-    for a in range(base.dim(3)):
-        if beta[a]:
-            dual_flux[dual_bundle.index[3][(3, a, ())]] += beta[a]
-    dual = Pair(dual_bundle, Cocycle(3, dual_flux))
+    dual_bundle = build_bundle(base, zhat)
+    dual = Pair(dual_bundle, Cocycle(3, dual_bundle.normal_form_vector(m.chern, beta)))
 
     t = Triple(side, dual)
     report = validate_triple(t)
@@ -326,20 +303,13 @@ class TripleReport:
 def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern):
     """[flux] lies in step 2 with leading part sum_i y_i (x) [other_chern_i]."""
     base = bundle.base
-    expected = bundle.zero_vector(3)
-    for i, z in enumerate(other_chern):
-        for a in range(base.dim(2)):
-            if z[a]:
-                expected[bundle.index[3][(2, a, (i,))]] += z[a]
     total = base.zero_vector(4)
     for zc, zh in zip(bundle.chern, other_chern):
         total = total + base.mul(2, zc, 2, zh)
     beta = solve(base.d_matrix(3), -total)
     if beta is None:
         return False, "no closed cocycle has the required leading part"
-    for a in range(base.dim(3)):
-        if beta[a]:
-            expected[bundle.index[3][(3, a, ())]] += beta[a]
+    expected = bundle.normal_form_vector(other_chern, beta)
     if not bundle.total.is_closed(3, expected):
         return False, "internal: expected leading representative not closed"
     diff = Cocycle(3, flux.vector - expected)

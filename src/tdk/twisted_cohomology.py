@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -136,9 +137,13 @@ class TwistedComplex:
             out[off + i] = x
         return out
 
+    @cached_property
+    def ranks(self):
+        """Q-ranks of D out of parity 0 and out of parity 1."""
+        return rational_rank(self.D_from[0]), rational_rank(self.D_from[1])
+
     def cohomology_dims(self):
-        r01 = rational_rank(self.D_from[0])
-        r10 = rational_rank(self.D_from[1])
+        r01, r10 = self.ranks
         return (self.dims[0] - r01 - r10, self.dims[1] - r10 - r01)
 
 
@@ -182,21 +187,31 @@ class TMap:
 
     def chain_defect(self):
         """D_dual o T - (-1)^n T o D_side, per source parity; zero when valid."""
+        return self._defect(self.blocks)
+
+    def _defect(self, blocks):
         n_sign = -1 if self.parity_shift % 2 else 1
         out = {}
         for par in (0, 1):
-            lhs = self.target.D_from[(par + self.parity_shift) % 2].dot(
-                self.blocks[par]
-            )
-            rhs = self.blocks[1 - par].dot(self.source.D_from[par])
+            lhs = self.target.D_from[(par + self.parity_shift) % 2].dot(blocks[par])
+            rhs = blocks[1 - par].dot(self.source.D_from[par])
             out[par] = lhs - n_sign * rhs
         return out
 
     def is_chain_map(self):
-        return all(
-            all(x == 0 for x in defect.flat)
-            for defect in self.chain_defect().values()
-        )
+        """The chain identity, tested on integers.
+
+        Both blocks are scaled by the lcm of all their denominators.  The
+        identity is linear in the blocks, so the integer defect is zero iff
+        the rational one is.
+        """
+        scale = math.lcm(*(x.denominator for b in self.blocks.values() for x in b.flat))
+        scaled = {
+            par: intmat([[int(x * scale) for x in row] for row in b.tolist()],
+                        rows=b.shape[0], cols=b.shape[1])
+            for par, b in self.blocks.items()
+        }
+        return all(not any(defect.flat) for defect in self._defect(scaled).values())
 
 
 def t_transform(t: Triple) -> TMap:
@@ -295,11 +310,10 @@ def verify_iso(t: Triple) -> IsoReport:
         K = rational_kernel(tm.source.D_from[par])
         image_in_tgt = tm.target.D_from[1 - tgt]
         TK = tm.blocks[par].dot(K) if K.shape[1] else zeros(tm.target.dims[tgt], 0)
-        rank_B = rational_rank(image_in_tgt)
         rank_TKB = rational_rank(_hcat([TK, image_in_tgt]))
-        induced_rank = rank_TKB - rank_B
-        h_src = tm.source.cohomology_dims()[par]
-        h_tgt = tm.target.cohomology_dims()[tgt]
+        induced_rank = rank_TKB - tm.target.ranks[1 - tgt]
+        h_src = dims_side[par]
+        h_tgt = dims_dual[tgt]
         if induced_rank != h_src:
             return IsoReport(
                 ok=False,

@@ -1,0 +1,112 @@
+"""Bundle total models are correct by construction; these tests are the oracle.
+
+``build_bundle`` no longer runs :meth:`DgRingModel.validate` on the total
+model: its product is the Koszul rule and the only build-time check is the
+d o d = 0 certificate.  Here the full ``validate()`` runs on random bundles
+over small builtin bases, the lazily tabulated product table is compared
+with the eager tabulation loop it replaced (``reference_product_table``),
+and a base that breaks Leibniz against a chern cocycle must be refused.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from tdk.errors import ModelError  # noqa: E402
+from tdk.space_model import DgRingModel, builtin_space  # noqa: E402
+from tdk.torus_bundle import ChernVector, build_bundle  # noqa: E402
+
+
+def _shuffle_sign(S, T):
+    if set(S) & set(T):
+        return None, 0
+    inv = sum(1 for s in S for t in T if s > t)
+    return tuple(sorted(S + T)), (-1) ** inv
+
+
+def reference_product_table(m):
+    """The eager tabulation loop of the total model over all basis pairs."""
+    product = {}
+    for k1 in range(m.D + 1):
+        for k2 in range(m.D + 1 - k1):
+            level = m.index[k1 + k2]
+            for n1, (p1, a1, S1) in enumerate(m.elements[k1]):
+                for n2, (p2, a2, S2) in enumerate(m.elements[k2]):
+                    if (k1 == 0 and n1 == 0) or (k2 == 0 and n2 == 0):
+                        continue
+                    merged, sign = _shuffle_sign(S1, S2)
+                    if merged is None:
+                        continue
+                    if len(S1) % 2 and p2 % 2:
+                        sign = -sign
+                    table = {}
+                    for a3, x in m.base.mul_basis(p1, a1, p2, a2).items():
+                        c = level.get((p1 + p2, a3, merged))
+                        if c is not None:
+                            table[c] = sign * x
+                    if table:
+                        product[(k1, n1, k2, n2)] = table
+    return product
+
+
+# (base name, params, largest n); every degree-2 vector on these bases is closed
+BASES = (
+    ("torus", {"k": 2}, 3),
+    ("torus", {"k": 3}, 2),
+    ("surface", {"genus": 0}, 2),
+    ("surface", {"genus": 1}, 2),
+    ("surface", {"genus": 2}, 2),
+    ("surface", {"genus": 3}, 2),
+    ("heisenberg", {"k": 1}, 2),
+    ("heisenberg", {"k": -2}, 2),
+    ("point", {}, 4),
+)
+
+
+@st.composite
+def bundles(draw):
+    name, params, top = draw(st.sampled_from(BASES))
+    base = builtin_space(name, params)
+    n = draw(st.integers(1, top))
+    coeff = st.integers(-3, 3)
+    chern = [draw(st.lists(coeff, min_size=base.dim(2), max_size=base.dim(2))) for _ in range(n)]
+    return base, chern
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundles())
+def test_bundle_totals_pass_full_validation(data):
+    base, chern = data
+    m = build_bundle(base, chern)
+    m.total.validate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundles())
+def test_lazy_product_table_matches_eager_loop(data):
+    base, chern = data
+    m = build_bundle(base, chern)
+    assert "product" not in vars(m.total)  # nothing tabulated at build time
+    assert m.total.product == reference_product_table(m)
+
+
+def _leibniz_breaking_base():
+    """b (deg 1), z (deg 2), v = b z (deg 3), w (deg 4), d v = w, else d = 0.
+
+    d o d = 0 and z is closed, but d(b z) = w while d(b) z - b d(z) = 0.
+    """
+    basis = [["1"], ["b"], ["z"], ["v"], ["w"]]
+    product = {(1, 0, 2, 0): {0: 1}, (2, 0, 1, 0): {0: 1}}
+    return DgRingModel(basis, {3: [[1]]}, product, check=False)
+
+
+def test_certificate_refuses_base_breaking_leibniz_against_chern():
+    base = _leibniz_breaking_base()
+    with pytest.raises(ModelError, match="Leibniz rule fails on pair \\('b', 'z'\\)"):
+        base.validate()
+    ChernVector(base, [[1]])  # the cocycle itself is closed
+    with pytest.raises(ModelError, match="total model of the bundle is invalid: d\\(d\\(x\\)\\) != 0"):
+        build_bundle(base, [[1]])
+    build_bundle(base, [[0]])  # with a zero cocycle nothing meets the broken pair

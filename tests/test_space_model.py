@@ -453,6 +453,23 @@ def test_builtin_heisenberg():
     assert M2.cohomology(2).invariants() == (2, (2,))
 
 
+# builtins skip validate() when built; this ladder is what vouches for them
+BUILTIN_LADDER = (
+    [("point", {})]
+    + [("sphere", {"k": k}) for k in range(1, 5)]
+    + [("torus", {"k": k}) for k in range(1, 4)]
+    + [("surface", {"genus": g}) for g in range(7)]
+    + [("heisenberg", {"k": k}) for k in range(-3, 4)]
+)
+
+
+@pytest.mark.parametrize(
+    "name, params", BUILTIN_LADDER, ids=[f"{n}{p}" for n, p in BUILTIN_LADDER]
+)
+def test_builtins_pass_full_validation(name, params):
+    builtin_space(name, params).validate()
+
+
 def test_builtin_unknown_name():
     with pytest.raises(InputError):
         builtin_space("moebius")

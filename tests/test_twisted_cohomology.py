@@ -6,8 +6,12 @@ isomorphism), the untwisted S^3 has one class per parity, and S^2 x S^1
 twisted by its degree-3 generator keeps exactly H^2 (even) and H^1 (odd).
 """
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
+from tdk import twisted_cohomology
 from tdk.errors import InputError
 from tdk.exact_linalg import intvec
 from tdk.space_model import Cocycle, builtin_space
@@ -197,6 +201,34 @@ def test_h3_action_preserves_duality_and_euler_characteristic():
     shift = t.n % 2
     ds, dd = report.dims_side, report.dims_dual
     assert ds == (dd[shift], dd[1 - shift])
+
+
+def _perturbed(tm):
+    """tm with 1/2 added to one T entry that the target differential reads."""
+    for par in (0, 1):
+        dmat = tm.target.D_from[(par + tm.parity_shift) % 2]
+        block = tm.blocks[par]
+        for i in range(block.shape[0]):
+            if block.shape[1] and any(x != 0 for x in dmat[:, i]):
+                blocks = {p: b.copy() for p, b in tm.blocks.items()}
+                blocks[par][i, 0] += Fraction(1, 2)
+                return dataclasses.replace(tm, blocks=blocks)
+    raise AssertionError("no entry of T reaches the target differential")
+
+
+def test_perturbed_transformation_is_not_a_chain_map(monkeypatch):
+    m = build_bundle(T2, [T2.basis_vector(2, 0), T2.zero_vector(2)])
+    t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
+    bad = _perturbed(t_transform(t))
+    assert not bad.is_chain_map()
+    assert any(any(x != 0 for x in d.flat) for d in bad.chain_defect().values())
+
+    unperturbed = twisted_cohomology.t_transform
+    monkeypatch.setattr(twisted_cohomology, "t_transform", lambda t: _perturbed(unperturbed(t)))
+    report = verify_iso(t)
+    assert not report.ok
+    assert report.chain_ok is False
+    assert report.reason == "chain-map identity fails at the cochain level"
 
 
 def test_n2_triple_transformation():
