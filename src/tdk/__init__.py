@@ -42,11 +42,6 @@ from .torus_bundle import (
     FiltrationReport,
     SSPage,
     build_bundle,
-    fiber_restriction,
-    filtration_report,
-    pullback_to_total,
-    ss_page,
-    total_cohomology,
 )
 from .tduality_core import (
     ExtensionReport,

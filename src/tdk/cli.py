@@ -7,7 +7,10 @@ standard output as JSON with every integer rendered as a decimal string;
 ``--pretty`` switches to an indented human-oriented rendering.
 
 ``TDK_TRUNCATION`` overrides the default degree bound (4) used when reading
-space documents.
+space documents; it also applies to builtin documents and ``--builtin``.
+
+``tdk selftest`` runs the acceptance battery of :mod:`tdk.selftest` and
+reports each check with its wall time in milliseconds.
 """
 
 from __future__ import annotations
@@ -66,7 +69,10 @@ def _load_base(args):
             if not isinstance(raw, dict):
                 raise TdkError("--params must be a JSON object")
             params = {k: int(str(v)) for k, v in raw.items()}
-        return space_from_doc({"format": "builtin", "name": args.builtin, "params": params})
+        return space_from_doc(
+            {"format": "builtin", "name": args.builtin, "params": params},
+            truncation=_truncation(),
+        )
     if getattr(args, "base", None):
         return space_from_doc(_load_json(args.base, "base"), truncation=_truncation())
     raise TdkError("give a base space with --base FILE or --builtin NAME")
@@ -280,10 +286,10 @@ def _cmd_selftest(args):
 
     rows = run_selftest()
     table = [
-        {"check": name, "passed": passed, "detail": detail}
-        for name, passed, detail in rows
+        {"check": name, "passed": passed, "detail": detail, "ms": f"{ms:.1f}"}
+        for name, passed, detail, ms in rows
     ]
-    ok = all(passed for _, passed, _ in rows)
+    ok = all(passed for _, passed, _, _ in rows)
     return (0 if ok else 1), {"all_passed": ok, "checks": table}
 
 

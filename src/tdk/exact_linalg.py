@@ -7,7 +7,8 @@ elimination kernel: ``smith_normal_form`` copies the matrix into lists of
 Python ints, eliminates there, and returns a :class:`SmithForm` with
 unimodular U, V such that ``U @ M @ V`` is diagonal with a divisibility
 chain.  The rest of the module (solving, kernels, cokernels, presented
-groups, subquotients) is built on top of it.
+groups, subquotients, and ``cochain_cohomology``, the one routine that
+forms ker d_k / im d_{k-1}) is built on top of it.
 
 Factor once, solve many: a matrix that meets several right-hand sides is
 factored once and each right-hand side goes through ``SmithForm.solve``.
@@ -62,6 +63,7 @@ __all__ = [
     "Subquotient",
     "subquotient",
     "induced_hom",
+    "cochain_cohomology",
 ]
 
 
@@ -632,3 +634,21 @@ def subquotient(amb, Z, B):
                 f"numerator subgroup: {MB[:, j].tolist()}"
             )
     return sq
+
+
+def cochain_cohomology(k, top, dim, d_matrix, cycles=None, boundaries=None):
+    """H^k = ker d_k / im d_{k-1} of a cochain complex in degrees 0..top.
+
+    ``dim(k)`` is the rank of the degree-k cochains and ``d_matrix(k)`` the
+    differential out of them.  Outside 0..top the group is zero.  The
+    spectral-sequence pages pass other degree-k lattices as ``cycles`` and
+    ``boundaries``, callables run only when k is in range.
+    """
+    if not 0 <= k <= top:
+        return subquotient(FgAbelianGroup(0), zeros(0, 0), zeros(0, 0))
+    Z = cycles() if cycles else kernel_basis(d_matrix(k))
+    if boundaries:
+        B = boundaries()
+    else:
+        B = d_matrix(k - 1) if k >= 1 else zeros(dim(k), 0)
+    return subquotient(FgAbelianGroup(dim(k)), Z, B)

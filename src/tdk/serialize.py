@@ -11,6 +11,7 @@ import json
 
 from .errors import SchemaError
 from .space_model import (
+    DEFAULT_TRUNCATION,
     Cocycle,
     DgRingModel,
     SimplicialComplex,
@@ -105,7 +106,9 @@ def space_from_doc(doc, truncation=None):
         if not isinstance(params, dict):
             raise SchemaError("builtin params must be an object")
         params = {k: int(str(v)) for k, v in params.items()}
-        return builtin_space(name, params)
+        if truncation is None:
+            truncation = DEFAULT_TRUNCATION
+        return builtin_space(name, params, truncation=truncation)
     return parse_space(doc, truncation=truncation)
 
 

@@ -22,11 +22,11 @@ from .exact_linalg import (
     FgAbelianGroup,
     GroupHom,
     Subquotient,
+    cochain_cohomology,
     hstack,
     intvec,
     kernel_basis,
     solve,
-    subquotient,
     zeros,
 )
 from .space_model import Cocycle, DgRingModel
@@ -37,11 +37,6 @@ __all__ = [
     "SSPage",
     "FiltrationReport",
     "build_bundle",
-    "total_cohomology",
-    "ss_page",
-    "filtration_report",
-    "pullback_to_total",
-    "fiber_restriction",
 ]
 
 
@@ -302,12 +297,7 @@ class BundleModel:
     @lru_cache(maxsize=None)
     def total_cohomology(self, k):
         """H^k of the total space as a subquotient of degree-k cochains."""
-        if k < 0 or k > self.D:
-            return subquotient(FgAbelianGroup(0), zeros(0, 0), zeros(0, 0))
-        amb = FgAbelianGroup(self.dim(k))
-        Z = kernel_basis(self.total.d_matrix(k))
-        B = self.total.d_matrix(k - 1) if k >= 1 else zeros(self.dim(k), 0)
-        return subquotient(amb, Z, B)
+        return cochain_cohomology(k, self.D, self.dim, self.total.d_matrix)
 
     def filtration_indices(self, k, p):
         return [i for i, (bp, _, _) in enumerate(self.elements[k]) if bp >= p]
@@ -352,21 +342,21 @@ class BundleModel:
 
     @lru_cache(maxsize=None)
     def _page_subquotient(self, r, p, q):
-        # slots with q > n, q < 0 or p < 0 come out trivial by themselves
-        k = p + q
+        """E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}).
+
+        Slots with q > n, q < 0 or p < 0 come out trivial by themselves.
+        """
         r = min(r, self.stable_page)
-        if k < 0 or k > self.D:
-            return subquotient(FgAbelianGroup(0), zeros(0, 0), zeros(0, 0))
-        amb = FgAbelianGroup(self.dim(k))
-        Z = self.z_lattice(r, p, q)
-        B1 = self.z_lattice(r - 1, p + 1, q - 1)
-        inner = self.z_lattice(r - 1, p - r + 1, q + r - 2)
-        B2 = (
-            self.total.d_matrix(k - 1).dot(inner)
-            if 0 <= k - 1 <= self.D
-            else zeros(self.dim(k), 0)
+        d = self.total.d_matrix
+
+        def boundaries():
+            inner = self.z_lattice(r - 1, p - r + 1, q + r - 2)
+            return hstack([self.z_lattice(r - 1, p + 1, q - 1), d(p + q - 1).dot(inner)])
+
+        return cochain_cohomology(
+            p + q, self.D, self.dim, d,
+            cycles=lambda: self.z_lattice(r, p, q), boundaries=boundaries,
         )
-        return subquotient(amb, Z, hstack([B1, B2]))
 
     def _page_hom(self, r, p, q):
         """d_r out of slot (p, q) as a GroupHom between page groups."""
@@ -492,7 +482,7 @@ class FiltrationReport:
 
 
 # ---------------------------------------------------------------------------
-# module-level operation wrappers
+# construction
 
 
 def build_bundle(base: DgRingModel, chern, labels=None, check=None) -> BundleModel:
@@ -506,23 +496,3 @@ def build_bundle(base: DgRingModel, chern, labels=None, check=None) -> BundleMod
     if not isinstance(chern, ChernVector):
         chern = ChernVector(base, chern)
     return BundleModel(base, chern, labels=labels)
-
-
-def total_cohomology(m: BundleModel, k):
-    return m.total_cohomology(k)
-
-
-def ss_page(m: BundleModel, r, p, q):
-    return m.ss_page(r, p, q)
-
-
-def filtration_report(m: BundleModel, z: Cocycle):
-    return m.filtration_report(z)
-
-
-def pullback_to_total(m: BundleModel, beta: Cocycle):
-    return m.pullback_to_total(beta)
-
-
-def fiber_restriction(m: BundleModel, z: Cocycle):
-    return m.fiber_restriction(z)

@@ -1,372 +1,23 @@
-"""Acceptance criteria, one test per criterion, all tolerances exact.
+"""Acceptance criteria: one test per check of the battery in :mod:`tdk.selftest`.
 
-Run with ``pytest -s tests/test_acceptance.py`` to see one line per criterion.
-Every assertion is an exact integer or exact rational statement; there are no
-numerical tolerances anywhere in this module.
+The checks live in ``tdk.selftest.CHECKS``, which ``tdk selftest`` runs as
+well; this module holds no check logic.  Criterion NN is the NN-th check,
+and its test is named after it.  Run with ``pytest -s`` to see each check's
+detail line.
 """
 
-import json
-import random
-
-import pytest
-
-from tdk.cli import run
-from tdk.exact_linalg import eye, intvec
-from tdk.fixtures import (
-    PAIR_NAMES,
-    hopf_pair,
-    named_pair,
-    simplicial_doc,
-    t3_over_s1_volume_pair,
-    t3_volume_pair,
-)
-from tdk.duality_group import (
-    act_on_chern,
-    flip_element,
-    generators,
-    is_onn,
-    q_value,
-    shear_element,
-)
-from tdk.serialize import dumps, pair_to_doc
-from tdk.space_model import Cocycle, builtin_space, cohomology_ring, parse_space
-from tdk.tduality_core import (
-    Pair,
-    dualize,
-    extension_report,
-    extract_dual_chern,
-    gauge_action,
-    gauge_shift,
-    h3_action,
-    is_dualizable,
-    torsor_difference,
-    validate_triple,
-)
-from tdk.torus_bundle import build_bundle
-from tdk.twisted_cohomology import t_transform, twisted_dims, verify_iso
+from tdk.selftest import CHECKS
 
 
-def passed(number, text):
-    print(f"[PASS] criterion {number}: {text}")
+def _criterion(number, name, check):
+    def test():
+        detail = check()  # a wrong answer raises CheckFailure
+        print(f"[PASS] criterion {number} ({name}): {detail}")
+
+    test.__name__ = f"test_criterion_{number:02d}_{name.replace('-', '_')}"
+    return test
 
 
-S2 = builtin_space("sphere", {"k": 2})
-T2 = builtin_space("torus", {"k": 2})
-T3 = builtin_space("torus", {"k": 3})
-
-
-def test_criterion_01_cohomology_oracle():
-    K = parse_space(simplicial_doc("boundary-tetrahedron"))
-    assert [K.cohomology(k).invariants() for k in range(3)] == [
-        (1, ()),
-        (0, ()),
-        (1, ()),
-    ]
-    K = parse_space(simplicial_doc("torus-7"))
-    assert [K.cohomology(k).invariants() for k in range(3)] == [
-        (1, ()),
-        (2, ()),
-        (1, ()),
-    ]
-    M = cohomology_ring(K)
-    cup = M.cup_class(Cocycle(1, M.basis_vector(1, 0)), Cocycle(1, M.basis_vector(1, 1)))
-    assert cup in [(1,), (-1,)]  # x1 cup x2 generates H^2 = Z
-    K = parse_space(simplicial_doc("projective-plane-6"))
-    assert K.cohomology(1).invariants() == (0, ())
-    assert K.cohomology(2).invariants() == (0, (2,))
-    passed(1, "H*(dTetra)=(Z,0,Z); H*(T2_7)=(Z,Z^2,Z) with x1.x2 generating; "
-              "H^2(RP2_6)=Z/2")
-
-
-def test_criterion_02_gysin_koszul():
-    hopf = hopf_pair(1, 0).bundle
-    assert [hopf.total_cohomology(k).invariants() for k in range(4)] == [
-        (1, ()),
-        (0, ()),
-        (0, ()),
-        (1, ()),
-    ]
-    for k in (2, 3, 5):
-        lens = build_bundle(S2, [k * S2.basis_vector(2, 0)])
-        assert lens.total_cohomology(2).invariants() == (0, (k,))
-    for k in (1, 2, 3):
-        nil = build_bundle(T2, [k * T2.basis_vector(2, 0)])
-        expected = (2, ()) if k == 1 else (2, (k,))
-        assert nil.total_cohomology(2).invariants() == expected
-    passed(2, "Hopf gives H*(S^3); L(k,1) has H^2=Z/k for k=2,3,5; "
-              "nilmanifolds have H^2=Z^2+Z/k for k=1,2,3")
-
-
-def test_criterion_03_spectral_sequence_formulas():
-    models = [
-        build_bundle(S2, [S2.basis_vector(2, 0)]),
-        build_bundle(S2, [2 * S2.basis_vector(2, 0)]),
-        build_bundle(T2, [T2.basis_vector(2, 0)]),
-        build_bundle(T3, [T3.basis_vector(2, 0)]),
-        build_bundle(T2, [T2.basis_vector(2, 0), T2.zero_vector(2)]),
-        build_bundle(T3, [T3.basis_vector(2, 0), T3.basis_vector(2, 1)]),
-    ]
-    assert len(models) >= 5
-    pair_count = 0
-    for m in models:
-        e01 = m.ss_page(2, 0, 1)
-        e20 = m.ss_page(2, 2, 0)
-        for i in range(m.n):
-            y = m.element_vector(0, 0, (i,))
-            expected = e20.reduce(m.pullback_to_total(Cocycle(2, m.chern[i])).vector)
-            assert e01.apply_d(y) == expected
-        e02 = m.ss_page(2, 0, 2)
-        e21 = m.ss_page(2, 2, 1)
-        for i in range(m.n):
-            for j in range(i + 1, m.n):
-                yij = m.element_vector(0, 0, (i, j))
-                vec = m.zero_vector(3)
-                for a in range(m.base.dim(2)):
-                    if m.chern[i][a]:
-                        vec[m.index[3][(2, a, (j,))]] += m.chern[i][a]
-                    if m.chern[j][a]:
-                        vec[m.index[3][(2, a, (i,))]] -= m.chern[j][a]
-                assert e02.apply_d(yij) == e21.reduce(vec)
-                pair_count += 1
-    passed(3, f"transgression on {len(models)} models; page-2 product rule on "
-              f"{pair_count} generator pairs")
-
-
-def test_criterion_04_dualizability():
-    for k in (0, 1, -1, 2):
-        ok, _ = is_dualizable(hopf_pair(1, k))
-        assert ok is True
-    ok, report = is_dualizable(t3_over_s1_volume_pair())
-    assert ok is False and report.p == 1
-    passed(4, "(Hopf, k.gen) dualizable for k in {0,+-1,2}; "
-              "(T^3/S^1, volume) is not")
-
-
-def test_criterion_05_classical_dual_pairs():
-    for k in (1, 2, 3):
-        pair = hopf_pair(1, k)
-        classes, _ = extract_dual_chern(pair)
-        assert classes == [(k,)]
-        t = dualize(pair)
-        expected = (0, ()) if k == 1 else (0, (k,))
-        assert t.dual.bundle.total_cohomology(2).invariants() == expected
-        # dual leading part is exactly the class of c . yh = 1 . (v2 yh)
-        dual = t.dual.bundle
-        rep = dual.filtration_report(t.dual.flux)
-        expected_vec = dual.zero_vector(3)
-        expected_vec[dual.index[3][(2, 0, (0,))]] = 1
-        page = dual.infinity_page(2, 1)
-        assert rep.p == 2 and rep.leading == page.reduce(expected_vec)
-        report = validate_triple(t)
-        assert report.ok and all(flag for flag, _ in report.items.values())
-    heis = {k: builtin_space("heisenberg", {"k": k}) for k in (1, 2, 3)}
-    for k in (1, 2, 3):
-        t = dualize(t3_volume_pair(k))
-        dual = t.dual.bundle
-        # the dual bundle is the degree-k nilmanifold: same cohomology as the
-        # built-in model in every degree, and chern class k.[vol]
-        for deg in range(4):
-            assert (
-                dual.total_cohomology(deg).invariants()
-                == heis[k].cohomology(deg).invariants()
-            )
-        assert dual.chern_classes() == [T2.cohomology(2).reduce(k * T2.basis_vector(2, 0))]
-        assert dual.total_cohomology(3).is_zero(t.dual.flux.vector)
-        report = validate_triple(t)
-        assert report.ok
-    passed(5, "dualize(Hopf, k) = (L(k,1), leading 1); "
-              "dualize(T^3, k.vol) = (nilmanifold-k, 0); all items green")
-
-
-def test_criterion_06_involution():
-    checked = 0
-    for name in PAIR_NAMES:
-        pair = named_pair(name)
-        ok, _ = is_dualizable(pair)
-        if not ok:
-            continue
-        t = dualize(pair)
-        tt = dualize(t.dual)
-        for z1, z2 in zip(tt.dual.bundle.chern, pair.bundle.chern):
-            assert list(z1) == list(z2)
-        H = pair.bundle.total_cohomology(3)
-        assert H.reduce(tt.dual.flux.vector) == H.reduce(pair.flux.vector)
-        checked += 1
-    assert checked >= 10
-    passed(6, f"double dual restores (chern, flux class) on {checked} shipped pairs")
-
-
-def test_criterion_07_torsor_suite():
-    for base_name, pair in [
-        ("S^3", named_pair("s3_trivial_k0")),
-        ("T^3", named_pair("t3_trivial")),
-    ]:
-        base = pair.base
-        H3 = base.cohomology(3)
-        t = dualize(pair)
-        gens = H3.generator_vectors()
-        assert gens, "spanning set must be nonempty"
-        for g in gens:
-            for mult in (1, -1, 2):
-                alpha = Cocycle(3, mult * g)
-                moved = h3_action(t, alpha)
-                assert validate_triple(moved).ok
-                delta = torsor_difference(moved, t)
-                assert H3.reduce(delta.vector) == H3.reduce(alpha.vector)
-                back = h3_action(moved, Cocycle(3, -alpha.vector))
-                assert H3.reduce(torsor_difference(back, t).vector) == H3.group.zero_nf()
-    passed(7, "degree-3 action free with exact round-trip differences over S^3 and T^3")
-
-
-def test_criterion_08_gauge_action_formula():
-    base = T3
-    H3 = base.cohomology(3)
-    gens1 = base.cohomology(1).generator_vectors()
-    for c_mult in (0, 1, 2):
-        m = build_bundle(base, [c_mult * base.basis_vector(2, 0)])
-        t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
-        for psi in gens1 + [base.zero_vector(1)]:
-            for psihat in gens1 + [base.zero_vector(1)]:
-                moved = gauge_action(t, [psi], [psihat])
-                assert validate_triple(moved).ok
-                predicted = gauge_shift(t, [psi], [psihat])
-                delta = torsor_difference(moved, t)
-                assert H3.reduce(delta.vector) == H3.reduce(predicted.vector)
-    passed(8, "gauge difference equals chat.psi + c.psihat on T^3 spanning sets")
-
-
-def test_criterion_09_extension_classification():
-    for name in PAIR_NAMES:
-        rep = extension_report(named_pair(name))
-        assert rep.torsor_invariants == rep.crosscheck_invariants, name
-    extra = Pair(
-        build_bundle(T2, [T2.basis_vector(2, 0), T2.zero_vector(2)]),
-        Cocycle(3, build_bundle(T2, [T2.basis_vector(2, 0), T2.zero_vector(2)]).zero_vector(3)),
-    )
-    rep = extension_report(extra)
-    assert rep.torsor_invariants == rep.crosscheck_invariants
-    passed(9, f"ker/im matches the page-3 image on {len(PAIR_NAMES) + 1} pairs "
-              "(both sides computed independently)")
-
-
-def test_criterion_10_duality_group():
-    assert is_onn(flip_element(2).matrix)
-    assert is_onn(shear_element(2, [[0, 5], [-5, 0]]).matrix)
-    assert not is_onn(2 * eye(4))
-    assert not is_onn(2 * eye(2))
-    rng = random.Random(20260810)
-    accepted = 0
-    for n in (1, 2):
-        for g in generators(n):
-            assert is_onn(g.matrix)
-            accepted += 1
-            for _ in range(100):
-                v = intvec([rng.randint(-9, 9) for _ in range(2 * n)])
-                assert q_value(g.matrix.dot(v)) == q_value(v)
-    c = [T2.basis_vector(2, 0), T2.zero_vector(2)]
-    chat = [T2.zero_vector(2), T2.basis_vector(2, 0)]
-    g = flip_element(2)
-    c1, chat1 = act_on_chern(g, T2, c, chat)
-    c2, chat2 = act_on_chern(g, T2, c1, chat1)
-    assert [list(v) for v in c2] == [list(v) for v in c]
-    assert [list(v) for v in chat2] == [list(v) for v in chat]
-    passed(10, f"membership accepted/rejected correctly; q preserved on 100 "
-               f"vectors for each of {accepted} generators; flip squared = id")
-
-
-def test_criterion_11_twisted_isomorphism():
-    triples = {name: dualize(named_pair(name)) for name in PAIR_NAMES
-               if is_dualizable(named_pair(name))[0]}
-    for name, t in triples.items():
-        tm = t_transform(t)
-        defect = tm.chain_defect()
-        for par in (0, 1):
-            assert all(x == 0 for x in defect[par].flat), name
-        assert verify_iso(t).ok, name
-    # dimension fixtures
-    for k in (1, 2, 3):
-        rep = verify_iso(dualize(hopf_pair(1, k)))
-        assert rep.dims_side == (0, 0) and rep.dims_dual == (0, 0)
-    rep = verify_iso(dualize(hopf_pair(1, 0)))
-    assert rep.dims_side == (1, 1) and rep.dims_dual == (1, 1)
-    # the dual of (S^3, 0) is the trivial bundle over S^2 with generator flux
-    t = dualize(hopf_pair(1, 0))
-    assert all(x == 0 for x in t.dual.bundle.chern[0])
-    assert not t.dual.bundle.total_cohomology(3).is_zero(t.dual.flux.vector)
-    even, odd = twisted_dims(t.dual.bundle, t.dual.flux.vector)
-    assert (even, odd) == (1, 1)
-    passed(11, f"chain identity entry-exact and isomorphism verified on "
-               f"{len(triples)} triples; dimension fixtures met")
-
-
-def test_criterion_12_robustness(tmp_path):
-    cases = {
-        "malformed": "{not json at all",
-        "bad-simplicial": json.dumps(
-            {"format": "simplicial", "vertices": 3, "facets": [[0, 0, 1]]}
-        ),
-        "d-squared": json.dumps(
-            {
-                "format": "dgring",
-                "degrees": 3,
-                "basis": [["1"], ["a"], ["b"], ["c"]],
-                "diff": [
-                    {"deg": 1, "matrix": [[1]]},
-                    {"deg": 2, "matrix": [[1]]},
-                ],
-                "product": [],
-            }
-        ),
-        "nonclosed-flux": json.dumps(
-            {
-                "format": "pair",
-                "base": {
-                    "format": "dgring",
-                    "degrees": 4,
-                    "basis": [["1"], [], [], ["a"], ["b"]],
-                    "diff": [{"deg": 3, "matrix": [[1]]}],
-                    "product": [],
-                },
-                "n": "1",
-                "chern": [[]],
-                "flux": ["1"],
-            }
-        ),
-    }
-    for name, text in cases.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(text)
-        for verb, flag in [("dualizable", "--pair"), ("cohomology", "--base")]:
-            code, doc = run([verb, flag, str(path)])
-            assert code == 2, (name, verb)
-            assert doc.get("error"), (name, verb)
-
-    rng = random.Random(424242)
-    valid = dumps(pair_to_doc(named_pair("hopf"))).encode()
-    count = 0
-    for i in range(40):
-        if i % 2:
-            blob = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 1024)))
-        else:
-            blob = bytearray(valid[:1024])
-            for _ in range(rng.randrange(1, 10)):
-                blob[rng.randrange(len(blob))] = rng.randrange(256)
-            blob = bytes(blob)
-        path = tmp_path / f"fuzz{i}.json"
-        path.write_bytes(blob)
-        for verb, flag in [
-            ("dualizable", "--pair"),
-            ("dualize", "--pair"),
-            ("check-triple", "--triple"),
-            ("tmap", "--triple"),
-            ("extensions", "--pair"),
-            ("twisted", "--pair"),
-            ("onn", "--check"),
-            ("cohomology", "--base"),
-        ]:
-            code, doc = run([verb, flag, str(path)])
-            assert code == 2
-            assert "error" in doc
-            count += 1
-    passed(12, f"located diagnostics with exit 2 on hand-built bad inputs; "
-               f"{count} fuzzed invocations, none crashed")
+for _number, (_name, _check) in enumerate(CHECKS, 1):
+    _test = _criterion(_number, _name, _check)
+    globals()[_test.__name__] = _test

@@ -7,6 +7,7 @@ import pytest
 
 from tdk.cli import _build_parser, run
 from tdk.fixtures import named_pair, simplicial_doc
+from tdk.selftest import CHECKS
 from tdk.serialize import dumps, pair_to_doc, triple_to_doc, pair_from_doc, triple_from_doc
 from tdk.tduality_core import dualize
 
@@ -81,6 +82,23 @@ def test_cohomology_builtin():
     assert code == 0
     assert doc["cohomology"]["1"]["rank"] == "3"
     assert doc["cohomology"]["3"]["rank"] == "1"
+
+
+def test_truncation_applies_to_builtin_documents(tmp_path, monkeypatch):
+    path = write(tmp_path, "t3.json", json.dumps(
+        {"format": "builtin", "name": "torus", "params": {"k": "3"}}
+    ))
+    code, doc = run(["cohomology", "--base", path])
+    assert code == 0 and doc["cohomology"]["3"]["rank"] == "1"
+    monkeypatch.setenv("TDK_TRUNCATION", "2")
+    for argv in (
+        ["cohomology", "--base", path],
+        ["cohomology", "--builtin", "torus", "--params", '{"k": 3}'],
+    ):
+        code, doc = run(argv)
+        assert code == 0
+        assert sorted(doc["cohomology"]) == ["0", "1", "2"]
+        assert doc["cohomology"]["2"]["rank"] == "3"
 
 
 def test_cohomology_simplicial(tmp_path):
@@ -160,6 +178,15 @@ def test_shared_parser_after_argument_error(tmp_path, capsys):
     capsys.readouterr()
     assert [dumps(doc) for _, doc in shared] == [dumps(doc) for _, doc in fresh]
     assert [code for code, _ in shared] == [code for code, _ in fresh] == [0, 0, 0]
+
+
+def test_selftest_runs_the_battery():
+    code, doc = run(["selftest"])
+    assert code == 0 and doc["all_passed"] is True
+    assert [row["check"] for row in doc["checks"]] == [name for name, _ in CHECKS]
+    for row in doc["checks"]:
+        assert row["passed"] is True, row
+        assert float(row["ms"]) >= 0
 
 
 def test_byte_identical_output(tmp_path):

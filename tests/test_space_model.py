@@ -14,6 +14,7 @@ import pytest
 from tdk.errors import InputError, ModelError, SchemaError
 from tdk.exact_linalg import intvec
 from tdk.space_model import (
+    DEFAULT_TRUNCATION,
     Cocycle,
     DgRingModel,
     SimplicialComplex,
@@ -453,21 +454,33 @@ def test_builtin_heisenberg():
     assert M2.cohomology(2).invariants() == (2, (2,))
 
 
-# builtins skip validate() when built; this ladder is what vouches for them
-BUILTIN_LADDER = (
-    [("point", {})]
-    + [("sphere", {"k": k}) for k in range(1, 5)]
-    + [("torus", {"k": k}) for k in range(1, 4)]
-    + [("surface", {"genus": g}) for g in range(7)]
-    + [("heisenberg", {"k": k}) for k in range(-3, 4)]
-)
+# builtins skip validate() when built; this ladder is what vouches for them,
+# at every truncation 0..4 (the default 4 keeps the bare id)
+BUILTIN_LADDER = [
+    (name, params, truncation)
+    for truncation in range(DEFAULT_TRUNCATION + 1)
+    for name, params in (
+        [("point", {})]
+        + [("sphere", {"k": k}) for k in range(1, 5)]
+        + [("torus", {"k": k}) for k in range(1, 4)]
+        + [("surface", {"genus": g}) for g in range(7)]
+        + [("heisenberg", {"k": k}) for k in range(-3, 4)]
+    )
+]
 
 
 @pytest.mark.parametrize(
-    "name, params", BUILTIN_LADDER, ids=[f"{n}{p}" for n, p in BUILTIN_LADDER]
+    "name, params, truncation",
+    BUILTIN_LADDER,
+    ids=[
+        f"{n}{p}" + ("" if t == DEFAULT_TRUNCATION else f"-truncation{t}")
+        for n, p, t in BUILTIN_LADDER
+    ],
 )
-def test_builtins_pass_full_validation(name, params):
-    builtin_space(name, params).validate()
+def test_builtins_pass_full_validation(name, params, truncation):
+    model = builtin_space(name, params, truncation=truncation)
+    assert model.D <= truncation
+    model.validate()
 
 
 def test_builtin_unknown_name():
