@@ -105,10 +105,11 @@ class DgRingModel:
     Ring arithmetic runs on these sparse structure constants.  A sparse
     cochain is a dict {index: coeff} with no zero entries; ``d_columns(k)``
     holds d_k as one such dict per basis element of degree k, built once
-    from ``diff``.  :meth:`mul_terms`, :meth:`d_terms` and all of
-    :meth:`validate` work on sparse cochains, so their cost follows the
-    nonzero structure constants, not the basis size; :meth:`mul` and
-    :meth:`d` take and return dense object-dtype vectors.
+    from ``diff``.  :meth:`mul_terms` and :meth:`d_terms` work on sparse
+    cochains, and :meth:`validate` scans only the nonzero products and
+    differentials, so the cost of both follows the nonzero structure
+    constants, not the basis size; :meth:`mul` and :meth:`d` take and
+    return dense object-dtype vectors.
     """
 
     def __init__(self, basis, diff, product, meta=None, check=True):
@@ -206,9 +207,37 @@ class DgRingModel:
     def validate(self):
         """Check every model axiom, raising ModelError with a certificate.
 
-        The axioms are checked in a fixed order, each over every basis pair
-        or triple, so the first failure and its certificate are determined
-        by the model alone.
+        The axioms are checked in a fixed order: ranks, shapes and ranges,
+        d(unit) = 0, d o d = 0, the unit, graded commutativity, associativity
+        and the Leibniz rule.  A failing axiom's certificate names its least
+        failing pair (i, j, a, b) or triple (i, j, k, a, b, c), degrees i, j,
+        k first, so it is determined by the model alone.
+
+        The last three axioms are each one scan over the nonzero structure
+        constants.  With |a| = i, |b| = j, |c| = k, three facts allow it:
+
+        (a) Once the unit axiom holds, a pair or triple with a unit factor
+            holds: both sides reduce to one product, as (1b)c = bc = 1(bc),
+            and d(1) = 0.  A missing non-unit entry is zero, so only stored
+            entries can break commutativity.
+        (b) Once graded commutativity holds, a(bc) = eps (cb)a with
+            eps = (-1)^(ij+jk+ki), so (ab)c - a(bc) = -eps ((cb)a - c(ba));
+            and a d(b) = (-1)^(i(j+1)) d(b)a, so d(ab) - d(a)b - (-1)^i a d(b)
+            = d(ab) - d(a)b - (-1)^(ij) d(b)a, which is (-1)^(ij) times the
+            same for (b, a).  So a triple fails iff its mirror (c, b, a) does,
+            and a pair iff (b, a) does; each is compared once, from the side
+            with (i, a) <= (k, c), resp. (i, a) <= (j, b).
+        (c) (ab)c = sum of x (yc) over the terms x y of ab, so it is zero
+            unless ab != 0 and yc != 0; likewise d(a)b.  The scans enumerate
+            only those products.  A triple with ab = 0 but bc != 0 is
+            reached from its mirror, as cb != 0; one with ab = bc = 0 has
+            both sides zero.  A pair is reached if ab != 0, d(a)b != 0 or,
+            from its mirror, d(b)a != 0; otherwise both sides are zero.
+
+        A failing scan finishes its phase and raises for the least failing
+        triple or pair, taken over the failures and their mirrors: by (b)
+        that is the first failure of a loop over all basis triples or pairs
+        in the order above (``tests/test_ring_oracle.py`` keeps that loop).
         """
         if self.dim(0) != 1:
             raise ModelError(
@@ -243,58 +272,77 @@ class DgRingModel:
                     raise ModelError(
                         f"unit does not act as identity on {self.basis[j][b]!r}"
                     )
-        # graded commutativity (stored entries carry no zero coefficients, so
-        # comparing the dicts compares the products)
-        for i in range(self.D + 1):
-            for j in range(i, self.D - i + 1):
+        # graded commutativity on the stored entries without a unit factor
+        # (stored entries carry no zero coefficients, so comparing the dicts
+        # compares the products)
+        failed = []
+        for (i, a, j, b), ab in self.product.items():
+            if i and j:
                 sign = -1 if (i % 2 and j % 2) else 1
-                for a in range(self.dim(i)):
-                    for b in range(self.dim(j)):
-                        right = mul_basis(j, b, i, a)
-                        if mul_basis(i, a, j, b) != {c: sign * x for c, x in right.items()}:
-                            raise ModelError(
-                                "graded commutativity fails on pair "
-                                f"({self.basis[i][a]!r}, {self.basis[j][b]!r})"
-                            )
-        # associativity
-        for i in range(self.D + 1):
-            for j in range(self.D + 1 - i):
-                for k in range(self.D + 1 - i - j):
-                    for a in range(self.dim(i)):
-                        for b in range(self.dim(j)):
-                            ab = mul_basis(i, a, j, b)
-                            for c in range(self.dim(k)):
-                                bc = mul_basis(j, b, k, c)
-                                if not (ab or bc):
-                                    continue  # both sides are zero
-                                lhs = _sum_terms(
-                                    (x, mul_basis(i + j, y, k, c)) for y, x in ab.items()
-                                )
-                                rhs = _sum_terms(
-                                    (x, mul_basis(i, a, j + k, y)) for y, x in bc.items()
-                                )
-                                if lhs != rhs:
-                                    raise ModelError(
-                                        "associativity fails on triple "
-                                        f"({self.basis[i][a]!r}, {self.basis[j][b]!r}, "
-                                        f"{self.basis[k][c]!r})"
-                                    )
-        # Leibniz rule (both sides live below the truncation degree)
-        for i in range(self.D + 1):
-            for j in range(self.D - i):
-                sign = -1 if i % 2 else 1
-                for a in range(self.dim(i)):
-                    for b in range(self.dim(j)):
-                        lhs = self.d_terms(i + j, mul_basis(i, a, j, b))
-                        rhs = _sum_terms((
-                            (1, self.mul_terms(i + 1, dcols[i][a], j, {b: 1})),
-                            (sign, self.mul_terms(i, {a: 1}, j + 1, dcols[j][b])),
-                        ))
-                        if lhs != rhs:
-                            raise ModelError(
-                                "Leibniz rule fails on pair "
-                                f"({self.basis[i][a]!r}, {self.basis[j][b]!r})"
-                            )
+                if ab != {c: sign * x for c, x in mul_basis(j, b, i, a).items()}:
+                    failed += [(i, j, a, b), (j, i, b, a)]
+        self._raise_least("graded commutativity", failed)
+        # right[(i, a)][(j, b)]: the nonzero products ab of non-unit factors
+        right = {}
+        for (i, a, j, b), ab in self.product.items():
+            if i and j and ab:
+                right.setdefault((i, a), {})[(j, b)] = ab
+
+        def right_products(i, u):
+            """{(j, b): u b} over the non-unit b with y b != 0 for some y in u."""
+            partners = {jb for y in u for jb in right.get((i, y), ())}
+            out = {}
+            for j, b in partners:
+                ub = _sum_terms((x, mul_basis(i, y, j, b)) for y, x in u.items())
+                if ub:
+                    out[(j, b)] = ub
+            return out
+
+        # associativity: (ab)c == eps (cb)a, compared once per mirror pair
+        abc = {}
+        for (i, a), row in right.items():
+            for (j, b), ab in row.items():
+                for (k, c), value in right_products(i + j, ab).items():
+                    abc[(i, a, j, b, k, c)] = value
+        failed = []
+        for (i, a, j, b, k, c), lhs in abc.items():
+            cba = abc.get((k, c, j, b, i, a))
+            if cba and (k, c) < (i, a):
+                continue  # compared from the mirror's side
+            eps = -1 if (i * j + j * k + k * i) % 2 else 1
+            if lhs != {y: eps * x for y, x in (cba or {}).items()}:
+                failed += [(i, j, k, a, b, c), (k, j, i, c, b, a)]
+        self._raise_least("associativity", failed)
+        # Leibniz rule: d(ab) == (da)b + (-1)^(ij) (db)a for i + j < D,
+        # compared once per mirror pair
+        dab = {}
+        for i in range(1, self.D):
+            for a, da in enumerate(dcols[i]):
+                for (j, b), value in right_products(i + 1, da).items():
+                    dab[(i, a, j, b)] = value
+        pairs = {(i, a, j, b) for (i, a), row in right.items() for j, b in row if i + j < self.D}
+        pairs.update(dab)
+        failed = []
+        for i, a, j, b in pairs:
+            if (j, b) < (i, a) and (j, b, i, a) in pairs:
+                continue  # compared from the mirror's side
+            sign = -1 if (i % 2 and j % 2) else 1
+            lhs = self.d_terms(i + j, mul_basis(i, a, j, b))
+            rhs = _sum_terms(
+                ((1, dab.get((i, a, j, b), {})), (sign, dab.get((j, b, i, a), {})))
+            )
+            if lhs != rhs:
+                failed += [(i, j, a, b), (j, i, b, a)]
+        self._raise_least("Leibniz rule", failed)
+
+    def _raise_least(self, axiom, failed):
+        """Raise ModelError for the least of the failing pairs (i, j, a, b)
+        or triples (i, j, k, a, b, c), if there are any."""
+        if failed:
+            least = min(failed)
+            n = len(least) // 2
+            labels = ", ".join(repr(self.basis[k][x]) for k, x in zip(least[:n], least[n:]))
+            raise ModelError(f"{axiom} fails on {'pair' if n == 2 else 'triple'} ({labels})")
 
     def check_d_squared(self):
         """Raise ModelError naming the first basis element x with d(d(x)) != 0."""
@@ -482,13 +530,16 @@ def _parse_dgring(document, truncation):
         if not isinstance(bs, list) or not all(isinstance(x, str) for x in bs):
             raise SchemaError(f"basis in degree {k} must be a list of labels")
     dims = [len(bs) for bs in basis]
-    diff = {}
-    for entry in document.get("diff", []):
+    diff, diff_pos = {}, {}
+    for pos, entry in enumerate(document.get("diff", [])):
         if not isinstance(entry, dict) or "deg" not in entry or "matrix" not in entry:
             raise SchemaError("each diff entry needs 'deg' and 'matrix'")
         k = _parse_int(entry["deg"], "diff.deg")
         if not (0 <= k <= D):
             raise SchemaError(f"diff entry for degree {k} outside 0..{D}")
+        if k in diff_pos:
+            raise SchemaError(f"diff[{pos}] repeats degree {k} of diff[{diff_pos[k]}]")
+        diff_pos[k] = pos
         rows = dims[k + 1] if k + 1 <= D else 0
         mat = entry["matrix"]
         if not isinstance(mat, list) or len(mat) != rows or any(
@@ -498,7 +549,7 @@ def _parse_dgring(document, truncation):
                 f"diff matrix in degree {k} must be {rows} x {dims[k]}"
             )
         diff[k] = [[_parse_int(x, f"diff[{k}]") for x in row] for row in mat]
-    product = {}
+    product, product_pos = {}, {}
     for pos, entry in enumerate(document.get("product", [])):
         if not isinstance(entry, dict):
             raise SchemaError(f"product entry {pos} must be an object")
@@ -514,14 +565,30 @@ def _parse_dgring(document, truncation):
             raise SchemaError(f"product entry {pos} has degrees out of range")
         if not (0 <= a < dims[i] and 0 <= b < dims[j]):
             raise SchemaError(f"product entry {pos} indexes outside the basis")
+        if (i, a, j, b) in product_pos:
+            raise SchemaError(
+                f"product[{pos}] repeats the key ({i}, {a}, {j}, {b}) "
+                f"of product[{product_pos[(i, a, j, b)]}]"
+            )
+        product_pos[(i, a, j, b)] = pos
         if not isinstance(result, list):
             raise SchemaError(f"product entry {pos} result must be a list")
-        table = {}
-        for term in result:
+        table, term_pos = {}, {}
+        for t, term in enumerate(result):
+            if not isinstance(term, dict) or "idx" not in term or "coeff" not in term:
+                raise SchemaError(
+                    f"product[{pos}].result[{t}] must be an object with 'idx' and 'coeff'"
+                )
             c = _parse_int(term["idx"], f"product[{pos}].result.idx")
             coeff = _parse_int(term["coeff"], f"product[{pos}].result.coeff")
             if not (0 <= c < dims[i + j]):
                 raise SchemaError(f"product entry {pos} result index out of range")
+            if c in term_pos:
+                raise SchemaError(
+                    f"product[{pos}].result[{t}] repeats index {c} "
+                    f"of product[{pos}].result[{term_pos[c]}]"
+                )
+            term_pos[c] = t
             table[c] = coeff
         product[(i, a, j, b)] = table
     return DgRingModel(basis, diff, product)

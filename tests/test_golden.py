@@ -24,6 +24,8 @@ import pytest
 from tdk.cli import run
 from tdk.fixtures import PAIR_NAMES, named_pair, simplicial_doc
 from tdk.serialize import dumps, pair_to_doc, space_to_doc
+from tdk.space_model import builtin_space
+from tdk.torus_bundle import build_bundle
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CODES = os.path.join(GOLDEN, "exit_codes.json")
@@ -82,10 +84,25 @@ DGRING_CORRUPTIONS = (
         _set_product(doc, "x3", "x1x2", {"x1x2x3": 2}),
     )),
     ("leibniz", "t3_trivial", lambda doc: _set_diff(doc, "x1x3", "x3", 1)),
+    # y1 y1 = 0, so (y1 y1) x1 = 0 while y1 (y1 x1) = y1 x1x2 != 0: validation
+    # reaches this first witness only through its mirror (x1, y1, y1)
+    ("associativity_mirror", "t3_trivial", lambda doc: (
+        _set_product(doc, "y1", "x1", {"x1.y1": -1, "x1x2": 1}),
+        _set_product(doc, "x1", "y1", {"x1.y1": 1, "x1x2": -1}),
+    )),
+    # d(a2) = a1 y1: b1 a2 = 0 and d(b1) = 0, but d(a2) b1 = a1 y1 b1 != 0, so
+    # the first witness (b1, a2) is reached only through its mirror (a2, b1)
+    ("leibniz_mirror", "surface2_c1", lambda doc: _set_diff(doc, "a1.y1", "a2", 1)),
 )
+
+# total models read as documents besides the fixture pairs': (base, params, chern)
+EXTRA_TOTALS = {"surface2_c1": ("surface", {"genus": 2}, [[1]])}
 
 
 def total_doc(name):
+    if name in EXTRA_TOTALS:
+        base, params, chern = EXTRA_TOTALS[name]
+        return space_to_doc(build_bundle(builtin_space(base, params), chern).total)
     return space_to_doc(named_pair(name).bundle.total)
 
 

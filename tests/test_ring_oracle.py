@@ -6,13 +6,16 @@ dicts: every product and differential of basis elements is a numpy object
 vector of the full degree.  They read only the model's stored tables
 (``mul_basis``, ``d_matrix``, ``basis``), never the kernel under test.
 
-On small valid models (builtin bases and bundle total models with n <= 2)
-and on random single-entry corruptions of them, the kernel and the
-reference must both pass or both raise the same ModelError text; ``mul``
-must equal the reference on random integer vectors.
+On small valid models (builtin bases and bundle total models with n <= 2),
+on random single-entry corruptions of them and on every mirrored product
+change of two total models, the kernel and the reference must both pass or
+both raise the same ModelError text; ``mul`` must equal the reference on
+random integer vectors.
 """
 
 import functools
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +236,62 @@ def test_corrupted_models_same_certificate(name, data):
     broken = _corrupt(model(name), data.draw)
     if broken is not None:
         assert verdict(DgRingModel.validate, broken) == verdict(reference_validate, broken)
+
+
+def mirror_changes(M):
+    """Every product coefficient changed by +-1 together with its graded
+    mirror: the ``"mirror"`` kind of ``_corrupt``, exhaustively."""
+    for i in range(1, M.D):
+        for j in range(1, M.D - i + 1):
+            sign = -1 if (i % 2 and j % 2) else 1
+            for a, b, c in itertools.product(
+                range(M.dim(i)), range(M.dim(j)), range(M.dim(i + j))
+            ):
+                for delta in (-1, 1):
+                    product = {key: dict(entry) for key, entry in M.product.items()}
+                    for key, step in (((i, a, j, b), delta), ((j, b, i, a), sign * delta)):
+                        entry = dict(M.mul_basis(*key))
+                        entry[c] = entry.get(c, 0) + step
+                        product[key] = entry
+                    yield rebuild(M, product=product)
+
+
+def _reached_through_mirror(M, message):
+    """Whether an associativity certificate names a triple (a, b, c) with
+    ab = 0: validation compares (ab)c with (cb)a and finds it from (c, b, a)."""
+    if not message.startswith("associativity"):
+        return False
+    (i, a), (j, b) = [
+        next((k, level.index(label)) for k, level in enumerate(M.basis) if label in level)
+        for label in re.findall(r"'([^']*)'", message)[:2]
+    ]
+    return not M.mul_basis(i, a, j, b)
+
+
+def test_every_mirrored_change_same_certificate():
+    messages = set()
+    mirrored = 0
+    for name in ("torus2 n=1", "sphere2 n=2"):
+        for broken in mirror_changes(model(name)):
+            message = verdict(reference_validate, broken)
+            assert verdict(DgRingModel.validate, broken) == message
+            messages.add(message.split(" fails")[0] if message else None)
+            mirrored += bool(message) and _reached_through_mirror(broken, message)
+    assert {"associativity", "Leibniz rule"} <= messages
+    assert mirrored
+
+
+def test_leibniz_witness_reached_through_mirror():
+    """d(a2) = a1 y1 on a genus-2 total model: b1 a2 = 0 and d(b1) = 0, so
+    only the mirror (a2, b1), where d(a2) b1 = a1 y1 b1 != 0, reaches the
+    first witness."""
+    M = model("surface2 n=1")
+    diff = {k: mat.copy() for k, mat in M.diff.items()}
+    diff[1][M.basis[2].index("a1.y1"), M.basis[1].index("a2")] += 1
+    broken = rebuild(M, diff=diff)
+    message = "Leibniz rule fails on pair ('b1', 'a2')"
+    assert verdict(reference_validate, broken) == message
+    assert verdict(DgRingModel.validate, broken) == message
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,10 +7,12 @@ form involved), combined with the universal-coefficient bookkeeping
   p-torsion present in H^k  iff  rank_{F_p} d_{k-1} < rank_Q d_{k-1}.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from tdk.cli import run
 from tdk.errors import InputError, ModelError, SchemaError
 from tdk.exact_linalg import intvec
 from tdk.space_model import (
@@ -307,6 +309,83 @@ def test_parse_rejects_unknown_format_and_bad_schema():
         parse_space([1, 2, 3])
     with pytest.raises(SchemaError):
         parse_space({"format": "simplicial", "vertices": 3})
+
+
+def _torus2_doc(product=None, diff=None):
+    """The T^2 ring model as a dgring document: x y = v, y x = -v."""
+    return {
+        "format": "dgring",
+        "degrees": "2",
+        "basis": [["1"], ["x", "y"], ["v"]],
+        "diff": diff or [],
+        "product": product or [
+            {"i_deg": "1", "i_idx": "0", "j_deg": "1", "j_idx": "1",
+             "result": [{"idx": "0", "coeff": "1"}]},
+            {"i_deg": "1", "i_idx": "1", "j_deg": "1", "j_idx": "0",
+             "result": [{"idx": "0", "coeff": "-1"}]},
+        ],
+    }
+
+
+def _entry(i, a, j, b, result):
+    return {"i_deg": i, "i_idx": a, "j_deg": j, "j_idx": b, "result": result}
+
+
+SCHEMA_REJECTIONS = {
+    # x y = v at product[0], then x y = 0 at product[2]: no entry may win
+    "repeated_product_key": (
+        [_entry(1, 0, 1, 1, [{"idx": 0, "coeff": 1}]),
+         _entry(1, 1, 1, 0, [{"idx": 0, "coeff": -1}]),
+         _entry(1, 0, 1, 1, [])],
+        None,
+        "product[2] repeats the key (1, 0, 1, 1) of product[0]",
+    ),
+    "repeated_diff_degree": (
+        None,
+        [{"deg": 1, "matrix": [[0, 0]]}, {"deg": 0, "matrix": [[0], [0]]},
+         {"deg": 1, "matrix": [[1, 0]]}],
+        "diff[2] repeats degree 1 of diff[0]",
+    ),
+    "repeated_result_index": (
+        [_entry(1, 0, 1, 1, [{"idx": 0, "coeff": 1}, {"idx": 0, "coeff": 0}]),
+         _entry(1, 1, 1, 0, [{"idx": 0, "coeff": -1}])],
+        None,
+        "product[0].result[1] repeats index 0 of product[0].result[0]",
+    ),
+    "term_not_an_object": (
+        [_entry(1, 0, 1, 1, [{"idx": 0, "coeff": 1}]), _entry(1, 1, 1, 0, ["v"])],
+        None,
+        "product[1].result[0] must be an object with 'idx' and 'coeff'",
+    ),
+    "term_without_idx": (
+        [_entry(1, 0, 1, 1, [{"coeff": 1}])],
+        None,
+        "product[0].result[0] must be an object with 'idx' and 'coeff'",
+    ),
+    "term_without_coeff": (
+        [_entry(1, 0, 1, 1, [{"idx": 0, "coeff": 1}]),
+         _entry(1, 1, 1, 0, [{"idx": 0, "coeff": -1}, {"idx": 0}])],
+        None,
+        "product[1].result[1] must be an object with 'idx' and 'coeff'",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_REJECTIONS))
+def test_parse_dgring_rejects_with_position(kind):
+    product, diff, message = SCHEMA_REJECTIONS[kind]
+    with pytest.raises(SchemaError) as err:
+        parse_space(_torus2_doc(product, diff))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_REJECTIONS))
+def test_cli_reports_dgring_rejection_as_input_error(kind, tmp_path):
+    product, diff, message = SCHEMA_REJECTIONS[kind]
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(_torus2_doc(product, diff)))
+    code, report = run(["cohomology", "--base", str(path)])
+    assert code == 2 and message in report["error"]
 
 
 # ---------------------------------------------------------------------------
