@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .errors import TdkError
+from .errors import TdkError, parse_int
 from .serialize import (
     dumps,
     onn_from_doc,
@@ -54,7 +54,7 @@ def _load_json(path, what):
             return json.load(handle)
     except FileNotFoundError:
         raise TdkError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or a number past the int digit limit
         raise TdkError(f"{what} file {path} is not valid JSON: {exc}")
 
 
@@ -68,7 +68,7 @@ def _load_base(args):
                 raise TdkError(f"--params is not valid JSON: {exc}")
             if not isinstance(raw, dict):
                 raise TdkError("--params must be a JSON object")
-            params = {k: int(str(v)) for k, v in raw.items()}
+            params = {k: parse_int(v, f"--params.{k}") for k, v in raw.items()}
         return space_from_doc(
             {"format": "builtin", "name": args.builtin, "params": params},
             truncation=_truncation(),
@@ -83,8 +83,8 @@ def _group_entry(invariants):
     return {"rank": str(rank), "torsion": [str(d) for d in torsion]}
 
 
-def _invariants_table(get, top):
-    return {str(k): _group_entry(get(k)) for k in range(top + 1)}
+def _invariants_table(betti):
+    return {str(k): _group_entry(h) for k, h in enumerate(betti)}
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +93,14 @@ def _invariants_table(get, top):
 
 def _cmd_cohomology(args):
     space = _load_base(args)
+    table = _invariants_table(space.betti())
     if isinstance(space, SimplicialComplex):
-        top = space.dim
-        table = _invariants_table(lambda k: space.cohomology(k).invariants(), top)
         report = {
             "kind": "simplicial",
             "euler_characteristic": str(space.euler_characteristic()),
             "cohomology": table,
         }
     else:
-        top = space.D
-        table = _invariants_table(lambda k: space.cohomology(k).invariants(), top)
         report = {"kind": "dgring", "cohomology": table}
         if "validity_hypothesis" in space.meta:
             report["validity_hypothesis"] = space.meta["validity_hypothesis"]
@@ -130,13 +127,13 @@ def _load_bundle(args):
     for i, z in enumerate(doc):
         if not isinstance(z, list) or len(z) != base.dim(2):
             raise TdkError(f"chern vector {i} must have length {base.dim(2)}")
-        vectors.append([int(str(x)) for x in z])
+        vectors.append([parse_int(x, f"chern[{i}]") for x in z])
     return build_bundle(base, vectors)
 
 
 def _cmd_bundle(args):
     m = _load_bundle(args)
-    table = _invariants_table(lambda k: m.total_cohomology(k).invariants(), m.D)
+    table = _invariants_table(m.total.betti())
     if args.deg is not None:
         key = str(args.deg)
         table = {key: table.get(key, _group_entry((0, ())))}

@@ -1,9 +1,13 @@
-"""Exception taxonomy.
+"""Exception taxonomy, and the one reader of integers from outside input.
 
 InputError (and subclasses) mark problems with user-supplied data and map to
 exit code 2 in the command-line driver; NegativeResult-style outcomes are not
 exceptions at all but ordinary return values.
 """
+
+import re
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 class TdkError(Exception):
@@ -48,3 +52,23 @@ class TripleMismatchError(TdkError):
 
 class UnsupportedElementError(TdkError):
     """Group element outside the implemented generator families."""
+
+
+def parse_int(x, where):
+    """An int from a JSON number or a decimal string; SchemaError at ``where`` otherwise.
+
+    Booleans, floats and strings that are not decimal are refused, and so is a
+    decimal string beyond Python's int-string digit limit.
+    """
+    if isinstance(x, bool):
+        raise SchemaError("expected an integer, got a boolean", where)
+    if isinstance(x, int):
+        return x
+    if isinstance(x, str) and _DECIMAL.fullmatch(x.strip()):
+        try:
+            return int(x)
+        except ValueError:  # only the digit limit is left to fail
+            raise SchemaError(
+                f"integer of {len(x.strip())} characters exceeds the digit limit", where
+            ) from None
+    raise SchemaError(f"expected an integer (decimal string), got {x!r}", where)

@@ -61,36 +61,50 @@ def _dualizable_pairs():
     return {name: p for name, p in pairs.items() if is_dualizable(p)[0]}
 
 
+def _require_betti(name, betti, cohomology, top):
+    """betti() must equal the invariants of the Subquotient of every degree."""
+    want = [cohomology(k).invariants() for k in range(top + 1)]
+    _require(betti == want, f"betti() of {name} is {betti}, the subquotients give {want}")
+
+
 def _check_cohomology_oracle():
     K = parse_space(fixtures.simplicial_doc("boundary-tetrahedron"))
     got = [K.cohomology(k).invariants() for k in range(3)]
     _require(got == [(1, ()), (0, ()), (1, ())], f"H*(boundary tetrahedron) = {got}")
+    _require_betti("the boundary tetrahedron", K.betti(), K.cohomology, K.dim)
     K = parse_space(fixtures.simplicial_doc("torus-7"))
     got = [K.cohomology(k).invariants() for k in range(3)]
     _require(got == [(1, ()), (2, ()), (1, ())], f"H*(torus-7) = {got}")
+    _require_betti("torus-7", K.betti(), K.cohomology, K.dim)
     M = cohomology_ring(K)
     cup = M.cup_class(Cocycle(1, M.basis_vector(1, 0)), Cocycle(1, M.basis_vector(1, 1)))
     _require(cup in [(1,), (-1,)], f"x1.x2 = {cup} does not generate H^2(torus-7) = Z")
     K = parse_space(fixtures.simplicial_doc("projective-plane-6"))
     _require(K.cohomology(1).invariants() == (0, ()), "H^1(RP^2) is not 0")
     _require(K.cohomology(2).invariants() == (0, (2,)), "H^2(RP^2) is not Z/2")
-    return "H*(dTetra)=(Z,0,Z); H*(T2_7)=(Z,Z^2,Z) with x1.x2 generating; H^2(RP2_6)=Z/2"
+    _require_betti("RP^2_6", K.betti(), K.cohomology, K.dim)
+    return ("H*(dTetra)=(Z,0,Z); H*(T2_7)=(Z,Z^2,Z) with x1.x2 generating; H^2(RP2_6)=Z/2; "
+            "betti() agrees with the subquotients on all three")
 
 
 def _check_gysin_koszul():
     hopf = fixtures.hopf_pair(1, 0).bundle
     got = [hopf.total_cohomology(k).invariants() for k in range(4)]
     _require(got == [(1, ()), (0, ()), (0, ()), (1, ())], f"H*(Hopf total space) = {got}")
+    _require_betti("the Hopf total space", hopf.total.betti(), hopf.total_cohomology, hopf.D)
     for k in (2, 3, 5):
-        got = fixtures.lens_pair(k).bundle.total_cohomology(2).invariants()
+        lens = fixtures.lens_pair(k).bundle
+        got = lens.total_cohomology(2).invariants()
         _require(got == (0, (k,)), f"H^2(L({k},1)) = {got}")
+        _require_betti(f"L({k},1)", lens.total.betti(), lens.total_cohomology, lens.D)
     T2 = builtin_space("torus", {"k": 2})
     for k in (1, 2, 3):
         nil = build_bundle(T2, [k * T2.basis_vector(2, 0)])
         got = nil.total_cohomology(2).invariants()
         _require(got == ((2, ()) if k == 1 else (2, (k,))), f"H^2(nilmanifold {k}) = {got}")
     return ("Hopf gives H*(S^3); L(k,1) has H^2=Z/k for k=2,3,5; "
-            "nilmanifolds have H^2=Z^2+Z/k for k=1,2,3")
+            "nilmanifolds have H^2=Z^2+Z/k for k=1,2,3; "
+            "betti() agrees with the subquotients on Hopf and L(k,1)")
 
 
 def _bundle_suite():

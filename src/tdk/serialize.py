@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import SchemaError
+from .errors import SchemaError, parse_int
 from .space_model import (
     DEFAULT_TRUNCATION,
     Cocycle,
@@ -105,7 +105,7 @@ def space_from_doc(doc, truncation=None):
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise SchemaError("builtin params must be an object")
-        params = {k: int(str(v)) for k, v in params.items()}
+        params = {k: parse_int(v, f"params.{k}") for k, v in params.items()}
         if truncation is None:
             truncation = DEFAULT_TRUNCATION
         return builtin_space(name, params, truncation=truncation)
@@ -134,7 +134,7 @@ def _bundle_from_fields(doc, truncation=None):
             "bundles need a ring model base; run the cohomology-ring "
             "construction on the complex first"
         )
-    n = int(str(doc["n"]))
+    n = parse_int(doc["n"], "n")
     chern = doc["chern"]
     if not isinstance(chern, list) or len(chern) != n:
         raise SchemaError(f"'chern' must list {n} cocycle vectors")
@@ -144,7 +144,7 @@ def _bundle_from_fields(doc, truncation=None):
             raise SchemaError(
                 f"chern vector {i} must have length {base.dim(2)}"
             )
-        vectors.append([int(str(x)) for x in z])
+        vectors.append([parse_int(x, f"chern[{i}]") for x in z])
     return build_bundle(base, vectors)
 
 
@@ -154,7 +154,7 @@ def _flux_from_doc(bundle, doc, key):
         raise SchemaError(
             f"{key!r} must be a degree-3 vector of length {bundle.dim(3)}"
         )
-    return Cocycle(3, [int(str(x)) for x in flux])
+    return Cocycle(3, [parse_int(x, key) for x in flux])
 
 
 def pair_to_doc(pair: Pair):
@@ -194,7 +194,7 @@ def triple_from_doc(doc, truncation=None):
     for i, z in enumerate(chern_hat):
         if not isinstance(z, list) or len(z) != base.dim(2):
             raise SchemaError(f"chern_hat vector {i} must have length {base.dim(2)}")
-        hat_vectors.append([int(str(x)) for x in z])
+        hat_vectors.append([parse_int(x, f"chern_hat[{i}]") for x in z])
     dual_bundle = build_bundle(base, hat_vectors)
     side = Pair(side_bundle, _flux_from_doc(side_bundle, doc, "flux"))
     dual = Pair(dual_bundle, _flux_from_doc(dual_bundle, doc, "flux_hat"))
@@ -204,7 +204,7 @@ def triple_from_doc(doc, truncation=None):
         raise SchemaError(
             f"'w' must be a degree-2 vector of length {t.doubled.dim(2)}"
         )
-    return t.with_data(w=[int(str(x)) for x in w_doc])
+    return t.with_data(w=[parse_int(x, "w") for x in w_doc])
 
 
 def onn_from_doc(doc):
@@ -214,10 +214,11 @@ def onn_from_doc(doc):
         raise SchemaError("group element document must be a JSON object")
     if "n" not in doc or "matrix" not in doc:
         raise SchemaError("group element document needs 'n' and 'matrix'")
-    n = int(str(doc["n"]))
+    n = parse_int(doc["n"], "n")
     mat = doc["matrix"]
     if not isinstance(mat, list) or len(mat) != 2 * n or any(
         not isinstance(r, list) or len(r) != 2 * n for r in mat
     ):
         raise SchemaError(f"'matrix' must be {2 * n} x {2 * n}")
-    return OnnElement(n, [[int(str(x)) for x in row] for row in mat])
+    rows = [[parse_int(x, f"matrix[{i}]") for x in row] for i, row in enumerate(mat)]
+    return OnnElement(n, rows)

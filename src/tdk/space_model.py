@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, ModelError, SchemaError
-from .exact_linalg import cochain_cohomology, intmat, intvec, zeros
+from .errors import InputError, ModelError, SchemaError, parse_int
+from .exact_linalg import cochain_cohomology, cochain_invariants, intmat, intvec, zeros
 # unused here, but benchmark/tests/test_benchmark.py checks that its tracer patches it
 from .exact_linalg import subquotient  # noqa: F401
 
@@ -49,18 +49,6 @@ class Cocycle:
 
     def __post_init__(self):
         object.__setattr__(self, "vector", intvec(self.vector))
-
-
-def _parse_int(x, where):
-    if isinstance(x, bool):
-        raise SchemaError("expected an integer, got a boolean", where)
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        s = x.strip()
-        if s and (s.lstrip("+-").isdigit()):
-            return int(s)
-    raise SchemaError(f"expected an integer (decimal string), got {x!r}", where)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +349,14 @@ class DgRingModel:
         return cochain_cohomology(k, self.D, self.dim, self.d_matrix)
 
     def betti(self):
-        return [self.cohomology(k).invariants() for k in range(self.D + 1)]
+        """[(rank, torsion)] of H^k for k = 0..D, without classes.
+
+        ``cochain_invariants`` needs d o d = 0: ``validate`` certifies it for
+        checked models (every parsed ``dgring`` document), ``check_d_squared``
+        for the total model of every bundle build, and the builtins are
+        closed by construction (``tests/test_space_model.py`` validates them).
+        """
+        return cochain_invariants(self.D, self.dim, self.d_columns)
 
     def class_of(self, cocycle: Cocycle):
         return self.cohomology(cocycle.degree).reduce(cocycle.vector)
@@ -427,20 +422,38 @@ class SimplicialComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * self.n_simplices(k) for k in range(self.dim + 1))
 
+    def coboundary_columns(self, k):
+        """The coboundary C^k -> C^{k+1} as one sparse column {row: sign} per k-simplex.
+
+        A (k+1)-simplex tau has the sign (-1)^i in the column of its face
+        without vertex i (vertices in increasing order).
+        """
+        cols = [{} for _ in range(self.n_simplices(k))]
+        for r, tau in enumerate(self.simplices[k + 1] if 0 <= k < self.dim else []):
+            for drop in range(len(tau)):
+                cols[self.index[k][tau[:drop] + tau[drop + 1 :]]][r] = -1 if drop % 2 else 1
+        return cols
+
     def coboundary(self, k):
         """Matrix of the simplicial coboundary C^k -> C^{k+1}."""
-        rows, cols = self.n_simplices(k + 1), self.n_simplices(k)
-        mat = zeros(rows, cols)
-        for r, tau in enumerate(self.simplices[k + 1] if k + 1 <= self.dim else []):
-            for drop in range(len(tau)):
-                face = tau[:drop] + tau[drop + 1 :]
-                mat[r, self.index[k][face]] += (-1) ** drop
+        mat = zeros(self.n_simplices(k + 1), self.n_simplices(k))
+        for c, col in enumerate(self.coboundary_columns(k)):
+            for r, x in col.items():
+                mat[r, c] = x
         return mat
 
     @lru_cache(maxsize=None)
     def cohomology(self, k):
         """H^k(K, Z) as a subquotient of simplicial k-cochains."""
         return cochain_cohomology(k, self.dim, self.n_simplices, self.coboundary)
+
+    def betti(self):
+        """[(rank, torsion)] of H^k(K, Z) for k = 0..dim, without classes.
+
+        d o d = 0 holds for every simplicial coboundary, which is the
+        precondition of ``cochain_invariants``.
+        """
+        return cochain_invariants(self.dim, self.n_simplices, self.coboundary_columns)
 
     def cup(self, p, u, q, v):
         """Front-face/back-face cup product of cochains u (deg p), v (deg q)."""
@@ -500,11 +513,11 @@ def parse_space(document, truncation=None):
     if fmt == "simplicial":
         if "vertices" not in document or "facets" not in document:
             raise SchemaError("simplicial document needs 'vertices' and 'facets'")
-        n = _parse_int(document["vertices"], "vertices")
+        n = parse_int(document["vertices"], "vertices")
         facets = document["facets"]
         if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
             raise SchemaError("'facets' must be a list of vertex lists")
-        facets = [[_parse_int(v, f"facets[{i}]") for v in f] for i, f in enumerate(facets)]
+        facets = [[parse_int(v, f"facets[{i}]") for v in f] for i, f in enumerate(facets)]
         return SimplicialComplex(n, facets, max_dim=truncation)
     if fmt == "dgring":
         return _parse_dgring(document, truncation)
@@ -515,7 +528,7 @@ def _parse_dgring(document, truncation):
     for key in ("degrees", "basis"):
         if key not in document:
             raise SchemaError(f"dgring document needs a {key!r} field")
-    D = _parse_int(document["degrees"], "degrees")
+    D = parse_int(document["degrees"], "degrees")
     if D < 0:
         raise SchemaError("'degrees' must be nonnegative")
     if D > truncation:
@@ -529,12 +542,21 @@ def _parse_dgring(document, truncation):
     for k, bs in enumerate(basis):
         if not isinstance(bs, list) or not all(isinstance(x, str) for x in bs):
             raise SchemaError(f"basis in degree {k} must be a list of labels")
+    label_pos = {}
+    for k, bs in enumerate(basis):
+        for pos, label in enumerate(bs):
+            if label in label_pos:
+                k0, pos0 = label_pos[label]
+                raise SchemaError(
+                    f"basis[{k}][{pos}] repeats the label {label!r} of basis[{k0}][{pos0}]"
+                )
+            label_pos[label] = (k, pos)
     dims = [len(bs) for bs in basis]
     diff, diff_pos = {}, {}
     for pos, entry in enumerate(document.get("diff", [])):
         if not isinstance(entry, dict) or "deg" not in entry or "matrix" not in entry:
             raise SchemaError("each diff entry needs 'deg' and 'matrix'")
-        k = _parse_int(entry["deg"], "diff.deg")
+        k = parse_int(entry["deg"], "diff.deg")
         if not (0 <= k <= D):
             raise SchemaError(f"diff entry for degree {k} outside 0..{D}")
         if k in diff_pos:
@@ -548,16 +570,16 @@ def _parse_dgring(document, truncation):
             raise SchemaError(
                 f"diff matrix in degree {k} must be {rows} x {dims[k]}"
             )
-        diff[k] = [[_parse_int(x, f"diff[{k}]") for x in row] for row in mat]
+        diff[k] = [[parse_int(x, f"diff[{k}]") for x in row] for row in mat]
     product, product_pos = {}, {}
     for pos, entry in enumerate(document.get("product", [])):
         if not isinstance(entry, dict):
             raise SchemaError(f"product entry {pos} must be an object")
         try:
-            i = _parse_int(entry["i_deg"], f"product[{pos}].i_deg")
-            a = _parse_int(entry["i_idx"], f"product[{pos}].i_idx")
-            j = _parse_int(entry["j_deg"], f"product[{pos}].j_deg")
-            b = _parse_int(entry["j_idx"], f"product[{pos}].j_idx")
+            i = parse_int(entry["i_deg"], f"product[{pos}].i_deg")
+            a = parse_int(entry["i_idx"], f"product[{pos}].i_idx")
+            j = parse_int(entry["j_deg"], f"product[{pos}].j_deg")
+            b = parse_int(entry["j_idx"], f"product[{pos}].j_idx")
             result = entry["result"]
         except KeyError as exc:
             raise SchemaError(f"product entry {pos} is missing field {exc}")
@@ -579,8 +601,8 @@ def _parse_dgring(document, truncation):
                 raise SchemaError(
                     f"product[{pos}].result[{t}] must be an object with 'idx' and 'coeff'"
                 )
-            c = _parse_int(term["idx"], f"product[{pos}].result.idx")
-            coeff = _parse_int(term["coeff"], f"product[{pos}].result.coeff")
+            c = parse_int(term["idx"], f"product[{pos}].result.idx")
+            coeff = parse_int(term["coeff"], f"product[{pos}].result.coeff")
             if not (0 <= c < dims[i + j]):
                 raise SchemaError(f"product entry {pos} result index out of range")
             if c in term_pos:
@@ -739,8 +761,8 @@ def product_model(A: DgRingModel, B: DgRingModel, truncation=None):
     that the tensor basis computes the cohomology of the product space.
     """
     for M, name in ((A, "first"), (B, "second")):
-        for k in range(M.D + 1):
-            if M.cohomology(k).invariants()[1]:
+        for k, (_, torsion) in enumerate(M.betti()):
+            if torsion:
                 raise InputError(
                     f"{name} factor has torsion in H^{k}; Kuenneth model undefined"
                 )

@@ -5,7 +5,8 @@ model: its product is the Koszul rule and the only build-time check is the
 d o d = 0 certificate.  Here the full ``validate()`` runs on random bundles
 over small builtin bases, the lazily tabulated product table is compared
 with the eager tabulation loop it replaced (``reference_product_table``),
-and a base that breaks Leibniz against a chern cocycle must be refused.
+``betti()`` of the total model is held to the subquotient invariants, and a
+base that breaks Leibniz against a chern cocycle must be refused.
 """
 
 import pytest
@@ -90,6 +91,14 @@ def test_lazy_product_table_matches_eager_loop(data):
     m = build_bundle(base, chern)
     assert "product" not in vars(m.total)  # nothing tabulated at build time
     assert m.total.product == reference_product_table(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundles())
+def test_total_betti_matches_subquotients(data):
+    base, chern = data
+    m = build_bundle(base, chern)
+    assert m.total.betti() == [m.total_cohomology(k).invariants() for k in range(m.D + 1)]
 
 
 def _leibniz_breaking_base():

@@ -308,3 +308,78 @@ def test_fuzzed_inputs_never_crash(tmp_path):
             code, doc = run([verb, flag, str(path)])
             assert code == 2, (verb, blob[:60])
             assert "error" in doc
+
+
+def _pair_doc():
+    return pair_to_doc(named_pair("hopf"))
+
+
+def _triple_doc():
+    return triple_to_doc(dualize(named_pair("hopf")))
+
+
+def _set(doc, path, value):
+    """doc with the entry at ``path`` (a tuple of keys and indices) replaced."""
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+# malformed integers in documents: (verb, flag, document, location)
+BAD_INTEGERS = {
+    "pair_n": ("dualizable", "--pair", lambda: _set(_pair_doc(), ("n",), "x"), "n"),
+    "pair_chern_letter": (
+        "dualizable", "--pair", lambda: _set(_pair_doc(), ("chern", 0, 0), "a"), "chern[0]"),
+    "pair_chern_boolean": (
+        "dualizable", "--pair", lambda: _set(_pair_doc(), ("chern", 0, 0), True), "chern[0]"),
+    "pair_flux_fraction": (
+        "twisted", "--pair", lambda: _set(_pair_doc(), ("flux", 0), "1.5"), "flux"),
+    "pair_builtin_param": (
+        "extensions", "--pair", lambda: _set(_pair_doc(), ("base", "params", "k"), "x"),
+        "params.k"),
+    "triple_chern_hat": (
+        "check-triple", "--triple", lambda: _set(_triple_doc(), ("chern_hat", 0, 0), "z"),
+        "chern_hat[0]"),
+    "triple_flux_hat": (
+        "tmap", "--triple", lambda: _set(_triple_doc(), ("flux_hat", 0), "1e3"), "flux_hat"),
+    "triple_w": ("check-triple", "--triple", lambda: _set(_triple_doc(), ("w", 0), "--1"), "w"),
+    "onn_n": ("onn", "--check", lambda: {"n": "one", "matrix": [["1", "0"], ["0", "1"]]}, "n"),
+    "onn_matrix": (
+        "onn", "--check", lambda: {"n": "1", "matrix": [["1", "0"], ["0", "i"]]}, "matrix[1]"),
+    "digit_limit": (
+        "cohomology", "--base",
+        lambda: {"format": "simplicial", "vertices": "1" * 5000, "facets": [["0"]]}, "vertices"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INTEGERS))
+def test_malformed_integer_in_document_is_a_located_input_error(case, tmp_path):
+    verb, flag, make, location = BAD_INTEGERS[case]
+    path = write(tmp_path, f"{case}.json", json.dumps(make()))
+    code, doc = run([verb, flag, path])
+    assert code == 2
+    assert doc["location"] == location
+    assert "ValueError" not in doc["error"]
+
+
+@pytest.mark.parametrize("params, chern, location", [
+    ('{"k": "x"}', [["1"]], "--params.k"),
+    ('{"k": true}', [["1"]], "--params.k"),
+    ('{"k": "2"}', [["a"]], "chern[0]"),
+    ('{"k": "2"}', [[True]], "chern[0]"),
+])
+def test_malformed_integer_in_cli_input_is_a_located_input_error(params, chern, location, tmp_path):
+    chern_path = write(tmp_path, "chern.json", json.dumps(chern))
+    code, doc = run(["bundle", "--builtin", "sphere", "--params", params, "--chern", chern_path])
+    assert code == 2
+    assert doc["location"] == location
+    assert "ValueError" not in doc["error"]
+
+
+def test_json_number_past_the_digit_limit_is_an_input_error(tmp_path):
+    path = write(tmp_path, "huge.json", '{"format": "simplicial", "vertices": ' + "7" * 5000 + "}")
+    code, doc = run(["cohomology", "--base", path])
+    assert code == 2
+    assert "ValueError" not in doc["error"] and "not valid JSON" in doc["error"]

@@ -5,7 +5,8 @@ JSON plus newline) and exit code with the files under ``tests/golden/``.
 Besides the fixture pairs, the corpus reads the total models of three
 fixture bundles as untrusted ``dgring`` documents, intact and with one
 axiom broken per document, so every first-failure certificate of model
-validation is pinned too.
+validation is pinned too, and the cohomology of two triangulated grids, a
+Klein bottle (H^2 = Z/2) and a torus.
 Any change to an exact answer, a normal-form coordinate or the rendering
 shows up here as a byte difference.
 
@@ -32,6 +33,28 @@ CODES = os.path.join(GOLDEN, "exit_codes.json")
 SIMPLICIAL = ("boundary-tetrahedron", "torus-7", "projective-plane-6")
 SS_PAGES = (2, 3)
 DGRING_PAIRS = ("hopf", "lens2_k1", "t3_trivial")
+GRIDS = (("klein", 3), ("torus", 4))
+
+
+def grid_doc(kind, m):
+    """The m x m grid, each square cut along its diagonal, as a simplicial
+    document (m >= 3 and prime to 7).  Opposite sides are glued, the first
+    pair with a flip of the second coordinate when ``kind`` is "klein".
+    Vertex (i, j) gets the label 7 (i m + j) + 3 mod m^2, so labels do not
+    follow the grid order."""
+
+    def vertex(i, j):
+        if i == m:
+            i, j = 0, (-j if kind == "klein" else j)
+        return (7 * ((i % m) * m + j % m) + 3) % (m * m)
+
+    facets = []
+    for i in range(m):
+        for j in range(m):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i, j + 1), vertex(i + 1, j + 1)
+            facets += [[a, b, d], [a, c, d]]
+    return {"format": "simplicial", "vertices": str(m * m), "facets": facets}
 
 
 def _degree(doc, label):
@@ -141,6 +164,9 @@ def cases(directory):
             triple_path = _write(directory, f"{name}.triple.json", triple)
             yield f"check-triple__{name}", ["check-triple", "--triple", triple_path]
             yield f"tmap__{name}", ["tmap", "--triple", triple_path]
+    for kind, m in GRIDS:
+        path = _write(directory, f"{kind}{m}.json", grid_doc(kind, m))
+        yield f"cohomology__{kind}_grid_{m}", ["cohomology", "--base", path]
     for name in DGRING_PAIRS:
         path = _write(directory, f"{name}.total.json", total_doc(name))
         yield f"cohomology__{name}_total", ["cohomology", "--base", path]

@@ -4,7 +4,9 @@ The list-based elimination kernel factors each matrix once; callers then
 solve against the stored ``SmithForm``.  These properties pin that shortcut
 to independent references: sympy's Smith normal form for the invariants,
 the defining identities for the transforms, and a fresh one-shot ``solve``
-for every reused solve.  Matrices include empty shapes and zero rows and
+for every reused solve.  ``invariant_factors``, which splits off unit pivots
+before it calls the kernel, is held to the same two diagonals.  Matrices
+include empty shapes and zero rows and
 columns; entries stay small because the pivot rule lets coefficients of the
 transforms grow quickly on dense matrices.
 """
@@ -13,7 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdk.exact_linalg import eye, intmat, intvec, mat_eq, smith_normal_form, solve, zeros
+from tdk.exact_linalg import (
+    eye,
+    intmat,
+    intvec,
+    invariant_factors,
+    mat_eq,
+    smith_normal_form,
+    solve,
+    zeros,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -51,6 +62,21 @@ def test_diagonal_matches_sympy(M):
         return
     S = sympy_snf(sympy.Matrix(M.tolist()), domain=sympy.ZZ)
     assert sf.diagonal == [abs(int(S[i, i])) for i in range(min(m, n))]
+
+
+@SETTINGS
+@given(matrices)
+def test_invariant_factors_match_both_smith_forms(M):
+    """The unit-pivot elimination gives the nonzero Smith diagonal."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    m, n = M.shape
+    got = invariant_factors([{r: int(M[r, c]) for r in range(m) if M[r, c]} for c in range(n)])
+    assert got == [d for d in smith_normal_form(M).diagonal if d]
+    if min(m, n):
+        S = sympy_snf(sympy.Matrix(M.tolist()), domain=sympy.ZZ)
+        assert got == [abs(int(S[i, i])) for i in range(min(m, n)) if S[i, i]]
 
 
 @SETTINGS

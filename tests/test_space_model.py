@@ -371,6 +371,40 @@ SCHEMA_REJECTIONS = {
 }
 
 
+# a basis with one label repeated, and the rejection naming both positions
+LABEL_REPEATS = {
+    "same_degree": (
+        [["1"], ["x", "x"], ["v"]], "basis[1][1] repeats the label 'x' of basis[1][0]"),
+    "across_degrees": (
+        [["1"], ["x", "y"], ["y"]], "basis[2][0] repeats the label 'y' of basis[1][1]"),
+    "unit_label": (
+        [["1"], ["x", "1"], ["v"]], "basis[1][1] repeats the label '1' of basis[0][0]"),
+}
+
+
+def _relabelled_torus2_doc(basis):
+    doc = _torus2_doc()
+    doc["basis"] = basis
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(LABEL_REPEATS))
+def test_parse_dgring_rejects_repeated_label(kind):
+    basis, message = LABEL_REPEATS[kind]
+    with pytest.raises(SchemaError) as err:
+        parse_space(_relabelled_torus2_doc(basis))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", sorted(LABEL_REPEATS))
+def test_cli_reports_repeated_label_as_input_error(kind, tmp_path):
+    basis, message = LABEL_REPEATS[kind]
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(_relabelled_torus2_doc(basis)))
+    code, report = run(["cohomology", "--base", str(path)])
+    assert code == 2 and report["error"] == message
+
+
 @pytest.mark.parametrize("kind", sorted(SCHEMA_REJECTIONS))
 def test_parse_dgring_rejects_with_position(kind):
     product, diff, message = SCHEMA_REJECTIONS[kind]
@@ -560,6 +594,19 @@ def test_builtins_pass_full_validation(name, params, truncation):
     model = builtin_space(name, params, truncation=truncation)
     assert model.D <= truncation
     model.validate()
+
+
+@pytest.mark.parametrize(
+    "name, params, truncation",
+    BUILTIN_LADDER,
+    ids=[
+        f"{n}{p}" + ("" if t == DEFAULT_TRUNCATION else f"-truncation{t}")
+        for n, p, t in BUILTIN_LADDER
+    ],
+)
+def test_builtin_betti_matches_subquotients(name, params, truncation):
+    model = builtin_space(name, params, truncation=truncation)
+    assert model.betti() == [model.cohomology(k).invariants() for k in range(model.D + 1)]
 
 
 def test_builtin_unknown_name():
