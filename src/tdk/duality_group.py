@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ModelError, UnsupportedElementError
-from .exact_linalg import eye, intmat, intvec, smith_normal_form, solve, zeros
+from .exact_linalg import eye, intmat, intvec, smith_normal_form, solve, unimodular_inverse, zeros
 from .space_model import Cocycle
 from .tduality_core import (
     Pair,
     Triple,
+    _pairing_primitive,
     _substitute_fiber,
     dualize,
     h3_action,
@@ -139,18 +140,10 @@ def shear_element(n, B) -> OnnElement:
     return OnnElement(n, g)
 
 
-def _unimodular_inverse(G):
-    # from U @ G @ V == I: G^-1 == V @ U
-    sf = smith_normal_form(G)
-    if sf.diagonal != [1] * G.shape[0]:
-        raise InputError("block is not invertible over the integers")
-    return sf.V.dot(sf.U)
-
-
 def gl_element(n, G) -> OnnElement:
     """diag(G, G^{-T}) for G in GL(n,Z)."""
     G = intmat(G, rows=n, cols=n)
-    Ginv = _unimodular_inverse(G)
+    Ginv = unimodular_inverse(G)
     g = zeros(2 * n, 2 * n)
     g[:n, :n] = G
     g[n:, n:] = Ginv.T
@@ -190,6 +183,11 @@ def generators(n) -> list:
 # action on chern data
 
 
+def _combine(coeffs, vectors, zero):
+    """zero + sum_k coeffs[k] * vectors[k], over the nonzero coefficients."""
+    return sum((x * v for x, v in zip(coeffs, vectors) if x), zero)
+
+
 def act_on_chern(g: OnnElement, base, c, chat):
     """Apply g to stacked chern data; the degree-4 pairing class is preserved.
 
@@ -201,23 +199,10 @@ def act_on_chern(g: OnnElement, base, c, chat):
     if len(c) != n or len(chat) != n:
         raise InputError(f"need {n} chern cocycles on each side")
     stacked = c + chat
-    out = []
-    for i in range(2 * n):
-        acc = base.zero_vector(2)
-        for j in range(2 * n):
-            if g.matrix[i, j]:
-                acc = acc + g.matrix[i, j] * stacked[j]
-        out.append(acc)
+    out = [_combine(row, stacked, base.zero_vector(2)) for row in g.matrix]
     c_new, chat_new = out[:n], out[n:]
-
-    def pairing(cs, chs):
-        total = base.zero_vector(4)
-        for a, b in zip(cs, chs):
-            total = total + base.mul(2, a, 2, b)
-        return total
-
-    diff = pairing(c_new, chat_new) - pairing(c, chat)
-    if solve(base.d_matrix(3), diff) is None:
+    # sum_i c_new_i . chat_new_i - sum_i c_i . chat_i, as one pairing
+    if _pairing_primitive(base, c_new + c, chat_new + [-v for v in chat]) is None:
         raise ModelError("group action failed to preserve the pairing class")
     return c_new, chat_new
 
@@ -293,7 +278,6 @@ def _act_flip(t: Triple) -> Triple:
 def _act_shear(t: Triple, B) -> Triple:
     base = t.base
     m = t.side.bundle
-    n = t.n
     beta = _flux_base_part(t)
     zhat = list(t.dual.bundle.chern)
 
@@ -302,11 +286,7 @@ def _act_shear(t: Triple, B) -> Triple:
     t0 = dualize(base_pair, choice={"chern_hat": zhat, "beta": beta})
     delta = torsor_difference(t, t0)
 
-    shift = [base.zero_vector(2) for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if B[i, j]:
-                shift[i] = shift[i] + B[i, j] * m.chern[j]
+    shift = [_combine(row, m.chern, base.zero_vector(2)) for row in B]
     zhat_new = [zh + sh for zh, sh in zip(zhat, shift)]
     sheared = dualize(
         Pair(m, Cocycle(3, m.normal_form_vector(zhat_new, beta))),
@@ -318,40 +298,20 @@ def _act_shear(t: Triple, B) -> Triple:
 def _act_gl(t: Triple, G) -> Triple:
     base = t.base
     n = t.n
-    Ginv = _unimodular_inverse(G)
-    chern_new = []
-    for i in range(n):
-        acc = base.zero_vector(2)
-        for k in range(n):
-            if G[i, k]:
-                acc = acc + G[i, k] * t.side.bundle.chern[k]
-        chern_new.append(acc)
-    chern_hat_new = []
-    for i in range(n):
-        acc = base.zero_vector(2)
-        for k in range(n):
-            if Ginv[k, i]:
-                acc = acc + Ginv[k, i] * t.dual.bundle.chern[k]
-        chern_hat_new.append(acc)
+    Ginv = unimodular_inverse(G)
+    chern_new = [_combine(row, t.side.bundle.chern, base.zero_vector(2)) for row in G]
+    chern_hat_new = [_combine(row, t.dual.bundle.chern, base.zero_vector(2)) for row in Ginv.T]
 
     side_new = build_bundle(base, chern_new)
     dual_new = build_bundle(base, chern_hat_new)
 
     # old fiber generators in the new coordinates: y = G^{-1} y', yh = G^T yh'
-    side_images = []
-    for k in range(n):
-        acc = side_new.zero_vector(1)
-        for i in range(n):
-            if Ginv[k, i]:
-                acc = acc + Ginv[k, i] * side_new.element_vector(0, 0, (i,))
-        side_images.append(acc)
-    dual_images = []
-    for k in range(n):
-        acc = dual_new.zero_vector(1)
-        for i in range(n):
-            if G[i, k]:
-                acc = acc + G[i, k] * dual_new.element_vector(0, 0, (i,))
-        dual_images.append(acc)
+    def images(m, rows, shift=0):
+        gens = [m.element_vector(0, 0, (i + shift,)) for i in range(n)]
+        return [_combine(row, gens, m.zero_vector(1)) for row in rows]
+
+    side_images = images(side_new, Ginv)
+    dual_images = images(dual_new, G.T)
 
     z_new = _substitute_fiber(
         t.side.bundle, side_new, t.side.flux.vector, 3, side_images
@@ -363,18 +323,6 @@ def _act_gl(t: Triple, G) -> Triple:
     out = Triple(
         Pair(side_new, Cocycle(3, z_new)), Pair(dual_new, Cocycle(3, zh_new))
     )
-    doubled_images = []
-    for k in range(n):
-        acc = out.doubled.zero_vector(1)
-        for i in range(n):
-            if Ginv[k, i]:
-                acc = acc + Ginv[k, i] * out.doubled.element_vector(0, 0, (i,))
-        doubled_images.append(acc)
-    for k in range(n):
-        acc = out.doubled.zero_vector(1)
-        for i in range(n):
-            if G[i, k]:
-                acc = acc + G[i, k] * out.doubled.element_vector(0, 0, (i + n,))
-        doubled_images.append(acc)
+    doubled_images = images(out.doubled, Ginv) + images(out.doubled, G.T, n)
     w_new = _substitute_fiber(t.doubled, out.doubled, t.w, 2, doubled_images)
     return out.with_data(w=w_new)

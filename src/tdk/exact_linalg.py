@@ -19,6 +19,11 @@ diagonal is read.  Cohomology has two routines on top of that:
 H^k = ker d_k / im d_{k-1} as a :class:`Subquotient` for callers that need
 classes, representatives or reductions.
 
+Model differentials are stored only as sparse columns, one dict
+{row: coeff} per source basis element.  ``dense_matrix`` turns such columns
+into an object matrix; it is the one place a dense differential is built,
+and only callers that eliminate or multiply whole matrices ask for it.
+
 Factor once, solve many: a matrix that meets several right-hand sides is
 factored once and each right-hand side goes through ``SmithForm.solve``.
 ``solve(M, b)`` is the one-shot form.  ``Subquotient`` keeps the factored
@@ -50,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, NotInSubgroupError, SubgroupContainmentError
+from .errors import DimensionError, InputError, NotInSubgroupError, SubgroupContainmentError
 
 __all__ = [
     "intmat",
@@ -59,6 +64,8 @@ __all__ = [
     "eye",
     "hstack",
     "mat_eq",
+    "unimodular_inverse",
+    "dense_matrix",
     "SmithForm",
     "smith_normal_form",
     "matrix_rank",
@@ -132,6 +139,15 @@ def mat_eq(a, b):
     )
 
 
+def dense_matrix(columns, rows):
+    """The object matrix with ``rows`` rows whose columns are these sparse dicts {row: coeff}."""
+    out = [[0] * len(columns) for _ in range(rows)]
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            out[r][c] = x
+    return _array(out, rows, len(columns))
+
+
 def _array(rows, r, c):
     """Object matrix from r row lists of length c."""
     return np.array(rows, dtype=object) if r and c else zeros(r, c)
@@ -187,11 +203,11 @@ class SmithForm:
 
     @cached_property
     def Uinv(self):
-        return _unimodular_inverse(self.U)
+        return unimodular_inverse(self.U)
 
     @cached_property
     def Vinv(self):
-        return _unimodular_inverse(self.V)
+        return unimodular_inverse(self.V)
 
     def solve(self, b):
         """One integer solution x of M @ x == b, or None when unsolvable over Z.
@@ -222,9 +238,14 @@ class SmithForm:
         return self.V[:, nz].dot(np.array([y[i] for i in nz], dtype=object))
 
 
-def _unimodular_inverse(W):
-    """The inverse of a unimodular W: from P @ W @ Q == I, W^-1 == Q @ P."""
+def unimodular_inverse(W):
+    """The inverse of a unimodular W: from P @ W @ Q == I, W^-1 == Q @ P.
+
+    Raises InputError when W is not invertible over the integers.
+    """
     sf = smith_normal_form(W)
+    if sf.diagonal != [1] * W.shape[0]:
+        raise InputError("block is not invertible over the integers")
     return sf.V.dot(sf.U)
 
 

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, ModelError, SchemaError, parse_int
-from .exact_linalg import cochain_cohomology, cochain_invariants, intmat, intvec, zeros
+from .errors import DimensionError, InputError, ModelError, SchemaError, parse_int
+from .exact_linalg import cochain_cohomology, cochain_invariants, dense_matrix, intvec
 # unused here, but benchmark/tests/test_benchmark.py checks that its tracer patches it
 from .exact_linalg import subquotient  # noqa: F401
 
@@ -64,40 +64,59 @@ def _sum_terms(pairs):
     return {c: y for c, y in out.items() if y}
 
 
+def _values(vec, length):
+    """The coordinates of a cochain vector of this length, as a list of ints."""
+    vals = list(map(int, vec.tolist() if isinstance(vec, np.ndarray) else vec))
+    if len(vals) != length:
+        raise DimensionError(f"cochain of length {len(vals)}, expected {length}")
+    return vals
+
+
 def _terms(vec, length):
-    """The first ``length`` coordinates of a cochain vector as a sparse cochain."""
-    vals = intvec(vec, length=length).tolist()
-    return {a: vals[a] for a in range(length) if vals[a]}
+    """A cochain vector of this length as a sparse cochain."""
+    return {a: x for a, x in enumerate(_values(vec, length)) if x}
 
 
-def _columns(mat):
-    """Columns of an integer matrix as sparse cochains."""
-    cols = [{} for _ in range(mat.shape[1])]
-    for r, row in enumerate(mat.tolist()):
+def _table_columns(table, rows, cols):
+    """(shape, sparse columns) of a differential table given by its rows.
+
+    An empty table is the zero map of shape (rows, cols); a table of another
+    shape keeps it, for ``validate`` to name.
+    """
+    table = [[int(x) for x in row] for row in table]
+    widths = {len(row) for row in table}
+    if len(widths) > 1:
+        raise DimensionError("matrix data is not rectangular")
+    shape = (len(table), widths.pop()) if widths - {0} else (rows, cols)
+    columns = [{} for _ in range(shape[1])]
+    for r, row in enumerate(table):
         for c, x in enumerate(row):
             if x:
-                cols[c][r] = x
-    return cols
+                columns[c][r] = x
+    return shape, columns
 
 
 class DgRingModel:
     """Finite graded ring over Z with differential, given by explicit tables.
 
     ``basis[k]`` lists the labels in degree k for 0 <= k <= D;
-    ``diff[k]`` is the matrix of d: C^k -> C^{k+1};
+    ``diff[k]`` is the table (rows) of d: C^k -> C^{k+1}, zero if missing;
     ``product[(i, a, j, b)]`` maps a basis pair to a dict {index: coeff} in
     degree i + j.  Pairs involving the unit default to the identity action,
     all other missing pairs to zero.  Products landing above degree D are
     truncated to zero.
 
     Ring arithmetic runs on these sparse structure constants.  A sparse
-    cochain is a dict {index: coeff} with no zero entries; ``d_columns(k)``
-    holds d_k as one such dict per basis element of degree k, built once
-    from ``diff``.  :meth:`mul_terms` and :meth:`d_terms` work on sparse
-    cochains, and :meth:`validate` scans only the nonzero products and
-    differentials, so the cost of both follows the nonzero structure
-    constants, not the basis size; :meth:`mul` and :meth:`d` take and
-    return dense object-dtype vectors.
+    cochain is a dict {index: coeff} with no zero entries.  The differential
+    is stored only as such cochains: ``d_columns(k)`` holds d_k as one per
+    basis element of degree k, converted once from the given table.
+    ``d_matrix(k)`` is the dense view that ``exact_linalg.dense_matrix``
+    builds on first use, for eliminations; ``diff`` maps each given degree
+    to it.  :meth:`mul_terms` and :meth:`d_terms` work on sparse cochains,
+    and :meth:`validate` scans only the nonzero products and differentials,
+    so the cost of both follows the nonzero structure constants, not the
+    basis size; :meth:`mul` and :meth:`d` take and return dense
+    object-dtype vectors.
     """
 
     def __init__(self, basis, diff, product, meta=None, check=True):
@@ -105,10 +124,10 @@ class DgRingModel:
         self.D = len(self.basis) - 1
         if self.D < 0 or not self.basis[0]:
             raise ModelError("model needs a nonempty degree-0 part")
-        self.diff = {}
-        for k, mat in dict(diff).items():
-            self.diff[int(k)] = intmat(mat, rows=self.dim(k + 1), cols=self.dim(k))
-        self._dcols = {k: _columns(mat) for k, mat in self.diff.items()}
+        self._dshape, self._dcols, self._dense = {}, {}, {}
+        for k, table in dict(diff).items():
+            k = int(k)
+            self._dshape[k], self._dcols[k] = _table_columns(table, self.dim(k + 1), self.dim(k))
         self.product = {}
         for key, entry in dict(product).items():
             i, a, j, b = map(int, key)
@@ -140,18 +159,36 @@ class DgRingModel:
     def unit_vector(self):
         return self.basis_vector(0, 0)
 
+    @property
+    def diff(self):
+        """{k: d_matrix(k)} over the degrees whose differential was given (read-only)."""
+        return {k: self.d_matrix(k) for k in self._dcols}
+
     def d_matrix(self, k):
-        if k in self.diff:
-            return self.diff[k]
-        return zeros(self.dim(k + 1), self.dim(k))
+        """d_k as a dense matrix, built on first use; the same object on every call."""
+        mat = self._dense.get(k)
+        if mat is None:
+            rows = self._dshape[k][0] if k in self._dshape else self.dim(k + 1)
+            mat = self._dense[k] = dense_matrix(self.d_columns(k), rows)
+        return mat
 
     def d_columns(self, k):
         """d_k as one sparse cochain per basis element of degree k (read-only)."""
         cols = self._dcols.get(k)
         return [{}] * self.dim(k) if cols is None else cols
 
+    def _d_values(self, k, vec):
+        """d of a cochain vector of degree k, as a list of ints."""
+        out = [0] * self.dim(k + 1)
+        for x, col in zip(_values(vec, self.dim(k)), self.d_columns(k)):
+            if x:
+                for r, y in col.items():
+                    out[r] += x * y
+        return out
+
     def d(self, k, vec):
-        return self.d_matrix(k).dot(intvec(vec, length=self.dim(k)))
+        out = self._d_values(k, vec)
+        return np.array(out, dtype=object) if out else self.zero_vector(k + 1)
 
     def d_terms(self, k, u):
         """d of the sparse cochain u of degree k, as a sparse cochain."""
@@ -159,7 +196,7 @@ class DgRingModel:
         return _sum_terms((x, cols[a]) for a, x in u.items())
 
     def is_closed(self, k, vec):
-        return all(x == 0 for x in self.d(k, vec))
+        return not any(self._d_values(k, vec))
 
     def mul_basis(self, i, a, j, b):
         """Structure constants of basis element a (deg i) times b (deg j)."""
@@ -182,12 +219,9 @@ class DgRingModel:
 
     def mul(self, i, u, j, v):
         """Product of cochain vectors u (deg i) and v (deg j)."""
-        k = i + j
-        out = [0] * self.dim(k)
-        if k <= self.D:
-            prod = self.mul_terms(i, _terms(u, self.dim(i)), j, _terms(v, self.dim(j)))
-            for c, x in prod.items():
-                out[c] = x
+        out = [0] * self.dim(i + j)
+        for c, x in self.mul_terms(i, _terms(u, self.dim(i)), j, _terms(v, self.dim(j))).items():
+            out[c] = x
         return intvec(out, length=len(out))
 
     # -- validation ----------------------------------------------------------
@@ -231,12 +265,12 @@ class DgRingModel:
             raise ModelError(
                 f"degree-0 part has rank {self.dim(0)}, expected 1 (connected base)"
             )
-        for k, mat in self.diff.items():
+        for k, shape in self._dshape.items():
             if not (0 <= k <= self.D):
                 raise ModelError(f"differential given in degree {k} outside 0..{self.D}")
-            if mat.shape != (self.dim(k + 1), self.dim(k)):
+            if shape != (self.dim(k + 1), self.dim(k)):
                 raise ModelError(
-                    f"differential in degree {k} has shape {mat.shape}, "
+                    f"differential in degree {k} has shape {shape}, "
                     f"expected {(self.dim(k + 1), self.dim(k))}"
                 )
         for (i, a, j, b), entry in self.product.items():
@@ -436,11 +470,7 @@ class SimplicialComplex:
 
     def coboundary(self, k):
         """Matrix of the simplicial coboundary C^k -> C^{k+1}."""
-        mat = zeros(self.n_simplices(k + 1), self.n_simplices(k))
-        for c, col in enumerate(self.coboundary_columns(k)):
-            for r, x in col.items():
-                mat[r, c] = x
-        return mat
+        return dense_matrix(self.coboundary_columns(k), self.n_simplices(k + 1))
 
     @lru_cache(maxsize=None)
     def cohomology(self, k):
@@ -666,21 +696,20 @@ def cohomology_ring(K: SimplicialComplex, truncation=DEFAULT_TRUNCATION):
 
     diff = {}
     for k in range(D):
-        mat = zeros(len(basis[k + 1]), len(basis[k]))
+        mat = [[0] * len(basis[k]) for _ in basis[k + 1]]
         for col, (kind, payload) in enumerate(kinds[k]):
             if kind == "killer":
                 deg, t_i, rec = payload
-                mat[t_i, col] = rec[2]  # d(s) = order * t
+                mat[t_i][col] = rec[2]  # d(s) = order * t
         diff[k] = mat
 
     def killer_for(k, torsion_coords):
-        """Auxiliary combination whose differential is sum d_i c_i t_i."""
-        v = np.zeros(len(basis[k - 1]), dtype=object) + 0
-        for col, (kind, payload) in enumerate(kinds[k - 1]):
-            if kind == "killer" and payload[0] == k:
-                t_i = payload[1]
-                v[col] = torsion_coords[t_i]
-        return v
+        """Auxiliary combination whose differential is sum d_i c_i t_i, as a sparse cochain."""
+        return {
+            col: torsion_coords[payload[1]]
+            for col, (kind, payload) in enumerate(kinds[k - 1])
+            if kind == "killer" and payload[0] == k and torsion_coords[payload[1]]
+        }
 
     product = {}
     for i in range(D + 1):
@@ -721,8 +750,7 @@ def cohomology_ring(K: SimplicialComplex, truncation=DEFAULT_TRUNCATION):
                                 "torsion product structure is not strictly "
                                 f"realizable at pair ({basis[i][a]}, {basis[j][b]})"
                             )
-                        vec = killer_for(deg_t + j, coords)
-                        table = {c: int(v) for c, v in enumerate(vec) if v != 0}
+                        table = killer_for(deg_t + j, coords)
                         if table:
                             product[(i, a, j, b)] = table
                             sign = -1 if (i % 2 and j % 2) else 1
@@ -759,6 +787,8 @@ def product_model(A: DgRingModel, B: DgRingModel, truncation=None):
 
     Requires both factors to have torsion-free cohomology in every degree so
     that the tensor basis computes the cohomology of the product space.
+    When a label occurs in both factors, the second factor's labels are
+    primed (``v1`` becomes ``v1'``), so the product's labels stay distinct.
     """
     for M, name in ((A, "first"), (B, "second")):
         for k, (_, torsion) in enumerate(M.betti()):
@@ -780,8 +810,12 @@ def product_model(A: DgRingModel, B: DgRingModel, truncation=None):
         pairs.append(level)
     index = [{p: n for n, p in enumerate(level)} for level in pairs]
 
+    labels_b = B.basis
+    if {x for bs in A.basis for x in bs} & {x for bs in B.basis for x in bs} - {"1"}:
+        labels_b = [[x if x == "1" else x + "'" for x in bs] for bs in B.basis]
+
     def label(i, a, j, b):
-        la, lb = A.basis[i][a], B.basis[j][b]
+        la, lb = A.basis[i][a], labels_b[j][b]
         if la == "1" and lb == "1":
             return "1"
         if lb == "1":
@@ -793,17 +827,13 @@ def product_model(A: DgRingModel, B: DgRingModel, truncation=None):
     basis = [[label(*p) for p in level] for level in pairs]
     diff = {}
     for k in range(D):
-        mat = zeros(len(pairs[k + 1]), len(pairs[k]))
+        mat = [[0] * len(pairs[k]) for _ in pairs[k + 1]]
         for col, (i, a, j, b) in enumerate(pairs[k]):
-            da = A.d(i, A.basis_vector(i, a))
-            for a2 in range(A.dim(i + 1)):
-                if da[a2] and (i + 1, a2, j, b) in index[k + 1]:
-                    mat[index[k + 1][(i + 1, a2, j, b)], col] += da[a2]
-            db = B.d(j, B.basis_vector(j, b))
             sign = -1 if i % 2 else 1
-            for b2 in range(B.dim(j + 1)):
-                if db[b2] and (i, a, j + 1, b2) in index[k + 1]:
-                    mat[index[k + 1][(i, a, j + 1, b2)], col] += sign * db[b2]
+            for a2, x in A.d_columns(i)[a].items():
+                mat[index[k + 1][(i + 1, a2, j, b)]][col] += x
+            for b2, x in B.d_columns(j)[b].items():
+                mat[index[k + 1][(i, a, j + 1, b2)]][col] += sign * x
         diff[k] = mat
 
     product = {}
@@ -814,20 +844,13 @@ def product_model(A: DgRingModel, B: DgRingModel, truncation=None):
                     if (k1 == 0 and n1 == 0) or (k2 == 0 and n2 == 0):
                         continue
                     sign = -1 if (j1 % 2 and i2 % 2) else 1
-                    pa = A.mul(i1, A.basis_vector(i1, a1), i2, A.basis_vector(i2, a2))
-                    pb = B.mul(j1, B.basis_vector(j1, b1), j2, B.basis_vector(j2, b2))
+                    pb = B.mul_basis(j1, b1, j2, b2)
                     table = {}
-                    for a3 in range(A.dim(i1 + i2)):
-                        if pa[a3] == 0:
-                            continue
-                        for b3 in range(B.dim(j1 + j2)):
-                            if pb[b3] == 0:
-                                continue
-                            key = (i1 + i2, a3, j1 + j2, b3)
-                            if key in index[k1 + k2]:
-                                c = index[k1 + k2][key]
-                                table[c] = table.get(c, 0) + sign * pa[a3] * pb[b3]
-                    table = {c: v for c, v in table.items() if v}
+                    for a3, x in A.mul_basis(i1, a1, i2, a2).items():
+                        for b3, y in pb.items():
+                            c = index[k1 + k2][(i1 + i2, a3, j1 + j2, b3)]
+                            table[c] = table.get(c, 0) + sign * x * y
+                    table = {c: v for c, v in sorted(table.items()) if v}
                     if table:
                         product[(k1, n1, k2, n2)] = table
 
@@ -910,8 +933,8 @@ def _heisenberg_model(k, truncation):
     basis, product, subsets, index = _exterior_tables(labels, D)
     diff = {}
     if D >= 2:  # below that, d(z) lands in a truncated degree
-        d1 = zeros(len(subsets[2]), len(subsets[1]))
-        d1[index[2][(0, 1)], index[1][(2,)]] = k
+        d1 = [[0] * len(subsets[1]) for _ in subsets[2]]
+        d1[index[2][(0, 1)]][index[1][(2,)]] = k
         diff[1] = d1
     return DgRingModel(
         basis, diff, product, meta={"name": f"heisenberg{k}"}, check=False

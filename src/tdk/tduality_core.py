@@ -5,7 +5,7 @@ cocycle on its total space.  A :class:`Triple` joins two pairs over the same
 base through a degree-2 correspondence cochain w on the doubled model
 (fiber T^{2n}, chern cocycles of both sides) subject to three exact
 conditions: dw = phat*(zhat) - p*(z), prescribed leading parts on both
-sides, and the fiberwise normalization of w modulo claases pulled from either
+sides, and the fiberwise normalization of w modulo classes pulled from either
 factor.
 
 Twist bookkeeping is additive: a twist is its representative cocycle, a
@@ -213,6 +213,18 @@ def _normal_form(pair: Pair):
     return zhat, beta, rep
 
 
+def _pairing_primitive(base, cs, chs):
+    """A base cochain beta with d(beta) = -sum_i cs_i . chs_i, or None.
+
+    None means that the degree-4 pairing of the two lists of degree-2
+    cocycles is not exact.
+    """
+    total = base.zero_vector(4)
+    for a, b in zip(cs, chs):
+        total = total + base.mul(2, a, 2, b)
+    return solve(base.d_matrix(3), -total)
+
+
 def extract_dual_chern(pair: Pair):
     """A representative dual chern vector and its antisymmetric-shear ambiguity.
 
@@ -223,10 +235,7 @@ def extract_dual_chern(pair: Pair):
     base = pair.base
     H2 = base.cohomology(2)
     classes = [H2.reduce(z) for z in zhat]
-    total = base.zero_vector(4)
-    for zc, zh in zip(pair.bundle.chern, zhat):
-        total = total + base.mul(2, zc, 2, zh)
-    if solve(base.d_matrix(3), total) is None:
+    if _pairing_primitive(base, pair.bundle.chern, zhat) is None:
         raise ModelError("dual chern representative violates the degree-4 relation")
     ambiguity = []
     n = pair.bundle.n
@@ -302,11 +311,7 @@ class TripleReport:
 
 def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern):
     """[flux] lies in step 2 with leading part sum_i y_i (x) [other_chern_i]."""
-    base = bundle.base
-    total = base.zero_vector(4)
-    for zc, zh in zip(bundle.chern, other_chern):
-        total = total + base.mul(2, zc, 2, zh)
-    beta = solve(base.d_matrix(3), -total)
+    beta = _pairing_primitive(bundle.base, bundle.chern, other_chern)
     if beta is None:
         return False, "no closed cocycle has the required leading part"
     expected = bundle.normal_form_vector(other_chern, beta)
@@ -348,12 +353,8 @@ def validate_triple(t: Triple) -> TripleReport:
 
     items["fiber_condition"] = _fiber_condition(t)
 
-    base = t.base
-    total = base.zero_vector(4)
-    for zc, zh in zip(t.side.bundle.chern, t.dual.bundle.chern):
-        total = total + base.mul(2, zc, 2, zh)
     items["quadratic_relation"] = (
-        solve(base.d_matrix(3), total) is not None,
+        _pairing_primitive(t.base, t.side.bundle.chern, t.dual.bundle.chern) is not None,
         "sum_i c_i . chat_i = 0 in H^4 of the base",
     )
     return TripleReport(items)

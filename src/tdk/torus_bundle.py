@@ -87,16 +87,17 @@ class _KoszulRing(DgRingModel):
     """The total ring of a :class:`BundleModel`, multiplied by the Koszul rule.
 
     Structure constants come from :meth:`BundleModel.mul_basis`, memoised per
-    model.  The explicit ``product`` table is tabulated from the same rule
-    only when something reads it: serialization and the full
-    :meth:`DgRingModel.validate`.
+    model, and the differential's columns from :meth:`BundleModel._koszul_columns`.
+    The explicit ``product`` table is tabulated from the same rule only when
+    something reads it: serialization and the full :meth:`DgRingModel.validate`.
     """
 
-    def __init__(self, bundle, basis, diff):
-        super().__init__(basis, diff, {}, check=False)
+    def __init__(self, bundle, basis):
+        super().__init__(basis, {}, {}, check=False)
         del self.product  # derived on first read, see the property below
         self._bundle = bundle
         self._memo = {}
+        self._dcols = {k: bundle._koszul_columns(k) for k in range(self.D)}
 
     def mul_basis(self, i, a, j, b):
         key = (i, a, j, b)
@@ -170,8 +171,7 @@ class BundleModel:
             return f"{b}.{mono}"
 
         basis = [[label(*e) for e in level] for level in self.elements]
-        diff = {k: self._diff_matrix(k) for k in range(self.D)}
-        self.total = _KoszulRing(self, basis, diff)
+        self.total = _KoszulRing(self, basis)
         try:
             self.total.check_d_squared()
         except ModelError as err:
@@ -179,20 +179,24 @@ class BundleModel:
 
     # -- construction --------------------------------------------------------
 
-    def _diff_matrix(self, k):
+    def _koszul_columns(self, k):
+        """d_k of the total model as sparse columns, by the rule in the module docstring.
+
+        The two sums land in base degrees p + 1 and p + 2, so no entry is written twice.
+        """
         base = self.base
         chern = [{z: int(x) for z, x in enumerate(c) if x} for c in self.chern]
-        mat = zeros(len(self.elements[k + 1]) if k + 1 <= self.D else 0,
-                    len(self.elements[k]))
-        for col, (p, a, S) in enumerate(self.elements[k]):
-            for a2, x in base.d_columns(p)[a].items():
-                mat[self.index[k + 1][(p + 1, a2, S)], col] += x
+        rows = self.index[k + 1]
+        cols = []
+        for p, a, S in self.elements[k]:
+            col = {rows[(p + 1, a2, S)]: x for a2, x in base.d_columns(p)[a].items()}
             sign = -1 if p % 2 else 1
             for i in S:
                 rest = tuple(j for j in S if j != i)
                 for a2, x in base.mul_terms(p, {a: 1}, 2, chern[i]).items():
-                    mat[self.index[k + 1][(p + 2, a2, rest)], col] += sign * _eps(i, S) * x
-        return mat
+                    col[rows[(p + 2, a2, rest)]] = sign * _eps(i, S) * x
+            cols.append(col)
+        return cols
 
     def mul_basis(self, k1, n1, k2, n2):
         """Structure constants of basis elements n1 (deg k1) times n2 (deg k2).
@@ -414,11 +418,7 @@ class BundleModel:
             return FiltrationReport(
                 degree=k, is_zero=True, p=None, leading=(), representative=vec * 0
             )
-        bmat = (
-            self.total.d_matrix(k - 1)
-            if k >= 1
-            else zeros(self.dim(k), 0)
-        )
+        bmat = self.total.d_matrix(k - 1)  # d_{-1} is the zero map into C^0
         for p in range(min(k, self.base.D), -1, -1):
             Kp = self.z_lattice(self.stable_page, p, k - p)
             sol = solve(hstack([Kp, bmat]), vec)

@@ -4,8 +4,10 @@
 factors of the differentials (``exact_linalg.cochain_invariants``), without
 building a ``Subquotient``.  The oracle is the ``Subquotient`` route,
 ``cohomology(k).invariants()``, on simplicial complexes and on random
-two-term complexes whose torsion has several factors.  A call-count guard
-pins the cost model of the three verbs that report only invariants.
+two-term complexes whose torsion has several factors.  Call-count guards
+pin the cost model of the three verbs that report only invariants, and keep
+bundle builds and ``tdk cohomology`` on a ``dgring`` document off the dense
+differential (``exact_linalg.dense_matrix``).
 """
 
 import sys
@@ -123,3 +125,19 @@ def test_invariant_verbs_factor_each_differential_once(case, tmp_path, monkeypat
     assert sub == []
     assert len(factors) == len(betti)  # one elimination per differential d_0..d_top
     assert len(snf) <= len(factors)
+
+
+def test_builds_and_dgring_cohomology_build_no_dense_differential(tmp_path, monkeypatch):
+    argv, _ = _verb("dgring-lens", tmp_path)  # writing the document reads d densely
+    dense = _counted(monkeypatch, "dense_matrix")
+    for name, params, chern in (
+        ("point", {}, [[]] * 5),
+        ("torus", {"k": 3}, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ("heisenberg", {"k": 2}, [[1, 0, 0], [0, 0, 3]]),
+        ("surface", {"genus": 2}, [[1], [2]]),
+    ):
+        build_bundle(builtin_space(name, params), chern)
+    assert dense == []
+    code, report = run(argv)
+    assert code == 0, report
+    assert dense == []

@@ -5,8 +5,10 @@ model: its product is the Koszul rule and the only build-time check is the
 d o d = 0 certificate.  Here the full ``validate()`` runs on random bundles
 over small builtin bases, the lazily tabulated product table is compared
 with the eager tabulation loop it replaced (``reference_product_table``),
-``betti()`` of the total model is held to the subquotient invariants, and a
-base that breaks Leibniz against a chern cocycle must be refused.
+the sparse differential with the dense entry-by-entry builder it replaced
+(``reference_diff_matrix``), ``betti()`` of the total model is held to the
+subquotient invariants, and a base that breaks Leibniz against a chern
+cocycle must be refused.
 """
 
 import pytest
@@ -16,6 +18,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tdk.errors import ModelError  # noqa: E402
+from tdk.exact_linalg import mat_eq, zeros  # noqa: E402
+from tdk.serialize import space_to_doc  # noqa: E402
 from tdk.space_model import DgRingModel, builtin_space  # noqa: E402
 from tdk.torus_bundle import ChernVector, build_bundle  # noqa: E402
 
@@ -50,6 +54,47 @@ def reference_product_table(m):
                     if table:
                         product[(k1, n1, k2, n2)] = table
     return product
+
+
+def _eps(i, S):
+    return -1 if sum(1 for j in S if j < i) % 2 else 1
+
+
+def reference_diff_matrix(m, k):
+    """d_k of the total model written entry by entry into a dense matrix."""
+    base = m.base
+    chern = [{z: int(x) for z, x in enumerate(c) if x} for c in m.chern]
+    mat = zeros(len(m.elements[k + 1]) if k + 1 <= m.D else 0, len(m.elements[k]))
+    for col, (p, a, S) in enumerate(m.elements[k]):
+        for a2, x in base.d_columns(p)[a].items():
+            mat[m.index[k + 1][(p + 1, a2, S)], col] += x
+        sign = -1 if p % 2 else 1
+        for i in S:
+            rest = tuple(j for j in S if j != i)
+            for a2, x in base.mul_terms(p, {a: 1}, 2, chern[i]).items():
+                mat[m.index[k + 1][(p + 2, a2, rest)], col] += sign * _eps(i, S) * x
+    return mat
+
+
+def reference_doc(m):
+    """The dgring document of the total model, from the two reference builders."""
+    s = str
+    return {
+        "format": "dgring",
+        "degrees": s(m.D),
+        "basis": [list(level) for level in m.total.basis],
+        "diff": [
+            {"deg": s(k), "matrix": [list(map(s, row)) for row in reference_diff_matrix(m, k)]}
+            for k in range(m.D)
+        ],
+        "product": [
+            {
+                "i_deg": s(i), "i_idx": s(a), "j_deg": s(j), "j_idx": s(b),
+                "result": [{"idx": s(c), "coeff": s(v)} for c, v in sorted(table.items())],
+            }
+            for (i, a, j, b), table in sorted(reference_product_table(m).items())
+        ],
+    }
 
 
 # (base name, params, largest n); every degree-2 vector on these bases is closed
@@ -91,6 +136,17 @@ def test_lazy_product_table_matches_eager_loop(data):
     m = build_bundle(base, chern)
     assert "product" not in vars(m.total)  # nothing tabulated at build time
     assert m.total.product == reference_product_table(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundles())
+def test_sparse_differential_matches_dense_reference(data):
+    base, chern = data
+    m = build_bundle(base, chern)
+    for k in range(m.D):
+        assert mat_eq(m.total.d_matrix(k), reference_diff_matrix(m, k))
+        assert m.total.d_matrix(k) is m.total.d_matrix(k)  # one dense view per degree
+    assert space_to_doc(m.total) == reference_doc(m)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,6 +15,7 @@ import pytest
 from tdk.cli import run
 from tdk.errors import InputError, ModelError, SchemaError
 from tdk.exact_linalg import intvec
+from tdk.serialize import space_to_doc
 from tdk.space_model import (
     DEFAULT_TRUNCATION,
     Cocycle,
@@ -512,12 +513,25 @@ def test_circle_times_circle_is_torus():
 
 def test_s2_x_s1_kuenneth():
     M = product_model(builtin_space("sphere", {"k": 2}), builtin_space("sphere", {"k": 1}))
+    assert M.basis == [["1"], ["v1"], ["v2"], ["v2*v1"]]  # disjoint labels stay unprimed
     assert [M.cohomology(k).invariants() for k in range(4)] == [
         (1, ()),
         (1, ()),
         (1, ()),
         (1, ()),
     ]
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus"])
+def test_product_of_a_factor_with_itself_round_trips(name):
+    """Shared labels are primed in the second factor, so the document parses."""
+    X = builtin_space(name, {"k": 1})
+    x = X.basis[1][0]
+    M = product_model(X, X)
+    assert M.basis == [["1"], [x + "'", x], [f"{x}*{x}'"]]
+    again = parse_space(space_to_doc(M))
+    assert space_to_doc(again) == space_to_doc(M)
+    assert again.betti() == [(1, ()), (2, ()), (1, ())]
 
 
 def test_product_model_rejects_torsion_factor():
