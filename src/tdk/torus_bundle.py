@@ -90,6 +90,8 @@ class _KoszulRing(DgRingModel):
     model, and the differential's columns from :meth:`BundleModel._koszul_columns`.
     The explicit ``product`` table is tabulated from the same rule only when
     something reads it: serialization and the full :meth:`DgRingModel.validate`.
+    It calls :meth:`BundleModel.mul_basis` directly, so the memo keeps only the
+    pairs that ring arithmetic asked for, not every pair of the basis.
     """
 
     def __init__(self, bundle, basis):
@@ -97,7 +99,8 @@ class _KoszulRing(DgRingModel):
         del self.product  # derived on first read, see the property below
         self._bundle = bundle
         self._memo = {}
-        self._dcols = {k: bundle._koszul_columns(k) for k in range(self.D)}
+        products = {}  # (p, a, i) -> b_a . z_i, shared by all degrees of one build
+        self._dcols = {k: bundle._koszul_columns(k, products) for k in range(self.D)}
 
     def mul_basis(self, i, a, j, b):
         key = (i, a, j, b)
@@ -115,7 +118,7 @@ class _KoszulRing(DgRingModel):
                     for n2 in range(self.dim(k2)):
                         if (k1 == 0 and n1 == 0) or (k2 == 0 and n2 == 0):
                             continue
-                        table = self.mul_basis(k1, n1, k2, n2)
+                        table = self._bundle.mul_basis(k1, n1, k2, n2)
                         if table:
                             product[(k1, n1, k2, n2)] = table
         return product
@@ -179,10 +182,11 @@ class BundleModel:
 
     # -- construction --------------------------------------------------------
 
-    def _koszul_columns(self, k):
+    def _koszul_columns(self, k, products):
         """d_k of the total model as sparse columns, by the rule in the module docstring.
 
         The two sums land in base degrees p + 1 and p + 2, so no entry is written twice.
+        ``products`` memoises b_a . z_i by (p, a, i) across the degrees of one build.
         """
         base = self.base
         chern = [{z: int(x) for z, x in enumerate(c) if x} for c in self.chern]
@@ -192,8 +196,11 @@ class BundleModel:
             col = {rows[(p + 1, a2, S)]: x for a2, x in base.d_columns(p)[a].items()}
             sign = -1 if p % 2 else 1
             for i in S:
+                bz = products.get((p, a, i))
+                if bz is None:
+                    bz = products[(p, a, i)] = base.mul_terms(p, {a: 1}, 2, chern[i])
                 rest = tuple(j for j in S if j != i)
-                for a2, x in base.mul_terms(p, {a: 1}, 2, chern[i]).items():
+                for a2, x in bz.items():
                     col[rows[(p + 2, a2, rest)]] = sign * _eps(i, S) * x
             cols.append(col)
         return cols

@@ -15,20 +15,26 @@ integration extracts the coefficient of y_1 ^ ... ^ y_n with the sign
 (-1)^(n.|b|) of moving the base factor out front.  With these conventions
 the chain identity  D_dual o T = (-1)^n . T o D_side  holds entry-exactly,
 and T drops total degree by n.
+
+Everything is computed over Z, on sparse cochains.  The m-th term
+(-w)^m / m! of exp(-w) can be nonzero only for 2m <= D, the top degree of
+the doubled model, so with N = (D // 2)! each N . (-1)^m / m! is an integer
+and :class:`TMap` holds the integer matrix N . T.  The chain identity is
+linear in T, so N . T satisfies it iff T does; and N != 0 scales images
+without changing any rank, so the induced maps on twisted cohomology are
+bijective iff those of T are.  Reports are unchanged: they still state
+rational coefficients, and their dimensions are over Q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .errors import InputError, ModelError
-from .exact_linalg import intmat, intvec, kernel_basis, matrix_rank, zeros
-from .space_model import Cocycle
+from .exact_linalg import dense_matrix, hstack, intvec, kernel_basis, matrix_rank
+from .space_model import Cocycle, _sum_terms, _terms
 from .tduality_core import Triple
 from .torus_bundle import BundleModel
 
@@ -44,46 +50,23 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # rational linear algebra, through the integer elimination kernel
-
-
-def _integral(M):
-    """M with each row scaled by the lcm of its denominators: same Q-row space."""
-    rows = []
-    for row in M.tolist():
-        scale = math.lcm(*(x.denominator for x in row))
-        rows.append([int(x * scale) for x in row])
-    return intmat(rows, rows=M.shape[0], cols=M.shape[1])
+#
+# The eliminations of this module go through these two names, which
+# ``benchmark/tracing.py`` wraps to time them; keep both.
 
 
 def rational_rank(M):
-    """Rank over Q of a matrix of ints and Fractions (equal to its Z-rank)."""
-    return matrix_rank(_integral(M))
+    """Rank over Q of an integer matrix (equal to its Z-rank)."""
+    return matrix_rank(M)
 
 
 def rational_kernel(M):
     """Integer columns spanning ker(M) over Q."""
-    return kernel_basis(_integral(M))
-
-
-def _hcat(blocks):
-    blocks = [b for b in blocks if b.shape[1]]
-    if not blocks:
-        return zeros(0, 0)
-    return np.hstack(blocks)
+    return kernel_basis(M)
 
 
 # ---------------------------------------------------------------------------
 # twisted complexes
-
-
-def _left_mult_matrix(m: BundleModel, deg_z, z, k):
-    """Matrix of x -> z . x from degree k to degree k + deg_z."""
-    out = zeros(m.dim(k + deg_z), m.dim(k))
-    for j in range(m.dim(k)):
-        col = m.mul(deg_z, z, k, m.basis_vector(k, j))
-        for i in range(m.dim(k + deg_z)):
-            out[i, j] = col[i]
-    return out
 
 
 class TwistedComplex:
@@ -108,34 +91,29 @@ class TwistedComplex:
                 pos += bundle.dim(k)
             self.offsets[par] = off
             self.dims[par] = pos
-        self.D_from = {par: self._build_d(par) for par in (0, 1)}
+        columns = {par: self._columns(par) for par in (0, 1)}
         for par in (0, 1):
-            comp = self.D_from[1 - par].dot(self.D_from[par])
-            if any(x != 0 for x in comp.flat):
+            after = columns[1 - par]
+            if any(_sum_terms((x, after[r]) for r, x in col.items()) for col in columns[par]):
                 raise ModelError("twisted differential does not square to zero")
+        self.D_from = {par: dense_matrix(columns[par], self.dims[1 - par]) for par in (0, 1)}
 
-    def _build_d(self, par):
-        m = self.bundle
-        out = zeros(self.dims[1 - par], self.dims[par])
+    def _columns(self, par):
+        """D out of this parity as sparse columns: d lands in degree k + 1, z . in k + 3.
+
+        Past the top degree both parts are empty, so their offsets are never read.
+        """
+        ring = self.bundle.total
+        z = _terms(self.z, self.bundle.dim(3))
+        rows = self.offsets[1 - par]
+        cols = []
         for k in self.degrees[par]:
-            base = self.offsets[par][k]
-            dm = m.total.d_matrix(k)
-            if k + 1 <= m.D:
-                r0 = self.offsets[1 - par][k + 1]
-                out[r0 : r0 + m.dim(k + 1), base : base + m.dim(k)] = dm
-            if k + 3 <= m.D:
-                lz = _left_mult_matrix(m, 3, self.z, k)
-                r0 = self.offsets[1 - par][k + 3]
-                out[r0 : r0 + m.dim(k + 3), base : base + m.dim(k)] += lz
-        return out
-
-    def pack(self, k, vec):
-        par = k % 2
-        out = zeros(self.dims[par], 1)[:, 0]
-        off = self.offsets[par][k]
-        for i, x in enumerate(vec):
-            out[off + i] = x
-        return out
+            for j, dcol in enumerate(ring.d_columns(k)):
+                col = {rows[k + 1] + r: x for r, x in dcol.items()}
+                for r, x in ring.mul_terms(3, z, k, {j: 1}).items():
+                    col[rows[k + 3] + r] = x
+                cols.append(col)
+        return cols
 
     @cached_property
     def ranks(self):
@@ -160,66 +138,56 @@ def twisted_dims(m: BundleModel, z):
 # the transformation attached to a triple
 
 
-def _integration_matrix(t: Triple, k):
-    """C^k(doubled) -> C^{k-n}(dual side): coefficient of y_1 ... y_n."""
-    n = t.n
-    doubled = t.doubled
-    dual = t.dual.bundle
-    out = zeros(dual.dim(k - n), doubled.dim(k))
-    full = tuple(range(n))
-    for col, (p, a, M) in enumerate(doubled.basis_elements(k)):
-        if M[:n] != full:
-            continue
-        T = tuple(i - n for i in M[n:])
-        sign = -1 if (n * p) % 2 else 1
-        out[dual.index[k - n][(p, a, T)], col] = sign
-    return out
-
-
 @dataclass
 class TMap:
-    """Blocks of the transformation between the two twisted complexes."""
+    """Blocks of the transformation between the two twisted complexes.
+
+    ``blocks`` holds the integer matrices scale . T, where ``scale`` is the
+    N of the module docstring; T itself is blocks / scale over Q.
+    """
 
     source: TwistedComplex
     target: TwistedComplex
     parity_shift: int
     blocks: dict  # parity of source -> matrix into parity + shift
+    scale: int
 
     def chain_defect(self):
-        """D_dual o T - (-1)^n T o D_side, per source parity; zero when valid."""
-        return self._defect(self.blocks)
-
-    def _defect(self, blocks):
+        """D_dual o T - (-1)^n T o D_side on the blocks, per source parity; zero when valid."""
         n_sign = -1 if self.parity_shift % 2 else 1
         out = {}
         for par in (0, 1):
-            lhs = self.target.D_from[(par + self.parity_shift) % 2].dot(blocks[par])
-            rhs = blocks[1 - par].dot(self.source.D_from[par])
+            lhs = self.target.D_from[(par + self.parity_shift) % 2].dot(self.blocks[par])
+            rhs = self.blocks[1 - par].dot(self.source.D_from[par])
             out[par] = lhs - n_sign * rhs
         return out
 
     def is_chain_map(self):
-        """The chain identity, tested on integers.
+        """The chain identity, entry-exactly; scale . T meets it iff T does."""
+        return all(not any(defect.flat) for defect in self.chain_defect().values())
 
-        Both blocks are scaled by the lcm of all their denominators.  The
-        identity is linear in the blocks, so the integer defect is zero iff
-        the rational one is.
-        """
-        scale = math.lcm(*(x.denominator for b in self.blocks.values() for x in b.flat))
-        scaled = {
-            par: intmat([[int(x * scale) for x in row] for row in b.tolist()],
-                        rows=b.shape[0], cols=b.shape[1])
-            for par, b in self.blocks.items()
-        }
-        return all(not any(defect.flat) for defect in self._defect(scaled).values())
+
+def _fiber_integration(t: Triple):
+    """Per degree k of the doubled model: index -> (index in degree k - n of the dual side, sign)."""
+    n = t.n
+    full = tuple(range(n))
+    dual_index = t.dual.bundle.index
+    out = []
+    for k, level in enumerate(t.doubled.elements):
+        out.append({
+            i: (dual_index[k - n][(p, a, tuple(j - n for j in M[n:]))], -1 if (n * p) % 2 else 1)
+            for i, (p, a, M) in enumerate(level)
+            if M[:n] == full
+        })
+    return out
 
 
 def t_transform(t: Triple) -> TMap:
-    """The degree -n transformation realized on the doubled model.
+    """The degree -n transformation realized on the doubled model, times N.
 
-    Columns are computed as fiber integrals of exp(-w) times the included
-    cochain; the exponential terminates by nilpotency of the degree-2
-    correspondence cochain.
+    Each column starts from one side basis element included in the doubled
+    model and advances by w . until it vanishes or leaves the top degree;
+    the m-th power enters the fiber integral with N . (-1)^m / m!.
     """
     from .tduality_core import validate_triple
 
@@ -231,44 +199,39 @@ def t_transform(t: Triple) -> TMap:
     side = TwistedComplex(t.side.bundle, t.side.flux.vector)
     dual = TwistedComplex(t.dual.bundle, t.dual.flux.vector)
     doubled = t.doubled
-
-    lw = {
-        k: _left_mult_matrix(doubled, 2, t.w, k) for k in range(doubled.D + 1)
-    }
+    ring = doubled.total
+    scale = math.factorial(doubled.D // 2)
+    w = _terms(t.w, doubled.dim(2))
+    integrate = _fiber_integration(t)
 
     blocks = {}
     for par in (0, 1):
         tgt_par = (par + n) % 2
-        out = zeros(dual.dims[tgt_par], side.dims[par])
+        cols = []
         for k in side.degrees[par]:
-            src_off = side.offsets[par][k]
-            embed = t.embed_side_matrix(k)
-            for j in range(t.side.bundle.dim(k)):
-                cur = embed[:, j].copy()
-                deg = k
-                mfac = 0
-                col = zeros(dual.dims[tgt_par], 1)[:, 0]
-                while deg <= doubled.D:
-                    if deg - n >= 0 and (deg - n) <= t.dual.bundle.D:
-                        scalar = Fraction((-1) ** mfac, math.factorial(mfac))
-                        proj = _integration_matrix(t, deg).dot(cur)
-                        if any(x != 0 for x in proj):
-                            off = dual.offsets[tgt_par].get(deg - n)
-                            if off is None:
-                                raise ModelError("parity bookkeeping is broken")
-                            for i, x in enumerate(proj):
-                                if x:
-                                    col[off + i] += scalar * x
+            for e in t.side.bundle.elements[k]:
+                cur = {doubled.index[k][e]: 1}
+                deg, m = k, 0
+                col = {}
+                while cur:
+                    coeff = (-1) ** m * (scale // math.factorial(m))
+                    for i, x in cur.items():
+                        hit = integrate[deg].get(i)
+                        if hit is None:
+                            continue
+                        off = dual.offsets[tgt_par].get(deg - n)
+                        if off is None:
+                            raise ModelError("parity bookkeeping is broken")
+                        row, sign = hit
+                        col[off + row] = col.get(off + row, 0) + coeff * sign * x
                     if deg + 2 > doubled.D:
                         break
-                    cur = lw[deg].dot(cur)
+                    cur = ring.mul_terms(2, w, deg, cur)
                     deg += 2
-                    mfac += 1
-                    if all(x == 0 for x in cur):
-                        break
-                out[:, src_off + j] = col
-        blocks[par] = out
-    return TMap(source=side, target=dual, parity_shift=n % 2, blocks=blocks)
+                    m += 1
+                cols.append(col)
+        blocks[par] = dense_matrix(cols, dual.dims[tgt_par])
+    return TMap(source=side, target=dual, parity_shift=n % 2, blocks=blocks, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +270,8 @@ def verify_iso(t: Triple) -> IsoReport:
     n = tm.parity_shift
     for par in (0, 1):
         tgt = (par + n) % 2
-        K = rational_kernel(tm.source.D_from[par])
-        image_in_tgt = tm.target.D_from[1 - tgt]
-        TK = tm.blocks[par].dot(K) if K.shape[1] else zeros(tm.target.dims[tgt], 0)
-        rank_TKB = rational_rank(_hcat([TK, image_in_tgt]))
+        TK = tm.blocks[par].dot(rational_kernel(tm.source.D_from[par]))
+        rank_TKB = rational_rank(hstack([TK, tm.target.D_from[1 - tgt]]))
         induced_rank = rank_TKB - tm.target.ranks[1 - tgt]
         h_src = dims_side[par]
         h_tgt = dims_dual[tgt]

@@ -8,7 +8,8 @@ with the eager tabulation loop it replaced (``reference_product_table``),
 the sparse differential with the dense entry-by-entry builder it replaced
 (``reference_diff_matrix``), ``betti()`` of the total model is held to the
 subquotient invariants, and a base that breaks Leibniz against a chern
-cocycle must be refused.
+cocycle must be refused.  Two cost guards count the work of one build and
+the pair memo that serialization leaves behind.
 """
 
 import pytest
@@ -175,3 +176,34 @@ def test_certificate_refuses_base_breaking_leibniz_against_chern():
     with pytest.raises(ModelError, match="total model of the bundle is invalid: d\\(d\\(x\\)\\) != 0"):
         build_bundle(base, [[1]])
     build_bundle(base, [[0]])  # with a zero cocycle nothing meets the broken pair
+
+
+@pytest.mark.parametrize(
+    "name, params, n",
+    [("torus", {"k": 3}, 3), ("surface", {"genus": 3}, 4), ("point", {}, 4)],
+)
+def test_build_computes_each_chern_product_once(monkeypatch, name, params, n):
+    base = builtin_space(name, params)
+    chern = [base.basis_vector(2, i % base.dim(2)) if base.dim(2) else [] for i in range(n)]
+    chern = ChernVector(base, chern)
+    calls = []
+    mul_terms = DgRingModel.mul_terms
+
+    def counted(self, *args):
+        calls.append(args)
+        return mul_terms(self, *args)
+
+    monkeypatch.setattr(DgRingModel, "mul_terms", counted)
+    build_bundle(base, chern)
+    # one product b_a . z_i per base basis element a (degree p) and fiber index i
+    distinct = n * sum(base.dim(p) for p in range(base.D + 1))
+    assert len(calls) <= distinct
+
+
+@settings(max_examples=20, deadline=None)
+@given(bundles())
+def test_serializing_a_total_model_memoises_no_empty_product(data):
+    base, chern = data
+    m = build_bundle(base, chern)
+    assert space_to_doc(m.total) == reference_doc(m)
+    assert all(m.total._memo.values())

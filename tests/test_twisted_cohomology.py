@@ -4,22 +4,30 @@ Dimension fixtures derived by hand: over Q a k-fold (k != 0) degree-3 twist on
 the S^3 model kills everything (multiplication H^0 -> H^3 is a rational
 isomorphism), the untwisted S^3 has one class per parity, and S^2 x S^1
 twisted by its degree-3 generator keeps exactly H^2 (even) and H^1 (odd).
+
+``t_transform`` walks exp(-w) over Z on sparse cochains and returns N . T.
+Its oracle is ``reference_t_blocks``, a copy of the transformation it
+replaced: dense basis-vector products and Fraction coefficients.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
 
 from tdk import twisted_cohomology
 from tdk.errors import InputError
-from tdk.exact_linalg import intvec
-from tdk.space_model import Cocycle, builtin_space
+from tdk.exact_linalg import intvec, zeros
+from tdk.fixtures import PAIR_NAMES, named_pair
+from tdk.space_model import Cocycle, DgRingModel, builtin_space
 from tdk.tduality_core import (
     Pair,
     Triple,
     dualize,
+    gauge_action,
     h3_action,
+    is_dualizable,
     validate_triple,
 )
 from tdk.torus_bundle import build_bundle
@@ -85,6 +93,16 @@ def test_twisted_complex_requires_closed_degree3():
     m = trivial_over(T2)
     with pytest.raises(InputError):
         twisted_dims(m, Cocycle(2, m.zero_vector(2)))
+
+
+def test_twisted_complex_refuses_a_twist_that_is_not_closed():
+    m = build_bundle(T3, [T3.basis_vector(2, 0), T3.zero_vector(2)])
+    z = next(
+        m.basis_vector(3, j) for j in range(m.dim(3))
+        if not m.total.is_closed(3, m.basis_vector(3, j))
+    )
+    with pytest.raises(InputError, match="twisting cocycle must be closed of degree 3"):
+        twisted_dims(m, z)
 
 
 def test_lens_space_twisted_dims():
@@ -204,14 +222,14 @@ def test_h3_action_preserves_duality_and_euler_characteristic():
 
 
 def _perturbed(tm):
-    """tm with 1/2 added to one T entry that the target differential reads."""
+    """tm with 1 added to one entry of N . T that the target differential reads."""
     for par in (0, 1):
         dmat = tm.target.D_from[(par + tm.parity_shift) % 2]
         block = tm.blocks[par]
         for i in range(block.shape[0]):
             if block.shape[1] and any(x != 0 for x in dmat[:, i]):
                 blocks = {p: b.copy() for p, b in tm.blocks.items()}
-                blocks[par][i, 0] += Fraction(1, 2)
+                blocks[par][i, 0] += 1
                 return dataclasses.replace(tm, blocks=blocks)
     raise AssertionError("no entry of T reaches the target differential")
 
@@ -238,3 +256,116 @@ def test_n2_triple_transformation():
     assert tm.parity_shift == 0
     assert tm.is_chain_map()
     assert verify_iso(t).ok
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Fraction-based transformation that t_transform replaced
+
+
+def _reference_left_mult(m, deg_z, z, k):
+    """Matrix of x -> z . x from degree k to degree k + deg_z, one basis vector at a time."""
+    out = zeros(m.dim(k + deg_z), m.dim(k))
+    for j in range(m.dim(k)):
+        col = m.mul(deg_z, z, k, m.basis_vector(k, j))
+        for i in range(m.dim(k + deg_z)):
+            out[i, j] = col[i]
+    return out
+
+
+def _reference_integration(t, k):
+    """C^k(doubled) -> C^{k-n}(dual side): coefficient of y_1 ... y_n."""
+    n = t.n
+    dual = t.dual.bundle
+    out = zeros(dual.dim(k - n), t.doubled.dim(k))
+    full = tuple(range(n))
+    for col, (p, a, M) in enumerate(t.doubled.basis_elements(k)):
+        if M[:n] != full:
+            continue
+        T = tuple(i - n for i in M[n:])
+        out[dual.index[k - n][(p, a, T)], col] = -1 if (n * p) % 2 else 1
+    return out
+
+
+def reference_t_blocks(t, side, dual):
+    """The blocks of T with Fraction entries, laid out as in ``side`` and ``dual``."""
+    n = t.n
+    doubled = t.doubled
+    lw = {k: _reference_left_mult(doubled, 2, t.w, k) for k in range(doubled.D + 1)}
+    blocks = {}
+    for par in (0, 1):
+        tgt_par = (par + n) % 2
+        out = zeros(dual.dims[tgt_par], side.dims[par])
+        for k in side.degrees[par]:
+            src_off = side.offsets[par][k]
+            embed = t.embed_side_matrix(k)
+            for j in range(t.side.bundle.dim(k)):
+                cur = embed[:, j].copy()
+                deg, mfac = k, 0
+                while deg <= doubled.D:
+                    if 0 <= deg - n <= t.dual.bundle.D:
+                        scalar = Fraction((-1) ** mfac, math.factorial(mfac))
+                        proj = _reference_integration(t, deg).dot(cur)
+                        off = dual.offsets[tgt_par][deg - n]
+                        for i, x in enumerate(proj):
+                            if x:
+                                out[off + i, src_off + j] += scalar * x
+                    if deg + 2 > doubled.D:
+                        break
+                    cur = lw[deg].dot(cur)
+                    deg += 2
+                    mfac += 1
+                    if not any(cur):
+                        break
+        blocks[par] = out
+    return blocks
+
+
+def assert_matches_reference(t):
+    tm = t_transform(t)
+    assert tm.scale == math.factorial(t.doubled.D // 2)
+    ref = reference_t_blocks(t, tm.source, tm.target)
+    for par in (0, 1):
+        assert tm.blocks[par].shape == ref[par].shape
+        for got, want in zip(tm.blocks[par].flat, ref[par].flat):
+            assert got == tm.scale * want
+    for matrix in [*tm.blocks.values(), *tm.source.D_from.values(), *tm.target.D_from.values()]:
+        assert all(type(x) is int for x in matrix.flat)
+    return tm
+
+
+DUALIZABLE = [name for name in PAIR_NAMES if is_dualizable(named_pair(name))[0]]
+
+
+@pytest.mark.parametrize("name", DUALIZABLE)
+def test_t_transform_is_scale_times_reference_on_fixture_pairs(name):
+    assert_matches_reference(dualize(named_pair(name)))
+
+
+def test_t_transform_is_scale_times_reference_on_a_gauge_acted_triple():
+    m = build_bundle(T3, [T3.basis_vector(2, 0), T3.zero_vector(2)])
+    t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
+    x = [T3.basis_vector(1, i) for i in range(3)]
+    moved = gauge_action(t, [x[0], x[2]], [x[1], T3.zero_vector(1)])
+    assert validate_triple(moved).ok
+    assert_matches_reference(moved)
+    assert verify_iso(moved).ok
+
+
+CP2 = DgRingModel([["1"], [], ["b"], [], ["b2"]], {}, {(2, 0, 2, 0): {0: 1}})
+
+
+@pytest.mark.parametrize("c, dims", [(0, (3, 3)), (1, (1, 1))])
+def test_t_transform_over_cp2_with_w_plus_base_class(c, dims):
+    # w + pi*(b) is still a correspondence cochain, and (w + pi*(b))^2 / 2
+    # carries b . b / 2: T has half-integer entries, N . T does not
+    m = build_bundle(CP2, [[c]])
+    t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
+    t = t.with_data(w=t.w + t.doubled.element_vector(2, 0, ()))
+    assert validate_triple(t).ok
+    tm = assert_matches_reference(t)
+    ref = reference_t_blocks(t, tm.source, tm.target)
+    assert any(Fraction(x).denominator == 2 for b in ref.values() for x in b.flat)
+    assert tm.is_chain_map()
+    report = verify_iso(t)
+    assert report.ok and report.chain_ok
+    assert report.dims_side == dims
