@@ -490,9 +490,6 @@ class FgAbelianGroup:
     def is_zero(self, x):
         return self.reduce(x) == self.zero_nf()
 
-    def classes_equal(self, x1, x2):
-        return self.reduce(x1) == self.reduce(x2)
-
     def generator_vectors(self):
         """Ambient representatives of the normal-form unit vectors."""
         out = []
@@ -501,9 +498,6 @@ class FgAbelianGroup:
             nf[s] = 1
             out.append(self.section(nf))
         return out
-
-    def same_invariants(self, other):
-        return self.invariants() == other.invariants()
 
     def __repr__(self):
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
@@ -607,19 +601,11 @@ class Subquotient:
     def is_zero(self, x):
         return self.reduce(x) == self.group.zero_nf()
 
-    def lift(self, nf):
-        return self.gens.dot(self.group.section(nf))
-
     def generator_vectors(self):
         return [self.gens.dot(v) for v in self.group.generator_vectors()]
 
     def invariants(self):
         return self.group.invariants()
-
-    def contains_lattice(self, other_gens):
-        return all(
-            self.contains(other_gens[:, j]) for j in range(other_gens.shape[1])
-        )
 
     def __repr__(self):
         return f"Subquotient({self.group!r})"

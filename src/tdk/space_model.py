@@ -156,9 +156,6 @@ class DgRingModel:
         v[idx] = 1
         return v
 
-    def unit_vector(self):
-        return self.basis_vector(0, 0)
-
     @property
     def diff(self):
         """{k: d_matrix(k)} over the degrees whose differential was given (read-only)."""
@@ -391,9 +388,6 @@ class DgRingModel:
         closed by construction (``tests/test_space_model.py`` validates them).
         """
         return cochain_invariants(self.D, self.dim, self.d_columns)
-
-    def class_of(self, cocycle: Cocycle):
-        return self.cohomology(cocycle.degree).reduce(cocycle.vector)
 
     def cup_class(self, x: Cocycle, y: Cocycle):
         """Normal form of [x][y] in H^{|x|+|y|}."""
@@ -862,6 +856,15 @@ def product_model(A: DgRingModel, B: DgRingModel, truncation=None):
 # builtin models
 
 
+def shuffle_sign(S, T):
+    """(S u T sorted, sign) with y_S y_T = sign y_(S u T) for sorted index tuples
+    of degree-1 generators; (None, 0) when S and T meet."""
+    if set(S) & set(T):
+        return None, 0
+    inv = sum(1 for s in S for t in T if s > t)
+    return tuple(sorted(S + T)), (-1) ** inv
+
+
 def _exterior_tables(labels, D):
     """Basis (by subsets) and product table of an exterior algebra on deg-1 gens."""
     n = len(labels)
@@ -869,13 +872,6 @@ def _exterior_tables(labels, D):
     for size in range(min(n, D) + 1):
         subsets[size] = sorted(itertools.combinations(range(n), size))
     index = [{s: i for i, s in enumerate(level)} for level in subsets]
-
-    def merge_sign(S, T):
-        if set(S) & set(T):
-            return None, 0
-        inv = sum(1 for s in S for t in T if s > t)
-        return tuple(sorted(S + T)), (-1) ** inv
-
     basis = [
         ["".join(labels[i] for i in s) if s else "1" for s in level]
         for level in subsets
@@ -887,7 +883,7 @@ def _exterior_tables(labels, D):
                 for b, T in enumerate(subsets[j]):
                     if (i == 0 and a == 0) or (j == 0 and b == 0):
                         continue
-                    merged, sign = merge_sign(S, T)
+                    merged, sign = shuffle_sign(S, T)
                     if merged is not None and len(merged) <= D:
                         product[(i, a, j, b)] = {index[len(merged)][merged]: sign}
     return basis, product, subsets, index

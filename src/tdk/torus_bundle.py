@@ -6,30 +6,36 @@ cocycles: d(b (x) y_S) = (db) (x) y_S + (-1)^|b| sum_i eps(i,S) (b.z_i) (x) y_{S
 The resulting total model is filtered by base degree, which drives the
 spectral-sequence pages (computed by the standard zig-zag approximants
 Z_r = {x in F^p : dx in F^{p+r}}, entirely with integer lattices) and the
-filtration reports that decide dualizability downstream.
+filtration reports that decide dualizability downstream.  The basis of each
+degree is sorted by base degree, so F^p is a basis suffix and Z_r is the
+kernel of one block of d_k: the columns of F^p C^k against the rows of
+C^{k+1} below base degree p + r.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InputError, ModelError, NotInSubgroupError
+from .errors import InputError, ModelError
 from .exact_linalg import (
     FgAbelianGroup,
     GroupHom,
     Subquotient,
     cochain_cohomology,
+    eye,
     hstack,
+    induced_hom,
     intvec,
     kernel_basis,
     solve,
     zeros,
 )
-from .space_model import Cocycle, DgRingModel
+from .space_model import Cocycle, DgRingModel, shuffle_sign
 
 __all__ = [
     "ChernVector",
@@ -74,13 +80,6 @@ class ChernVector:
 
 def _eps(i, S):
     return -1 if sum(1 for j in S if j < i) % 2 else 1
-
-
-def _shuffle_sign(S, T):
-    if set(S) & set(T):
-        return None, 0
-    inv = sum(1 for s in S for t in T if s > t)
-    return tuple(sorted(S + T)), (-1) ** inv
 
 
 class _KoszulRing(DgRingModel):
@@ -214,7 +213,7 @@ class BundleModel:
             return {}
         p1, a1, S1 = self.elements[k1][n1]
         p2, a2, S2 = self.elements[k2][n2]
-        merged, sign = _shuffle_sign(S1, S2)
+        merged, sign = shuffle_sign(S1, S2)
         if merged is None:
             return {}
         if len(S1) % 2 and p2 % 2:
@@ -310,15 +309,13 @@ class BundleModel:
         """H^k of the total space as a subquotient of degree-k cochains."""
         return cochain_cohomology(k, self.D, self.dim, self.total.d_matrix)
 
-    def filtration_indices(self, k, p):
-        return [i for i, (bp, _, _) in enumerate(self.elements[k]) if bp >= p]
+    def _step_start(self, k, p):
+        """Index of the first basis element of C^k with base degree >= p.
 
-    def filtration_inclusion(self, k, p):
-        idxs = self.filtration_indices(k, p)
-        mat = zeros(self.dim(k), len(idxs))
-        for c, i in enumerate(idxs):
-            mat[i, c] = 1
-        return mat
+        ``elements[k]`` is sorted by base degree, so F^p C^k is the basis
+        suffix that starts here.
+        """
+        return bisect_left(self.elements[k], (p,))
 
     @property
     def stable_page(self):
@@ -328,28 +325,25 @@ class BundleModel:
     def z_lattice(self, r, p, q):
         """Basis of Z_r^{p,q} = {x in F^p C^{p+q} : dx in F^{p+r}} in C^{p+q}.
 
+        F^p C^k is the basis suffix from ``start`` and F^{p+r} C^{k+1} the one
+        from ``low``, so the condition asks that the block d_k[:low, start:]
+        kills x: Z_r is that block's kernel, padded by ``start`` zero rows.
+        With no rows below p + r (r <= 0, or k = D) Z_r is all of F^p C^k.
         The lattice depends only on (p, p + q); the q index is bookkeeping.
         """
         k = p + q
         if k < 0 or k > self.D:
             return zeros(0, 0)
         r = min(r, self.stable_page)
-        if r <= 0:
-            return self.filtration_inclusion(k, p)
-        incl = self.filtration_inclusion(k, p)
-        if k == self.D:
-            return incl
-        dmat = self.total.d_matrix(k).dot(incl)
-        low = [
-            i
-            for i, (bp, _, _) in enumerate(self.elements[k + 1])
-            if bp < p + r
-        ]
-        if not low:
-            return incl
-        proj = dmat[low, :]
-        K = kernel_basis(proj)
-        return incl.dot(K)
+        start = self._step_start(k, p)
+        low = self._step_start(k + 1, p + r) if r > 0 and k < self.D else 0
+        if low:
+            K = kernel_basis(self.total.d_matrix(k)[:low, start:])
+        else:
+            K = eye(self.dim(k) - start)
+        lattice = zeros(self.dim(k), K.shape[1])
+        lattice[start:, :] = K
+        return lattice
 
     @lru_cache(maxsize=None)
     def _page_subquotient(self, r, p, q):
@@ -369,44 +363,29 @@ class BundleModel:
             cycles=lambda: self.z_lattice(r, p, q), boundaries=boundaries,
         )
 
-    def _page_hom(self, r, p, q):
-        """d_r out of slot (p, q) as a GroupHom between page groups."""
-        src = self._page_subquotient(r, p, q)
-        tgt = self._page_subquotient(r, p + r, q - r + 1)
-        k = p + q
-        cols = []
-        for j in range(src.group.ngens):
-            if not tgt.group.ngens:
-                cols.append(intvec([], length=0))
-                continue
-            # page ambients carry no relations, so the target's factored
-            # membership matrix is its generator matrix
-            try:
-                cols.append(tgt.coords(self.d(k, src.gens[:, j])))
-            except NotInSubgroupError:
-                raise ModelError(
-                    "spectral-sequence differential left its target lattice; "
-                    "the filtration bookkeeping is inconsistent"
-                )
-        mat = zeros(tgt.group.ngens, src.group.ngens)
-        for j, lam in enumerate(cols):
-            for i in range(tgt.group.ngens):
-                mat[i, j] = lam[i]
-        return GroupHom(src.group, tgt.group, mat)
-
     @lru_cache(maxsize=None)
     def ss_page(self, r, p, q):
+        """Slot (p, q) of page r with d_r out of it; d_r into it is
+        ``ss_page(r, p - r, q + r - 1).d_out``.
+
+        d_r needs no special case for an empty target: for x in Z_r^{p,q},
+        dx lies in F^{p+r} and d(dx) = 0, so dx is in Z_r^{p+r,q-r+1}, the
+        target's numerator; when that lattice has no generators, dx = 0 and
+        the membership solve returns the empty vector.
+        """
         if r < 1:
             raise InputError("spectral-sequence pages start at r = 1")
         sq = self._page_subquotient(r, p, q)
+        d_out = induced_hom(
+            sq, self._page_subquotient(r, p + r, q - r + 1), lambda v: self.d(p + q, v)
+        )
         return SSPage(
             r=r,
             p=p,
             q=q,
             group=sq.group,
             sq=sq,
-            d_out=self._page_hom(r, p, q),
-            d_in=self._page_hom(r, p - r, q + r - 1),
+            d_out=d_out,
             is_infinity=r >= self.stable_page,
         )
 
@@ -431,8 +410,7 @@ class BundleModel:
             sol = solve(hstack([Kp, bmat]), vec)
             if sol is not None:
                 rep = Kp.dot(sol[: Kp.shape[1]])
-                page = self.infinity_page(p, k - p)
-                leading = page.sq.reduce(rep)
+                leading = self._page_subquotient(self.stable_page, p, k - p).reduce(rep)
                 return FiltrationReport(
                     degree=k, is_zero=False, p=p, leading=leading, representative=rep
                 )
@@ -450,7 +428,11 @@ class BundleModel:
 
 @dataclass
 class SSPage:
-    """One (r, p, q) slot of the spectral sequence with its differentials."""
+    """One (r, p, q) slot of the spectral sequence with d_r out of it.
+
+    ``d_out`` maps this slot to (p + r, q - r + 1); the differential into the
+    slot is the ``d_out`` of slot (p - r, q + r - 1) of the same page.
+    """
 
     r: int
     p: int
@@ -458,7 +440,6 @@ class SSPage:
     group: FgAbelianGroup
     sq: Subquotient
     d_out: GroupHom
-    d_in: GroupHom
     is_infinity: bool
 
     def invariants(self):

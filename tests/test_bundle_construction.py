@@ -7,7 +7,9 @@ over small builtin bases, the lazily tabulated product table is compared
 with the eager tabulation loop it replaced (``reference_product_table``),
 the sparse differential with the dense entry-by-entry builder it replaced
 (``reference_diff_matrix``), ``betti()`` of the total model is held to the
-subquotient invariants, and a base that breaks Leibniz against a chern
+subquotient invariants, the spectral-sequence lattices Z_r read off basis
+slices with the dense inclusion products they replaced
+(``reference_z_lattice``), and a base that breaks Leibniz against a chern
 cocycle must be refused.  Two cost guards count the work of one build and
 the pair memo that serialization leaves behind.
 """
@@ -19,7 +21,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tdk.errors import ModelError  # noqa: E402
-from tdk.exact_linalg import mat_eq, zeros  # noqa: E402
+from tdk.exact_linalg import kernel_basis, mat_eq, zeros  # noqa: E402
 from tdk.serialize import space_to_doc  # noqa: E402
 from tdk.space_model import DgRingModel, builtin_space  # noqa: E402
 from tdk.torus_bundle import ChernVector, build_bundle  # noqa: E402
@@ -75,6 +77,25 @@ def reference_diff_matrix(m, k):
             for a2, x in base.mul_terms(p, {a: 1}, 2, chern[i]).items():
                 mat[m.index[k + 1][(p + 2, a2, rest)], col] += sign * _eps(i, S) * x
     return mat
+
+
+def reference_z_lattice(m, r, p, q):
+    """Z_r^{p,q} through the dense inclusion of F^p C^k and its products with d_k."""
+    k = p + q
+    if k < 0 or k > m.D:
+        return zeros(0, 0)
+    r = min(r, m.stable_page)
+    idxs = [i for i, (bp, _, _) in enumerate(m.elements[k]) if bp >= p]
+    incl = zeros(m.dim(k), len(idxs))
+    for c, i in enumerate(idxs):
+        incl[i, c] = 1
+    if r <= 0 or k == m.D:
+        return incl
+    dmat = m.total.d_matrix(k).dot(incl)
+    low = [i for i, (bp, _, _) in enumerate(m.elements[k + 1]) if bp < p + r]
+    if not low:
+        return incl
+    return incl.dot(kernel_basis(dmat[low, :]))
 
 
 def reference_doc(m):
@@ -156,6 +177,17 @@ def test_total_betti_matches_subquotients(data):
     base, chern = data
     m = build_bundle(base, chern)
     assert m.total.betti() == [m.total_cohomology(k).invariants() for k in range(m.D + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundles())
+def test_z_lattice_slices_match_dense_inclusion(data):
+    base, chern = data
+    m = build_bundle(base, chern)
+    for r in range(m.stable_page + 2):
+        for k in range(m.D + 1):
+            for p in range(-1, base.D + 2):
+                assert mat_eq(m.z_lattice(r, p, k - p), reference_z_lattice(m, r, p, k - p))
 
 
 def _leibniz_breaking_base():

@@ -6,9 +6,12 @@ import random
 import pytest
 
 from tdk.cli import _build_parser, run
+from tdk.exact_linalg import GroupHom
 from tdk.fixtures import named_pair, simplicial_doc
 from tdk.selftest import CHECKS
-from tdk.serialize import dumps, pair_to_doc, triple_to_doc, pair_from_doc, triple_from_doc
+from tdk.serialize import (
+    dumps, pair_to_doc, triple_to_doc, pair_from_doc, triple_from_doc, space_to_doc,
+)
 from tdk.tduality_core import dualize
 
 
@@ -124,6 +127,26 @@ def test_bundle_and_ss(tmp_path):
     slot = doc["slots"][0]
     assert slot["group"] == {"rank": "1", "torsion": []}
     assert slot["d_out"] == [["2"]]
+
+
+@pytest.mark.parametrize("name", ["lens2_k1", "t3_over_s1_vol"])
+def test_ss_builds_one_differential_per_slot_and_dualizable_none(tmp_path, monkeypatch, name):
+    built = []
+    init = GroupHom.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupHom, "__init__", counted)
+    bundle = named_pair(name).bundle
+    base = write(tmp_path, "base.json", dumps(space_to_doc(bundle.base)))
+    chern = write(tmp_path, "chern.json", json.dumps([[str(int(x)) for x in z] for z in bundle.chern]))
+    code, doc = run(["ss", "--base", base, "--chern", chern, "--page", "3"])
+    assert code == 0 and len(built) == len(doc["slots"])
+    built.clear()
+    code, _ = run(["dualizable", "--pair", pair_file(tmp_path, name)])
+    assert code in (0, 1) and not built
 
 
 def test_extensions_verb(tmp_path):

@@ -2,11 +2,13 @@
 
 Each case runs one ``tdk`` verb and compares its standard output (compact
 JSON plus newline) and exit code with the files under ``tests/golden/``.
-Besides the fixture pairs, the corpus reads the total models of three
-fixture bundles as untrusted ``dgring`` documents, intact and with one
-axiom broken per document, so every first-failure certificate of model
-validation is pinned too, and the cohomology of two triangulated grids, a
-Klein bottle (H^2 = Z/2) and a torus.
+Besides the fixture pairs, two larger bundles with nonzero page-2
+differentials (a Heisenberg and a genus-3 surface base, n = 2) pin the
+spectral-sequence pages and the filtration step of a flux.  The corpus also
+reads the total models of three fixture bundles as untrusted ``dgring``
+documents, intact and with one axiom broken per document, so every
+first-failure certificate of model validation is pinned too, and the
+cohomology of two triangulated grids, a Klein bottle (H^2 = Z/2) and a torus.
 Any change to an exact answer, a normal-form coordinate or the rendering
 shows up here as a byte difference.
 
@@ -25,7 +27,8 @@ import pytest
 from tdk.cli import run
 from tdk.fixtures import PAIR_NAMES, named_pair, simplicial_doc
 from tdk.serialize import dumps, pair_to_doc, space_to_doc
-from tdk.space_model import builtin_space
+from tdk.space_model import Cocycle, builtin_space
+from tdk.tduality_core import Pair
 from tdk.torus_bundle import build_bundle
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -122,6 +125,22 @@ DGRING_CORRUPTIONS = (
 EXTRA_TOTALS = {"surface2_c1": ("surface", {"genus": 2}, [[1]])}
 
 
+# pairs besides the fixtures' for the spectral-sequence verbs:
+# (base, params, chern, flux as {(base degree, base index, fiber monomial): coeff})
+EXTRA_PAIRS = {
+    "heisenberg1_n2": ("heisenberg", {"k": 1}, [[0, 1, 0], [0, 0, 1]],
+                       {(2, 1, (1,)): 1, (3, 0, ()): 1}),
+    "surface3_n2": ("surface", {"genus": 3}, [[1], [2]],
+                    {(1, 0, (0, 1)): 1, (2, 0, (1,)): 1}),
+}
+
+
+def extra_pair(name):
+    base, params, chern, flux = EXTRA_PAIRS[name]
+    m = build_bundle(builtin_space(base, params), chern)
+    return Pair(m, Cocycle(3, sum(x * m.element_vector(*e) for e, x in flux.items())))
+
+
 def total_doc(name):
     if name in EXTRA_TOTALS:
         base, params, chern = EXTRA_TOTALS[name]
@@ -136,6 +155,16 @@ def _write(directory, name, doc):
     return path
 
 
+def _pair_files(directory, name, pair):
+    """Write the pair, its base and its chern cocycles; return the pair path,
+    the base path and the ``--base``/``--chern`` arguments."""
+    pair_path = _write(directory, f"{name}.pair.json", pair_to_doc(pair))
+    base_path = _write(directory, f"{name}.base.json", space_to_doc(pair.bundle.base))
+    chern = [[str(int(x)) for x in z] for z in pair.bundle.chern]
+    chern_path = _write(directory, f"{name}.chern.json", chern)
+    return pair_path, base_path, ["--base", base_path, "--chern", chern_path]
+
+
 def cases(directory):
     """Yield (case name, argv) in a fixed order, writing input files on the way.
 
@@ -147,15 +176,12 @@ def cases(directory):
         yield f"cohomology__{name}", ["cohomology", "--base", path]
     for name in PAIR_NAMES:
         pair = named_pair(name)
-        pair_path = _write(directory, f"{name}.pair.json", pair_to_doc(pair))
-        base_path = _write(directory, f"{name}.base.json", space_to_doc(pair.bundle.base))
-        chern = [[str(int(x)) for x in z] for z in pair.bundle.chern]
-        chern_path = _write(directory, f"{name}.chern.json", chern)
-        bundle_args = ["--base", base_path, "--chern", chern_path]
+        pair_path, base_path, bundle_args = _pair_files(directory, name, pair)
         yield f"cohomology__{name}", ["cohomology", "--base", base_path]
         yield f"bundle__{name}", ["bundle", *bundle_args]
         for r in SS_PAGES:
             yield f"ss{r}__{name}", ["ss", *bundle_args, "--page", str(r)]
+        yield f"dualizable__{name}", ["dualizable", "--pair", pair_path]
         yield f"extensions__{name}", ["extensions", "--pair", pair_path]
         yield f"twisted__{name}", ["twisted", "--pair", pair_path]
         code, triple = run(["dualize", "--pair", pair_path])
@@ -164,6 +190,11 @@ def cases(directory):
             triple_path = _write(directory, f"{name}.triple.json", triple)
             yield f"check-triple__{name}", ["check-triple", "--triple", triple_path]
             yield f"tmap__{name}", ["tmap", "--triple", triple_path]
+    for name in EXTRA_PAIRS:
+        pair_path, _, bundle_args = _pair_files(directory, name, extra_pair(name))
+        for r in SS_PAGES:
+            yield f"ss{r}__{name}", ["ss", *bundle_args, "--page", str(r)]
+        yield f"dualizable__{name}", ["dualizable", "--pair", pair_path]
     for kind, m in GRIDS:
         path = _write(directory, f"{kind}{m}.json", grid_doc(kind, m))
         yield f"cohomology__{kind}_grid_{m}", ["cohomology", "--base", path]

@@ -165,6 +165,15 @@ def test_tampered_w_fails_validation():
     assert not report.items["correspondence_equation"][0]
 
 
+def test_fiber_condition_holds_modulo_either_factor():
+    t = dualize(trivial_pair(T2, 2))  # fiber generators y1 y2 | yh1 yh2
+    for S, holds in [((0, 1), True), ((2, 3), True), ((0, 3), False)]:
+        w = t.w.copy()
+        w[t.doubled.index[2][(0, 0, S)]] += 1  # y1y2, yh1yh2, y1yh2
+        tampered = Triple(t.side, t.dual, w, doubled=t.doubled)
+        assert validate_triple(tampered).items["fiber_condition"][0] is holds
+
+
 def test_validation_catches_wrong_dual_side():
     # dual side with the wrong chern class: leading parts cannot match
     pair = hopf_pair(1, 2)
