@@ -23,6 +23,7 @@ import sys
 
 from .errors import TdkError, parse_int
 from .serialize import (
+    chern_vectors,
     dumps,
     onn_from_doc,
     pair_from_doc,
@@ -123,12 +124,7 @@ def _load_bundle(args):
         raise TdkError("chern file must hold a JSON list of degree-2 vectors")
     from .torus_bundle import build_bundle
 
-    vectors = []
-    for i, z in enumerate(doc):
-        if not isinstance(z, list) or len(z) != base.dim(2):
-            raise TdkError(f"chern vector {i} must have length {base.dim(2)}")
-        vectors.append([parse_int(x, f"chern[{i}]") for x in z])
-    return build_bundle(base, vectors)
+    return build_bundle(base, chern_vectors(doc, base, "chern"))
 
 
 def _cmd_bundle(args):
@@ -189,14 +185,15 @@ def _cmd_dualize(args):
     from .tduality_core import dualize, is_dualizable
 
     pair = pair_from_doc(_load_json(args.pair, "pair"), truncation=_truncation())
-    ok, report = is_dualizable(pair)
-    if not ok:
+    try:
+        t = dualize(pair)
+    except NotDualizableError:
+        _, report = is_dualizable(pair)
         return 1, {
             "dualizable": False,
             "filtration_step": str(report.p),
             "error": "pair admits no dual; flux class is below filtration step 2",
         }
-    t = dualize(pair)
     return 0, triple_to_doc(t)
 
 

@@ -13,7 +13,8 @@ matrix as sparse columns and first eliminates its +-1 pivots on sparse rows,
 each a unimodular step that splits off a factor 1; sparse +-1 coboundaries
 mostly vanish that way (Dumas, Heckenbach, Saunders & Welker 2003), and the
 small block that is left goes to ``smith_normal_form``, of which only the
-diagonal is read.  Cohomology has two routines on top of that:
+diagonal is read.  ``matrix_rank`` counts those factors, so a rank builds
+no U or V for the unit pivots.  Cohomology has two routines on top of that:
 ``cochain_invariants`` gives the isomorphism type of every H^k from one
 ``invariant_factors`` per differential, and ``cochain_cohomology`` builds
 H^k = ker d_k / im d_{k-1} as a :class:`Subquotient` for callers that need
@@ -363,8 +364,9 @@ def smith_normal_form(M):
     return SmithForm((m, n), diagonal, _array(U, m, m), V)
 
 
-def matrix_rank(M):
-    return smith_normal_form(M).rank
+def matrix_rank(columns):
+    """Rank of the matrix with these sparse columns {row: coeff}, over Z and over Q."""
+    return len(invariant_factors(columns))
 
 
 def solve(M, b):
@@ -526,9 +528,6 @@ class GroupHom:
                     f"relation column {j} is not sent into the target relations"
                 )
 
-    def apply(self, x):
-        return self.matrix.dot(intvec(x, length=self.source.ngens))
-
     def compose(self, other):
         """self after other."""
         if other.target.ngens != self.source.ngens:
@@ -669,7 +668,8 @@ def invariant_factors(columns):
     rows = {}
     for c, col in enumerate(columns):
         for r, x in col.items():
-            rows.setdefault(r, {})[c] = x
+            if x:  # a stored zero is no entry
+                rows.setdefault(r, {})[c] = x
     where = {}  # column -> rows with a nonzero entry in it
     for r, row in rows.items():
         for c in row:

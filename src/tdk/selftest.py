@@ -296,7 +296,7 @@ def _check_twisted_isomorphism():
     for name, t in triples.items():
         tm = t_transform(t)
         for par, defect in tm.chain_defect().items():
-            _require(all(x == 0 for x in defect.flat), f"chain defect in parity {par} on {name}")
+            _require(not any(defect), f"chain defect in parity {par} on {name}")
         _require(tm.is_chain_map(), f"chain identity fails on {name}")
         _require(verify_iso(t).ok, f"transformation not an isomorphism on {name}")
     for k in (0, 1, 2, 3):

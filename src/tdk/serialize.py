@@ -30,6 +30,7 @@ __all__ = [
     "triple_to_doc",
     "triple_from_doc",
     "onn_from_doc",
+    "chern_vectors",
 ]
 
 
@@ -41,8 +42,13 @@ def _vec(v):
     return [_s(x) for x in v]
 
 
-def _mat(m):
-    return [[_s(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
+def _table(columns, rows):
+    """Rows of decimal strings of the matrix with these sparse columns, written directly."""
+    out = [["0"] * len(columns) for _ in range(rows)]
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            out[r][c] = _s(x)
+    return out
 
 
 def dumps(doc, pretty=False):
@@ -89,8 +95,8 @@ def space_to_doc(space):
             "degrees": _s(space.D),
             "basis": [list(bs) for bs in space.basis],
             "diff": [
-                {"deg": _s(k), "matrix": _mat(space.diff[k])}
-                for k in sorted(space.diff)
+                {"deg": _s(k), "matrix": _table(space.d_columns(k), rows)}
+                for k, (rows, _) in sorted(space.diff_shapes.items())
             ],
             "product": product,
         }
@@ -138,14 +144,17 @@ def _bundle_from_fields(doc, truncation=None):
     chern = doc["chern"]
     if not isinstance(chern, list) or len(chern) != n:
         raise SchemaError(f"'chern' must list {n} cocycle vectors")
-    vectors = []
-    for i, z in enumerate(chern):
+    return build_bundle(base, chern_vectors(chern, base, "chern"))
+
+
+def chern_vectors(vectors, base, what):
+    """The degree-2 cochains of ``base`` in ``vectors``; a SchemaError names ``what[i]``."""
+    out = []
+    for i, z in enumerate(vectors):
         if not isinstance(z, list) or len(z) != base.dim(2):
-            raise SchemaError(
-                f"chern vector {i} must have length {base.dim(2)}"
-            )
-        vectors.append([parse_int(x, f"chern[{i}]") for x in z])
-    return build_bundle(base, vectors)
+            raise SchemaError(f"{what} vector {i} must have length {base.dim(2)}")
+        out.append([parse_int(x, f"{what}[{i}]") for x in z])
+    return out
 
 
 def _flux_from_doc(bundle, doc, key):
@@ -190,12 +199,7 @@ def triple_from_doc(doc, truncation=None):
     chern_hat = doc.get("chern_hat")
     if not isinstance(chern_hat, list) or len(chern_hat) != n:
         raise SchemaError(f"'chern_hat' must list {n} cocycle vectors")
-    hat_vectors = []
-    for i, z in enumerate(chern_hat):
-        if not isinstance(z, list) or len(z) != base.dim(2):
-            raise SchemaError(f"chern_hat vector {i} must have length {base.dim(2)}")
-        hat_vectors.append([parse_int(x, f"chern_hat[{i}]") for x in z])
-    dual_bundle = build_bundle(base, hat_vectors)
+    dual_bundle = build_bundle(base, chern_vectors(chern_hat, base, "chern_hat"))
     side = Pair(side_bundle, _flux_from_doc(side_bundle, doc, "flux"))
     dual = Pair(dual_bundle, _flux_from_doc(dual_bundle, doc, "flux_hat"))
     w_doc = doc.get("w")

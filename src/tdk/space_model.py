@@ -141,13 +141,6 @@ class DgRingModel:
     def dim(self, k):
         return len(self.basis[k]) if 0 <= k <= self.D else 0
 
-    @property
-    def top_degree(self):
-        for k in range(self.D, -1, -1):
-            if self.dim(k):
-                return k
-        return 0
-
     def zero_vector(self, k):
         return np.zeros(self.dim(k), dtype=object) + 0
 
@@ -160,6 +153,11 @@ class DgRingModel:
     def diff(self):
         """{k: d_matrix(k)} over the degrees whose differential was given (read-only)."""
         return {k: self.d_matrix(k) for k in self._dcols}
+
+    @property
+    def diff_shapes(self):
+        """{k: shape of d_matrix(k)} over the same degrees as ``diff``; builds no matrix."""
+        return {k: self._dshape.get(k, (self.dim(k + 1), self.dim(k))) for k in self._dcols}
 
     def d_matrix(self, k):
         """d_k as a dense matrix, built on first use; the same object on every call."""

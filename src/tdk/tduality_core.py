@@ -50,7 +50,6 @@ __all__ = [
     "gauge_shift",
     "gauge_action",
     "extension_report",
-    "same_class",
 ]
 
 
@@ -75,9 +74,6 @@ class Pair:
     @property
     def base(self):
         return self.bundle.base
-
-    def flux_class(self):
-        return self.bundle.total_cohomology(3).reduce(self.flux.vector)
 
     def chern_classes(self):
         return self.bundle.chern_classes()
@@ -453,11 +449,6 @@ def torsor_difference(t1: Triple, t2: Triple) -> Cocycle:
             "no base class relates the triples; the data are not in one orbit"
         )
     return Cocycle(3, K3.dot(sol[:k3]))
-
-
-def same_class(base, deg, x: Cocycle, y: Cocycle):
-    H = base.cohomology(deg)
-    return H.reduce(x.vector) == H.reduce(y.vector)
 
 
 # ---------------------------------------------------------------------------

@@ -237,5 +237,7 @@ def test_build_computes_each_chern_product_once(monkeypatch, name, params, n):
 def test_serializing_a_total_model_memoises_no_empty_product(data):
     base, chern = data
     m = build_bundle(base, chern)
-    assert space_to_doc(m.total) == reference_doc(m)
+    doc = space_to_doc(m.total)
+    assert not m.total._dense  # no dense differential is left on the model
+    assert doc == reference_doc(m)
     assert all(m.total._memo.values())

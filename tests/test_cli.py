@@ -13,6 +13,7 @@ from tdk.serialize import (
     dumps, pair_to_doc, triple_to_doc, pair_from_doc, triple_from_doc, space_to_doc,
 )
 from tdk.tduality_core import dualize
+from tdk.torus_bundle import BundleModel
 
 
 def write(tmp_path, name, text):
@@ -147,6 +148,20 @@ def test_ss_builds_one_differential_per_slot_and_dualizable_none(tmp_path, monke
     built.clear()
     code, _ = run(["dualizable", "--pair", pair_file(tmp_path, name)])
     assert code in (0, 1) and not built
+
+
+@pytest.mark.parametrize("name", ["hopf", "t3_vol"])
+def test_dualize_runs_three_filtration_reports(tmp_path, monkeypatch, name):
+    calls = []
+    report = BundleModel.filtration_report
+
+    def counted(self, z):
+        calls.append(1)
+        return report(self, z)
+
+    monkeypatch.setattr(BundleModel, "filtration_report", counted)
+    code, _ = run(["dualize", "--pair", pair_file(tmp_path, name)])
+    assert code == 0 and len(calls) == 3
 
 
 def test_extensions_verb(tmp_path):

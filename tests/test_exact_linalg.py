@@ -148,7 +148,14 @@ def test_rank_nullity():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         M = intmat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
-        assert kernel_basis(M).shape[1] + matrix_rank(M) == n
+        columns = [{r: M[r, c] for r in range(m) if M[r, c]} for c in range(n)]
+        assert kernel_basis(M).shape[1] + matrix_rank(columns) == n
+
+
+def test_rank_reads_past_explicit_zero_entries():
+    # row 0 pivots on column 0 and meets the stored zero of column 1, which row 1 lacks
+    assert matrix_rank([{0: 1, 1: 1}, {0: 0}]) == 1
+    assert matrix_rank([{0: 0}, {1: 0}]) == 0
 
 
 # ---------------------------------------------------------------------------

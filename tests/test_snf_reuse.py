@@ -5,9 +5,9 @@ solve against the stored ``SmithForm``.  These properties pin that shortcut
 to independent references: sympy's Smith normal form for the invariants,
 the defining identities for the transforms, and a fresh one-shot ``solve``
 for every reused solve.  ``invariant_factors``, which splits off unit pivots
-before it calls the kernel, is held to the same two diagonals.  Matrices
-include empty shapes and zero rows and
-columns; entries stay small because the pivot rule lets coefficients of the
+before it calls the kernel, is held to the same two diagonals, and
+``matrix_rank``, which counts its factors, to sympy's rank.  Matrices
+include empty shapes and zero rows and columns; entries stay small because the pivot rule lets coefficients of the
 transforms grow quickly on dense matrices.
 """
 
@@ -21,6 +21,7 @@ from tdk.exact_linalg import (
     intvec,
     invariant_factors,
     mat_eq,
+    matrix_rank,
     smith_normal_form,
     solve,
     zeros,
@@ -72,11 +73,13 @@ def test_invariant_factors_match_both_smith_forms(M):
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
     m, n = M.shape
-    got = invariant_factors([{r: int(M[r, c]) for r in range(m) if M[r, c]} for c in range(n)])
+    columns = [{r: int(M[r, c]) for r in range(m) if M[r, c]} for c in range(n)]
+    got = invariant_factors(columns)
     assert got == [d for d in smith_normal_form(M).diagonal if d]
     if min(m, n):
         S = sympy_snf(sympy.Matrix(M.tolist()), domain=sympy.ZZ)
         assert got == [abs(int(S[i, i])) for i in range(min(m, n)) if S[i, i]]
+    assert matrix_rank(columns) == (sympy.Matrix(M.tolist()).rank() if min(m, n) else 0)
 
 
 @SETTINGS

@@ -8,17 +8,32 @@ twisted by its degree-3 generator keeps exactly H^2 (even) and H^1 (odd).
 ``t_transform`` walks exp(-w) over Z on sparse cochains and returns N . T.
 Its oracle is ``reference_t_blocks``, a copy of the transformation it
 replaced: dense basis-vector products and Fraction coefficients.
+``verify_iso`` reads the rank of each induced map off one block matrix; its
+oracle is ``reference_verify_iso``, a copy of the kernel-based loop it
+replaced, on dense matrices.
 """
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdk import twisted_cohomology
 from tdk.errors import InputError
-from tdk.exact_linalg import intvec, zeros
+from tdk.exact_linalg import (
+    dense_matrix,
+    hstack,
+    intmat,
+    intvec,
+    kernel_basis,
+    matrix_rank,
+    smith_normal_form,
+    zeros,
+)
 from tdk.fixtures import PAIR_NAMES, named_pair
 from tdk.space_model import Cocycle, DgRingModel, builtin_space
 from tdk.tduality_core import (
@@ -32,6 +47,8 @@ from tdk.tduality_core import (
 )
 from tdk.torus_bundle import build_bundle
 from tdk.twisted_cohomology import (
+    IsoReport,
+    TMap,
     TwistedComplex,
     rational_kernel,
     rational_rank,
@@ -60,14 +77,30 @@ def trivial_over(base, n=1):
 
 
 def test_rational_rank_and_kernel():
-    from tdk.exact_linalg import intmat
-
     M = intmat([[2, 4], [1, 2]])
-    assert rational_rank(M) == 1
+    assert rational_rank([{0: 2, 1: 1}, {0: 4, 1: 2}]) == 1
     K = rational_kernel(M)
     assert K.shape[1] == 1
     v = K[:, 0]
     assert 2 * v[0] + 4 * v[1] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_block_rank_is_rank_d_plus_rank_of_t_on_ker_d_beside_b(data):
+    """rank [[D, 0], [T, B]] = rank D + rank [T . ker D | B], the identity of verify_iso."""
+    a, p, c, q = (data.draw(st.integers(0, 4)) for _ in range(4))
+
+    def draw(rows, cols):
+        return [[data.draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(rows)]
+
+    D, T, B = draw(a, p), draw(c, p), draw(c, q)
+    block = [row + [0] * q for row in D] + [t + b for t, b in zip(T, B)]
+    columns = [{r: row[j] for r, row in enumerate(block) if row[j]} for j in range(p + q)]
+    D, T, B = intmat(D, a, p), intmat(T, c, p), intmat(B, c, q)
+    TK = T.dot(kernel_basis(D))
+    want = smith_normal_form(D).rank + smith_normal_form(hstack([TK, B])).rank
+    assert matrix_rank(columns) == want
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +207,7 @@ def test_chain_identity_exact_on_shipped_triples():
         tm = t_transform(t)
         defect = tm.chain_defect()
         for par in (0, 1):
-            assert all(x == 0 for x in defect[par].flat)
+            assert all(not col for col in defect[par])
         assert verify_iso(t).ok
 
 
@@ -224,12 +257,12 @@ def test_h3_action_preserves_duality_and_euler_characteristic():
 def _perturbed(tm):
     """tm with 1 added to one entry of N . T that the target differential reads."""
     for par in (0, 1):
-        dmat = tm.target.D_from[(par + tm.parity_shift) % 2]
+        dcols = tm.target.D_from[(par + tm.parity_shift) % 2]
         block = tm.blocks[par]
-        for i in range(block.shape[0]):
-            if block.shape[1] and any(x != 0 for x in dmat[:, i]):
-                blocks = {p: b.copy() for p, b in tm.blocks.items()}
-                blocks[par][i, 0] += 1
+        for i in range(len(dcols)):
+            if block and dcols[i]:
+                blocks = {p: [dict(col) for col in b] for p, b in tm.blocks.items()}
+                blocks[par][0][i] = blocks[par][0].get(i, 0) + 1
                 return dataclasses.replace(tm, blocks=blocks)
     raise AssertionError("no entry of T reaches the target differential")
 
@@ -239,11 +272,12 @@ def test_perturbed_transformation_is_not_a_chain_map(monkeypatch):
     t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
     bad = _perturbed(t_transform(t))
     assert not bad.is_chain_map()
-    assert any(any(x != 0 for x in d.flat) for d in bad.chain_defect().values())
+    assert any(any(col for col in d) for d in bad.chain_defect().values())
 
     unperturbed = twisted_cohomology.t_transform
     monkeypatch.setattr(twisted_cohomology, "t_transform", lambda t: _perturbed(unperturbed(t)))
     report = verify_iso(t)
+    assert report == reference_verify_iso(t)
     assert not report.ok
     assert report.chain_ok is False
     assert report.reason == "chain-map identity fails at the cochain level"
@@ -325,11 +359,12 @@ def assert_matches_reference(t):
     assert tm.scale == math.factorial(t.doubled.D // 2)
     ref = reference_t_blocks(t, tm.source, tm.target)
     for par in (0, 1):
-        assert tm.blocks[par].shape == ref[par].shape
-        for got, want in zip(tm.blocks[par].flat, ref[par].flat):
+        block = dense_matrix(tm.blocks[par], tm.target.dims[(par + tm.parity_shift) % 2])
+        assert block.shape == ref[par].shape
+        for got, want in zip(block.flat, ref[par].flat):
             assert got == tm.scale * want
-    for matrix in [*tm.blocks.values(), *tm.source.D_from.values(), *tm.target.D_from.values()]:
-        assert all(type(x) is int for x in matrix.flat)
+    for cols in [*tm.blocks.values(), *tm.source.D_from.values(), *tm.target.D_from.values()]:
+        assert all(type(x) is int for col in cols for x in col.values())
     return tm
 
 
@@ -338,7 +373,9 @@ DUALIZABLE = [name for name in PAIR_NAMES if is_dualizable(named_pair(name))[0]]
 
 @pytest.mark.parametrize("name", DUALIZABLE)
 def test_t_transform_is_scale_times_reference_on_fixture_pairs(name):
-    assert_matches_reference(dualize(named_pair(name)))
+    t = dualize(named_pair(name))
+    assert_matches_reference(t)
+    assert verify_iso(t) == reference_verify_iso(t)
 
 
 def test_t_transform_is_scale_times_reference_on_a_gauge_acted_triple():
@@ -369,3 +406,66 @@ def test_t_transform_over_cp2_with_w_plus_base_class(c, dims):
     report = verify_iso(t)
     assert report.ok and report.chain_ok
     assert report.dims_side == dims
+
+
+# ---------------------------------------------------------------------------
+# oracle: the kernel-based rank loop that verify_iso replaced
+
+
+def reference_verify_iso(t):
+    """verify_iso with a kernel basis of D_side, the product T . K and a stacked rank."""
+    tm = twisted_cohomology.t_transform(t)
+    dims_side = tm.source.cohomology_dims()
+    dims_dual = tm.target.cohomology_dims()
+    report = functools.partial(IsoReport, dims_side=dims_side, dims_dual=dims_dual)
+    if not tm.is_chain_map():
+        return report(ok=False, chain_ok=False,
+                      reason="chain-map identity fails at the cochain level")
+    for par in (0, 1):
+        tgt = (par + tm.parity_shift) % 2
+        block = dense_matrix(tm.blocks[par], tm.target.dims[tgt])
+        d_side = dense_matrix(tm.source.D_from[par], tm.source.dims[1 - par])
+        d_dual = dense_matrix(tm.target.D_from[1 - tgt], tm.target.dims[tgt])
+        TK = block.dot(kernel_basis(d_side))
+        induced_rank = (smith_normal_form(hstack([TK, d_dual])).rank
+                        - smith_normal_form(d_dual).rank)
+        if induced_rank != dims_side[par]:
+            return report(ok=False, chain_ok=True,
+                          reason=f"induced map not injective on parity {par}")
+        if induced_rank != dims_dual[tgt]:
+            return report(ok=False, chain_ok=True,
+                          reason=f"induced map not surjective on parity {par}")
+    return report(ok=True, chain_ok=True, reason="")
+
+
+def _zero_map(source, target, parity_shift):
+    """The zero chain map between two twisted complexes."""
+    blocks = {par: [{} for _ in range(source.dims[par])] for par in (0, 1)}
+    return TMap(source=source, target=target, parity_shift=parity_shift, blocks=blocks, scale=1)
+
+
+def test_zero_map_between_nonzero_twisted_cohomologies_is_not_injective(monkeypatch):
+    t = dualize(Pair(s3_bundle(), Cocycle(3, s3_bundle().zero_vector(3))))
+    tm = t_transform(t)
+    zero = _zero_map(tm.source, tm.target, tm.parity_shift)
+    monkeypatch.setattr(twisted_cohomology, "t_transform", lambda t: zero)
+    report = verify_iso(t)
+    assert report == reference_verify_iso(t)
+    assert (report.dims_side, report.dims_dual) == ((1, 1), (1, 1))
+    assert not report.ok and report.chain_ok
+    assert report.reason == "induced map not injective on parity 0"
+
+
+def test_zero_map_onto_nonzero_twisted_cohomology_is_not_surjective(monkeypatch):
+    m = s3_bundle()
+    source = TwistedComplex(m, 2 * m.element_vector(2, 0, (0,)))
+    target = TwistedComplex(m, m.zero_vector(3))
+    zero = _zero_map(source, target, 1)
+    monkeypatch.setattr(twisted_cohomology, "t_transform", lambda t: zero)
+    t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
+    report = verify_iso(t)
+    assert report == reference_verify_iso(t)
+    assert (report.dims_side, report.dims_dual) == ((0, 0), (1, 1))
+    assert not report.ok and report.chain_ok
+    assert report.reason == "induced map not surjective on parity 0"
+
