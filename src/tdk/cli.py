@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .errors import TdkError, parse_int
+from .errors import NotDualizableError, TdkError, parse_int
 from .serialize import (
     chern_vectors,
     dumps,
@@ -129,7 +129,7 @@ def _load_bundle(args):
 
 def _cmd_bundle(args):
     m = _load_bundle(args)
-    table = _invariants_table(m.total.betti())
+    table = _invariants_table(m.betti())
     if args.deg is not None:
         key = str(args.deg)
         table = {key: table.get(key, _group_entry((0, ())))}
@@ -181,17 +181,15 @@ def _cmd_dualizable(args):
 
 
 def _cmd_dualize(args):
-    from .errors import NotDualizableError
-    from .tduality_core import dualize, is_dualizable
+    from .tduality_core import dualize
 
     pair = pair_from_doc(_load_json(args.pair, "pair"), truncation=_truncation())
     try:
         t = dualize(pair)
-    except NotDualizableError:
-        _, report = is_dualizable(pair)
+    except NotDualizableError as exc:
         return 1, {
             "dualizable": False,
-            "filtration_step": str(report.p),
+            "filtration_step": str(exc.report.p),
             "error": "pair admits no dual; flux class is below filtration step 2",
         }
     return 0, triple_to_doc(t)

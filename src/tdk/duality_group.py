@@ -235,7 +235,7 @@ def _flux_base_part(t: Triple):
     """beta with z ~ sum_i zhat_i y_i + pi*(beta); needs a valid triple."""
     m = t.side.bundle
     lead = m.normal_form_vector(t.dual.bundle.chern)
-    block = np.hstack([m.pullback_matrix(3), m.total.d_matrix(2)])
+    block = np.hstack([m.pullback_matrix(3), m.d_matrix(2)])
     sol = solve(block, t.side.flux.vector - lead)
     if sol is None:
         raise InputError("triple flux does not have the required leading part")

@@ -43,7 +43,11 @@ class SubgroupContainmentError(TdkError):
 
 
 class NotDualizableError(TdkError):
-    """Operation requires a dualizable pair and the input is not."""
+    """Operation requires a dualizable pair and the input is not; ``report`` shows it."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class TripleMismatchError(TdkError):

@@ -42,8 +42,8 @@ The benchmark tracer (``benchmark/tracing.py``) relies on two things here:
 their ``shape``, ``size``, ``max()`` and ``min()``), and the module-level
 names ``smith_normal_form``, ``solve``, ``subquotient`` and ``kernel_basis``
 are what it wraps.  The same tracer reads ``cache_info()`` from the
-``lru_cache``s on the cohomology and page methods of the models, so those
-caches stay as they are.
+cohomology and page methods of the models, which memoise per instance
+(``space_model.memoised``), so a model's results are freed with the model.
 
 Values are immutable after construction and safe to share across threads;
 the parts built on first use are deterministic.

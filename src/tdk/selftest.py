@@ -91,12 +91,12 @@ def _check_gysin_koszul():
     hopf = fixtures.hopf_pair(1, 0).bundle
     got = [hopf.total_cohomology(k).invariants() for k in range(4)]
     _require(got == [(1, ()), (0, ()), (0, ()), (1, ())], f"H*(Hopf total space) = {got}")
-    _require_betti("the Hopf total space", hopf.total.betti(), hopf.total_cohomology, hopf.D)
+    _require_betti("the Hopf total space", hopf.betti(), hopf.total_cohomology, hopf.D)
     for k in (2, 3, 5):
         lens = fixtures.lens_pair(k).bundle
         got = lens.total_cohomology(2).invariants()
         _require(got == (0, (k,)), f"H^2(L({k},1)) = {got}")
-        _require_betti(f"L({k},1)", lens.total.betti(), lens.total_cohomology, lens.D)
+        _require_betti(f"L({k},1)", lens.betti(), lens.total_cohomology, lens.D)
     T2 = builtin_space("torus", {"k": 2})
     for k in (1, 2, 3):
         nil = build_bundle(T2, [k * T2.basis_vector(2, 0)])

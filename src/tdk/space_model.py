@@ -15,8 +15,9 @@ assumption and is flagged in the model metadata.
 from __future__ import annotations
 
 import itertools
+import types
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -53,6 +54,32 @@ class Cocycle:
 
 # ---------------------------------------------------------------------------
 # differential graded ring models
+
+
+def memoised(method):
+    """Decorate a method so that its results are memoised per instance, in its ``__dict__``.
+
+    The results go when the instance goes, so a finished model is freed as
+    soon as nothing else refers to it; there is no size limit.  For
+    ``benchmark/tracing.py``, which wraps the method and calls it unbound as
+    ``fn(obj, *args)``, ``cache_info()`` gives ``hits`` and ``misses`` summed
+    over all instances.
+    """
+    key = f"_memo_{method.__name__}"
+
+    @wraps(method)
+    def cached(obj, *args):
+        memo = obj.__dict__.setdefault(key, {})
+        if args in memo:
+            cached.hits += 1
+        else:
+            cached.misses += 1
+            memo[args] = method(obj, *args)
+        return memo[args]
+
+    cached.hits = cached.misses = 0
+    cached.cache_info = lambda: types.SimpleNamespace(hits=cached.hits, misses=cached.misses)
+    return cached
 
 
 def _sum_terms(pairs):
@@ -128,10 +155,10 @@ class DgRingModel:
         for k, table in dict(diff).items():
             k = int(k)
             self._dshape[k], self._dcols[k] = _table_columns(table, self.dim(k + 1), self.dim(k))
-        self.product = {}
+        self._product = {}
         for key, entry in dict(product).items():
             i, a, j, b = map(int, key)
-            self.product[(i, a, j, b)] = {int(c): int(v) for c, v in dict(entry).items() if int(v) != 0}
+            self._product[(i, a, j, b)] = {int(c): int(v) for c, v in dict(entry).items() if int(v) != 0}
         self.meta = dict(meta or {})
         if check:
             self.validate()
@@ -148,6 +175,11 @@ class DgRingModel:
         v = self.zero_vector(k)
         v[idx] = 1
         return v
+
+    @property
+    def product(self):
+        """{(i, a, j, b): {index: coeff}}, the structure constants as given (read-only)."""
+        return self._product
 
     @property
     def diff(self):
@@ -197,8 +229,8 @@ class DgRingModel:
         """Structure constants of basis element a (deg i) times b (deg j)."""
         if i + j > self.D:
             return {}
-        if (i, a, j, b) in self.product:
-            return self.product[(i, a, j, b)]
+        if (i, a, j, b) in self._product:
+            return self._product[(i, a, j, b)]
         if i == 0 and a == 0:
             return {b: 1}
         if j == 0 and b == 0:
@@ -268,7 +300,8 @@ class DgRingModel:
                     f"differential in degree {k} has shape {shape}, "
                     f"expected {(self.dim(k + 1), self.dim(k))}"
                 )
-        for (i, a, j, b), entry in self.product.items():
+        product = self.product
+        for (i, a, j, b), entry in product.items():
             if not (0 <= i <= self.D and 0 <= j <= self.D and i + j <= self.D):
                 raise ModelError(f"product entry for degrees ({i},{j}) out of range")
             if not (0 <= a < self.dim(i) and 0 <= b < self.dim(j)):
@@ -293,7 +326,7 @@ class DgRingModel:
         # (stored entries carry no zero coefficients, so comparing the dicts
         # compares the products)
         failed = []
-        for (i, a, j, b), ab in self.product.items():
+        for (i, a, j, b), ab in product.items():
             if i and j:
                 sign = -1 if (i % 2 and j % 2) else 1
                 if ab != {c: sign * x for c, x in mul_basis(j, b, i, a).items()}:
@@ -301,7 +334,7 @@ class DgRingModel:
         self._raise_least("graded commutativity", failed)
         # right[(i, a)][(j, b)]: the nonzero products ab of non-unit factors
         right = {}
-        for (i, a, j, b), ab in self.product.items():
+        for (i, a, j, b), ab in product.items():
             if i and j and ab:
                 right.setdefault((i, a), {})[(j, b)] = ab
 
@@ -372,7 +405,7 @@ class DgRingModel:
 
     # -- cohomology ----------------------------------------------------------
 
-    @lru_cache(maxsize=None)
+    @memoised
     def cohomology(self, k):
         """H^k as a subquotient of the degree-k cochain lattice."""
         return cochain_cohomology(k, self.D, self.dim, self.d_matrix)
@@ -395,12 +428,6 @@ class DgRingModel:
     def __repr__(self):
         dims = [self.dim(k) for k in range(self.D + 1)]
         return f"DgRingModel(dims={dims})"
-
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +491,7 @@ class SimplicialComplex:
         """Matrix of the simplicial coboundary C^k -> C^{k+1}."""
         return dense_matrix(self.coboundary_columns(k), self.n_simplices(k + 1))
 
-    @lru_cache(maxsize=None)
+    @memoised
     def cohomology(self, k):
         """H^k(K, Z) as a subquotient of simplicial k-cochains."""
         return cochain_cohomology(k, self.dim, self.n_simplices, self.coboundary)

@@ -68,7 +68,7 @@ class Pair:
                 f"flux vector has length {self.flux.vector.shape[0]}, "
                 f"expected {self.bundle.dim(3)}"
             )
-        if not self.bundle.total.is_closed(3, self.flux.vector):
+        if not self.bundle.is_closed(3, self.flux.vector):
             raise InputError("flux cocycle is not closed")
 
     @property
@@ -171,16 +171,16 @@ def is_dualizable(pair: Pair):
     return report.in_step(2), report
 
 
-def _normal_form(pair: Pair):
+def _normal_form(pair: Pair, report: FiltrationReport):
     """Write the flux class as sum_i zhat_i . y_i + beta with zhat_i closed.
 
+    ``report`` is the filtration report of the flux, from :func:`is_dualizable`.
     Returns (zhat list, beta, representative) where the representative is a
     closed cocycle in filtration step 2 cohomologous to the given flux.
     """
-    ok, report = is_dualizable(pair)
-    if not ok:
+    if not report.in_step(2):
         raise NotDualizableError(
-            f"flux class sits in filtration step {report.p}, needs at least 2"
+            f"flux class sits in filtration step {report.p}, needs at least 2", report
         )
     m = pair.bundle
     base = m.base
@@ -224,7 +224,12 @@ def extract_dual_chern(pair: Pair):
     The representative satisfies sum_i c_i . chat_i = 0 in H^4 of the base;
     the full set of dual chern data is {chat + B c : B antisymmetric}.
     """
-    zhat, beta, _ = _normal_form(pair)
+    return _dual_chern(pair, is_dualizable(pair)[1])
+
+
+def _dual_chern(pair: Pair, report: FiltrationReport):
+    """:func:`extract_dual_chern` from the flux's filtration report."""
+    zhat, beta, _ = _normal_form(pair, report)
     base = pair.base
     H2 = base.cohomology(2)
     classes = [H2.reduce(z) for z in zhat]
@@ -264,13 +269,13 @@ def dualize(pair: Pair, choice=None) -> Triple:
             if not base.is_closed(2, z):
                 raise InputError(f"chosen dual chern cocycle {i} is not closed")
         rep = m.normal_form_vector(zhat, beta)
-        if not m.total.is_closed(3, rep):
+        if not m.is_closed(3, rep):
             raise InputError("chosen normal form is not a cocycle")
         H3 = m.total_cohomology(3)
         if H3.reduce(rep) != H3.reduce(pair.flux.vector):
             raise InputError("chosen normal form does not represent the flux class")
     else:
-        zhat, beta, rep = _normal_form(pair)
+        zhat, beta, rep = _normal_form(pair, is_dualizable(pair)[1])
 
     side = Pair(m, Cocycle(3, rep))
     dual_bundle = build_bundle(base, zhat)
@@ -308,7 +313,7 @@ def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern):
     if beta is None:
         return False, "no closed cocycle has the required leading part"
     expected = bundle.normal_form_vector(other_chern, beta)
-    if not bundle.total.is_closed(3, expected):
+    if not bundle.is_closed(3, expected):
         return False, "internal: expected leading representative not closed"
     diff = Cocycle(3, flux.vector - expected)
     report = bundle.filtration_report(diff)
@@ -320,8 +325,8 @@ def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern):
 def validate_triple(t: Triple) -> TripleReport:
     """Itemized exact check of every triple condition; never raises."""
     items = {}
-    side_closed = t.side.bundle.total.is_closed(3, t.side.flux.vector)
-    dual_closed = t.dual.bundle.total.is_closed(3, t.dual.flux.vector)
+    side_closed = t.side.bundle.is_closed(3, t.side.flux.vector)
+    dual_closed = t.dual.bundle.is_closed(3, t.dual.flux.vector)
     items["side_flux_closed"] = (side_closed, "d z = 0")
     items["dual_flux_closed"] = (dual_closed, "d zhat = 0")
 
@@ -427,14 +432,14 @@ def torsor_difference(t1: Triple, t2: Triple) -> Cocycle:
 
     block = zeros(rows1 + rows2 + rows3, k3 + dimF2 + dimFh2 + dimD1)
     block[:rows1, :k3] = F.pullback_matrix(3).dot(K3)
-    block[:rows1, k3 : k3 + dimF2] = F.total.d_matrix(2)
+    block[:rows1, k3 : k3 + dimF2] = F.d_matrix(2)
     block[rows1 : rows1 + rows2, :k3] = Fh.pullback_matrix(3).dot(K3)
-    block[rows1 : rows1 + rows2, k3 + dimF2 : k3 + dimF2 + dimFh2] = Fh.total.d_matrix(2)
+    block[rows1 : rows1 + rows2, k3 + dimF2 : k3 + dimF2 + dimFh2] = Fh.d_matrix(2)
     p2 = t1.embed_side_matrix(2)
     ph2 = t1.embed_dual_matrix(2)
     block[rows1 + rows2 :, k3 : k3 + dimF2] = -p2
     block[rows1 + rows2 :, k3 + dimF2 : k3 + dimF2 + dimFh2] = ph2
-    block[rows1 + rows2 :, k3 + dimF2 + dimFh2 :] = Dm.total.d_matrix(1)
+    block[rows1 + rows2 :, k3 + dimF2 + dimFh2 :] = Dm.d_matrix(1)
 
     rhs = np.concatenate(
         [
@@ -560,7 +565,7 @@ def extension_report(pair: Pair) -> ExtensionReport:
     dual_chern = None
     ambiguity = None
     if ok:
-        dual_chern, ambiguity = extract_dual_chern(pair)
+        dual_chern, ambiguity = _dual_chern(pair, report)
 
     H3B = base.cohomology(3)
     pull = induced_hom(

@@ -3,13 +3,14 @@
 ``build_bundle`` tensors a base ring model with an exterior algebra on fiber
 generators y_1..y_n and twists the differential by the chosen degree-2
 cocycles: d(b (x) y_S) = (db) (x) y_S + (-1)^|b| sum_i eps(i,S) (b.z_i) (x) y_{S-i}.
-The resulting total model is filtered by base degree, which drives the
-spectral-sequence pages (computed by the standard zig-zag approximants
-Z_r = {x in F^p : dx in F^{p+r}}, entirely with integer lattices) and the
-filtration reports that decide dualizability downstream.  The basis of each
-degree is sorted by base degree, so F^p is a basis suffix and Z_r is the
-kernel of one block of d_k: the columns of F^p C^k against the rows of
-C^{k+1} below base degree p + r.
+The result, a :class:`BundleModel`, is the total-space model itself: one
+:class:`DgRingModel` that also holds the bundle data and the memoised pages.
+It is filtered by base degree, which drives the spectral-sequence pages
+(computed by the standard zig-zag approximants Z_r = {x in F^p : dx in
+F^{p+r}}, entirely with integer lattices) and the filtration reports that
+decide dualizability downstream.  The basis of each degree is sorted by base
+degree, so F^p is a basis suffix and Z_r is the kernel of one block of d_k:
+the columns of F^p C^k against the rows of C^{k+1} below base degree p + r.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .exact_linalg import (
     solve,
     zeros,
 )
-from .space_model import Cocycle, DgRingModel, shuffle_sign
+from .space_model import Cocycle, DgRingModel, memoised, shuffle_sign
 
 __all__ = [
     "ChernVector",
@@ -82,59 +82,22 @@ def _eps(i, S):
     return -1 if sum(1 for j in S if j < i) % 2 else 1
 
 
-class _KoszulRing(DgRingModel):
-    """The total ring of a :class:`BundleModel`, multiplied by the Koszul rule.
-
-    Structure constants come from :meth:`BundleModel.mul_basis`, memoised per
-    model, and the differential's columns from :meth:`BundleModel._koszul_columns`.
-    The explicit ``product`` table is tabulated from the same rule only when
-    something reads it: serialization and the full :meth:`DgRingModel.validate`.
-    It calls :meth:`BundleModel.mul_basis` directly, so the memo keeps only the
-    pairs that ring arithmetic asked for, not every pair of the basis.
-    """
-
-    def __init__(self, bundle, basis):
-        super().__init__(basis, {}, {}, check=False)
-        del self.product  # derived on first read, see the property below
-        self._bundle = bundle
-        self._memo = {}
-        products = {}  # (p, a, i) -> b_a . z_i, shared by all degrees of one build
-        self._dcols = {k: bundle._koszul_columns(k, products) for k in range(self.D)}
-
-    def mul_basis(self, i, a, j, b):
-        key = (i, a, j, b)
-        table = self._memo.get(key)
-        if table is None:
-            table = self._memo[key] = self._bundle.mul_basis(i, a, j, b)
-        return table
-
-    @cached_property
-    def product(self):
-        product = {}
-        for k1 in range(self.D + 1):
-            for k2 in range(self.D + 1 - k1):
-                for n1 in range(self.dim(k1)):
-                    for n2 in range(self.dim(k2)):
-                        if (k1 == 0 and n1 == 0) or (k2 == 0 and n2 == 0):
-                            continue
-                        table = self._bundle.mul_basis(k1, n1, k2, n2)
-                        if table:
-                            product[(k1, n1, k2, n2)] = table
-        return product
-
-
-class BundleModel:
+class BundleModel(DgRingModel):
     """Total-space model of a principal T^n-bundle, filtered by base degree.
 
-    The basis of total degree k lists triples (p, a, S) with p + |S| = k,
-    ordered by base degree p, then base index, then the fiber monomial; so
-    each filtration step F^p is a basis suffix.  The total model is itself a
-    DgRingModel whose product is the Koszul rule (:meth:`mul_basis`): a
-    graded-commutative ring by construction once the base is valid.  Its
-    Leibniz rule then rests on the chern cocycles, which :class:`ChernVector`
-    checks are closed; the one check at build time is the d o d = 0
-    certificate, which also catches a base that breaks Leibniz against a
-    chern cocycle.
+    The model is itself a :class:`DgRingModel`.  Its basis in total degree k
+    lists triples (p, a, S) with p + |S| = k, ordered by base degree p, then
+    base index, then the fiber monomial; so each filtration step F^p is a
+    basis suffix.  The differential is the sparse columns that
+    :meth:`_koszul_columns` writes at build time, and the product is the
+    Koszul rule (:meth:`_koszul_product`): :meth:`mul_basis` memoises the
+    pairs that ring arithmetic asks for, and ``product`` tabulates all pairs
+    on each read (serialization, the full :meth:`DgRingModel.validate`) and
+    stores them nowhere.  The ring is graded-commutative by construction once
+    the base is valid; its Leibniz rule rests on the chern cocycles, which
+    :class:`ChernVector` checks are closed.  The one check at build time is
+    the d o d = 0 certificate, which also catches a base that breaks Leibniz
+    against a chern cocycle.
     """
 
     def __init__(self, base: DgRingModel, chern: ChernVector, labels=None):
@@ -146,22 +109,17 @@ class BundleModel:
         self.labels = list(labels) if labels else [f"y{i + 1}" for i in range(self.n)]
         if len(self.labels) != self.n:
             raise InputError("one fiber label per fiber circle")
-        self.D = base.D + self.n
 
-        self.elements = []  # per total degree: list of (p, a, S)
-        for k in range(self.D + 1):
-            level = []
-            for p in range(min(k, base.D) + 1):
-                fdeg = k - p
-                if fdeg > self.n:
-                    continue
-                for a in range(base.dim(p)):
-                    for S in itertools.combinations(range(self.n), fdeg):
-                        level.append((p, a, S))
-            self.elements.append(level)
-        self.index = [
-            {e: i for i, e in enumerate(level)} for level in self.elements
+        self.elements = [  # per total degree: list of (p, a, S)
+            [
+                (p, a, S)
+                for p in range(min(k, base.D) + 1)
+                for a in range(base.dim(p))
+                for S in itertools.combinations(range(self.n), k - p)
+            ]
+            for k in range(base.D + self.n + 1)
         ]
+        self.index = [{e: i for i, e in enumerate(level)} for level in self.elements]
 
         def label(p, a, S):
             b = base.basis[p][a]
@@ -173,11 +131,19 @@ class BundleModel:
             return f"{b}.{mono}"
 
         basis = [[label(*e) for e in level] for level in self.elements]
-        self.total = _KoszulRing(self, basis)
+        super().__init__(basis, {}, {}, check=False)
+        self._memo = {}
+        products = {}  # (p, a, i) -> b_a . z_i, shared by all degrees of one build
+        self._dcols = {k: self._koszul_columns(k, products) for k in range(self.D)}
         try:
-            self.total.check_d_squared()
+            self.check_d_squared()
         except ModelError as err:
             raise ModelError(f"total model of the bundle is invalid: {err}")
+
+    @property
+    def total(self):
+        """The model itself.  Kept only because ``benchmark/workloads.py`` reads ``model.total``."""
+        return self
 
     # -- construction --------------------------------------------------------
 
@@ -204,8 +170,8 @@ class BundleModel:
             cols.append(col)
         return cols
 
-    def mul_basis(self, k1, n1, k2, n2):
-        """Structure constants of basis elements n1 (deg k1) times n2 (deg k2).
+    def _koszul_product(self, k1, n1, k2, n2):
+        """Structure constants of basis elements n1 (deg k1) times n2 (deg k2), not memoised.
 
         (b1 (x) y_S1)(b2 (x) y_S2) = (-1)^(|S1| |b2|) shuffle(S1, S2) (b1 b2) (x) y_(S1 u S2).
         """
@@ -224,25 +190,32 @@ class BundleModel:
             for a3, x in self.base.mul_basis(p1, a1, p2, a2).items()
         }
 
-    # -- basic structure ------------------------------------------------------
+    def mul_basis(self, i, a, j, b):
+        """The Koszul product of basis element a (deg i) and b (deg j), memoised."""
+        key = (i, a, j, b)
+        if key not in self._memo:
+            self._memo[key] = self._koszul_product(*key)
+        return self._memo[key]
 
-    def dim(self, k):
-        return len(self.elements[k]) if 0 <= k <= self.D else 0
+    @property
+    def product(self):
+        """Every nonzero product of two non-unit basis elements, tabulated on each read."""
+        product = {}
+        for k1 in range(self.D + 1):
+            for k2 in range(self.D + 1 - k1):
+                for n1 in range(self.dim(k1)):
+                    for n2 in range(self.dim(k2)):
+                        if (k1 == 0 and n1 == 0) or (k2 == 0 and n2 == 0):
+                            continue
+                        table = self._koszul_product(k1, n1, k2, n2)
+                        if table:
+                            product[(k1, n1, k2, n2)] = table
+        return product
+
+    # -- basic structure ------------------------------------------------------
 
     def basis_elements(self, k):
         return self.elements[k] if 0 <= k <= self.D else []
-
-    def d(self, k, vec):
-        return self.total.d(k, vec)
-
-    def mul(self, i, u, j, v):
-        return self.total.mul(i, u, j, v)
-
-    def zero_vector(self, k):
-        return np.zeros(self.dim(k), dtype=object) + 0
-
-    def basis_vector(self, k, idx):
-        return self.total.basis_vector(k, idx)
 
     def monomials(self, fdeg):
         return list(itertools.combinations(range(self.n), fdeg))
@@ -304,10 +277,10 @@ class BundleModel:
 
     # -- cohomology and the spectral sequence ---------------------------------
 
-    @lru_cache(maxsize=None)
+    @memoised
     def total_cohomology(self, k):
         """H^k of the total space as a subquotient of degree-k cochains."""
-        return cochain_cohomology(k, self.D, self.dim, self.total.d_matrix)
+        return cochain_cohomology(k, self.D, self.dim, self.d_matrix)
 
     def _step_start(self, k, p):
         """Index of the first basis element of C^k with base degree >= p.
@@ -321,7 +294,7 @@ class BundleModel:
     def stable_page(self):
         return max(self.base.D, self.n) + 1
 
-    @lru_cache(maxsize=None)
+    @memoised
     def z_lattice(self, r, p, q):
         """Basis of Z_r^{p,q} = {x in F^p C^{p+q} : dx in F^{p+r}} in C^{p+q}.
 
@@ -338,21 +311,21 @@ class BundleModel:
         start = self._step_start(k, p)
         low = self._step_start(k + 1, p + r) if r > 0 and k < self.D else 0
         if low:
-            K = kernel_basis(self.total.d_matrix(k)[:low, start:])
+            K = kernel_basis(self.d_matrix(k)[:low, start:])
         else:
             K = eye(self.dim(k) - start)
         lattice = zeros(self.dim(k), K.shape[1])
         lattice[start:, :] = K
         return lattice
 
-    @lru_cache(maxsize=None)
+    @memoised
     def _page_subquotient(self, r, p, q):
         """E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}).
 
         Slots with q > n, q < 0 or p < 0 come out trivial by themselves.
         """
         r = min(r, self.stable_page)
-        d = self.total.d_matrix
+        d = self.d_matrix
 
         def boundaries():
             inner = self.z_lattice(r - 1, p - r + 1, q + r - 2)
@@ -363,7 +336,7 @@ class BundleModel:
             cycles=lambda: self.z_lattice(r, p, q), boundaries=boundaries,
         )
 
-    @lru_cache(maxsize=None)
+    @memoised
     def ss_page(self, r, p, q):
         """Slot (p, q) of page r with d_r out of it; d_r into it is
         ``ss_page(r, p - r, q + r - 1).d_out``.
@@ -398,13 +371,13 @@ class BundleModel:
         """Maximal p with [z] in F^p H^k, plus the leading part at infinity."""
         k = z.degree
         vec = intvec(z.vector, length=self.dim(k))
-        if not self.total.is_closed(k, vec):
+        if not self.is_closed(k, vec):
             raise InputError("filtration_report needs a closed cochain")
         if self.total_cohomology(k).is_zero(vec):
             return FiltrationReport(
                 degree=k, is_zero=True, p=None, leading=(), representative=vec * 0
             )
-        bmat = self.total.d_matrix(k - 1)  # d_{-1} is the zero map into C^0
+        bmat = self.d_matrix(k - 1)  # d_{-1} is the zero map into C^0
         for p in range(min(k, self.base.D), -1, -1):
             Kp = self.z_lattice(self.stable_page, p, k - p)
             sol = solve(hstack([Kp, bmat]), vec)
@@ -418,12 +391,6 @@ class BundleModel:
 
     def __repr__(self):
         return f"BundleModel(n={self.n}, base={self.base!r})"
-
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
 
 
 @dataclass

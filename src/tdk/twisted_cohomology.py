@@ -84,7 +84,7 @@ class TwistedComplex:
     def __init__(self, bundle: BundleModel, z):
         self.bundle = bundle
         z = intvec(z, length=bundle.dim(3))
-        if not bundle.total.is_closed(3, z):
+        if not bundle.is_closed(3, z):
             raise InputError("twisting cocycle must be closed of degree 3")
         self.z = z
         self.degrees = {0: [], 1: []}
@@ -110,14 +110,13 @@ class TwistedComplex:
 
         Past the top degree both parts are empty, so their offsets are never read.
         """
-        ring = self.bundle.total
         z = _terms(self.z, self.bundle.dim(3))
         rows = self.offsets[1 - par]
         cols = []
         for k in self.degrees[par]:
-            for j, dcol in enumerate(ring.d_columns(k)):
+            for j, dcol in enumerate(self.bundle.d_columns(k)):
                 col = {rows[k + 1] + r: x for r, x in dcol.items()}
-                for r, x in ring.mul_terms(3, z, k, {j: 1}).items():
+                for r, x in self.bundle.mul_terms(3, z, k, {j: 1}).items():
                     col[rows[k + 3] + r] = x
                 cols.append(col)
         return cols
@@ -206,7 +205,6 @@ def t_transform(t: Triple) -> TMap:
     side = TwistedComplex(t.side.bundle, t.side.flux.vector)
     dual = TwistedComplex(t.dual.bundle, t.dual.flux.vector)
     doubled = t.doubled
-    ring = doubled.total
     scale = math.factorial(doubled.D // 2)
     w = _terms(t.w, doubled.dim(2))
     integrate = _fiber_integration(t)
@@ -233,7 +231,7 @@ def t_transform(t: Triple) -> TMap:
                         col[off + row] = col.get(off + row, 0) + coeff * sign * x
                     if deg + 2 > doubled.D:
                         break
-                    cur = ring.mul_terms(2, w, deg, cur)
+                    cur = doubled.mul_terms(2, w, deg, cur)
                     deg += 2
                     m += 1
                 cols.append(col)

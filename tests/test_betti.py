@@ -103,7 +103,7 @@ def _verb(case, tmp_path):
         return ["cohomology", "--base", path], GRID_H["klein"]
     if case == "dgring-lens":
         lens = build_bundle(builtin_space("sphere", {"k": 2}), [[3]])
-        path = _write(tmp_path, "lens.json", space_to_doc(lens.total))
+        path = _write(tmp_path, "lens.json", space_to_doc(lens))
         return ["cohomology", "--base", path], LENS3
     chern = _write(tmp_path, "chern.json", [["3"]])
     return ["bundle", "--builtin", "sphere", "--params", '{"k": "2"}', "--chern", chern], LENS3

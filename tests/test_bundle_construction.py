@@ -3,15 +3,15 @@
 ``build_bundle`` no longer runs :meth:`DgRingModel.validate` on the total
 model: its product is the Koszul rule and the only build-time check is the
 d o d = 0 certificate.  Here the full ``validate()`` runs on random bundles
-over small builtin bases, the lazily tabulated product table is compared
-with the eager tabulation loop it replaced (``reference_product_table``),
+over small builtin bases, the product table, tabulated on each read, is
+compared with the eager tabulation loop it replaced (``reference_product_table``),
 the sparse differential with the dense entry-by-entry builder it replaced
 (``reference_diff_matrix``), ``betti()`` of the total model is held to the
 subquotient invariants, the spectral-sequence lattices Z_r read off basis
 slices with the dense inclusion products they replaced
 (``reference_z_lattice``), and a base that breaks Leibniz against a chern
 cocycle must be refused.  Two cost guards count the work of one build and
-the pair memo that serialization leaves behind.
+what serialization leaves on the model.
 """
 
 import pytest
@@ -91,7 +91,7 @@ def reference_z_lattice(m, r, p, q):
         incl[i, c] = 1
     if r <= 0 or k == m.D:
         return incl
-    dmat = m.total.d_matrix(k).dot(incl)
+    dmat = m.d_matrix(k).dot(incl)
     low = [i for i, (bp, _, _) in enumerate(m.elements[k + 1]) if bp < p + r]
     if not low:
         return incl
@@ -104,7 +104,7 @@ def reference_doc(m):
     return {
         "format": "dgring",
         "degrees": s(m.D),
-        "basis": [list(level) for level in m.total.basis],
+        "basis": [list(level) for level in m.basis],
         "diff": [
             {"deg": s(k), "matrix": [list(map(s, row)) for row in reference_diff_matrix(m, k)]}
             for k in range(m.D)
@@ -148,7 +148,7 @@ def bundles(draw):
 def test_bundle_totals_pass_full_validation(data):
     base, chern = data
     m = build_bundle(base, chern)
-    m.total.validate()
+    m.validate()
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,8 +156,8 @@ def test_bundle_totals_pass_full_validation(data):
 def test_lazy_product_table_matches_eager_loop(data):
     base, chern = data
     m = build_bundle(base, chern)
-    assert "product" not in vars(m.total)  # nothing tabulated at build time
-    assert m.total.product == reference_product_table(m)
+    assert "product" not in vars(m)  # nothing tabulated at build time
+    assert m.product == reference_product_table(m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,9 +166,9 @@ def test_sparse_differential_matches_dense_reference(data):
     base, chern = data
     m = build_bundle(base, chern)
     for k in range(m.D):
-        assert mat_eq(m.total.d_matrix(k), reference_diff_matrix(m, k))
-        assert m.total.d_matrix(k) is m.total.d_matrix(k)  # one dense view per degree
-    assert space_to_doc(m.total) == reference_doc(m)
+        assert mat_eq(m.d_matrix(k), reference_diff_matrix(m, k))
+        assert m.d_matrix(k) is m.d_matrix(k)  # one dense view per degree
+    assert space_to_doc(m) == reference_doc(m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,7 +176,7 @@ def test_sparse_differential_matches_dense_reference(data):
 def test_total_betti_matches_subquotients(data):
     base, chern = data
     m = build_bundle(base, chern)
-    assert m.total.betti() == [m.total_cohomology(k).invariants() for k in range(m.D + 1)]
+    assert m.betti() == [m.total_cohomology(k).invariants() for k in range(m.D + 1)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,7 +237,8 @@ def test_build_computes_each_chern_product_once(monkeypatch, name, params, n):
 def test_serializing_a_total_model_memoises_no_empty_product(data):
     base, chern = data
     m = build_bundle(base, chern)
-    doc = space_to_doc(m.total)
-    assert not m.total._dense  # no dense differential is left on the model
+    doc = space_to_doc(m)
+    assert not m._dense  # no dense differential is left on the model
+    assert "product" not in vars(m)  # nor a product table
     assert doc == reference_doc(m)
-    assert all(m.total._memo.values())
+    assert all(m._memo.values())

@@ -150,8 +150,21 @@ def test_ss_builds_one_differential_per_slot_and_dualizable_none(tmp_path, monke
     assert code in (0, 1) and not built
 
 
-@pytest.mark.parametrize("name", ["hopf", "t3_vol"])
-def test_dualize_runs_three_filtration_reports(tmp_path, monkeypatch, name):
+@pytest.mark.parametrize(
+    "verb, name, expected_code, expected_calls",
+    [
+        pytest.param("dualize", "hopf", 0, 3, id="hopf"),
+        pytest.param("dualize", "t3_vol", 0, 3, id="t3_vol"),
+        pytest.param("dualize", "t3_over_s1_vol", 1, 1, id="dualize-t3_over_s1_vol"),
+        pytest.param("extensions", "hopf", 0, 1, id="extensions-hopf"),
+        pytest.param("extensions", "t3_vol", 0, 1, id="extensions-t3_vol"),
+    ],
+)
+def test_dualize_runs_three_filtration_reports(
+    tmp_path, monkeypatch, verb, name, expected_code, expected_calls
+):
+    """A dualized pair needs one filtration report for its flux and one per side
+    of the triple; a refused pair and ``extensions`` need only the flux's."""
     calls = []
     report = BundleModel.filtration_report
 
@@ -160,8 +173,8 @@ def test_dualize_runs_three_filtration_reports(tmp_path, monkeypatch, name):
         return report(self, z)
 
     monkeypatch.setattr(BundleModel, "filtration_report", counted)
-    code, _ = run(["dualize", "--pair", pair_file(tmp_path, name)])
-    assert code == 0 and len(calls) == 3
+    code, _ = run([verb, "--pair", pair_file(tmp_path, name)])
+    assert code == expected_code and len(calls) == expected_calls
 
 
 def test_extensions_verb(tmp_path):

@@ -144,8 +144,8 @@ def extra_pair(name):
 def total_doc(name):
     if name in EXTRA_TOTALS:
         base, params, chern = EXTRA_TOTALS[name]
-        return space_to_doc(build_bundle(builtin_space(base, params), chern).total)
-    return space_to_doc(named_pair(name).bundle.total)
+        return space_to_doc(build_bundle(builtin_space(base, params), chern))
+    return space_to_doc(named_pair(name).bundle)
 
 
 def _write(directory, name, doc):

@@ -151,7 +151,7 @@ def verdict(check, model):
 
 
 def _bundle(base, params, chern):
-    return build_bundle(builtin_space(base, params), chern).total
+    return build_bundle(builtin_space(base, params), chern)
 
 
 MODELS = {

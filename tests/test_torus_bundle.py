@@ -54,9 +54,8 @@ def test_nonclosed_chern_rejected():
 
 def test_total_model_d_squared_checked():
     m = circle_bundle_over_s2(3)
-    T = m.total
     for k in range(m.D - 1):
-        comp = T.d_matrix(k + 1).dot(T.d_matrix(k))
+        comp = m.d_matrix(k + 1).dot(m.d_matrix(k))
         assert all(x == 0 for x in comp.flat)
 
 

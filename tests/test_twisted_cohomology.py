@@ -132,7 +132,7 @@ def test_twisted_complex_refuses_a_twist_that_is_not_closed():
     m = build_bundle(T3, [T3.basis_vector(2, 0), T3.zero_vector(2)])
     z = next(
         m.basis_vector(3, j) for j in range(m.dim(3))
-        if not m.total.is_closed(3, m.basis_vector(3, j))
+        if not m.is_closed(3, m.basis_vector(3, j))
     )
     with pytest.raises(InputError, match="twisting cocycle must be closed of degree 3"):
         twisted_dims(m, z)
