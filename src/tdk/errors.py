@@ -63,16 +63,25 @@ def parse_int(x, where):
 
     Booleans, floats and strings that are not decimal are refused, and so is a
     decimal string beyond Python's int-string digit limit.
+
+    A plain string of ASCII digits, the common case in documents, takes a
+    fast path: ``isascii`` and ``isdigit`` together accept exactly what the
+    regex would, with no sign or space, so ``int`` reads it directly.  That
+    read can still fail, on the digit limit (``sys.set_int_max_str_digits``),
+    so the fast path sits inside the same ``try`` as the general one and
+    gives the same located SchemaError.
     """
-    if isinstance(x, bool):
-        raise SchemaError("expected an integer, got a boolean", where)
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str) and _DECIMAL.fullmatch(x.strip()):
-        try:
+    try:
+        if type(x) is str and x.isascii() and x.isdigit():
             return int(x)
-        except ValueError:  # only the digit limit is left to fail
-            raise SchemaError(
-                f"integer of {len(x.strip())} characters exceeds the digit limit", where
-            ) from None
+        if isinstance(x, bool):
+            raise SchemaError("expected an integer, got a boolean", where)
+        if isinstance(x, int):
+            return x
+        if isinstance(x, str) and _DECIMAL.fullmatch(x.strip()):
+            return int(x)
+    except ValueError:  # only the digit limit is left to fail
+        raise SchemaError(
+            f"integer of {len(x.strip())} characters exceeds the digit limit", where
+        ) from None
     raise SchemaError(f"expected an integer (decimal string), got {x!r}", where)

@@ -105,11 +105,15 @@ def _terms(vec, length):
 
 
 def _table_columns(table, rows, cols):
-    """(shape, sparse columns) of a differential table given by its rows.
+    """(shape, sparse columns) of a differential given as a table or as sparse columns.
 
-    An empty table is the zero map of shape (rows, cols); a table of another
-    shape keeps it, for ``validate`` to name.
+    A nonempty list of dicts is sparse columns already and is taken as it
+    is, with shape (rows, its length).  A table given by its rows is
+    converted; an empty table is the zero map of shape (rows, cols), and a
+    table of another shape keeps it, for ``validate`` to name.
     """
+    if isinstance(table, list) and table and all(type(col) is dict for col in table):
+        return (rows, len(table)), table
     table = [[int(x) for x in row] for row in table]
     widths = {len(row) for row in table}
     if len(widths) > 1:
@@ -127,7 +131,11 @@ class DgRingModel:
     """Finite graded ring over Z with differential, given by explicit tables.
 
     ``basis[k]`` lists the labels in degree k for 0 <= k <= D;
-    ``diff[k]`` is the table (rows) of d: C^k -> C^{k+1}, zero if missing;
+    ``diff[k]`` is d: C^k -> C^{k+1}, zero if missing, given either as its
+    table (rows) or as a nonempty list of sparse columns {row: coeff}, one
+    per basis element of degree k.  Columns are taken as given, not copied
+    or converted: their entries must be exact nonzero ints in rows
+    0..dim(k+1)-1, which ``validate`` does not check (``parse_space`` has);
     ``product[(i, a, j, b)]`` maps a basis pair to a dict {index: coeff} in
     degree i + j.  Pairs involving the unit default to the identity action,
     all other missing pairs to zero.  Products landing above degree D are
@@ -136,7 +144,8 @@ class DgRingModel:
     Ring arithmetic runs on these sparse structure constants.  A sparse
     cochain is a dict {index: coeff} with no zero entries.  The differential
     is stored only as such cochains: ``d_columns(k)`` holds d_k as one per
-    basis element of degree k, converted once from the given table.
+    basis element of degree k, the given columns or converted once from the
+    given table.
     ``d_matrix(k)`` is the dense view that ``exact_linalg.dense_matrix``
     builds on first use, for eliminations; ``diff`` maps each given degree
     to it.  :meth:`mul_terms` and :meth:`d_terms` work on sparse cochains,
@@ -574,6 +583,18 @@ def parse_space(document, truncation=None):
 
 
 def _parse_dgring(document, truncation):
+    """The validated DgRingModel of a ``dgring`` document, read straight into stored form.
+
+    Each ``diff`` matrix is read row by row into sparse columns {row: coeff},
+    which ``DgRingModel`` takes as they are.  The entry ``"0"`` is skipped
+    by one string comparison; every other entry goes through ``parse_int``,
+    so ``false``, ``0.0``, ``" 0"`` or ``"-0"`` are refused or read as
+    before.  Product results keep their exact nonzero coefficients, which is
+    the form the model stores, so the table is installed without a second
+    conversion.  Every error keeps its text and its location (``diff[k]``,
+    ``product[p].i_idx``, ``product[p].result.coeff``, ...); each location
+    string is built once per matrix or product entry.
+    """
     for key in ("degrees", "basis"):
         if key not in document:
             raise SchemaError(f"dgring document needs a {key!r} field")
@@ -619,16 +640,25 @@ def _parse_dgring(document, truncation):
             raise SchemaError(
                 f"diff matrix in degree {k} must be {rows} x {dims[k]}"
             )
-        diff[k] = [[parse_int(x, f"diff[{k}]") for x in row] for row in mat]
+        at = f"diff[{k}]"
+        columns = diff[k] = [{} for _ in range(dims[k])]
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                if x != "0":
+                    x = parse_int(x, at)
+                    if x:
+                        columns[c][r] = x
     product, product_pos = {}, {}
     for pos, entry in enumerate(document.get("product", [])):
         if not isinstance(entry, dict):
             raise SchemaError(f"product entry {pos} must be an object")
         try:
-            i = parse_int(entry["i_deg"], f"product[{pos}].i_deg")
-            a = parse_int(entry["i_idx"], f"product[{pos}].i_idx")
-            j = parse_int(entry["j_deg"], f"product[{pos}].j_deg")
-            b = parse_int(entry["j_idx"], f"product[{pos}].j_idx")
+            key = i, a, j, b = (
+                parse_int(entry["i_deg"], f"product[{pos}].i_deg"),
+                parse_int(entry["i_idx"], f"product[{pos}].i_idx"),
+                parse_int(entry["j_deg"], f"product[{pos}].j_deg"),
+                parse_int(entry["j_idx"], f"product[{pos}].j_idx"),
+            )
             result = entry["result"]
         except KeyError as exc:
             raise SchemaError(f"product entry {pos} is missing field {exc}")
@@ -636,22 +666,23 @@ def _parse_dgring(document, truncation):
             raise SchemaError(f"product entry {pos} has degrees out of range")
         if not (0 <= a < dims[i] and 0 <= b < dims[j]):
             raise SchemaError(f"product entry {pos} indexes outside the basis")
-        if (i, a, j, b) in product_pos:
+        if key in product_pos:
             raise SchemaError(
                 f"product[{pos}] repeats the key ({i}, {a}, {j}, {b}) "
-                f"of product[{product_pos[(i, a, j, b)]}]"
+                f"of product[{product_pos[key]}]"
             )
-        product_pos[(i, a, j, b)] = pos
+        product_pos[key] = pos
         if not isinstance(result, list):
             raise SchemaError(f"product entry {pos} result must be a list")
         table, term_pos = {}, {}
+        idx_at, coeff_at = f"product[{pos}].result.idx", f"product[{pos}].result.coeff"
         for t, term in enumerate(result):
             if not isinstance(term, dict) or "idx" not in term or "coeff" not in term:
                 raise SchemaError(
                     f"product[{pos}].result[{t}] must be an object with 'idx' and 'coeff'"
                 )
-            c = parse_int(term["idx"], f"product[{pos}].result.idx")
-            coeff = parse_int(term["coeff"], f"product[{pos}].result.coeff")
+            c = parse_int(term["idx"], idx_at)
+            coeff = parse_int(term["coeff"], coeff_at)
             if not (0 <= c < dims[i + j]):
                 raise SchemaError(f"product entry {pos} result index out of range")
             if c in term_pos:
@@ -660,9 +691,13 @@ def _parse_dgring(document, truncation):
                     f"of product[{pos}].result[{term_pos[c]}]"
                 )
             term_pos[c] = t
-            table[c] = coeff
-        product[(i, a, j, b)] = table
-    return DgRingModel(basis, diff, product)
+            if coeff:
+                table[c] = coeff
+        product[key] = table
+    model = DgRingModel(basis, diff, {}, check=False)
+    model._product = product  # already exact ints without zeros, as __init__ would store it
+    model.validate()
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,10 @@ class BundleModel(DgRingModel):
         """H^k of the total space as a subquotient of degree-k cochains."""
         return cochain_cohomology(k, self.D, self.dim, self.d_matrix)
 
+    def cohomology(self, k):
+        """H^k from :meth:`total_cohomology`: one memo, and one span in ``benchmark/tracing.py``."""
+        return self.total_cohomology(k)
+
     def _step_start(self, k, p):
         """Index of the first basis element of C^k with base degree >= p.
 

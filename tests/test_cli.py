@@ -9,6 +9,7 @@ from tdk.cli import _build_parser, run
 from tdk.exact_linalg import GroupHom
 from tdk.fixtures import named_pair, simplicial_doc
 from tdk.selftest import CHECKS
+from tdk.space_model import parse_space
 from tdk.serialize import (
     dumps, pair_to_doc, triple_to_doc, pair_from_doc, triple_from_doc, space_to_doc,
 )
@@ -369,6 +370,10 @@ def _triple_doc():
     return triple_to_doc(dualize(named_pair("hopf")))
 
 
+def _dgring_doc():
+    return space_to_doc(named_pair("t3_vol").bundle.total)
+
+
 def _set(doc, path, value):
     """doc with the entry at ``path`` (a tuple of keys and indices) replaced."""
     inner = doc
@@ -402,6 +407,23 @@ BAD_INTEGERS = {
     "digit_limit": (
         "cohomology", "--base",
         lambda: {"format": "simplicial", "vertices": "1" * 5000, "facets": [["0"]]}, "vertices"),
+    "dgring_diff_letter": (
+        "cohomology", "--base", lambda: _set(_dgring_doc(), ("diff", 1, "matrix", 2, 1), "x"),
+        "diff[1]"),
+    "dgring_diff_boolean": (
+        "cohomology", "--base", lambda: _set(_dgring_doc(), ("diff", 1, "matrix", 0, 0), True),
+        "diff[1]"),
+    "dgring_product_index_fraction": (
+        "cohomology", "--base", lambda: _set(_dgring_doc(), ("product", 3, "i_idx"), "1.0"),
+        "product[3].i_idx"),
+    "dgring_result_coeff_boolean": (
+        "cohomology", "--base",
+        lambda: _set(_dgring_doc(), ("product", 2, "result", 0, "coeff"), True),
+        "product[2].result.coeff"),
+    "dgring_result_index_arabic_indic_digit": (
+        "cohomology", "--base",
+        lambda: _set(_dgring_doc(), ("product", 4, "result", 0, "idx"), "\u0663"),
+        "product[4].result.idx"),
 }
 
 
@@ -413,6 +435,14 @@ def test_malformed_integer_in_document_is_a_located_input_error(case, tmp_path):
     assert code == 2
     assert doc["location"] == location
     assert "ValueError" not in doc["error"]
+
+
+@pytest.mark.parametrize("zero", [" 0", "-0", "+0", 0])
+def test_signed_and_spaced_zeros_in_a_diff_row_read_as_zero(zero):
+    doc = _dgring_doc()
+    assert doc["diff"][1]["matrix"][2][1] == "0"
+    model = parse_space(_set(_dgring_doc(), ("diff", 1, "matrix", 2, 1), zero))
+    assert model.d_columns(1) == parse_space(doc).d_columns(1)
 
 
 @pytest.mark.parametrize("params, chern, location", [

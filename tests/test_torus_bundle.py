@@ -102,6 +102,12 @@ def test_nilmanifold_h2(k):
     assert m.total_cohomology(3).invariants() == (1, ())
 
 
+def test_cohomology_and_total_cohomology_share_one_memo():
+    m = build_bundle(T3, [T3.basis_vector(2, 0)])
+    assert m.cohomology(3) is m.total_cohomology(3)
+    assert m.total_cohomology(2) is m.cohomology(2)
+
+
 def test_kuenneth_for_zero_chern():
     # H^k(total) matches the product model base x torus in every degree
     base = product_model(S2, S1)  # S^2 x S^1
