@@ -23,7 +23,7 @@ def groups(m, top):
 # --- circle bundles over S^2 -------------------------------------------------
 
 for k in (1, 2, 3):
-    m = build_bundle(S2, [k * S2.basis_vector(2, 0)])
+    m = build_bundle(S2, [[k * x for x in S2.basis_vector(2, 0)]])
     name = "S^3 (Hopf)" if k == 1 else f"L({k},1)"
     print(f"Euler class {k} -> {name}:", groups(m, 3))
 
@@ -42,7 +42,7 @@ print("  E_3^{0,1} =", hopf.ss_page(3, 0, 1).group, "(the fiber class dies)")
 
 print()
 for k in (1, 2):
-    nil = build_bundle(T2, [k * T2.basis_vector(2, 0)])
+    nil = build_bundle(T2, [[k * x for x in T2.basis_vector(2, 0)]])
     print(f"nilmanifold with twist {k}:", groups(nil, 3))
 
 # --- filtration reports -------------------------------------------------------

@@ -35,14 +35,14 @@ delta = torsor_difference(moved, t)
 print("acting by the volume class and solving back:")
 print("  recovered class =", H3.reduce(delta.vector), "(expected (1,))")
 
-back = h3_action(moved, Cocycle(3, -alpha.vector))
+back = h3_action(moved, Cocycle(3, [-x for x in alpha.vector]))
 print("  action by the inverse returns to the original:",
       H3.is_zero(torsor_difference(back, t).vector))
 
 # --- gauge transformations -----------------------------------------------------
 
 print()
-m = build_bundle(T3, [2 * T3.basis_vector(2, 0)])  # chern 2.[x1 x2]
+m = build_bundle(T3, [[2 * x for x in T3.basis_vector(2, 0)]])  # chern 2.[x1 x2]
 t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
 psi = T3.basis_vector(1, 2)  # the class [x3]
 zero = T3.zero_vector(1)

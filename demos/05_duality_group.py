@@ -19,7 +19,7 @@ from tdk import (
     torsor_difference,
     validate_triple,
 )
-from tdk.exact_linalg import eye, intmat, intvec
+from tdk.exact_linalg import mat_vec, transpose
 from tdk.fixtures import hopf_pair
 from tdk.space_model import Cocycle
 from tdk.tduality_core import Pair
@@ -29,20 +29,20 @@ from tdk.torus_bundle import build_bundle
 
 flip = flip_element(2)
 print("the flip is a member:", is_onn(flip.matrix))
-print("2.identity is not:", is_onn(2 * eye(4)))
-v = intvec([3, -1, 2, 5])
-print("q(v) =", q_value(v), " q(flip v) =", q_value(flip.matrix.dot(v)))
+print("2.identity is not:", is_onn([{i: 2} for i in range(4)]))  # matrices are sparse columns
+v = [3, -1, 2, 5]
+print("q(v) =", q_value(v), " q(flip v) =", q_value(mat_vec(flip.matrix, v, 4)))
 
 print("\ngenerators for n = 2:")
 for g in generators(2):
-    print(" ", g.matrix.tolist())
+    print(" ", [[row.get(j, 0) for j in range(4)] for row in transpose(g.matrix, 4)])
 
 # --- action on chern data ---------------------------------------------------------
 
 T2 = builtin_space("torus", {"k": 2})
 c = [T2.basis_vector(2, 0), T2.zero_vector(2)]
 chat = [T2.zero_vector(2), T2.zero_vector(2)]
-B = intmat([[0, 1], [-1, 0]])
+B = [{1: -1}, {0: 1}]  # the columns of [[0, 1], [-1, 0]]
 c2, chat2 = act_on_chern(shear_element(2, B), T2, c, chat)
 print("\nshear by B = [[0,1],[-1,0]] moves (c, 0) to (c, B.c):")
 print("  new chat =", [list(x) for x in chat2])
@@ -63,7 +63,7 @@ print("  flip squared is the identity on the triple class:",
 
 m = build_bundle(T2, [T2.basis_vector(2, 0), T2.zero_vector(2)])
 t2 = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
-swapped = act_on_triple(gl_element(2, intmat([[0, 1], [1, 0]])), t2)
+swapped = act_on_triple(gl_element(2, [{1: 1}, {0: 1}]), t2)
 print("\nGL-block permutation on an n = 2 triple validates:",
       validate_triple(swapped).ok)
 print("  permuted chern data:", [list(z) for z in swapped.side.bundle.chern])

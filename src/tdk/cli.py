@@ -159,9 +159,10 @@ def _cmd_ss(args):
             "stable": page.is_infinity,
         }
         if not page.d_out.is_zero_hom():
+            columns = page.d_out.matrix
             entry["d_out"] = [
-                [str(page.d_out.matrix[i, j]) for j in range(page.d_out.matrix.shape[1])]
-                for i in range(page.d_out.matrix.shape[0])
+                [str(col.get(i, 0)) for col in columns]
+                for i in range(page.d_out.target.ngens)
             ]
         slots.append(entry)
     return 0, {"page": str(r), "slots": slots}

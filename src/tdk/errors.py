@@ -64,15 +64,19 @@ def parse_int(x, where):
     Booleans, floats and strings that are not decimal are refused, and so is a
     decimal string beyond Python's int-string digit limit.
 
-    A plain string of ASCII digits, the common case in documents, takes a
-    fast path: ``isascii`` and ``isdigit`` together accept exactly what the
-    regex would, with no sign or space, so ``int`` reads it directly.  That
-    read can still fail, on the digit limit (``sys.set_int_max_str_digits``),
-    so the fast path sits inside the same ``try`` as the general one and
-    gives the same located SchemaError.
+    A plain string of ASCII digits with at most one leading ``-``, the
+    common case in documents (negative product coefficients included),
+    takes a fast path.  On that branch the string is ASCII, so ``isdigit``
+    holds exactly for a nonempty run of 0-9: the branch accepts ``-?[0-9]+``
+    with no space, which the regex accepts too, and ``int`` reads it as the
+    general path would.  Every other string (``"-"``, ``"--1"``, ``"-+1"``,
+    a space or a non-ASCII digit) falls through to the general path, so no
+    result changes.  The read can still fail, on the digit limit
+    (``sys.set_int_max_str_digits``), so the fast path sits inside the same
+    ``try`` as the general one and gives the same located SchemaError.
     """
     try:
-        if type(x) is str and x.isascii() and x.isdigit():
+        if type(x) is str and x.isascii() and (x.isdigit() or x[:1] == "-" and x[1:].isdigit()):
             return int(x)
         if isinstance(x, bool):
             raise SchemaError("expected an integer, got a boolean", where)

@@ -1,35 +1,35 @@
 """Exact integer matrix algebra and finitely generated abelian groups.
 
-Matrices passed in and out are 2-dimensional numpy arrays with
-``dtype=object`` holding Python ints, so all arithmetic is arbitrary
-precision.  There is one elimination kernel: ``smith_normal_form`` copies
-the matrix into lists of Python ints, eliminates there, and returns a
-:class:`SmithForm` with unimodular U, V such that ``U @ M @ V`` is diagonal
-with a divisibility chain.  The rest of the module (solving, kernels,
-cokernels, presented groups, subquotients) is built on top of it.
+A matrix is a list of sparse columns, one dict {row: coeff} of Python ints
+per column, so all arithmetic is arbitrary precision; where the columns do
+not fix it, the row count is passed alongside (an empty matrix keeps its
+shape that way).  A dense vector is a list of ints; ``int_vector`` is the
+one reader of vectors from callers, and ``_sum_terms``, ``mat_vec`` and
+``compose`` do the arithmetic.  There is one elimination kernel:
+``smith_normal_form`` copies the matrix into lists of Python ints,
+eliminates there, and returns a :class:`SmithForm` with unimodular U, V such
+that U M V is diagonal with a divisibility chain.  The rest of the module
+(solving, kernels, cokernels, presented groups, subquotients) is built on
+top of it.
 
-Invariant factors alone need no U or V.  ``invariant_factors`` takes a
-matrix as sparse columns and first eliminates its +-1 pivots on sparse rows,
-each a unimodular step that splits off a factor 1; sparse +-1 coboundaries
-mostly vanish that way (Dumas, Heckenbach, Saunders & Welker 2003), and the
-small block that is left goes to ``smith_normal_form``, of which only the
-diagonal is read.  ``matrix_rank`` counts those factors, so a rank builds
-no U or V for the unit pivots.  Cohomology has two routines on top of that:
+Invariant factors alone need no U or V.  ``invariant_factors`` first
+eliminates the +-1 pivots of a matrix on sparse rows, each a unimodular
+step that splits off a factor 1; sparse +-1 coboundaries mostly vanish that
+way (Dumas, Heckenbach, Saunders & Welker 2003), and the small block that
+is left goes to ``smith_normal_form``, of which only the diagonal is read.
+``matrix_rank`` counts those factors, so a rank builds no U or V for the
+unit pivots.  Cohomology has two routines on top of that:
 ``cochain_invariants`` gives the isomorphism type of every H^k from one
 ``invariant_factors`` per differential, and ``cochain_cohomology`` builds
 H^k = ker d_k / im d_{k-1} as a :class:`Subquotient` for callers that need
 classes, representatives or reductions.
 
-Model differentials are stored only as sparse columns, one dict
-{row: coeff} per source basis element.  ``dense_matrix`` turns such columns
-into an object matrix; it is the one place a dense differential is built,
-and only callers that eliminate or multiply whole matrices ask for it.
-
 Factor once, solve many: a matrix that meets several right-hand sides is
-factored once and each right-hand side goes through ``SmithForm.solve``.
-``solve(M, b)`` is the one-shot form.  ``Subquotient`` keeps the factored
-membership matrix, so every reduction, lift check and induced map against
-one subquotient shares a single factorization.
+factored once and each right-hand side goes through ``SmithForm.solve``,
+which reads only its nonzero entries.  ``solve(M, b)`` is the one-shot form.
+``Subquotient`` keeps the factored membership matrix, so every reduction,
+lift check and induced map against one subquotient shares a single
+factorization.
 
 The pivot order is part of the contract, because U and V fix every particular
 solution and every normal-form coordinate that reaches a report: at step t
@@ -37,12 +37,14 @@ the pivot is the first entry of least absolute value in a row-major scan of
 the remaining block.  A unit entry ends the scan early and skips the
 divisibility fold, which changes no pivot.
 
-The benchmark tracer (``benchmark/tracing.py``) relies on two things here:
-``SmithForm.U``, ``.D`` and ``.V`` are 2-dimensional numpy arrays (it reads
-their ``shape``, ``size``, ``max()`` and ``min()``), and the module-level
-names ``smith_normal_form``, ``solve``, ``subquotient`` and ``kernel_basis``
-are what it wraps.  The same tracer reads ``cache_info()`` from the
-cohomology and page methods of the models, which memoise per instance
+The benchmark tracer (``benchmark/tracing.py``) relies on two things here.
+``SmithForm.U``, ``.D`` and ``.V`` read as 2-dimensional object arrays of
+the tracer's array library (it reads their ``shape``, ``size``, ``max()``
+and ``min()``): views that ``_view`` builds on first read, the one place
+the package imports that library.  And the module-level names
+``smith_normal_form``, ``solve``, ``subquotient`` and ``kernel_basis`` are
+what it wraps.  The same tracer reads ``cache_info()`` from the cohomology
+and page methods of the models, which memoise per instance
 (``space_model.memoised``), so a model's results are freed with the model.
 
 Values are immutable after construction and safe to share across threads;
@@ -51,22 +53,20 @@ the parts built on first use are deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .errors import DimensionError, InputError, NotInSubgroupError, SubgroupContainmentError
 
 __all__ = [
-    "intmat",
-    "intvec",
-    "zeros",
-    "eye",
-    "hstack",
-    "mat_eq",
+    "int_vector",
+    "dense_vector",
+    "identity",
+    "transpose",
+    "mat_vec",
+    "compose",
     "unimodular_inverse",
-    "dense_matrix",
     "SmithForm",
     "smith_normal_form",
     "matrix_rank",
@@ -87,71 +87,72 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# matrix helpers
+# vectors and matrices
 
 
-def intmat(data, rows=None, cols=None):
-    """Build an object-dtype integer matrix; shape hints cover the empty cases."""
-    if isinstance(data, np.ndarray) and data.ndim == 2:
-        if not data.size:
-            return zeros(*data.shape)
-        data = data.tolist()
-    data = [list(map(int, row)) for row in data]
-    if not data or not any(len(r) for r in data):
-        r = rows if rows is not None else len(data)
-        c = cols if cols is not None else 0
-        return zeros(r, c)
-    a = np.array(data, dtype=object)
-    if a.ndim != 2:
-        raise DimensionError("matrix data is not rectangular")
-    return a
+def int_vector(data, where=None):
+    """The entries of a sequence of integers as a list of ints.
+
+    Each entry is read by ``operator.index``, so ints and other integer
+    types (anything with ``__index__``) pass and floats, strings and
+    fractions do not: the InputError names the first entry that is not an
+    integer, at ``where``.
+    """
+    try:
+        return list(map(operator.index, data))
+    except TypeError:
+        i, x = next((i, x) for i, x in enumerate(data) if not hasattr(type(x), "__index__"))
+        raise InputError(f"entry {i} is {x!r}, not an integer", where) from None
 
 
-def intvec(data, length=None):
-    if isinstance(data, np.ndarray):
-        data = data.tolist()
-    vals = list(map(int, data))
-    if not vals:
-        return np.zeros(length if length is not None else 0, dtype=object) + 0
-    return np.array(vals, dtype=object)
+def _sum_terms(pairs):
+    """Sum of coeff * terms over (coeff, sparse vector) pairs, as a sparse vector.
+
+    A sparse vector (a column, or a cochain) is a dict {index: coeff}; the
+    result stores no zero entries.
+    """
+    out = {}
+    for x, terms in pairs:
+        for c, y in terms.items():
+            out[c] = out.get(c, 0) + x * y
+    return {c: y for c, y in out.items() if y}
 
 
-def zeros(r, c):
-    return np.zeros((r, c), dtype=object) + 0
+def dense_vector(terms, length):
+    """The sparse vector {index: coeff} as a list of ints of this length."""
+    out = [0] * length
+    for i, x in terms.items():
+        out[i] = x
+    return out
 
 
-def eye(n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i, i] = 1
-    return m
+def identity(n):
+    """The n x n identity matrix."""
+    return [{i: 1} for i in range(n)]
 
 
-def hstack(blocks):
-    blocks = list(blocks)
-    if not blocks:
-        raise DimensionError("hstack of no blocks")
-    return np.hstack(blocks)
-
-
-def mat_eq(a, b):
-    return a.shape == b.shape and all(
-        a[i, j] == b[i, j] for i in range(a.shape[0]) for j in range(a.shape[1])
-    )
-
-
-def dense_matrix(columns, rows):
-    """The object matrix with ``rows`` rows whose columns are these sparse dicts {row: coeff}."""
-    out = [[0] * len(columns) for _ in range(rows)]
+def transpose(columns, rows):
+    """The transpose of the matrix with these columns and this many rows."""
+    out = [{} for _ in range(rows)]
     for c, col in enumerate(columns):
         for r, x in col.items():
             out[r][c] = x
-    return _array(out, rows, len(columns))
+    return out
 
 
-def _array(rows, r, c):
-    """Object matrix from r row lists of length c."""
-    return np.array(rows, dtype=object) if r and c else zeros(r, c)
+def mat_vec(columns, x, rows):
+    """M x as a list of ``rows`` ints, for the dense vector x; reads its nonzero entries only."""
+    return dense_vector(_sum_terms((v, col) for v, col in zip(x, columns) if v), rows)
+
+
+def compose(A, B):
+    """The matrix A B, for A and B given as sparse columns."""
+    return [_sum_terms((x, A[r]) for r, x in col.items()) for col in B]
+
+
+def _restrict(columns, rows):
+    """The top ``rows`` rows of the matrix with these columns."""
+    return [{r: x for r, x in col.items() if r < rows} for col in columns]
 
 
 def _identity_rows(n):
@@ -171,21 +172,41 @@ def _axpy(dst, src_nonzeros, q):
         dst[j] += q * v
 
 
+def _view(shape, entries):
+    """An object array of this shape with these (row, column, value) entries.
+
+    Only the benchmark tracer reads these views (see the module docstring),
+    so the array library is imported here, on first use, and nowhere else.
+    """
+    import numpy as np
+
+    out = np.zeros(shape, dtype=object)
+    for i, j, x in entries:
+        out[i, j] = x
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 
 class SmithForm:
-    """U @ M @ V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
+    """U M V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
 
-    ``D`` and the inverses ``Uinv`` and ``Vinv`` are built on first use.
+    ``shape`` is the (rows, columns) of M.  U is kept as its rows, lists of
+    ints, and V as its columns, sparse dicts; ``Uinv`` (sparse columns) and
+    the sparse columns of U that ``solve`` reads are built on first use.
+    ``U``, ``D`` and ``V`` are object arrays (``_view``) built on first
+    read, only for the benchmark tracer: nothing in ``tdk`` reads them, and
+    they go when the tracer reads its sizes from ``tdk`` itself (ROADMAP
+    item 1).
     """
 
-    def __init__(self, shape, diagonal, U, V):
+    def __init__(self, shape, diagonal, U_rows, V_columns):
         self.shape = shape
         self._diagonal = diagonal
-        self.U = U
-        self.V = V
+        self._U = U_rows
+        self._V = V_columns
 
     @property
     def diagonal(self):
@@ -196,69 +217,75 @@ class SmithForm:
         return sum(1 for d in self._diagonal if d != 0)
 
     @cached_property
+    def U(self):
+        m = self.shape[0]
+        return _view((m, m), ((i, j, x) for i, row in enumerate(self._U) for j, x in enumerate(row)
+                              if x))
+
+    @cached_property
     def D(self):
-        out = zeros(*self.shape)
-        for i, d in enumerate(self._diagonal):
-            out[i, i] = d
-        return out
+        return _view(self.shape, ((i, i, d) for i, d in enumerate(self._diagonal)))
+
+    @cached_property
+    def V(self):
+        n = self.shape[1]
+        return _view((n, n), ((r, c, x) for c, col in enumerate(self._V) for r, x in col.items()))
+
+    @cached_property
+    def _U_columns(self):
+        m = self.shape[0]
+        return [{i: row[j] for i, row in enumerate(self._U) if row[j]} for j in range(m)]
 
     @cached_property
     def Uinv(self):
-        return unimodular_inverse(self.U)
-
-    @cached_property
-    def Vinv(self):
-        return unimodular_inverse(self.V)
+        return unimodular_inverse(self._U_columns)
 
     def solve(self, b):
-        """One integer solution x of M @ x == b, or None when unsolvable over Z.
+        """One integer solution x of M x == b, as a list of ints, or None when unsolvable over Z.
 
         Unsolvability is decided exactly: in Smith coordinates the system
         splits into congruences c_i = d_i * y_i, so either some d_i fails to
         divide c_i or a zero row meets a nonzero c_i.
         """
-        m, n = self.shape
-        b = intvec(b, length=m)
-        if b.shape[0] != m:
-            raise DimensionError(f"solve: got rhs of length {b.shape[0]}, expected {m}")
-        # right-hand sides are mostly sparse: multiply by the needed columns only
-        nz = np.flatnonzero(b)
-        c = self.U[:, nz].dot(b[nz]).tolist()
-        y = [0] * n
+        b = int_vector(b)
+        if len(b) != self.shape[0]:
+            raise DimensionError(f"solve: got rhs of length {len(b)}, expected {self.shape[0]}")
+        c = _sum_terms((x, self._U_columns[j]) for j, x in enumerate(b) if x)
         diag = self._diagonal
-        for i, ci in enumerate(c):
+        y = []
+        for i, ci in c.items():
             d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if ci != 0:
-                    return None
-            else:
-                if ci % d != 0:
-                    return None
-                y[i] = ci // d
-        nz = [i for i, yi in enumerate(y) if yi]
-        return self.V[:, nz].dot(np.array([y[i] for i in nz], dtype=object))
+            if d == 0 or ci % d:
+                return None
+            y.append((ci // d, self._V[i]))
+        return dense_vector(_sum_terms(y), self.shape[1])
 
 
 def unimodular_inverse(W):
-    """The inverse of a unimodular W: from P @ W @ Q == I, W^-1 == Q @ P.
+    """The inverse of the square matrix W, if unimodular: from P W Q == I, W^-1 == Q P.
 
     Raises InputError when W is not invertible over the integers.
     """
-    sf = smith_normal_form(W)
-    if sf.diagonal != [1] * W.shape[0]:
+    n = len(W)
+    sf = smith_normal_form(W, n)
+    if sf.diagonal != [1] * n:
         raise InputError("block is not invertible over the integers")
-    return sf.V.dot(sf.U)
+    return compose(sf._V, sf._U_columns)
 
 
-def smith_normal_form(M):
-    """Diagonalize an integer matrix by unimodular row and column operations.
+def smith_normal_form(columns, rows):
+    """Diagonalize the integer matrix with these columns and this many rows.
 
     Returns a :class:`SmithForm`.  The nonzero diagonal entries are positive
     and each divides the next; U, V have determinant +-1.
     """
-    A = intmat(M)
-    m, n = A.shape
-    A = A.tolist()
+    m, n = rows, len(columns)
+    A = [[0] * n for _ in range(m)]
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            if not 0 <= r < m:
+                raise DimensionError(f"column {c} has an entry in row {r}, outside 0..{m - 1}")
+            A[r][c] = x
     U = _identity_rows(m)
     Vc = _identity_rows(n)  # columns of V
 
@@ -360,8 +387,8 @@ def smith_normal_form(M):
         t += 1
 
     diagonal = [A[i][i] for i in range(min(m, n))]
-    V = _array(Vc, n, n).T
-    return SmithForm((m, n), diagonal, _array(U, m, m), V)
+    V = [{r: x for r, x in enumerate(col) if x} for col in Vc]
+    return SmithForm((m, n), diagonal, U, V)
 
 
 def matrix_rank(columns):
@@ -370,18 +397,19 @@ def matrix_rank(columns):
 
 
 def solve(M, b):
-    """One integer solution x of M @ x == b, or None when unsolvable over Z.
+    """One integer solution x of M x == b, or None when unsolvable over Z.
 
-    Factors M once for this one right-hand side; with several right-hand
-    sides, call ``smith_normal_form(M).solve`` on each instead.
+    M is given by its columns and has as many rows as b has entries.  It is
+    factored once for this one right-hand side; with several right-hand
+    sides, call ``smith_normal_form(M, rows).solve`` on each instead.
     """
-    return smith_normal_form(M).solve(b)
+    return smith_normal_form(M, len(b)).solve(b)
 
 
-def kernel_basis(M):
-    """Columns form a basis of the (saturated) integer kernel lattice of M."""
-    sf = smith_normal_form(M)
-    return sf.V[:, sf.rank :].copy()
+def kernel_basis(M, rows):
+    """Columns forming a basis of the (saturated) integer kernel lattice of M."""
+    sf = smith_normal_form(M, rows)
+    return sf._V[sf.rank :]
 
 
 @dataclass(frozen=True)
@@ -389,26 +417,32 @@ class Kernel:
     """Kernel of an integer matrix as a free group plus its inclusion."""
 
     group: "FgAbelianGroup"
-    inclusion: np.ndarray  # cols(M) x rank, columns span ker(M)
+    inclusion: list  # columns span ker(M), in the coordinates of M's columns
 
 
-def kernel(M):
-    B = kernel_basis(M)
-    return Kernel(group=FgAbelianGroup(B.shape[1]), inclusion=B)
+def kernel(M, rows):
+    B = kernel_basis(M, rows)
+    return Kernel(group=FgAbelianGroup(len(B)), inclusion=B)
 
 
-def cokernel(M):
+def cokernel(M, rows):
     """Z^rows / column span of M; the group's ``reduce`` is the projection."""
-    A = intmat(M)
-    return FgAbelianGroup(A.shape[0], A)
+    return FgAbelianGroup(rows, M)
 
 
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
 
+def _check_rows(columns, rows, what):
+    """Raise DimensionError unless every entry of these columns lies in rows 0..rows-1."""
+    for c, col in enumerate(columns):
+        if any(not 0 <= r < rows for r in col):
+            raise DimensionError(f"{what} column {c} has an entry outside rows 0..{rows - 1}")
+
+
 class FgAbelianGroup:
-    """Z^ngens modulo the column span of a relation matrix.
+    """Z^ngens modulo the column span of a relation matrix, given by its columns.
 
     Normal-form coordinates list the torsion slots first (in invariant-factor
     order, entries taken mod d_i) followed by the free slots.  ``reduce`` maps
@@ -417,18 +451,13 @@ class FgAbelianGroup:
     """
 
     def __init__(self, ngens, rels=None):
-        self.ngens = int(ngens)
-        if rels is None:
-            rels = zeros(self.ngens, 0)
-        self.rels = intmat(rels)
-        if self.rels.shape[0] != self.ngens:
-            raise DimensionError(
-                f"relation matrix has {self.rels.shape[0]} rows, expected {ngens}"
-            )
+        self.ngens = operator.index(ngens)
+        self.rels = [] if rels is None else list(rels)
+        _check_rows(self.rels, self.ngens, "relation")
 
     @cached_property
     def _snf(self):
-        return smith_normal_form(self.rels)
+        return smith_normal_form(self.rels, self.ngens)
 
     @cached_property
     def _diag_full(self):
@@ -465,29 +494,26 @@ class FgAbelianGroup:
         return (0,) * self.nf_length
 
     def reduce(self, x):
-        x = intvec(x, length=self.ngens)
-        if x.shape[0] != self.ngens:
+        x = int_vector(x)
+        if len(x) != self.ngens:
             raise DimensionError(
-                f"vector of length {x.shape[0]} in group with {self.ngens} generators"
+                f"vector of length {len(x)} in group with {self.ngens} generators"
             )
-        y = self._snf.U.dot(x)
-        tor = tuple(int(y[i]) % self._diag_full[i] for i in self._torsion_pos)
-        free = tuple(int(y[i]) for i in self._free_pos)
+        y = _sum_terms((v, self._snf._U_columns[j]) for j, v in enumerate(x) if v)
+        tor = tuple(y.get(i, 0) % self._diag_full[i] for i in self._torsion_pos)
+        free = tuple(y.get(i, 0) for i in self._free_pos)
         return tor + free
 
     def section(self, nf):
-        nf = tuple(int(v) for v in nf)
+        nf = int_vector(nf)
         if len(nf) != self.nf_length:
             raise DimensionError(
                 f"normal form of length {len(nf)}, expected {self.nf_length}"
             )
-        y = np.zeros(self.ngens, dtype=object) + 0
-        k = len(self._torsion_pos)
-        for slot, i in enumerate(self._torsion_pos):
+        y = [0] * self.ngens
+        for slot, i in enumerate(self._torsion_pos + self._free_pos):
             y[i] = nf[slot]
-        for slot, i in enumerate(self._free_pos):
-            y[i] = nf[k + slot]
-        return self._snf.Uinv.dot(y)
+        return mat_vec(self._snf.Uinv, y, self.ngens)
 
     def is_zero(self, x):
         return self.reduce(x) == self.zero_nf()
@@ -507,23 +533,24 @@ class FgAbelianGroup:
 
 
 class GroupHom:
-    """Homomorphism between presented groups, as a matrix on ambient generators.
+    """Homomorphism between presented groups, by its matrix on ambient generators.
 
-    Well-definedness (relations land in relations) is checked at construction.
+    ``matrix`` has one column per source generator, its image in target
+    coordinates.  Well-definedness (relations land in relations) is checked
+    at construction.
     """
 
     def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
-        self.matrix = intmat(matrix, rows=target.ngens, cols=source.ngens)
-        if self.matrix.shape != (target.ngens, source.ngens):
+        self.matrix = list(matrix)
+        if len(self.matrix) != source.ngens:
             raise DimensionError(
-                f"hom matrix {self.matrix.shape}, expected "
-                f"{(target.ngens, source.ngens)}"
+                f"hom matrix has {len(self.matrix)} columns, expected {source.ngens}"
             )
-        for j in range(self.source.rels.shape[1]):
-            img = self.matrix.dot(self.source.rels[:, j])
-            if not self.target.is_zero(img):
+        _check_rows(self.matrix, target.ngens, "hom matrix")
+        for j, img in enumerate(compose(self.matrix, self.source.rels)):
+            if not self.target.is_zero(dense_vector(img, target.ngens)):
                 raise SubgroupContainmentError(
                     f"relation column {j} is not sent into the target relations"
                 )
@@ -532,26 +559,22 @@ class GroupHom:
         """self after other."""
         if other.target.ngens != self.source.ngens:
             raise DimensionError("composition dimension mismatch")
-        return GroupHom(other.source, self.target, self.matrix.dot(other.matrix))
+        return GroupHom(other.source, self.target, compose(self.matrix, other.matrix))
 
     def is_zero_hom(self):
-        return all(
-            self.target.is_zero(self.matrix[:, j])
-            for j in range(self.matrix.shape[1])
-        )
+        rows = self.target.ngens
+        return all(self.target.is_zero(dense_vector(col, rows)) for col in self.matrix)
 
     def kernel(self):
         """ker as a subquotient of the source group."""
-        stacked = hstack([self.matrix, self.target.rels])
-        K = kernel_basis(stacked)
-        L = K[: self.source.ngens, :]
-        return subquotient(self.source, L, self.source.rels)
+        K = kernel_basis(self.matrix + self.target.rels, self.target.ngens)
+        return subquotient(self.source, _restrict(K, self.source.ngens), self.source.rels)
 
     def image(self):
-        return subquotient(self.target, self.matrix, zeros(self.target.ngens, 0))
+        return subquotient(self.target, self.matrix, [])
 
     def cokernel(self):
-        return subquotient(self.target, eye(self.target.ngens), self.matrix)
+        return subquotient(self.target, identity(self.target.ngens), self.matrix)
 
     def __repr__(self):
         return f"GroupHom({self.source!r} -> {self.target!r})"
@@ -577,15 +600,14 @@ class Subquotient:
 
     @cached_property
     def _membership(self):
-        return smith_normal_form(hstack([self.gens, self.ambient.rels]))
+        return smith_normal_form(self.gens + self.ambient.rels, self.ambient.ngens)
 
     def coords(self, x):
         """One expression of x over the generators, as ambient-presentation coords."""
-        x = intvec(x, length=self.ambient.ngens)
         sol = self._membership.solve(x)
         if sol is None:
             raise NotInSubgroupError("vector is not a member of the subgroup")
-        return sol[: self.gens.shape[1]]
+        return sol[: len(self.gens)]
 
     def reduce(self, x):
         return self.group.reduce(self.coords(x))
@@ -601,7 +623,7 @@ class Subquotient:
         return self.reduce(x) == self.group.zero_nf()
 
     def generator_vectors(self):
-        return [self.gens.dot(v) for v in self.group.generator_vectors()]
+        return [mat_vec(self.gens, v, self.ambient.ngens) for v in self.group.generator_vectors()]
 
     def invariants(self):
         return self.group.invariants()
@@ -615,40 +637,43 @@ def _as_matrix(x, ngens):
         if x.target.ngens != ngens:
             raise DimensionError("hom target does not match the ambient group")
         return x.matrix
-    return intmat(x, rows=ngens)
+    return list(x)
 
 
 def induced_hom(src: Subquotient, tgt: Subquotient, fn) -> GroupHom:
     """GroupHom between subquotient groups induced by fn on ambient vectors.
 
-    fn must send the numerator of ``src`` into the numerator of ``tgt`` and
-    denominators into denominators; both are certified by the membership
-    solve and the GroupHom well-definedness check.
+    fn takes and returns dense vectors.  It must send the numerator of
+    ``src`` into the numerator of ``tgt`` and denominators into
+    denominators; both are certified by the membership solve and the
+    GroupHom well-definedness check.
     """
-    cols = [tgt.coords(fn(src.gens[:, j])) for j in range(src.gens.shape[1])]
-    mat = zeros(tgt.group.ngens, src.group.ngens)
-    for j, lam in enumerate(cols):
-        for i in range(tgt.group.ngens):
-            mat[i, j] = lam[i]
-    return GroupHom(src.group, tgt.group, mat)
+    rows = src.ambient.ngens
+    cols = []
+    for col in src.gens:
+        lam = tgt.coords(fn(dense_vector(col, rows)))
+        cols.append({i: x for i, x in enumerate(lam) if x})
+    return GroupHom(src.group, tgt.group, cols)
 
 
 def subquotient(amb, Z, B):
     """im(Z)/im(B) inside ``amb``; raises when im(B) is not inside im(Z).
 
-    Z and B may be GroupHoms into ``amb`` or plain matrices on its ambient
-    generators.  The violation certificate names the first offending column.
+    Z and B may be GroupHoms into ``amb`` or matrices, as columns, on its
+    ambient generators.  The violation certificate names the first
+    offending column.
     """
     MZ = _as_matrix(Z, amb.ngens)
     MB = _as_matrix(B, amb.ngens)
-    a = MZ.shape[1]
-    K = kernel_basis(hstack([MZ, MB, amb.rels]))
-    sq = Subquotient(ambient=amb, gens=MZ, group=FgAbelianGroup(a, K[:a, :]))
-    for j in range(MB.shape[1]):
-        if sq._membership.solve(MB[:, j]) is None:
+    a = len(MZ)
+    K = kernel_basis(MZ + MB + amb.rels, amb.ngens)
+    sq = Subquotient(ambient=amb, gens=MZ, group=FgAbelianGroup(a, _restrict(K, a)))
+    for j, col in enumerate(MB):
+        b = dense_vector(col, amb.ngens)
+        if sq._membership.solve(b) is None:
             raise SubgroupContainmentError(
                 f"generator column {j} of the denominator lies outside the "
-                f"numerator subgroup: {MB[:, j].tolist()}"
+                f"numerator subgroup: {b}"
             )
     return sq
 
@@ -701,9 +726,9 @@ def invariant_factors(columns):
     left = [rows[r] for r in sorted(rows) if rows[r]]
     if not left:
         return [1] * units
-    cols = sorted({c for row in left for c in row})
-    block = [[row.get(c, 0) for c in cols] for row in left]
-    return [1] * units + [d for d in smith_normal_form(block).diagonal if d]
+    block = transpose(left, max(c for row in left for c in row) + 1)
+    block = [col for col in block if col]
+    return [1] * units + [d for d in smith_normal_form(block, len(left)).diagonal if d]
 
 
 def cochain_invariants(top, dim, columns):
@@ -735,19 +760,16 @@ def cochain_invariants(top, dim, columns):
     return out
 
 
-def cochain_cohomology(k, top, dim, d_matrix, cycles=None, boundaries=None):
+def cochain_cohomology(k, top, dim, d_columns, cycles=None, boundaries=None):
     """H^k = ker d_k / im d_{k-1} of a cochain complex in degrees 0..top.
 
-    ``dim(k)`` is the rank of the degree-k cochains and ``d_matrix(k)`` the
-    differential out of them.  Outside 0..top the group is zero.  The
+    ``dim(k)`` is the rank of the degree-k cochains and ``d_columns(k)`` the
+    differential out of them, as sparse columns.  Outside 0..top the group is zero.  The
     spectral-sequence pages pass other degree-k lattices as ``cycles`` and
     ``boundaries``, callables run only when k is in range.
     """
     if not 0 <= k <= top:
-        return subquotient(FgAbelianGroup(0), zeros(0, 0), zeros(0, 0))
-    Z = cycles() if cycles else kernel_basis(d_matrix(k))
-    if boundaries:
-        B = boundaries()
-    else:
-        B = d_matrix(k - 1) if k >= 1 else zeros(dim(k), 0)
+        return subquotient(FgAbelianGroup(0), [], [])
+    Z = cycles() if cycles else kernel_basis(d_columns(k), dim(k + 1))
+    B = boundaries() if boundaries else d_columns(k - 1) if k >= 1 else []
     return subquotient(FgAbelianGroup(dim(k)), Z, B)

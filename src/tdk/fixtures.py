@@ -62,10 +62,9 @@ def simplicial_doc(name):
 def hopf_pair(c=1, k=1):
     """Degree-c circle bundle over S^2 with k units of degree-3 flux."""
     base = builtin_space("sphere", {"k": 2})
-    m = build_bundle(base, [c * base.basis_vector(2, 0)])
+    m = build_bundle(base, [[c * x for x in base.basis_vector(2, 0)]])
     flux = m.zero_vector(3)
-    if k:
-        flux = k * m.element_vector(2, 0, (0,))
+    flux[m.index[3][(2, 0, (0,))]] = k
     return Pair(m, Cocycle(3, flux))
 
 
@@ -78,8 +77,7 @@ def t3_volume_pair(k):
     base = builtin_space("torus", {"k": 2})
     m = build_bundle(base, [base.zero_vector(2)])
     flux = m.zero_vector(3)
-    if k:
-        flux = k * m.element_vector(2, 0, (0,))
+    flux[m.index[3][(2, 0, (0,))]] = k
     return Pair(m, Cocycle(3, flux))
 
 
@@ -94,8 +92,8 @@ def trivial_flux_pair(base_name, params=None, n=1, flux_units=0):
     base = builtin_space(base_name, params or {})
     m = build_bundle(base, [base.zero_vector(2)] * n)
     flux = m.zero_vector(3)
-    if flux_units and base.dim(3):
-        flux = flux_units * m.element_vector(3, 0, ())
+    if base.dim(3):
+        flux[m.index[3][(3, 0, ())]] = flux_units
     return Pair(m, Cocycle(3, flux))
 
 

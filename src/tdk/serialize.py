@@ -225,4 +225,5 @@ def onn_from_doc(doc):
     ):
         raise SchemaError(f"'matrix' must be {2 * n} x {2 * n}")
     rows = [[parse_int(x, f"matrix[{i}]") for x in row] for i, row in enumerate(mat)]
-    return OnnElement(n, rows)
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(2 * n)]
+    return OnnElement(n, columns)

@@ -19,10 +19,14 @@ import types
 from dataclasses import dataclass
 from functools import wraps
 
-import numpy as np
-
 from .errors import DimensionError, InputError, ModelError, SchemaError, parse_int
-from .exact_linalg import cochain_cohomology, cochain_invariants, dense_matrix, intvec
+from .exact_linalg import (
+    _sum_terms,
+    cochain_cohomology,
+    cochain_invariants,
+    dense_vector,
+    int_vector,
+)
 # unused here, but benchmark/tests/test_benchmark.py checks that its tracer patches it
 from .exact_linalg import subquotient  # noqa: F401
 
@@ -43,13 +47,17 @@ DEFAULT_TRUNCATION = 4
 
 @dataclass(frozen=True)
 class Cocycle:
-    """A degree and a coefficient vector over the model basis in that degree."""
+    """A degree and a coefficient vector over the model basis in that degree.
+
+    ``vector`` is any sequence of integers on input and a tuple of ints
+    afterwards, so the frozen value cannot change.
+    """
 
     degree: int
-    vector: np.ndarray
+    vector: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", intvec(self.vector))
+        object.__setattr__(self, "vector", tuple(int_vector(self.vector, "cocycle")))
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +90,9 @@ def memoised(method):
     return cached
 
 
-def _sum_terms(pairs):
-    """Sum of coeff * terms over (coeff, sparse cochain) pairs, as a sparse cochain."""
-    out = {}
-    for x, terms in pairs:
-        for c, y in terms.items():
-            out[c] = out.get(c, 0) + x * y
-    return {c: y for c, y in out.items() if y}
-
-
 def _values(vec, length):
     """The coordinates of a cochain vector of this length, as a list of ints."""
-    vals = list(map(int, vec.tolist() if isinstance(vec, np.ndarray) else vec))
+    vals = int_vector(vec)
     if len(vals) != length:
         raise DimensionError(f"cochain of length {len(vals)}, expected {length}")
     return vals
@@ -114,7 +113,7 @@ def _table_columns(table, rows, cols):
     """
     if isinstance(table, list) and table and all(type(col) is dict for col in table):
         return (rows, len(table)), table
-    table = [[int(x) for x in row] for row in table]
+    table = [int_vector(row, f"row {r}") for r, row in enumerate(table)]
     widths = {len(row) for row in table}
     if len(widths) > 1:
         raise DimensionError("matrix data is not rectangular")
@@ -145,14 +144,12 @@ class DgRingModel:
     cochain is a dict {index: coeff} with no zero entries.  The differential
     is stored only as such cochains: ``d_columns(k)`` holds d_k as one per
     basis element of degree k, the given columns or converted once from the
-    given table.
-    ``d_matrix(k)`` is the dense view that ``exact_linalg.dense_matrix``
-    builds on first use, for eliminations; ``diff`` maps each given degree
-    to it.  :meth:`mul_terms` and :meth:`d_terms` work on sparse cochains,
-    and :meth:`validate` scans only the nonzero products and differentials,
-    so the cost of both follows the nonzero structure constants, not the
-    basis size; :meth:`mul` and :meth:`d` take and return dense
-    object-dtype vectors.
+    given table, and it is also the matrix that eliminations take.
+    :meth:`mul_terms` and :meth:`d_terms` work on sparse cochains, and
+    :meth:`validate` scans only the nonzero products and differentials, so
+    the cost of both follows the nonzero structure constants, not the basis
+    size; :meth:`mul` and :meth:`d` take any sequence of integers and return
+    a list of ints.
     """
 
     def __init__(self, basis, diff, product, meta=None, check=True):
@@ -160,7 +157,7 @@ class DgRingModel:
         self.D = len(self.basis) - 1
         if self.D < 0 or not self.basis[0]:
             raise ModelError("model needs a nonempty degree-0 part")
-        self._dshape, self._dcols, self._dense = {}, {}, {}
+        self._dshape, self._dcols = {}, {}
         for k, table in dict(diff).items():
             k = int(k)
             self._dshape[k], self._dcols[k] = _table_columns(table, self.dim(k + 1), self.dim(k))
@@ -178,7 +175,7 @@ class DgRingModel:
         return len(self.basis[k]) if 0 <= k <= self.D else 0
 
     def zero_vector(self, k):
-        return np.zeros(self.dim(k), dtype=object) + 0
+        return [0] * self.dim(k)
 
     def basis_vector(self, k, idx):
         v = self.zero_vector(k)
@@ -191,29 +188,16 @@ class DgRingModel:
         return self._product
 
     @property
-    def diff(self):
-        """{k: d_matrix(k)} over the degrees whose differential was given (read-only)."""
-        return {k: self.d_matrix(k) for k in self._dcols}
-
-    @property
     def diff_shapes(self):
-        """{k: shape of d_matrix(k)} over the same degrees as ``diff``; builds no matrix."""
+        """{k: (rows, columns) of d_k} over the degrees whose differential was given."""
         return {k: self._dshape.get(k, (self.dim(k + 1), self.dim(k))) for k in self._dcols}
-
-    def d_matrix(self, k):
-        """d_k as a dense matrix, built on first use; the same object on every call."""
-        mat = self._dense.get(k)
-        if mat is None:
-            rows = self._dshape[k][0] if k in self._dshape else self.dim(k + 1)
-            mat = self._dense[k] = dense_matrix(self.d_columns(k), rows)
-        return mat
 
     def d_columns(self, k):
         """d_k as one sparse cochain per basis element of degree k (read-only)."""
         cols = self._dcols.get(k)
         return [{}] * self.dim(k) if cols is None else cols
 
-    def _d_values(self, k, vec):
+    def d(self, k, vec):
         """d of a cochain vector of degree k, as a list of ints."""
         out = [0] * self.dim(k + 1)
         for x, col in zip(_values(vec, self.dim(k)), self.d_columns(k)):
@@ -222,17 +206,13 @@ class DgRingModel:
                     out[r] += x * y
         return out
 
-    def d(self, k, vec):
-        out = self._d_values(k, vec)
-        return np.array(out, dtype=object) if out else self.zero_vector(k + 1)
-
     def d_terms(self, k, u):
         """d of the sparse cochain u of degree k, as a sparse cochain."""
         cols = self.d_columns(k)
         return _sum_terms((x, cols[a]) for a, x in u.items())
 
     def is_closed(self, k, vec):
-        return not any(self._d_values(k, vec))
+        return not any(self.d(k, vec))
 
     def mul_basis(self, i, a, j, b):
         """Structure constants of basis element a (deg i) times b (deg j)."""
@@ -255,10 +235,8 @@ class DgRingModel:
 
     def mul(self, i, u, j, v):
         """Product of cochain vectors u (deg i) and v (deg j)."""
-        out = [0] * self.dim(i + j)
-        for c, x in self.mul_terms(i, _terms(u, self.dim(i)), j, _terms(v, self.dim(j))).items():
-            out[c] = x
-        return intvec(out, length=len(out))
+        terms = self.mul_terms(i, _terms(u, self.dim(i)), j, _terms(v, self.dim(j)))
+        return dense_vector(terms, self.dim(i + j))
 
     # -- validation ----------------------------------------------------------
 
@@ -417,7 +395,7 @@ class DgRingModel:
     @memoised
     def cohomology(self, k):
         """H^k as a subquotient of the degree-k cochain lattice."""
-        return cochain_cohomology(k, self.D, self.dim, self.d_matrix)
+        return cochain_cohomology(k, self.D, self.dim, self.d_columns)
 
     def betti(self):
         """[(rank, torsion)] of H^k for k = 0..D, without classes.
@@ -496,14 +474,10 @@ class SimplicialComplex:
                 cols[self.index[k][tau[:drop] + tau[drop + 1 :]]][r] = -1 if drop % 2 else 1
         return cols
 
-    def coboundary(self, k):
-        """Matrix of the simplicial coboundary C^k -> C^{k+1}."""
-        return dense_matrix(self.coboundary_columns(k), self.n_simplices(k + 1))
-
     @memoised
     def cohomology(self, k):
         """H^k(K, Z) as a subquotient of simplicial k-cochains."""
-        return cochain_cohomology(k, self.dim, self.n_simplices, self.coboundary)
+        return cochain_cohomology(k, self.dim, self.n_simplices, self.coboundary_columns)
 
     def betti(self):
         """[(rank, torsion)] of H^k(K, Z) for k = 0..dim, without classes.
@@ -516,11 +490,11 @@ class SimplicialComplex:
     def cup(self, p, u, q, v):
         """Front-face/back-face cup product of cochains u (deg p), v (deg q)."""
         k = p + q
-        out = np.zeros(self.n_simplices(k), dtype=object) + 0
+        out = [0] * self.n_simplices(k)
         if k > self.dim:
             return out
-        u = intvec(u, length=self.n_simplices(p))
-        v = intvec(v, length=self.n_simplices(q))
+        u = int_vector(u)
+        v = int_vector(v)
         for r, sigma in enumerate(self.simplices[k]):
             front = sigma[: p + 1]
             back = sigma[p:]
@@ -730,7 +704,7 @@ def cohomology_ring(K: SimplicialComplex, truncation=DEFAULT_TRUNCATION):
             out.append((f"e{k}_{f_i}", "free", 0, reps[len(torsion) + f_i]))
         gens[k] = out
     # connected complex: use the constant-1 cochain as the unit representative
-    ones = np.zeros(K.n_simplices(0), dtype=object) + 1
+    ones = [1] * K.n_simplices(0)
     gens[0] = [("1", "free", 0, ones)]
 
     basis = []
@@ -825,7 +799,7 @@ def cohomology_ring(K: SimplicialComplex, truncation=DEFAULT_TRUNCATION):
                 "algebra of the realized complex (formality assumption)"
             ),
             "representatives": {
-                k: [rec[3].tolist() for rec in gens[k]] for k in range(D + 1)
+                k: [list(rec[3]) for rec in gens[k]] for k in range(D + 1)
             },
         },
     )

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     InputError,
     ModelError,
@@ -26,14 +24,17 @@ from .errors import (
     TripleMismatchError,
 )
 from .exact_linalg import (
+    _sum_terms,
+    compose,
+    dense_vector,
     induced_hom,
-    intvec,
+    int_vector,
     kernel_basis,
+    mat_vec,
     solve,
     subquotient,
-    zeros,
 )
-from .space_model import Cocycle
+from .space_model import Cocycle, _terms
 from .torus_bundle import BundleModel, FiltrationReport, build_bundle
 
 __all__ = [
@@ -63,9 +64,9 @@ class Pair:
     def __post_init__(self):
         if self.flux.degree != 3:
             raise InputError(f"flux has degree {self.flux.degree}, expected 3")
-        if self.flux.vector.shape[0] != self.bundle.dim(3):
+        if len(self.flux.vector) != self.bundle.dim(3):
             raise InputError(
-                f"flux vector has length {self.flux.vector.shape[0]}, "
+                f"flux vector has length {len(self.flux.vector)}, "
                 f"expected {self.bundle.dim(3)}"
             )
         if not self.bundle.is_closed(3, self.flux.vector):
@@ -109,10 +110,10 @@ class Triple:
         self.doubled = doubled
         if w is None:
             w = self.standard_w()
-        self.w = intvec(w, length=doubled.dim(2))
-        if self.w.shape[0] != doubled.dim(2):
+        self.w = int_vector(w, "correspondence cochain")
+        if len(self.w) != doubled.dim(2):
             raise InputError(
-                f"correspondence cochain has length {self.w.shape[0]}, "
+                f"correspondence cochain has length {len(self.w)}, "
                 f"expected {doubled.dim(2)}"
             )
 
@@ -125,26 +126,24 @@ class Triple:
     # -- embeddings into the doubled model ------------------------------------
 
     def embed_side_matrix(self, k):
-        m = zeros(self.doubled.dim(k), self.side.bundle.dim(k))
-        for col, (p, a, S) in enumerate(self.side.bundle.basis_elements(k)):
-            m[self.doubled.index[k][(p, a, S)], col] = 1
-        return m
+        """The inclusion of the side model's degree-k cochains, as columns."""
+        index = self.doubled.index
+        return [{index[k][e]: 1} for e in self.side.bundle.basis_elements(k)]
 
     def embed_dual_matrix(self, k):
-        n = self.n
-        m = zeros(self.doubled.dim(k), self.dual.bundle.dim(k))
-        for col, (p, a, T) in enumerate(self.dual.bundle.basis_elements(k)):
-            shifted = tuple(t + n for t in T)
-            m[self.doubled.index[k][(p, a, shifted)], col] = 1
-        return m
+        """The inclusion of the dual model's degree-k cochains, fiber indices shifted by n."""
+        n, index = self.n, self.doubled.index
+        return [
+            {index[k][(p, a, tuple(t + n for t in T))]: 1}
+            for p, a, T in self.dual.bundle.basis_elements(k)
+        ]
 
     def correspondence_defect(self):
-        """dw - (phat* zhat - p* z); the zero vector on a valid triple."""
-        dw = self.doubled.d(2, self.w)
-        rhs = self.embed_dual_matrix(3).dot(self.dual.flux.vector) - self.embed_side_matrix(
-            3
-        ).dot(self.side.flux.vector)
-        return dw - rhs
+        """dw - (phat* zhat - p* z), as a list; all zero on a valid triple."""
+        rows = self.doubled.dim(3)
+        dual = mat_vec(self.embed_dual_matrix(3), self.dual.flux.vector, rows)
+        side = mat_vec(self.embed_side_matrix(3), self.side.flux.vector, rows)
+        return [x - y + z for x, y, z in zip(self.doubled.d(2, self.w), dual, side)]
 
     def with_data(self, side=None, dual=None, w=None):
         return Triple(
@@ -212,10 +211,11 @@ def _pairing_primitive(base, cs, chs):
     None means that the degree-4 pairing of the two lists of degree-2
     cocycles is not exact.
     """
-    total = base.zero_vector(4)
-    for a, b in zip(cs, chs):
-        total = total + base.mul(2, a, 2, b)
-    return solve(base.d_matrix(3), -total)
+    total = _sum_terms(
+        (-1, base.mul_terms(2, _terms(a, base.dim(2)), 2, _terms(b, base.dim(2))))
+        for a, b in zip(cs, chs)
+    )
+    return solve(base.d_columns(3), dense_vector(total, base.dim(4)))
 
 
 def extract_dual_chern(pair: Pair):
@@ -242,7 +242,7 @@ def _dual_chern(pair: Pair, report: FiltrationReport):
         for j in range(i + 1, n):
             shift = [base.zero_vector(2) for _ in range(n)]
             shift[i] = cherns[j]
-            shift[j] = -cherns[i]
+            shift[j] = [-x for x in cherns[i]]
             ambiguity.append([H2.reduce(s) for s in shift])
     return classes, {"representatives": zhat, "shear_generators": ambiguity}
 
@@ -261,8 +261,8 @@ def dualize(pair: Pair, choice=None) -> Triple:
     m = pair.bundle
     base = m.base
     if choice is not None:
-        zhat = [intvec(z, length=base.dim(2)) for z in choice["chern_hat"]]
-        beta = intvec(choice.get("beta", base.zero_vector(3)), length=base.dim(3))
+        zhat = [int_vector(z, f"chern_hat[{i}]") for i, z in enumerate(choice["chern_hat"])]
+        beta = int_vector(choice.get("beta", base.zero_vector(3)), "beta")
         if len(zhat) != m.n:
             raise InputError("need one dual chern cocycle per fiber circle")
         for i, z in enumerate(zhat):
@@ -315,7 +315,7 @@ def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern):
     expected = bundle.normal_form_vector(other_chern, beta)
     if not bundle.is_closed(3, expected):
         return False, "internal: expected leading representative not closed"
-    diff = Cocycle(3, flux.vector - expected)
+    diff = Cocycle(3, [x - y for x, y in zip(flux.vector, expected)])
     report = bundle.filtration_report(diff)
     if report.in_step(3):
         return True, "leading part matches"
@@ -384,18 +384,15 @@ def h3_action(t: Triple, alpha: Cocycle) -> Triple:
     base = t.base
     if alpha.degree != 3:
         raise InputError("the torsor acts by degree-3 base classes")
-    vec = intvec(alpha.vector, length=base.dim(3))
+    vec = alpha.vector
     if not base.is_closed(3, vec):
         raise InputError("action class is not closed")
-    new_side = Pair(
-        t.side.bundle,
-        Cocycle(3, t.side.flux.vector + t.side.bundle.pullback_matrix(3).dot(vec)),
-    )
-    new_dual = Pair(
-        t.dual.bundle,
-        Cocycle(3, t.dual.flux.vector + t.dual.bundle.pullback_matrix(3).dot(vec)),
-    )
-    return t.with_data(side=new_side, dual=new_dual)
+
+    def moved(pair):
+        shift = pair.bundle.pullback(3, vec)
+        return Pair(pair.bundle, Cocycle(3, [x + y for x, y in zip(pair.flux.vector, shift)]))
+
+    return t.with_data(side=moved(t.side), dual=moved(t.dual))
 
 
 def _require_same_bundles(t1: Triple, t2: Triple):
@@ -425,35 +422,35 @@ def torsor_difference(t1: Triple, t2: Triple) -> Cocycle:
     Fh = t1.dual.bundle
     Dm = t1.doubled
 
-    K3 = kernel_basis(base.d_matrix(3))
-    k3 = K3.shape[1]
-    dimF2, dimFh2, dimD1 = F.dim(2), Fh.dim(2), Dm.dim(1)
-    rows1, rows2, rows3 = F.dim(3), Fh.dim(3), Dm.dim(2)
+    K3 = kernel_basis(base.d_columns(3), base.dim(4))
+    off2, off3 = F.dim(3), F.dim(3) + Fh.dim(3)  # the row blocks start at 0, off2, off3
 
-    block = zeros(rows1 + rows2 + rows3, k3 + dimF2 + dimFh2 + dimD1)
-    block[:rows1, :k3] = F.pullback_matrix(3).dot(K3)
-    block[:rows1, k3 : k3 + dimF2] = F.d_matrix(2)
-    block[rows1 : rows1 + rows2, :k3] = Fh.pullback_matrix(3).dot(K3)
-    block[rows1 : rows1 + rows2, k3 + dimF2 : k3 + dimF2 + dimFh2] = Fh.d_matrix(2)
-    p2 = t1.embed_side_matrix(2)
-    ph2 = t1.embed_dual_matrix(2)
-    block[rows1 + rows2 :, k3 : k3 + dimF2] = -p2
-    block[rows1 + rows2 :, k3 + dimF2 : k3 + dimF2 + dimFh2] = ph2
-    block[rows1 + rows2 :, k3 + dimF2 + dimFh2 :] = Dm.d_matrix(1)
+    def stack(*parts):
+        """One column from (row offset, sign, column) parts."""
+        return {off + r: sign * x for off, sign, col in parts for r, x in col.items()}
 
-    rhs = np.concatenate(
-        [
-            t1.side.flux.vector - t2.side.flux.vector,
-            t1.dual.flux.vector - t2.dual.flux.vector,
-            t1.w - t2.w,
-        ]
+    pulled = zip(compose(F.pullback_matrix(3), K3), compose(Fh.pullback_matrix(3), K3))
+    block = (
+        [stack((0, 1, a), (off2, 1, b)) for a, b in pulled]
+        + [stack((0, 1, d), (off3, -1, e))
+           for d, e in zip(F.d_columns(2), t1.embed_side_matrix(2))]
+        + [stack((off2, 1, d), (off3, 1, e))
+           for d, e in zip(Fh.d_columns(2), t1.embed_dual_matrix(2))]
+        + [stack((off3, 1, d)) for d in Dm.d_columns(1)]
     )
+    rhs = [
+        x - y
+        for a, b in ((t1.side.flux.vector, t2.side.flux.vector),
+                     (t1.dual.flux.vector, t2.dual.flux.vector),
+                     (t1.w, t2.w))
+        for x, y in zip(a, b)
+    ]
     sol = solve(block, rhs)
     if sol is None:
         raise TripleMismatchError(
             "no base class relates the triples; the data are not in one orbit"
         )
-    return Cocycle(3, K3.dot(sol[:k3]))
+    return Cocycle(3, mat_vec(K3, sol, base.dim(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,27 +463,27 @@ def _substitute_fiber(m_old: BundleModel, m_new: BundleModel, vec, k, images):
     The base part is carried over unchanged; fiber monomials are expanded by
     multiplying the generator images in ascending order.
     """
-    out = m_new.zero_vector(k)
+    images = [_terms(v, m_new.dim(1)) for v in images]
+    out = []
     for idx, coeff in enumerate(vec):
         if coeff == 0:
             continue
         p, a, S = m_old.elements[k][idx]
-        acc = m_new.element_vector(p, a, ())
+        acc = {m_new.index[p][(p, a, ())]: 1}
         deg = p
         for i in S:
-            acc = m_new.mul(deg, acc, 1, images[i])
+            acc = m_new.mul_terms(deg, acc, 1, images[i])
             deg += 1
-        out = out + coeff * acc
-    return out
+        out.append((coeff, acc))
+    return dense_vector(_sum_terms(out), m_new.dim(k))
 
 
 def gauge_images(m: BundleModel, shifts):
     """Images y_i + pi*(shift_i) of the fiber generators, as C^1 vectors."""
     images = []
     for i in range(m.n):
-        v = m.element_vector(0, 0, (i,))
-        shift = intvec(shifts[i], length=m.base.dim(1))
-        v = v + m.pullback_matrix(1).dot(shift)
+        v = m.pullback(1, shifts[i])
+        v[m.index[1][(0, 0, (i,))]] += 1
         images.append(v)
     return images
 
@@ -494,8 +491,8 @@ def gauge_images(m: BundleModel, shifts):
 def gauge_action(t: Triple, psis, psihats) -> Triple:
     """Apply the bundle automorphisms given by psi, psihat in H^1(B, Z^n)."""
     base = t.base
-    psis = [intvec(p, length=base.dim(1)) for p in psis]
-    psihats = [intvec(p, length=base.dim(1)) for p in psihats]
+    psis = [int_vector(p, "psi") for p in psis]
+    psihats = [int_vector(p, "psihat") for p in psihats]
     if len(psis) != t.n or len(psihats) != t.n:
         raise InputError("need one degree-1 class per fiber circle on each side")
     for v in psis + psihats:
@@ -516,14 +513,12 @@ def gauge_action(t: Triple, psis, psihats) -> Triple:
 def gauge_shift(t: Triple, psis, psihats) -> Cocycle:
     """The base class chat . [psi] + c . [psihat] produced by the gauge action."""
     base = t.base
-    psis = [intvec(p, length=base.dim(1)) for p in psis]
-    psihats = [intvec(p, length=base.dim(1)) for p in psihats]
-    out = base.zero_vector(3)
-    for zh, psi in zip(t.dual.bundle.chern, psis):
-        out = out + base.mul(2, zh, 1, psi)
-    for zc, psih in zip(t.side.bundle.chern, psihats):
-        out = out + base.mul(2, zc, 1, psih)
-    return Cocycle(3, out)
+    pairs = list(zip(t.dual.bundle.chern, psis)) + list(zip(t.side.bundle.chern, psihats))
+    out = _sum_terms(
+        (1, base.mul_terms(2, _terms(z, base.dim(2)), 1, _terms(psi, base.dim(1))))
+        for z, psi in pairs
+    )
+    return Cocycle(3, dense_vector(out, base.dim(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +563,7 @@ def extension_report(pair: Pair) -> ExtensionReport:
         dual_chern, ambiguity = _dual_chern(pair, report)
 
     H3B = base.cohomology(3)
-    pull = induced_hom(
-        H3B,
-        m.total_cohomology(3),
-        lambda v: m.pullback_matrix(3).dot(v),
-    )
+    pull = induced_hom(H3B, m.total_cohomology(3), lambda v: m.pullback(3, v))
     ker = pull.kernel()
 
     H1B = base.cohomology(1)
@@ -580,10 +571,7 @@ def extension_report(pair: Pair) -> ExtensionReport:
     for i in range(m.n):
         for g in H1B.generator_vectors():
             img_cols.append(H3B.coords(base.mul(2, m.chern[i], 1, g)))
-    imC = zeros(H3B.group.ngens, len(img_cols))
-    for j, c in enumerate(img_cols):
-        for i in range(H3B.group.ngens):
-            imC[i, j] = c[i]
+    imC = [{i: x for i, x in enumerate(c) if x} for c in img_cols]
     torsor = subquotient(H3B.group, ker.gens, imC)
 
     page = m.ss_page(3, 0, 2)

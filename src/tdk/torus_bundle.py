@@ -19,21 +19,18 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError, ModelError
 from .exact_linalg import (
     FgAbelianGroup,
     GroupHom,
     Subquotient,
     cochain_cohomology,
-    eye,
-    hstack,
+    compose,
     induced_hom,
-    intvec,
+    int_vector,
     kernel_basis,
+    mat_vec,
     solve,
-    zeros,
 )
 from .space_model import Cocycle, DgRingModel, memoised, shuffle_sign
 
@@ -56,12 +53,11 @@ class ChernVector:
             if isinstance(z, Cocycle):
                 if z.degree != 2:
                     raise InputError(f"chern cocycle {i} has degree {z.degree}, expected 2")
-                vec = z.vector
-            else:
-                vec = intvec(z, length=base.dim(2))
-            if vec.shape[0] != base.dim(2):
+                z = z.vector
+            vec = int_vector(z, f"chern cocycle {i}")
+            if len(vec) != base.dim(2):
                 raise InputError(
-                    f"chern cocycle {i} has length {vec.shape[0]}, "
+                    f"chern cocycle {i} has length {len(vec)}, "
                     f"expected {base.dim(2)}"
                 )
             if not base.is_closed(2, vec):
@@ -154,7 +150,7 @@ class BundleModel(DgRingModel):
         ``products`` memoises b_a . z_i by (p, a, i) across the degrees of one build.
         """
         base = self.base
-        chern = [{z: int(x) for z, x in enumerate(c) if x} for c in self.chern]
+        chern = [{z: x for z, x in enumerate(c) if x} for c in self.chern]
         rows = self.index[k + 1]
         cols = []
         for p, a, S in self.elements[k]:
@@ -252,27 +248,27 @@ class BundleModel(DgRingModel):
     # -- maps to and from the base and fiber ----------------------------------
 
     def pullback_matrix(self, k):
-        mat = zeros(self.dim(k), self.base.dim(k))
-        for a in range(self.base.dim(k)):
-            mat[self.index[k][(k, a, ())], a] = 1
-        return mat
+        """The inclusion b -> b (x) y_empty of base degree-k cochains, as columns."""
+        return [{self.index[k][(k, a, ())]: 1} for a in range(self.base.dim(k))]
+
+    def pullback(self, k, vec):
+        """The base degree-k cochain ``vec`` pulled back to the total model, as a list."""
+        return mat_vec(self.pullback_matrix(k), int_vector(vec), self.dim(k))
 
     def pullback_to_total(self, coc: Cocycle) -> Cocycle:
         """b -> b (x) y_empty; a ring map and a chain map."""
         if coc.degree > self.base.D:
             raise InputError("cocycle degree exceeds the base model")
-        return Cocycle(coc.degree, self.pullback_matrix(coc.degree).dot(coc.vector))
+        return Cocycle(coc.degree, self.pullback(coc.degree, coc.vector))
 
     def fiber_restriction(self, z: Cocycle):
         """Coefficients of the pure fiber monomials, positive base degrees dropped."""
         k = z.degree
-        monos = self.monomials(k)
-        out = np.zeros(len(monos), dtype=object) + 0
-        vec = intvec(z.vector, length=self.dim(k))
-        for m_i, S in enumerate(monos):
+        vec = z.vector
+        out = []
+        for S in self.monomials(k):
             idx = self.index[k].get((0, 0, S))
-            if idx is not None:
-                out[m_i] = vec[idx]
+            out.append(0 if idx is None else vec[idx])
         return out
 
     # -- cohomology and the spectral sequence ---------------------------------
@@ -280,7 +276,7 @@ class BundleModel(DgRingModel):
     @memoised
     def total_cohomology(self, k):
         """H^k of the total space as a subquotient of degree-k cochains."""
-        return cochain_cohomology(k, self.D, self.dim, self.d_matrix)
+        return cochain_cohomology(k, self.D, self.dim, self.d_columns)
 
     def cohomology(self, k):
         """H^k from :meth:`total_cohomology`: one memo, and one span in ``benchmark/tracing.py``."""
@@ -300,27 +296,25 @@ class BundleModel(DgRingModel):
 
     @memoised
     def z_lattice(self, r, p, q):
-        """Basis of Z_r^{p,q} = {x in F^p C^{p+q} : dx in F^{p+r}} in C^{p+q}.
+        """Basis of Z_r^{p,q} = {x in F^p C^{p+q} : dx in F^{p+r}} in C^{p+q}, as columns.
 
         F^p C^k is the basis suffix from ``start`` and F^{p+r} C^{k+1} the one
-        from ``low``, so the condition asks that the block d_k[:low, start:]
-        kills x: Z_r is that block's kernel, padded by ``start`` zero rows.
-        With no rows below p + r (r <= 0, or k = D) Z_r is all of F^p C^k.
-        The lattice depends only on (p, p + q); the q index is bookkeeping.
+        from ``low``, so the condition asks that the block of d_k on the
+        columns from ``start`` and the rows below ``low`` kills x: Z_r is
+        that block's kernel, shifted down by ``start`` rows.  With no rows
+        below p + r (r <= 0, or k = D) Z_r is all of F^p C^k.  The lattice
+        depends only on (p, p + q); the q index is bookkeeping.
         """
         k = p + q
         if k < 0 or k > self.D:
-            return zeros(0, 0)
+            return []
         r = min(r, self.stable_page)
         start = self._step_start(k, p)
         low = self._step_start(k + 1, p + r) if r > 0 and k < self.D else 0
-        if low:
-            K = kernel_basis(self.d_matrix(k)[:low, start:])
-        else:
-            K = eye(self.dim(k) - start)
-        lattice = zeros(self.dim(k), K.shape[1])
-        lattice[start:, :] = K
-        return lattice
+        if not low:
+            return [{i: 1} for i in range(start, self.dim(k))]
+        block = [{i: x for i, x in col.items() if i < low} for col in self.d_columns(k)[start:]]
+        return [{start + i: x for i, x in col.items()} for col in kernel_basis(block, low)]
 
     @memoised
     def _page_subquotient(self, r, p, q):
@@ -329,14 +323,13 @@ class BundleModel(DgRingModel):
         Slots with q > n, q < 0 or p < 0 come out trivial by themselves.
         """
         r = min(r, self.stable_page)
-        d = self.d_matrix
 
         def boundaries():
             inner = self.z_lattice(r - 1, p - r + 1, q + r - 2)
-            return hstack([self.z_lattice(r - 1, p + 1, q - 1), d(p + q - 1).dot(inner)])
+            return self.z_lattice(r - 1, p + 1, q - 1) + compose(self.d_columns(p + q - 1), inner)
 
         return cochain_cohomology(
-            p + q, self.D, self.dim, d,
+            p + q, self.D, self.dim, self.d_columns,
             cycles=lambda: self.z_lattice(r, p, q), boundaries=boundaries,
         )
 
@@ -374,19 +367,19 @@ class BundleModel(DgRingModel):
     def filtration_report(self, z: Cocycle) -> "FiltrationReport":
         """Maximal p with [z] in F^p H^k, plus the leading part at infinity."""
         k = z.degree
-        vec = intvec(z.vector, length=self.dim(k))
+        vec = list(z.vector)
         if not self.is_closed(k, vec):
             raise InputError("filtration_report needs a closed cochain")
         if self.total_cohomology(k).is_zero(vec):
             return FiltrationReport(
-                degree=k, is_zero=True, p=None, leading=(), representative=vec * 0
+                degree=k, is_zero=True, p=None, leading=(), representative=[0] * len(vec)
             )
-        bmat = self.d_matrix(k - 1)  # d_{-1} is the zero map into C^0
+        bmat = self.d_columns(k - 1)  # d_{-1} is the zero map into C^0
         for p in range(min(k, self.base.D), -1, -1):
             Kp = self.z_lattice(self.stable_page, p, k - p)
-            sol = solve(hstack([Kp, bmat]), vec)
+            sol = solve(Kp + bmat, vec)
             if sol is not None:
-                rep = Kp.dot(sol[: Kp.shape[1]])
+                rep = mat_vec(Kp, sol, len(vec))
                 leading = self._page_subquotient(self.stable_page, p, k - p).reduce(rep)
                 return FiltrationReport(
                     degree=k, is_zero=False, p=p, leading=leading, representative=rep
@@ -423,18 +416,21 @@ class SSPage:
     def apply_d(self, vec):
         """d_r of the class of ``vec``, as a normal form in the target slot."""
         lam = self.group.section(self.sq.reduce(vec))
-        return self.d_out.target.reduce(self.d_out.matrix.dot(lam))
+        return self.d_out.target.reduce(mat_vec(self.d_out.matrix, lam, self.d_out.target.ngens))
 
 
 @dataclass
 class FiltrationReport:
-    """Maximal filtration step of a class and its leading-part coordinates."""
+    """Maximal filtration step of a class and its leading-part coordinates.
+
+    ``representative`` is a cochain in F^p of the class, as a list of ints.
+    """
 
     degree: int
     is_zero: bool
     p: int | None
     leading: tuple
-    representative: np.ndarray
+    representative: list
 
     def in_step(self, p):
         return self.is_zero or (self.p is not None and self.p >= p)

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError, ModelError
-from .exact_linalg import intvec, kernel_basis, matrix_rank
-from .space_model import Cocycle, _sum_terms, _terms
+from .exact_linalg import _sum_terms, compose, int_vector, kernel_basis, matrix_rank
+from .space_model import Cocycle, _terms
 from .tduality_core import Triple
 from .torus_bundle import BundleModel
 
@@ -64,14 +64,9 @@ def rational_rank(columns):
     return matrix_rank(columns)
 
 
-def rational_kernel(M):
+def rational_kernel(M, rows):
     """Integer columns spanning ker(M) over Q."""
-    return kernel_basis(M)
-
-
-def _compose(A, B):
-    """Sparse columns of A o B, for A and B given as sparse columns."""
-    return [_sum_terms((x, A[r]) for r, x in col.items()) for col in B]
+    return kernel_basis(M, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +78,7 @@ class TwistedComplex:
 
     def __init__(self, bundle: BundleModel, z):
         self.bundle = bundle
-        z = intvec(z, length=bundle.dim(3))
+        z = int_vector(z, "twisting cocycle")
         if not bundle.is_closed(3, z):
             raise InputError("twisting cocycle must be closed of degree 3")
         self.z = z
@@ -102,7 +97,7 @@ class TwistedComplex:
             self.dims[par] = pos
         self.D_from = {par: self._columns(par) for par in (0, 1)}
         for par in (0, 1):
-            if any(_compose(self.D_from[1 - par], self.D_from[par])):
+            if any(compose(self.D_from[1 - par], self.D_from[par])):
                 raise ModelError("twisted differential does not square to zero")
 
     def _columns(self, par):
@@ -163,8 +158,8 @@ class TMap:
         n_sign = -1 if self.parity_shift % 2 else 1
         out = {}
         for par in (0, 1):
-            lhs = _compose(self.target.D_from[(par + self.parity_shift) % 2], self.blocks[par])
-            rhs = _compose(self.blocks[1 - par], self.source.D_from[par])
+            lhs = compose(self.target.D_from[(par + self.parity_shift) % 2], self.blocks[par])
+            rhs = compose(self.blocks[1 - par], self.source.D_from[par])
             out[par] = [_sum_terms(((1, a), (-n_sign, b))) for a, b in zip(lhs, rhs)]
         return out
 

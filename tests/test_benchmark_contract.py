@@ -2,7 +2,7 @@
 
 The tracer wraps functions and methods by name, reads ``cache_info()`` of
 the per-instance memoised methods (``space_model.memoised``) for its hit
-ratios, sizes Smith forms through their U, D, V arrays and passes ``check=``
+ratios, sizes Smith forms through their U, D, V numpy views and passes ``check=``
 to ``build_bundle``; its workloads read ``model.total`` of a bundle.  The
 benchmark's own tests run apart from this suite, so these checks keep a
 change to ``tdk`` from silently breaking ``benchmark/run.py --trace``.  The
@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from tdk.exact_linalg import intmat, smith_normal_form
+from matrices import array, columns
+from tdk.exact_linalg import smith_normal_form
 from tdk.fixtures import simplicial_doc
 from tdk.space_model import builtin_space, parse_space
 from tdk.torus_bundle import build_bundle
@@ -48,10 +49,15 @@ def test_every_traced_cache_has_cache_info(tracing):
 
 def test_smith_form_sizer_reads_one_result(tracing):
     tracer = tracing.Tracer()
-    result = smith_normal_form(intmat([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+    M = [{0: 2, 1: -6, 2: 10}, {0: 4, 1: 6, 2: -4}, {0: 4, 1: 12, 2: -16}]
+    assert M == columns([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    result = smith_normal_form(M, 3)
     tracing._snf_sizes(tracer, (), {}, result)
     assert tracer.counters["exact_linalg.snf.cells"] == 9
     assert tracer.maxima["exact_linalg.snf.bits"] > 0
+    # the views are the factors: U M V = D
+    assert (result.U.dot(array(M, 3)).dot(result.V) == result.D).all()
+    assert result.D.tolist() == [[2, 0, 0], [0, 6, 0], [0, 0, 12]]
 
 
 def test_build_bundle_accepts_check():

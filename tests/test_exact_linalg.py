@@ -2,7 +2,9 @@
 
 The independent oracle used throughout is the determinantal-divisor formula:
 d_1 * ... * d_k equals the gcd of all k x k minors.  It shares no code with
-the pivoting reduction in tdk.exact_linalg.
+the pivoting reduction in tdk.exact_linalg.  Matrices are written here as
+lists of rows and handed to ``tdk`` as sparse columns (``matrices.columns``);
+products are checked on numpy object arrays.
 """
 
 import itertools
@@ -11,24 +13,25 @@ import random
 import numpy as np
 import pytest
 
-from tdk.errors import NotInSubgroupError, SubgroupContainmentError
+from matrices import array, columns, mat_eq, vec
+from tdk.errors import InputError, NotInSubgroupError, SubgroupContainmentError
 from tdk.exact_linalg import (
     FgAbelianGroup,
     GroupHom,
     cokernel,
-    eye,
-    hstack,
-    intmat,
-    intvec,
+    identity,
     kernel,
     kernel_basis,
-    mat_eq,
     matrix_rank,
     smith_normal_form,
     solve,
     subquotient,
-    zeros,
+    unimodular_inverse,
 )
+
+
+def eye(n):
+    return array(identity(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +81,13 @@ def oracle_invariant_factors(mat):
 
 
 def check_snf_contract(mat):
-    M = intmat(mat)
-    sf = smith_normal_form(M)
+    M = array(columns(mat), len(mat))
+    sf = smith_normal_form(columns(mat), len(mat))
     # U M V = D exactly
     assert mat_eq(sf.U.dot(M).dot(sf.V), sf.D)
     # tracked inverses are exact
-    assert mat_eq(sf.U.dot(sf.Uinv), eye(M.shape[0]))
-    assert mat_eq(sf.V.dot(sf.Vinv), eye(M.shape[1]))
+    assert mat_eq(sf.U.dot(array(sf.Uinv, M.shape[0])), eye(M.shape[0]))
+    assert mat_eq(sf.V.dot(array(unimodular_inverse(columns(sf.V)), M.shape[1])), eye(M.shape[1]))
     # D diagonal, chain, nonzero entries positive
     m, n = sf.D.shape
     for i in range(m):
@@ -113,16 +116,14 @@ def test_snf_spec_example():
 
 
 def test_snf_zero_1x1():
-    M = intmat([[0]])
-    sf = smith_normal_form(M)
+    sf = smith_normal_form(columns([[0]]), 1)
     assert sf.D[0, 0] == 0
     assert check_snf_contract([[0]]) == []
 
 
 def test_snf_empty_shapes():
     for shape in [(0, 0), (0, 3), (3, 0)]:
-        M = zeros(*shape)
-        sf = smith_normal_form(M)
+        sf = smith_normal_form([{}] * shape[1], shape[0])
         assert sf.D.shape == shape
 
 
@@ -147,9 +148,8 @@ def test_rank_nullity():
     for _ in range(40):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        M = intmat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
-        columns = [{r: M[r, c] for r in range(m) if M[r, c]} for c in range(n)]
-        assert kernel_basis(M).shape[1] + matrix_rank(columns) == n
+        M = columns([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
+        assert len(kernel_basis(M, m)) + matrix_rank(M) == n
 
 
 def test_rank_reads_past_explicit_zero_entries():
@@ -163,18 +163,18 @@ def test_rank_reads_past_explicit_zero_entries():
 
 
 def test_solve_trivial_cases():
-    x = solve([[2]], [4])
+    x = solve(columns([[2]]), [4])
     assert x is not None and x[0] == 2
-    assert solve([[2]], [3]) is None
+    assert solve(columns([[2]]), [3]) is None
 
 
 def test_solve_spec_example():
     M = [[2, 4], [6, 8]]
-    x = solve(M, [2, 6])
+    x = solve(columns(M), [2, 6])
     assert x is not None
-    assert (intmat(M).dot(x) == intvec([2, 6])).all()
+    assert (array(columns(M), 2).dot(vec(x)) == vec([2, 6])).all()
     # direct check of the spec's stated witness
-    assert (intmat(M).dot(intvec([1, 0])) == intvec([2, 6])).all()
+    assert (array(columns(M), 2).dot(vec([1, 0])) == vec([2, 6])).all()
 
 
 def test_solve_randomized_roundtrip():
@@ -182,17 +182,18 @@ def test_solve_randomized_roundtrip():
     for _ in range(50):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
-        M = intmat([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
-        xs = intvec([rng.randint(-3, 3) for _ in range(n)])
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        M = array(columns(rows), m)
+        xs = vec([rng.randint(-3, 3) for _ in range(n)])
         b = M.dot(xs)
-        x = solve(M, b)
+        x = solve(columns(rows), b)
         assert x is not None
-        assert (M.dot(x) == b).all()
+        assert (M.dot(vec(x)) == b).all()
 
 
 def test_solve_unsolvable_congruence():
     # 2Z + 4Z cannot hit an odd number
-    assert solve([[2, 4]], [3]) is None
+    assert solve(columns([[2, 4]]), [3]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -200,31 +201,31 @@ def test_solve_unsolvable_congruence():
 
 
 def test_kernel_of_sum_map():
-    K = kernel([[1, 1]])
+    K = kernel(columns([[1, 1]]), 1)
     assert K.group.invariants() == (1, ())
-    v = K.inclusion[:, 0]
-    assert sorted([int(v[0]), int(v[1])]) == [-1, 1]
+    v = K.inclusion[0]
+    assert sorted([v.get(0, 0), v.get(1, 0)]) == [-1, 1]
     # inclusion composed with M is zero
-    assert intmat([[1, 1]]).dot(K.inclusion)[0, 0] == 0
+    assert array(columns([[1, 1]]), 1).dot(array(K.inclusion, 2))[0, 0] == 0
 
 
 def test_cokernel_cyclic():
     for k in [1, 2, 5, 12]:
-        G = cokernel([[k]])
+        G = cokernel(columns([[k]]), 1)
         assert G.invariants() == ((0, ()) if k == 1 else (0, (k,)))
 
 
 def test_cokernel_spec_example():
-    G = cokernel([[2, 4], [6, 8]])
+    G = cokernel(columns([[2, 4], [6, 8]]), 2)
     assert G.invariants() == (0, (2, 4))
 
 
 def test_cokernel_projection_surjective_with_kernel_im():
-    M = intmat([[2, 0], [0, 3]])
-    G = cokernel(M)
+    M = columns([[2, 0], [0, 3]])
+    G = cokernel(M, 2)
     # projection kills exactly the image
-    assert G.is_zero(M.dot(intvec([1, 1])))
-    assert not G.is_zero(intvec([1, 0]))
+    assert G.is_zero(array(M, 2).dot(vec([1, 1])))
+    assert not G.is_zero([1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,7 @@ def test_cokernel_projection_surjective_with_kernel_im():
 
 
 def test_group_reduce_section_roundtrip():
-    G = FgAbelianGroup(3, [[2, 0], [0, 0], [0, 3]])
+    G = FgAbelianGroup(3, columns([[2, 0], [0, 0], [0, 3]]))
     assert G.invariants() == (1, (6,))  # Z/2 + Z/3 + Z = Z/6 + Z
     for nf in [(0, 0), (1, 0), (5, -2), (3, 7)]:
         canonical = G.reduce(G.section(nf))
@@ -247,17 +248,17 @@ def nf_add(G, ra, rb):
 
 
 def test_group_reduce_additive():
-    G = FgAbelianGroup(3, [[2, 0], [0, 3], [0, 0]])
+    G = FgAbelianGroup(3, columns([[2, 0], [0, 3], [0, 0]]))
     assert G.invariants() == (1, (6,))  # Z/2 + Z/3 + Z normalizes to Z/6 + Z
     rng = random.Random(5)
     for _ in range(20):
-        a = intvec([rng.randint(-9, 9) for _ in range(3)])
-        b = intvec([rng.randint(-9, 9) for _ in range(3)])
+        a = vec([rng.randint(-9, 9) for _ in range(3)])
+        b = vec([rng.randint(-9, 9) for _ in range(3)])
         assert G.reduce(a + b) == nf_add(G, G.reduce(a), G.reduce(b))
 
 
 def test_invariant_factors_drop_ones():
-    G = FgAbelianGroup(2, [[1, 0], [0, 6]])
+    G = FgAbelianGroup(2, columns([[1, 0], [0, 6]]))
     assert G.invariants() == (0, (6,))
 
 
@@ -266,17 +267,17 @@ def test_invariant_factors_drop_ones():
 
 
 def test_hom_well_definedness_checked():
-    Z2 = FgAbelianGroup(1, [[2]])
-    Z4 = FgAbelianGroup(1, [[4]])
+    Z2 = FgAbelianGroup(1, columns([[2]]))
+    Z4 = FgAbelianGroup(1, columns([[4]]))
     # doubling Z/2 -> Z/4 is fine; identity is not
-    GroupHom(Z2, Z4, [[2]])
+    GroupHom(Z2, Z4, columns([[2]]))
     with pytest.raises(SubgroupContainmentError):
-        GroupHom(Z2, Z4, [[1]])
+        GroupHom(Z2, Z4, columns([[1]]))
 
 
 def test_hom_kernel_image_cokernel():
     Z = FgAbelianGroup(1)
-    f = GroupHom(Z, Z, [[6]])
+    f = GroupHom(Z, Z, columns([[6]]))
     assert f.kernel().invariants() == (0, ())
     assert f.image().invariants() == (1, ())
     assert f.cokernel().invariants() == (0, (6,))
@@ -284,12 +285,12 @@ def test_hom_kernel_image_cokernel():
 
 def test_hom_kernel_with_torsion_target():
     Z = FgAbelianGroup(1)
-    Z6 = FgAbelianGroup(1, [[6]])
-    proj = GroupHom(Z, Z6, [[1]])
+    Z6 = FgAbelianGroup(1, columns([[6]]))
+    proj = GroupHom(Z, Z6, columns([[1]]))
     ker = proj.kernel()
     assert ker.invariants() == (1, ())
-    assert ker.contains(intvec([6]))
-    assert not ker.contains(intvec([3]))
+    assert ker.contains([6])
+    assert not ker.contains([3])
 
 
 # ---------------------------------------------------------------------------
@@ -298,47 +299,90 @@ def test_hom_kernel_with_torsion_target():
 
 def test_subquotient_cyclic():
     Z = FgAbelianGroup(1)
-    sq = subquotient(Z, eye(1), [[5]])
+    sq = subquotient(Z, identity(1), columns([[5]]))
     assert sq.invariants() == (0, (5,))
 
 
 def test_subquotient_self_is_trivial():
     Z2 = FgAbelianGroup(2)
-    M = intmat([[1, 2], [3, 4]])
+    M = columns([[1, 2], [3, 4]])
     sq = subquotient(Z2, M, M)
     assert sq.group.is_trivial()
 
 
 def test_subquotient_spec_example():
     Z2 = FgAbelianGroup(2)
-    sq = subquotient(Z2, eye(2), [[2, 0], [0, 3]])
+    sq = subquotient(Z2, identity(2), columns([[2, 0], [0, 3]]))
     assert sq.invariants() == (0, (6,))
 
 
 def test_subquotient_containment_violation_reported():
     Z = FgAbelianGroup(1)
     with pytest.raises(SubgroupContainmentError):
-        subquotient(Z, [[2]], [[3]])
+        subquotient(Z, columns([[2]]), columns([[3]]))
 
 
 def test_subquotient_reduce_additive_and_membership():
     Z2 = FgAbelianGroup(2)
-    sq = subquotient(Z2, [[2, 0], [0, 1]], [[4], [0]])
+    sq = subquotient(Z2, columns([[2, 0], [0, 1]]), columns([[4], [0]]))
     # subgroup 2Z + Z, quotient by 4Z in the first slot: Z/2 + Z
     assert sq.invariants() == (1, (2,))
     with pytest.raises(NotInSubgroupError):
-        sq.reduce(intvec([1, 0]))
-    a, b = intvec([2, 3]), intvec([4, -1])
+        sq.reduce([1, 0])
+    a, b = vec([2, 3]), vec([4, -1])
     ra, rb, rab = sq.reduce(a), sq.reduce(b), sq.reduce(a + b)
     assert rab[0] == (ra[0] + rb[0]) % 2 and rab[1] == ra[1] + rb[1]
 
 
 def test_subquotient_inside_torsion_ambient():
     # ambient Z/12, numerator 2Z/12 = Z/6, denominator 6Z/12 = Z/2: quotient Z/3
-    amb = FgAbelianGroup(1, [[12]])
-    sq = subquotient(amb, [[2]], [[6]])
+    amb = FgAbelianGroup(1, columns([[12]]))
+    sq = subquotient(amb, columns([[2]]), columns([[6]]))
     assert sq.invariants() == (0, (3,))
-    assert sq.reduce(intvec([2])) != sq.group.zero_nf()
-    assert sq.is_zero(intvec([6]))
+    assert sq.reduce([2]) != sq.group.zero_nf()
+    assert sq.is_zero([6])
     # reduction only depends on the ambient class: 14 = 2 mod 12
-    assert sq.reduce(intvec([14])) == sq.reduce(intvec([2]))
+    assert sq.reduce([14]) == sq.reduce([2])
+
+
+# ---------------------------------------------------------------------------
+# exact input: every outside vector is read by operator.index, never truncated
+
+
+def test_int_vector_reads_ints_and_numpy_integers_exactly():
+    import numpy as np
+
+    from tdk.exact_linalg import int_vector
+
+    got = int_vector(np.array([3, -2, 10**30], dtype=object))
+    assert got == [3, -2, 10**30] and all(type(x) is int for x in got)
+    got = int_vector(np.array([1, 2], dtype=np.int64))
+    assert got == [1, 2] and all(type(x) is int for x in got)
+    with pytest.raises(InputError, match=r"^v: entry 1 is 2\.0, not an integer$"):
+        int_vector([1, 2.0], "v")
+
+
+def test_float_chern_entry_is_refused_not_truncated():
+    from tdk.space_model import builtin_space
+    from tdk.torus_bundle import build_bundle
+
+    S2 = builtin_space("sphere", {"k": 2})
+    # int(1.9) == 1 would build the Hopf bundle
+    with pytest.raises(InputError, match=r"chern cocycle 0: entry 0 is 1\.9, not an integer"):
+        build_bundle(S2, [[1.9]])
+
+
+def test_float_cocycle_entries_are_refused_not_truncated():
+    from tdk.space_model import Cocycle
+
+    with pytest.raises(InputError, match=r"cocycle: entry 0 is 0\.5, not an integer"):
+        Cocycle(3, [0.5, 2.7])
+    assert Cocycle(3, [0, 2]).vector == (0, 2)
+
+
+def test_float_chosen_dual_chern_is_refused_not_truncated():
+    from tdk.fixtures import named_pair
+    from tdk.tduality_core import dualize
+
+    with pytest.raises(InputError, match=r"chern_hat\[0\]: entry 0 is 0\.5, not an integer"):
+        dualize(named_pair("hopf_k2"), choice={"chern_hat": [[0.5]]})

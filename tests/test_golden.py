@@ -138,7 +138,10 @@ EXTRA_PAIRS = {
 def extra_pair(name):
     base, params, chern, flux = EXTRA_PAIRS[name]
     m = build_bundle(builtin_space(base, params), chern)
-    return Pair(m, Cocycle(3, sum(x * m.element_vector(*e) for e, x in flux.items())))
+    vec = m.zero_vector(3)
+    for e, x in flux.items():
+        vec[m.index[3][e]] += x
+    return Pair(m, Cocycle(3, vec))
 
 
 def total_doc(name):

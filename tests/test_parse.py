@@ -1,6 +1,7 @@
 """Reading untrusted documents: ``parse_int`` and the ``dgring`` parser.
 
-``parse_int`` takes a fast path for plain ASCII digit strings; a property
+``parse_int`` takes a fast path for plain ASCII digit strings, signed by at
+most one leading ``-``; a property
 holds it to ``reference_parse_int``, the general path alone, over ints,
 booleans and short texts of digits, signs, spaces, letters and non-ASCII
 digits.  ``parse_space`` reads ``dgring`` documents straight into sparse
@@ -16,7 +17,7 @@ import sys
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tdk.errors import ModelError, SchemaError, parse_int  # noqa: E402
@@ -57,6 +58,13 @@ TEXT = st.text(alphabet="0123456789+- \tabxyzE._²٣ ", max_size=8)
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.one_of(TEXT, st.integers(), st.booleans()))
+@example("-0")
+@example("-")
+@example("--1")
+@example("-+1")
+@example("-٣")
+@example(" -1")
+@example("-1 ")
 def test_parse_int_matches_the_reference(x):
     assert outcome(parse_int, x) == outcome(reference_parse_int, x)
 
@@ -71,6 +79,22 @@ def test_fast_path_gives_the_located_digit_limit_error():
         sys.set_int_max_str_digits(limit)
     assert err.value.location == "diff[2]"
     assert str(err.value) == "diff[2]: integer of 700 characters exceeds the digit limit"
+
+
+def test_signed_fast_path_gives_the_located_digit_limit_error():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = "-" + "7" * 700
+        assert outcome(parse_int, text) == outcome(reference_parse_int, text)
+        with pytest.raises(SchemaError) as err:
+            parse_int(text, "product[0].result.coeff")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.location == "product[0].result.coeff"
+    assert str(err.value) == (
+        "product[0].result.coeff: integer of 701 characters exceeds the digit limit"
+    )
 
 
 # every degree-2 cochain on these bases is closed, so any chern data will do

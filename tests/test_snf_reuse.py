@@ -8,23 +8,25 @@ for every reused solve.  ``invariant_factors``, which splits off unit pivots
 before it calls the kernel, is held to the same two diagonals, and
 ``matrix_rank``, which counts its factors, to sympy's rank.  Matrices
 include empty shapes and zero rows and columns; entries stay small because the pivot rule lets coefficients of the
-transforms grow quickly on dense matrices.
+transforms grow quickly on dense matrices.  Each is drawn as its sparse
+columns and its row count, the form ``tdk`` takes; the checks multiply the
+numpy views of the factors.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from matrices import array, columns, vec
 from tdk.exact_linalg import (
-    eye,
-    intmat,
-    intvec,
+    identity,
     invariant_factors,
-    mat_eq,
     matrix_rank,
     smith_normal_form,
     solve,
-    zeros,
+    unimodular_inverse,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -42,7 +44,8 @@ def int_matrices(draw, max_side=5, entries=st.integers(-5, 5)):
         j = draw(st.integers(0, n - 1))
         for row in rows:
             row[j] = 0
-    return intmat(rows, rows=m, cols=n) if m and n else zeros(m, n)
+    cols = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(n)]
+    return cols, m
 
 
 # sparse +-1 matrices, the shape of simplicial coboundaries
@@ -56,8 +59,10 @@ def test_diagonal_matches_sympy(M):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-    m, n = M.shape
-    sf = smith_normal_form(M)
+    cols, m = M
+    n = len(cols)
+    M = array(cols, m)
+    sf = smith_normal_form(cols, m)
     if min(m, n) == 0:
         assert sf.diagonal == []
         return
@@ -72,10 +77,11 @@ def test_invariant_factors_match_both_smith_forms(M):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-    m, n = M.shape
-    columns = [{r: int(M[r, c]) for r in range(m) if M[r, c]} for c in range(n)]
+    columns, m = M
+    n = len(columns)
+    M = array(columns, m)
     got = invariant_factors(columns)
-    assert got == [d for d in smith_normal_form(M).diagonal if d]
+    assert got == [d for d in smith_normal_form(columns, m).diagonal if d]
     if min(m, n):
         S = sympy_snf(sympy.Matrix(M.tolist()), domain=sympy.ZZ)
         assert got == [abs(int(S[i, i])) for i in range(min(m, n)) if S[i, i]]
@@ -85,35 +91,41 @@ def test_invariant_factors_match_both_smith_forms(M):
 @SETTINGS
 @given(matrices)
 def test_transforms_and_inverses(M):
-    m, n = M.shape
-    sf = smith_normal_form(M)
-    for name in ("U", "D", "V", "Uinv", "Vinv"):
+    cols, m = M
+    n = len(cols)
+    sf = smith_normal_form(cols, m)
+    for name in ("U", "D", "V"):
         assert getattr(sf, name).ndim == 2
+    Uinv = array(sf.Uinv, m)
+    Vinv = array(unimodular_inverse(columns(sf.V)), n)
+    assert Uinv.ndim == 2 and Vinv.ndim == 2
     assert sf.D.shape == (m, n)
-    assert mat_eq(sf.U.dot(M).dot(sf.V), sf.D)
-    assert mat_eq(sf.U.dot(sf.Uinv), eye(m))
-    assert mat_eq(sf.V.dot(sf.Vinv), eye(n))
+    assert np.array_equal(sf.U.dot(array(cols, m)).dot(sf.V), sf.D)
+    assert np.array_equal(sf.U.dot(Uinv), array(identity(m), m))
+    assert np.array_equal(sf.V.dot(Vinv), array(identity(n), n))
 
 
 @SETTINGS
 @given(matrices, st.data())
 def test_reused_solve_matches_fresh_solve(M, data):
-    m, n = M.shape
-    sf = smith_normal_form(M)
+    cols, m = M
+    n = len(cols)
+    M = array(cols, m)
+    sf = smith_normal_form(cols, m)
     small = st.integers(-4, 4)
     for _ in range(6):
         if n and data.draw(st.booleans()):
             # solvable by construction
-            x = intvec(data.draw(st.lists(small, min_size=n, max_size=n)))
-            b = M.dot(x) if m else intvec([], length=0)
+            x = vec(data.draw(st.lists(small, min_size=n, max_size=n)))
+            b = M.dot(x).tolist() if m else []
         else:
-            b = intvec(data.draw(st.lists(small, min_size=m, max_size=m)), length=m)
-        reused, fresh = sf.solve(b), solve(M, b)
+            b = data.draw(st.lists(small, min_size=m, max_size=m))
+        reused, fresh = sf.solve(b), solve(cols, b)
         if fresh is None:
             assert reused is None
         else:
-            assert reused is not None and reused.tolist() == fresh.tolist()
-            assert M.dot(reused).tolist() == b.tolist()
+            assert reused is not None and reused == fresh
+            assert M.dot(vec(reused)).tolist() == b
 
 
 # U and V fix every particular solution and normal-form coordinate that
@@ -138,7 +150,7 @@ FROZEN = [
 
 @pytest.mark.parametrize("M, diagonal, U, V", FROZEN)
 def test_pivot_order_is_frozen(M, diagonal, U, V):
-    sf = smith_normal_form(intmat(M))
+    sf = smith_normal_form(columns(M), len(M))
     assert sf.diagonal == diagonal
     assert sf.U.tolist() == U
     assert sf.V.tolist() == V

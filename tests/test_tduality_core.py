@@ -9,7 +9,7 @@ flux dualizes to the degree-k nilmanifold with zero flux.
 import pytest
 
 from tdk.errors import InputError, NotDualizableError, TripleMismatchError
-from tdk.exact_linalg import intvec
+from matrices import scaled
 from tdk.space_model import Cocycle, builtin_space
 from tdk.tduality_core import (
     Pair,
@@ -35,16 +35,16 @@ PT = builtin_space("point")
 
 
 def hopf_pair(c=1, k=1):
-    m = build_bundle(S2, [c * S2.basis_vector(2, 0)])
+    m = build_bundle(S2, [scaled(c, S2.basis_vector(2, 0))])
     flux = m.zero_vector(3)
     if k:
-        flux = k * m.element_vector(2, 0, (0,))
+        flux = scaled(k, m.element_vector(2, 0, (0,)))
     return Pair(m, Cocycle(3, flux))
 
 
 def t3_over_t2_pair(k):
     m = build_bundle(T2, [T2.zero_vector(2)])
-    flux = k * m.element_vector(2, 0, (0,))  # k . vol(T^2) . y
+    flux = scaled(k, m.element_vector(2, 0, (0,)))  # k . vol(T^2) . y
     return Pair(m, Cocycle(3, flux))
 
 
@@ -158,7 +158,7 @@ def test_point_triple_n1():
 
 def test_tampered_w_fails_validation():
     t = dualize(hopf_pair(1, 2))
-    bad = Triple(t.side, t.dual, 2 * t.w, doubled=t.doubled)
+    bad = Triple(t.side, t.dual, scaled(2, t.w), doubled=t.doubled)
     report = validate_triple(bad)
     assert not report.ok
     assert not report.items["fiber_condition"][0]
@@ -178,7 +178,7 @@ def test_validation_catches_wrong_dual_side():
     # dual side with the wrong chern class: leading parts cannot match
     pair = hopf_pair(1, 2)
     t = dualize(pair)
-    wrong_dual_bundle = build_bundle(S2, [5 * S2.basis_vector(2, 0)])
+    wrong_dual_bundle = build_bundle(S2, [scaled(5, S2.basis_vector(2, 0))])
     flux = wrong_dual_bundle.zero_vector(3)
     flux[wrong_dual_bundle.index[3][(2, 0, (0,))]] = 1
     wrong = Triple(
@@ -191,11 +191,11 @@ def test_validation_catches_wrong_dual_side():
 def test_choice_override_checked():
     pair = hopf_pair(1, 2)
     good = dualize(
-        pair, choice={"chern_hat": [2 * S2.basis_vector(2, 0)], "beta": S2.zero_vector(3)}
+        pair, choice={"chern_hat": [scaled(2, S2.basis_vector(2, 0))], "beta": S2.zero_vector(3)}
     )
     assert validate_triple(good).ok
     with pytest.raises(InputError):
-        dualize(pair, choice={"chern_hat": [3 * S2.basis_vector(2, 0)]})
+        dualize(pair, choice={"chern_hat": [scaled(3, S2.basis_vector(2, 0))]})
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_double_dual_is_identity_on_pairs():
 
 def test_double_dual_on_n2_pair():
     m = build_bundle(T2, [T2.basis_vector(2, 0), T2.zero_vector(2)])
-    flux = 2 * m.element_vector(2, 0, (1,))
+    flux = scaled(2, m.element_vector(2, 0, (1,)))
     pair = Pair(m, Cocycle(3, flux))
     t = dualize(pair)
     assert validate_triple(t).ok
@@ -260,7 +260,7 @@ def test_h3_action_free_and_invertible(base_name, make):
         delta = torsor_difference(moved, t)
         assert H3.reduce(delta.vector) == H3.reduce(alpha.vector)
         # inverse action returns to the original class
-        back = h3_action(moved, Cocycle(3, -alpha.vector))
+        back = h3_action(moved, Cocycle(3, scaled(-1, alpha.vector)))
         assert H3.reduce(torsor_difference(back, t).vector) == H3.group.zero_nf()
 
 
@@ -305,7 +305,7 @@ def test_gauge_action_formula_on_t3():
     base = T3
     H3 = base.cohomology(3)
     for k in [0, 1, 2]:
-        m = build_bundle(base, [k * base.basis_vector(2, 0)])
+        m = build_bundle(base, [scaled(k, base.basis_vector(2, 0))])
         pair = Pair(m, Cocycle(3, m.zero_vector(3)))
         t = dualize(pair)
         gens1 = base.cohomology(1).generator_vectors()
@@ -324,12 +324,12 @@ def test_gauge_shift_explicit_value():
     base = T3
     k = 2
     m = build_bundle(base, [base.zero_vector(2)])
-    pair = Pair(m, Cocycle(3, k * m.element_vector(2, 0, (0,))))
+    pair = Pair(m, Cocycle(3, scaled(k, m.element_vector(2, 0, (0,)))))
     t = dualize(pair)  # dual chern = k.[x1 x2]
     psi = base.basis_vector(1, 2)  # x3
     shift = gauge_shift(t, [psi], [base.zero_vector(1)])
     H3 = base.cohomology(3)
-    assert H3.reduce(shift.vector) == H3.reduce(k * base.basis_vector(3, 0))
+    assert H3.reduce(shift.vector) == H3.reduce(scaled(k, base.basis_vector(3, 0)))
     assert H3.reduce(shift.vector) != H3.group.zero_nf()
 
 

@@ -13,7 +13,7 @@ cohomology of F^2 C, and a cochain of F^2 C^3 that is cohomologous to a
 cocycle is itself closed).  F^2 C^3 is the basis suffix of C^3 from
 ``start = _step_start(3, 2)``, so the condition asks that the rows of H
 above ``start`` lie in the Z-span of the same rows of d_2: one ``solve`` on
-``d_matrix(2)[:start, :]``.
+those rows of ``d_columns(2)``.
 """
 
 import pytest
@@ -22,7 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from tdk.exact_linalg import kernel_basis, solve  # noqa: E402
+from tdk.exact_linalg import kernel_basis, mat_vec, solve  # noqa: E402
 from tdk.space_model import Cocycle, builtin_space  # noqa: E402
 from tdk.tduality_core import Pair, is_dualizable  # noqa: E402
 from tdk.torus_bundle import build_bundle  # noqa: E402
@@ -43,16 +43,17 @@ def pairs(draw):
     coeff = st.integers(-2, 2)
     chern = [draw(st.lists(coeff, min_size=base.dim(2), max_size=base.dim(2))) for _ in range(n)]
     m = build_bundle(base, chern)
-    K = kernel_basis(m.d_matrix(3))
-    weights = draw(st.lists(coeff, min_size=K.shape[1], max_size=K.shape[1]))
-    return Pair(m, Cocycle(3, K.dot(weights) if weights else m.zero_vector(3)))
+    K = kernel_basis(m.d_columns(3), m.dim(4))
+    weights = draw(st.lists(coeff, min_size=len(K), max_size=len(K)))
+    return Pair(m, Cocycle(3, mat_vec(K, weights, m.dim(3))))
 
 
 def in_second_step(pair):
     """[H] in F^2 H^3, by one solve against the rows of d_2 below base degree 2."""
     m = pair.bundle
     start = m._step_start(3, 2)
-    return solve(m.d_matrix(2)[:start, :], pair.flux.vector[:start]) is not None
+    rows = [{r: x for r, x in col.items() if r < start} for col in m.d_columns(2)]
+    return solve(rows, pair.flux.vector[:start]) is not None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
