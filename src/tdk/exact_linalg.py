@@ -20,9 +20,19 @@ is left goes to ``smith_normal_form``, of which only the diagonal is read.
 ``matrix_rank`` counts those factors, so a rank builds no U or V for the
 unit pivots.  Cohomology has two routines on top of that:
 ``cochain_invariants`` gives the isomorphism type of every H^k from one
-``invariant_factors`` per differential, and ``cochain_cohomology`` builds
+elimination per differential, and ``cochain_cohomology`` builds
 H^k = ker d_k / im d_{k-1} as a :class:`Subquotient` for callers that need
 classes, representatives or reductions.
+
+``cochain_invariants`` also clears across degrees, as Chen & Kerber's
+"twist" (2011) does for persistent homology: it runs the degrees from top
+to bottom, and the pivot columns of d_k's unit phase are rows of d_{k-1}
+that it never loads.  Under its precondition d o d = 0 this keeps every
+invariant factor of d_{k-1}: a pivot row of d_k is, at its pivot, a
+Z-combination z of rows of d_k with z_p = +-1 and zeros at the earlier
+pivot columns, and z d_{k-1} = 0 writes row p of d_{k-1} through the rows
+that are kept (the full proof is in ``cochain_invariants``).  On an
+m x m torus or Klein-bottle grid, d_0 keeps m^2 + 1 of its 3 m^2 rows.
 
 Factor once, solve many: a matrix that meets several right-hand sides is
 factored once and each right-hand side goes through ``SmithForm.solve``,
@@ -678,6 +688,71 @@ def subquotient(amb, Z, B):
     return sq
 
 
+def _unit_pivots(columns, cleared=()):
+    """Split the +-1 pivots off the matrix with these sparse columns.
+
+    Rows in ``cleared`` are not loaded.  Returns (pivots, rows): the pivot
+    column of each unit factor split off, in pivot order, and the rows left
+    as {row: {column: coeff}}, some of them empty.  See
+    ``invariant_factors`` for the steps and the pivot rule.
+    """
+    rows = {}
+    where = {}  # column -> rows with a nonzero entry in it
+    for c, col in enumerate(columns):
+        hit = set()
+        for r, x in col.items():
+            if x and r not in cleared:  # a stored zero is no entry
+                if r in rows:
+                    rows[r][c] = x
+                else:
+                    rows[r] = {c: x}
+                hit.add(r)
+        if hit:
+            where[c] = hit
+    pivots = []
+    for r in sorted(rows):
+        row = rows[r]
+        p = None
+        for c, x in row.items():
+            if x == 1 or x == -1:
+                n = len(where[c])
+                if p is None or n < fewest or n == fewest and c < p:
+                    p, fewest = c, n
+        if p is None:
+            continue
+        sign = row.pop(p)
+        for c in row:
+            where[c].discard(r)
+        others = where.pop(p)
+        others.discard(r)
+        for r2 in others:
+            other = rows[r2]
+            q = other.pop(p) * sign
+            for c, x in row.items():
+                if c in other:
+                    y = other[c] - q * x
+                    if y:
+                        other[c] = y
+                    else:
+                        del other[c]
+                        where[c].discard(r2)
+                else:
+                    other[c] = -q * x
+                    where[c].add(r2)
+        del rows[r]
+        pivots.append(p)
+    return pivots, rows
+
+
+def _block_factors(rows):
+    """Nonzero Smith diagonal of the rows that ``_unit_pivots`` leaves."""
+    left = [row for _, row in sorted(rows.items()) if row]
+    if not left:
+        return []
+    block = transpose(left, max(c for row in left for c in row) + 1)
+    return [d for d in smith_normal_form([col for col in block if col], len(left)).diagonal if d]
+
+
 def invariant_factors(columns):
     """Nonzero Smith diagonal d_1 | d_2 | ... of the matrix with these columns.
 
@@ -689,46 +764,12 @@ def invariant_factors(columns):
     in the column with the fewest entries (least index on ties), which
     limits fill-in.  What is left goes to ``smith_normal_form``; only its
     diagonal is read, so the pivot rule of that kernel fixes nothing here.
+    Each step only adds multiples of one row to others, so every row left
+    is a Z-combination of the rows given; ``cochain_invariants`` builds its
+    clearing on that.
     """
-    rows = {}
-    for c, col in enumerate(columns):
-        for r, x in col.items():
-            if x:  # a stored zero is no entry
-                rows.setdefault(r, {})[c] = x
-    where = {}  # column -> rows with a nonzero entry in it
-    for r, row in rows.items():
-        for c in row:
-            where.setdefault(c, set()).add(r)
-    units = 0
-    for r in sorted(rows):
-        row = rows[r]
-        pivots = [c for c, x in row.items() if x in (1, -1)]
-        if not pivots:
-            continue
-        p = min(pivots, key=lambda c: (len(where[c]), c))
-        sign = row[p]
-        for r2 in where[p] - {r}:
-            other = rows[r2]
-            q = other[p] * sign
-            for c, x in row.items():
-                y = other.get(c, 0) - q * x
-                if y:
-                    if c not in other:
-                        where[c].add(r2)
-                    other[c] = y
-                else:
-                    del other[c]
-                    where[c].discard(r2)
-        for c in row:
-            where[c].discard(r)
-        del rows[r]
-        units += 1
-    left = [rows[r] for r in sorted(rows) if rows[r]]
-    if not left:
-        return [1] * units
-    block = transpose(left, max(c for row in left for c in row) + 1)
-    block = [col for col in block if col]
-    return [1] * units + [d for d in smith_normal_form(block, len(left)).diagonal if d]
+    pivots, rows = _unit_pivots(columns)
+    return [1] * len(pivots) + _block_factors(rows)
 
 
 def cochain_invariants(top, dim, columns):
@@ -745,13 +786,31 @@ def cochain_invariants(top, dim, columns):
     H^k plus the free C^k / ker d_k, its torsion is that of H^k, and by the
     Smith form of d_{k-1} that torsion is sum_i Z/e_i; ranks add up as stated.
 
-    The precondition d o d = 0 is not checked here.  It holds by construction
-    for simplicial complexes, ``DgRingModel.validate`` certifies it for parsed
-    ``dgring`` documents, and ``check_d_squared`` for every bundle build.
-    Callers that need classes, representatives or reductions use
-    ``cochain_cohomology`` instead.
+    Clearing (Chen & Kerber's twist, for cochains): the degrees run from top
+    to bottom, and the pivot columns of d_k's unit phase are rows of d_{k-1}
+    (both index the basis of C^k) that are never loaded.  Dropping them
+    keeps the invariant factors of d_{k-1}.  Proof: when row r of d_k pivots
+    at column p, its current value z is a Z-combination of rows of d_k, so
+    z d_{k-1} = 0 by d o d = 0; z_p = +-1, and z is zero at every earlier
+    pivot column, which the earlier pivots cleared from all rows left.  So
+    row p of d_{k-1} is a Z-combination of its rows at non-pivot columns
+    and at later pivot columns.  By induction from the last pivot, every
+    cleared row of d_{k-1} is a Z-combination of the kept rows; subtracting
+    those combinations is unimodular and leaves the cleared rows zero.
+
+    The precondition d o d = 0 is not checked here, and clearing rests on it
+    as much as the formula does.  It holds by construction for simplicial
+    complexes, ``DgRingModel.validate`` certifies it for parsed ``dgring``
+    documents, and ``check_d_squared`` for every bundle build.  Callers that
+    need classes, representatives or reductions use ``cochain_cohomology``
+    instead.
     """
-    factors = [invariant_factors(columns(k)) for k in range(top + 1)]
+    factors = [None] * (top + 1)
+    cleared = ()
+    for k in range(top, -1, -1):
+        pivots, rows = _unit_pivots(columns(k), cleared)
+        factors[k] = [1] * len(pivots) + _block_factors(rows)
+        cleared = set(pivots)
     out = []
     for k in range(top + 1):
         below = factors[k - 1] if k else []

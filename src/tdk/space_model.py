@@ -15,6 +15,7 @@ assumption and is flagged in the model metadata.
 from __future__ import annotations
 
 import itertools
+import operator
 import types
 from dataclasses import dataclass
 from functools import wraps
@@ -136,7 +137,9 @@ class DgRingModel:
     or converted: their entries must be exact nonzero ints in rows
     0..dim(k+1)-1, which ``validate`` does not check (``parse_space`` has);
     ``product[(i, a, j, b)]`` maps a basis pair to a dict {index: coeff} in
-    degree i + j.  Pairs involving the unit default to the identity action,
+    degree i + j; keys, indices and coefficients are read by
+    ``operator.index``, so a float is an InputError naming the entry, not
+    truncated.  Pairs involving the unit default to the identity action,
     all other missing pairs to zero.  Products landing above degree D are
     truncated to zero.
 
@@ -163,8 +166,13 @@ class DgRingModel:
             self._dshape[k], self._dcols[k] = _table_columns(table, self.dim(k + 1), self.dim(k))
         self._product = {}
         for key, entry in dict(product).items():
-            i, a, j, b = map(int, key)
-            self._product[(i, a, j, b)] = {int(c): int(v) for c, v in dict(entry).items() if int(v) != 0}
+            entry = dict(entry)
+            try:
+                i, a, j, b = map(operator.index, key)
+                terms = zip(map(operator.index, entry), map(operator.index, entry.values()))
+                self._product[(i, a, j, b)] = {c: v for c, v in terms if v}
+            except TypeError:
+                raise InputError(f"key and result {entry} must be integers", f"product entry {key}") from None
         self.meta = dict(meta or {})
         if check:
             self.validate()
@@ -422,15 +430,25 @@ class DgRingModel:
 
 
 class SimplicialComplex:
-    """Finite abstract simplicial complex given by its facets."""
+    """Finite abstract simplicial complex given by its facets.
+
+    The vertex count and the vertices are read by ``operator.index``, so a
+    float or a string is a SchemaError, not truncated or parsed.
+    """
 
     def __init__(self, nvertices, facets, max_dim=DEFAULT_TRUNCATION):
-        self.nvertices = int(nvertices)
+        try:
+            self.nvertices = operator.index(nvertices)
+        except TypeError:
+            raise SchemaError(f"vertex count {nvertices!r} is not an integer") from None
         if self.nvertices < 0:
             raise SchemaError("vertex count must be nonnegative")
         clean = []
         for idx, f in enumerate(facets):
-            verts = [int(v) for v in f]
+            try:
+                verts = list(map(operator.index, f))
+            except TypeError:
+                raise SchemaError(f"facet {idx} has a vertex that is not an integer: {f}") from None
             if len(set(verts)) != len(verts):
                 raise SchemaError(f"facet {idx} has repeated vertices: {verts}")
             if any(v < 0 or v >= self.nvertices for v in verts):
@@ -549,7 +567,10 @@ def parse_space(document, truncation=None):
         facets = document["facets"]
         if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
             raise SchemaError("'facets' must be a list of vertex lists")
-        facets = [[parse_int(v, f"facets[{i}]") for v in f] for i, f in enumerate(facets)]
+        # one location string per facet, not per vertex
+        facets = [
+            [parse_int(v, at) for v in f] for i, f in enumerate(facets) for at in [f"facets[{i}]"]
+        ]
         return SimplicialComplex(n, facets, max_dim=truncation)
     if fmt == "dgring":
         return _parse_dgring(document, truncation)

@@ -4,25 +4,30 @@
 factors of the differentials (``exact_linalg.cochain_invariants``), without
 building a ``Subquotient``.  The oracle is the ``Subquotient`` route,
 ``cohomology(k).invariants()``, on simplicial complexes and on random
-two-term complexes whose torsion has several factors.  Call-count guards
-pin the cost model of the three verbs that report only invariants, and keep
-bundle builds and ``tdk cohomology`` on a ``dgring`` document off any
-elimination of a whole differential.
+two-term complexes whose torsion has several factors, and, for the
+clearing across degrees, also one ``invariant_factors`` per differential
+without clearing, on random complexes and random bundle total models.
+Call-count guards pin the cost model of the three verbs that report only
+invariants, and of the clearing on grids, and keep bundle builds and
+``tdk cohomology`` on a ``dgring`` document off any elimination of a whole
+differential.
 """
 
 import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_golden import grid_doc
+from test_parse import total_models
 from test_snf_reuse import matrices
 from tdk import exact_linalg
 from tdk.cli import run
-from tdk.exact_linalg import cochain_cohomology, cochain_invariants
-from tdk.fixtures import simplicial_doc
+from tdk.exact_linalg import cochain_cohomology, cochain_invariants, invariant_factors
+from tdk.fixtures import PROJECTIVE_PLANE_6, TORUS_7, simplicial_doc
 from tdk.serialize import dumps, space_to_doc
-from tdk.space_model import builtin_space, parse_space
+from tdk.space_model import SimplicialComplex, builtin_space, parse_space
 from tdk.torus_bundle import build_bundle
 
 GRID_H = {
@@ -72,6 +77,70 @@ def test_two_term_complex_matches_subquotients(M):
 
 
 # ---------------------------------------------------------------------------
+# clearing across degrees
+
+
+def _betti_without_clearing(top, dim, columns):
+    """H* from one ``invariant_factors`` per differential, each of a whole d_k."""
+    # the last entry stands for d_{-1} = 0, read at k = 0 as factors[-1]
+    factors = [invariant_factors(columns(k)) for k in range(top + 1)] + [[]]
+    return [
+        (dim(k) - len(factors[k]) - len(factors[k - 1]), tuple(e for e in factors[k - 1] if e >= 2))
+        for k in range(top + 1)
+    ]
+
+
+@st.composite
+def complexes(draw):
+    """Facets on at most 8 vertices, of dimension at most 3.
+
+    Some draws start from a relabelled RP^2 or torus, so that torsion and
+    H^2 show up; random facets are added on top of them.
+    """
+    start = draw(st.sampled_from([[], PROJECTIVE_PLANE_6, TORUS_7]))
+    label = draw(st.permutations(range(8)))
+    facets = [[label[v] for v in f] for f in start]
+    simplex = st.sets(st.integers(0, 7), min_size=1, max_size=4).map(sorted)
+    facets += draw(st.lists(simplex, min_size=0 if start else 1, max_size=6))
+    return SimplicialComplex(8, facets)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(complexes())
+def test_clearing_keeps_betti_on_random_complexes(K):
+    want = _subquotient_invariants(K)
+    assert _betti_without_clearing(K.dim, K.n_simplices, K.coboundary_columns) == want
+    assert K.betti() == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(total_models())
+def test_clearing_keeps_betti_on_random_bundles(m):
+    want = [m.cohomology(k).invariants() for k in range(m.D + 1)]
+    assert _betti_without_clearing(m.D, m.dim, m.d_columns) == want
+    assert m.betti() == want
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_H))
+@pytest.mark.parametrize("m, rows", [(3, 10), (4, 17), (5, 26)])
+def test_clearing_leaves_m2_plus_1_rows_of_d0_on_grids(kind, m, rows, monkeypatch):
+    """d_0 has 3 m^2 rows, one per edge; the 2 m^2 - 1 unit pivots of d_1 clear all but m^2 + 1."""
+    original = exact_linalg._unit_pivots
+    loaded = []  # rows that enter each elimination, from d_top down to d_0
+
+    def counted(columns, cleared=()):
+        pivots, left = original(columns, cleared)
+        loaded.append(len(pivots) + len(left))
+        return pivots, left
+
+    monkeypatch.setattr(exact_linalg, "_unit_pivots", counted)
+    K = parse_space(grid_doc(kind, m))
+    assert K.betti() == GRID_H[kind]
+    assert loaded == [0, 2 * m * m, rows]
+    assert K.n_simplices(1) == 3 * m * m
+
+
+# ---------------------------------------------------------------------------
 # call-count guard
 
 
@@ -116,7 +185,8 @@ def _verb(case, tmp_path):
 def test_invariant_verbs_factor_each_differential_once(case, tmp_path, monkeypatch):
     argv, betti = _verb(case, tmp_path)
     sub = _counted(monkeypatch, "subquotient")
-    factors = _counted(monkeypatch, "invariant_factors")
+    # cochain_invariants runs the unit-pivot pass of invariant_factors itself
+    factors = _counted(monkeypatch, "_unit_pivots")
     snf = _counted(monkeypatch, "smith_normal_form")
     code, report = run(argv)
     assert code == 0, report
@@ -133,7 +203,7 @@ def test_invariant_verbs_factor_each_differential_once(case, tmp_path, monkeypat
 def test_builds_and_dgring_cohomology_build_no_dense_differential(tmp_path, monkeypatch):
     argv, _ = _verb("dgring-lens", tmp_path)
     # no elimination reads a whole differential: a build eliminates nothing,
-    # and the verb only through invariant_factors
+    # and the verb only through the unit-pivot pass of cochain_invariants
     dense = _counted(monkeypatch, "kernel_basis")
     snf = _counted(monkeypatch, "smith_normal_form")
     for name, params, chern in (

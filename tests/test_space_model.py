@@ -172,6 +172,29 @@ def test_complex_rejects_bad_facets():
         SimplicialComplex(6, [[0, 1, 2, 3, 4, 5]])  # dimension above bound
 
 
+def test_complex_refuses_non_integer_vertices_instead_of_truncating():
+    with pytest.raises(SchemaError) as err:
+        SimplicialComplex(3, [[0, 1], [0, 1.7, 2]])
+    assert str(err.value) == "facet 1 has a vertex that is not an integer: [0, 1.7, 2]"
+    with pytest.raises(SchemaError, match=r"^vertex count 2\.9 is not an integer$"):
+        SimplicialComplex(2.9, [[0, 1]])
+
+
+def test_dgring_model_refuses_non_integer_products_instead_of_truncating():
+    basis = [["1"], ["a"], ["b"]]
+    for key, terms in (
+        ((1, 0, 1, 0), {0: 1.9}),
+        ((1.5, 0, 1, 0), {0: 1}),
+        ((1, 0, 1, 0), {0.5: 1}),
+        ((1, 0, 1, 0), {0: "2"}),
+    ):
+        with pytest.raises(InputError) as err:
+            DgRingModel(basis, {}, {key: terms}, check=False)
+        assert str(err.value) == f"product entry {key}: key and result {terms} must be integers"
+    m = DgRingModel(basis, {}, {(1, 0, 1, 0): {0: 2, 1: 0}}, check=False)
+    assert m.product == {(1, 0, 1, 0): {0: 2}}
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
