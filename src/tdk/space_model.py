@@ -99,6 +99,20 @@ def _values(vec, length):
     return vals
 
 
+# the zero cochain, and a row of no products, for lookups that miss; never written
+_ZERO = {}
+_NO_ROW = (1, _ZERO)
+
+
+def _scaled_equal(x, u, y, v):
+    """Whether x u == y v, for nonzero ints x, y and sparse cochains u, v without zero entries."""
+    if x == y:
+        return u == v
+    if x == -y:
+        return u.keys() == v.keys() and not any(map(operator.add, u.values(), map(v.__getitem__, u)))
+    return u.keys() == v.keys() and all(x * w == y * v[c] for c, w in u.items())
+
+
 def _terms(vec, length):
     """A cochain vector of this length as a sparse cochain."""
     return {a: x for a, x in enumerate(_values(vec, length)) if x}
@@ -133,7 +147,8 @@ class DgRingModel:
     ``basis[k]`` lists the labels in degree k for 0 <= k <= D;
     ``diff[k]`` is d: C^k -> C^{k+1}, zero if missing, given either as its
     table (rows) or as a nonempty list of sparse columns {row: coeff}, one
-    per basis element of degree k.  Columns are taken as given, not copied
+    per basis element of degree k; the degrees k are read by
+    ``operator.index``.  Columns are taken as given, not copied
     or converted: their entries must be exact nonzero ints in rows
     0..dim(k+1)-1, which ``validate`` does not check (``parse_space`` has);
     ``product[(i, a, j, b)]`` maps a basis pair to a dict {index: coeff} in
@@ -162,7 +177,10 @@ class DgRingModel:
             raise ModelError("model needs a nonempty degree-0 part")
         self._dshape, self._dcols = {}, {}
         for k, table in dict(diff).items():
-            k = int(k)
+            try:
+                k = operator.index(k)
+            except TypeError:
+                raise InputError(f"differential degree {k!r} must be an integer") from None
             self._dshape[k], self._dcols[k] = _table_columns(table, self.dim(k + 1), self.dim(k))
         self._product = {}
         for key, entry in dict(product).items():
@@ -277,107 +295,155 @@ class DgRingModel:
             reached from its mirror, as cb != 0; one with ab = bc = 0 has
             both sides zero.  A pair is reached if ab != 0, d(a)b != 0 or,
             from its mirror, d(b)a != 0; otherwise both sides are zero.
+        (d) Once the unit axiom holds, the product of two non-unit basis
+            elements is exactly the stored entry, zero if none is stored:
+            ``mul_basis`` gives that for every pair with i + j <= D, and
+            the range check has refused every stored entry with i + j > D.
+            So the scans read ``product`` once (``BundleModel`` tabulates
+            it on each read, by the rule of its ``mul_basis``) and look no
+            non-unit pair up through ``mul_basis``.
+
+        The range check and the commutativity comparisons share one pass
+        over the stored entries; a commutativity failure is raised in its
+        turn, after the unit.
 
         A failing scan finishes its phase and raises for the least failing
         triple or pair, taken over the failures and their mirrors: by (b)
         that is the first failure of a loop over all basis triples or pairs
         in the order above (``tests/test_ring_oracle.py`` keeps that loop).
         """
-        if self.dim(0) != 1:
-            raise ModelError(
-                f"degree-0 part has rank {self.dim(0)}, expected 1 (connected base)"
-            )
+        D = self.D
+        dims = [len(bs) for bs in self.basis]
+        if dims[0] != 1:
+            raise ModelError(f"degree-0 part has rank {dims[0]}, expected 1 (connected base)")
         for k, shape in self._dshape.items():
-            if not (0 <= k <= self.D):
-                raise ModelError(f"differential given in degree {k} outside 0..{self.D}")
-            if shape != (self.dim(k + 1), self.dim(k)):
+            if not (0 <= k <= D):
+                raise ModelError(f"differential given in degree {k} outside 0..{D}")
+            if shape != (self.dim(k + 1), dims[k]):
                 raise ModelError(
                     f"differential in degree {k} has shape {shape}, "
-                    f"expected {(self.dim(k + 1), self.dim(k))}"
+                    f"expected {(self.dim(k + 1), dims[k])}"
                 )
+        # one pass over the stored entries: the ranges, and for the scans
+        # below the graded mirrors and right[(i, a)][(j, b)] = ab, the
+        # nonzero products of non-unit factors
         product = self.product
-        for (i, a, j, b), entry in product.items():
-            if not (0 <= i <= self.D and 0 <= j <= self.D and i + j <= self.D):
+        skew = []  # graded-commutativity failures, raised after the unit check
+        right = {}
+        for (i, a, j, b), ab in product.items():
+            if i < 0 or j < 0 or i + j > D:
                 raise ModelError(f"product entry for degrees ({i},{j}) out of range")
-            if not (0 <= a < self.dim(i) and 0 <= b < self.dim(j)):
+            if not (0 <= a < dims[i] and 0 <= b < dims[j]):
                 raise ModelError(f"product entry ({i},{a},{j},{b}) indexes outside the basis")
-            if not all(0 <= c < self.dim(i + j) for c in entry):
-                raise ModelError(
-                    f"product entry ({i},{a},{j},{b}) has a result outside degree {i + j}"
-                )
-        dcols = [self.d_columns(k) for k in range(self.D + 1)]
-        mul_basis = self.mul_basis
+            n = dims[i + j]
+            for c in ab:
+                if not 0 <= c < n:
+                    raise ModelError(
+                        f"product entry ({i},{a},{j},{b}) has a result outside degree {i + j}"
+                    )
+            if i and j:
+                # compared once per mirror pair, from the side with (i, a) <= (j, b)
+                ba = product.get((j, b, i, a))
+                if ba is None:
+                    if ab:
+                        skew += [(i, j, a, b), (j, i, b, a)]
+                elif (i < j or i == j and a <= b) and not (
+                    ab == ba if i * j % 2 == 0 else _scaled_equal(1, ab, -1, ba)
+                ):
+                    skew += [(i, j, a, b), (j, i, b, a)]
+                if ab:
+                    row = right.get((i, a))
+                    if row is None:
+                        row = right[(i, a)] = {}
+                    row[(j, b)] = ab
+        dcols = [self.d_columns(k) for k in range(D + 1)]
         if dcols[0][0]:
             raise ModelError("d(unit) is nonzero")
         self.check_d_squared()
         # unit acts as identity (explicit entries may not override it)
-        for j in range(self.D + 1):
-            for b in range(self.dim(j)):
-                if mul_basis(0, 0, j, b) != {b: 1} or mul_basis(j, b, 0, 0) != {b: 1}:
+        mul_basis = self.mul_basis
+        for j in range(D + 1):
+            for b in range(dims[j]):
+                unit = {b: 1}
+                if mul_basis(0, 0, j, b) != unit or mul_basis(j, b, 0, 0) != unit:
                     raise ModelError(
                         f"unit does not act as identity on {self.basis[j][b]!r}"
                     )
-        # graded commutativity on the stored entries without a unit factor
-        # (stored entries carry no zero coefficients, so comparing the dicts
-        # compares the products)
-        failed = []
-        for (i, a, j, b), ab in product.items():
-            if i and j:
-                sign = -1 if (i % 2 and j % 2) else 1
-                if ab != {c: sign * x for c, x in mul_basis(j, b, i, a).items()}:
-                    failed += [(i, j, a, b), (j, i, b, a)]
-        self._raise_least("graded commutativity", failed)
-        # right[(i, a)][(j, b)]: the nonzero products ab of non-unit factors
-        right = {}
-        for (i, a, j, b), ab in product.items():
-            if i and j and ab:
-                right.setdefault((i, a), {})[(j, b)] = ab
+        self._raise_least("graded commutativity", skew)
 
         def right_products(i, u):
-            """{(j, b): u b} over the non-unit b with y b != 0 for some y in u."""
-            partners = {jb for y in u for jb in right.get((i, y), ())}
-            out = {}
-            for j, b in partners:
-                ub = _sum_terms((x, mul_basis(i, y, j, b)) for y, x in u.items())
-                if ub:
-                    out[(j, b)] = ub
-            return out
+            """{(j, b): u b} over the non-unit b with u b != 0."""
+            terms = {}
+            for y, x in u.items():
+                for jb, yb in right.get((i, y), _ZERO).items():
+                    terms.setdefault(jb, []).append((x, yb))
+            out = {jb: _sum_terms(pairs) for jb, pairs in terms.items()}
+            return {jb: ub for jb, ub in out.items() if ub}
 
-        # associativity: (ab)c == eps (cb)a, compared once per mirror pair
+        # associativity: (ab)c == eps (cb)a, compared once per mirror pair;
+        # abc[(i, a, j, b)] = (x, {(k, c): u}) with (ab)c = x u != 0, so that
+        # a one-term ab = x y takes the row of y as it is, with no zeros
         abc = {}
         for (i, a), row in right.items():
             for (j, b), ab in row.items():
-                for (k, c), value in right_products(i + j, ab).items():
-                    abc[(i, a, j, b, k, c)] = value
+                if len(ab) == 1:
+                    [(y, x)] = ab.items()
+                    abc[(i, a, j, b)] = x, right.get((i + j, y), _ZERO)
+                else:
+                    abc[(i, a, j, b)] = 1, right_products(i + j, ab)
         failed = []
-        for (i, a, j, b, k, c), lhs in abc.items():
-            cba = abc.get((k, c, j, b, i, a))
-            if cba and (k, c) < (i, a):
-                continue  # compared from the mirror's side
-            eps = -1 if (i * j + j * k + k * i) % 2 else 1
-            if lhs != {y: eps * x for y, x in (cba or {}).items()}:
-                failed += [(i, j, k, a, b, c), (k, j, i, c, b, a)]
+        for (i, a, j, b), (x, row) in abc.items():
+            ia = (i, a)
+            for (k, c), u in row.items():
+                y, mirror = abc.get((k, c, j, b), _NO_ROW)
+                v = mirror.get(ia)
+                if v is None:
+                    failed += [(i, j, k, a, b, c), (k, j, i, c, b, a)]
+                elif k > i or k == i and c >= a:  # else compared from the mirror's side
+                    y = -y if (i * j + j * k + k * i) % 2 else y
+                    if not (u == v if x == y else _scaled_equal(x, u, y, v)):
+                        failed += [(i, j, k, a, b, c), (k, j, i, c, b, a)]
         self._raise_least("associativity", failed)
         # Leibniz rule: d(ab) == (da)b + (-1)^(ij) (db)a for i + j < D,
-        # compared once per mirror pair
+        # compared once per mirror pair; dab[(i, a)][(j, b)] = d(a)b, nonzero.
+        # Both sides are zero unless d(a)b, d(b)a or d(ab) is nonzero, and
+        # d(ab) is zero unless a term of ab has a nonzero differential.
         dab = {}
-        for i in range(1, self.D):
+        for i in range(1, D):
             for a, da in enumerate(dcols[i]):
-                for (j, b), value in right_products(i + 1, da).items():
-                    dab[(i, a, j, b)] = value
-        pairs = {(i, a, j, b) for (i, a), row in right.items() for j, b in row if i + j < self.D}
-        pairs.update(dab)
+                if da:
+                    row = right_products(i + 1, da)
+                    if row:
+                        dab[(i, a)] = row
+        live = [{c for c, col in enumerate(cols) if col} for cols in dcols]
         failed = []
-        for i, a, j, b in pairs:
-            if (j, b) < (i, a) and (j, b, i, a) in pairs:
-                continue  # compared from the mirror's side
-            sign = -1 if (i % 2 and j % 2) else 1
-            lhs = self.d_terms(i + j, mul_basis(i, a, j, b))
-            rhs = _sum_terms(
-                ((1, dab.get((i, a, j, b), {})), (sign, dab.get((j, b, i, a), {})))
-            )
-            if lhs != rhs:
-                failed += [(i, j, a, b), (j, i, b, a)]
+
+        def leibniz(i, a, j, b, ab):
+            lhs = _sum_terms((x, dcols[i + j][c]) for c, x in ab.items())
+            dadb = dab.get((i, a), _ZERO).get((j, b), _ZERO)
+            dbda = dab.get((j, b), _ZERO).get((i, a), _ZERO)
+            if lhs != _sum_terms(((1, dadb), (-1 if i * j % 2 else 1, dbda))):
+                failed.extend([(i, j, a, b), (j, i, b, a)])
+
+        # pairs with ab != 0, so ba != 0: from the side with (i, a) <= (j, b)
+        for (i, a), row in right.items():
+            da = dab.get((i, a), _ZERO)
+            for (j, b), ab in row.items():
+                if i + j < D and (i < j or i == j and a <= b) and (
+                    (j, b) in da
+                    or (i, a) in dab.get((j, b), _ZERO)
+                    or not live[i + j].isdisjoint(ab)
+                ):
+                    leibniz(i, a, j, b, ab)
+        # pairs with ab = 0 and d(a)b != 0: from the least side with d(.). != 0
+        for (i, a), row in dab.items():
+            ab_row = right.get((i, a), _ZERO)
+            for (j, b) in row:
+                if (j, b) in ab_row:
+                    continue
+                if (j < i or j == i and b < a) and (i, a) in dab.get((j, b), _ZERO):
+                    continue  # compared from the mirror's side
+                leibniz(i, a, j, b, _ZERO)
         self._raise_least("Leibniz rule", failed)
 
     def _raise_least(self, axiom, failed):
@@ -393,7 +459,7 @@ class DgRingModel:
         """Raise ModelError naming the first basis element x with d(d(x)) != 0."""
         for k in range(self.D - 1):
             for a, col in enumerate(self.d_columns(k)):
-                if self.d_terms(k + 1, col):
+                if col and self.d_terms(k + 1, col):
                     raise ModelError(
                         f"d(d(x)) != 0 for basis element {self.basis[k][a]!r} in degree {k}"
                     )
@@ -549,6 +615,19 @@ class SimplicialComplex:
 # parsing
 
 
+def _truncation_bound(truncation):
+    """The truncation bound, DEFAULT_TRUNCATION for None, read by ``operator.index``.
+
+    So a float is an InputError, not truncated.
+    """
+    if truncation is None:
+        return DEFAULT_TRUNCATION
+    try:
+        return operator.index(truncation)
+    except TypeError:
+        raise InputError(f"truncation {truncation!r} is not an integer") from None
+
+
 def parse_space(document, truncation=None):
     """Validate a space document and return the corresponding value.
 
@@ -556,7 +635,7 @@ def parse_space(document, truncation=None):
     :class:`SimplicialComplex` and ``{"format": "dgring", ...}`` producing a
     fully validated :class:`DgRingModel`.  Integers may be decimal strings.
     """
-    truncation = DEFAULT_TRUNCATION if truncation is None else int(truncation)
+    truncation = _truncation_bound(truncation)
     if not isinstance(document, dict):
         raise SchemaError("space document must be a JSON object")
     fmt = document.get("format")
@@ -577,18 +656,43 @@ def parse_space(document, truncation=None):
     raise SchemaError(f"unknown space format {fmt!r} (expected 'simplicial' or 'dgring')")
 
 
+def _reread_product(pos, entry):
+    """Read the integers of product entry ``pos`` through ``parse_int``, in the parser's order.
+
+    Called when an inline read in that entry met a digit string beyond the
+    digit limit: every field read before it reads as it did, so
+    ``parse_int`` raises the located SchemaError at that field.
+    """
+    for field in ("i_deg", "i_idx", "j_deg", "j_idx"):
+        parse_int(entry[field], f"product[{pos}].{field}")
+    for term in entry["result"]:
+        parse_int(term["idx"], f"product[{pos}].result.idx")
+        parse_int(term["coeff"], f"product[{pos}].result.coeff")
+
+
 def _parse_dgring(document, truncation):
     """The validated DgRingModel of a ``dgring`` document, read straight into stored form.
 
     Each ``diff`` matrix is read row by row into sparse columns {row: coeff},
-    which ``DgRingModel`` takes as they are.  The entry ``"0"`` is skipped
-    by one string comparison; every other entry goes through ``parse_int``,
-    so ``false``, ``0.0``, ``" 0"`` or ``"-0"`` are refused or read as
-    before.  Product results keep their exact nonzero coefficients, which is
-    the form the model stores, so the table is installed without a second
-    conversion.  Every error keeps its text and its location (``diff[k]``,
-    ``product[p].i_idx``, ``product[p].result.coeff``, ...); each location
-    string is built once per matrix or product entry.
+    which ``DgRingModel`` takes as they are.  A row of ``"0"`` entries is
+    skipped by one ``count``, and the entry ``"0"`` by one string
+    comparison; every other entry goes through ``parse_int``, so ``false``,
+    ``0.0``, ``" 0"`` or ``"-0"`` are refused or read as before.
+
+    The integers of a product entry are read inline in the common case, a
+    plain ASCII digit string (after one leading ``-``, for a coefficient),
+    which ``int`` reads as ``parse_int`` would; any other value goes through
+    ``parse_int``.  The one failure of an inline read is a digit string
+    beyond the digit limit, and ``_reread_product`` then reads the entry
+    again through ``parse_int``, which raises at that field.  Product
+    results keep their exact nonzero coefficients, which is the form the
+    model stores, so the table is installed without a second conversion.
+
+    Every error keeps its text and its location (``diff[k]``,
+    ``product[p].i_idx``, ``product[p].result.coeff``, ...).  Product
+    locations are built only on the error path, and so is the position of
+    a repeated key or result index: it is read off the insertion order of
+    the table, which holds one entry per product entry or term read so far.
     """
     for key in ("degrees", "basis"):
         if key not in document:
@@ -638,57 +742,75 @@ def _parse_dgring(document, truncation):
         at = f"diff[{k}]"
         columns = diff[k] = [{} for _ in range(dims[k])]
         for r, row in enumerate(mat):
-            for c, x in enumerate(row):
-                if x != "0":
-                    x = parse_int(x, at)
-                    if x:
-                        columns[c][r] = x
-    product, product_pos = {}, {}
-    for pos, entry in enumerate(document.get("product", [])):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"product entry {pos} must be an object")
-        try:
-            key = i, a, j, b = (
-                parse_int(entry["i_deg"], f"product[{pos}].i_deg"),
-                parse_int(entry["i_idx"], f"product[{pos}].i_idx"),
-                parse_int(entry["j_deg"], f"product[{pos}].j_deg"),
-                parse_int(entry["j_idx"], f"product[{pos}].j_idx"),
-            )
-            result = entry["result"]
-        except KeyError as exc:
-            raise SchemaError(f"product entry {pos} is missing field {exc}")
-        if not (0 <= i <= D and 0 <= j <= D and i + j <= D):
-            raise SchemaError(f"product entry {pos} has degrees out of range")
-        if not (0 <= a < dims[i] and 0 <= b < dims[j]):
-            raise SchemaError(f"product entry {pos} indexes outside the basis")
-        if key in product_pos:
-            raise SchemaError(
-                f"product[{pos}] repeats the key ({i}, {a}, {j}, {b}) "
-                f"of product[{product_pos[key]}]"
-            )
-        product_pos[key] = pos
-        if not isinstance(result, list):
-            raise SchemaError(f"product entry {pos} result must be a list")
-        table, term_pos = {}, {}
-        idx_at, coeff_at = f"product[{pos}].result.idx", f"product[{pos}].result.coeff"
-        for t, term in enumerate(result):
-            if not isinstance(term, dict) or "idx" not in term or "coeff" not in term:
+            if row.count("0") != len(row):
+                for c, x in enumerate(row):
+                    if x != "0":
+                        x = parse_int(x, at)
+                        if x:
+                            columns[c][r] = x
+    product = {}
+    try:
+        for pos, entry in enumerate(document.get("product", [])):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"product entry {pos} must be an object")
+            try:
+                x = entry["i_deg"]
+                i = (int(x) if type(x) is str and x.isdigit() and x.isascii()
+                     else parse_int(x, f"product[{pos}].i_deg"))
+                x = entry["i_idx"]
+                a = (int(x) if type(x) is str and x.isdigit() and x.isascii()
+                     else parse_int(x, f"product[{pos}].i_idx"))
+                x = entry["j_deg"]
+                j = (int(x) if type(x) is str and x.isdigit() and x.isascii()
+                     else parse_int(x, f"product[{pos}].j_deg"))
+                x = entry["j_idx"]
+                b = (int(x) if type(x) is str and x.isdigit() and x.isascii()
+                     else parse_int(x, f"product[{pos}].j_idx"))
+                result = entry["result"]
+            except KeyError as exc:
+                raise SchemaError(f"product entry {pos} is missing field {exc}")
+            if not (0 <= i <= D and 0 <= j <= D and i + j <= D):
+                raise SchemaError(f"product entry {pos} has degrees out of range")
+            if not (0 <= a < dims[i] and 0 <= b < dims[j]):
+                raise SchemaError(f"product entry {pos} indexes outside the basis")
+            key = (i, a, j, b)
+            if key in product:
                 raise SchemaError(
-                    f"product[{pos}].result[{t}] must be an object with 'idx' and 'coeff'"
+                    f"product[{pos}] repeats the key ({i}, {a}, {j}, {b}) "
+                    f"of product[{list(product).index(key)}]"
                 )
-            c = parse_int(term["idx"], idx_at)
-            coeff = parse_int(term["coeff"], coeff_at)
-            if not (0 <= c < dims[i + j]):
-                raise SchemaError(f"product entry {pos} result index out of range")
-            if c in term_pos:
-                raise SchemaError(
-                    f"product[{pos}].result[{t}] repeats index {c} "
-                    f"of product[{pos}].result[{term_pos[c]}]"
+            if not isinstance(result, list):
+                raise SchemaError(f"product entry {pos} result must be a list")
+            table = product[key] = {}
+            dim = dims[i + j]
+            for t, term in enumerate(result):
+                if not isinstance(term, dict) or "idx" not in term or "coeff" not in term:
+                    raise SchemaError(
+                        f"product[{pos}].result[{t}] must be an object with 'idx' and 'coeff'"
+                    )
+                x = term["idx"]
+                c = (int(x) if type(x) is str and x.isdigit() and x.isascii()
+                     else parse_int(x, f"product[{pos}].result.idx"))
+                x = term["coeff"]
+                coeff = (
+                    int(x)
+                    if type(x) is str and x.isascii()
+                    and (x.isdigit() or x[:1] == "-" and x[1:].isdigit())
+                    else parse_int(x, f"product[{pos}].result.coeff")
                 )
-            term_pos[c] = t
-            if coeff:
+                if not (0 <= c < dim):
+                    raise SchemaError(f"product entry {pos} result index out of range")
+                if c in table:
+                    raise SchemaError(
+                        f"product[{pos}].result[{t}] repeats index {c} "
+                        f"of product[{pos}].result[{list(table).index(c)}]"
+                    )
                 table[c] = coeff
-        product[key] = table
+            if 0 in table.values():
+                product[key] = {c: v for c, v in table.items() if v}
+    except ValueError:  # an inline read met a digit string beyond the digit limit
+        _reread_product(pos, entry)
+        raise
     model = DgRingModel(basis, diff, {}, check=False)
     model._product = product  # already exact ints without zeros, as __init__ would store it
     model.validate()
@@ -845,7 +967,7 @@ def product_model(A: DgRingModel, B: DgRingModel, truncation=None):
                 raise InputError(
                     f"{name} factor has torsion in H^{k}; Kuenneth model undefined"
                 )
-    D = min(A.D + B.D, DEFAULT_TRUNCATION if truncation is None else int(truncation))
+    D = min(A.D + B.D, _truncation_bound(truncation))
     pairs = []  # per degree: list of (i, a, j, b)
     for k in range(D + 1):
         level = []

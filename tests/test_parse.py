@@ -152,3 +152,80 @@ def test_a_differential_given_as_columns_is_taken_as_given():
     assert m.diff_shapes == {1: (1, 1)}
     with pytest.raises(ModelError, match=r"degree 1 has shape \(1, 2\), expected \(1, 1\)"):
         DgRingModel([["1"], ["a"], ["b"]], {1: [{}, {}]}, {})
+
+
+# ---------------------------------------------------------------------------
+# error texts and locations of the dgring parser, one integer field at a time
+
+INTEGER_FIELDS = {
+    "i_deg": "product[1].i_deg",
+    "i_idx": "product[1].i_idx",
+    "j_deg": "product[1].j_deg",
+    "j_idx": "product[1].j_idx",
+    "result.idx": "product[1].result.idx",
+    "result.coeff": "product[1].result.coeff",
+    "diff": "diff[1]",
+}
+
+BAD_INTEGERS = {
+    "float": (1.5, "expected an integer (decimal string), got 1.5"),
+    "bool": (True, "expected an integer, got a boolean"),
+    "dash": ("-", "expected an integer (decimal string), got '-'"),
+    "long": ("7" * 700, "integer of 700 characters exceeds the digit limit"),
+    "long_signed": ("-" + "7" * 700, "integer of 701 characters exceeds the digit limit"),
+}
+
+
+def _torus2_doc_with(field, value):
+    """The T^2 model as a dgring document, with ``value`` put in ``field`` of
+    product[1] (y x = -v), or in row 0, column 1 of d_1 for ``"diff"``."""
+    doc = {
+        "format": "dgring",
+        "degrees": "2",
+        "basis": [["1"], ["x", "y"], ["v"]],
+        "diff": [{"deg": "1", "matrix": [["0", "0"]]}],
+        "product": [
+            {"i_deg": "1", "i_idx": "0", "j_deg": "1", "j_idx": "1",
+             "result": [{"idx": "0", "coeff": "1"}]},
+            {"i_deg": "1", "i_idx": "1", "j_deg": "1", "j_idx": "0",
+             "result": [{"idx": "0", "coeff": "-1"}]},
+        ],
+    }
+    if field == "diff":
+        doc["diff"][0]["matrix"][0][1] = value
+    elif field.startswith("result."):
+        doc["product"][1]["result"][0][field.split(".")[1]] = value
+    else:
+        doc["product"][1][field] = value
+    return doc
+
+
+def parsed(doc):
+    """The serialized model that ``parse_space`` reads from ``doc``, or its error and location."""
+    try:
+        return "model", space_to_doc(parse_space(doc))
+    except SchemaError as err:
+        return "error", str(err), err.location
+    except ModelError as err:
+        return "invalid", str(err)
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize("kind", sorted(BAD_INTEGERS))
+def test_every_integer_field_keeps_its_error_text_and_location(field, kind):
+    value, message = BAD_INTEGERS[kind]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        outcome = parsed(_torus2_doc_with(field, value))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    location = INTEGER_FIELDS[field]
+    assert outcome == ("error", f"{location}: {message}", location)
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_a_spaced_integer_reads_as_the_plain_one(field):
+    """``" 1"`` is not a plain digit string, so it takes the general path,
+    which reads it as 1: the document parses, or fails, as with ``"1"``."""
+    assert parsed(_torus2_doc_with(field, " 1")) == parsed(_torus2_doc_with(field, "1"))

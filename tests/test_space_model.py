@@ -195,6 +195,31 @@ def test_dgring_model_refuses_non_integer_products_instead_of_truncating():
     assert m.product == {(1, 0, 1, 0): {0: 2}}
 
 
+def test_dgring_model_refuses_a_non_integer_differential_degree():
+    basis = [["1"], ["a"], ["b"]]
+    for key in (0.9, 1.0, "1"):
+        with pytest.raises(InputError) as err:
+            DgRingModel(basis, {key: [[0], [0]]}, {}, check=False)
+        assert str(err.value) == f"differential degree {key!r} must be an integer"
+    assert DgRingModel(basis, {1: [[0]]}, {}, check=False).diff_shapes == {1: (1, 1)}
+
+
+def test_truncation_is_refused_unless_an_integer():
+    doc = _torus2_doc()
+    T1 = builtin_space("torus", {"k": 1})
+    for bad in (1.9, 2.0, "2"):
+        with pytest.raises(InputError) as err:
+            parse_space(doc, truncation=bad)
+        assert str(err.value) == f"truncation {bad!r} is not an integer"
+        with pytest.raises(InputError) as err:
+            product_model(T1, T1, truncation=bad)
+        assert str(err.value) == f"truncation {bad!r} is not an integer"
+    with pytest.raises(SchemaError, match="exceeds the truncation bound 1"):
+        parse_space(doc, truncation=1)
+    assert parse_space(doc, truncation=2).D == 2
+    assert product_model(T1, T1, truncation=1).D == 1
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
