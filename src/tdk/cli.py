@@ -7,7 +7,8 @@ standard output as JSON with every integer rendered as a decimal string;
 ``--pretty`` switches to an indented human-oriented rendering.
 
 ``TDK_TRUNCATION`` overrides the default degree bound (4) used when reading
-space documents; it also applies to builtin documents and ``--builtin``.
+space documents; it also applies to builtin documents and ``--builtin``.  It
+is read as a document integer is (``parse_int``), so ``1_0`` is refused.
 
 ``tdk selftest`` runs the acceptance battery of :mod:`tdk.selftest` and
 reports each check with its wall time in milliseconds.
@@ -21,7 +22,7 @@ import json
 import os
 import sys
 
-from .errors import NotDualizableError, TdkError, parse_int
+from .errors import NotDualizableError, SchemaError, TdkError, parse_int
 from .serialize import (
     chern_vectors,
     dumps,
@@ -37,13 +38,14 @@ __all__ = ["main", "run"]
 
 
 def _truncation():
+    """``TDK_TRUNCATION`` by ``parse_int``'s rules, or None when it is not set."""
     raw = os.environ.get("TDK_TRUNCATION")
     if raw is None:
         return None
     try:
-        value = int(raw)
-    except ValueError:
-        raise TdkError(f"TDK_TRUNCATION must be an integer, got {raw!r}")
+        value = parse_int(raw, "TDK_TRUNCATION")
+    except SchemaError:
+        raise TdkError(f"TDK_TRUNCATION must be an integer, got {raw!r}") from None
     if value < 0:
         raise TdkError("TDK_TRUNCATION must be nonnegative")
     return value

@@ -666,18 +666,22 @@ def induced_hom(src: Subquotient, tgt: Subquotient, fn) -> GroupHom:
     return GroupHom(src.group, tgt.group, cols)
 
 
-def subquotient(amb, Z, B):
+def subquotient(amb, Z, B, contained=False):
     """im(Z)/im(B) inside ``amb``; raises when im(B) is not inside im(Z).
 
     Z and B may be GroupHoms into ``amb`` or matrices, as columns, on its
     ambient generators.  The violation certificate names the first
-    offending column.
+    offending column.  A caller that has proved im(B) inside im(Z) passes
+    ``contained=True``, which skips the check: one membership solve per
+    column of B.  The group and every reduction are the same either way.
     """
     MZ = _as_matrix(Z, amb.ngens)
     MB = _as_matrix(B, amb.ngens)
     a = len(MZ)
     K = kernel_basis(MZ + MB + amb.rels, amb.ngens)
     sq = Subquotient(ambient=amb, gens=MZ, group=FgAbelianGroup(a, _restrict(K, a)))
+    if contained:
+        return sq
     for j, col in enumerate(MB):
         b = dense_vector(col, amb.ngens)
         if sq._membership.solve(b) is None:
@@ -819,16 +823,13 @@ def cochain_invariants(top, dim, columns):
     return out
 
 
-def cochain_cohomology(k, top, dim, d_columns, cycles=None, boundaries=None):
+def cochain_cohomology(k, top, dim, d_columns):
     """H^k = ker d_k / im d_{k-1} of a cochain complex in degrees 0..top.
 
     ``dim(k)`` is the rank of the degree-k cochains and ``d_columns(k)`` the
-    differential out of them, as sparse columns.  Outside 0..top the group is zero.  The
-    spectral-sequence pages pass other degree-k lattices as ``cycles`` and
-    ``boundaries``, callables run only when k is in range.
+    differential out of them, as sparse columns.  Outside 0..top the group is zero.
     """
     if not 0 <= k <= top:
         return subquotient(FgAbelianGroup(0), [], [])
-    Z = cycles() if cycles else kernel_basis(d_columns(k), dim(k + 1))
-    B = boundaries() if boundaries else d_columns(k - 1) if k >= 1 else []
-    return subquotient(FgAbelianGroup(dim(k)), Z, B)
+    B = d_columns(k - 1) if k >= 1 else []
+    return subquotient(FgAbelianGroup(dim(k)), kernel_basis(d_columns(k), dim(k + 1)), B)

@@ -27,6 +27,7 @@ from .exact_linalg import (
     cochain_invariants,
     dense_vector,
     int_vector,
+    smith_normal_form,
 )
 # unused here, but benchmark/tests/test_benchmark.py checks that its tracer patches it
 from .exact_linalg import subquotient  # noqa: F401
@@ -465,6 +466,11 @@ class DgRingModel:
                     )
 
     # -- cohomology ----------------------------------------------------------
+
+    @memoised
+    def d_factor(self, k):
+        """The Smith form of d_k, factored once, for every solve d_k x = b against it."""
+        return smith_normal_form(self.d_columns(k), self.dim(k + 1))
 
     @memoised
     def cohomology(self, k):
@@ -1117,33 +1123,44 @@ def _heisenberg_model(k, truncation):
 BUILTIN_NAMES = ("point", "sphere", "torus", "surface", "heisenberg")
 
 
+def _param(params, name, default):
+    """The builtin parameter ``name`` read by ``operator.index``, so a float is refused, not truncated."""
+    value = params.get(name, default)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"parameter {name!r} is {value!r}, not an integer") from None
+
+
 def builtin_space(name, params=None, truncation=DEFAULT_TRUNCATION):
     """Named base-space model, built without running :meth:`DgRingModel.validate`.
 
     The builtins are generated by code that is valid for every parameter;
     ``tests/test_space_model.py::test_builtins_pass_full_validation`` runs
-    the full check on each of them over a ladder of parameters.
+    the full check on each of them over a ladder of parameters.  Each
+    parameter is read by ``operator.index``: a float or a string is an
+    InputError naming it.
     """
     params = dict(params or {})
     if name == "point":
         model, used = _point_model(), {}
     elif name == "sphere":
-        k = int(params.get("k", 2))
+        k = _param(params, "k", 2)
         if not 1 <= k <= 4:
             raise InputError(f"sphere dimension {k} outside 1..4")
         model, used = _sphere_model(k, truncation), {"k": k}
     elif name == "torus":
-        k = int(params.get("k", 2))
+        k = _param(params, "k", 2)
         if not 1 <= k <= 3:
             raise InputError(f"torus dimension {k} outside 1..3")
         model, used = _torus_model(k, truncation), {"k": k}
     elif name == "surface":
-        genus = int(params.get("genus", 2))
+        genus = _param(params, "genus", 2)
         if genus < 0:
             raise InputError("genus must be nonnegative")
         model, used = _surface_model(genus, truncation), {"genus": genus}
     elif name == "heisenberg":
-        k = int(params.get("k", 1))
+        k = _param(params, "k", 1)
         model, used = _heisenberg_model(k, truncation), {"k": k}
     else:
         raise InputError(

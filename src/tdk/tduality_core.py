@@ -80,10 +80,6 @@ class Pair:
         return self.bundle.chern_classes()
 
 
-def _dual_fiber_labels(n):
-    return [f"yh{i + 1}" for i in range(n)]
-
-
 class Triple:
     """Two pairs over one base joined by a correspondence cochain.
 
@@ -102,11 +98,7 @@ class Triple:
         self.n = side.bundle.n
         self.base = side.base
         if doubled is None:
-            doubled = build_bundle(
-                self.base,
-                list(side.bundle.chern) + list(dual.bundle.chern),
-                labels=side.bundle.labels + _dual_fiber_labels(self.n),
-            )
+            doubled = BundleModel.doubled(side.bundle, dual.bundle)
         self.doubled = doubled
         if w is None:
             w = self.standard_w()
@@ -215,7 +207,7 @@ def _pairing_primitive(base, cs, chs):
         (-1, base.mul_terms(2, _terms(a, base.dim(2)), 2, _terms(b, base.dim(2))))
         for a, b in zip(cs, chs)
     )
-    return solve(base.d_columns(3), dense_vector(total, base.dim(4)))
+    return base.d_factor(3).solve(dense_vector(total, base.dim(4)))
 
 
 def extract_dual_chern(pair: Pair):

@@ -11,6 +11,36 @@ F^{p+r}}, entirely with integer lattices) and the filtration reports that
 decide dualizability downstream.  The basis of each degree is sorted by base
 degree, so F^p is a basis suffix and Z_r is the kernel of one block of d_k:
 the columns of F^p C^k against the rows of C^{k+1} below base degree p + r.
+
+A model builds what it reads on first use and keeps it: each d_k, the basis
+labels, each Z_r block, the Smith form of each d_k and of each filtration
+solve.  So a triple, which reads its doubled model in degrees 1 and 2 only,
+never builds the other degrees of it.
+
+Why d o d = 0 needs only the cross terms on the doubled model.  Write
+d = d_B + delta, with d_B the base differential on b and delta the sum over
+i in S.  On x = b (x) y_S, with |b| = p, d(d(x)) has three parts:
+
+  (A) d_B d_B b (x) y_S, in base degree p + 2 with monomial S;
+  (B) sum_i +-(d(b.z_i) - (db).z_i) (x) y_{S-i}, in base degree p + 3;
+  (C) sum_{i<j in S} +-((b.z_i).z_j - (b.z_j).z_i) (x) y_{S-i-j}, in base
+      degree p + 4: the two orders of a pair come with the signs
+      eps(i,S) eps(j,S-i) and eps(j,S) eps(i,S-j), which are opposite.
+
+Each part, and each i or pair {i, j} in it, lands on basis elements that no
+other part reaches, so d(d(x)) = 0 iff every term of (A), (B) and (C) is
+zero.  (A) and (B) name one chern cocycle at most, and an element with
+S = {} or S = {i} of every base degree lies in the range that
+``check_d_squared`` scans (each term is zero by degree where it does not).
+So the certificate of a bundle with chern list L covers (A), (B) for every
+z in L and (C) for every pair inside L.  The doubled model has the chern
+list L + Lhat of two bundles over the same base that were each certified
+at build; all that is left is (C) for i in L and j in Lhat: the n^2 cross
+terms (b.z_i).zhat_j = (b.zhat_j).z_i for each base basis element b.  They
+land in base degree p + 4, so only bases of degree 4 or more have any.  The
+first x with d(d(x)) != 0 in the order of ``check_d_squared`` is then
+b (x) y_i yhat_j for the least failing (p, b, i, j): a failing element
+of lower degree would need a failing term of lower base degree.
 """
 
 from __future__ import annotations
@@ -18,6 +48,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError, ModelError
 from .exact_linalg import (
@@ -30,7 +61,8 @@ from .exact_linalg import (
     int_vector,
     kernel_basis,
     mat_vec,
-    solve,
+    smith_normal_form,
+    subquotient,
 )
 from .space_model import Cocycle, DgRingModel, memoised, shuffle_sign
 
@@ -85,18 +117,20 @@ class BundleModel(DgRingModel):
     lists triples (p, a, S) with p + |S| = k, ordered by base degree p, then
     base index, then the fiber monomial; so each filtration step F^p is a
     basis suffix.  The differential is the sparse columns that
-    :meth:`_koszul_columns` writes at build time, and the product is the
-    Koszul rule (:meth:`_koszul_product`): :meth:`mul_basis` memoises the
-    pairs that ring arithmetic asks for, and ``product`` tabulates all pairs
-    on each read (serialization, the full :meth:`DgRingModel.validate`) and
-    stores them nowhere.  The ring is graded-commutative by construction once
-    the base is valid; its Leibniz rule rests on the chern cocycles, which
-    :class:`ChernVector` checks are closed.  The one check at build time is
-    the d o d = 0 certificate, which also catches a base that breaks Leibniz
-    against a chern cocycle.
+    :meth:`_koszul_columns` writes for each degree on its first read, and
+    the product is the Koszul rule (:meth:`_koszul_product`):
+    :meth:`mul_basis` memoises the pairs that ring arithmetic asks for, and
+    ``product`` tabulates all pairs on each read (serialization, the full
+    :meth:`DgRingModel.validate`) and stores them nowhere.  The ring is
+    graded-commutative by construction once the base is valid; its Leibniz
+    rule rests on the chern cocycles, which :class:`ChernVector` checks are
+    closed.  The one check at build time is the d o d = 0 certificate, which
+    also catches a base that breaks Leibniz against a chern cocycle; the
+    doubled model of :meth:`doubled` certifies it from its two halves (see
+    the module docstring).
     """
 
-    def __init__(self, base: DgRingModel, chern: ChernVector, labels=None):
+    def __init__(self, base: DgRingModel, chern: ChernVector, labels=None, halves=None):
         if chern.base is not base:
             raise InputError("chern cocycles live in a different base model")
         self.base = base
@@ -116,6 +150,47 @@ class BundleModel(DgRingModel):
             for k in range(base.D + self.n + 1)
         ]
         self.index = [{e: i for i, e in enumerate(level)} for level in self.elements]
+        # the state of DgRingModel.__init__ but for the labels and the
+        # differential, which ``basis`` and ``d_columns`` build on first read
+        self.D = len(self.elements) - 1
+        self._dshape, self._dcols, self._product, self.meta = {}, {}, {}, {}
+        self._memo = {}
+        self._chern_terms = [{z: x for z, x in enumerate(c) if x} for c in chern]
+        self._bz = {}  # (p, a, i) -> b_a . z_i, shared by all degrees
+        try:
+            if halves is None:
+                self.check_d_squared()
+            else:
+                self._check_cross_terms(halves[0].n)
+        except ModelError as err:
+            raise ModelError(f"total model of the bundle is invalid: {err}")
+
+    @classmethod
+    def doubled(cls, side: "BundleModel", dual: "BundleModel") -> "BundleModel":
+        """The correspondence space of two bundles over one base: fibers y_1.. then yh_1..
+
+        Its chern list is the side's followed by the dual's.  Both halves
+        were certified at their build, so only the cross terms are checked
+        (module docstring); a failing one raises the ModelError that
+        ``check_d_squared`` would raise.
+        """
+        if dual.base is not side.base:
+            raise InputError("the two bundles live over different bases")
+        chern = ChernVector(side.base, list(side.chern) + list(dual.chern))
+        labels = side.labels + [f"yh{i + 1}" for i in range(dual.n)]
+        return cls(side.base, chern, labels=labels, halves=(side, dual))
+
+    @property
+    def total(self):
+        """The model itself.  Kept only because ``benchmark/workloads.py`` reads ``model.total``."""
+        return self
+
+    # -- construction --------------------------------------------------------
+
+    @cached_property
+    def basis(self):
+        """The labels of each degree: ``b.y1y2``, or the base or fiber part alone."""
+        base = self.base
 
         def label(p, a, S):
             b = base.basis[p][a]
@@ -126,45 +201,69 @@ class BundleModel(DgRingModel):
                 return mono
             return f"{b}.{mono}"
 
-        basis = [[label(*e) for e in level] for level in self.elements]
-        super().__init__(basis, {}, {}, check=False)
-        self._memo = {}
-        products = {}  # (p, a, i) -> b_a . z_i, shared by all degrees of one build
-        self._dcols = {k: self._koszul_columns(k, products) for k in range(self.D)}
-        try:
-            self.check_d_squared()
-        except ModelError as err:
-            raise ModelError(f"total model of the bundle is invalid: {err}")
+        return [[label(*e) for e in level] for level in self.elements]
+
+    def dim(self, k):
+        return len(self.elements[k]) if 0 <= k <= self.D else 0
 
     @property
-    def total(self):
-        """The model itself.  Kept only because ``benchmark/workloads.py`` reads ``model.total``."""
-        return self
+    def diff_shapes(self):
+        """{k: (rows, columns) of d_k} for every degree k < D, built or not."""
+        return {k: (self.dim(k + 1), self.dim(k)) for k in range(self.D)}
 
-    # -- construction --------------------------------------------------------
+    def d_columns(self, k):
+        """d_k as sparse columns, written by :meth:`_koszul_columns` on the first read."""
+        cols = self._dcols.get(k)
+        if cols is None:
+            if not 0 <= k < self.D:
+                return [{}] * self.dim(k)
+            cols = self._dcols[k] = self._koszul_columns(k)
+        return cols
 
-    def _koszul_columns(self, k, products):
+    def _chern_product(self, p, a, i):
+        """b_a . z_i for the base basis element a of degree p, memoised."""
+        bz = self._bz.get((p, a, i))
+        if bz is None:
+            bz = self._bz[(p, a, i)] = self.base.mul_terms(p, {a: 1}, 2, self._chern_terms[i])
+        return bz
+
+    def _koszul_columns(self, k):
         """d_k of the total model as sparse columns, by the rule in the module docstring.
 
         The two sums land in base degrees p + 1 and p + 2, so no entry is written twice.
-        ``products`` memoises b_a . z_i by (p, a, i) across the degrees of one build.
         """
         base = self.base
-        chern = [{z: x for z, x in enumerate(c) if x} for c in self.chern]
         rows = self.index[k + 1]
         cols = []
         for p, a, S in self.elements[k]:
             col = {rows[(p + 1, a2, S)]: x for a2, x in base.d_columns(p)[a].items()}
             sign = -1 if p % 2 else 1
             for i in S:
-                bz = products.get((p, a, i))
-                if bz is None:
-                    bz = products[(p, a, i)] = base.mul_terms(p, {a: 1}, 2, chern[i])
                 rest = tuple(j for j in S if j != i)
-                for a2, x in bz.items():
+                for a2, x in self._chern_product(p, a, i).items():
                     col[rows[(p + 2, a2, rest)]] = sign * _eps(i, S) * x
             cols.append(col)
         return cols
+
+    def _check_cross_terms(self, n):
+        """Raise ModelError for the first b (x) y_i yh_j whose cross term (C) fails.
+
+        The first n fibers are the side's, the rest the dual's.  The check is
+        (b.z_i).zh_j == (b.zh_j).z_i over the base basis elements b of degree
+        p <= D - 4, in the order of ``check_d_squared`` (module docstring).
+        """
+        base, terms = self.base, self._chern_terms
+        for p in range(base.D - 3):
+            for a in range(base.dim(p)):
+                for i in range(n):
+                    for j in range(n, self.n):
+                        left = base.mul_terms(p + 2, self._chern_product(p, a, i), 2, terms[j])
+                        right = base.mul_terms(p + 2, self._chern_product(p, a, j), 2, terms[i])
+                        if left != right:
+                            x = self.basis[p + 2][self.index[p + 2][(p, a, (i, j))]]
+                            raise ModelError(
+                                f"d(d(x)) != 0 for basis element {x!r} in degree {p + 2}"
+                            )
 
     def _koszul_product(self, k1, n1, k2, n2):
         """Structure constants of basis elements n1 (deg k1) times n2 (deg k2), not memoised.
@@ -301,9 +400,9 @@ class BundleModel(DgRingModel):
         F^p C^k is the basis suffix from ``start`` and F^{p+r} C^{k+1} the one
         from ``low``, so the condition asks that the block of d_k on the
         columns from ``start`` and the rows below ``low`` kills x: Z_r is
-        that block's kernel, shifted down by ``start`` rows.  With no rows
-        below p + r (r <= 0, or k = D) Z_r is all of F^p C^k.  The lattice
-        depends only on (p, p + q); the q index is bookkeeping.
+        that block's kernel (:meth:`_kernel_block`).  The lattice depends
+        only on the block; the q index is bookkeeping, and different r often
+        give one block.
         """
         k = p + q
         if k < 0 or k > self.D:
@@ -311,6 +410,15 @@ class BundleModel(DgRingModel):
         r = min(r, self.stable_page)
         start = self._step_start(k, p)
         low = self._step_start(k + 1, p + r) if r > 0 and k < self.D else 0
+        return self._kernel_block(k, start, low)
+
+    @memoised
+    def _kernel_block(self, k, start, low):
+        """Kernel of d_k on the columns from ``start`` and the rows below ``low``, in C^k.
+
+        The block's kernel is shifted down by ``start`` rows.  With no rows
+        (r <= 0, or k = D, or no basis element below p + r) it is all of F^p C^k.
+        """
         if not low:
             return [{i: 1} for i in range(start, self.dim(k))]
         block = [{i: x for i, x in col.items() if i < low} for col in self.d_columns(k)[start:]]
@@ -320,17 +428,24 @@ class BundleModel(DgRingModel):
     def _page_subquotient(self, r, p, q):
         """E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}).
 
-        Slots with q > n, q < 0 or p < 0 come out trivial by themselves.
+        Slots with q > n, q < 0 or p < 0 come out trivial by themselves.  The
+        denominator lies in the numerator by construction, so ``subquotient``
+        skips its membership check: Z_{r-1}^{p+1} lies in Z_r^p, as F^{p+1}
+        lies in F^p and its condition dx in F^{p+1+r-1} is the same one
+        (for r - 1 <= 0 it holds too, as d keeps each F^s); and for x in
+        Z_{r-1}^{p-r+1}, dx lies in F^{p-r+1+r-1} = F^p with d(dx) = 0 in
+        F^{p+r}, by d o d = 0, which every build certifies.
+        ``tests/test_lazy_bundle.py`` builds every slot with the check as
+        the oracle.
         """
         r = min(r, self.stable_page)
-
-        def boundaries():
-            inner = self.z_lattice(r - 1, p - r + 1, q + r - 2)
-            return self.z_lattice(r - 1, p + 1, q - 1) + compose(self.d_columns(p + q - 1), inner)
-
-        return cochain_cohomology(
-            p + q, self.D, self.dim, self.d_columns,
-            cycles=lambda: self.z_lattice(r, p, q), boundaries=boundaries,
+        k = p + q
+        if not 0 <= k <= self.D:
+            return subquotient(FgAbelianGroup(0), [], [])
+        inner = self.z_lattice(r - 1, p - r + 1, q + r - 2)
+        boundaries = self.z_lattice(r - 1, p + 1, q - 1) + compose(self.d_columns(k - 1), inner)
+        return subquotient(
+            FgAbelianGroup(self.dim(k)), self.z_lattice(r, p, q), boundaries, contained=True
         )
 
     @memoised
@@ -365,26 +480,36 @@ class BundleModel(DgRingModel):
     # -- filtration of classes -------------------------------------------------
 
     def filtration_report(self, z: Cocycle) -> "FiltrationReport":
-        """Maximal p with [z] in F^p H^k, plus the leading part at infinity."""
+        """Maximal p with [z] in F^p H^k, plus the leading part at infinity.
+
+        z is closed, so [z] = 0 iff z lies in im d_{k-1}: one solve against
+        ``d_factor(k - 1)``, with no H^k built.  [z] lies in F^p H^k iff
+        z = x + d y with x in Z_infinity^p; each step's matrix is factored once
+        per model (:meth:`_step_factor`).
+        """
         k = z.degree
         vec = list(z.vector)
         if not self.is_closed(k, vec):
             raise InputError("filtration_report needs a closed cochain")
-        if self.total_cohomology(k).is_zero(vec):
+        if self.d_factor(k - 1).solve(vec) is not None:  # d_{-1} is the zero map into C^0
             return FiltrationReport(
                 degree=k, is_zero=True, p=None, leading=(), representative=[0] * len(vec)
             )
-        bmat = self.d_columns(k - 1)  # d_{-1} is the zero map into C^0
         for p in range(min(k, self.base.D), -1, -1):
-            Kp = self.z_lattice(self.stable_page, p, k - p)
-            sol = solve(Kp + bmat, vec)
+            sol = self._step_factor(k, p).solve(vec)
             if sol is not None:
-                rep = mat_vec(Kp, sol, len(vec))
+                rep = mat_vec(self.z_lattice(self.stable_page, p, k - p), sol, len(vec))
                 leading = self._page_subquotient(self.stable_page, p, k - p).reduce(rep)
                 return FiltrationReport(
                     degree=k, is_zero=False, p=p, leading=leading, representative=rep
                 )
         raise ModelError("closed nonzero class fell out of the filtration")
+
+    @memoised
+    def _step_factor(self, k, p):
+        """Smith form of [Z_infinity^{p,k-p} | d_{k-1}], the matrix of the step-p solve."""
+        Kp = self.z_lattice(self.stable_page, p, k - p)
+        return smith_normal_form(Kp + self.d_columns(k - 1), self.dim(k))
 
     def __repr__(self):
         return f"BundleModel(n={self.n}, base={self.base!r})"

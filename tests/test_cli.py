@@ -106,6 +106,21 @@ def test_truncation_applies_to_builtin_documents(tmp_path, monkeypatch):
         assert doc["cohomology"]["2"]["rank"] == "3"
 
 
+def test_truncation_variable_is_read_as_a_document_integer(monkeypatch):
+    argv = ["cohomology", "--builtin", "torus", "--params", '{"k": 3}']
+    for raw in ("1_0", "2.0", "x", "\u0663", "1" * 5000):
+        monkeypatch.setenv("TDK_TRUNCATION", raw)
+        code, doc = run(argv)
+        assert code == 2
+        assert doc["error"] == f"TDK_TRUNCATION must be an integer, got {raw!r}"
+    monkeypatch.setenv("TDK_TRUNCATION", "-1")
+    assert run(argv) == (2, {"error": "TDK_TRUNCATION must be nonnegative"})
+    for raw in ("2", " +2 ", "-0"):  # as parse_int reads a document integer
+        monkeypatch.setenv("TDK_TRUNCATION", raw)
+        code, doc = run(argv)
+        assert code == 0 and sorted(doc["cohomology"]) == ["0", "1", "2"][: int(raw) + 1]
+
+
 def test_cohomology_simplicial(tmp_path):
     path = write(tmp_path, "rp2.json", json.dumps(simplicial_doc("projective-plane-6")))
     code, doc = run(["cohomology", "--base", path])

@@ -220,6 +220,18 @@ def test_truncation_is_refused_unless_an_integer():
     assert product_model(T1, T1, truncation=1).D == 1
 
 
+def test_builtin_params_are_refused_unless_integers():
+    for name, param, bad in (
+        ("torus", "k", 2.9), ("torus", "k", "3"), ("sphere", "k", 2.0),
+        ("surface", "genus", 1.5), ("heisenberg", "k", "1"),
+    ):
+        with pytest.raises(InputError) as err:
+            builtin_space(name, {param: bad})
+        assert str(err.value) == f"parameter {param!r} is {bad!r}, not an integer"
+    assert builtin_space("torus", {"k": 3}).D == 3
+    assert builtin_space("surface", {"genus": True}).dim(1) == 2  # operator.index reads a bool as 1
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
