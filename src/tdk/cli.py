@@ -143,10 +143,12 @@ def _cmd_ss(args):
     r = args.page
     if r is None or r < 1:
         raise TdkError("give a page number with --page R (R >= 1)")
+    if (args.p is None) != (args.q is None):
+        raise TdkError("give both --p and --q")
     slots = []
     p_range = range(0, m.base.D + 1)
     q_range = range(0, m.n + 1)
-    if args.p is not None and args.q is not None:
+    if args.p is not None:
         coords = [(args.p, args.q)]
     elif args.deg is not None:
         coords = [(p, args.deg - p) for p in p_range if 0 <= args.deg - p <= m.n]

@@ -6,9 +6,10 @@ not fix it, the row count is passed alongside (an empty matrix keeps its
 shape that way).  A dense vector is a list of ints; ``int_vector`` is the
 one reader of vectors from callers, and ``_sum_terms``, ``mat_vec`` and
 ``compose`` do the arithmetic.  There is one elimination kernel:
-``smith_normal_form`` copies the matrix into lists of Python ints,
-eliminates there, and returns a :class:`SmithForm` with unimodular U, V such
-that U M V is diagonal with a divisibility chain.  The rest of the module
+``smith_normal_form`` moves the matrix to sparse rows, eliminates there
+with U as sparse rows and V as sparse columns, and returns a
+:class:`SmithForm` with unimodular U, V such that U M V is diagonal with a
+divisibility chain.  The rest of the module
 (solving, kernels, cokernels, presented groups, subquotients) is built on
 top of it.
 
@@ -165,21 +166,14 @@ def _restrict(columns, rows):
     return [{r: x for r, x in col.items() if r < rows} for col in columns]
 
 
-def _identity_rows(n):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
-
-
-def _nonzeros(row, start=0):
-    return [(j, row[j]) for j in range(start, len(row)) if row[j]]
-
-
-def _axpy(dst, src_nonzeros, q):
-    """dst += q * src, with src given by its nonzero entries."""
-    for j, v in src_nonzeros:
-        dst[j] += q * v
+def _add_to(dst, src, q):
+    """dst += q * src, for sparse vectors and q != 0; drops the entries that cancel."""
+    for j, v in src.items():
+        y = dst.get(j, 0) + q * v
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
 
 
 def _view(shape, entries):
@@ -203,9 +197,10 @@ def _view(shape, entries):
 class SmithForm:
     """U M V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
 
-    ``shape`` is the (rows, columns) of M.  U is kept as its rows, lists of
-    ints, and V as its columns, sparse dicts; ``Uinv`` (sparse columns) and
-    the sparse columns of U that ``solve`` reads are built on first use.
+    ``shape`` is the (rows, columns) of M.  U is kept as its rows and V as
+    its columns, sparse dicts as the kernel left them; ``Uinv`` (sparse
+    columns) and the sparse columns of U that ``solve`` reads are built on
+    first use.
     ``U``, ``D`` and ``V`` are object arrays (``_view``) built on first
     read, only for the benchmark tracer: nothing in ``tdk`` reads them, and
     they go when the tracer reads its sizes from ``tdk`` itself (ROADMAP
@@ -229,8 +224,7 @@ class SmithForm:
     @cached_property
     def U(self):
         m = self.shape[0]
-        return _view((m, m), ((i, j, x) for i, row in enumerate(self._U) for j, x in enumerate(row)
-                              if x))
+        return _view((m, m), ((i, j, x) for i, row in enumerate(self._U) for j, x in row.items()))
 
     @cached_property
     def D(self):
@@ -243,8 +237,7 @@ class SmithForm:
 
     @cached_property
     def _U_columns(self):
-        m = self.shape[0]
-        return [{i: row[j] for i, row in enumerate(self._U) if row[j]} for j in range(m)]
+        return transpose(self._U, self.shape[0])
 
     @cached_property
     def Uinv(self):
@@ -283,93 +276,106 @@ def unimodular_inverse(W):
     return compose(sf._V, sf._U_columns)
 
 
+def _pivot(A, t):
+    """The least (|v|, i, j) over the entries A[i][j] = v with i >= t, as (i, j), or None.
+
+    A row with a unit ends the search: no later entry is less.
+    """
+    best = None
+    for i in range(t, len(A)):
+        if A[i]:
+            v, j = min(zip(map(abs, A[i].values()), A[i]))
+            if v == 1:
+                return i, j
+            if best is None or v < best[0]:
+                best = v, i, j
+    return None if best is None else best[1:]
+
+
+def _swap_columns(rows, i, j):
+    """Swap columns i and j of these sparse rows."""
+    for row in rows:
+        x, y = row.pop(i, 0), row.pop(j, 0)
+        if x:
+            row[j] = x
+        if y:
+            row[i] = y
+
+
 def smith_normal_form(columns, rows):
     """Diagonalize the integer matrix with these columns and this many rows.
 
     Returns a :class:`SmithForm`.  The nonzero diagonal entries are positive
     and each divides the next; U, V have determinant +-1.
+
+    A and U are eliminated as sparse rows {column: coeff} and V as sparse
+    columns {row: coeff}; none of them stores a zero.  The steps are those of
+    the pivot contract in the module docstring, so U and V are those of a
+    dense elimination by that rule, and nothing depends on dict order: the
+    pivot is an explicit minimum (``_pivot``), and a pass visits its rows
+    and columns in index order.
+
+    A pass lists its rows once, up front: the rows below t with an entry in
+    column t.  That list is the one a scan of every row would meet, because
+    handling row i (one row operation, then perhaps the swap of rows i and
+    t) changes rows i and t and no other, so a later row has an entry in
+    column t when the scan reaches it iff it had one when the pass began.
+    By the same argument for columns, the column phase lists once the
+    columns right of t with an entry in row t, and keeps the rows with an
+    entry in column t until its next column swap.
     """
     m, n = rows, len(columns)
-    A = [[0] * n for _ in range(m)]
+    if m < 0:
+        raise DimensionError(f"a matrix has no {m} rows")
+    A = [{} for _ in range(m)]
     for c, col in enumerate(columns):
         for r, x in col.items():
             if not 0 <= r < m:
                 raise DimensionError(f"column {c} has an entry in row {r}, outside 0..{m - 1}")
-            A[r][c] = x
-    U = _identity_rows(m)
-    Vc = _identity_rows(n)  # columns of V
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        # rows above t are zero in every column >= t
-        for r in range(t, m):
-            row = A[r]
-            row[i], row[j] = row[j], row[i]
-        Vc[i], Vc[j] = Vc[j], Vc[i]
-
-    def pivot_position():
-        # first entry of least absolute value, row-major; a unit ends the scan
-        best = None
-        for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                v = row[j]
-                if v:
-                    v = abs(v)
-                    if v == 1:
-                        return i, j
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        return None if best is None else best[1:]
-
-    t = 0
-    while t < min(m, n):
-        found = pivot_position()
+            if x:
+                A[r][c] = x
+    U = identity(m)  # its rows
+    V = identity(n)  # its columns
+    # at step t, rows below t are zero left of column t, and rows above t
+    # are zero from column t on
+    for t in range(min(m, n)):
+        found = _pivot(A, t)
         if found is None:
             break
-        pi, pj = found
-        if pi != t:
-            row_swap(pi, t)
-        if pj != t:
-            col_swap(pj, t)
+        i, j = found
+        A[i], A[t] = A[t], A[i]
+        U[i], U[t] = U[t], U[i]
+        if j != t:
+            _swap_columns(A[t:], j, t)
+            V[j], V[t] = V[t], V[j]
 
         while True:
             dirty = False
-            pivot_row = None  # nonzeros of A[t] and U[t], taken when first needed
-            for i in range(t + 1, m):
-                a = A[i][t]
-                if a == 0:
-                    continue
-                q = a // A[t][t]
+            for i in [i for i in range(t + 1, m) if t in A[i]]:
+                q = A[i][t] // A[t][t]
                 if q:
-                    if pivot_row is None:
-                        pivot_row = (_nonzeros(A[t], t), _nonzeros(U[t]))
-                    _axpy(A[i], pivot_row[0], -q)
-                    _axpy(U[i], pivot_row[1], -q)
-                if A[i][t] != 0:  # remainder becomes the smaller pivot
-                    row_swap(i, t)
-                    pivot_row = None
+                    _add_to(A[i], A[t], -q)
+                    _add_to(U[i], U[t], -q)
+                if t in A[i]:  # remainder becomes the smaller pivot
+                    A[i], A[t] = A[t], A[i]
+                    U[i], U[t] = U[t], U[i]
                     dirty = True
-            pivot_col = None  # nonzeros of column t of A and of V
-            for j in range(t + 1, n):
-                a = A[t][j]
-                if a == 0:
-                    continue
-                q = a // A[t][t]
+            pivot_col = None  # the rows with an entry in column t, with that entry
+            for j in sorted(j for j in A[t] if j > t):
+                q = A[t][j] // A[t][t]
                 if q:
                     if pivot_col is None:
-                        pivot_col = (
-                            [(r, A[r][t]) for r in range(t, m) if A[r][t]],
-                            _nonzeros(Vc[t]),
-                        )
-                    for r, v in pivot_col[0]:
-                        A[r][j] -= q * v
-                    _axpy(Vc[j], pivot_col[1], -q)
-                if A[t][j] != 0:
-                    col_swap(j, t)
+                        pivot_col = [(row, row[t]) for row in A[t:] if t in row]
+                    for row, v in pivot_col:
+                        y = row.get(j, 0) - q * v
+                        if y:
+                            row[j] = y
+                        else:
+                            del row[j]
+                    _add_to(V[j], V[t], -q)
+                if j in A[t]:
+                    _swap_columns(A[t:], j, t)
+                    V[j], V[t] = V[t], V[j]
                     pivot_col = None
                     dirty = True
             if dirty:
@@ -378,27 +384,18 @@ def smith_normal_form(columns, rows):
             p = A[t][t]
             if p in (1, -1):  # a unit divides every entry
                 break
-            fold = next(
-                (
-                    i
-                    for i in range(t + 1, m)
-                    if any(A[i][j] % p for j in range(t + 1, n))
-                ),
-                None,
-            )
+            # a clean pass left rows below t zero in column t
+            fold = next((i for i in range(t + 1, m) if any(x % p for x in A[i].values())), None)
             if fold is None:
                 break
-            _axpy(A[t], _nonzeros(A[fold], t), 1)
-            _axpy(U[t], _nonzeros(U[fold]), 1)
+            _add_to(A[t], A[fold], 1)
+            _add_to(U[t], U[fold], 1)
 
         if A[t][t] < 0:
             A[t][t] = -A[t][t]  # the rest of row t is zero
-            U[t] = [-x for x in U[t]]
-        t += 1
+            U[t] = {j: -x for j, x in U[t].items()}
 
-    diagonal = [A[i][i] for i in range(min(m, n))]
-    V = [{r: x for r, x in enumerate(col) if x} for col in Vc]
-    return SmithForm((m, n), diagonal, U, V)
+    return SmithForm((m, n), [A[i].get(i, 0) for i in range(min(m, n))], U, V)
 
 
 def matrix_rank(columns):
@@ -462,6 +459,8 @@ class FgAbelianGroup:
 
     def __init__(self, ngens, rels=None):
         self.ngens = operator.index(ngens)
+        if self.ngens < 0:
+            raise DimensionError(f"a group has no {self.ngens} generators")
         self.rels = [] if rels is None else list(rels)
         _check_rows(self.rels, self.ngens, "relation")
 

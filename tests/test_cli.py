@@ -146,6 +146,16 @@ def test_bundle_and_ss(tmp_path):
     assert slot["d_out"] == [["2"]]
 
 
+@pytest.mark.parametrize("flag", ["--p", "--q"])
+def test_ss_refuses_a_lone_p_or_q(tmp_path, flag):
+    chern = write(tmp_path, "chern.json", json.dumps([["1", "0", "0"]]))
+    argv = ["ss", "--builtin", "torus", "--params", '{"k": 3}', "--chern", chern, "--page", "2"]
+    assert run(argv)[0] == 0
+    code, doc = run(argv + [flag, "1"])
+    assert code == 2
+    assert doc == {"error": "give both --p and --q"}
+
+
 @pytest.mark.parametrize("name", ["lens2_k1", "t3_over_s1_vol"])
 def test_ss_builds_one_differential_per_slot_and_dualizable_none(tmp_path, monkeypatch, name):
     built = []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from matrices import array, columns, mat_eq, vec
-from tdk.errors import InputError, NotInSubgroupError, SubgroupContainmentError
+from tdk.errors import DimensionError, InputError, NotInSubgroupError, SubgroupContainmentError
 from tdk.exact_linalg import (
     FgAbelianGroup,
     GroupHom,
@@ -125,6 +125,11 @@ def test_snf_empty_shapes():
     for shape in [(0, 0), (0, 3), (3, 0)]:
         sf = smith_normal_form([{}] * shape[1], shape[0])
         assert sf.D.shape == shape
+
+
+def test_snf_refuses_a_negative_row_count():
+    with pytest.raises(DimensionError):
+        smith_normal_form([], -1)
 
 
 def test_snf_matches_minor_oracle_randomized():
@@ -260,6 +265,11 @@ def test_group_reduce_additive():
 def test_invariant_factors_drop_ones():
     G = FgAbelianGroup(2, columns([[1, 0], [0, 6]]))
     assert G.invariants() == (0, (6,))
+
+
+def test_group_refuses_a_negative_generator_count():
+    with pytest.raises(DimensionError):
+        FgAbelianGroup(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Oracles for reusing one Smith factorization across many right-hand sides.
 
-The list-based elimination kernel factors each matrix once; callers then
+The sparse-row elimination kernel factors each matrix once; callers then
 solve against the stored ``SmithForm``.  These properties pin that shortcut
 to independent references: sympy's Smith normal form for the invariants,
 the defining identities for the transforms, and a fresh one-shot ``solve``
 for every reused solve.  ``invariant_factors``, which splits off unit pivots
 before it calls the kernel, is held to the same two diagonals, and
-``matrix_rank``, which counts its factors, to sympy's rank.  Matrices
+``matrix_rank``, which counts its factors, to sympy's rank.  The pivot
+path itself is held to ``matrices.reference_smith``, the dense kernel the
+sparse one replaced: the same diagonal, U and V on every draw.  Matrices
 include empty shapes and zero rows and columns; entries stay small because the pivot rule lets coefficients of the
 transforms grow quickly on dense matrices.  Each is drawn as its sparse
 columns and its row count, the form ``tdk`` takes; the checks multiply the
@@ -14,12 +16,12 @@ numpy views of the factors.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
-from matrices import array, columns, vec
+from matrices import array, columns, reference_smith, vec
 from tdk.exact_linalg import (
     identity,
     invariant_factors,
@@ -154,3 +156,27 @@ def test_pivot_order_is_frozen(M, diagonal, U, V):
     assert sf.diagonal == diagonal
     assert sf.U.tolist() == U
     assert sf.V.tolist() == V
+
+
+# matrices with no unit entry, so that every pivot comes from the least-|v|
+# search and the divisibility fold runs; small sides keep coefficients small
+unitless_matrices = int_matrices(max_side=4, entries=st.sampled_from([0, 2, -2, 3, -3, 4, -4]))
+empty_matrices = st.one_of(
+    st.integers(0, 5).map(lambda n: ([{} for _ in range(n)], 0)),
+    st.integers(0, 5).map(lambda m: ([], m)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(matrices, unitless_matrices, empty_matrices))
+@example((columns(FROZEN[0][0]), 2))
+@example((columns(FROZEN[1][0]), 3))
+@example((columns(FROZEN[2][0]), 3))
+def test_pivot_path_matches_the_dense_reference(M):
+    """The sparse kernel takes the dense kernel's steps: same diagonal, U and V."""
+    cols, m = M
+    diagonal, U, V = reference_smith(cols, m)
+    sf = smith_normal_form(cols, m)
+    assert sf.diagonal == diagonal
+    assert sf.U.tolist() == U
+    assert sf._V == V
