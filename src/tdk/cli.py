@@ -296,7 +296,10 @@ def _cmd_selftest(args):
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built on first use and shared by every ``run``."""
+    """The argument parser, built on first use and shared by every ``run``.
+
+    Its ``verbs`` attribute maps each verb to that verb's subparser.
+    """
     parser = argparse.ArgumentParser(
         prog="tdk",
         description=(
@@ -305,9 +308,10 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = {}
 
     def add(name, help_text, **flags):
-        p = sub.add_parser(name, help=help_text)
+        p = parser.verbs[name] = sub.add_parser(name, help=help_text)
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
         p.add_argument("--json", action="store_true", help="compact JSON (default)")
@@ -367,10 +371,24 @@ _HANDLERS = {
 
 
 def run(argv):
-    """Dispatch and return (exit_code, report_document); never raises on bad input."""
+    """Dispatch and return (exit_code, report_document); never raises on bad input.
+
+    When ``argv[0]`` is exactly a verb, the rest goes straight to that
+    verb's subparser, and leftover arguments are refused by the top-level
+    parser as ``parse_args`` refuses them: the same namespace, usage text
+    and exit code, without the top-level pass over argv.  Any other argv
+    (none, ``-h``, an unknown or abbreviated verb) takes the full parse.
+    """
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        verb = parser.verbs.get(argv[0]) if argv else None
+        if verb is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = verb.parse_known_args(argv[1:])
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
+            args.verb = argv[0]
     except SystemExit as exc:
         # argparse already printed a usage message
         return (2 if exc.code else 0), {"error": "argument error"} if exc.code else {}

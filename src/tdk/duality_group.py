@@ -12,9 +12,7 @@ General words act by composing generator actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InputError, ModelError, UnsupportedElementError
+from .errors import FrozenRecord, InputError, ModelError, UnsupportedElementError
 from .exact_linalg import (
     _sum_terms,
     compose,
@@ -96,12 +94,10 @@ def is_onn(g) -> bool:
     return sym_ok and diag_ok
 
 
-@dataclass(frozen=True)
-class OnnElement:
+class OnnElement(FrozenRecord):
     """A validated member of O(n,n,Z); ``matrix`` is its list of 2n sparse columns."""
 
-    n: int
-    matrix: list
+    _fields = ("n", "matrix")
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _columns(self.matrix))

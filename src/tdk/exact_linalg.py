@@ -65,10 +65,11 @@ the parts built on first use are deterministic.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DimensionError, InputError, NotInSubgroupError, SubgroupContainmentError
+from .errors import (
+    DimensionError, FrozenRecord, InputError, NotInSubgroupError, SubgroupContainmentError,
+)
 
 __all__ = [
     "int_vector",
@@ -419,12 +420,13 @@ def kernel_basis(M, rows):
     return sf._V[sf.rank :]
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Kernel of an integer matrix as a free group plus its inclusion."""
+class Kernel(FrozenRecord):
+    """Kernel of an integer matrix as a free group plus its inclusion.
 
-    group: "FgAbelianGroup"
-    inclusion: list  # columns span ker(M), in the coordinates of M's columns
+    The columns of ``inclusion`` span ker(M), in the coordinates of M's columns.
+    """
+
+    _fields = ("group", "inclusion")
 
 
 def kernel(M, rows):

@@ -17,10 +17,11 @@ from __future__ import annotations
 import itertools
 import operator
 import types
-from dataclasses import dataclass
 from functools import wraps
 
-from .errors import DimensionError, InputError, ModelError, SchemaError, parse_int
+from .errors import (
+    _SMALL_INTS, DimensionError, FrozenRecord, InputError, ModelError, SchemaError, parse_int,
+)
 from .exact_linalg import (
     _sum_terms,
     cochain_cohomology,
@@ -47,16 +48,14 @@ __all__ = [
 DEFAULT_TRUNCATION = 4
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(FrozenRecord):
     """A degree and a coefficient vector over the model basis in that degree.
 
     ``vector`` is any sequence of integers on input and a tuple of ints
     afterwards, so the frozen value cannot change.
     """
 
-    degree: int
-    vector: tuple
+    _fields = ("degree", "vector")
 
     def __post_init__(self):
         object.__setattr__(self, "vector", tuple(int_vector(self.vector, "cocycle")))
@@ -662,20 +661,6 @@ def parse_space(document, truncation=None):
     raise SchemaError(f"unknown space format {fmt!r} (expected 'simplicial' or 'dgring')")
 
 
-def _reread_product(pos, entry):
-    """Read the integers of product entry ``pos`` through ``parse_int``, in the parser's order.
-
-    Called when an inline read in that entry met a digit string beyond the
-    digit limit: every field read before it reads as it did, so
-    ``parse_int`` raises the located SchemaError at that field.
-    """
-    for field in ("i_deg", "i_idx", "j_deg", "j_idx"):
-        parse_int(entry[field], f"product[{pos}].{field}")
-    for term in entry["result"]:
-        parse_int(term["idx"], f"product[{pos}].result.idx")
-        parse_int(term["coeff"], f"product[{pos}].result.coeff")
-
-
 def _parse_dgring(document, truncation):
     """The validated DgRingModel of a ``dgring`` document, read straight into stored form.
 
@@ -685,12 +670,11 @@ def _parse_dgring(document, truncation):
     comparison; every other entry goes through ``parse_int``, so ``false``,
     ``0.0``, ``" 0"`` or ``"-0"`` are refused or read as before.
 
-    The integers of a product entry are read inline in the common case, a
-    plain ASCII digit string (after one leading ``-``, for a coefficient),
-    which ``int`` reads as ``parse_int`` would; any other value goes through
-    ``parse_int``.  The one failure of an inline read is a digit string
-    beyond the digit limit, and ``_reread_product`` then reads the entry
-    again through ``parse_int``, which raises at that field.  Product
+    The integers of a product entry are read inline from ``parse_int``'s
+    table of canonical small decimals, the common case.  When a field is
+    missing, unhashable or off the table, the inline read raises KeyError or
+    TypeError, and the entry's key (or the term) is read again through
+    ``parse_int``, which gives the value or the located error.  Product
     results keep their exact nonzero coefficients, which is the form the
     model stores, so the table is installed without a second conversion.
 
@@ -755,68 +739,55 @@ def _parse_dgring(document, truncation):
                         if x:
                             columns[c][r] = x
     product = {}
-    try:
-        for pos, entry in enumerate(document.get("product", [])):
-            if not isinstance(entry, dict):
-                raise SchemaError(f"product entry {pos} must be an object")
+    for pos, entry in enumerate(document.get("product", [])):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"product entry {pos} must be an object")
+        try:
             try:
-                x = entry["i_deg"]
-                i = (int(x) if type(x) is str and x.isdigit() and x.isascii()
-                     else parse_int(x, f"product[{pos}].i_deg"))
-                x = entry["i_idx"]
-                a = (int(x) if type(x) is str and x.isdigit() and x.isascii()
-                     else parse_int(x, f"product[{pos}].i_idx"))
-                x = entry["j_deg"]
-                j = (int(x) if type(x) is str and x.isdigit() and x.isascii()
-                     else parse_int(x, f"product[{pos}].j_deg"))
-                x = entry["j_idx"]
-                b = (int(x) if type(x) is str and x.isdigit() and x.isascii()
-                     else parse_int(x, f"product[{pos}].j_idx"))
-                result = entry["result"]
-            except KeyError as exc:
-                raise SchemaError(f"product entry {pos} is missing field {exc}")
-            if not (0 <= i <= D and 0 <= j <= D and i + j <= D):
-                raise SchemaError(f"product entry {pos} has degrees out of range")
-            if not (0 <= a < dims[i] and 0 <= b < dims[j]):
-                raise SchemaError(f"product entry {pos} indexes outside the basis")
-            key = (i, a, j, b)
-            if key in product:
+                i, a = _SMALL_INTS[entry["i_deg"]], _SMALL_INTS[entry["i_idx"]]
+                j, b = _SMALL_INTS[entry["j_deg"]], _SMALL_INTS[entry["j_idx"]]
+            except (KeyError, TypeError):
+                i, a, j, b = (
+                    parse_int(entry[field], f"product[{pos}].{field}")
+                    for field in ("i_deg", "i_idx", "j_deg", "j_idx")
+                )
+            result = entry["result"]
+        except KeyError as exc:
+            raise SchemaError(f"product entry {pos} is missing field {exc}")
+        if not (0 <= i <= D and 0 <= j <= D and i + j <= D):
+            raise SchemaError(f"product entry {pos} has degrees out of range")
+        if not (0 <= a < dims[i] and 0 <= b < dims[j]):
+            raise SchemaError(f"product entry {pos} indexes outside the basis")
+        key = (i, a, j, b)
+        if key in product:
+            raise SchemaError(
+                f"product[{pos}] repeats the key ({i}, {a}, {j}, {b}) "
+                f"of product[{list(product).index(key)}]"
+            )
+        if not isinstance(result, list):
+            raise SchemaError(f"product entry {pos} result must be a list")
+        table = product[key] = {}
+        dim = dims[i + j]
+        for t, term in enumerate(result):
+            if not isinstance(term, dict) or "idx" not in term or "coeff" not in term:
                 raise SchemaError(
-                    f"product[{pos}] repeats the key ({i}, {a}, {j}, {b}) "
-                    f"of product[{list(product).index(key)}]"
+                    f"product[{pos}].result[{t}] must be an object with 'idx' and 'coeff'"
                 )
-            if not isinstance(result, list):
-                raise SchemaError(f"product entry {pos} result must be a list")
-            table = product[key] = {}
-            dim = dims[i + j]
-            for t, term in enumerate(result):
-                if not isinstance(term, dict) or "idx" not in term or "coeff" not in term:
-                    raise SchemaError(
-                        f"product[{pos}].result[{t}] must be an object with 'idx' and 'coeff'"
-                    )
-                x = term["idx"]
-                c = (int(x) if type(x) is str and x.isdigit() and x.isascii()
-                     else parse_int(x, f"product[{pos}].result.idx"))
-                x = term["coeff"]
-                coeff = (
-                    int(x)
-                    if type(x) is str and x.isascii()
-                    and (x.isdigit() or x[:1] == "-" and x[1:].isdigit())
-                    else parse_int(x, f"product[{pos}].result.coeff")
+            try:
+                c, coeff = _SMALL_INTS[term["idx"]], _SMALL_INTS[term["coeff"]]
+            except (KeyError, TypeError):
+                c = parse_int(term["idx"], f"product[{pos}].result.idx")
+                coeff = parse_int(term["coeff"], f"product[{pos}].result.coeff")
+            if not (0 <= c < dim):
+                raise SchemaError(f"product entry {pos} result index out of range")
+            if c in table:
+                raise SchemaError(
+                    f"product[{pos}].result[{t}] repeats index {c} "
+                    f"of product[{pos}].result[{list(table).index(c)}]"
                 )
-                if not (0 <= c < dim):
-                    raise SchemaError(f"product entry {pos} result index out of range")
-                if c in table:
-                    raise SchemaError(
-                        f"product[{pos}].result[{t}] repeats index {c} "
-                        f"of product[{pos}].result[{list(table).index(c)}]"
-                    )
-                table[c] = coeff
-            if 0 in table.values():
-                product[key] = {c: v for c, v in table.items() if v}
-    except ValueError:  # an inline read met a digit string beyond the digit limit
-        _reread_product(pos, entry)
-        raise
+            table[c] = coeff
+        if 0 in table.values():
+            product[key] = {c: v for c, v in table.items() if v}
     model = DgRingModel(basis, diff, {}, check=False)
     model._product = product  # already exact ints without zeros, as __init__ would store it
     model.validate()

@@ -15,12 +15,12 @@ composition is addition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
+    FrozenRecord,
     InputError,
     ModelError,
     NotDualizableError,
+    Record,
     TripleMismatchError,
 )
 from .exact_linalg import (
@@ -54,12 +54,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(FrozenRecord):
     """A bundle model with a closed degree-3 flux cocycle on its total space."""
 
-    bundle: BundleModel
-    flux: Cocycle
+    _fields = ("bundle", "flux")
 
     def __post_init__(self):
         if self.flux.degree != 3:
@@ -284,9 +282,8 @@ def dualize(pair: Pair, choice=None) -> Triple:
 # validation
 
 
-@dataclass
-class TripleReport:
-    items: dict
+class TripleReport(Record):
+    _fields = ("items",)
 
     @property
     def ok(self):
@@ -517,14 +514,9 @@ def gauge_shift(t: Triple, psis, psihats) -> Cocycle:
 # extensions of a fixed pair
 
 
-@dataclass
-class ExtensionReport:
-    dualizable: bool
-    certificate: FiltrationReport
-    dual_chern: list | None
-    ambiguity: dict | None
-    torsor_group: object
-    crosscheck_group: object
+class ExtensionReport(Record):
+    _fields = ("dualizable", "certificate", "dual_chern", "ambiguity", "torsor_group",
+               "crosscheck_group")
 
     @property
     def torsor_invariants(self):

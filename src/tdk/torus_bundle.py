@@ -47,14 +47,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InputError, ModelError
+from .errors import InputError, ModelError, Record
 from .exact_linalg import (
     FgAbelianGroup,
-    GroupHom,
-    Subquotient,
     cochain_cohomology,
     compose,
     induced_hom,
@@ -515,21 +512,14 @@ class BundleModel(DgRingModel):
         return f"BundleModel(n={self.n}, base={self.base!r})"
 
 
-@dataclass
-class SSPage:
+class SSPage(Record):
     """One (r, p, q) slot of the spectral sequence with d_r out of it.
 
     ``d_out`` maps this slot to (p + r, q - r + 1); the differential into the
     slot is the ``d_out`` of slot (p - r, q + r - 1) of the same page.
     """
 
-    r: int
-    p: int
-    q: int
-    group: FgAbelianGroup
-    sq: Subquotient
-    d_out: GroupHom
-    is_infinity: bool
+    _fields = ("r", "p", "q", "group", "sq", "d_out", "is_infinity")
 
     def invariants(self):
         return self.group.invariants()
@@ -544,18 +534,13 @@ class SSPage:
         return self.d_out.target.reduce(mat_vec(self.d_out.matrix, lam, self.d_out.target.ngens))
 
 
-@dataclass
-class FiltrationReport:
+class FiltrationReport(Record):
     """Maximal filtration step of a class and its leading-part coordinates.
 
     ``representative`` is a cochain in F^p of the class, as a list of ints.
     """
 
-    degree: int
-    is_zero: bool
-    p: int | None
-    leading: tuple
-    representative: list
+    _fields = ("degree", "is_zero", "p", "leading", "representative")
 
     def in_step(self, p):
         return self.is_zero or (self.p is not None and self.p >= p)

@@ -32,10 +32,9 @@ rational coefficients, and their dimensions are over Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InputError, ModelError
+from .errors import InputError, ModelError, Record
 from .exact_linalg import _sum_terms, compose, int_vector, kernel_basis, matrix_rank
 from .space_model import Cocycle, _terms
 from .tduality_core import Triple
@@ -139,19 +138,15 @@ def twisted_dims(m: BundleModel, z):
 # the transformation attached to a triple
 
 
-@dataclass
-class TMap:
+class TMap(Record):
     """Blocks of the transformation between the two twisted complexes.
 
     ``blocks`` holds the integer matrices scale . T, where ``scale`` is the
-    N of the module docstring; T itself is blocks / scale over Q.
+    N of the module docstring; T itself is blocks / scale over Q.  It maps
+    each source parity to sparse columns into parity + ``parity_shift``.
     """
 
-    source: TwistedComplex
-    target: TwistedComplex
-    parity_shift: int
-    blocks: dict  # parity of source -> sparse columns into parity + shift
-    scale: int
+    _fields = ("source", "target", "parity_shift", "blocks", "scale")
 
     def chain_defect(self):
         """D_dual o T - (-1)^n T o D_side per source parity, as sparse columns; empty when valid."""
@@ -238,13 +233,8 @@ def t_transform(t: Triple) -> TMap:
 # isomorphism verification
 
 
-@dataclass
-class IsoReport:
-    ok: bool
-    chain_ok: bool
-    dims_side: tuple
-    dims_dual: tuple
-    reason: str
+class IsoReport(Record):
+    _fields = ("ok", "chain_ok", "dims_side", "dims_dual", "reason")
 
     def __bool__(self):
         return self.ok

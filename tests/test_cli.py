@@ -257,6 +257,77 @@ def test_shared_parser_after_argument_error(tmp_path, capsys):
     assert [code for code, _ in shared] == [code for code, _ in fresh] == [0, 0, 0]
 
 
+def _argv_corpus(tmp_path):
+    """Every verb with valid flags, then argument errors of each kind."""
+    pair = pair_file(tmp_path, "hopf_k2")
+    triple = write(tmp_path, "triple.json", dumps(triple_to_doc(dualize(named_pair("hopf_k2")))))
+    flip = write(tmp_path, "flip.json", json.dumps({"n": "1", "matrix": [["0", "1"], ["1", "0"]]}))
+    chern = write(tmp_path, "chern.json", json.dumps([["1"]]))
+    simplicial = write(tmp_path, "s.json", json.dumps(simplicial_doc("boundary-tetrahedron")))
+    torus = ["--builtin", "torus", "--params", '{"k": "2"}']
+    return [
+        ["cohomology", "--base", simplicial],
+        ["cohomology", *torus, "--deg", "1", "--pretty"],
+        ["cohomology", "--builtin=torus", '--params={"k": "3"}', "--json"],
+        ["bundle", *torus, "--chern", chern, "--deg", "2"],
+        ["ss", *torus, "--chern", chern, "--page", "2", "--p", "0", "--q", "1"],
+        ["ss", *torus, "--chern", chern, "--page=3", "--deg", "1"],
+        ["dualizable", "--pair", pair],
+        ["dualize", "--pair", pair, "--pretty"],
+        ["check-triple", "--triple", triple],
+        ["extensions", "--pair", pair],
+        ["onn", "--check", flip],
+        ["twisted", "--pair", pair, "--json"],
+        ["tmap", "--triple", triple],
+        # argument errors and help
+        [],
+        ["-h"],
+        ["--help"],
+        ["frobnicate"],
+        ["cohom"],
+        ["dualizable"],
+        ["dualizable", "--nonsense", "x"],
+        ["cohomology", "--bas", simplicial],
+        ["cohomology", "--he"],
+        ["ss", "--page", "x"],
+        ["cohomology", "--deg"],
+        ["cohomology", "--"],
+        ["cohomology", "--", "x"],
+        ["cohomology", *torus, "extra", "args"],
+        ["selftest", "extra"],
+        ["--pretty", "cohomology", *torus],
+        ["tmap", "-h"],
+    ]
+
+
+def test_direct_dispatch_matches_the_full_parse(tmp_path, capsys, monkeypatch):
+    # ``run`` hands argv[0] == verb straight to the verb's subparser; emptying
+    # the verb map sends every argv through ``_build_parser().parse_args``
+    corpus = _argv_corpus(tmp_path)
+
+    def outcomes():
+        rows = []
+        for argv in corpus:
+            code, doc = run(argv)
+            captured = capsys.readouterr()
+            rows.append((argv, code, dumps(doc), captured.out, captured.err))
+        return rows
+
+    parser = _build_parser()
+    direct = outcomes()
+    monkeypatch.setattr(parser, "verbs", {})
+    assert outcomes() == direct
+    assert [code for _, code, *_ in direct[:13]] == [0] * 13
+    assert all(code in (0, 2) for _, code, *_ in direct[13:])
+
+    def refuse(argv=None, namespace=None):
+        raise AssertionError("a verb's argv went through the top-level parse")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    assert run(corpus[1])[0] == 0
+
+
 def test_selftest_runs_the_battery():
     code, doc = run(["selftest"])
     assert code == 0 and doc["all_passed"] is True

@@ -1,10 +1,10 @@
 """Reading untrusted documents: ``parse_int`` and the ``dgring`` parser.
 
-``parse_int`` takes a fast path for plain ASCII digit strings, signed by at
-most one leading ``-``; a property
-holds it to ``reference_parse_int``, the general path alone, over ints,
-booleans and short texts of digits, signs, spaces, letters and non-ASCII
-digits.  ``parse_space`` reads ``dgring`` documents straight into sparse
+``parse_int`` reads the canonical spelling of a small integer from a table;
+one property holds it to ``reference_parse_int``, the general path alone,
+over ints, booleans and short texts of digits, signs, spaces, letters and
+non-ASCII digits, and another to ``previous_parse_int``, the reader it
+replaced, on spellings of integers around the table's bounds.  ``parse_space`` reads ``dgring`` documents straight into sparse
 columns and the stored product table; the round-trip property holds it to
 the model it was written from, over random bundle total models.  Zero
 coefficients in a product result are dropped, and ``DgRingModel`` takes a
@@ -20,7 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from tdk.errors import ModelError, SchemaError, parse_int  # noqa: E402
+from tdk.errors import _SMALL_INTS, ModelError, SchemaError, parse_int  # noqa: E402
 from tdk.serialize import space_to_doc  # noqa: E402
 from tdk.space_model import DgRingModel, builtin_space, parse_space  # noqa: E402
 from tdk.torus_bundle import build_bundle  # noqa: E402
@@ -67,6 +67,74 @@ TEXT = st.text(alphabet="0123456789+- \tabxyzE._²٣ ", max_size=8)
 @example("-1 ")
 def test_parse_int_matches_the_reference(x):
     assert outcome(parse_int, x) == outcome(reference_parse_int, x)
+
+
+def previous_parse_int(x, where):
+    """``parse_int`` before the table of small integers, verbatim."""
+    try:
+        if type(x) is str and x.isascii() and (x.isdigit() or x[:1] == "-" and x[1:].isdigit()):
+            return int(x)
+        if isinstance(x, bool):
+            raise SchemaError("expected an integer, got a boolean", where)
+        if isinstance(x, int):
+            return x
+        if isinstance(x, str) and _DECIMAL.fullmatch(x.strip()):
+            return int(x)
+    except ValueError:  # only the digit limit is left to fail
+        raise SchemaError(
+            f"integer of {len(x.strip())} characters exceeds the digit limit", where
+        ) from None
+    raise SchemaError(f"expected an integer (decimal string), got {x!r}", where)
+
+
+LOW, HIGH = min(_SMALL_INTS.values()), max(_SMALL_INTS.values())
+NEAR_BOUNDS = st.one_of(
+    st.integers(LOW - 20, LOW + 20), st.integers(HIGH - 20, HIGH + 20), st.integers(-20, 20)
+)
+
+
+@st.composite
+def spellings(draw):
+    """A decimal spelling of an integer near the table's bounds: signs, leading
+    zeros, spaces and non-ASCII digits are drawn as well."""
+    value = draw(NEAR_BOUNDS)
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+", "-"]))
+    digits = "0" * draw(st.integers(0, 2)) + str(abs(value))
+    if draw(st.booleans()):
+        digits = digits.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    return draw(st.sampled_from(["", " ", "\t"])) + sign + digits + draw(st.sampled_from(["", " "]))
+
+
+# past the digit limit of 640 that the property sets, and just under it
+LONG = st.builds(
+    lambda sign, length: sign + "7" * length, st.sampled_from(["", "-", "+", " "]),
+    st.integers(630, 660),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(NEAR_BOUNDS.map(str), spellings(), LONG, NEAR_BOUNDS, st.booleans()))
+@example("-0")
+@example("+1")
+@example("01")
+@example(" 1")
+@example("٣")
+@example(str(LOW - 1))
+@example(str(HIGH + 1))
+@example(True)
+def test_the_table_reads_as_the_previous_parse_int(x):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert outcome(parse_int, x) == outcome(previous_parse_int, x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_only_canonical_spellings_are_in_the_table():
+    assert all(_SMALL_INTS[str(i)] == i for i in range(LOW, HIGH + 1))
+    assert len(_SMALL_INTS) == HIGH - LOW + 1
+    assert LOW < 0 < HIGH
 
 
 def test_fast_path_gives_the_located_digit_limit_error():
@@ -229,3 +297,25 @@ def test_a_spaced_integer_reads_as_the_plain_one(field):
     """``" 1"`` is not a plain digit string, so it takes the general path,
     which reads it as 1: the document parses, or fails, as with ``"1"``."""
     assert parsed(_torus2_doc_with(field, " 1")) == parsed(_torus2_doc_with(field, "1"))
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize("spelling", ["+1", "01", "1 ", "001"])
+def test_an_off_table_spelling_reads_as_the_plain_one(field, spelling):
+    """Spellings that miss ``parse_int``'s table are read through its general
+    path: the document parses, or fails, as with ``"1"``."""
+    assert parsed(_torus2_doc_with(field, spelling)) == parsed(_torus2_doc_with(field, "1"))
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_an_unhashable_integer_field_is_a_located_error(field):
+    location = INTEGER_FIELDS[field]
+    message = "expected an integer (decimal string), got [1]"
+    assert parsed(_torus2_doc_with(field, [1])) == ("error", f"{location}: {message}", location)
+
+
+@pytest.mark.parametrize("field", ["i_deg", "j_idx", "result"])
+def test_a_missing_product_field_is_named(field):
+    doc = _torus2_doc_with("i_idx", "400")  # off the table, so the general path reads the key
+    del doc["product"][1][field]
+    assert parsed(doc) == ("error", f"product entry 1 is missing field {field!r}", None)

@@ -13,7 +13,6 @@ oracle is ``reference_verify_iso``, a copy of the kernel-based loop it
 replaced, on dense matrices.
 """
 
-import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -79,7 +78,7 @@ def test_rational_rank_and_kernel():
     assert 2 * v.get(0, 0) + 4 * v.get(1, 0) == 0
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_block_rank_is_rank_d_plus_rank_of_t_on_ker_d_beside_b(data):
     """rank [[D, 0], [T, B]] = rank D + rank [T . ker D | B], the identity of verify_iso."""
@@ -257,7 +256,7 @@ def _perturbed(tm):
             if block and dcols[i]:
                 blocks = {p: [dict(col) for col in b] for p, b in tm.blocks.items()}
                 blocks[par][0][i] = blocks[par][0].get(i, 0) + 1
-                return dataclasses.replace(tm, blocks=blocks)
+                return TMap(tm.source, tm.target, tm.parity_shift, blocks, tm.scale)
     raise AssertionError("no entry of T reaches the target differential")
 
 
