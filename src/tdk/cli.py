@@ -404,16 +404,11 @@ def run(argv):
         return 2, {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _render_pretty(doc):
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     code, doc = run(argv)
     if doc:
-        pretty = "--pretty" in argv
-        sys.stdout.write((_render_pretty(doc) if pretty else dumps(doc)) + "\n")
+        sys.stdout.write(dumps(doc, pretty="--pretty" in argv) + "\n")
     return code
 
 

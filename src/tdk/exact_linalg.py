@@ -643,14 +643,6 @@ class Subquotient:
         return f"Subquotient({self.group!r})"
 
 
-def _as_matrix(x, ngens):
-    if isinstance(x, GroupHom):
-        if x.target.ngens != ngens:
-            raise DimensionError("hom target does not match the ambient group")
-        return x.matrix
-    return list(x)
-
-
 def induced_hom(src: Subquotient, tgt: Subquotient, fn) -> GroupHom:
     """GroupHom between subquotient groups induced by fn on ambient vectors.
 
@@ -670,14 +662,12 @@ def induced_hom(src: Subquotient, tgt: Subquotient, fn) -> GroupHom:
 def subquotient(amb, Z, B, contained=False):
     """im(Z)/im(B) inside ``amb``; raises when im(B) is not inside im(Z).
 
-    Z and B may be GroupHoms into ``amb`` or matrices, as columns, on its
-    ambient generators.  The violation certificate names the first
-    offending column.  A caller that has proved im(B) inside im(Z) passes
-    ``contained=True``, which skips the check: one membership solve per
-    column of B.  The group and every reduction are the same either way.
+    Z and B are matrices, as columns, on the ambient generators of ``amb``.
+    The violation certificate names the first offending column.  A caller
+    that has proved im(B) inside im(Z) passes ``contained=True``, which
+    skips the check: one membership solve per column of B.  The group and every reduction are the same either way.
     """
-    MZ = _as_matrix(Z, amb.ngens)
-    MB = _as_matrix(B, amb.ngens)
+    MZ, MB = list(Z), list(B)
     a = len(MZ)
     K = kernel_basis(MZ + MB + amb.rels, amb.ngens)
     sq = Subquotient(ambient=amb, gens=MZ, group=FgAbelianGroup(a, _restrict(K, a)))

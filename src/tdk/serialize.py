@@ -11,7 +11,6 @@ import json
 
 from .errors import SchemaError, parse_int
 from .space_model import (
-    DEFAULT_TRUNCATION,
     Cocycle,
     DgRingModel,
     SimplicialComplex,
@@ -112,8 +111,6 @@ def space_from_doc(doc, truncation=None):
         if not isinstance(params, dict):
             raise SchemaError("builtin params must be an object")
         params = {k: parse_int(v, f"params.{k}") for k, v in params.items()}
-        if truncation is None:
-            truncation = DEFAULT_TRUNCATION
         return builtin_space(name, params, truncation=truncation)
     return parse_space(doc, truncation=truncation)
 

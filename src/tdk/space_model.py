@@ -48,6 +48,19 @@ __all__ = [
 DEFAULT_TRUNCATION = 4
 
 
+def _truncation_bound(truncation):
+    """The truncation bound, DEFAULT_TRUNCATION for None, read by ``operator.index``.
+
+    So a float is an InputError, not truncated.
+    """
+    if truncation is None:
+        return DEFAULT_TRUNCATION
+    try:
+        return operator.index(truncation)
+    except TypeError:
+        raise InputError(f"truncation {truncation!r} is not an integer") from None
+
+
 class Cocycle(FrozenRecord):
     """A degree and a coefficient vector over the model basis in that degree.
 
@@ -504,10 +517,13 @@ class SimplicialComplex:
     """Finite abstract simplicial complex given by its facets.
 
     The vertex count and the vertices are read by ``operator.index``, so a
-    float or a string is a SchemaError, not truncated or parsed.
+    float or a string is a SchemaError, not truncated or parsed.  The bound
+    ``max_dim`` on facet dimensions is read as a truncation: None is
+    DEFAULT_TRUNCATION, and a float or a string is an InputError.
     """
 
     def __init__(self, nvertices, facets, max_dim=DEFAULT_TRUNCATION):
+        max_dim = _truncation_bound(max_dim)
         try:
             self.nvertices = operator.index(nvertices)
         except TypeError:
@@ -593,24 +609,6 @@ class SimplicialComplex:
                 out[r] = u[iu] * v[iv]
         return out
 
-    def is_connected(self):
-        if self.nvertices == 0:
-            return False
-        seen = {self.simplices[0][0][0]} if self.simplices[0] else set()
-        frontier = list(seen)
-        adj = {}
-        for (a, b) in self.simplices[1] if self.dim >= 1 else []:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        while frontier:
-            x = frontier.pop()
-            for y in adj.get(x, []):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        vertices = {s[0] for s in self.simplices[0]}
-        return seen == vertices
-
     def __repr__(self):
         counts = [self.n_simplices(k) for k in range(self.dim + 1)]
         return f"SimplicialComplex(vertices={self.nvertices}, counts={counts})"
@@ -618,19 +616,6 @@ class SimplicialComplex:
 
 # ---------------------------------------------------------------------------
 # parsing
-
-
-def _truncation_bound(truncation):
-    """The truncation bound, DEFAULT_TRUNCATION for None, read by ``operator.index``.
-
-    So a float is an InputError, not truncated.
-    """
-    if truncation is None:
-        return DEFAULT_TRUNCATION
-    try:
-        return operator.index(truncation)
-    except TypeError:
-        raise InputError(f"truncation {truncation!r} is not an integer") from None
 
 
 def parse_space(document, truncation=None):
@@ -801,114 +786,69 @@ def _parse_dgring(document, truncation):
 def cohomology_ring(K: SimplicialComplex, truncation=DEFAULT_TRUNCATION):
     """Minimal ring model carrying H*(K, Z) with chosen representatives.
 
-    For torsion-free cohomology the differential is zero; a torsion class of
-    order d in degree k is carried by a generator t together with an auxiliary
-    element s in degree k-1 with d(s) = d*t.  Products are computed by
-    multiplying the chosen representative cocycles and reducing; the result is
-    re-validated, so an unrepresentable torsion product structure is rejected
-    rather than silently mangled.
+    Degree k of the model lists the generators of H^k in the normal-form
+    order of ``K.cohomology(k)``, torsion first (``t{k}_i``, of order d_i)
+    and then free (``e{k}_i``), followed by one auxiliary element
+    ``s{k+1}_i`` per torsion generator of H^(k+1), with d(s{k+1}_i) =
+    d_i t{k+1}_i; degree 0 holds the unit ``1`` in place of H^0.  So a
+    reduced cup product of generators is a column of structure constants
+    as it stands, and the product of s{k+1}_i with a generator x is the
+    combination of auxiliary elements whose differential is d_i times the
+    product t{k+1}_i x, stored with its graded mirror x s{k+1}_i.  At the
+    truncation boundary that differential is cut off, and the product stays
+    zero; so does the product of two auxiliary elements.  The result is re-validated, so an
+    unrepresentable torsion product structure is rejected rather than
+    silently mangled.
     """
-    if not K.is_connected():
+    truncation = _truncation_bound(truncation)
+    if K.cohomology(0).invariants() != (1, ()):
         raise ModelError("cohomology_ring requires a connected complex")
     D = min(K.dim, truncation)
-
-    gens = {}   # degree -> list of (label, kind, order, rep vector)
-    for k in range(D + 1):
-        H = K.cohomology(k)
-        rank, torsion = H.invariants()
-        reps = H.generator_vectors()
-        out = []
-        for t_i, d in enumerate(torsion):
-            out.append((f"t{k}_{t_i}", "torsion", d, reps[t_i]))
-        for f_i in range(rank):
-            out.append((f"e{k}_{f_i}", "free", 0, reps[len(torsion) + f_i]))
-        gens[k] = out
-    # connected complex: use the constant-1 cochain as the unit representative
-    ones = [1] * K.n_simplices(0)
-    gens[0] = [("1", "free", 0, ones)]
-
+    groups = [K.cohomology(k) for k in range(D + 1)]
+    torsion = [H.invariants()[1] for H in groups] + [()]
+    # the constant-1 cochain represents the unit
+    reps = [[[1] * K.n_simplices(0)]] + [H.generator_vectors() for H in groups[1:]]
+    gens = [len(r) for r in reps]  # the auxiliary elements of degree k start at gens[k]
     basis = []
-    kinds = []  # per degree: list of ("gen", gen record) / ("killer", target info)
     for k in range(D + 1):
-        labels = []
-        slot = []
-        for rec in gens[k]:
-            labels.append(rec[0])
-            slot.append(("gen", rec))
-        if k + 1 <= D:
-            for t_i, rec in enumerate(r for r in gens[k + 1] if r[1] == "torsion"):
-                labels.append(f"s{k + 1}_{t_i}")
-                slot.append(("killer", (k + 1, t_i, rec)))
-        basis.append(labels)
-        kinds.append(slot)
-
-    diff = {}
-    for k in range(D):
-        mat = [[0] * len(basis[k]) for _ in basis[k + 1]]
-        for col, (kind, payload) in enumerate(kinds[k]):
-            if kind == "killer":
-                deg, t_i, rec = payload
-                mat[t_i][col] = rec[2]  # d(s) = order * t
-        diff[k] = mat
-
-    def killer_for(k, torsion_coords):
-        """Auxiliary combination whose differential is sum d_i c_i t_i, as a sparse cochain."""
-        return {
-            col: torsion_coords[payload[1]]
-            for col, (kind, payload) in enumerate(kinds[k - 1])
-            if kind == "killer" and payload[0] == k and torsion_coords[payload[1]]
-        }
+        T = len(torsion[k])
+        labels = [f"t{k}_{x}" for x in range(T)] + [f"e{k}_{x}" for x in range(gens[k] - T)]
+        killers = [f"s{k + 1}_{x}" for x in range(len(torsion[k + 1]))]
+        basis.append((labels if k else ["1"]) + killers)
+    diff = {k: [{}] * gens[k] + [{x: d} for x, d in enumerate(torsion[k + 1])] for k in range(D)}
 
     product = {}
     for i in range(D + 1):
         for j in range(D + 1 - i):
-            Hij = K.cohomology(i + j)
-            n_tor = len(Hij.invariants()[1])
-            for a, (kind_a, pay_a) in enumerate(kinds[i]):
-                for b, (kind_b, pay_b) in enumerate(kinds[j]):
-                    if (i == 0 and a == 0) or (j == 0 and b == 0):
+            H = groups[i + j]
+            for a in range(len(basis[i])):
+                for b in range(gens[j]):
+                    if not ((i or a) and (j or b)):
                         continue  # unit action is implicit
-                    if kind_a == "gen" and kind_b == "gen":
-                        cup = K.cup(i, pay_a[3], j, pay_b[3])
-                        nf = Hij.reduce(cup)
-                        table = {c: int(v) for c, v in enumerate(nf) if v != 0}
+                    if a < gens[i]:
+                        nf = H.reduce(K.cup(i, reps[i][a], j, reps[j][b]))
+                        table = {c: v for c, v in enumerate(nf) if v}
                         if table:
                             product[(i, a, j, b)] = table
-                    elif kind_a == "killer" and kind_b == "gen":
-                        # s_t * x must have differential order(t) * (t * x);
-                        # at the truncation boundary that differential is cut
-                        # off, so the product may stay zero there
-                        deg_t, t_i, rec = pay_a
-                        if deg_t + j > D:
-                            continue
-                        cup = K.cup(deg_t, rec[3], j, pay_b[3])
-                        target = K.cohomology(deg_t + j)
-                        nf = target.reduce(cup)
-                        n_tor_t = len(target.invariants()[1])
-                        coords = [0] * n_tor_t
-                        ok = True
-                        for s_i, d_s in enumerate(target.invariants()[1]):
-                            val = rec[2] * nf[s_i]
-                            if val % d_s:
-                                ok = False
-                                break
-                            coords[s_i] = val // d_s
-                        if not ok:
-                            raise ModelError(
-                                "torsion product structure is not strictly "
-                                f"realizable at pair ({basis[i][a]}, {basis[j][b]})"
-                            )
-                        table = killer_for(deg_t + j, coords)
+                    elif i + 1 + j <= D:
+                        t = a - gens[i]
+                        nf = groups[i + 1 + j].reduce(K.cup(i + 1, reps[i + 1][t], j, reps[j][b]))
+                        table = {}
+                        for x, d in enumerate(torsion[i + 1 + j]):
+                            q, r = divmod(torsion[i + 1][t] * nf[x], d)
+                            if r:
+                                raise ModelError(
+                                    "torsion product structure is not strictly "
+                                    f"realizable at pair ({basis[i][a]}, {basis[j][b]})"
+                                )
+                            if q:
+                                table[gens[i + j] + x] = q
                         if table:
+                            sign = -1 if i % 2 and j % 2 else 1
                             product[(i, a, j, b)] = table
-                            sign = -1 if (i % 2 and j % 2) else 1
-                            product[(j, b, i, a)] = {
-                                c: sign * v for c, v in table.items()
-                            }
-                    # killer*killer and gen*killer default to zero /
-                    # commutativity entries written above
+                            product[(j, b, i, a)] = {c: sign * v for c, v in table.items()}
 
-    model = DgRingModel(
+    return DgRingModel(
         basis,
         diff,
         product,
@@ -918,12 +858,9 @@ def cohomology_ring(K: SimplicialComplex, truncation=DEFAULT_TRUNCATION):
                 "ring model assumed integrally quasi-isomorphic to the cochain "
                 "algebra of the realized complex (formality assumption)"
             ),
-            "representatives": {
-                k: [list(rec[3]) for rec in gens[k]] for k in range(D + 1)
-            },
+            "representatives": {k: [list(v) for v in reps[k]] for k in range(D + 1)},
         },
     )
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -973,16 +910,17 @@ def product_model(A: DgRingModel, B: DgRingModel, truncation=None):
         return f"{la}*{lb}"
 
     basis = [[label(*p) for p in level] for level in pairs]
+    # d(a b) = d(a) b + (-1)^i a d(b); the two parts land in disjoint rows,
+    # and each column lists its rows in increasing order
     diff = {}
     for k in range(D):
-        mat = [[0] * len(pairs[k]) for _ in pairs[k + 1]]
-        for col, (i, a, j, b) in enumerate(pairs[k]):
+        cols = diff[k] = []
+        for i, a, j, b in pairs[k]:
             sign = -1 if i % 2 else 1
-            for a2, x in A.d_columns(i)[a].items():
-                mat[index[k + 1][(i + 1, a2, j, b)]][col] += x
+            col = {index[k + 1][(i + 1, a2, j, b)]: x for a2, x in A.d_columns(i)[a].items()}
             for b2, x in B.d_columns(j)[b].items():
-                mat[index[k + 1][(i, a, j + 1, b2)]][col] += sign * x
-        diff[k] = mat
+                col[index[k + 1][(i, a, j + 1, b2)]] = sign * x
+            cols.append(dict(sorted(col.items())))
 
     product = {}
     for k1 in range(D + 1):
@@ -1083,9 +1021,9 @@ def _heisenberg_model(k, truncation):
     basis, product, subsets, index = _exterior_tables(labels, D)
     diff = {}
     if D >= 2:  # below that, d(z) lands in a truncated degree
-        d1 = [[0] * len(subsets[1]) for _ in subsets[2]]
-        d1[index[2][(0, 1)]][index[1][(2,)]] = k
-        diff[1] = d1
+        diff[1] = [{} for _ in subsets[1]]  # given even for k = 0, so it keeps its shape
+        if k:
+            diff[1][index[1][(2,)]][index[2][(0, 1)]] = k
     return DgRingModel(
         basis, diff, product, meta={"name": f"heisenberg{k}"}, check=False
     )
@@ -1109,9 +1047,10 @@ def builtin_space(name, params=None, truncation=DEFAULT_TRUNCATION):
     The builtins are generated by code that is valid for every parameter;
     ``tests/test_space_model.py::test_builtins_pass_full_validation`` runs
     the full check on each of them over a ladder of parameters.  Each
-    parameter is read by ``operator.index``: a float or a string is an
-    InputError naming it.
+    parameter, and the truncation, is read by ``operator.index``: a float
+    or a string is an InputError naming it.
     """
+    truncation = _truncation_bound(truncation)
     params = dict(params or {})
     if name == "point":
         model, used = _point_model(), {}

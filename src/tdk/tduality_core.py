@@ -296,9 +296,11 @@ class TripleReport(Record):
         return self.ok
 
 
-def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern):
-    """[flux] lies in step 2 with leading part sum_i y_i (x) [other_chern_i]."""
-    beta = _pairing_primitive(bundle.base, bundle.chern, other_chern)
+def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern, beta):
+    """[flux] lies in step 2 with leading part sum_i y_i (x) [other_chern_i].
+
+    ``beta`` is ``_pairing_primitive(bundle.base, bundle.chern, other_chern)``.
+    """
     if beta is None:
         return False, "no closed cocycle has the required leading part"
     expected = bundle.normal_form_vector(other_chern, beta)
@@ -314,6 +316,9 @@ def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern):
 def validate_triple(t: Triple) -> TripleReport:
     """Itemized exact check of every triple condition; never raises."""
     items = {}
+    side_chern, dual_chern = list(t.side.bundle.chern), list(t.dual.bundle.chern)
+    # the side's leading part and the quadratic relation solve the same pairing
+    side_beta = _pairing_primitive(t.base, side_chern, dual_chern)
     side_closed = t.side.bundle.is_closed(3, t.side.flux.vector)
     dual_closed = t.dual.bundle.is_closed(3, t.dual.flux.vector)
     items["side_flux_closed"] = (side_closed, "d z = 0")
@@ -321,13 +326,14 @@ def validate_triple(t: Triple) -> TripleReport:
 
     if side_closed:
         items["side_leading_part"] = _leading_part_matches(
-            t.side.bundle, t.side.flux, list(t.dual.bundle.chern)
+            t.side.bundle, t.side.flux, dual_chern, side_beta
         )
     else:
         items["side_leading_part"] = (False, "flux not closed")
     if dual_closed:
         items["dual_leading_part"] = _leading_part_matches(
-            t.dual.bundle, t.dual.flux, list(t.side.bundle.chern)
+            t.dual.bundle, t.dual.flux, side_chern,
+            _pairing_primitive(t.base, dual_chern, side_chern),
         )
     else:
         items["dual_leading_part"] = (False, "dual flux not closed")
@@ -341,7 +347,7 @@ def validate_triple(t: Triple) -> TripleReport:
     items["fiber_condition"] = _fiber_condition(t)
 
     items["quadratic_relation"] = (
-        _pairing_primitive(t.base, t.side.bundle.chern, t.dual.bundle.chern) is not None,
+        side_beta is not None,
         "sum_i c_i . chat_i = 0 in H^4 of the base",
     )
     return TripleReport(items)

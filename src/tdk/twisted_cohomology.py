@@ -37,7 +37,7 @@ from functools import cached_property
 from .errors import InputError, ModelError, Record
 from .exact_linalg import _sum_terms, compose, int_vector, kernel_basis, matrix_rank
 from .space_model import Cocycle, _terms
-from .tduality_core import Triple
+from .tduality_core import Triple, validate_triple
 from .torus_bundle import BundleModel
 
 __all__ = [
@@ -185,8 +185,6 @@ def t_transform(t: Triple) -> TMap:
     model and advances by w . until it vanishes or leaves the top degree;
     the m-th power enters the fiber integral with N . (-1)^m / m!.
     """
-    from .tduality_core import validate_triple
-
     report = validate_triple(t)
     if not report.ok:
         raise InputError(f"transformation needs a valid triple: {report.failures()}")

@@ -12,9 +12,18 @@ cohomology of two triangulated grids, a Klein bottle (H^2 = Z/2) and a torus.
 Any change to an exact answer, a normal-form coordinate or the rendering
 shows up here as a byte difference.
 
-Regenerate the files (only when an output change is intended) with
+``ring_models.json`` beside the corpus pins the structure of the derived ring
+models: the basis, differential columns, shapes, structure constants and
+metadata of ``cohomology_ring`` on the fixture complexes, two grids and
+RP^2 x S^1, of the Heisenberg builtin over a ladder of truncations, and of
+three ``product_model`` products.
+
+Regenerate every file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+only when a change to an output or a model is intended, and say which in
+the change's description; never to make a failing case pass.
 """
 
 import json
@@ -25,14 +34,17 @@ import tempfile
 import pytest
 
 from tdk.cli import run
-from tdk.fixtures import PAIR_NAMES, named_pair, simplicial_doc
+from tdk.fixtures import PAIR_NAMES, PROJECTIVE_PLANE_6, named_pair, simplicial_doc
 from tdk.serialize import dumps, pair_to_doc, space_to_doc
-from tdk.space_model import Cocycle, builtin_space
+from tdk.space_model import (
+    Cocycle, SimplicialComplex, builtin_space, cohomology_ring, parse_space, product_model,
+)
 from tdk.tduality_core import Pair
 from tdk.torus_bundle import build_bundle
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CODES = os.path.join(GOLDEN, "exit_codes.json")
+RING_MODELS = os.path.join(GOLDEN, "ring_models.json")
 SIMPLICIAL = ("boundary-tetrahedron", "torus-7", "projective-plane-6")
 SS_PAGES = (2, 3)
 DGRING_PAIRS = ("hopf", "lens2_k1", "t3_trivial")
@@ -248,8 +260,87 @@ def test_golden_output_byte_identical(current, case):
     assert current[case][1].encode("utf-8") == expected
 
 
+# ---------------------------------------------------------------------------
+# derived ring models
+
+
+def rp2_times_circle():
+    """RP^2 x S^1 as the staircase product of the 6-vertex RP^2 and a 3-vertex circle.
+
+    Vertex (v, c) is 3 v + c.  The prism over a triangle a < b < c and an
+    edge p < q is cut into three 3-simplices, one per monotone path from
+    (a, p) to (c, q).  H^2 = H^3 = Z/2, and the ring model has the product
+    s2_0 . e1_0 = s3_0 of a torsion killer with a free class.
+    """
+    facets = [
+        [3 * v + p for v in tri[: turn + 1]] + [3 * v + q for v in tri[turn:]]
+        for tri in PROJECTIVE_PLANE_6
+        for p, q in ((0, 1), (1, 2), (0, 2))
+        for turn in range(3)
+    ]
+    return SimplicialComplex(18, facets)
+
+
+def ring_models():
+    """{case name: model} for every model pinned in ``ring_models.json``."""
+    models = {}
+    for name in SIMPLICIAL:
+        models[f"ring__{name}"] = cohomology_ring(parse_space(simplicial_doc(name)))
+    for kind in ("torus", "klein"):
+        models[f"ring__{kind}_grid_3"] = cohomology_ring(parse_space(grid_doc(kind, 3)))
+    K = rp2_times_circle()
+    for truncation in (1, 2, 3):
+        models[f"ring__rp2_x_s1_t{truncation}"] = cohomology_ring(K, truncation)
+    for k in (0, 1, 3):
+        for truncation in range(1, 5):
+            model = builtin_space("heisenberg", {"k": k}, truncation)
+            models[f"heisenberg{k}_t{truncation}"] = model
+    for (a, pa), (b, pb) in (
+        (("sphere", {"k": 2}), ("sphere", {"k": 1})),
+        (("torus", {"k": 2}), ("torus", {"k": 2})),
+        (("torus", {"k": 2}), ("heisenberg", {"k": 1})),
+    ):
+        name = f"product__{a}{next(iter(pa.values()))}_x_{b}{next(iter(pb.values()))}"
+        models[name] = product_model(builtin_space(a, pa), builtin_space(b, pb))
+    return models
+
+
+def ring_record(model):
+    """The structure of a model as JSON data: basis, differential, products, metadata."""
+    record = {
+        "basis": model.basis,
+        "d_columns": [
+            [sorted(col.items()) for col in model.d_columns(k)] for k in range(model.D + 1)
+        ],
+        "diff_shapes": sorted(model.diff_shapes.items()),
+        "product": [[*key, sorted(terms.items())] for key, terms in sorted(model.product.items())],
+        "meta": model.meta,
+    }
+    return json.loads(json.dumps(record))
+
+
+def ring_records_text():
+    """``ring_models.json`` as it should read: one line per case, sorted."""
+    records = {name: ring_record(model) for name, model in ring_models().items()}
+    lines = [
+        f"{json.dumps(name)}: {json.dumps(records[name], sort_keys=True)}" for name in sorted(records)
+    ]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def test_ring_models_match_golden():
+    with open(RING_MODELS, encoding="utf-8") as handle:
+        expected = json.load(handle)
+    current = {name: ring_record(model) for name, model in ring_models().items()}
+    assert sorted(current) == sorted(expected)
+    for name in sorted(current):
+        assert current[name] == expected[name], name
+
+
 def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
+    with open(RING_MODELS, "w", encoding="utf-8") as handle:
+        handle.write(ring_records_text())
     results = outputs()
     for case, (_, text) in results.items():
         with open(os.path.join(GOLDEN, f"{case}.json"), "wb") as handle:

@@ -15,7 +15,7 @@ import pytest
 from tdk.cli import run
 from tdk.errors import InputError, ModelError, SchemaError
 from matrices import array, columns, vec
-from tdk.serialize import space_to_doc
+from tdk.serialize import space_from_doc, space_to_doc
 from tdk.space_model import (
     DEFAULT_TRUNCATION,
     Cocycle,
@@ -26,6 +26,7 @@ from tdk.space_model import (
     parse_space,
     product_model,
 )
+from test_golden import rp2_times_circle
 
 BOUNDARY_TETRAHEDRON = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 
@@ -218,6 +219,33 @@ def test_truncation_is_refused_unless_an_integer():
         parse_space(doc, truncation=1)
     assert parse_space(doc, truncation=2).D == 2
     assert product_model(T1, T1, truncation=1).D == 1
+
+
+# every reader of a truncation bound, as a function of it; each result compares by value
+TRUNCATION_READERS = {
+    "builtin_space": lambda t: builtin_space("sphere", {"k": 4}, truncation=t).basis,
+    "space_from_doc": lambda t: space_from_doc(
+        {"format": "builtin", "name": "torus", "params": {"k": "3"}}, truncation=t
+    ).basis,
+    "cohomology_ring": lambda t: cohomology_ring(
+        SimplicialComplex(4, BOUNDARY_TETRAHEDRON), truncation=t
+    ).basis,
+    "SimplicialComplex": lambda t: SimplicialComplex(4, BOUNDARY_TETRAHEDRON, max_dim=t).simplices,
+    "parse_space": lambda t: parse_space(_torus2_doc(), truncation=t).basis,
+    "product_model": lambda t: product_model(
+        builtin_space("torus", {"k": 2}), builtin_space("sphere", {"k": 2}), truncation=t
+    ).basis,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(TRUNCATION_READERS))
+def test_every_reader_takes_none_as_the_default_truncation_and_refuses_non_integers(reader):
+    read = TRUNCATION_READERS[reader]
+    assert read(None) == read(DEFAULT_TRUNCATION)
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(InputError) as err:
+            read(bad)
+        assert str(err.value) == f"truncation {bad!r} is not an integer"
 
 
 def test_builtin_params_are_refused_unless_integers():
@@ -545,8 +573,23 @@ def test_ring_representatives_choice_does_not_change_constants():
 
 def test_ring_rejects_disconnected_complex():
     K = SimplicialComplex(4, [[0, 1], [2, 3]])
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="requires a connected complex"):
         cohomology_ring(K)
+    # a vertex that no facet uses is not part of the complex
+    assert cohomology_ring(SimplicialComplex(5, BOUNDARY_TETRAHEDRON)).betti()[0] == (1, ())
+
+
+def test_ring_of_rp2_x_s1_multiplies_a_torsion_killer_by_a_free_class():
+    """H^2 = H^3 = Z/2 with t2 e1 = t3, so d(s2 e1) = 2 t2 e1 = 2 t3 = d(s3) forces s2 e1 = s3."""
+    M = cohomology_ring(rp2_times_circle())
+    assert M.basis == [["1"], ["e1_0", "s2_0"], ["t2_0", "s3_0"], ["t3_0"]]
+    assert M.betti() == [(1, ()), (1, ()), (0, (2,)), (0, (2,))]
+    assert M.d_columns(1) == [{}, {0: 2}] and M.d_columns(2) == [{}, {0: 2}]
+    assert M.product[(2, 0, 1, 0)] == M.product[(1, 0, 2, 0)] == {0: 1}  # t2 e1 = t3
+    assert M.product[(1, 1, 1, 0)] == {1: 1}  # s2 e1 = s3
+    assert M.product[(1, 0, 1, 1)] == {1: -1}  # e1 s2 = -s3
+    # at truncation 2, s2 e1 would land in degree 2 with its differential cut off
+    assert (1, 1, 1, 0) not in cohomology_ring(rp2_times_circle(), truncation=2).product
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,61 @@ def test_t_transform_is_scale_times_reference_on_a_gauge_acted_triple():
     assert verify_iso(moved).ok
 
 
+# ---------------------------------------------------------------------------
+# Hori's formula as an oracle: with w = sum_i y_i yh_i, (-w)^m / m! is
+# (-1)^m times the sum over m-element sets I of prod_(i in I) y_i yh_i, so
+# exp(-w) b y_S reaches y_1 ... y_n in exactly one term, from I = S^c.  N . T
+# therefore sends the side element b y_S to +-N b yh_(S^c) and nowhere else.
+
+
+SIGMA2 = builtin_space("surface", {"genus": 2})
+HEIS1 = builtin_space("heisenberg", {"k": 1})
+HEIS2 = builtin_space("heisenberg", {"k": 2})
+# bundles besides the fixture pairs': (base, chern as the index of a degree-2
+# basis element or None for zero, flux as {(p, a, S): coeff})
+HORI_BUNDLES = {
+    "t3_n2": (T3, [0, 1], {(2, 2, (0,)): 1}),
+    "surface2_n2": (SIGMA2, [0, None], {(2, 0, (1,)): 1}),
+    "heisenberg1_n2": (HEIS1, [1, 2], {(2, 1, (1,)): 1, (3, 0, ()): 1}),
+    "t3_n2_trivial": (T3, [None, None], {(2, 0, (0,)): 1, (2, 1, (1,)): 1, (3, 0, ()): 1}),
+    "surface2_n2_trivial": (SIGMA2, [None, None], {(2, 0, (0,)): 1}),
+    "heisenberg2_n2_trivial": (HEIS2, [None, None], {(2, 2, (0,)): 1}),
+    "t2_n3": (T2, [0, None, None], {(2, 0, (1,)): 1}),
+}
+
+
+def hori_pair(name):
+    """The fixture pair of this name, or the pair that ``HORI_BUNDLES`` describes."""
+    if name not in HORI_BUNDLES:
+        return named_pair(name)
+    base, chern, flux = HORI_BUNDLES[name]
+    chern = [base.zero_vector(2) if a is None else base.basis_vector(2, a) for a in chern]
+    m = build_bundle(base, chern)
+    vec = m.zero_vector(3)
+    for e, x in flux.items():
+        vec[m.index[3][e]] += x
+    return Pair(m, Cocycle(3, vec))
+
+
+@pytest.mark.parametrize("name", DUALIZABLE + sorted(HORI_BUNDLES))
+def test_t_transform_follows_horis_formula_for_the_standard_w(name):
+    t = dualize(hori_pair(name))
+    assert t.w == t.standard_w()
+    tm = t_transform(t)
+    assert tm.scale == math.factorial(t.doubled.D // 2)
+    n, dual_index = t.n, t.dual.bundle.index
+    for par in (0, 1):
+        offsets = tm.target.offsets[(par + n) % 2]
+        columns_of = iter(tm.blocks[par])
+        for k in tm.source.degrees[par]:
+            for p, a, S in t.side.bundle.elements[k]:
+                rest = tuple(i for i in range(n) if i not in S)
+                deg = p + len(rest)
+                row = offsets[deg] + dual_index[deg][(p, a, rest)]
+                col = next(columns_of)
+                assert list(col) == [row] and abs(col[row]) == tm.scale, (p, a, S)
+
+
 CP2 = DgRingModel([["1"], [], ["b"], [], ["b2"]], {}, {(2, 0, 2, 0): {0: 1}})
 
 
