@@ -13,6 +13,14 @@ divisibility chain.  The rest of the module
 (solving, kernels, cokernels, presented groups, subquotients) is built on
 top of it.
 
+Trivial work is skipped where its answer is known.  A matrix whose columns
+hold no entry (an empty matrix, or a zero block of a differential) is not
+eliminated: its Smith form is the zero diagonal with identity U and V,
+which is what the elimination returns for it.  A ``GroupHom`` checks that
+each relation lands in the target's relations by reducing its image there,
+and an image with no entry is zero in every group, so it is not reduced;
+``is_zero_hom`` skips empty columns the same way.
+
 Invariant factors alone need no U or V.  ``invariant_factors`` first
 eliminates the +-1 pivots of a matrix on sparse rows, each a unimodular
 step that splits off a factor 1; sparse +-1 coboundaries mostly vanish that
@@ -328,6 +336,8 @@ def smith_normal_form(columns, rows):
     m, n = rows, len(columns)
     if m < 0:
         raise DimensionError(f"a matrix has no {m} rows")
+    if not any(columns):  # no entry to check or eliminate: what the loop returns at t = 0
+        return SmithForm((m, n), [0] * min(m, n), identity(m), identity(n))
     A = [{} for _ in range(m)]
     for c, col in enumerate(columns):
         for r, x in col.items():
@@ -548,7 +558,8 @@ class GroupHom:
 
     ``matrix`` has one column per source generator, its image in target
     coordinates.  Well-definedness (relations land in relations) is checked
-    at construction.
+    at construction; an image with no entry is zero in any group, so only
+    the nonzero images are reduced.
     """
 
     def __init__(self, source, target, matrix):
@@ -561,7 +572,7 @@ class GroupHom:
             )
         _check_rows(self.matrix, target.ngens, "hom matrix")
         for j, img in enumerate(compose(self.matrix, self.source.rels)):
-            if not self.target.is_zero(dense_vector(img, target.ngens)):
+            if img and not self.target.is_zero(dense_vector(img, target.ngens)):
                 raise SubgroupContainmentError(
                     f"relation column {j} is not sent into the target relations"
                 )
@@ -574,7 +585,7 @@ class GroupHom:
 
     def is_zero_hom(self):
         rows = self.target.ngens
-        return all(self.target.is_zero(dense_vector(col, rows)) for col in self.matrix)
+        return all(not col or self.target.is_zero(dense_vector(col, rows)) for col in self.matrix)
 
     def kernel(self):
         """ker as a subquotient of the source group."""
@@ -819,8 +830,18 @@ def cochain_cohomology(k, top, dim, d_columns):
 
     ``dim(k)`` is the rank of the degree-k cochains and ``d_columns(k)`` the
     differential out of them, as sparse columns.  Outside 0..top the group is zero.
+
+    The containment im d_{k-1} in ker d_k is proved, not checked
+    (``contained=True``): d_k d_{k-1} = 0, so each column of d_{k-1} lies in
+    ker d_k, and the kernel basis spans the whole integer lattice ker d_k (the
+    last columns of V in the Smith form of d_k), so each such column is an
+    integer combination of it.  d o d = 0 is the precondition of
+    ``cochain_invariants`` too; simplicial complexes have it by construction,
+    parsed models by ``DgRingModel.validate`` and bundles by ``check_d_squared``.
     """
     if not 0 <= k <= top:
         return subquotient(FgAbelianGroup(0), [], [])
     B = d_columns(k - 1) if k >= 1 else []
-    return subquotient(FgAbelianGroup(dim(k)), kernel_basis(d_columns(k), dim(k + 1)), B)
+    return subquotient(
+        FgAbelianGroup(dim(k)), kernel_basis(d_columns(k), dim(k + 1)), B, contained=True
+    )

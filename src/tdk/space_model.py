@@ -51,14 +51,18 @@ DEFAULT_TRUNCATION = 4
 def _truncation_bound(truncation):
     """The truncation bound, DEFAULT_TRUNCATION for None, read by ``operator.index``.
 
-    So a float is an InputError, not truncated.
+    So a float is an InputError, not truncated, and so is a negative bound:
+    no model has fewer degrees than degree 0.
     """
     if truncation is None:
         return DEFAULT_TRUNCATION
     try:
-        return operator.index(truncation)
+        bound = operator.index(truncation)
     except TypeError:
         raise InputError(f"truncation {truncation!r} is not an integer") from None
+    if bound < 0:
+        raise InputError(f"truncation {bound} is negative")
+    return bound
 
 
 class Cocycle(FrozenRecord):

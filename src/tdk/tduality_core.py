@@ -299,7 +299,8 @@ class TripleReport(Record):
 def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern, beta):
     """[flux] lies in step 2 with leading part sum_i y_i (x) [other_chern_i].
 
-    ``beta`` is ``_pairing_primitive(bundle.base, bundle.chern, other_chern)``.
+    ``beta`` is ``_pairing_primitive(bundle.base, bundle.chern, other_chern)``,
+    which is the same for either order of the two lists.
     """
     if beta is None:
         return False, "no closed cocycle has the required leading part"
@@ -317,7 +318,9 @@ def validate_triple(t: Triple) -> TripleReport:
     """Itemized exact check of every triple condition; never raises."""
     items = {}
     side_chern, dual_chern = list(t.side.bundle.chern), list(t.dual.bundle.chern)
-    # the side's leading part and the quadratic relation solve the same pairing
+    # both leading parts and the quadratic relation solve one pairing: the
+    # product of two degree-2 cochains of a graded-commutative base does not
+    # depend on their order, so sum_i chat_i . c_i is sum_i c_i . chat_i
     side_beta = _pairing_primitive(t.base, side_chern, dual_chern)
     side_closed = t.side.bundle.is_closed(3, t.side.flux.vector)
     dual_closed = t.dual.bundle.is_closed(3, t.dual.flux.vector)
@@ -332,8 +335,7 @@ def validate_triple(t: Triple) -> TripleReport:
         items["side_leading_part"] = (False, "flux not closed")
     if dual_closed:
         items["dual_leading_part"] = _leading_part_matches(
-            t.dual.bundle, t.dual.flux, side_chern,
-            _pairing_primitive(t.base, dual_chern, side_chern),
+            t.dual.bundle, t.dual.flux, side_chern, side_beta
         )
     else:
         items["dual_leading_part"] = (False, "dual flux not closed")

@@ -477,12 +477,16 @@ class BundleModel(DgRingModel):
     # -- filtration of classes -------------------------------------------------
 
     def filtration_report(self, z: Cocycle) -> "FiltrationReport":
-        """Maximal p with [z] in F^p H^k, plus the leading part at infinity.
+        """Maximal p with [z] in F^p H^k, and a representative in Z_infinity^p.
 
         z is closed, so [z] = 0 iff z lies in im d_{k-1}: one solve against
         ``d_factor(k - 1)``, with no H^k built.  [z] lies in F^p H^k iff
         z = x + d y with x in Z_infinity^p; each step's matrix is factored once
-        per model (:meth:`_step_factor`).
+        per model (:meth:`_step_factor`).  The leading part at infinity is
+        built on its first read (:attr:`FiltrationReport.leading`), so a
+        caller that reads only the step builds no E_infinity slot.  The
+        report refers to this model and the model never to the report,
+        which is why nothing here is memoised.
         """
         k = z.degree
         vec = list(z.vector)
@@ -490,15 +494,14 @@ class BundleModel(DgRingModel):
             raise InputError("filtration_report needs a closed cochain")
         if self.d_factor(k - 1).solve(vec) is not None:  # d_{-1} is the zero map into C^0
             return FiltrationReport(
-                degree=k, is_zero=True, p=None, leading=(), representative=[0] * len(vec)
+                degree=k, is_zero=True, p=None, representative=[0] * len(vec), model=self
             )
         for p in range(min(k, self.base.D), -1, -1):
             sol = self._step_factor(k, p).solve(vec)
             if sol is not None:
                 rep = mat_vec(self.z_lattice(self.stable_page, p, k - p), sol, len(vec))
-                leading = self._page_subquotient(self.stable_page, p, k - p).reduce(rep)
                 return FiltrationReport(
-                    degree=k, is_zero=False, p=p, leading=leading, representative=rep
+                    degree=k, is_zero=False, p=p, representative=rep, model=self
                 )
         raise ModelError("closed nonzero class fell out of the filtration")
 
@@ -535,12 +538,22 @@ class SSPage(Record):
 
 
 class FiltrationReport(Record):
-    """Maximal filtration step of a class and its leading-part coordinates.
+    """Maximal filtration step of a class in the filtration of ``model``.
 
     ``representative`` is a cochain in F^p of the class, as a list of ints.
+    ``leading``, its coordinates in E_infinity^{p,k-p}, is built on first
+    read: only ``tdk dualizable`` and the self-test read it.
     """
 
-    _fields = ("degree", "is_zero", "p", "leading", "representative")
+    _fields = ("degree", "is_zero", "p", "representative", "model")
+
+    @cached_property
+    def leading(self):
+        """The class of ``representative`` in E_infinity^{p,k-p}; () for the zero class."""
+        if self.is_zero:
+            return ()
+        m, p = self.model, self.p
+        return m._page_subquotient(m.stable_page, p, self.degree - p).reduce(self.representative)
 
     def in_step(self, p):
         return self.is_zero or (self.p is not None and self.p >= p)

@@ -42,6 +42,18 @@ def test_bundle_is_freed_after_cohomology_pages_and_reports():
     assert ref() is None
 
 
+def test_a_report_keeps_its_model_and_the_model_never_the_report():
+    pair = named_pair("hopf_k2")
+    report = pair.bundle.filtration_report(pair.flux)
+    assert report.leading == (2,)  # built on this read, from the model's pages
+    bundle = weakref.ref(pair.bundle)
+    del pair
+    assert bundle() is report.model
+    ref = weakref.ref(report)
+    del report
+    assert ref() is None and bundle() is None
+
+
 def test_doubled_model_is_freed_after_verify_iso():
     t = dualize(named_pair("t3_vol"))
     assert verify_iso(t)

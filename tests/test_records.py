@@ -38,7 +38,7 @@ FIELDS = {
         "dualizable", "certificate", "dual_chern", "ambiguity", "torsor_group", "crosscheck_group",
     ),
     SSPage: ("r", "p", "q", "group", "sq", "d_out", "is_infinity"),
-    FiltrationReport: ("degree", "is_zero", "p", "leading", "representative"),
+    FiltrationReport: ("degree", "is_zero", "p", "representative", "model"),
     TMap: ("source", "target", "parity_shift", "blocks", "scale"),
     IsoReport: ("ok", "chain_ok", "dims_side", "dims_dual", "reason"),
     OnnElement: ("n", "matrix"),

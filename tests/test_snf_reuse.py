@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from matrices import array, columns, reference_smith, vec
+from tdk.errors import DimensionError
 from tdk.exact_linalg import (
     identity,
     invariant_factors,
@@ -164,14 +165,30 @@ unitless_matrices = int_matrices(max_side=4, entries=st.sampled_from([0, 2, -2, 
 empty_matrices = st.one_of(
     st.integers(0, 5).map(lambda n: ([{} for _ in range(n)], 0)),
     st.integers(0, 5).map(lambda m: ([], m)),
+    # rows but only empty columns, which ``smith_normal_form`` returns at once
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).map(lambda mn: ([{}] * mn[1], mn[0])),
 )
 
 
+@st.composite
+def stored_zero_matrices(draw):
+    """A matrix of ``matrices`` whose columns also store zeros: {r: 0} is no entry."""
+    cols, m = draw(matrices)
+    stored = []
+    for col in cols:
+        zeros = draw(st.sets(st.integers(0, m - 1), max_size=m)) if m else set()
+        stored.append({**{r: 0 for r in zeros - col.keys()}, **col})
+    return stored, m
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(matrices, unitless_matrices, empty_matrices))
+@given(st.one_of(matrices, unitless_matrices, empty_matrices, stored_zero_matrices()))
 @example((columns(FROZEN[0][0]), 2))
 @example((columns(FROZEN[1][0]), 3))
 @example((columns(FROZEN[2][0]), 3))
+@example(([{}, {}], 3))
+@example(([{0: 0}, {1: 0}], 2))
+@example(([{0: 0, 1: 2}, {1: 0}, {0: 3}], 2))
 def test_pivot_path_matches_the_dense_reference(M):
     """The sparse kernel takes the dense kernel's steps: same diagonal, U and V."""
     cols, m = M
@@ -180,3 +197,14 @@ def test_pivot_path_matches_the_dense_reference(M):
     assert sf.diagonal == diagonal
     assert sf.U.tolist() == U
     assert sf._V == V
+
+
+def test_a_matrix_without_entries_keeps_its_shape_checks():
+    for cols in ([], [{}], [{}, {}, {}]):
+        with pytest.raises(DimensionError, match="^a matrix has no -1 rows$"):
+            smith_normal_form(cols, -1)
+    # a stored zero outside the rows is still refused
+    with pytest.raises(DimensionError, match="^column 1 has an entry in row 2, outside 0..1$"):
+        smith_normal_form([{}, {2: 0}], 2)
+    sf = smith_normal_form([{}, {}], 3)
+    assert (sf.diagonal, sf._U, sf._V) == ([0, 0], [{0: 1}, {1: 1}, {2: 1}], [{0: 1}, {1: 1}])

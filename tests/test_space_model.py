@@ -248,6 +248,18 @@ def test_every_reader_takes_none_as_the_default_truncation_and_refuses_non_integ
         assert str(err.value) == f"truncation {bad!r} is not an integer"
 
 
+@pytest.mark.parametrize("reader", sorted(TRUNCATION_READERS))
+def test_every_reader_refuses_a_negative_truncation_by_its_value(reader):
+    read = TRUNCATION_READERS[reader]
+    for bad in (-1, -7):
+        with pytest.raises(InputError) as err:
+            read(bad)
+        assert str(err.value) == f"truncation {bad} is negative"
+    if reader == "builtin_space":  # the sphere and the point once gave a degree-0 model
+        with pytest.raises(InputError, match="^truncation -1 is negative$"):
+            builtin_space("point", {}, truncation=-1)
+
+
 def test_builtin_params_are_refused_unless_integers():
     for name, param, bad in (
         ("torus", "k", 2.9), ("torus", "k", "3"), ("sphere", "k", 2.0),
