@@ -807,7 +807,8 @@ def cochain_invariants(top, dim, columns):
     The precondition d o d = 0 is not checked here, and clearing rests on it
     as much as the formula does.  It holds by construction for simplicial
     complexes, ``DgRingModel.validate`` certifies it for parsed ``dgring``
-    documents, and ``check_d_squared`` for every bundle build.  Callers that
+    documents, and ``BundleModel``'s certificate, which checks the terms of
+    d o d on the base, for every bundle build.  Callers that
     need classes, representatives or reductions use ``cochain_cohomology``
     instead.
     """
@@ -837,7 +838,8 @@ def cochain_cohomology(k, top, dim, d_columns):
     last columns of V in the Smith form of d_k), so each such column is an
     integer combination of it.  d o d = 0 is the precondition of
     ``cochain_invariants`` too; simplicial complexes have it by construction,
-    parsed models by ``DgRingModel.validate`` and bundles by ``check_d_squared``.
+    parsed models by ``DgRingModel.validate`` and bundles by the certificate
+    that ``BundleModel`` runs on base data at every build.
     """
     if not 0 <= k <= top:
         return subquotient(FgAbelianGroup(0), [], [])

@@ -472,14 +472,17 @@ class DgRingModel:
             labels = ", ".join(repr(self.basis[k][x]) for k, x in zip(least[:n], least[n:]))
             raise ModelError(f"{axiom} fails on {'pair' if n == 2 else 'triple'} ({labels})")
 
-    def check_d_squared(self):
-        """Raise ModelError naming the first basis element x with d(d(x)) != 0."""
+    def d_squared_failures(self):
+        """(k, a) for each basis element x = basis[k][a] with d(d(x)) != 0, in order."""
         for k in range(self.D - 1):
             for a, col in enumerate(self.d_columns(k)):
                 if col and self.d_terms(k + 1, col):
-                    raise ModelError(
-                        f"d(d(x)) != 0 for basis element {self.basis[k][a]!r} in degree {k}"
-                    )
+                    yield k, a
+
+    def check_d_squared(self):
+        """Raise ModelError naming the first basis element x with d(d(x)) != 0."""
+        for k, a in self.d_squared_failures():
+            raise ModelError(f"d(d(x)) != 0 for basis element {self.basis[k][a]!r} in degree {k}")
 
     # -- cohomology ----------------------------------------------------------
 
@@ -497,9 +500,10 @@ class DgRingModel:
         """[(rank, torsion)] of H^k for k = 0..D, without classes.
 
         ``cochain_invariants`` needs d o d = 0: ``validate`` certifies it for
-        checked models (every parsed ``dgring`` document), ``check_d_squared``
-        for the total model of every bundle build, and the builtins are
-        closed by construction (``tests/test_space_model.py`` validates them).
+        checked models (every parsed ``dgring`` document), ``BundleModel``'s
+        certificate on base data for the total model of every bundle build,
+        and the builtins are closed by construction
+        (``tests/test_space_model.py`` validates them).
         """
         return cochain_invariants(self.D, self.dim, self.d_columns)
 

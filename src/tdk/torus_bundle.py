@@ -15,11 +15,11 @@ the columns of F^p C^k against the rows of C^{k+1} below base degree p + r.
 A model builds what it reads on first use and keeps it: each d_k, the basis
 labels, each Z_r block, the Smith form of each d_k and of each filtration
 solve.  So a triple, which reads its doubled model in degrees 1 and 2 only,
-never builds the other degrees of it.
+never builds the other degrees of it, and a build itself builds none.
 
-Why d o d = 0 needs only the cross terms on the doubled model.  Write
-d = d_B + delta, with d_B the base differential on b and delta the sum over
-i in S.  On x = b (x) y_S, with |b| = p, d(d(x)) has three parts:
+The one d o d = 0 certificate, on the base.  Write d = d_B + delta, with d_B
+the base differential on b and delta the sum over i in S.  On x = b (x) y_S,
+with |b| = p, d(d(x)) has three parts:
 
   (A) d_B d_B b (x) y_S, in base degree p + 2 with monomial S;
   (B) sum_i +-(d(b.z_i) - (db).z_i) (x) y_{S-i}, in base degree p + 3;
@@ -29,18 +29,23 @@ i in S.  On x = b (x) y_S, with |b| = p, d(d(x)) has three parts:
 
 Each part, and each i or pair {i, j} in it, lands on basis elements that no
 other part reaches, so d(d(x)) = 0 iff every term of (A), (B) and (C) is
-zero.  (A) and (B) name one chern cocycle at most, and an element with
-S = {} or S = {i} of every base degree lies in the range that
-``check_d_squared`` scans (each term is zero by degree where it does not).
-So the certificate of a bundle with chern list L covers (A), (B) for every
-z in L and (C) for every pair inside L.  The doubled model has the chern
-list L + Lhat of two bundles over the same base that were each certified
-at build; all that is left is (C) for i in L and j in Lhat: the n^2 cross
-terms (b.z_i).zhat_j = (b.zhat_j).z_i for each base basis element b.  They
-land in base degree p + 4, so only bases of degree 4 or more have any.  The
-first x with d(d(x)) != 0 in the order of ``check_d_squared`` is then
-b (x) y_i yhat_j for the least failing (p, b, i, j): a failing element
-of lower degree would need a failing term of lower base degree.
+zero.  A term names a base element b of degree p and a tuple T of fiber
+indices: T = () in (A), (i,) in (B), (i, j) in (C).  It does not depend on
+S, so it fails for every x = b (x) y_S with S containing T, the least of
+which in the order below is b (x) y_T.  ``check_d_squared`` on
+the total model scans x by total degree, then base degree, base index and
+monomial, which is the order of the keys (p + |S|, p, b, S), and a term that
+is not zero by degree has p + |T| <= D - 2, inside the scanned degrees.  So
+the first x it would name is b (x) y_T for the least key (p + |T|, p, b, T)
+over the failing terms, and :meth:`BundleModel._certify` checks the terms on
+the base alone and raises the scan's ModelError for that x, with no d_k of
+the total model built.
+
+The doubled model has the chern list L + Lhat of two bundles over one base
+that were each certified at build.  Their terms, whose indices lie inside L
+or inside Lhat, are skipped by the same rule, which leaves (C) for i in L and
+j in Lhat: the n^2 cross terms (b.z_i).zhat_j = (b.zhat_j).z_i.  They land in
+base degree p + 4, so only bases of degree 4 or more have any.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from functools import cached_property
 from .errors import InputError, ModelError, Record
 from .exact_linalg import (
     FgAbelianGroup,
+    _sum_terms,
     cochain_cohomology,
     compose,
     induced_hom,
@@ -121,21 +127,22 @@ class BundleModel(DgRingModel):
     :meth:`DgRingModel.validate`) and stores them nowhere.  The ring is
     graded-commutative by construction once the base is valid; its Leibniz
     rule rests on the chern cocycles, which :class:`ChernVector` checks are
-    closed.  The one check at build time is the d o d = 0 certificate, which
-    also catches a base that breaks Leibniz against a chern cocycle; the
-    doubled model of :meth:`doubled` certifies it from its two halves (see
-    the module docstring).
+    closed.  The one check at build time is the d o d = 0 certificate of
+    :meth:`_certify`, on base data only, which also catches a base that
+    breaks Leibniz against a chern cocycle.  ``certified`` lists sets of
+    fiber indices whose terms a build already certified: the doubled model
+    of :meth:`doubled` passes its two halves (see the module docstring).
     """
 
-    def __init__(self, base: DgRingModel, chern: ChernVector, labels=None, halves=None):
+    def __init__(self, base: DgRingModel, chern: ChernVector, labels=None, certified=()):
         if chern.base is not base:
             raise InputError("chern cocycles live in a different base model")
         self.base = base
         self.chern = chern
         self.n = chern.n
-        self.labels = list(labels) if labels else [f"y{i + 1}" for i in range(self.n)]
-        if len(self.labels) != self.n:
-            raise InputError("one fiber label per fiber circle")
+        self.labels = [f"y{i + 1}" for i in range(self.n)] if labels is None else list(labels)
+        if len(self.labels) != self.n or len(set(self.labels)) != self.n:
+            raise InputError(f"fiber labels {self.labels}: need {self.n} distinct, one per circle")
 
         self.elements = [  # per total degree: list of (p, a, S)
             [
@@ -154,28 +161,22 @@ class BundleModel(DgRingModel):
         self._memo = {}
         self._chern_terms = [{z: x for z, x in enumerate(c) if x} for c in chern]
         self._bz = {}  # (p, a, i) -> b_a . z_i, shared by all degrees
-        try:
-            if halves is None:
-                self.check_d_squared()
-            else:
-                self._check_cross_terms(halves[0].n)
-        except ModelError as err:
-            raise ModelError(f"total model of the bundle is invalid: {err}")
+        self._certify(certified)
 
     @classmethod
     def doubled(cls, side: "BundleModel", dual: "BundleModel") -> "BundleModel":
         """The correspondence space of two bundles over one base: fibers y_1.. then yh_1..
 
         Its chern list is the side's followed by the dual's.  Both halves
-        were certified at their build, so only the cross terms are checked
-        (module docstring); a failing one raises the ModelError that
-        ``check_d_squared`` would raise.
+        were certified at their build, so the certificate checks only the
+        cross terms (module docstring).
         """
         if dual.base is not side.base:
             raise InputError("the two bundles live over different bases")
         chern = ChernVector(side.base, list(side.chern) + list(dual.chern))
         labels = side.labels + [f"yh{i + 1}" for i in range(dual.n)]
-        return cls(side.base, chern, labels=labels, halves=(side, dual))
+        halves = (set(range(side.n)), set(range(side.n, chern.n)))
+        return cls(side.base, chern, labels=labels, certified=halves)
 
     @property
     def total(self):
@@ -186,18 +187,27 @@ class BundleModel(DgRingModel):
 
     @cached_property
     def basis(self):
-        """The labels of each degree: ``b.y1y2``, or the base or fiber part alone."""
-        base = self.base
+        """The labels of each degree: ``b.y1y2``, or the base or fiber part alone.
+
+        While a label with a fiber part repeats a base label, every fiber
+        label is primed (``y1`` becomes ``y1'``), as ``product_model`` primes
+        its second factor.  Each round lengthens every label with a fiber
+        part and no base label, so the rounds end.
+        """
+        base, fiber = self.base, self.labels
+        taken = {x for bs in base.basis for x in bs}
 
         def label(p, a, S):
             b = base.basis[p][a]
-            mono = "".join(self.labels[i] for i in S)
+            mono = "".join(fiber[i] for i in S)
             if not S:
                 return b
             if p == 0 and a == 0:
                 return mono
             return f"{b}.{mono}"
 
+        while not taken.isdisjoint(label(*e) for level in self.elements for e in level if e[2]):
+            fiber = [y + "'" for y in fiber]
         return [[label(*e) for e in level] for level in self.elements]
 
     def dim(self, k):
@@ -242,25 +252,36 @@ class BundleModel(DgRingModel):
             cols.append(col)
         return cols
 
-    def _check_cross_terms(self, n):
-        """Raise ModelError for the first b (x) y_i yh_j whose cross term (C) fails.
+    def _certify(self, certified):
+        """Raise the ModelError of the total ``check_d_squared`` unless d o d = 0, on the base.
 
-        The first n fibers are the side's, the rest the dual's.  The check is
-        (b.z_i).zh_j == (b.zh_j).z_i over the base basis elements b of degree
-        p <= D - 4, in the order of ``check_d_squared`` (module docstring).
+        Each term (A), (B), (C) of the module docstring is checked unless its
+        fiber indices T all lie in one set of ``certified``.  A failing term
+        of base element a in degree p is keyed (p + |T|, p, a, T), and the
+        least key names the element that the total scan names first.
         """
-        base, terms = self.base, self._chern_terms
-        for p in range(base.D - 3):
-            for a in range(base.dim(p)):
-                for i in range(n):
-                    for j in range(n, self.n):
-                        left = base.mul_terms(p + 2, self._chern_product(p, a, i), 2, terms[j])
-                        right = base.mul_terms(p + 2, self._chern_product(p, a, j), 2, terms[i])
-                        if left != right:
-                            x = self.basis[p + 2][self.index[p + 2][(p, a, (i, j))]]
-                            raise ModelError(
-                                f"d(d(x)) != 0 for basis element {x!r} in degree {p + 2}"
-                            )
+        base, bz, fiber = self.base, self._chern_product, range(self.n)
+        terms = [()] + [(i,) for i in fiber] + list(itertools.combinations(fiber, 2))
+        terms = [T for T in terms if not any(g.issuperset(T) for g in certified)]
+
+        def times(u, p, i):  # the base cochain u of degree p, times z_i
+            return _sum_terms((x, bz(p, c, i)) for c, x in u.items())
+
+        def fails(p, a, db, T):  # the term (B) or (C) of b_a in degree p, with indices T
+            if len(T) == 1:
+                return base.d_terms(p + 2, bz(p, a, *T)) != times(db, p + 1, *T)
+            i, j = T
+            return p < base.D - 3 and times(bz(p, a, i), p + 2, j) != times(bz(p, a, j), p + 2, i)
+
+        failed = [(p, p, a, ()) for p, a in base.d_squared_failures()] if () in terms else []
+        for p in range(base.D - 2):  # (B) lands in base degree p + 3, (C) in p + 4
+            for a, db in enumerate(base.d_columns(p)):
+                failed += [(p + len(T), p, a, T) for T in terms if T and fails(p, a, db, T)]
+        if failed:
+            k, p, a, T = min(failed)
+            x = self.basis[k][self.index[k][(p, a, T)]]
+            raise ModelError(f"total model of the bundle is invalid: d(d(x)) != 0 "
+                             f"for basis element {x!r} in degree {k}")
 
     def _koszul_product(self, k1, n1, k2, n2):
         """Structure constants of basis elements n1 (deg k1) times n2 (deg k2), not memoised.
@@ -567,9 +588,12 @@ def build_bundle(base: DgRingModel, chern, labels=None, check=None) -> BundleMod
     """Total-space model from a base model and chern cocycles.
 
     The chern cocycles are checked closed and the total differential is
-    certified to square to zero; the ring axioms hold by construction.
-    ``check`` has no effect: every build runs the same certificate.  It is
-    still accepted because ``benchmark/workloads.py`` passes it.
+    certified to square to zero by :meth:`BundleModel._certify`, on base data
+    alone, so no d_k of the total model is built; the ring axioms hold by
+    construction.  ``labels`` names the fiber circles, distinct, one each
+    (default y1..yn).  ``check`` has no effect: every build runs the same
+    certificate.  It is still accepted because ``benchmark/workloads.py``
+    passes it.
     """
     if not isinstance(chern, ChernVector):
         chern = ChernVector(base, chern)

@@ -9,14 +9,23 @@ bundles (T^3, surfaces of genus <= 4 and the Heisenberg manifold, n <= 2):
 - ``filtration_report`` tests a class for zero by one solve against
   ``d_factor(k - 1)``: it agrees with ``total_cohomology(k).is_zero`` on
   random closed cochains;
-- the doubled model certifies d o d = 0 from its two halves and the cross
-  terms: it agrees with ``check_d_squared`` on the same chern list, error
-  text included, also over random bases of degree 4 and 5 whose products
-  need not commute, and a base that breaks one cross term is refused.
+- every build certifies d o d = 0 by the terms (A), (B) and (C) of the
+  ``torus_bundle`` module docstring, on base data, and the doubled model
+  skips the terms its two halves certified.  The oracle builds the same
+  model with that certificate switched off and runs the total
+  ``DgRingModel.check_d_squared``, which writes every d_k.  Both give the
+  same verdict and the same ModelError text, for plain and doubled builds,
+  over random bases that break d o d, Leibniz against a chern cocycle, or
+  commutativity and associativity, and a base that breaks one cross term
+  is refused.
 
-Cost guards check that a triple builds only the degrees of its doubled
-model that it reads, and that repeated questions factor nothing again.
+Cost guards check that a build writes no d_k and no labels, that a triple
+builds only the degrees of its doubled model that it reads, that a bundle
+over a point with n = 16 answers ``is_dualizable`` from d_2 and d_3 alone,
+and that repeated questions factor nothing again.
 """
+
+import time
 
 import pytest
 
@@ -36,7 +45,7 @@ from tdk.exact_linalg import (  # noqa: E402
     subquotient,
 )
 from tdk.space_model import Cocycle, DgRingModel, builtin_space, product_model  # noqa: E402
-from tdk.tduality_core import Pair, Triple, dualize, validate_triple  # noqa: E402
+from tdk.tduality_core import Pair, Triple, dualize, is_dualizable, validate_triple  # noqa: E402
 from tdk.torus_bundle import BundleModel, build_bundle  # noqa: E402
 
 BASES = (
@@ -167,10 +176,23 @@ def test_z_lattices_of_one_block_are_one_object():
 # the doubled model
 
 
+def _by_total_scan(base, chern, labels=None):
+    """The bundle built with its certificate switched off, then certified by the
+    total ``DgRingModel.check_d_squared`` with the build's error text."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BundleModel, "_certify", lambda self, certified: None)
+        m = build_bundle(base, chern, labels=labels)
+    try:
+        DgRingModel.check_d_squared(m)
+    except ModelError as err:
+        raise ModelError(f"total model of the bundle is invalid: {err}") from None
+    return m
+
+
 def _doubled_by_full_check(side, dual):
-    """The doubled model built and certified as any bundle, by ``check_d_squared``."""
+    """The doubled model built as any bundle and certified by the total scan."""
     labels = side.labels + [f"yh{i + 1}" for i in range(dual.n)]
-    return build_bundle(side.base, list(side.chern) + list(dual.chern), labels=labels)
+    return _by_total_scan(side.base, list(side.chern) + list(dual.chern), labels)
 
 
 def _verdict(build):
@@ -215,13 +237,59 @@ def free_bases(draw):
     return DgRingModel(basis, {}, _products(draw, dims), check=False)
 
 
+def _columns(draw, rows, cols, first=0):
+    """Random sparse columns of a rows x cols matrix, the columns before ``first`` zero."""
+    entries = st.dictionaries(st.integers(0, rows - 1), st.sampled_from((-2, -1, 1, 2)))
+    return [{} if c < first or not rows else draw(entries) for c in range(cols)]
+
+
+@st.composite
+def broken_bases(draw):
+    """A base of degree 4 or 5 that may break (A), (B) and (C), with closed e2_0, e2_1.
+
+    d is zero, lives in one degree (so d o d = 0 holds and only Leibniz
+    against a chern cocycle, (B), can fail besides (C)), or is random in
+    every degree below the top (so (A) can fail too); products are none,
+    or random and maybe neither commutative nor associative, as in
+    ``free_bases``.  d_2 is zero on e2_0 and e2_1, so every base has two
+    closed degree-2 elements for the chern cocycles (:func:`_closed_chern`).
+    """
+    dims = draw(st.sampled_from(([1, 1, 3, 1, 2], [1, 1, 3, 2, 1, 1], [1, 0, 3, 1, 2, 1])))
+    D = len(dims) - 1
+    degrees = {"none": (), "one": (draw(st.integers(1, D - 1)),), "all": range(1, D)}
+    diff = {
+        k: _columns(draw, dims[k + 1], dims[k], 2 if k == 2 else 0)
+        for k in degrees[draw(st.sampled_from(tuple(degrees)))]
+    }
+    product = _products(draw, dims) if draw(st.booleans()) else {}
+    basis = [[f"e{k}_{a}" if k else "1" for a in range(d)] for k, d in enumerate(dims)]
+    return DgRingModel(basis, {k: c for k, c in diff.items() if c}, product, check=False)
+
+
+def _closed_chern(draw, base, n):
+    """n random cochains on the degree-2 basis elements that d kills, so closed."""
+    closed = [not col for col in base.d_columns(2)]
+    return [[draw(COEFF) if c else 0 for c in closed] for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(broken_bases(), st.data())
+def test_certificate_agrees_with_the_total_scan_on_broken_bases(base, data):
+    chern = _closed_chern(data.draw, base, data.draw(st.integers(1, 3)))
+    got = _verdict(lambda: build_bundle(base, chern))
+    want = _verdict(lambda: _by_total_scan(base, chern))
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(free_bases(), st.data())
+@given(st.one_of(free_bases(), broken_bases()), st.data())
 def test_doubled_certificate_agrees_with_check_d_squared(base, data):
     n_side, n_dual = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
     try:
-        side = build_bundle(base, _chern(data.draw, base, n_side))
-        dual = build_bundle(base, _chern(data.draw, base, n_dual))
+        side = build_bundle(base, _closed_chern(data.draw, base, n_side))
+        dual = build_bundle(base, _closed_chern(data.draw, base, n_dual))
     except ModelError:
         assume(False)  # a half fails its own certificate
     got = _verdict(lambda: BundleModel.doubled(side, dual))
@@ -273,3 +341,31 @@ def test_triple_builds_only_the_degrees_of_its_doubled_model_that_it_reads():
     assert validate_triple(t).ok
     assert sorted(t.doubled._dcols) == [2]  # d_2 for the correspondence equation
     assert "basis" not in vars(t.doubled)  # no labels
+
+
+@pytest.mark.parametrize(
+    "name, params, n",
+    [("torus", {"k": 3}, 2), ("surface", {"genus": 2}, 2), ("heisenberg", {"k": 1}, 2),
+     ("point", {}, 6)],
+)
+def test_a_build_writes_no_differential_and_no_labels(name, params, n):
+    base = builtin_space(name, params)
+    chern = [base.basis_vector(2, i % base.dim(2)) if base.dim(2) else [] for i in range(n)]
+    m = build_bundle(base, chern)
+    doubled = BundleModel.doubled(m, build_bundle(base, chern))
+    for model in (m, doubled):
+        assert model._dcols == {}
+        assert "basis" not in vars(model)
+
+
+def test_is_dualizable_over_a_point_with_16_circles_reads_d2_and_d3():
+    point = builtin_space("point")
+    seconds = []
+    for _ in range(3):  # the best of three, as a timer would take it
+        start = time.perf_counter()
+        m = build_bundle(point, [[]] * 16)
+        ok, report = is_dualizable(Pair(m, Cocycle(3, m.zero_vector(3))))
+        seconds.append(time.perf_counter() - start)
+        assert ok and report.is_zero
+        assert sorted(m._dcols) == [2, 3]
+    assert min(seconds) < 0.1

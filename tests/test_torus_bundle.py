@@ -12,7 +12,8 @@ import pytest
 from tdk.errors import InputError, ModelError
 from matrices import array, scaled
 from tdk.exact_linalg import dense_vector, subquotient
-from tdk.space_model import Cocycle, builtin_space, product_model
+from tdk.serialize import space_to_doc
+from tdk.space_model import Cocycle, DgRingModel, builtin_space, parse_space, product_model
 from tdk.torus_bundle import build_bundle, ChernVector
 
 S2 = builtin_space("sphere", {"k": 2})
@@ -41,6 +42,27 @@ def test_chern_vector_guards():
         ChernVector(S2, [[1, 2]])  # wrong length
     with pytest.raises(InputError):
         ChernVector(S2, [])
+
+
+@pytest.mark.parametrize("labels", [[], ["y"], ["y", "y"], ["a", "b", "c"]])
+def test_fiber_labels_are_distinct_one_per_circle(labels):
+    with pytest.raises(InputError, match="distinct, one per circle"):
+        build_bundle(T2, [T2.basis_vector(2, 0)] * 2, labels=labels)
+
+
+def test_fiber_labels_are_primed_off_the_base_labels_and_round_trip():
+    # T^2 whose generators carry the fiber's default labels
+    base = DgRingModel([["1"], ["y1", "y2"], ["y1y2"]], {}, T2.product)
+    m = build_bundle(base, [base.basis_vector(2, 0)] * 2)
+    assert "basis" not in vars(m)  # the build makes no labels
+    assert m.labels == ["y1", "y2"]
+    assert m.basis[1] == ["y1'", "y2'", "y1", "y2"]
+    assert m.basis[2][0] == "y1'y2'"
+    labels = [x for level in m.basis for x in level]
+    assert len(set(labels)) == len(labels)
+    back = parse_space(space_to_doc(m))
+    assert back.basis == m.basis
+    assert back.betti() == m.betti()
 
 
 def test_nonclosed_chern_rejected():
