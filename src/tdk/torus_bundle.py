@@ -141,6 +141,8 @@ class BundleModel(DgRingModel):
         self.chern = chern
         self.n = chern.n
         self.labels = [f"y{i + 1}" for i in range(self.n)] if labels is None else list(labels)
+        if not all(isinstance(y, str) and y for y in self.labels):
+            raise InputError(f"fiber labels {self.labels}: each must be a nonempty str")
         if len(self.labels) != self.n or len(set(self.labels)) != self.n:
             raise InputError(f"fiber labels {self.labels}: need {self.n} distinct, one per circle")
 
@@ -192,7 +194,8 @@ class BundleModel(DgRingModel):
         While a label with a fiber part repeats a base label, every fiber
         label is primed (``y1`` becomes ``y1'``), as ``product_model`` primes
         its second factor.  Each round lengthens every label with a fiber
-        part and no base label, so the rounds end.
+        part and no base label, so the rounds end.  Two elements that still
+        share a label (fiber labels ``x'``, ``z`` against ``x``, ``'z``) raise.
         """
         base, fiber = self.base, self.labels
         taken = {x for bs in base.basis for x in bs}
@@ -208,7 +211,12 @@ class BundleModel(DgRingModel):
 
         while not taken.isdisjoint(label(*e) for level in self.elements for e in level if e[2]):
             fiber = [y + "'" for y in fiber]
-        return [[label(*e) for e in level] for level in self.elements]
+        basis, seen = [[label(*e) for e in level] for level in self.elements], {}
+        for e, x in zip(itertools.chain(*self.elements), itertools.chain(*basis)):
+            if seen.setdefault(x, e) != e:
+                raise InputError(f"basis elements (p, a, S) = {seen[x]} and {e} share the label "
+                                 f"{x!r} (fiber labels {self.labels})")
+        return basis
 
     def dim(self, k):
         return len(self.elements[k]) if 0 <= k <= self.D else 0

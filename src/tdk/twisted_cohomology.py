@@ -8,6 +8,12 @@ refinements are out of scope and flagged in reports.
 Every matrix here is a list of sparse integer columns {row: coeff}, and
 every rank over Q is their Z-rank, ``len(invariant_factors(columns))``.
 
+D o D = 0 holds without a check, as the bundle model is an associative,
+graded-commutative ring over a validated base: d o d = 0 is certified at
+every bundle build; z is checked closed, so by Leibniz d(z . x) = -z . dx;
+and z . (z . x) = (z . z) . x with z . z = 0, as graded commutativity gives
+2 z . z = 0 on a free Z-module.
+
 The transformation attached to a triple is realized on the doubled model as
 
     T(omega) = integrate_over_side_fiber( exp(-w) . p*(omega) ),
@@ -17,7 +23,9 @@ correspondence cochain (nilpotent, so a polynomial), and the fiber
 integration extracts the coefficient of y_1 ^ ... ^ y_n with the sign
 (-1)^(n.|b|) of moving the base factor out front.  With these conventions
 the chain identity  D_dual o T = (-1)^n . T o D_side  holds entry-exactly,
-and T drops total degree by n.
+and T drops total degree by n.  T is linear in omega, so exp(-w) is built
+once, as w^m = w^(m-1) . w, with its terms grouped by side-fiber monomial:
+b . y_S reaches y_1 ... y_n only through the group of the complement of S.
 
 Everything is computed over Z, on sparse cochains.  The m-th term
 (-w)^m / m! of exp(-w) can be nonzero only for 2m <= D, the top degree of
@@ -31,10 +39,11 @@ rational coefficients, and their dimensions are over Q.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 
-from .errors import InputError, ModelError, Record
+from .errors import InputError, Record
 from .exact_linalg import _sum_terms, compose, int_vector, kernel_basis, matrix_rank
 from .space_model import Cocycle, _terms
 from .tduality_core import Triple, validate_triple
@@ -73,7 +82,10 @@ def rational_kernel(M, rows):
 
 
 class TwistedComplex:
-    """Parity-graded rational complex with D = d + (z . ); ``D_from[par]`` holds D out of par."""
+    """Parity-graded rational complex with D = d + (z . ); ``D_from[par]`` holds D out of par.
+
+    z is checked closed, and D o D = 0 then holds by the module docstring's proof.
+    """
 
     def __init__(self, bundle: BundleModel, z):
         self.bundle = bundle
@@ -81,23 +93,13 @@ class TwistedComplex:
         if not bundle.is_closed(3, z):
             raise InputError("twisting cocycle must be closed of degree 3")
         self.z = z
-        self.degrees = {0: [], 1: []}
-        for k in range(bundle.D + 1):
-            self.degrees[k % 2].append(k)
-        self.offsets = {}
-        self.dims = {}
-        for par in (0, 1):
-            off = {}
-            pos = 0
-            for k in self.degrees[par]:
-                off[k] = pos
-                pos += bundle.dim(k)
-            self.offsets[par] = off
-            self.dims[par] = pos
+        self.degrees = {par: list(range(par, bundle.D + 1, 2)) for par in (0, 1)}
+        self.offsets, self.dims = {}, {}
+        for par, degrees in self.degrees.items():
+            starts = list(itertools.accumulate((bundle.dim(k) for k in degrees), initial=0))
+            self.offsets[par] = dict(zip(degrees, starts))
+            self.dims[par] = starts[-1]
         self.D_from = {par: self._columns(par) for par in (0, 1)}
-        for par in (0, 1):
-            if any(compose(self.D_from[1 - par], self.D_from[par])):
-                raise ModelError("twisted differential does not square to zero")
 
     def _columns(self, par):
         """D out of this parity as sparse columns: d lands in degree k + 1, z . in k + 3.
@@ -163,27 +165,13 @@ class TMap(Record):
         return not any(any(defect) for defect in self.chain_defect().values())
 
 
-def _fiber_integration(t: Triple):
-    """Per degree k of the doubled model: index -> (index in degree k - n of the dual side, sign)."""
-    n = t.n
-    full = tuple(range(n))
-    dual_index = t.dual.bundle.index
-    out = []
-    for k, level in enumerate(t.doubled.elements):
-        out.append({
-            i: (dual_index[k - n][(p, a, tuple(j - n for j in M[n:]))], -1 if (n * p) % 2 else 1)
-            for i, (p, a, M) in enumerate(level)
-            if M[:n] == full
-        })
-    return out
-
-
 def t_transform(t: Triple) -> TMap:
     """The degree -n transformation realized on the doubled model, times N.
 
-    Each column starts from one side basis element included in the doubled
-    model and advances by w . until it vanishes or leaves the top degree;
-    the m-th power enters the fiber integral with N . (-1)^m / m!.
+    N . exp(-w) is built once and grouped by side-fiber monomial.  A side
+    element b . y_S is multiplied by the group of the complement of S only,
+    so each product term integrates to one entry of the dual index, with the
+    sign (-1)^(n.p) of its base degree p.
     """
     report = validate_triple(t)
     if not report.ok:
@@ -192,38 +180,38 @@ def t_transform(t: Triple) -> TMap:
     n = t.n
     side = TwistedComplex(t.side.bundle, t.side.flux.vector)
     dual = TwistedComplex(t.dual.bundle, t.dual.flux.vector)
-    doubled = t.doubled
+    doubled, dual_index = t.doubled, t.dual.bundle.index
     scale = math.factorial(doubled.D // 2)
     w = _terms(t.w, doubled.dim(2))
-    integrate = _fiber_integration(t)
+    groups = {}  # side-fiber monomial -> {2m: its terms of (-1)^m (N / m!) . w^m}
+    power, m = {0: 1}, 0  # w^0, the unit in degree 0
+    while power:
+        coeff = (-1) ** m * (scale // math.factorial(m))
+        for i, x in power.items():
+            mono = tuple(j for j in doubled.elements[2 * m][i][2] if j < n)
+            groups.setdefault(mono, {}).setdefault(2 * m, {})[i] = coeff * x
+        if 2 * m + 2 > doubled.D:
+            break
+        power = doubled.mul_terms(2 * m, power, 2, w)
+        m += 1
 
     blocks = {}
     for par in (0, 1):
-        tgt_par = (par + n) % 2
-        cols = []
+        offsets = dual.offsets[(par + n) % 2]
+        cols = blocks[par] = []
         for k in side.degrees[par]:
-            for e in t.side.bundle.elements[k]:
-                cur = {doubled.index[k][e]: 1}
-                deg, m = k, 0
+            for p, a, S in t.side.bundle.elements[k]:
+                x = {doubled.index[k][(p, a, S)]: 1}
                 col = {}
-                while cur:
-                    coeff = (-1) ** m * (scale // math.factorial(m))
-                    for i, x in cur.items():
-                        hit = integrate[deg].get(i)
-                        if hit is None:
-                            continue
-                        off = dual.offsets[tgt_par].get(deg - n)
-                        if off is None:
-                            raise ModelError("parity bookkeeping is broken")
-                        row, sign = hit
-                        col[off + row] = col.get(off + row, 0) + coeff * sign * x
-                    if deg + 2 > doubled.D:
-                        break
-                    cur = doubled.mul_terms(2, w, deg, cur)
-                    deg += 2
-                    m += 1
+                rest = tuple(i for i in range(n) if i not in S)
+                for deg, group in groups.get(rest, {}).items():
+                    low = k + deg - n  # the degree of every term of this product's integral
+                    terms = doubled.basis_elements(k + deg)
+                    for i, y in doubled.mul_terms(deg, group, k, x).items():
+                        q, b, M = terms[i]
+                        row = offsets[low] + dual_index[low][(q, b, tuple(j - n for j in M[n:]))]
+                        col[row] = -y if n * q % 2 else y
                 cols.append(col)
-        blocks[par] = cols
     return TMap(source=side, target=dual, parity_shift=n % 2, blocks=blocks, scale=scale)
 
 

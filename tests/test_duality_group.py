@@ -62,15 +62,34 @@ def test_shear_and_gl_membership():
     assert is_onn(gl_element(2, G).matrix)
 
 
+def _assert_unimodular(g):
+    """|det g| = 1 by sympy: OnnElement derives it from is_onn and does not check it."""
+    sympy = pytest.importorskip("sympy")
+    assert abs(sympy.Matrix(array(g.matrix, 2 * g.n).tolist()).det()) == 1
+
+
 def test_generators_all_members_and_closed_under_products():
-    for n in [1, 2]:
+    for n in [1, 2, 3, 4]:
         gens = generators(n)
         assert gens, "generator list must be nonempty"
         for g in gens:
             assert is_onn(g.matrix)
+            _assert_unimodular(g)
         for g1 in gens:
             for g2 in gens:
                 assert is_onn(g1.compose(g2).matrix)
+
+
+def test_random_words_are_unimodular_members():
+    rng = random.Random(20261019)
+    for n in [1, 2, 3, 4]:
+        gens = generators(n)
+        for _ in range(10):
+            word = rng.choice(gens)
+            for _ in range(rng.randint(1, 6)):
+                word = word.compose(rng.choice(gens))
+            assert is_onn(word.matrix)
+            _assert_unimodular(word)
 
 
 def test_generators_n1_contains_flip_and_minus_identity_type():

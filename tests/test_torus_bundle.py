@@ -7,6 +7,8 @@ degree-k Euler class complex  Z -> Z -(x k)-> Z -> Z  computed by hand), the
 over T^2 with H^2 = Z^2 + Z/k.
 """
 
+import re
+
 import pytest
 
 from tdk.errors import InputError, ModelError
@@ -63,6 +65,23 @@ def test_fiber_labels_are_primed_off_the_base_labels_and_round_trip():
     back = parse_space(space_to_doc(m))
     assert back.basis == m.basis
     assert back.betti() == m.betti()
+
+
+@pytest.mark.parametrize("labels", [[1], [""], ["y", None], [["y"]]])
+def test_fiber_labels_are_nonempty_strings(labels):
+    with pytest.raises(InputError, match="each must be a nonempty str"):
+        build_bundle(builtin_space("point"), [[]] * len(labels), labels=labels)
+
+
+@pytest.mark.parametrize("labels, first, second", [
+    (["x'", "x", "'z", "z"], (0, 0, (0, 3)), (0, 0, (1, 2))),  # y1y4 and y2y3 read x'z
+    (["a", "b", "ab"], (0, 0, (2,)), (0, 0, (0, 1))),  # y3 and y1y2 read ab
+])
+def test_fiber_labels_that_join_to_one_label_are_refused_on_first_read(labels, first, second):
+    m = build_bundle(builtin_space("point"), [[]] * len(labels), labels=labels)
+    assert "basis" not in vars(m)  # the build makes no labels
+    with pytest.raises(InputError, match=re.escape(f"{first} and {second} share the label")):
+        m.basis
 
 
 def test_nonclosed_chern_rejected():

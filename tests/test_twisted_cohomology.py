@@ -5,9 +5,12 @@ the S^3 model kills everything (multiplication H^0 -> H^3 is a rational
 isomorphism), the untwisted S^3 has one class per parity, and S^2 x S^1
 twisted by its degree-3 generator keeps exactly H^2 (even) and H^1 (odd).
 
-``t_transform`` walks exp(-w) over Z on sparse cochains and returns N . T.
-Its oracle is ``reference_t_blocks``, a copy of the transformation it
-replaced: dense basis-vector products and Fraction coefficients.
+``t_transform`` builds N . exp(-w) once over Z, grouped by side-fiber
+monomial, multiplies each side element by the one group that reaches
+y_1 ... y_n, and returns N . T.  Its oracle is ``reference_t_blocks``, which
+walks x, w . x, w . (w . x), ... with dense basis-vector products and
+Fraction coefficients.  ``assert_squares_to_zero`` is the D o D = 0 check
+that TwistedComplex proves instead of running.
 ``verify_iso`` reads the rank of each induced map off one block matrix; its
 oracle is ``reference_verify_iso``, a copy of the kernel-based loop it
 replaced, on dense matrices.
@@ -15,6 +18,7 @@ replaced, on dense matrices.
 
 import functools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +30,7 @@ from tdk.errors import InputError
 import numpy as np
 
 from matrices import array, columns, scaled, vec, zeros
-from tdk.exact_linalg import dense_vector, kernel_basis, matrix_rank, smith_normal_form
+from tdk.exact_linalg import compose, dense_vector, kernel_basis, matrix_rank, smith_normal_form
 from tdk.fixtures import PAIR_NAMES, named_pair
 from tdk.space_model import Cocycle, DgRingModel, builtin_space
 from tdk.tduality_core import (
@@ -347,8 +351,16 @@ def reference_t_blocks(t, side, dual):
     return blocks
 
 
+def assert_squares_to_zero(complex_):
+    """D o D = 0 by ``compose``: the check that TwistedComplex leaves to its proof."""
+    for par in (0, 1):
+        assert not any(compose(complex_.D_from[1 - par], complex_.D_from[par]))
+
+
 def assert_matches_reference(t):
     tm = t_transform(t)
+    assert_squares_to_zero(tm.source)
+    assert_squares_to_zero(tm.target)
     assert tm.scale == math.factorial(t.doubled.D // 2)
     ref = reference_t_blocks(t, tm.source, tm.target)
     for par in (0, 1):
@@ -371,14 +383,41 @@ def test_t_transform_is_scale_times_reference_on_fixture_pairs(name):
     assert verify_iso(t) == reference_verify_iso(t)
 
 
-def test_t_transform_is_scale_times_reference_on_a_gauge_acted_triple():
-    m = build_bundle(T3, [T3.basis_vector(2, 0), T3.zero_vector(2)])
+def gauge_acted_triple(n, psis, psihats):
+    """A gauge action over T^3 on the dual of a zero-flux bundle, by the degree-1
+    basis classes of these indices (3 is zero); its w is not the standard one."""
+    m = build_bundle(T3, [T3.basis_vector(2, 0)] + [T3.zero_vector(2)] * (n - 1))
     t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
-    x = [T3.basis_vector(1, i) for i in range(3)]
-    moved = gauge_action(t, [x[0], x[2]], [x[1], T3.zero_vector(1)])
+    x = [T3.basis_vector(1, i) for i in range(3)] + [T3.zero_vector(1)]
+    return gauge_action(t, [x[i] for i in psis], [x[i] for i in psihats])
+
+
+GAUGE_CASES = {
+    "gauge_n1": (1, [0], [1]),
+    "gauge_n1_hat_only": (1, [3], [2]),
+    "gauge_n2": (2, [0, 2], [1, 3]),
+    "gauge_n2_both": (2, [1, 0], [2, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_CASES))
+def test_t_transform_is_scale_times_reference_on_a_gauge_acted_triple(name):
+    moved = gauge_acted_triple(*GAUGE_CASES[name])
+    assert moved.w != moved.standard_w()
     assert validate_triple(moved).ok
     assert_matches_reference(moved)
     assert verify_iso(moved).ok
+
+
+def test_t_transform_over_a_point_with_8_circles_takes_under_80_ms():
+    seconds = []
+    for _ in range(3):  # the best of three, each on a fresh triple
+        m = trivial_over(PT, 8)
+        t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
+        start = time.perf_counter()
+        t_transform(t)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.08
 
 
 # ---------------------------------------------------------------------------
