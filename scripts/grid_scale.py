@@ -1,0 +1,65 @@
+"""Scale check: H* of the m = 96 torus and Klein-bottle grids, each in under 2 s.
+
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/grid_scale.py
+
+Each grid is the m x m square grid, every square cut along its diagonal,
+with opposite sides glued (the first pair with a flip for the Klein bottle).
+Its vertex labels and the order of its facets are shuffled by a fixed seed,
+so the numbering of faces cannot lean on the grid order.  The time is
+``SimplicialComplex(...)`` plus ``betti()``; the check fails on a wrong H*
+or on a time over the limit.  It is not part of the test suite, which keeps
+no timing test.
+"""
+
+import random
+import sys
+import time
+
+from tdk.space_model import SimplicialComplex
+
+M = 96
+LIMIT_S = 2.0
+KNOWN = {
+    "torus": [(1, ()), (2, ()), (1, ())],
+    "klein": [(1, ()), (1, ()), (0, (2,))],
+}
+
+
+def shuffled_grid(kind, m, seed):
+    """The facets of the m x m grid of this kind, labels and order shuffled."""
+    rng = random.Random(seed)
+    labels = list(range(m * m))
+    rng.shuffle(labels)
+
+    def vertex(i, j):
+        if i == m:
+            i, j = 0, (-j if kind == "klein" else j)
+        return labels[(i % m) * m + j % m]
+
+    facets = []
+    for i in range(m):
+        for j in range(m):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i, j + 1), vertex(i + 1, j + 1)
+            facets += [[a, b, d], [a, c, d]]
+    rng.shuffle(facets)
+    return facets
+
+
+def main():
+    failed = False
+    for seed, kind in enumerate(sorted(KNOWN)):
+        facets = shuffled_grid(kind, M, seed)
+        start = time.perf_counter()
+        betti = SimplicialComplex(M * M, facets).betti()
+        elapsed = time.perf_counter() - start
+        ok = betti == KNOWN[kind] and elapsed < LIMIT_S
+        failed |= not ok
+        print(f"{kind} m={M}: {elapsed:.3f} s, H* {betti} {'ok' if ok else 'FAILED'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,15 +21,20 @@ each relation lands in the target's relations by reducing its image there,
 and an image with no entry is zero in every group, so it is not reduced;
 ``is_zero_hom`` skips empty columns the same way.
 
-Invariant factors alone need no U or V.  ``invariant_factors`` first
-eliminates the +-1 pivots of a matrix on sparse rows, each a unimodular
-step that splits off a factor 1; sparse +-1 coboundaries mostly vanish that
-way (Dumas, Heckenbach, Saunders & Welker 2003), and the small block that
-is left goes to ``smith_normal_form``, of which only the diagonal is read.
-``matrix_rank`` counts those factors, so a rank builds no U or V for the
-unit pivots.  Cohomology has two routines on top of that:
-``cochain_invariants`` gives the isomorphism type of every H^k from one
-elimination per differential, and ``cochain_cohomology`` builds
+Invariant factors alone need no U or V.  ``_unit_pivots`` eliminates the
++-1 pivots of a matrix given by its sparse rows, each a unimodular step that
+splits off a factor 1; sparse +-1 coboundaries mostly vanish that way
+(Dumas, Heckenbach, Saunders & Welker 2003), and the small block that is
+left goes to ``smith_normal_form``, of which only the diagonal is read.  It
+consumes the rows it is given, so it copies nothing: ``invariant_factors``
+hands it a transpose of its columns, and ``cochain_invariants`` the rows of
+each d_k that its caller builds fresh.  Permuting rows or columns is
+unimodular, so the order in which a caller numbers them changes no factor,
+only the fill-in; a simplicial complex numbers its faces as it finds them,
+which keeps the fill-in small.  ``matrix_rank`` counts those factors, so a
+rank builds no U or V for the unit pivots.  Cohomology has two routines on
+top of that: ``cochain_invariants`` gives the isomorphism type of every H^k
+from one elimination per differential, and ``cochain_cohomology`` builds
 H^k = ker d_k / im d_{k-1} as a :class:`Subquotient` for callers that need
 classes, representatives or reductions.
 
@@ -694,30 +699,36 @@ def subquotient(amb, Z, B, contained=False):
     return sq
 
 
-def _unit_pivots(columns, cleared=()):
-    """Split the +-1 pivots off the matrix with these sparse columns.
+def _unit_pivots(rows, cleared=()):
+    """Split the +-1 pivots off the matrix with these sparse rows, consuming them.
 
-    Rows in ``cleared`` are not loaded.  Returns (pivots, rows): the pivot
-    column of each unit factor split off, in pivot order, and the rows left
-    as {row: {column: coeff}}, some of them empty.  See
-    ``invariant_factors`` for the steps and the pivot rule.
+    ``rows`` lists the rows {column: coeff} by index.  The list and its
+    dicts are eliminated in place, so a caller hands over rows that nothing
+    else reads; a stored zero is dropped, as it is no entry.  Rows whose
+    index is in ``cleared`` are not loaded.  Returns (pivots, left): the
+    pivot column of each unit factor split off, in pivot order, and the
+    loaded rows that did not pivot, in index order, some of them emptied.
+    See ``invariant_factors`` for the steps and the pivot rule.  Any
+    numbering of the rows and columns gives the same factors, since a
+    permutation is unimodular; it sets only the fill-in.
     """
-    rows = {}
     where = {}  # column -> rows with a nonzero entry in it
-    for c, col in enumerate(columns):
-        hit = set()
-        for r, x in col.items():
-            if x and r not in cleared:  # a stored zero is no entry
-                if r in rows:
-                    rows[r][c] = x
-                else:
-                    rows[r] = {c: x}
+    for r, row in enumerate(rows):
+        if row and 0 in row.values():
+            rows[r] = row = {c: x for c, x in row.items() if x}
+        if not row or r in cleared:
+            rows[r] = None
+            continue
+        for c in row:
+            hit = where.get(c)
+            if hit is None:
+                where[c] = {r}
+            else:
                 hit.add(r)
-        if hit:
-            where[c] = hit
     pivots = []
-    for r in sorted(rows):
-        row = rows[r]
+    for r, row in enumerate(rows):
+        if row is None:
+            continue
         p = None
         for c, x in row.items():
             if x == 1 or x == -1:
@@ -745,14 +756,14 @@ def _unit_pivots(columns, cleared=()):
                 else:
                     other[c] = -q * x
                     where[c].add(r2)
-        del rows[r]
+        rows[r] = None
         pivots.append(p)
-    return pivots, rows
+    return pivots, [row for row in rows if row is not None]
 
 
 def _block_factors(rows):
     """Nonzero Smith diagonal of the rows that ``_unit_pivots`` leaves."""
-    left = [row for _, row in sorted(rows.items()) if row]
+    left = [row for row in rows if row]
     if not left:
         return []
     block = transpose(left, max(c for row in left for c in row) + 1)
@@ -762,28 +773,36 @@ def _block_factors(rows):
 def invariant_factors(columns):
     """Nonzero Smith diagonal d_1 | d_2 | ... of the matrix with these columns.
 
-    ``columns`` lists the columns as sparse dicts {row: coeff}.  Row by row,
-    a +-1 entry becomes a pivot: adding multiples of the pivot row clears
-    the rest of its column, column operations then clear the rest of the
-    row, and the unit splits off as a factor 1.  Both are unimodular, so
-    the invariant factors do not change.  A row's pivot is its unit entry
-    in the column with the fewest entries (least index on ties), which
-    limits fill-in.  What is left goes to ``smith_normal_form``; only its
-    diagonal is read, so the pivot rule of that kernel fixes nothing here.
-    Each step only adds multiples of one row to others, so every row left
-    is a Z-combination of the rows given; ``cochain_invariants`` builds its
-    clearing on that.
+    ``columns`` lists the columns as sparse dicts {row: coeff}; they are
+    read, not changed, as the elimination runs on a transpose of them.
+    Row by row, a +-1 entry becomes a pivot: adding multiples of the pivot
+    row clears the rest of its column, column operations then clear the
+    rest of the row, and the unit splits off as a factor 1.  Both are
+    unimodular, so the invariant factors do not change.  A row's pivot is
+    its unit entry in the column with the fewest entries (least index on
+    ties), which limits fill-in.  What is left goes to
+    ``smith_normal_form``; only its diagonal is read, so the pivot rule of
+    that kernel fixes nothing here.  Each step only adds multiples of one
+    row to others, so every row left is a Z-combination of the rows given;
+    ``cochain_invariants`` builds its clearing on that.
+
+    The order of the rows and of the columns changes no factor: permuting
+    either is multiplying by a permutation matrix, which is unimodular.  So
+    a caller of the kernel may number rows and columns as suits the
+    elimination, as ``SimplicialComplex`` does for ``cochain_invariants``.
     """
-    pivots, rows = _unit_pivots(columns)
-    return [1] * len(pivots) + _block_factors(rows)
+    rows = 1 + max((max(col) for col in columns if col), default=-1)
+    pivots, left = _unit_pivots(transpose(columns, rows))
+    return [1] * len(pivots) + _block_factors(left)
 
 
-def cochain_invariants(top, dim, columns):
+def cochain_invariants(top, dim, rows):
     """[(rank, torsion)] of H^k for k = 0..top, one elimination per differential.
 
-    ``dim(k)`` is the rank of the degree-k cochains and ``columns(k)`` the
-    differential d_k out of them as sparse columns.  With r_k the rank of
-    d_k and e_i >= 2 the invariant factors of d_{k-1},
+    ``dim(k)`` is the rank of the degree-k cochains and ``rows(k)`` the
+    differential d_k out of them as fresh sparse rows {column: coeff}, one
+    per basis element of degree k + 1, which the elimination consumes.
+    With r_k the rank of d_k and e_i >= 2 the invariant factors of d_{k-1},
 
         H^k = Z^(dim C^k - r_k - r_{k-1}) + sum_i Z/e_i.
 
@@ -791,6 +810,8 @@ def cochain_invariants(top, dim, columns):
     and, as d o d = 0, contains im d_{k-1}.  So C^k / im d_{k-1} splits as
     H^k plus the free C^k / ker d_k, its torsion is that of H^k, and by the
     Smith form of d_{k-1} that torsion is sum_i Z/e_i; ranks add up as stated.
+    None of it depends on how the bases are ordered, as long as the columns
+    of d_k and the rows of d_{k-1} number the basis of C^k alike.
 
     Clearing (Chen & Kerber's twist, for cochains): the degrees run from top
     to bottom, and the pivot columns of d_k's unit phase are rows of d_{k-1}
@@ -802,7 +823,9 @@ def cochain_invariants(top, dim, columns):
     row p of d_{k-1} is a Z-combination of its rows at non-pivot columns
     and at later pivot columns.  By induction from the last pivot, every
     cleared row of d_{k-1} is a Z-combination of the kept rows; subtracting
-    those combinations is unimodular and leaves the cleared rows zero.
+    those combinations is unimodular and leaves the cleared rows zero.  The
+    proof uses the pivots' sequence and nothing of the order in which rows
+    and columns are numbered, so any numbering of the bases keeps it.
 
     The precondition d o d = 0 is not checked here, and clearing rests on it
     as much as the formula does.  It holds by construction for simplicial
@@ -815,8 +838,8 @@ def cochain_invariants(top, dim, columns):
     factors = [None] * (top + 1)
     cleared = ()
     for k in range(top, -1, -1):
-        pivots, rows = _unit_pivots(columns(k), cleared)
-        factors[k] = [1] * len(pivots) + _block_factors(rows)
+        pivots, left = _unit_pivots(rows(k), cleared)
+        factors[k] = [1] * len(pivots) + _block_factors(left)
         cleared = set(pivots)
     out = []
     for k in range(top + 1):

@@ -17,8 +17,6 @@ from .space_model import (
     builtin_space,
     parse_space,
 )
-from .tduality_core import Pair, Triple
-from .torus_bundle import build_bundle
 
 __all__ = [
     "dumps",
@@ -128,6 +126,8 @@ def _bundle_to_fields(bundle):
 
 
 def _bundle_from_fields(doc, truncation=None):
+    from .torus_bundle import build_bundle
+
     for key in ("base", "n", "chern"):
         if key not in doc:
             raise SchemaError(f"bundle document needs a {key!r} field")
@@ -163,7 +163,7 @@ def _flux_from_doc(bundle, doc, key):
     return Cocycle(3, [parse_int(x, key) for x in flux])
 
 
-def pair_to_doc(pair: Pair):
+def pair_to_doc(pair):
     doc = {"format": "pair"}
     doc.update(_bundle_to_fields(pair.bundle))
     doc["flux"] = _vec(pair.flux.vector)
@@ -171,13 +171,15 @@ def pair_to_doc(pair: Pair):
 
 
 def pair_from_doc(doc, truncation=None):
+    from .tduality_core import Pair
+
     if not isinstance(doc, dict) or doc.get("format") != "pair":
         raise SchemaError("expected a document with format 'pair'")
     bundle = _bundle_from_fields(doc, truncation=truncation)
     return Pair(bundle, _flux_from_doc(bundle, doc, "flux"))
 
 
-def triple_to_doc(t: Triple):
+def triple_to_doc(t):
     doc = {"format": "triple"}
     doc.update(_bundle_to_fields(t.side.bundle))
     doc["flux"] = _vec(t.side.flux.vector)
@@ -188,6 +190,9 @@ def triple_to_doc(t: Triple):
 
 
 def triple_from_doc(doc, truncation=None):
+    from .tduality_core import Pair, Triple
+    from .torus_bundle import build_bundle
+
     if not isinstance(doc, dict) or doc.get("format") != "triple":
         raise SchemaError("expected a document with format 'triple'")
     side_bundle = _bundle_from_fields(doc, truncation=truncation)

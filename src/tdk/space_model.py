@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 import types
-from functools import wraps
+from functools import cached_property, wraps
 
 from .errors import (
     _SMALL_INTS, DimensionError, FrozenRecord, InputError, ModelError, SchemaError, parse_int,
@@ -29,6 +29,7 @@ from .exact_linalg import (
     dense_vector,
     int_vector,
     smith_normal_form,
+    transpose,
 )
 # unused here, but benchmark/tests/test_benchmark.py checks that its tracer patches it
 from .exact_linalg import subquotient  # noqa: F401
@@ -505,7 +506,9 @@ class DgRingModel:
         and the builtins are closed by construction
         (``tests/test_space_model.py`` validates them).
         """
-        return cochain_invariants(self.D, self.dim, self.d_columns)
+        return cochain_invariants(
+            self.D, self.dim, lambda k: transpose(self.d_columns(k), self.dim(k + 1))
+        )
 
     def cup_class(self, x: Cocycle, y: Cocycle):
         """Normal form of [x][y] in H^{|x|+|y|}."""
@@ -528,6 +531,25 @@ class SimplicialComplex:
     float or a string is a SchemaError, not truncated or parsed.  The bound
     ``max_dim`` on facet dimensions is read as a truncation: None is
     DEFAULT_TRUNCATION, and a float or a string is an InputError.
+
+    The faces are numbered in one pass from the top dimension down.  The
+    top-dimensional facets come first, sorted.  Then each k-simplex, in the
+    order of its number, numbers those of its faces that no earlier
+    k-simplex reached, in lexicographic order, and writes its row
+    {face without vertex i: (-1)^i} of the coboundary d_{k-1}; the facets
+    of dimension k - 1 that no coface reached follow, sorted.  So the
+    numbering depends on the sorted ``facets`` and not on the order of the
+    document, and faces that meet get near numbers, which keeps the fill-in
+    of ``betti()``'s unit pivots small: on an m = 96 grid they update about
+    38 thousand entries, against 3.4 to 4 million in sorted order.  ``betti()``
+    hands fresh copies of those rows to ``cochain_invariants``, whose answer
+    does not depend on the numbering.
+
+    ``simplices`` (each level sorted), ``index`` (simplex -> position in
+    ``simplices``) and ``coboundary_columns(k)`` (over those positions) are
+    built on first read and cached on the complex; ``cohomology``, ``cup``
+    and ``cohomology_ring`` read them, so classes and representatives are
+    in sorted order.
     """
 
     def __init__(self, nvertices, facets, max_dim=DEFAULT_TRUNCATION):
@@ -544,42 +566,67 @@ class SimplicialComplex:
                 verts = list(map(operator.index, f))
             except TypeError:
                 raise SchemaError(f"facet {idx} has a vertex that is not an integer: {f}") from None
-            if len(set(verts)) != len(verts):
+            face = tuple(sorted(verts))
+            if len(set(face)) != len(face):
                 raise SchemaError(f"facet {idx} has repeated vertices: {verts}")
-            if any(v < 0 or v >= self.nvertices for v in verts):
+            if face and (face[0] < 0 or face[-1] >= self.nvertices):
                 raise SchemaError(f"facet {idx} references a vertex out of range: {verts}")
-            if not verts:
+            if not face:
                 raise SchemaError(f"facet {idx} is empty")
-            if len(verts) - 1 > max_dim:
+            if len(face) - 1 > max_dim:
                 raise SchemaError(
-                    f"facet {idx} has dimension {len(verts) - 1} > bound {max_dim}"
+                    f"facet {idx} has dimension {len(face) - 1} > bound {max_dim}"
                 )
-            clean.append(tuple(sorted(verts)))
+            clean.append(face)
         if not clean:
             raise SchemaError("complex has no facets")
         self.facets = sorted(set(clean))
         self.dim = max(len(f) - 1 for f in self.facets)
-        self.simplices = [set() for _ in range(self.dim + 1)]
+        by_dim = [[] for _ in range(self.dim + 1)]
         for f in self.facets:
-            for k in range(1, len(f) + 1):
-                for face in itertools.combinations(f, k):
-                    self.simplices[k - 1].add(face)
-        self.simplices = [sorted(s) for s in self.simplices]
-        self.index = [
-            {s: i for i, s in enumerate(level)} for level in self.simplices
-        ]
+            by_dim[len(f) - 1].append(f)
+        # _faces[k]: k-simplex -> its number; _rows[k]: the rows of d_k by
+        # (k+1)-simplex number, over k-simplex numbers
+        level = {f: i for i, f in enumerate(by_dim[self.dim])}
+        self._faces = [None] * self.dim + [level]
+        self._rows = [None] * self.dim + [[]]
+        for k in range(self.dim, 0, -1):
+            below = {}
+            number = below.setdefault
+            # the j-th face in lexicographic order is the one without vertex k - j
+            signs = [(-1) ** (k - j) for j in range(k + 1)]
+            rows = [
+                {number(f, len(below)): x for f, x in zip(itertools.combinations(sigma, k), signs)}
+                for sigma in level
+            ]
+            for f in by_dim[k - 1]:
+                number(f, len(below))
+            self._faces[k - 1], self._rows[k - 1] = below, rows
+            level = below
+
+    @cached_property
+    def simplices(self):
+        """The k-simplices of each level k, sorted."""
+        return [sorted(level) for level in self._faces]
+
+    @cached_property
+    def index(self):
+        """{simplex: its position in ``simplices``} for each level."""
+        return [{s: i for i, s in enumerate(level)} for level in self.simplices]
 
     def n_simplices(self, k):
-        return len(self.simplices[k]) if 0 <= k <= self.dim else 0
+        return len(self._faces[k]) if 0 <= k <= self.dim else 0
 
     def euler_characteristic(self):
         return sum((-1) ** k * self.n_simplices(k) for k in range(self.dim + 1))
 
+    @memoised
     def coboundary_columns(self, k):
-        """The coboundary C^k -> C^{k+1} as one sparse column {row: sign} per k-simplex.
+        """The coboundary C^k -> C^{k+1} as one sparse column {row: sign} per k-simplex (read-only).
 
-        A (k+1)-simplex tau has the sign (-1)^i in the column of its face
-        without vertex i (vertices in increasing order).
+        Rows and columns are positions in ``simplices``.  A (k+1)-simplex
+        tau has the sign (-1)^i in the column of its face without vertex i
+        (vertices in increasing order).
         """
         cols = [{} for _ in range(self.n_simplices(k))]
         for r, tau in enumerate(self.simplices[k + 1] if 0 <= k < self.dim else []):
@@ -596,18 +643,26 @@ class SimplicialComplex:
         """[(rank, torsion)] of H^k(K, Z) for k = 0..dim, without classes.
 
         d o d = 0 holds for every simplicial coboundary, which is the
-        precondition of ``cochain_invariants``.
+        precondition of ``cochain_invariants``.  The rows go over in the
+        numbering that ``__init__`` found, and no sorted view is built.
         """
-        return cochain_invariants(self.dim, self.n_simplices, self.coboundary_columns)
+        rows = self._rows
+        return cochain_invariants(self.dim, self.n_simplices, lambda k: [r.copy() for r in rows[k]])
 
     def cup(self, p, u, q, v):
-        """Front-face/back-face cup product of cochains u (deg p), v (deg q)."""
+        """Front-face/back-face cup product of cochains u (deg p), v (deg q).
+
+        u and v have one entry per p- and q-simplex; a cochain of another
+        length, or a negative degree, is a DimensionError.
+        """
+        if p < 0 or q < 0:
+            raise DimensionError(f"no cochains in degree {min(p, q)}")
+        u = _values(u, self.n_simplices(p))
+        v = _values(v, self.n_simplices(q))
         k = p + q
         out = [0] * self.n_simplices(k)
         if k > self.dim:
             return out
-        u = int_vector(u)
-        v = int_vector(v)
         for r, sigma in enumerate(self.simplices[k]):
             front = sigma[: p + 1]
             back = sigma[p:]

@@ -10,9 +10,13 @@ without clearing, on random complexes and random bundle total models.
 Call-count guards pin the cost model of the three verbs that report only
 invariants, and of the clearing on grids, and keep bundle builds and
 ``tdk cohomology`` on a ``dgring`` document off any elimination of a whole
-differential.
+differential.  A simplicial complex numbers its faces as it finds them;
+two oracles cover that numbering: shuffled, relabelled facets give the same
+``betti()``, and the sorted views that classes are read on equal those of
+a reference construction kept here, which lists every face of every facet.
 """
 
+import itertools
 import sys
 
 import pytest
@@ -24,7 +28,7 @@ from test_parse import total_models
 from test_snf_reuse import matrices
 from tdk import exact_linalg
 from tdk.cli import run
-from tdk.exact_linalg import cochain_cohomology, cochain_invariants, invariant_factors
+from tdk.exact_linalg import cochain_cohomology, cochain_invariants, invariant_factors, transpose
 from tdk.fixtures import PROJECTIVE_PLANE_6, TORUS_7, simplicial_doc
 from tdk.serialize import dumps, space_to_doc
 from tdk.space_model import SimplicialComplex, builtin_space, parse_space
@@ -55,9 +59,9 @@ def test_betti_matches_subquotients_on_grids(kind, m):
 
 def test_torsion_lists_factors_in_divisibility_order():
     # C^1 = Z^3 -> C^2 = Z^3 with d_1 = diag(12, 1, 2) up to order: H^2 = Z/2 + Z/12
-    columns = {0: [{}], 1: [{0: 12}, {1: 1}, {2: 2}], 2: [{}, {}, {}]}
+    rows = {0: [{}, {}, {}], 1: [{0: 12}, {1: 1}, {2: 2}], 2: []}
     dims = {0: 1, 1: 3, 2: 3}
-    assert cochain_invariants(2, dims.get, columns.get) == [(1, ()), (0, ()), (0, (2, 12))]
+    assert cochain_invariants(2, dims.get, rows.get) == [(1, ()), (0, ()), (0, (2, 12))]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -73,7 +77,7 @@ def test_two_term_complex_matches_subquotients(M):
         return dims.get(k, 0)
 
     want = [cochain_cohomology(k, 1, dim, d_cols.get).invariants() for k in range(2)]
-    assert cochain_invariants(1, dims.get, d_cols.get) == want
+    assert cochain_invariants(1, dims.get, lambda k: transpose(d_cols[k], dim(k + 1))) == want
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +132,8 @@ def test_clearing_leaves_m2_plus_1_rows_of_d0_on_grids(kind, m, rows, monkeypatc
     original = exact_linalg._unit_pivots
     loaded = []  # rows that enter each elimination, from d_top down to d_0
 
-    def counted(columns, cleared=()):
-        pivots, left = original(columns, cleared)
+    def counted(rows, cleared=()):
+        pivots, left = original(rows, cleared)
         loaded.append(len(pivots) + len(left))
         return pivots, left
 
@@ -138,6 +142,80 @@ def test_clearing_leaves_m2_plus_1_rows_of_d0_on_grids(kind, m, rows, monkeypatc
     assert K.betti() == GRID_H[kind]
     assert loaded == [0, 2 * m * m, rows]
     assert K.n_simplices(1) == 3 * m * m
+
+
+# ---------------------------------------------------------------------------
+# the discovery numbering
+
+
+@st.composite
+def facet_lists(draw):
+    """The facets of a drawn complex, with faces of some of them listed as facets too."""
+    facets = [list(f) for f in draw(complexes()).facets]
+    for f in draw(st.lists(st.sampled_from(facets), max_size=4)):
+        facets.append(sorted(draw(st.sets(st.sampled_from(f), min_size=1))))
+    return facets
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(facet_lists(), st.data())
+def test_betti_ignores_facet_order_and_vertex_labels(facets, data):
+    label = data.draw(st.permutations(range(8)))
+    moved = data.draw(st.permutations([[label[v] for v in f] for f in facets]))
+    K, L = SimplicialComplex(8, facets), SimplicialComplex(8, moved)
+    # betti() eliminates copies, so a second call sees the same rows
+    assert K.betti() == K.betti() == L.betti()
+    assert K.betti() == _subquotient_invariants(K) == _subquotient_invariants(L)
+
+
+def _eager_views(K):
+    """Reference ``simplices``, ``index`` and ``coboundary_columns(k)`` for k = -1..dim + 1:
+    every face of every facet, sorted per level, built eagerly."""
+    simplices = [set() for _ in range(K.dim + 1)]
+    for f in K.facets:
+        for k in range(1, len(f) + 1):
+            for face in itertools.combinations(f, k):
+                simplices[k - 1].add(face)
+    simplices = [sorted(s) for s in simplices]
+    index = [{s: i for i, s in enumerate(level)} for level in simplices]
+    columns = []
+    for k in range(-1, K.dim + 2):
+        cols = [{} for _ in range(len(simplices[k]) if 0 <= k <= K.dim else 0)]
+        for r, tau in enumerate(simplices[k + 1] if 0 <= k < K.dim else []):
+            for drop in range(len(tau)):
+                cols[index[k][tau[:drop] + tau[drop + 1 :]]][r] = -1 if drop % 2 else 1
+        columns.append(cols)
+    return simplices, index, columns
+
+
+def _assert_eager_views(K):
+    simplices, index, columns = _eager_views(K)
+    assert K.simplices is K.simplices and K.index is K.index  # built once
+    # compared as item lists, so that the order of every dict is the same too
+    assert K.simplices == simplices
+    assert [list(level.items()) for level in K.index] == [list(level.items()) for level in index]
+    got = [K.coboundary_columns(k) for k in range(-1, K.dim + 2)]
+    assert [[list(c.items()) for c in cols] for cols in got] == [
+        [list(c.items()) for c in cols] for cols in columns
+    ]
+    assert [K.n_simplices(k) for k in range(-1, K.dim + 2)] == [0, *map(len, simplices), 0]
+
+
+@pytest.mark.parametrize("name", ["boundary-tetrahedron", "torus-7", "projective-plane-6"])
+def test_sorted_views_match_the_eager_construction_on_fixtures(name):
+    _assert_eager_views(parse_space(simplicial_doc(name)))
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_H))
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_sorted_views_match_the_eager_construction_on_grids(kind, m):
+    _assert_eager_views(parse_space(grid_doc(kind, m)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(facet_lists())
+def test_sorted_views_match_the_eager_construction_on_random_complexes(facets):
+    _assert_eager_views(SimplicialComplex(8, facets))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +276,29 @@ def test_invariant_verbs_factor_each_differential_once(case, tmp_path, monkeypat
     assert sub == []
     assert len(factors) == len(betti)  # one elimination per differential d_0..d_top
     assert len(snf) <= len(factors)
+
+
+def test_simplicial_cohomology_builds_no_sorted_view(tmp_path, monkeypatch):
+    """``tdk cohomology`` on a complex eliminates its discovery rows, one pass per degree."""
+    made = []
+    init = SimplicialComplex.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    read = []
+    monkeypatch.setattr(SimplicialComplex, "__init__", recorded)
+    monkeypatch.setattr(SimplicialComplex, "coboundary_columns", lambda self, k: read.append(k))
+    factors = _counted(monkeypatch, "_unit_pivots")
+    argv, betti = _verb("klein-grid", tmp_path)
+    code, report = run(argv)
+    assert code == 0, report
+    assert report["cohomology"]["2"] == {"rank": "0", "torsion": ["2"]}
+    [K] = made
+    assert "simplices" not in vars(K) and "index" not in vars(K)
+    assert read == []
+    assert len(factors) == len(betti) == K.dim + 1
 
 
 def test_builds_and_dgring_cohomology_build_no_dense_differential(tmp_path, monkeypatch):

@@ -18,8 +18,10 @@ from tdk.errors import DimensionError, InputError, NotInSubgroupError, SubgroupC
 from tdk.exact_linalg import (
     FgAbelianGroup,
     GroupHom,
+    _unit_pivots,
     cokernel,
     identity,
+    invariant_factors,
     kernel,
     kernel_basis,
     matrix_rank,
@@ -265,6 +267,20 @@ def test_group_reduce_additive():
 def test_invariant_factors_drop_ones():
     G = FgAbelianGroup(2, columns([[1, 0], [0, 6]]))
     assert G.invariants() == (0, (6,))
+
+
+def test_unit_pivots_drop_stored_zeros_and_leave_the_rows_in_order():
+    # row 1 holds only a stored zero, so it is not loaded; row 2 pivots at column 2
+    rows = [{0: 0, 1: 2}, {1: 0}, {2: 1, 3: 0}, {0: 3, 1: 1, 4: 5}]
+    pivots, left = _unit_pivots(rows)
+    assert pivots == [2, 1]
+    assert left == [{4: -10, 0: -6}]  # row 0 less 2 times row 3, with no stored zero
+
+
+def test_invariant_factors_leave_their_columns_unchanged():
+    cols = [{0: 1, 1: 0}, {0: 2, 1: 4}]
+    assert invariant_factors(cols) == [1, 4]
+    assert cols == [{0: 1, 1: 0}, {0: 2, 1: 4}]
 
 
 def test_group_refuses_a_negative_generator_count():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from tdk.cli import run
-from tdk.errors import InputError, ModelError, SchemaError
+from tdk.errors import DimensionError, InputError, ModelError, SchemaError
 from matrices import array, columns, vec
 from tdk.serialize import space_from_doc, space_to_doc
 from tdk.space_model import (
@@ -770,3 +770,31 @@ def test_triangulated_models_match_builtins():
         return [d for d in sf.diagonal if d]
 
     assert pairing_invariants(M) == pairing_invariants(T) == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# cup products check their cochains
+
+SQUARE = [[0, 1], [1, 2], [2, 3], [0, 3]]  # 4 vertices, 4 edges
+
+
+def test_cup_refuses_a_cochain_of_the_wrong_length():
+    K = SimplicialComplex(4, SQUARE)
+    assert K.cup(0, [1, 1, 1, 5], 1, [1, 0, 0, 9]) == [1, 0, 0, 9]
+    with pytest.raises(DimensionError, match="^cochain of length 3, expected 4$"):
+        K.cup(0, [1, 1, 1], 1, [1, 0, 0, 9])  # too short
+    with pytest.raises(DimensionError, match="^cochain of length 5, expected 4$"):
+        K.cup(0, [1, 1, 1, 5, 6], 1, [1, 0, 0, 9])  # too long
+    with pytest.raises(DimensionError, match="^cochain of length 5, expected 4$"):
+        K.cup(0, [1, 1, 1, 5], 1, [1, 0, 0, 9, 0])
+    # above the dimension the cochains are empty, and so is the product
+    assert K.cup(2, [], 0, [1, 1, 1, 1]) == []
+    with pytest.raises(DimensionError, match="^cochain of length 1, expected 0$"):
+        K.cup(2, [1], 0, [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("p, q", [(-1, 1), (1, -1), (-1, -1)])
+def test_cup_refuses_a_negative_degree(p, q):
+    K = SimplicialComplex(4, SQUARE)
+    with pytest.raises(DimensionError, match="^no cochains in degree -1$"):
+        K.cup(p, [], q, [])
