@@ -8,7 +8,7 @@ flux dualizes to the degree-k nilmanifold with zero flux.
 
 import pytest
 
-from tdk.errors import InputError, NotDualizableError, TripleMismatchError
+from tdk.errors import DimensionError, InputError, NotDualizableError, TripleMismatchError
 from matrices import scaled
 from tdk.space_model import Cocycle, builtin_space
 from tdk.tduality_core import (
@@ -338,6 +338,35 @@ def test_gauge_shift_zero_on_sphere_base():
     t = dualize(hopf_pair(1, 1))
     shift = gauge_shift(t, [S2.zero_vector(1)], [S2.zero_vector(1)])
     assert all(x == 0 for x in shift.vector)
+
+
+@pytest.mark.parametrize("verb", [gauge_action, gauge_shift])
+def test_gauge_verbs_refuse_the_same_classes(verb):
+    # n = 2 over T^3 with chern (x1 x2, x1 x3)
+    m = build_bundle(T3, [T3.basis_vector(2, 0), T3.basis_vector(2, 1)])
+    t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
+    zero, x2, x3 = T3.zero_vector(1), T3.basis_vector(1, 1), T3.basis_vector(1, 2)
+    verb(t, [zero, zero], [zero, x2])
+    for psis, psihats in [([zero, zero], [zero]), ([zero, zero], [zero, x2, x3]),
+                          ([zero], [zero, zero])]:
+        with pytest.raises(InputError, match="one degree-1 class per fiber circle"):
+            verb(t, psis, psihats)
+    with pytest.raises(DimensionError):
+        verb(t, [zero, zero], [zero, [0, 1]])
+    # over the Heisenberg base one degree-1 generator is not closed
+    H = builtin_space("heisenberg", {"k": 1})
+    t = dualize(trivial_pair(H, 1))
+    (unclosed,) = [v for v in map(H.basis_vector, [1] * 3, range(3)) if not H.is_closed(1, v)]
+    with pytest.raises(InputError, match="gauge classes must be closed"):
+        verb(t, [H.zero_vector(1)], [unclosed])
+
+
+@pytest.mark.parametrize("beta", [[], [1, 5, 7]])
+def test_dualize_refuses_a_chosen_beta_of_the_wrong_length(beta):
+    # dim C^3 of T^3 is 1
+    pair = trivial_pair(T3, 1)
+    with pytest.raises(DimensionError, match="^beta has length"):
+        dualize(pair, choice={"chern_hat": [T3.zero_vector(2)], "beta": beta})
 
 
 # ---------------------------------------------------------------------------

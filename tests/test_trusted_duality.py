@@ -1,0 +1,194 @@
+"""Oracles for the checks that the duality layer trusts instead of re-running.
+
+Each value below is built so that it holds by a proof in a docstring of
+``tdk.tduality_core`` or ``tdk.duality_group``, and is no longer checked at
+run time.  Each is held here to the check it replaced:
+
+- ``dualize`` returns its triple unvalidated: ``validate_triple`` accepts it,
+  on the flux's own normal form and on a ``choice`` of dual chern
+  representatives moved by an antisymmetric shear;
+- ``_normal_form`` reads zhat and beta off the representative without
+  re-testing them: every zhat_i is closed and d beta = -sum_i c_i . zhat_i,
+  so ``_pairing_primitive`` finds a primitive (the re-solve that
+  ``_dual_chern`` no longer makes);
+- ``validate_triple`` reports both fluxes closed without a test, as no
+  ``Pair`` holds a flux that is not closed: ``check-triple`` refuses one;
+- ``act_on_chern`` solves no pairing: sum_i c_i . chat_i is kept as a
+  cochain by every generator of O(n, n; Z) with n <= 3 and by random words.
+
+The random pairs come from ``pairs()`` of ``tests/test_theorems.py``, over
+its builtins.  Those have no degree-4 cochains, so there beta is closed and
+the pairing is zero.  Listed pairs over Heisenberg x T^2 have a pairing that
+is a nonzero coboundary, so beta is not closed.  Random pairs over that base
+or over T^2 x T^2 are not drawn: some of them stall in a Smith form whose
+coefficients grow, in ``pairs()`` itself or in ``validate_triple`` (see
+CHANGES.md).
+"""
+
+import itertools
+import random
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from tdk import tduality_core  # noqa: E402
+from tdk.cli import run  # noqa: E402
+from tdk.duality_group import act_on_chern, generators  # noqa: E402
+from tdk.exact_linalg import dense_vector  # noqa: E402
+from tdk.fixtures import PAIR_NAMES, named_pair  # noqa: E402
+from tdk.serialize import dumps, triple_to_doc  # noqa: E402
+from tdk.space_model import Cocycle, builtin_space, product_model  # noqa: E402
+from tdk.tduality_core import (  # noqa: E402
+    Pair,
+    _normal_form,
+    _pairing_primitive,
+    dualize,
+    extract_dual_chern,
+    is_dualizable,
+    validate_triple,
+)
+from tdk.torus_bundle import build_bundle  # noqa: E402
+from test_skipped_work import _pairing_total  # noqa: E402
+from test_theorems import pairs  # noqa: E402
+
+T2 = builtin_space("torus", {"k": 2})
+HEISENBERG = builtin_space("heisenberg", {"k": 1})
+T2xT2, HxT2 = product_model(T2, T2), product_model(HEISENBERG, T2)
+
+
+def assert_trusted_normal_form(pair, zhat, beta):
+    """zhat closed, and beta a primitive of the pairing: d beta = -sum_i c_i . zhat_i."""
+    base, chern = pair.base, pair.bundle.chern
+    assert all(base.is_closed(2, z) for z in zhat)
+    pairing = dense_vector(_pairing_total(base, chern, zhat), base.dim(4))
+    assert base.d(3, beta) == [-x for x in pairing]
+    assert _pairing_primitive(base, chern, zhat) is not None
+
+
+def assert_valid_dual(t, pair, zhat):
+    """``t`` joins ``pair`` to the bundle with chern cocycles ``zhat`` and
+    passes every item of ``validate_triple``."""
+    assert t.side.bundle is pair.bundle
+    assert [list(z) for z in t.dual.bundle.chern] == zhat
+    report = validate_triple(t)
+    assert report.ok, report.failures()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pairs())
+def test_dualize_builds_a_triple_that_passes_validation(pair):
+    ok, report = is_dualizable(pair)
+    if not ok:
+        return
+    zhat, beta, _ = _normal_form(pair, report)
+    assert_trusted_normal_form(pair, zhat, beta)
+    assert extract_dual_chern(pair)[1]["representatives"] == zhat
+    assert_valid_dual(dualize(pair), pair, zhat)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pairs(), st.data())
+def test_dualize_with_sheared_representatives_builds_a_valid_triple(pair, data):
+    ok, report = is_dualizable(pair)
+    if not ok:
+        return
+    n, chern = pair.bundle.n, pair.bundle.chern
+    zhat, beta, _ = _normal_form(pair, report)
+    # zhat + B c for an antisymmetric B, one weight per shear generator of
+    # ``extract_dual_chern``: the normal form moves by a coboundary
+    for i, j in itertools.combinations(range(n), 2):
+        b = data.draw(st.integers(-2, 2))
+        zhat[i] = [x + b * y for x, y in zip(zhat[i], chern[j])]
+        zhat[j] = [x - b * y for x, y in zip(zhat[j], chern[i])]
+    assert_trusted_normal_form(pair, zhat, beta)
+    assert_valid_dual(dualize(pair, choice={"chern_hat": zhat, "beta": beta}), pair, zhat)
+
+
+# basis indices of degree 2 on Heisenberg x T^2: 0 = x1x2, 1 = x.x1, 3 = y.x1,
+# 4 = y.x2; (x.x1).(y.x2) = +-xy.x1x2 = d(+-z.x1x2) is a nonzero coboundary
+@pytest.mark.parametrize("chern, chern_hat", [((1,), (4,)), ((1, 3), (4, 0))])
+def test_dualize_builds_a_valid_triple_whose_beta_is_not_closed(chern, chern_hat):
+    c = [HxT2.basis_vector(2, i) for i in chern]
+    zhat = [HxT2.basis_vector(2, i) for i in chern_hat]
+    beta = _pairing_primitive(HxT2, c, zhat)
+    assert not HxT2.is_closed(3, beta)
+    m = build_bundle(HxT2, c)
+    pair = Pair(m, Cocycle(3, m.normal_form_vector(zhat, beta)))
+    ok, report = is_dualizable(pair)
+    assert ok
+    zhat, beta, _ = _normal_form(pair, report)
+    assert_trusted_normal_form(pair, zhat, beta)
+    assert_valid_dual(dualize(pair), pair, zhat)
+
+
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_dualize_calls_no_validate_triple(monkeypatch, name):
+    pair = named_pair(name)
+    ok, report = is_dualizable(pair)
+    if not ok:
+        return
+    zhat, beta, _ = _normal_form(pair, report)
+
+    def refused(t):
+        raise AssertionError("dualize validated the triple it built")
+
+    monkeypatch.setattr(tduality_core, "validate_triple", refused)
+    dualize(pair)
+    dualize(pair, choice={"chern_hat": zhat, "beta": beta})
+
+
+@pytest.mark.parametrize("field", ["flux", "flux_hat"])
+def test_check_triple_refuses_a_flux_that_is_not_closed(tmp_path, field):
+    # over T^3 with chern (x1 x2, 0) on both sides, d(x3 y1 y2) is not zero
+    m = build_bundle(builtin_space("torus", {"k": 3}), [[1, 0, 0], [0, 0, 0]])
+    t = dualize(Pair(m, Cocycle(3, m.element_vector(2, 0, (0,)))))
+    assert [list(z) for z in t.dual.bundle.chern] == [list(z) for z in m.chern]
+    units = ([int(i == j) for i in range(m.dim(3))] for j in range(m.dim(3)))
+    doc = triple_to_doc(t)
+    doc[field] = [str(x) for x in next(v for v in units if not m.is_closed(3, v))]
+    path = tmp_path / "triple.json"
+    path.write_text(dumps(doc))
+    refusal = (2, {"error": "flux cocycle is not closed"})
+    assert run(["check-triple", "--triple", str(path)]) == refusal
+
+
+# ---------------------------------------------------------------------------
+# the group action keeps the pairing as a cochain
+
+# the degree-4 pairing vanishes on the first four bases, not on the products
+ONN_BASES = {
+    "torus2": T2,
+    "torus3": builtin_space("torus", {"k": 3}),
+    "surface2": builtin_space("surface", {"genus": 2}),
+    "heisenberg": HEISENBERG,
+    "torus2xtorus2": T2xT2,
+    "heisenbergxtorus2": HxT2,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(ONN_BASES))
+def test_every_generator_keeps_the_pairing_cochain(name, n):
+    base, rng = ONN_BASES[name], random.Random(f"{name}:{n}")
+    c, chat = ([[rng.randint(-2, 2) for _ in range(base.dim(2))] for _ in range(n)]
+               for _ in range(2))
+    for g in generators(n):
+        c_new, chat_new = act_on_chern(g, base, c, chat)
+        assert _pairing_total(base, c_new, chat_new) == _pairing_total(base, c, chat)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(ONN_BASES)), st.integers(1, 3), st.data())
+def test_random_words_keep_the_pairing_cochain(name, n, data):
+    base = ONN_BASES[name]
+    word = data.draw(st.lists(st.sampled_from(generators(n)), min_size=1, max_size=5))
+    g = word[0]
+    for h in word[1:]:
+        g = g.compose(h)
+    cochain = st.lists(st.integers(-2, 2), min_size=base.dim(2), max_size=base.dim(2))
+    c, chat = ([data.draw(cochain) for _ in range(n)] for _ in range(2))
+    c_new, chat_new = act_on_chern(g, base, c, chat)
+    assert _pairing_total(base, c_new, chat_new) == _pairing_total(base, c, chat)
