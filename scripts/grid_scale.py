@@ -1,4 +1,5 @@
-"""Scale check: H* of the m = 96 torus and Klein-bottle grids, each in under 2 s.
+"""Scale check: H* of the m = 96 torus and Klein-bottle grids and of their
+disjoint union, each in under 2 s.
 
 Run from the repository root:
 
@@ -7,7 +8,9 @@ Run from the repository root:
 Each grid is the m x m square grid, every square cut along its diagonal,
 with opposite sides glued (the first pair with a flip for the Klein bottle).
 Its vertex labels and the order of its facets are shuffled by a fixed seed,
-so the numbering of faces cannot lean on the grid order.  The time is
+so the numbering of faces cannot lean on the grid order.  The disjoint
+union takes the two shuffled grids, the Klein bottle's labels moved past
+the torus's, and has two components.  The time is
 ``SimplicialComplex(...)`` plus ``betti()``; the check fails on a wrong H*
 or on a time over the limit.  It is not part of the test suite, which keeps
 no timing test.
@@ -24,6 +27,7 @@ LIMIT_S = 2.0
 KNOWN = {
     "torus": [(1, ()), (2, ()), (1, ())],
     "klein": [(1, ()), (1, ()), (0, (2,))],
+    "torus+klein": [(2, ()), (3, ()), (1, (2,))],
 }
 
 
@@ -49,11 +53,18 @@ def shuffled_grid(kind, m, seed):
 
 
 def main():
+    grids = {kind: shuffled_grid(kind, M, seed) for seed, kind in enumerate(["klein", "torus"])}
+    cases = {
+        **{kind: (M * M, facets) for kind, facets in grids.items()},
+        "torus+klein": (
+            2 * M * M,
+            grids["torus"] + [[M * M + v for v in f] for f in grids["klein"]],
+        ),
+    }
     failed = False
-    for seed, kind in enumerate(sorted(KNOWN)):
-        facets = shuffled_grid(kind, M, seed)
+    for kind, (nvertices, facets) in cases.items():
         start = time.perf_counter()
-        betti = SimplicialComplex(M * M, facets).betti()
+        betti = SimplicialComplex(nvertices, facets).betti()
         elapsed = time.perf_counter() - start
         ok = betti == KNOWN[kind] and elapsed < LIMIT_S
         failed |= not ok

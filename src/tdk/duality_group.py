@@ -191,8 +191,10 @@ def _combine(rows, vectors, length):
 def act_on_chern(g: OnnElement, base, c, chat):
     """Apply g to stacked chern data; the degree-4 pairing is preserved.
 
-    c and chat are length-n lists of degree-2 cocycle vectors on ``base``.
-    The pairing is kept as a cochain, not only in H^4, so nothing is solved.
+    c and chat are length-n lists of degree-2 cocycle vectors on ``base``;
+    a vector of another length, or one that is not closed, is an
+    InputError, as it is for ``ChernVector``.  The pairing is kept as a
+    cochain, not only in H^4, so nothing is solved.
     With v = c + chat and v' = g v, sum_i c'_i . chat'_i is
     sum_{j,k} M_jk v_j . v_k, where M = g^T A g is the matrix of ``is_onn``.
     ``is_onn`` proves M_jj = 0 and M_jk + M_kj = [|j - k| = n], and degree-2
@@ -204,7 +206,14 @@ def act_on_chern(g: OnnElement, base, c, chat):
     chat = [int_vector(v, "chat") for v in chat]
     if len(c) != n or len(chat) != n:
         raise InputError(f"need {n} chern cocycles on each side")
-    out = _combine(transpose(g.matrix, 2 * n), c + chat, base.dim(2))
+    length = base.dim(2)
+    for name, side in (("c", c), ("chat", chat)):
+        for i, v in enumerate(side):
+            if len(v) != length:
+                raise InputError(f"{name} cocycle {i} has length {len(v)}, expected {length}")
+            if not base.is_closed(2, v):
+                raise InputError(f"{name} cocycle {i} is not closed")
+    out = _combine(transpose(g.matrix, 2 * n), c + chat, length)
     return out[:n], out[n:]
 
 

@@ -34,7 +34,8 @@ only the fill-in; a simplicial complex numbers its faces as it finds them,
 which keeps the fill-in small.  ``matrix_rank`` counts those factors, so a
 rank builds no U or V for the unit pivots.  Cohomology has two routines on
 top of that: ``cochain_invariants`` gives the isomorphism type of every H^k
-from one elimination per differential, and ``cochain_cohomology`` builds
+from one elimination per differential d_top..d_1, with H^0 read off a
+count of components that its caller proves, and ``cochain_cohomology`` builds
 H^k = ker d_k / im d_{k-1} as a :class:`Subquotient` for callers that need
 classes, representatives or reductions.
 
@@ -45,8 +46,10 @@ that it never loads.  Under its precondition d o d = 0 this keeps every
 invariant factor of d_{k-1}: a pivot row of d_k is, at its pivot, a
 Z-combination z of rows of d_k with z_p = +-1 and zeros at the earlier
 pivot columns, and z d_{k-1} = 0 writes row p of d_{k-1} through the rows
-that are kept (the full proof is in ``cochain_invariants``).  On an
-m x m torus or Klein-bottle grid, d_0 keeps m^2 + 1 of its 3 m^2 rows.
+that are kept (the full proof is in ``cochain_invariants``).  d_0 is never
+eliminated, nor written by a simplicial complex: its factors are units and
+its rank is #vertices - #components, so only d_top..d_1 are loaded.  A
+one-row or one-column leftover is read as the gcd of its entries.
 
 Factor once, solve many: a matrix that meets several right-hand sides is
 factored once and each right-hand side goes through ``SmithForm.solve``,
@@ -77,6 +80,7 @@ the parts built on first use are deterministic.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import cached_property
 
@@ -762,11 +766,19 @@ def _unit_pivots(rows, cleared=()):
 
 
 def _block_factors(rows):
-    """Nonzero Smith diagonal of the rows that ``_unit_pivots`` leaves."""
+    """Nonzero Smith diagonal of the rows that ``_unit_pivots`` leaves.
+
+    A single row or a single column has one invariant factor, the gcd of
+    its entries: Euclid's steps on them are unimodular and end in that gcd
+    and zeros.  Only a wider block goes to ``smith_normal_form``.
+    """
     left = [row for row in rows if row]
     if not left:
         return []
-    block = transpose(left, max(c for row in left for c in row) + 1)
+    columns = {c for row in left for c in row}
+    if len(left) == 1 or len(columns) == 1:
+        return [math.gcd(*(x for row in left for x in row.values()))]
+    block = transpose(left, max(columns) + 1)
     return [d for d in smith_normal_form([col for col in block if col], len(left)).diagonal if d]
 
 
@@ -781,10 +793,11 @@ def invariant_factors(columns):
     unimodular, so the invariant factors do not change.  A row's pivot is
     its unit entry in the column with the fewest entries (least index on
     ties), which limits fill-in.  What is left goes to
-    ``smith_normal_form``; only its diagonal is read, so the pivot rule of
-    that kernel fixes nothing here.  Each step only adds multiples of one
-    row to others, so every row left is a Z-combination of the rows given;
-    ``cochain_invariants`` builds its clearing on that.
+    ``smith_normal_form``, unless it is a single row or column, whose one
+    factor is the gcd of its entries; only the diagonal is read, so the
+    pivot rule of that kernel fixes nothing here.  Each step only adds
+    multiples of one row to others, so every row left is a Z-combination of
+    the rows given; ``cochain_invariants`` builds its clearing on that.
 
     The order of the rows and of the columns changes no factor: permuting
     either is multiplying by a permutation matrix, which is unimodular.  So
@@ -796,13 +809,15 @@ def invariant_factors(columns):
     return [1] * len(pivots) + _block_factors(left)
 
 
-def cochain_invariants(top, dim, rows):
-    """[(rank, torsion)] of H^k for k = 0..top, one elimination per differential.
+def cochain_invariants(top, dim, rows, components):
+    """[(rank, torsion)] of H^k for k = 0..top, one elimination per differential d_top..d_1.
 
     ``dim(k)`` is the rank of the degree-k cochains and ``rows(k)`` the
     differential d_k out of them as fresh sparse rows {column: coeff}, one
-    per basis element of degree k + 1, which the elimination consumes.
-    With r_k the rank of d_k and e_i >= 2 the invariant factors of d_{k-1},
+    per basis element of degree k + 1, which the elimination consumes; it is
+    read for k >= 1 only.  ``components`` is the rank of H^0 = ker d_0,
+    which the caller proves.  With r_k the rank of d_k and e_i >= 2 the
+    invariant factors of d_{k-1},
 
         H^k = Z^(dim C^k - r_k - r_{k-1}) + sum_i Z/e_i.
 
@@ -813,8 +828,16 @@ def cochain_invariants(top, dim, rows):
     None of it depends on how the bases are ordered, as long as the columns
     of d_k and the rows of d_{k-1} number the basis of C^k alike.
 
+    d_0 is not eliminated: its invariant factors are dim C^0 - components
+    ones.  A caller proves that with one of two facts.  A simplicial d_0 is
+    the transpose of the oriented incidence matrix of the 1-skeleton, a
+    graph; that matrix is totally unimodular, so every nonzero invariant
+    factor is 1, and its rank is #vertices - #components, which
+    ``SimplicialComplex`` counts by union-find over the edges.  A ring
+    model has C^0 = Z.1 and d(1) = 0, so d_0 = 0 and components = 1.
+
     Clearing (Chen & Kerber's twist, for cochains): the degrees run from top
-    to bottom, and the pivot columns of d_k's unit phase are rows of d_{k-1}
+    down to 1, and the pivot columns of d_k's unit phase are rows of d_{k-1}
     (both index the basis of C^k) that are never loaded.  Dropping them
     keeps the invariant factors of d_{k-1}.  Proof: when row r of d_k pivots
     at column p, its current value z is a Z-combination of rows of d_k, so
@@ -825,7 +848,8 @@ def cochain_invariants(top, dim, rows):
     cleared row of d_{k-1} is a Z-combination of the kept rows; subtracting
     those combinations is unimodular and leaves the cleared rows zero.  The
     proof uses the pivots' sequence and nothing of the order in which rows
-    and columns are numbered, so any numbering of the bases keeps it.
+    and columns are numbered, so any numbering of the bases keeps it.  The
+    pivots of d_1 would clear rows of d_0, which is never written.
 
     The precondition d o d = 0 is not checked here, and clearing rests on it
     as much as the formula does.  It holds by construction for simplicial
@@ -836,11 +860,11 @@ def cochain_invariants(top, dim, rows):
     instead.
     """
     factors = [None] * (top + 1)
-    cleared = ()
-    for k in range(top, -1, -1):
-        pivots, left = _unit_pivots(rows(k), cleared)
+    pivots = ()
+    for k in range(top, 0, -1):
+        pivots, left = _unit_pivots(rows(k), set(pivots))
         factors[k] = [1] * len(pivots) + _block_factors(left)
-        cleared = set(pivots)
+    factors[0] = [1] * (dim(0) - components)
     out = []
     for k in range(top + 1):
         below = factors[k - 1] if k else []

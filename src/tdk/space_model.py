@@ -500,14 +500,17 @@ class DgRingModel:
     def betti(self):
         """[(rank, torsion)] of H^k for k = 0..D, without classes.
 
-        ``cochain_invariants`` needs d o d = 0: ``validate`` certifies it for
-        checked models (every parsed ``dgring`` document), ``BundleModel``'s
-        certificate on base data for the total model of every bundle build,
-        and the builtins are closed by construction
+        Precondition: d o d = 0, C^0 = Z.1 and d(1) = 0, so H^0 = Z is one
+        component and d_0 is not eliminated.  ``validate`` certifies all
+        three for checked models (every parsed ``dgring`` document),
+        ``BundleModel``'s certificate on base data certifies d o d = 0 for
+        the total model of every bundle build, whose degree 0 is the base's
+        unit times the fiber's, and the builtins, ``product_model`` and
+        ``cohomology_ring`` hold them by construction
         (``tests/test_space_model.py`` validates them).
         """
         return cochain_invariants(
-            self.D, self.dim, lambda k: transpose(self.d_columns(k), self.dim(k + 1))
+            self.D, self.dim, lambda k: transpose(self.d_columns(k), self.dim(k + 1)), 1
         )
 
     def cup_class(self, x: Cocycle, y: Cocycle):
@@ -535,9 +538,12 @@ class SimplicialComplex:
     The faces are numbered in one pass from the top dimension down.  The
     top-dimensional facets come first, sorted.  Then each k-simplex, in the
     order of its number, numbers those of its faces that no earlier
-    k-simplex reached, in lexicographic order, and writes its row
-    {face without vertex i: (-1)^i} of the coboundary d_{k-1}; the facets
-    of dimension k - 1 that no coface reached follow, sorted.  So the
+    k-simplex reached, in lexicographic order; for k >= 2 it also writes its
+    row {face without vertex i: (-1)^i} of the coboundary d_{k-1}.  The
+    facets of dimension k - 1 that no coface reached follow, sorted.  So the
+    rows of d_1 .. d_(dim-1) are written, and no row of d_0: the edges
+    number the vertices, and union-find over the edges counts the connected
+    components, which is all that ``cochain_invariants`` needs of d_0.  The
     numbering depends on the sorted ``facets`` and not on the order of the
     document, and faces that meet get near numbers, which keeps the fill-in
     of ``betti()``'s unit pivots small: on an m = 96 grid they update about
@@ -590,7 +596,7 @@ class SimplicialComplex:
         level = {f: i for i, f in enumerate(by_dim[self.dim])}
         self._faces = [None] * self.dim + [level]
         self._rows = [None] * self.dim + [[]]
-        for k in range(self.dim, 0, -1):
+        for k in range(self.dim, 1, -1):
             below = {}
             number = below.setdefault
             # the j-th face in lexicographic order is the one without vertex k - j
@@ -603,6 +609,28 @@ class SimplicialComplex:
                 number(f, len(below))
             self._faces[k - 1], self._rows[k - 1] = below, rows
             level = below
+        # the vertices, numbered as the edges reach them; union-find over the
+        # edges counts the merges, so H^0 needs no row of d_0
+        merged = 0
+        if self.dim:
+            root = {}  # vertex -> a vertex nearer the root of its tree
+            for u, v in level:
+                if u not in root:
+                    root[u] = u
+                if v not in root:
+                    root[v] = v
+                while root[u] != u:  # path halving
+                    root[u] = u = root[root[u]]
+                while root[v] != v:
+                    root[v] = v = root[root[v]]
+                if u != v:
+                    root[u] = v
+                    merged += 1
+            below = {(w,): i for i, w in enumerate(root)}
+            for f in by_dim[0]:
+                below.setdefault(f, len(below))
+            self._faces[0] = below
+        self._components = len(self._faces[0]) - merged
 
     @cached_property
     def simplices(self):
@@ -643,11 +671,15 @@ class SimplicialComplex:
         """[(rank, torsion)] of H^k(K, Z) for k = 0..dim, without classes.
 
         d o d = 0 holds for every simplicial coboundary, which is the
-        precondition of ``cochain_invariants``.  The rows go over in the
-        numbering that ``__init__`` found, and no sorted view is built.
+        precondition of ``cochain_invariants``, and H^0 is free on the
+        components that ``__init__`` counted.  The rows of d_1 .. d_(dim-1)
+        go over in the numbering that ``__init__`` found, and no sorted view
+        is built.
         """
         rows = self._rows
-        return cochain_invariants(self.dim, self.n_simplices, lambda k: [r.copy() for r in rows[k]])
+        return cochain_invariants(
+            self.dim, self.n_simplices, lambda k: [r.copy() for r in rows[k]], self._components
+        )
 
     def cup(self, p, u, q, v):
         """Front-face/back-face cup product of cochains u (deg p), v (deg q).

@@ -7,10 +7,12 @@ building a ``Subquotient``.  The oracle is the ``Subquotient`` route,
 two-term complexes whose torsion has several factors, and, for the
 clearing across degrees, also one ``invariant_factors`` per differential
 without clearing, on random complexes and random bundle total models.
-Call-count guards pin the cost model of the three verbs that report only
-invariants, and of the clearing on grids, and keep bundle builds and
-``tdk cohomology`` on a ``dgring`` document off any elimination of a whole
-differential.  A simplicial complex numbers its faces as it finds them;
+H^0 is read off a count of components, with no elimination of d_0: the
+oracle holds it on disjoint unions, isolated vertices, graphs with cycles
+and complexes of vertices alone.  Call-count guards pin the cost model of
+the three verbs that report only invariants, and of the clearing on grids,
+and keep bundle builds and ``tdk cohomology`` on a ``dgring`` document off
+any elimination of a whole differential.  A simplicial complex numbers its faces as it finds them;
 two oracles cover that numbering: shuffled, relabelled facets give the same
 ``betti()``, and the sorted views that classes are read on equal those of
 a reference construction kept here, which lists every face of every facet.
@@ -61,23 +63,27 @@ def test_torsion_lists_factors_in_divisibility_order():
     # C^1 = Z^3 -> C^2 = Z^3 with d_1 = diag(12, 1, 2) up to order: H^2 = Z/2 + Z/12
     rows = {0: [{}, {}, {}], 1: [{0: 12}, {1: 1}, {2: 2}], 2: []}
     dims = {0: 1, 1: 3, 2: 3}
-    assert cochain_invariants(2, dims.get, rows.get) == [(1, ()), (0, ()), (0, (2, 12))]
+    assert cochain_invariants(2, dims.get, rows.get, 1) == [(1, ()), (0, ()), (0, (2, 12))]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(matrices)
 def test_two_term_complex_matches_subquotients(M):
-    """C^0 --M--> C^1, any integer matrix: H^1 = coker M carries all its torsion."""
+    """Z --0--> C^1 --M--> C^2, any integer matrix: H^2 = coker M carries all its torsion.
+
+    d_0 = 0 from C^0 = Z, as in a ring model, so H^0 = Z is one component.
+    """
     columns, m = M
     n = len(columns)
-    dims = {0: n, 1: m}
-    d_cols = {0: columns, 1: [{}] * m}
+    dims = {0: 1, 1: n, 2: m}
+    d_cols = {0: [{}], 1: columns, 2: [{}] * m}
 
-    def dim(k):  # C^2 = 0, the rows of d_1
+    def dim(k):  # C^3 = 0, the rows of d_2
         return dims.get(k, 0)
 
-    want = [cochain_cohomology(k, 1, dim, d_cols.get).invariants() for k in range(2)]
-    assert cochain_invariants(1, dims.get, lambda k: transpose(d_cols[k], dim(k + 1))) == want
+    want = [cochain_cohomology(k, 2, dim, d_cols.get).invariants() for k in range(3)]
+    rows = lambda k: transpose(d_cols[k], dim(k + 1))  # noqa: E731
+    assert cochain_invariants(2, dims.get, rows, 1) == want
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +132,11 @@ def test_clearing_keeps_betti_on_random_bundles(m):
 
 
 @pytest.mark.parametrize("kind", sorted(GRID_H))
-@pytest.mark.parametrize("m, rows", [(3, 10), (4, 17), (5, 26)])
-def test_clearing_leaves_m2_plus_1_rows_of_d0_on_grids(kind, m, rows, monkeypatch):
-    """d_0 has 3 m^2 rows, one per edge; the 2 m^2 - 1 unit pivots of d_1 clear all but m^2 + 1."""
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_grids_load_d2_and_d1_only_and_write_no_rows_of_d0(kind, m, monkeypatch):
+    """d_2 has no rows and d_1 one per triangle; d_0's 3 m^2 rows are never written."""
     original = exact_linalg._unit_pivots
-    loaded = []  # rows that enter each elimination, from d_top down to d_0
+    loaded = []  # rows that enter each elimination, from d_top down to d_1
 
     def counted(rows, cleared=()):
         pivots, left = original(rows, cleared)
@@ -139,9 +145,75 @@ def test_clearing_leaves_m2_plus_1_rows_of_d0_on_grids(kind, m, rows, monkeypatc
 
     monkeypatch.setattr(exact_linalg, "_unit_pivots", counted)
     K = parse_space(grid_doc(kind, m))
+    assert K._rows[0] is None
     assert K.betti() == GRID_H[kind]
-    assert loaded == [0, 2 * m * m, rows]
+    assert loaded == [0, 2 * m * m]
     assert K.n_simplices(1) == 3 * m * m
+
+
+# ---------------------------------------------------------------------------
+# H^0 from the component count, with no elimination of d_0
+
+
+def _disjoint(*parts):
+    """(vertex count, facets) of the disjoint union of (vertex count, facets) parts."""
+    facets, offset = [], 0
+    for n, part in parts:
+        facets += [[offset + v for v in f] for f in part]
+        offset += n
+    return offset, facets
+
+
+def _grid(kind, m):
+    doc = grid_doc(kind, m)
+    return int(doc["vertices"]), doc["facets"]
+
+
+COMPONENT_CASES = {
+    # H^0 = Z^2: a torus and an RP^2, the second with labels moved past the first
+    "torus-and-rp2": (
+        _disjoint((7, TORUS_7), (6, PROJECTIVE_PLANE_6)),
+        [(2, ()), (2, ()), (1, (2,))],
+    ),
+    # isolated 0-dimensional facets, a vertex of the torus listed as a facet too
+    "torus-and-points": (
+        _disjoint((7, TORUS_7 + [[3]]), (1, [[0]]), (2, [[1]])),
+        [(3, ()), (2, ()), (1, ())],
+    ),
+    "edge-and-points": ((5, [[0, 1], [2], [4]]), [(3, ()), (0, ())]),
+    # a graph: K4 (3 independent cycles), a triangle and a path
+    "graph-with-cycles": (
+        _disjoint(
+            (4, list(itertools.combinations(range(4), 2))),
+            (3, [[0, 1], [1, 2], [0, 2]]),
+            (3, [[0, 1], [1, 2]]),
+        ),
+        [(3, ()), (4, ())],
+    ),
+    "vertices-only": ((6, [[5], [1], [3]]), [(3, ())]),
+    "two-grids": (
+        _disjoint(_grid("torus", 4), _grid("klein", 5)),
+        [(2, ()), (3, ()), (1, (2,))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPONENT_CASES))
+def test_betti_counts_components_without_d0(case):
+    (n, facets), want = COMPONENT_CASES[case]
+    K = SimplicialComplex(n, facets)
+    assert K._rows[0] is None or K.dim == 0
+    assert K.betti() == _subquotient_invariants(K) == want
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_klein_grid_cohomology_takes_no_smith_form(m, tmp_path, monkeypatch):
+    """d_1's unit pivots leave one row, whose gcd 2 is the torsion of H^2."""
+    snf = _counted(monkeypatch, "smith_normal_form")
+    code, report = run(["cohomology", "--base", _write(tmp_path, "klein.json", grid_doc("klein", m))])
+    assert code == 0, report
+    assert report["cohomology"]["2"] == {"rank": "0", "torsion": ["2"]}
+    assert snf == []
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +346,7 @@ def test_invariant_verbs_factor_each_differential_once(case, tmp_path, monkeypat
         for k, (rank, torsion) in enumerate(betti)
     }
     assert sub == []
-    assert len(factors) == len(betti)  # one elimination per differential d_0..d_top
+    assert len(factors) == len(betti) - 1  # one elimination per differential d_top..d_1
     assert len(snf) <= len(factors)
 
 
@@ -298,7 +370,7 @@ def test_simplicial_cohomology_builds_no_sorted_view(tmp_path, monkeypatch):
     [K] = made
     assert "simplices" not in vars(K) and "index" not in vars(K)
     assert read == []
-    assert len(factors) == len(betti) == K.dim + 1
+    assert len(factors) == len(betti) - 1 == K.dim  # d_2 and d_1, no d_0
 
 
 def test_builds_and_dgring_cohomology_build_no_dense_differential(tmp_path, monkeypatch):

@@ -6,8 +6,10 @@ to independent references: sympy's Smith normal form for the invariants,
 the defining identities for the transforms, and a fresh one-shot ``solve``
 for every reused solve.  ``invariant_factors``, which splits off unit pivots
 before it calls the kernel, is held to the same two diagonals, and
-``matrix_rank``, which counts its factors, to sympy's rank.  The pivot
-path itself is held to ``matrices.reference_smith``, the dense kernel the
+``matrix_rank``, which counts its factors, to sympy's rank; a one-row or
+one-column leftover of its unit pivots, which it reads as a gcd, to both
+Smith diagonals.  The pivot path itself is held to
+``matrices.reference_smith``, the dense kernel the
 sparse one replaced: the same diagonal, U and V on every draw.  Matrices
 include empty shapes and zero rows and columns; entries stay small because the pivot rule lets coefficients of the
 transforms grow quickly on dense matrices.  Each is drawn as its sparse
@@ -22,8 +24,10 @@ from hypothesis import strategies as st
 import numpy as np
 
 from matrices import array, columns, reference_smith, vec
+from tdk import exact_linalg
 from tdk.errors import DimensionError
 from tdk.exact_linalg import (
+    _block_factors,
     identity,
     invariant_factors,
     matrix_rank,
@@ -208,3 +212,46 @@ def test_a_matrix_without_entries_keeps_its_shape_checks():
         smith_normal_form([{}, {2: 0}], 2)
     sf = smith_normal_form([{}, {}], 3)
     assert (sf.diagonal, sf._U, sf._V) == ([0, 0], [{0: 1}, {1: 1}, {2: 1}], [{0: 1}, {1: 1}])
+
+
+@st.composite
+def lines(draw):
+    """A single row or a single column with nonzero entries, either sign, as sparse rows.
+
+    Its entries sit at scattered indices, as a leftover of unit pivots does."""
+    entries = draw(st.lists(st.integers(-40, 40).filter(bool), min_size=1, max_size=6))
+    at = draw(st.lists(st.integers(0, 30), min_size=len(entries), max_size=len(entries),
+                       unique=True))
+    if draw(st.booleans()):
+        return [dict(zip(at, entries))], 1, max(at) + 1  # one row
+    column = draw(st.integers(0, 30))
+    rows = [{} for _ in range(max(at) + 1)]
+    for r, x in zip(at, entries):
+        rows[r][column] = x
+    return rows, max(at) + 1, column + 1  # one column, amid empty rows
+
+
+@SETTINGS
+@given(lines())
+@example(([{24: 2, 23: 2, 17: 2, 15: -2}], 1, 25))  # d_1 of the m = 3 Klein grid
+@example(([{3: -6}, {}, {3: -4}, {3: 9}], 4, 4))
+def test_a_single_row_or_column_is_read_as_its_gcd(line):
+    """One factor, the gcd of the entries, and no Smith form is taken for it."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rows, m, n = line
+    dense = [[row.get(c, 0) for c in range(n)] for row in rows[:m]]
+    cols = [{r: x[c] for r, x in enumerate(dense) if x[c]} for c in range(n)]
+    want = [d for d in smith_normal_form(cols, m).diagonal if d]
+    S = sympy_snf(sympy.Matrix(dense), domain=sympy.ZZ)
+    assert want == [abs(int(S[i, i])) for i in range(min(m, n)) if S[i, i]]
+    calls = []
+    original = exact_linalg.smith_normal_form
+    exact_linalg.smith_normal_form = lambda *a: calls.append(a) or original(*a)
+    try:
+        got = _block_factors(rows)
+    finally:
+        exact_linalg.smith_normal_form = original
+    assert got == want and len(got) == 1
+    assert calls == []

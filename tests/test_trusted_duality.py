@@ -14,7 +14,9 @@ run time.  Each is held here to the check it replaced:
 - ``validate_triple`` reports both fluxes closed without a test, as no
   ``Pair`` holds a flux that is not closed: ``check-triple`` refuses one;
 - ``act_on_chern`` solves no pairing: sum_i c_i . chat_i is kept as a
-  cochain by every generator of O(n, n; Z) with n <= 3 and by random words.
+  cochain by every generator of O(n, n; Z) with n <= 3 and by random words,
+  on cocycles drawn over a basis of ker d_2; it refuses a cochain that is
+  not closed, or one of another length.
 
 The random pairs come from ``pairs()`` of ``tests/test_theorems.py``, over
 its builtins.  Those have no degree-4 cochains, so there beta is closed and
@@ -36,8 +38,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from tdk import tduality_core  # noqa: E402
 from tdk.cli import run  # noqa: E402
-from tdk.duality_group import act_on_chern, generators  # noqa: E402
-from tdk.exact_linalg import dense_vector  # noqa: E402
+from tdk.duality_group import act_on_chern, flip_element, generators  # noqa: E402
+from tdk.errors import InputError  # noqa: E402
+from tdk.exact_linalg import _sum_terms, dense_vector, kernel_basis  # noqa: E402
 from tdk.fixtures import PAIR_NAMES, named_pair  # noqa: E402
 from tdk.serialize import dumps, triple_to_doc  # noqa: E402
 from tdk.space_model import Cocycle, builtin_space, product_model  # noqa: E402
@@ -169,11 +172,22 @@ ONN_BASES = {
 }
 
 
+def _cocycle_basis(base):
+    """A basis of ker d_2: the unit cochains in order where d_2 = 0, as on every base but
+    Heisenberg x T^2, which has two degree-2 cochains that are not closed."""
+    return kernel_basis(base.d_columns(2), base.dim(3))
+
+
+def _cocycle(base, basis, coefficients):
+    return dense_vector(_sum_terms(zip(coefficients, basis)), base.dim(2))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(ONN_BASES))
 def test_every_generator_keeps_the_pairing_cochain(name, n):
     base, rng = ONN_BASES[name], random.Random(f"{name}:{n}")
-    c, chat = ([[rng.randint(-2, 2) for _ in range(base.dim(2))] for _ in range(n)]
+    Z = _cocycle_basis(base)
+    c, chat = ([_cocycle(base, Z, [rng.randint(-2, 2) for _ in Z]) for _ in range(n)]
                for _ in range(2))
     for g in generators(n):
         c_new, chat_new = act_on_chern(g, base, c, chat)
@@ -188,7 +202,27 @@ def test_random_words_keep_the_pairing_cochain(name, n, data):
     g = word[0]
     for h in word[1:]:
         g = g.compose(h)
-    cochain = st.lists(st.integers(-2, 2), min_size=base.dim(2), max_size=base.dim(2))
-    c, chat = ([data.draw(cochain) for _ in range(n)] for _ in range(2))
+    Z = _cocycle_basis(base)
+    coefficients = st.lists(st.integers(-2, 2), min_size=len(Z), max_size=len(Z))
+    c, chat = ([_cocycle(base, Z, data.draw(coefficients)) for _ in range(n)] for _ in range(2))
     c_new, chat_new = act_on_chern(g, base, c, chat)
     assert _pairing_total(base, c_new, chat_new) == _pairing_total(base, c, chat)
+
+
+@pytest.mark.parametrize("side", ["c", "chat"])
+def test_act_on_chern_refuses_a_cochain_that_is_not_closed(side):
+    # basis cochain 5 of degree 2 on Heisenberg x T^2 has a nonzero coboundary
+    assert not HxT2.is_closed(2, HxT2.basis_vector(2, 5))
+    data = {"c": [HxT2.zero_vector(2)], "chat": [HxT2.zero_vector(2)]}
+    data[side] = [HxT2.basis_vector(2, 5)]
+    with pytest.raises(InputError, match=f"^{side} cocycle 0 is not closed$"):
+        act_on_chern(flip_element(1), HxT2, data["c"], data["chat"])
+
+
+@pytest.mark.parametrize("side", ["c", "chat"])
+@pytest.mark.parametrize("length", [3, 11])
+def test_act_on_chern_refuses_a_cochain_of_another_length(side, length):
+    data = {"c": [[0] * 10, [0] * 10], "chat": [[0] * 10, [0] * 10]}
+    data[side][1] = [0] * length
+    with pytest.raises(InputError, match=f"^{side} cocycle 1 has length {length}, expected 10$"):
+        act_on_chern(flip_element(2), HxT2, data["c"], data["chat"])
