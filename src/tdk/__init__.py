@@ -16,8 +16,8 @@ from importlib import import_module as _import_module
 _MODULES = {
     "errors": """InputError ModelError NotDualizableError SchemaError TdkError
         TripleMismatchError UnsupportedElementError""",
-    "exact_linalg": """FgAbelianGroup GroupHom Kernel SmithForm Subquotient cokernel
-        kernel smith_normal_form solve subquotient""",
+    "exact_linalg": """FgAbelianGroup GroupHom SmithForm Subquotient smith_normal_form solve
+        subquotient""",
     "space_model": """Cocycle DgRingModel SimplicialComplex builtin_space cohomology_ring
         parse_space product_model""",
     "torus_bundle": "BundleModel ChernVector FiltrationReport SSPage build_bundle",

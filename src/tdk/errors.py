@@ -42,10 +42,6 @@ class NotInSubgroupError(TdkError):
     """Membership test failed during a subquotient reduction."""
 
 
-class SubgroupContainmentError(TdkError):
-    """A required subgroup containment does not hold."""
-
-
 class NotDualizableError(TdkError):
     """Operation requires a dualizable pair and the input is not; ``report`` shows it."""
 

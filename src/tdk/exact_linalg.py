@@ -9,17 +9,23 @@ one reader of vectors from callers, and ``_sum_terms``, ``mat_vec`` and
 ``smith_normal_form`` moves the matrix to sparse rows, eliminates there
 with U as sparse rows and V as sparse columns, and returns a
 :class:`SmithForm` with unimodular U, V such that U M V is diagonal with a
-divisibility chain.  The rest of the module
-(solving, kernels, cokernels, presented groups, subquotients) is built on
-top of it.
+divisibility chain.  The rest of the module (solving, kernels, presented
+groups, subquotients) is built on top of it.
 
 Trivial work is skipped where its answer is known.  A matrix whose columns
 hold no entry (an empty matrix, or a zero block of a differential) is not
 eliminated: its Smith form is the zero diagonal with identity U and V,
-which is what the elimination returns for it.  A ``GroupHom`` checks that
-each relation lands in the target's relations by reducing its image there,
-and an image with no entry is zero in every group, so it is not reduced;
-``is_zero_hom`` skips empty columns the same way.
+which is what the elimination returns for it.  An image with no entry is
+zero in every group, so ``is_zero_hom`` does not reduce it.
+
+The group layer takes its callers' word where they hold a proof.
+``subquotient`` does not test that its denominator lies in its numerator,
+and ``GroupHom`` does not test that relations land in relations: each
+caller in ``tdk`` states in its docstring why its data meets that
+precondition, and the test suite holds each of them to a reference check
+(``tests/matrices.py``).  Untrusted data meets the library where it is
+read, in ``parse_space`` and the ``serialize`` readers, and is validated
+there.
 
 Invariant factors alone need no U or V.  ``_unit_pivots`` eliminates the
 +-1 pivots of a matrix given by its sparse rows, each a unimodular step that
@@ -84,9 +90,7 @@ import math
 import operator
 from functools import cached_property
 
-from .errors import (
-    DimensionError, FrozenRecord, InputError, NotInSubgroupError, SubgroupContainmentError,
-)
+from .errors import DimensionError, InputError, NotInSubgroupError
 
 __all__ = [
     "int_vector",
@@ -101,9 +105,6 @@ __all__ = [
     "matrix_rank",
     "solve",
     "kernel_basis",
-    "Kernel",
-    "kernel",
-    "cokernel",
     "FgAbelianGroup",
     "GroupHom",
     "Subquotient",
@@ -439,25 +440,6 @@ def kernel_basis(M, rows):
     return sf._V[sf.rank :]
 
 
-class Kernel(FrozenRecord):
-    """Kernel of an integer matrix as a free group plus its inclusion.
-
-    The columns of ``inclusion`` span ker(M), in the coordinates of M's columns.
-    """
-
-    _fields = ("group", "inclusion")
-
-
-def kernel(M, rows):
-    B = kernel_basis(M, rows)
-    return Kernel(group=FgAbelianGroup(len(B)), inclusion=B)
-
-
-def cokernel(M, rows):
-    """Z^rows / column span of M; the group's ``reduce`` is the projection."""
-    return FgAbelianGroup(rows, M)
-
-
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
@@ -566,9 +548,10 @@ class GroupHom:
     """Homomorphism between presented groups, by its matrix on ambient generators.
 
     ``matrix`` has one column per source generator, its image in target
-    coordinates.  Well-definedness (relations land in relations) is checked
-    at construction; an image with no entry is zero in any group, so only
-    the nonzero images are reduced.
+    coordinates.  Precondition, not checked: the map is well defined, that
+    is ``matrix`` sends every relation of the source into the span of the
+    target's relations.  ``induced_hom`` states what its callers prove for
+    it, and ``compose`` why a composite keeps it.
     """
 
     def __init__(self, source, target, matrix):
@@ -580,14 +563,13 @@ class GroupHom:
                 f"hom matrix has {len(self.matrix)} columns, expected {source.ngens}"
             )
         _check_rows(self.matrix, target.ngens, "hom matrix")
-        for j, img in enumerate(compose(self.matrix, self.source.rels)):
-            if img and not self.target.is_zero(dense_vector(img, target.ngens)):
-                raise SubgroupContainmentError(
-                    f"relation column {j} is not sent into the target relations"
-                )
 
     def compose(self, other):
-        """self after other."""
+        """self after other, for ``other.target`` the group ``self.source``.
+
+        Well defined as both maps are: ``other`` sends a relation to a
+        relation of its target, which ``self`` sends to a relation of its own.
+        """
         if other.target.ngens != self.source.ngens:
             raise DimensionError("composition dimension mismatch")
         return GroupHom(other.source, self.target, compose(self.matrix, other.matrix))
@@ -597,15 +579,17 @@ class GroupHom:
         return all(not col or self.target.is_zero(dense_vector(col, rows)) for col in self.matrix)
 
     def kernel(self):
-        """ker as a subquotient of the source group."""
+        """ker as a subquotient of the source group.
+
+        Its denominator is the source's own relations, which lie in the
+        numerator plus the relations of the ambient source by definition.
+        """
         K = kernel_basis(self.matrix + self.target.rels, self.target.ngens)
         return subquotient(self.source, _restrict(K, self.source.ngens), self.source.rels)
 
     def image(self):
+        """im as a subquotient of the target group, over the empty denominator."""
         return subquotient(self.target, self.matrix, [])
-
-    def cokernel(self):
-        return subquotient(self.target, identity(self.target.ngens), self.matrix)
 
     def __repr__(self):
         return f"GroupHom({self.source!r} -> {self.target!r})"
@@ -666,10 +650,17 @@ class Subquotient:
 def induced_hom(src: Subquotient, tgt: Subquotient, fn) -> GroupHom:
     """GroupHom between subquotient groups induced by fn on ambient vectors.
 
-    fn takes and returns dense vectors.  It must send the numerator of
-    ``src`` into the numerator of ``tgt`` and denominators into
-    denominators; both are certified by the membership solve and the
-    GroupHom well-definedness check.
+    fn takes and returns dense vectors and is additive.  It must send the
+    numerator of ``src`` into the numerator of ``tgt``, and the denominator
+    of ``src`` plus its ambient relations into the denominator of ``tgt``
+    plus its ambient relations.  The first is certified here: a generator
+    whose image is not in the numerator raises NotInSubgroupError from the
+    membership solve.  The second is the caller's to prove, and it makes
+    the map well defined: a relation lambda of ``src.group`` has Z lambda in
+    that denominator, so fn(Z lambda) is in ``tgt``'s, and the matrix sends
+    lambda to coordinates of fn(Z lambda) over ``tgt.gens`` modulo the
+    ambient relations, which is a relation of ``tgt.group`` (see
+    ``subquotient``).
     """
     rows = src.ambient.ngens
     cols = []
@@ -679,28 +670,21 @@ def induced_hom(src: Subquotient, tgt: Subquotient, fn) -> GroupHom:
     return GroupHom(src.group, tgt.group, cols)
 
 
-def subquotient(amb, Z, B, contained=False):
-    """im(Z)/im(B) inside ``amb``; raises when im(B) is not inside im(Z).
+def subquotient(amb, Z, B):
+    """im(Z)/im(B) inside ``amb``, for Z and B matrices (as columns) on its generators.
 
-    Z and B are matrices, as columns, on the ambient generators of ``amb``.
-    The violation certificate names the first offending column.  A caller
-    that has proved im(B) inside im(Z) passes ``contained=True``, which
-    skips the check: one membership solve per column of B.  The group and every reduction are the same either way.
+    Precondition, not checked: im(B) lies in im(Z) plus the relations of
+    ``amb``.  The group is presented on the columns of Z, with relations
+    the lattice of all coefficient vectors lambda for which Z lambda lies
+    in im(B) plus those relations.  Every caller in ``tdk`` proves the
+    precondition in its docstring: ``cochain_cohomology``,
+    ``BundleModel._page_subquotient``, ``GroupHom.kernel`` and ``image``,
+    and ``tduality_core.extension_report``'s torsor; a zero group has no B.
     """
-    MZ, MB = list(Z), list(B)
+    MZ = list(Z)
     a = len(MZ)
-    K = kernel_basis(MZ + MB + amb.rels, amb.ngens)
-    sq = Subquotient(ambient=amb, gens=MZ, group=FgAbelianGroup(a, _restrict(K, a)))
-    if contained:
-        return sq
-    for j, col in enumerate(MB):
-        b = dense_vector(col, amb.ngens)
-        if sq._membership.solve(b) is None:
-            raise SubgroupContainmentError(
-                f"generator column {j} of the denominator lies outside the "
-                f"numerator subgroup: {b}"
-            )
-    return sq
+    K = kernel_basis(MZ + list(B) + amb.rels, amb.ngens)
+    return Subquotient(ambient=amb, gens=MZ, group=FgAbelianGroup(a, _restrict(K, a)))
 
 
 def _unit_pivots(rows, cleared=()):
@@ -879,8 +863,8 @@ def cochain_cohomology(k, top, dim, d_columns):
     ``dim(k)`` is the rank of the degree-k cochains and ``d_columns(k)`` the
     differential out of them, as sparse columns.  Outside 0..top the group is zero.
 
-    The containment im d_{k-1} in ker d_k is proved, not checked
-    (``contained=True``): d_k d_{k-1} = 0, so each column of d_{k-1} lies in
+    The containment im d_{k-1} in ker d_k, ``subquotient``'s precondition,
+    is proved: d_k d_{k-1} = 0, so each column of d_{k-1} lies in
     ker d_k, and the kernel basis spans the whole integer lattice ker d_k (the
     last columns of V in the Smith form of d_k), so each such column is an
     integer combination of it.  d o d = 0 is the precondition of
@@ -891,6 +875,4 @@ def cochain_cohomology(k, top, dim, d_columns):
     if not 0 <= k <= top:
         return subquotient(FgAbelianGroup(0), [], [])
     B = d_columns(k - 1) if k >= 1 else []
-    return subquotient(
-        FgAbelianGroup(dim(k)), kernel_basis(d_columns(k), dim(k + 1)), B, contained=True
-    )
+    return subquotient(FgAbelianGroup(dim(k)), kernel_basis(d_columns(k), dim(k + 1)), B)

@@ -186,9 +186,17 @@ class DgRingModel:
     the cost of both follows the nonzero structure constants, not the basis
     size; :meth:`mul` and :meth:`d` take any sequence of integers and return
     a list of ints.
+
+    The constructor reads and converts, and never runs :meth:`validate`.
+    Untrusted models are validated where they are read: ``parse_space``
+    validates every ``dgring`` document.  The models that ``tdk`` builds
+    itself are valid by construction (the builtins and ``product_model``,
+    which ``tests/test_space_model.py`` validates over ladders), certified
+    on base data (``BundleModel``) or validated by their builder
+    (``cohomology_ring``).
     """
 
-    def __init__(self, basis, diff, product, meta=None, check=True):
+    def __init__(self, basis, diff, product, meta=None):
         self.basis = [list(map(str, bs)) for bs in basis]
         self.D = len(self.basis) - 1
         if self.D < 0 or not self.basis[0]:
@@ -210,8 +218,6 @@ class DgRingModel:
             except TypeError:
                 raise InputError(f"key and result {entry} must be integers", f"product entry {key}") from None
         self.meta = dict(meta or {})
-        if check:
-            self.validate()
 
     # -- basic structure ----------------------------------------------------
 
@@ -502,11 +508,11 @@ class DgRingModel:
 
         Precondition: d o d = 0, C^0 = Z.1 and d(1) = 0, so H^0 = Z is one
         component and d_0 is not eliminated.  ``validate`` certifies all
-        three for checked models (every parsed ``dgring`` document),
-        ``BundleModel``'s certificate on base data certifies d o d = 0 for
-        the total model of every bundle build, whose degree 0 is the base's
-        unit times the fiber's, and the builtins, ``product_model`` and
-        ``cohomology_ring`` hold them by construction
+        three for every parsed ``dgring`` document and every
+        ``cohomology_ring``, ``BundleModel``'s certificate on base data
+        certifies d o d = 0 for the total model of every bundle build, whose
+        degree 0 is the base's unit times the fiber's, and the builtins and
+        ``product_model`` hold them by construction
         (``tests/test_space_model.py`` validates them).
         """
         return cochain_invariants(
@@ -868,7 +874,7 @@ def _parse_dgring(document, truncation):
             table[c] = coeff
         if 0 in table.values():
             product[key] = {c: v for c, v in table.items() if v}
-    model = DgRingModel(basis, diff, {}, check=False)
+    model = DgRingModel(basis, diff, {})
     model._product = product  # already exact ints without zeros, as __init__ would store it
     model.validate()
     return model
@@ -891,9 +897,9 @@ def cohomology_ring(K: SimplicialComplex, truncation=DEFAULT_TRUNCATION):
     combination of auxiliary elements whose differential is d_i times the
     product t{k+1}_i x, stored with its graded mirror x s{k+1}_i.  At the
     truncation boundary that differential is cut off, and the product stays
-    zero; so does the product of two auxiliary elements.  The result is re-validated, so an
-    unrepresentable torsion product structure is rejected rather than
-    silently mangled.
+    zero; so does the product of two auxiliary elements.  The result is
+    validated, as no proof covers it: an unrepresentable torsion product
+    structure is rejected rather than silently mangled.
     """
     truncation = _truncation_bound(truncation)
     if K.cohomology(0).invariants() != (1, ()):
@@ -943,7 +949,7 @@ def cohomology_ring(K: SimplicialComplex, truncation=DEFAULT_TRUNCATION):
                             product[(i, a, j, b)] = table
                             product[(j, b, i, a)] = {c: sign * v for c, v in table.items()}
 
-    return DgRingModel(
+    model = DgRingModel(
         basis,
         diff,
         product,
@@ -956,6 +962,8 @@ def cohomology_ring(K: SimplicialComplex, truncation=DEFAULT_TRUNCATION):
             "representatives": {k: [list(v) for v in reps[k]] for k in range(D + 1)},
         },
     )
+    model.validate()
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -969,6 +977,16 @@ def product_model(A: DgRingModel, B: DgRingModel, truncation=None):
     that the tensor basis computes the cohomology of the product space.
     When a label occurs in both factors, the second factor's labels are
     primed (``v1`` becomes ``v1'``), so the product's labels stay distinct.
+
+    The result is not validated: for valid factors it is valid by
+    construction.  The tensor product of two dg rings, with the Koszul sign
+    (a b)(a' b') = (-1)^(|b||a'|) (a a')(b b') and d(a b) = d(a) b +
+    (-1)^|a| a d(b), is a dg ring: the unit, graded commutativity,
+    associativity, the Leibniz rule and d o d = 0 follow from those of the
+    factors by the usual sign count.  Truncating above D is the quotient
+    by the degrees above D, an ideal that d maps into itself, so the
+    truncation is a dg ring too.
+    ``tests/test_space_model.py`` validates a ladder of products.
     """
     for M, name in ((A, "first"), (B, "second")):
         for k, (_, torsion) in enumerate(M.betti()):
@@ -1080,18 +1098,18 @@ def _torus_model(k, truncation):
     D = min(k, truncation)
     labels = [f"x{i + 1}" for i in range(k)]
     basis, product, _, _ = _exterior_tables(labels, D)
-    return DgRingModel(basis, {}, product, meta={"name": f"torus{k}"}, check=False)
+    return DgRingModel(basis, {}, product, meta={"name": f"torus{k}"})
 
 
 def _sphere_model(k, truncation):
     basis = [["1"]] + [[] for _ in range(min(k, truncation))]
     if k <= truncation:
         basis[k] = [f"v{k}"]
-    return DgRingModel(basis, {}, {}, meta={"name": f"sphere{k}"}, check=False)
+    return DgRingModel(basis, {}, {}, meta={"name": f"sphere{k}"})
 
 
 def _point_model():
-    return DgRingModel([["1"]], {}, {}, meta={"name": "point"}, check=False)
+    return DgRingModel([["1"]], {}, {}, meta={"name": "point"})
 
 
 def _surface_model(genus, truncation):
@@ -1106,7 +1124,7 @@ def _surface_model(genus, truncation):
         ia, ib = 2 * g, 2 * g + 1
         product[(1, ia, 1, ib)] = {0: 1}
         product[(1, ib, 1, ia)] = {0: -1}
-    return DgRingModel(basis, {}, product, meta={"name": f"surface{genus}"}, check=False)
+    return DgRingModel(basis, {}, product, meta={"name": f"surface{genus}"})
 
 
 def _heisenberg_model(k, truncation):
@@ -1119,9 +1137,7 @@ def _heisenberg_model(k, truncation):
         diff[1] = [{} for _ in subsets[1]]  # given even for k = 0, so it keeps its shape
         if k:
             diff[1][index[1][(2,)]][index[2][(0, 1)]] = k
-    return DgRingModel(
-        basis, diff, product, meta={"name": f"heisenberg{k}"}, check=False
-    )
+    return DgRingModel(basis, diff, product, meta={"name": f"heisenberg{k}"})
 
 
 BUILTIN_NAMES = ("point", "sphere", "torus", "surface", "heisenberg")
@@ -1143,7 +1159,8 @@ def builtin_space(name, params=None, truncation=DEFAULT_TRUNCATION):
     ``tests/test_space_model.py::test_builtins_pass_full_validation`` runs
     the full check on each of them over a ladder of parameters.  Each
     parameter, and the truncation, is read by ``operator.index``: a float
-    or a string is an InputError naming it.
+    or a string is an InputError naming it, and so is a parameter that the
+    builtin does not take.
     """
     truncation = _truncation_bound(truncation)
     params = dict(params or {})
@@ -1171,5 +1188,9 @@ def builtin_space(name, params=None, truncation=DEFAULT_TRUNCATION):
         raise InputError(
             f"unknown builtin space {name!r} (have {', '.join(BUILTIN_NAMES)})"
         )
+    unknown = [key for key in params if key not in used]
+    if unknown:
+        takes = ", ".join(used) or "none"
+        raise InputError(f"builtin {name!r} takes no parameter {unknown[0]!r} (it takes {takes})")
     model.meta["builtin"] = {"name": name, "params": used}
     return model

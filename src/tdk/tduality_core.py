@@ -576,6 +576,16 @@ def extension_report(pair: Pair) -> ExtensionReport:
     The torsor group ker(pi*)/im(C), with C(a) = sum_i c_i . a_i, is computed
     from the pullback and the base ring; independently, the image of the page-3
     differential out of slot (0, 2) must have the same invariant factors.
+
+    Both groups rest on proofs, not checks.  pi* is a chain map, so it
+    sends boundaries to boundaries and ``pull`` is well defined (see
+    ``induced_hom``).  The torsor's denominator lies in its numerator, as
+    ``subquotient`` requires: for a closed g of degree 1, the Leibniz rule
+    and d(y_i) = pi*(c_i) give pi*(c_i g) = d(y_i pi*(g)), a boundary.  So
+    the coordinates lambda of c_i g over the generators of H^3(B) have
+    ``pull.matrix`` lambda among the relations of H^3 of the total space,
+    and ``ker.gens`` spans every such lambda (``GroupHom.kernel``).
+    ``tests/test_skipped_work.py`` checks both against reference tests.
     """
     m = pair.bundle
     base = m.base

@@ -455,14 +455,14 @@ class BundleModel(DgRingModel):
         """E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}).
 
         Slots with q > n, q < 0 or p < 0 come out trivial by themselves.  The
-        denominator lies in the numerator by construction, so ``subquotient``
-        skips its membership check: Z_{r-1}^{p+1} lies in Z_r^p, as F^{p+1}
-        lies in F^p and its condition dx in F^{p+1+r-1} is the same one
-        (for r - 1 <= 0 it holds too, as d keeps each F^s); and for x in
+        denominator lies in the numerator by construction, which is
+        ``subquotient``'s precondition: Z_{r-1}^{p+1} lies in Z_r^p, as
+        F^{p+1} lies in F^p and its condition dx in F^{p+1+r-1} is the same
+        one (for r - 1 <= 0 it holds too, as d keeps each F^s); and for x in
         Z_{r-1}^{p-r+1}, dx lies in F^{p-r+1+r-1} = F^p with d(dx) = 0 in
         F^{p+r}, by d o d = 0, which every build certifies.
-        ``tests/test_lazy_bundle.py`` builds every slot with the check as
-        the oracle.
+        ``tests/test_lazy_bundle.py`` checks every slot against a reference
+        containment test.
         """
         r = min(r, self.stable_page)
         k = p + q
@@ -470,9 +470,7 @@ class BundleModel(DgRingModel):
             return subquotient(FgAbelianGroup(0), [], [])
         inner = self.z_lattice(r - 1, p - r + 1, q + r - 2)
         boundaries = self.z_lattice(r - 1, p + 1, q - 1) + compose(self.d_columns(k - 1), inner)
-        return subquotient(
-            FgAbelianGroup(self.dim(k)), self.z_lattice(r, p, q), boundaries, contained=True
-        )
+        return subquotient(FgAbelianGroup(self.dim(k)), self.z_lattice(r, p, q), boundaries)
 
     @memoised
     def ss_page(self, r, p, q):
@@ -483,6 +481,19 @@ class BundleModel(DgRingModel):
         dx lies in F^{p+r} and d(dx) = 0, so dx is in Z_r^{p+r,q-r+1}, the
         target's numerator; when that lattice has no generators, dx = 0 and
         the membership solve returns the empty vector.
+
+        d_r is well defined, the precondition of ``GroupHom`` that
+        ``induced_hom`` leaves to its caller.  With s the stable page and
+        r <= s, d sends the source's denominator Z_{r-1}^{p+1} +
+        d Z_{r-1}^{p-r+1} into d Z_{r-1}^{p+1}, by d o d = 0, and that is a
+        part of the target's denominator, built from the same lattice.  Past
+        s both slots are read on page s.  If p + r > D, the target numerator
+        lies in F^{p+r} C = 0.  Otherwise p + r - s + 1 <= 0, as s > D, so
+        F^{p+r-s+1} is everything and each generator x of the source, whose
+        dx the membership solve has put in F^{p+r}, lies in
+        Z_{s-1}^{p+r-s+1}: dx is in the target's denominator, and d_r is zero.
+        ``tests/test_lazy_bundle.py`` checks every slot's d_r against a
+        reference well-definedness test.
         """
         if r < 1:
             raise InputError("spectral-sequence pages start at r = 1")

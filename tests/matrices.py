@@ -3,12 +3,15 @@
 Tests write small matrices as lists of rows and check products with numpy
 object arrays; ``tdk`` itself takes every matrix as a list of sparse
 columns {row: coeff}.  ``reference_smith`` keeps the dense Smith kernel as
-an oracle for the pivot path of the sparse one.
+an oracle for the pivot path of the sparse one.  ``reference_contains``
+and ``reference_well_defined`` test the two preconditions of the group
+layer that ``tdk`` proves instead of checking.
 """
 
 import numpy as np
 
 from tdk.errors import DimensionError
+from tdk.exact_linalg import compose, dense_vector, smith_normal_form
 
 
 def columns(rows, width=None):
@@ -49,6 +52,30 @@ def mat_eq(a, b):
 def scaled(k, v):
     """k times the dense vector v, as a list."""
     return [k * x for x in v]
+
+
+# ---------------------------------------------------------------------------
+# the preconditions of ``subquotient`` and ``GroupHom``
+
+
+def reference_contains(amb, Z, B):
+    """Whether every column of B lies in im(Z) plus the relations of ``amb``.
+
+    ``subquotient(amb, Z, B)`` requires it: one solve per column of B
+    against the Smith form of [Z | relations].
+    """
+    factored = smith_normal_form(list(Z) + amb.rels, amb.ngens)
+    return all(factored.solve(dense_vector(col, amb.ngens)) is not None for col in B)
+
+
+def reference_well_defined(hom):
+    """Whether ``hom`` sends every relation of its source to zero in its target.
+
+    ``GroupHom`` requires it: each relation's image, reduced in the target.
+    """
+    rows = hom.target.ngens
+    return all(hom.target.is_zero(dense_vector(img, rows))
+               for img in compose(hom.matrix, hom.source.rels))
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def _leibniz_breaking_base():
     """
     basis = [["1"], ["b"], ["z"], ["v"], ["w"]]
     product = {(1, 0, 2, 0): {0: 1}, (2, 0, 1, 0): {0: 1}}
-    return DgRingModel(basis, {3: [[1]]}, product, check=False)
+    return DgRingModel(basis, {3: [[1]]}, product)
 
 
 def test_certificate_refuses_base_breaking_leibniz_against_chern():

@@ -532,6 +532,31 @@ def test_malformed_integer_in_document_is_a_located_input_error(case, tmp_path):
     assert "ValueError" not in doc["error"]
 
 
+# each builtin with one parameter that it does not take, beside those it does
+UNKNOWN_PARAMS = {
+    "point": ({}, "k"),
+    "sphere": ({"k": "2"}, "genus"),
+    "torus": ({}, "dim"),
+    "surface": ({"genus": "1"}, "k"),
+    "heisenberg": ({"k": "1"}, "n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_PARAMS))
+def test_a_parameter_that_a_builtin_does_not_take_is_refused(name, tmp_path):
+    known, unknown = UNKNOWN_PARAMS[name]
+    params = {**known, unknown: "3"}
+    takes = {"point": "none", "surface": "genus"}.get(name, "k")
+    error = {"error": f"builtin {name!r} takes no parameter {unknown!r} (it takes {takes})"}
+    assert run(["cohomology", "--builtin", name, "--params", json.dumps(known)])[0] == 0
+    assert run(["cohomology", "--builtin", name, "--params", json.dumps(params)]) == (2, error)
+    base = {"format": "builtin", "name": name, "params": params}
+    for verb, flag, doc in (("dualizable", "--pair", _pair_doc()),
+                            ("check-triple", "--triple", _triple_doc())):
+        path = write(tmp_path, f"{verb}.json", json.dumps({**doc, "base": base}))
+        assert run([verb, flag, path]) == (2, error)
+
+
 @pytest.mark.parametrize("zero", [" 0", "-0", "+0", 0])
 def test_signed_and_spaced_zeros_in_a_diff_row_read_as_zero(zero):
     doc = _dgring_doc()

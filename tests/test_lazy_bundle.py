@@ -3,9 +3,12 @@
 Each shortcut is held to the full computation that it skips, over random
 bundles (T^3, surfaces of genus <= 4 and the Heisenberg manifold, n <= 2):
 
-- page subquotients skip the containment check (``contained=True``): every
-  slot built with the check raises nothing and has the same generators and
-  relations;
+- page subquotients take their containment as proved: every slot's
+  denominator passes the reference containment test
+  (``matrices.reference_contains``) on the lattices that the slot is built
+  from, which are Z_r^p and the denominator of its definition, and every
+  slot's d_r passes the reference well-definedness test
+  (``matrices.reference_well_defined``);
 - ``filtration_report`` tests a class for zero by one solve against
   ``d_factor(k - 1)``: it agrees with ``total_cohomology(k).is_zero`` on
   random closed cochains;
@@ -36,14 +39,9 @@ from hypothesis import strategies as st  # noqa: E402
 import tdk.exact_linalg as exact_linalg  # noqa: E402
 import tdk.space_model as space_model  # noqa: E402
 import tdk.torus_bundle as torus_bundle  # noqa: E402
-from tdk.errors import ModelError  # noqa: E402
-from tdk.exact_linalg import (  # noqa: E402
-    FgAbelianGroup,
-    compose,
-    kernel_basis,
-    mat_vec,
-    subquotient,
-)
+from matrices import reference_contains, reference_well_defined  # noqa: E402
+from tdk.errors import ModelError, NotInSubgroupError  # noqa: E402
+from tdk.exact_linalg import compose, kernel_basis, mat_vec, subquotient  # noqa: E402
 from tdk.space_model import Cocycle, DgRingModel, builtin_space, product_model  # noqa: E402
 from tdk.tduality_core import Pair, Triple, dualize, is_dualizable, validate_triple  # noqa: E402
 from tdk.torus_bundle import BundleModel, build_bundle  # noqa: E402
@@ -95,30 +93,56 @@ def _boundaries(m, r, p, q):
     return m.z_lattice(r - 1, p + 1, q - 1) + compose(m.d_columns(p + q - 1), inner)
 
 
+def _slots(m):
+    """(r, p, q) of the slots of pages 1 to stable + 2 with p + q in -1..D + 1.
+
+    p runs from -1, or lower past the stable page, where d_r of a slot with
+    p < 0 can land on a target with p + r <= D.
+    """
+    for r in range(1, m.stable_page + 3):
+        for p in range(min(-1, m.base.D - r - 1), m.base.D + 2):
+            for k in range(-1, m.D + 2):
+                yield r, p, k - p
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(bundles())
 def test_every_page_slot_passes_the_containment_check(m):
-    for r in range(1, m.stable_page + 2):
-        for p in range(-1, m.base.D + 2):
-            for q in range(-1, m.n + 2):
-                k = p + q
-                page = m._page_subquotient(r, p, q)
-                if not 0 <= k <= m.D:
-                    assert page.group.is_trivial()
-                    continue
-                rr = min(r, m.stable_page)
-                checked = subquotient(
-                    FgAbelianGroup(m.dim(k)), m.z_lattice(rr, p, q), _boundaries(m, rr, p, q)
-                )
-                assert checked.gens == page.gens
-                assert checked.group.rels == page.group.rels
+    built = []  # the (ambient, Z, B) of each subquotient that a slot builds
+
+    def recorded(amb, Z, B):
+        built.append((amb, Z, B))
+        return subquotient(amb, Z, B)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(torus_bundle, "subquotient", recorded)
+        for r, p, q in _slots(m):
+            k = p + q
+            page = m._page_subquotient(r, p, q)
+            amb, Z, B = built.pop()
+            assert reference_contains(amb, Z, B)
+            if not 0 <= k <= m.D:
+                assert page.group.is_trivial()
+                continue
+            rr = min(r, m.stable_page)
+            assert amb.ngens == m.dim(k) and not amb.rels
+            assert (Z, B) == (m.z_lattice(rr, p, q), _boundaries(m, rr, p, q))
 
 
-def test_subquotient_still_checks_unless_told():
-    amb = FgAbelianGroup(2)
-    with pytest.raises(exact_linalg.SubgroupContainmentError):
-        subquotient(amb, [{0: 2}], [{0: 1}])
-    assert subquotient(amb, [{0: 2}], [{0: 4}], contained=True).invariants() == (0, (2,))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(bundles())
+def test_every_page_differential_is_well_defined(m):
+    built = 0
+    for r, p, q in _slots(m):
+        try:
+            d_out = m.ss_page(r, p, q).d_out
+        except NotInSubgroupError:
+            # past the stable page with p < 0, dx need not lie in F^{p+r}
+            assert r > m.stable_page and p < 0
+            continue
+        assert reference_well_defined(d_out)
+        built += 1
+    assert built
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +258,7 @@ def free_bases(draw):
     """A base of degree 4 or 5 with d = 0 and random, maybe non-commuting, products."""
     dims = draw(st.sampled_from(([1, 0, 2, 0, 1], [1, 0, 3, 0, 2], [1, 1, 2, 2, 1, 1])))
     basis = [[f"e{k}_{a}" if k else "1" for a in range(d)] for k, d in enumerate(dims)]
-    return DgRingModel(basis, {}, _products(draw, dims), check=False)
+    return DgRingModel(basis, {}, _products(draw, dims))
 
 
 def _columns(draw, rows, cols, first=0):
@@ -263,7 +287,7 @@ def broken_bases(draw):
     }
     product = _products(draw, dims) if draw(st.booleans()) else {}
     basis = [[f"e{k}_{a}" if k else "1" for a in range(d)] for k, d in enumerate(dims)]
-    return DgRingModel(basis, {k: c for k, c in diff.items() if c}, product, check=False)
+    return DgRingModel(basis, {k: c for k, c in diff.items() if c}, product)
 
 
 def _closed_chern(draw, base, n):
@@ -316,7 +340,7 @@ def _cross_breaking_base():
     pair; the doubled model has the cross term (1.u).v = w != 0 = (1.v).u.
     """
     basis = [["1"], [], ["u", "v"], [], ["w"]]
-    return DgRingModel(basis, {}, {(2, 0, 2, 1): {0: 1}}, check=False)
+    return DgRingModel(basis, {}, {(2, 0, 2, 1): {0: 1}})
 
 
 def test_doubled_model_refuses_a_base_that_breaks_a_cross_term():

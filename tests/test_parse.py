@@ -219,7 +219,7 @@ def test_a_differential_given_as_columns_is_taken_as_given():
     assert m.d_columns(1) is columns
     assert m.diff_shapes == {1: (1, 1)}
     with pytest.raises(ModelError, match=r"degree 1 has shape \(1, 2\), expected \(1, 1\)"):
-        DgRingModel([["1"], ["a"], ["b"]], {1: [{}, {}]}, {})
+        DgRingModel([["1"], ["a"], ["b"]], {1: [{}, {}]}, {}).validate()
 
 
 # ---------------------------------------------------------------------------

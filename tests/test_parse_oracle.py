@@ -91,7 +91,7 @@ def read_doc(doc):
         }
         for entry in doc["product"]
     }
-    return DgRingModel(doc["basis"], diff, product, check=False)
+    return DgRingModel(doc["basis"], diff, product)
 
 
 def parsed_verdict(doc):

@@ -189,7 +189,6 @@ def rebuild(M, diff=None, product=None):
         M.basis,
         dense_diff(M) if diff is None else diff,
         M.product if product is None else product,
-        check=False,
     )
 
 

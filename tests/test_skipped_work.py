@@ -7,9 +7,15 @@ Each shortcut is held to the computation that it replaces:
   the lazy value equals the eager ``_page_subquotient(stable, p, k - p)``
   reduction on every fixture pair and on random pairs, zero class included;
 - ``cochain_cohomology`` proves im d_{k-1} in ker d_k instead of checking
-  it: the checked subquotient raises nothing and has the same invariants
-  and reductions on every fixture model, builtin, grid and fixture bundle;
-- ``GroupHom`` reduces only the nonzero images of relations and columns;
+  it: the boundaries pass the reference containment test
+  (``matrices.reference_contains``), and H^k is their subquotient, on every
+  fixture model, builtin, grid and fixture bundle;
+- ``extension_report`` proves that its pullback is well defined and that
+  its torsor's denominator lies in its numerator: both pass the reference
+  tests (``matrices.reference_well_defined`` and ``reference_contains``) on
+  every fixture pair and on random pairs, and the references refuse a map
+  and a denominator that break them;
+- ``GroupHom.is_zero_hom`` reduces only the nonzero columns;
 - ``validate_triple`` solves the degree-4 pairing once: the dual side's
   pairing has the same cochain and the same solution as the side's.
 
@@ -24,12 +30,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import tdk.tduality_core as tduality_core  # noqa: E402
+from matrices import reference_contains, reference_well_defined  # noqa: E402
 from tdk.cli import run  # noqa: E402
-from tdk.errors import SubgroupContainmentError  # noqa: E402
 from tdk.exact_linalg import (  # noqa: E402
     FgAbelianGroup,
     GroupHom,
     _sum_terms,
+    induced_hom,
     kernel_basis,
     mat_vec,
     subquotient,
@@ -44,7 +52,13 @@ from tdk.space_model import (  # noqa: E402
     parse_space,
     product_model,
 )
-from tdk.tduality_core import Pair, _pairing_primitive, dualize, is_dualizable  # noqa: E402
+from tdk.tduality_core import (  # noqa: E402
+    Pair,
+    _pairing_primitive,
+    dualize,
+    extension_report,
+    is_dualizable,
+)
 from tdk.torus_bundle import BundleModel, build_bundle  # noqa: E402
 from test_golden import GRIDS, SIMPLICIAL, grid_doc  # noqa: E402
 from test_space_model import BUILTIN_LADDER  # noqa: E402
@@ -183,13 +197,73 @@ def test_cohomology_passes_the_containment_check_it_skips(model):
     for k in range(top + 1):
         H = model.cohomology(k)
         boundaries = columns(k - 1) if k else []
-        checked = subquotient(
-            FgAbelianGroup(dim(k)), kernel_basis(columns(k), dim(k + 1)), boundaries
-        )
-        assert checked.gens == H.gens
-        assert checked.invariants() == H.invariants()
+        cycles = kernel_basis(columns(k), dim(k + 1))
+        assert reference_contains(FgAbelianGroup(dim(k)), cycles, boundaries)
+        spec = subquotient(FgAbelianGroup(dim(k)), cycles, boundaries)
+        assert spec.gens == H.gens
+        assert spec.invariants() == H.invariants()
         gens = H.generator_vectors()
-        assert [checked.reduce(g) for g in gens] == [H.reduce(g) for g in gens]
+        assert [spec.reduce(g) for g in gens] == [H.reduce(g) for g in gens]
+
+
+# ---------------------------------------------------------------------------
+# the extension torsor proves its containment, and its pullback is well defined
+
+
+def _extension_parts(pair):
+    """The report, the torsor's (ambient, Z, B) and the pullback, as ``extension_report`` built them."""
+    seen = {}
+
+    def torsor(amb, Z, B):
+        seen["torsor"] = amb, Z, B
+        return subquotient(amb, Z, B)
+
+    def pullback(src, tgt, fn):
+        seen["pull"] = hom = induced_hom(src, tgt, fn)
+        return hom
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tduality_core, "subquotient", torsor)
+        patch.setattr(tduality_core, "induced_hom", pullback)
+        report = extension_report(pair)
+    return report, seen["torsor"], seen["pull"]
+
+
+def _check_extension_parts(pair):
+    report, (amb, Z, B), pull = _extension_parts(pair)
+    assert reference_well_defined(pull)
+    ker = pull.kernel()
+    assert amb is ker.ambient is pull.source and Z == ker.gens
+    assert reference_contains(ker.ambient, ker.gens, ker.ambient.rels)
+    assert reference_contains(amb, Z, B)
+    assert report.torsor_group.gens == Z
+
+
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_extension_torsor_and_pullback_pass_the_checks_they_skip(name):
+    _check_extension_parts(named_pair(name))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(pairs())
+def test_extension_torsor_and_pullback_pass_the_checks_they_skip_on_random_pairs(pair):
+    _check_extension_parts(pair)
+
+
+def test_the_references_refuse_a_map_and_a_denominator_that_break_them():
+    Z2, Z4 = FgAbelianGroup(1, [{0: 2}]), FgAbelianGroup(1, [{0: 4}])
+    # doubling Z/2 -> Z/4 is well defined; the identity is not
+    assert reference_well_defined(GroupHom(Z2, Z4, [{0: 2}]))
+    assert not reference_well_defined(GroupHom(Z2, Z4, [{0: 1}]))
+    # a relation with no image, one sent to a relation, one sent to e_0
+    source = FgAbelianGroup(3, [{2: 1}, {1: 2}, {0: 1}])
+    target = FgAbelianGroup(2, [{1: 2}])
+    assert reference_well_defined(GroupHom(source, target, [{}, {1: 1}, {}]))
+    assert not reference_well_defined(GroupHom(source, target, [{0: 1}, {1: 1}, {}]))
+    # 3 is not in 2Z, but it is in 2Z + 3Z
+    assert not reference_contains(FgAbelianGroup(1), [{0: 2}], [{0: 3}])
+    assert reference_contains(FgAbelianGroup(1, [{0: 3}]), [{0: 2}], [{0: 3}])
+    assert reference_contains(FgAbelianGroup(2), [{0: 2}], [{0: 4}, {}])
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +280,6 @@ def test_zero_images_build_no_smith_form_of_the_target():
     assert "_snf" not in vars(zero.target)
     # a nonzero column that is zero in the target is still read as zero
     assert GroupHom(FgAbelianGroup(1), target, [{0: 3}]).is_zero_hom()
-
-
-def test_a_relation_with_a_nonzero_image_still_fails_the_check():
-    source = FgAbelianGroup(3, [{2: 1}, {1: 2}, {0: 1}])
-    target = FgAbelianGroup(2, [{1: 2}])
-    # relation 0 has no image, relation 1 maps to 2 e_1, a relation of the
-    # target, and relation 2 to e_0, which is not zero there
-    with pytest.raises(SubgroupContainmentError, match="^relation column 2 "):
-        GroupHom(source, target, [{0: 1}, {1: 1}, {}])
-    hom = GroupHom(source, target, [{}, {1: 1}, {}])
-    assert not hom.is_zero_hom()
 
 
 # ---------------------------------------------------------------------------

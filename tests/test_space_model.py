@@ -7,6 +7,7 @@ form involved), combined with the universal-coefficient bookkeeping
   p-torsion present in H^k  iff  rank_{F_p} d_{k-1} < rank_Q d_{k-1}.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from tdk.errors import DimensionError, InputError, ModelError, SchemaError
 from matrices import array, columns, vec
 from tdk.serialize import space_from_doc, space_to_doc
 from tdk.space_model import (
+    BUILTIN_NAMES,
     DEFAULT_TRUNCATION,
     Cocycle,
     DgRingModel,
@@ -190,9 +192,9 @@ def test_dgring_model_refuses_non_integer_products_instead_of_truncating():
         ((1, 0, 1, 0), {0: "2"}),
     ):
         with pytest.raises(InputError) as err:
-            DgRingModel(basis, {}, {key: terms}, check=False)
+            DgRingModel(basis, {}, {key: terms})
         assert str(err.value) == f"product entry {key}: key and result {terms} must be integers"
-    m = DgRingModel(basis, {}, {(1, 0, 1, 0): {0: 2, 1: 0}}, check=False)
+    m = DgRingModel(basis, {}, {(1, 0, 1, 0): {0: 2, 1: 0}})
     assert m.product == {(1, 0, 1, 0): {0: 2}}
 
 
@@ -200,9 +202,9 @@ def test_dgring_model_refuses_a_non_integer_differential_degree():
     basis = [["1"], ["a"], ["b"]]
     for key in (0.9, 1.0, "1"):
         with pytest.raises(InputError) as err:
-            DgRingModel(basis, {key: [[0], [0]]}, {}, check=False)
+            DgRingModel(basis, {key: [[0], [0]]}, {})
         assert str(err.value) == f"differential degree {key!r} must be an integer"
-    assert DgRingModel(basis, {1: [[0]]}, {}, check=False).diff_shapes == {1: (1, 1)}
+    assert DgRingModel(basis, {1: [[0]]}, {}).diff_shapes == {1: (1, 1)}
 
 
 def test_truncation_is_refused_unless_an_integer():
@@ -270,6 +272,19 @@ def test_builtin_params_are_refused_unless_integers():
         assert str(err.value) == f"parameter {param!r} is {bad!r}, not an integer"
     assert builtin_space("torus", {"k": 3}).D == 3
     assert builtin_space("surface", {"genus": True}).dim(1) == 2  # operator.index reads a bool as 1
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_params_are_refused_unless_the_builtin_takes_them(name):
+    takes = {"point": (), "surface": ("genus",)}.get(name, ("k",))
+    for params in ({}, {key: 1 for key in takes}):
+        assert builtin_space(name, params).meta["builtin"]["name"] == name
+    for unknown in ("dim", "K", "genus" if name != "surface" else "k"):
+        with pytest.raises(InputError) as err:
+            builtin_space(name, {**{key: 1 for key in takes}, unknown: 1})
+        assert str(err.value) == (
+            f"builtin {name!r} takes no parameter {unknown!r} (it takes {', '.join(takes) or 'none'})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -348,41 +363,39 @@ def _torus3_with(product=None, diff=None):
     d1 = [[0] * 3 for _ in range(3)]
     for (row, col), value in (diff or {}).items():
         d1[row][col] = value
-    return DgRingModel(T.basis, {1: d1}, table, check=False)
+    return DgRingModel(T.basis, {1: d1}, table)
 
 
 # one model per failure kind, each breaking exactly the axiom it names
 CERTIFICATES = {
     "shape": (
-        lambda: DgRingModel([["1"], ["a"], ["b"]], {1: [[1, 2]]}, {}, check=False),
+        lambda: DgRingModel([["1"], ["a"], ["b"]], {1: [[1, 2]]}, {}),
         "differential in degree 1 has shape (1, 2), expected (1, 1)",
     ),
     "range_degrees": (
-        lambda: DgRingModel([["1"], ["a"]], {}, {(1, 0, 1, 0): {0: 1}}, check=False),
+        lambda: DgRingModel([["1"], ["a"]], {}, {(1, 0, 1, 0): {0: 1}}),
         "product entry for degrees (1,1) out of range",
     ),
     "range_index": (
-        lambda: DgRingModel([["1"], ["a"], ["b"]], {}, {(1, 1, 1, 0): {0: 1}}, check=False),
+        lambda: DgRingModel([["1"], ["a"], ["b"]], {}, {(1, 1, 1, 0): {0: 1}}),
         "product entry (1,1,1,0) indexes outside the basis",
     ),
     "d_unit": (
-        lambda: DgRingModel([["1"], ["a"]], {0: [[1]]}, {}, check=False),
+        lambda: DgRingModel([["1"], ["a"]], {0: [[1]]}, {}),
         "d(unit) is nonzero",
     ),
     "d_squared": (
-        lambda: DgRingModel(
-            [["1"], ["a"], ["b"], ["c"]], {1: [[1]], 2: [[1]]}, {}, check=False
-        ),
+        lambda: DgRingModel([["1"], ["a"], ["b"], ["c"]], {1: [[1]], 2: [[1]]}, {}),
         "d(d(x)) != 0 for basis element 'a' in degree 1",
     ),
     "unit": (
-        lambda: DgRingModel([["1"], ["a"]], {}, {(0, 0, 1, 0): {0: 2}}, check=False),
+        lambda: DgRingModel([["1"], ["a"]], {}, {(0, 0, 1, 0): {0: 2}}),
         "unit does not act as identity on 'a'",
     ),
     "commutativity": (
         lambda: DgRingModel(
             [["1"], ["x", "y"], ["v"]], {},
-            {(1, 0, 1, 1): {0: 1}, (1, 1, 1, 0): {0: 1}}, check=False,
+            {(1, 0, 1, 1): {0: 1}, (1, 1, 1, 0): {0: 1}},
         ),
         "graded commutativity fails on pair ('x', 'y')",
     ),
@@ -652,6 +665,24 @@ def test_product_of_a_factor_with_itself_round_trips(name):
     again = parse_space(space_to_doc(M))
     assert space_to_doc(again) == space_to_doc(M)
     assert again.betti() == [(1, ()), (2, ()), (1, ())]
+
+
+# product_model skips validate(); this ladder of torsion-free builtin
+# factors, in both orders and at every truncation, is what vouches for it
+PRODUCT_FACTORS = [
+    ("point", {}), ("sphere", {"k": 1}), ("sphere", {"k": 2}), ("sphere", {"k": 3}),
+    ("torus", {"k": 2}), ("torus", {"k": 3}), ("surface", {"genus": 1}),
+    ("surface", {"genus": 2}), ("heisenberg", {"k": 0}), ("heisenberg", {"k": 1}),
+    ("heisenberg", {"k": -1}),
+]
+
+
+@pytest.mark.parametrize("truncation", range(DEFAULT_TRUNCATION + 2))
+def test_products_of_builtins_pass_full_validation(truncation):
+    for (a, pa), (b, pb) in itertools.product(PRODUCT_FACTORS, repeat=2):
+        model = product_model(builtin_space(a, pa), builtin_space(b, pb), truncation=truncation)
+        assert model.D <= truncation
+        model.validate()
 
 
 def test_product_model_rejects_torsion_factor():
