@@ -235,8 +235,6 @@ def _cmd_extensions(args):
 
 
 def _cmd_onn(args):
-    from .duality_group import is_onn
-
     if not args.check:
         raise TdkError("give a matrix document with --check FILE")
     doc = _load_json(args.check, "matrix")

@@ -27,12 +27,11 @@ from .space_model import Cocycle, _terms
 from .tduality_core import (
     Pair,
     Triple,
+    _canonical_triple,
     _substitute_fiber,
-    dualize,
-    h3_action,
-    torsor_difference,
+    _torsor_class,
 )
-from .torus_bundle import build_bundle
+from .torus_bundle import BundleModel, build_bundle
 
 __all__ = [
     "OnnElement",
@@ -272,34 +271,35 @@ def act_on_triple(g: OnnElement, t: Triple) -> Triple:
 
 
 def _act_flip(t: Triple) -> Triple:
+    """The sides exchanged and w carried to the new doubled model, negated."""
     n = t.n
-    flipped = Triple(t.dual, t.side)
-    images = []
-    for i in range(2 * n):
-        new_index = (i + n) % (2 * n)
-        images.append(flipped.doubled.element_vector(0, 0, (new_index,)))
-    w_new = _substitute_fiber(t.doubled, flipped.doubled, t.w, 2, images)
-    return flipped.with_data(w=[-x for x in w_new])
+    doubled = BundleModel.doubled(t.dual.bundle, t.side.bundle)
+    images = [doubled.element_vector(0, 0, ((i + n) % (2 * n),)) for i in range(2 * n)]
+    w_new = _substitute_fiber(t.doubled, doubled, t.w, 2, images)
+    return Triple(t.dual, t.side, [-x for x in w_new], doubled)
 
 
 def _act_shear(t: Triple, B) -> Triple:
-    base = t.base
+    """The canonical triple with dual chern zhat + B c, moved by the torsor class of t.
+
+    t's flux is sum_i zhat_i . y_i + beta plus a coboundary
+    (:func:`_flux_base_part`), so that normal form is closed, and zhat and
+    beta meet the precondition of :func:`_canonical_triple`.  t is t0 + delta
+    for the canonical triple t0 of (zhat, beta).  t0's data are written on
+    t's own models, where :func:`_torsor_class` reads them, so t0 is never
+    built.  The result, t0's shear (the canonical triple of
+    (zhat + B c, beta)) moved by delta, is the canonical triple of
+    (zhat + B c, beta + delta): ``h3_action`` adds pi*(delta) to the base
+    part of either flux and leaves w.  So one triple is built.
+    """
     m = t.side.bundle
     beta = _flux_base_part(t)
     zhat = list(t.dual.bundle.chern)
-
-    # canonical triple carrying the same side pair and the same dual bundle
-    base_pair = Pair(m, Cocycle(3, m.normal_form_vector(zhat, beta)))
-    t0 = dualize(base_pair, choice={"chern_hat": zhat, "beta": beta})
-    delta = torsor_difference(t, t0)
-
-    shift = _combine(transpose(B, t.n), m.chern, base.dim(2))
+    t0_fluxes = m.normal_form_vector(zhat, beta), t.dual.bundle.normal_form_vector(m.chern, beta)
+    delta = _torsor_class(t, *t0_fluxes, t.standard_w())
+    shift = _combine(transpose(B, t.n), m.chern, t.base.dim(2))
     zhat_new = [[x + y for x, y in zip(zh, sh)] for zh, sh in zip(zhat, shift)]
-    sheared = dualize(
-        Pair(m, Cocycle(3, m.normal_form_vector(zhat_new, beta))),
-        choice={"chern_hat": zhat_new, "beta": beta},
-    )
-    return h3_action(sheared, delta)
+    return _canonical_triple(m, zhat_new, [x + y for x, y in zip(beta, delta.vector)])
 
 
 def _act_gl(t: Triple, G) -> Triple:
@@ -313,25 +313,21 @@ def _act_gl(t: Triple, G) -> Triple:
 
     side_new = build_bundle(base, chern_new)
     dual_new = build_bundle(base, chern_hat_new)
+    doubled = BundleModel.doubled(side_new, dual_new)
 
     # old fiber generators in the new coordinates: y = G^{-1} y', yh = G^T yh'
     def images(m, rows, shift=0):
         gens = [m.element_vector(0, 0, (i + shift,)) for i in range(n)]
         return _combine(rows, gens, m.dim(1))
 
-    side_images = images(side_new, Ginv_rows)
-    dual_images = images(dual_new, G)
-
     z_new = _substitute_fiber(
-        t.side.bundle, side_new, t.side.flux.vector, 3, side_images
+        t.side.bundle, side_new, t.side.flux.vector, 3, images(side_new, Ginv_rows)
     )
     zh_new = _substitute_fiber(
-        t.dual.bundle, dual_new, t.dual.flux.vector, 3, dual_images
+        t.dual.bundle, dual_new, t.dual.flux.vector, 3, images(dual_new, G)
     )
-
-    out = Triple(
-        Pair(side_new, Cocycle(3, z_new)), Pair(dual_new, Cocycle(3, zh_new))
+    doubled_images = images(doubled, Ginv_rows) + images(doubled, G, n)
+    w_new = _substitute_fiber(t.doubled, doubled, t.w, 2, doubled_images)
+    return Triple(
+        Pair(side_new, Cocycle(3, z_new)), Pair(dual_new, Cocycle(3, zh_new)), w_new, doubled
     )
-    doubled_images = images(out.doubled, Ginv_rows) + images(out.doubled, G, n)
-    w_new = _substitute_fiber(t.doubled, out.doubled, t.w, 2, doubled_images)
-    return out.with_data(w=w_new)

@@ -5,7 +5,7 @@ Everything the self-test needs lives in the package; no external data.
 
 from __future__ import annotations
 
-from .space_model import Cocycle, SimplicialComplex, builtin_space
+from .space_model import Cocycle, builtin_space
 from .tduality_core import Pair
 from .torus_bundle import build_bundle
 

@@ -191,7 +191,7 @@ def triple_to_doc(t):
 
 def triple_from_doc(doc, truncation=None):
     from .tduality_core import Pair, Triple
-    from .torus_bundle import build_bundle
+    from .torus_bundle import BundleModel, build_bundle
 
     if not isinstance(doc, dict) or doc.get("format") != "triple":
         raise SchemaError("expected a document with format 'triple'")
@@ -204,13 +204,11 @@ def triple_from_doc(doc, truncation=None):
     dual_bundle = build_bundle(base, chern_vectors(chern_hat, base, "chern_hat"))
     side = Pair(side_bundle, _flux_from_doc(side_bundle, doc, "flux"))
     dual = Pair(dual_bundle, _flux_from_doc(dual_bundle, doc, "flux_hat"))
+    doubled = BundleModel.doubled(side_bundle, dual_bundle)
     w_doc = doc.get("w")
-    t = Triple(side, dual, None)
-    if not isinstance(w_doc, list) or len(w_doc) != t.doubled.dim(2):
-        raise SchemaError(
-            f"'w' must be a degree-2 vector of length {t.doubled.dim(2)}"
-        )
-    return t.with_data(w=[parse_int(x, "w") for x in w_doc])
+    if not isinstance(w_doc, list) or len(w_doc) != doubled.dim(2):
+        raise SchemaError(f"'w' must be a degree-2 vector of length {doubled.dim(2)}")
+    return Triple(side, dual, [parse_int(x, "w") for x in w_doc], doubled)
 
 
 def onn_from_doc(doc):

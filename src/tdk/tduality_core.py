@@ -20,14 +20,19 @@ d = sum_i d(zhat_i) . y_i + (sum_i zhat_i . c_i + d beta): its components at
 (3, ., (i,)) are d(zhat_i), and at (4, ., ()) the pairing plus d beta.  So
 such a cochain is closed iff every zhat_i is closed and beta is a primitive
 of the pairing, d beta = -sum_i c_i . zhat_i.  The flux normal form
-(:func:`_normal_form`), the dual of a pair (:func:`dualize`) and the
-expected leading parts of :func:`validate_triple` all rest on this identity.
+(:func:`_normal_form`), the canonical triple (:func:`_canonical_triple`)
+and the expected leading parts of :func:`validate_triple` all rest on this
+identity.
+
+Each triple is built once, from the models its caller holds:
+:func:`dualize` and the shear of ``duality_group`` through
+:func:`_canonical_triple`, and every other construction with the doubled
+model and w that it already has.
 """
 
 from __future__ import annotations
 
 from .errors import (
-    DimensionError,
     FrozenRecord,
     InputError,
     NotDualizableError,
@@ -94,7 +99,10 @@ class Triple:
 
     The doubled model carries fiber generators y_1..y_n (side) and
     yh_1..yh_n (dual side); ``w`` is a degree-2 cochain there.  Passing
-    ``w=None`` selects the standard correspondence sum_i y_i yh_i.
+    ``w=None`` selects the standard correspondence sum_i y_i yh_i, and
+    ``doubled=None`` builds the doubled model of the two bundles.  A caller
+    that changes the data of a triple builds a new one with the models it
+    keeps.
     """
 
     def __init__(self, side: Pair, dual: Pair, w=None, doubled: BundleModel | None = None):
@@ -146,17 +154,6 @@ class Triple:
         side = mat_vec(self.embed_side_matrix(3), self.side.flux.vector, rows)
         return [x - y + z for x, y, z in zip(self.doubled.d(2, self.w), dual, side)]
 
-    def with_data(self, side=None, dual=None, w=None):
-        return Triple(
-            side if side is not None else self.side,
-            dual if dual is not None else self.dual,
-            w if w is not None else self.w,
-            doubled=self.doubled
-            if (side is None or side.bundle is self.side.bundle)
-            and (dual is None or dual.bundle is self.dual.bundle)
-            else None,
-        )
-
     def __repr__(self):
         return f"Triple(n={self.n}, base={self.base!r})"
 
@@ -175,12 +172,13 @@ def _normal_form(pair: Pair, report: FiltrationReport):
     """Write the flux class as sum_i zhat_i . y_i + beta with zhat_i closed.
 
     ``report`` is the filtration report of the flux, from :func:`is_dualizable`.
-    Returns (zhat list, beta, representative) where the representative is a
+    Returns (zhat list, beta), read off the report's representative, a
     closed cocycle in filtration step 2 cohomologous to the given flux.
 
     Nothing is re-checked.  The representative lies in F^2 C^3, whose basis
     elements are (2, a, (i,)) and (3, a, ()) only, so every coefficient is
-    read into zhat or beta.  It is closed, so by the identity of the module
+    read into zhat or beta, and ``normal_form_vector(zhat, beta)`` gives the
+    representative back.  It is closed, so by the identity of the module
     docstring every zhat_i is closed and beta is a primitive of the pairing
     sum_i c_i . zhat_i.
     """
@@ -190,13 +188,9 @@ def _normal_form(pair: Pair, report: FiltrationReport):
         )
     m = pair.bundle
     base = m.base
-    if report.is_zero:
-        rep = m.zero_vector(3)
-    else:
-        rep = report.representative
     zhat = [base.zero_vector(2) for _ in range(m.n)]
     beta = base.zero_vector(3)
-    for i, coeff in enumerate(rep):
+    for i, coeff in enumerate(report.representative):
         if coeff == 0:
             continue
         p, a, S = m.elements[3][i]
@@ -204,7 +198,7 @@ def _normal_form(pair: Pair, report: FiltrationReport):
             zhat[S[0]][a] += coeff
         else:
             beta[a] += coeff
-    return zhat, beta, rep
+    return zhat, beta
 
 
 def _pairing_primitive(base, cs, chs):
@@ -235,7 +229,7 @@ def _dual_chern(pair: Pair, report: FiltrationReport):
     The relation sum_i c_i . chat_i = 0 in H^4 is not solved for: the beta of
     the same normal form is a primitive of the pairing (:func:`_normal_form`).
     """
-    zhat, _, _ = _normal_form(pair, report)
+    zhat, _ = _normal_form(pair, report)
     base = pair.base
     H2 = base.cohomology(2)
     classes = [H2.reduce(z) for z in zhat]
@@ -251,23 +245,23 @@ def _dual_chern(pair: Pair, report: FiltrationReport):
     return classes, {"representatives": zhat, "shear_generators": ambiguity}
 
 
-def dualize(pair: Pair, choice=None) -> Triple:
-    """Construct the canonical extension of a dualizable pair to a triple.
+def _canonical_triple(m: BundleModel, zhat, beta) -> Triple:
+    """The triple of side flux sum_i zhat_i . y_i + beta on ``m``, built once.
 
-    The flux is brought to the normal form sum_i zhat_i . y_i + beta; the dual
-    side is the bundle with chern cocycles zhat, dual flux
-    sum_i c_i . yh_i + beta for the side's chern cocycles c_i (the base part
-    carries over unchanged, which makes the double dual the identity on the
-    nose), and w = sum_i y_i yh_i.
+    Its dual side is the bundle with chern cocycles zhat and dual flux
+    sum_i c_i . yh_i + beta, for the chern cocycles c_i of ``m`` (the base
+    part carries over unchanged, which makes the double dual the identity on
+    the nose), and w = sum_i y_i yh_i, on the doubled model of the two.
 
-    ``choice`` may fix the dual chern representatives and base part:
-    {"chern_hat": [...], "beta": [...]}; they must reproduce the flux class.
-
-    The triple is valid by construction, so it is returned unvalidated.  The
-    side flux sum_i zhat_i . y_i + beta is closed: it is a Z_infinity
-    representative, or on the ``choice`` path it is checked closed.  So
-    every zhat_i is closed and d beta = -sum_i c_i . zhat_i (module
-    docstring).  Then each item of :func:`validate_triple` holds:
+    Precondition, proved by each caller: every zhat_i is closed and
+    d beta = -sum_i c_i . zhat_i.  :func:`dualize` reads them off a
+    Z_infinity representative (:func:`_normal_form`).  The shear of
+    ``duality_group`` passes zhat + B c and beta + delta for a valid
+    triple's zhat and beta, B antisymmetric and delta a closed base
+    cocycle: zhat + B c is closed as c and zhat are, d(beta + delta) =
+    d beta, and sum_i c_i . (B c)_i = sum_{i,j} B_ij c_i . c_j is zero, as
+    B_ij = -B_ji and degree-2 cochains commute.  So the side flux is closed
+    (module docstring), and each item of :func:`validate_triple` holds:
 
     - the dual flux sum_i c_i . yh_i + beta is closed, by the same identity
       with the two lists exchanged, as degree-2 products commute;
@@ -279,33 +273,23 @@ def dualize(pair: Pair, choice=None) -> Triple:
       doubled model: their beta parts cancel;
     - w restricts to sum_i y_i yh_i on the fiber;
     - beta witnesses the quadratic relation.
+
+    The triple is valid by construction, so it is returned unvalidated.
     """
-    m = pair.bundle
-    base = m.base
-    if choice is not None:
-        zhat = [int_vector(z, f"chern_hat[{i}]") for i, z in enumerate(choice["chern_hat"])]
-        beta = int_vector(choice.get("beta", base.zero_vector(3)), "beta")
-        if len(beta) != base.dim(3):
-            raise DimensionError(f"beta has length {len(beta)}, expected {base.dim(3)}")
-        if len(zhat) != m.n:
-            raise InputError("need one dual chern cocycle per fiber circle")
-        for i, z in enumerate(zhat):
-            if not base.is_closed(2, z):
-                raise InputError(f"chosen dual chern cocycle {i} is not closed")
-        rep = m.normal_form_vector(zhat, beta)
-        if not m.is_closed(3, rep):
-            raise InputError("chosen normal form is not a cocycle")
-        H3 = m.total_cohomology(3)
-        if H3.reduce(rep) != H3.reduce(pair.flux.vector):
-            raise InputError("chosen normal form does not represent the flux class")
-    else:
-        zhat, beta, rep = _normal_form(pair, is_dualizable(pair)[1])
-
-    side = Pair(m, Cocycle(3, rep))
-    dual_bundle = build_bundle(base, zhat)
+    side = Pair(m, Cocycle(3, m.normal_form_vector(zhat, beta)))
+    dual_bundle = build_bundle(m.base, zhat)
     dual = Pair(dual_bundle, Cocycle(3, dual_bundle.normal_form_vector(m.chern, beta)))
-
     return Triple(side, dual)
+
+
+def dualize(pair: Pair) -> Triple:
+    """Construct the canonical extension of a dualizable pair to a triple.
+
+    The flux is brought to the normal form sum_i zhat_i . y_i + beta
+    (:func:`_normal_form`), whose dual side is the bundle with chern
+    cocycles zhat: the triple of :func:`_canonical_triple`.
+    """
+    return _canonical_triple(pair.bundle, *_normal_form(pair, is_dualizable(pair)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +398,7 @@ def h3_action(t: Triple, alpha: Cocycle) -> Triple:
         shift = pair.bundle.pullback(3, vec)
         return Pair(pair.bundle, Cocycle(3, [x + y for x, y in zip(pair.flux.vector, shift)]))
 
-    return t.with_data(side=moved(t.side), dual=moved(t.dual))
+    return Triple(moved(t.side), moved(t.dual), t.w, t.doubled)
 
 
 def _require_same_bundles(t1: Triple, t2: Triple):
@@ -439,6 +423,11 @@ def torsor_difference(t1: Triple, t2: Triple) -> Cocycle:
     to solve means the triples are not over the same orbit data.
     """
     _require_same_bundles(t1, t2)
+    return _torsor_class(t1, t2.side.flux.vector, t2.dual.flux.vector, t2.w)
+
+
+def _torsor_class(t1: Triple, z2, zh2, w2) -> Cocycle:
+    """:func:`torsor_difference` of t1 and the triple (z2, zh2, w2) on t1's own models."""
     base = t1.base
     F = t1.side.bundle
     Fh = t1.dual.bundle
@@ -462,9 +451,7 @@ def torsor_difference(t1: Triple, t2: Triple) -> Cocycle:
     )
     rhs = [
         x - y
-        for a, b in ((t1.side.flux.vector, t2.side.flux.vector),
-                     (t1.dual.flux.vector, t2.dual.flux.vector),
-                     (t1.w, t2.w))
+        for a, b in ((t1.side.flux.vector, z2), (t1.dual.flux.vector, zh2), (t1.w, w2))
         for x, y in zip(a, b)
     ]
     sol = solve(block, rhs)
@@ -530,11 +517,7 @@ def gauge_action(t: Triple, psis, psihats) -> Triple:
     z_new = _substitute_fiber(F, F, t.side.flux.vector, 3, gauge_images(F, psis))
     zh_new = _substitute_fiber(Fh, Fh, t.dual.flux.vector, 3, gauge_images(Fh, psihats))
     w_new = _substitute_fiber(Dm, Dm, t.w, 2, gauge_images(Dm, psis + psihats))
-    return t.with_data(
-        side=Pair(F, Cocycle(3, z_new)),
-        dual=Pair(Fh, Cocycle(3, zh_new)),
-        w=w_new,
-    )
+    return Triple(Pair(F, Cocycle(3, z_new)), Pair(Fh, Cocycle(3, zh_new)), w_new, Dm)
 
 
 def gauge_shift(t: Triple, psis, psihats) -> Cocycle:

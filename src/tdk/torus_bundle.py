@@ -42,10 +42,11 @@ the base alone and raises the scan's ModelError for that x, with no d_k of
 the total model built.
 
 The doubled model has the chern list L + Lhat of two bundles over one base
-that were each certified at build.  Their terms, whose indices lie inside L
-or inside Lhat, are skipped by the same rule, which leaves (C) for i in L and
-j in Lhat: the n^2 cross terms (b.z_i).zhat_j = (b.zhat_j).z_i.  They land in
-base degree p + 4, so only bases of degree 4 or more have any.
+that were each certified at build; its ``split`` is the length of L.  The
+terms whose indices lie inside L or inside Lhat are the terms of those two
+builds, so they are skipped, which leaves (C) for i in L and j in Lhat: the
+n^2 cross terms (b.z_i).zhat_j = (b.zhat_j).z_i.  They land in base degree
+p + 4, so only bases of degree 4 or more have any.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from functools import cached_property
 from .errors import InputError, ModelError, Record
 from .exact_linalg import (
     FgAbelianGroup,
+    GroupHom,
     _sum_terms,
     cochain_cohomology,
     compose,
@@ -129,22 +131,23 @@ class BundleModel(DgRingModel):
     rule rests on the chern cocycles, which :class:`ChernVector` checks are
     closed.  The one check at build time is the d o d = 0 certificate of
     :meth:`_certify`, on base data only, which also catches a base that
-    breaks Leibniz against a chern cocycle.  ``certified`` lists sets of
-    fiber indices whose terms a build already certified: the doubled model
-    of :meth:`doubled` passes its two halves (see the module docstring).
+    breaks Leibniz against a chern cocycle.  The fiber circles are labelled
+    y1..yn.  Only :meth:`doubled` passes ``split``, the number of side
+    circles: the circles from there on are labelled yh1.., and the
+    certificate skips the terms of the two halves (module docstring).
     """
 
-    def __init__(self, base: DgRingModel, chern: ChernVector, labels=None, certified=()):
+    def __init__(self, base: DgRingModel, chern: ChernVector, split=None):
         if chern.base is not base:
             raise InputError("chern cocycles live in a different base model")
         self.base = base
         self.chern = chern
         self.n = chern.n
-        self.labels = [f"y{i + 1}" for i in range(self.n)] if labels is None else list(labels)
-        if not all(isinstance(y, str) and y for y in self.labels):
-            raise InputError(f"fiber labels {self.labels}: each must be a nonempty str")
-        if len(self.labels) != self.n or len(set(self.labels)) != self.n:
-            raise InputError(f"fiber labels {self.labels}: need {self.n} distinct, one per circle")
+        self.split = split
+        side = self.n if split is None else split
+        self.labels = [f"y{i + 1}" for i in range(side)] + [
+            f"yh{i + 1}" for i in range(self.n - side)
+        ]
 
         self.elements = [  # per total degree: list of (p, a, S)
             [
@@ -163,22 +166,20 @@ class BundleModel(DgRingModel):
         self._memo = {}
         self._chern_terms = [{z: x for z, x in enumerate(c) if x} for c in chern]
         self._bz = {}  # (p, a, i) -> b_a . z_i, shared by all degrees
-        self._certify(certified)
+        self._certify()
 
     @classmethod
     def doubled(cls, side: "BundleModel", dual: "BundleModel") -> "BundleModel":
         """The correspondence space of two bundles over one base: fibers y_1.. then yh_1..
 
-        Its chern list is the side's followed by the dual's.  Both halves
-        were certified at their build, so the certificate checks only the
-        cross terms (module docstring).
+        Its chern list is the side's followed by the dual's, split after the
+        side's.  Both halves were certified at their build, so the
+        certificate checks only the cross terms (module docstring).
         """
         if dual.base is not side.base:
             raise InputError("the two bundles live over different bases")
         chern = ChernVector(side.base, list(side.chern) + list(dual.chern))
-        labels = side.labels + [f"yh{i + 1}" for i in range(dual.n)]
-        halves = (set(range(side.n)), set(range(side.n, chern.n)))
-        return cls(side.base, chern, labels=labels, certified=halves)
+        return cls(side.base, chern, split=side.n)
 
     @property
     def total(self):
@@ -194,8 +195,9 @@ class BundleModel(DgRingModel):
         While a label with a fiber part repeats a base label, every fiber
         label is primed (``y1`` becomes ``y1'``), as ``product_model`` primes
         its second factor.  Each round lengthens every label with a fiber
-        part and no base label, so the rounds end.  Two elements that still
-        share a label (fiber labels ``x'``, ``z`` against ``x``, ``'z``) raise.
+        part and no base label, so the rounds end.  A fiber part reads back
+        to one monomial and follows the last dot, so two elements that still
+        share a label come from a base that repeats one, and they raise.
         """
         base, fiber = self.base, self.labels
         taken = {x for bs in base.basis for x in bs}
@@ -260,17 +262,19 @@ class BundleModel(DgRingModel):
             cols.append(col)
         return cols
 
-    def _certify(self, certified):
+    def _certify(self):
         """Raise the ModelError of the total ``check_d_squared`` unless d o d = 0, on the base.
 
-        Each term (A), (B), (C) of the module docstring is checked unless its
-        fiber indices T all lie in one set of ``certified``.  A failing term
-        of base element a in degree p is keyed (p + |T|, p, a, T), and the
-        least key names the element that the total scan names first.
+        Each term (A), (B), (C) of the module docstring is checked, but on
+        the doubled model only the cross terms, whose fiber indices T lie on
+        both sides of ``split``.  A failing term of base element a in degree
+        p is keyed (p + |T|, p, a, T), and the least key names the element
+        that the total scan names first.
         """
         base, bz, fiber = self.base, self._chern_product, range(self.n)
         terms = [()] + [(i,) for i in fiber] + list(itertools.combinations(fiber, 2))
-        terms = [T for T in terms if not any(g.issuperset(T) for g in certified)]
+        if self.split is not None:
+            terms = [T for T in terms if len({i < self.split for i in T}) == 2]
 
         def times(u, p, i):  # the base cochain u of degree p, times z_i
             return _sum_terms((x, bz(p, c, i)) for c, x in u.items())
@@ -477,30 +481,34 @@ class BundleModel(DgRingModel):
         """Slot (p, q) of page r with d_r out of it; d_r into it is
         ``ss_page(r, p - r, q + r - 1).d_out``.
 
-        d_r needs no special case for an empty target: for x in Z_r^{p,q},
-        dx lies in F^{p+r} and d(dx) = 0, so dx is in Z_r^{p+r,q-r+1}, the
-        target's numerator; when that lattice has no generators, dx = 0 and
-        the membership solve returns the empty vector.
+        Below the stable page s, d_r needs no special case for an empty
+        target: for x in Z_r^{p,q}, dx lies in F^{p+r} and d(dx) = 0, so dx
+        is in Z_r^{p+r,q-r+1}, the target's numerator; when that lattice has
+        no generators, dx = 0 and the membership solve returns the empty
+        vector.
 
         d_r is well defined, the precondition of ``GroupHom`` that
-        ``induced_hom`` leaves to its caller.  With s the stable page and
-        r <= s, d sends the source's denominator Z_{r-1}^{p+1} +
-        d Z_{r-1}^{p-r+1} into d Z_{r-1}^{p+1}, by d o d = 0, and that is a
-        part of the target's denominator, built from the same lattice.  Past
-        s both slots are read on page s.  If p + r > D, the target numerator
-        lies in F^{p+r} C = 0.  Otherwise p + r - s + 1 <= 0, as s > D, so
-        F^{p+r-s+1} is everything and each generator x of the source, whose
-        dx the membership solve has put in F^{p+r}, lies in
-        Z_{s-1}^{p+r-s+1}: dx is in the target's denominator, and d_r is zero.
+        ``induced_hom`` leaves to its caller.  For r < s, d sends the
+        source's denominator Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1} into
+        d Z_{r-1}^{p+1}, by d o d = 0, and that is a part of the target's
+        denominator, built from the same lattice.
+
+        From page s on, d_r is the zero map by degree, written with no
+        solve; both slots are read on page s.  For p >= 0 the target lies in
+        F^{p+s} C = 0, as s > D.  For p < 0 the source is zero: F^{p+1} and
+        F^p are all of C, so the source's numerator Z_s^p and the part
+        Z_{s-1}^{p+1} of its denominator are one lattice, {x : dx in F^{p+s}}.
         ``tests/test_lazy_bundle.py`` checks every slot's d_r against a
         reference well-definedness test.
         """
         if r < 1:
             raise InputError("spectral-sequence pages start at r = 1")
         sq = self._page_subquotient(r, p, q)
-        d_out = induced_hom(
-            sq, self._page_subquotient(r, p + r, q - r + 1), lambda v: self.d(p + q, v)
-        )
+        target = self._page_subquotient(r, p + r, q - r + 1)
+        if r >= self.stable_page:
+            d_out = GroupHom(sq.group, target.group, [{}] * sq.group.ngens)
+        else:
+            d_out = induced_hom(sq, target, lambda v: self.d(p + q, v))
         return SSPage(
             r=r,
             p=p,
@@ -603,17 +611,16 @@ class FiltrationReport(Record):
 # construction
 
 
-def build_bundle(base: DgRingModel, chern, labels=None, check=None) -> BundleModel:
-    """Total-space model from a base model and chern cocycles.
+def build_bundle(base: DgRingModel, chern, check=None) -> BundleModel:
+    """Total-space model from a base model and chern cocycles, fibers labelled y1..yn.
 
     The chern cocycles are checked closed and the total differential is
     certified to square to zero by :meth:`BundleModel._certify`, on base data
     alone, so no d_k of the total model is built; the ring axioms hold by
-    construction.  ``labels`` names the fiber circles, distinct, one each
-    (default y1..yn).  ``check`` has no effect: every build runs the same
+    construction.  ``check`` has no effect: every build runs the same
     certificate.  It is still accepted because ``benchmark/workloads.py``
     passes it.
     """
     if not isinstance(chern, ChernVector):
         chern = ChernVector(base, chern)
-    return BundleModel(base, chern, labels=labels)
+    return BundleModel(base, chern)

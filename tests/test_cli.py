@@ -146,6 +146,16 @@ def test_bundle_and_ss(tmp_path):
     assert slot["d_out"] == [["2"]]
 
 
+def test_ss_past_the_stable_page_with_negative_p_is_a_zero_slot(tmp_path):
+    chern = write(tmp_path, "chern.json", json.dumps([["1"]]))
+    argv = ["ss", "--builtin", "surface", "--params", '{"genus": 2}', "--chern", chern]
+    for page in ("3", "4", "5"):  # the stable page s = 3, and past it
+        code, doc = run([*argv, "--page", page, "--p", "-1", "--q", "2"])
+        assert (code, doc) == (0, {"page": page, "slots": [
+            {"group": {"rank": "0", "torsion": []}, "p": "-1", "q": "2", "stable": True}
+        ]})
+
+
 @pytest.mark.parametrize("flag", ["--p", "--q"])
 def test_ss_refuses_a_lone_p_or_q(tmp_path, flag):
     chern = write(tmp_path, "chern.json", json.dumps([["1", "0", "0"]]))

@@ -387,11 +387,3 @@ def test_float_cocycle_entries_are_refused_not_truncated():
     with pytest.raises(InputError, match=r"cocycle: entry 0 is 0\.5, not an integer"):
         Cocycle(3, [0.5, 2.7])
     assert Cocycle(3, [0, 2]).vector == (0, 2)
-
-
-def test_float_chosen_dual_chern_is_refused_not_truncated():
-    from tdk.fixtures import named_pair
-    from tdk.tduality_core import dualize
-
-    with pytest.raises(InputError, match=r"chern_hat\[0\]: entry 0 is 0\.5, not an integer"):
-        dualize(named_pair("hopf_k2"), choice={"chern_hat": [[0.5]]})

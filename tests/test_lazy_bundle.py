@@ -40,11 +40,26 @@ import tdk.exact_linalg as exact_linalg  # noqa: E402
 import tdk.space_model as space_model  # noqa: E402
 import tdk.torus_bundle as torus_bundle  # noqa: E402
 from matrices import reference_contains, reference_well_defined  # noqa: E402
-from tdk.errors import ModelError, NotInSubgroupError  # noqa: E402
+from tdk.errors import ModelError  # noqa: E402
 from tdk.exact_linalg import compose, kernel_basis, mat_vec, subquotient  # noqa: E402
 from tdk.space_model import Cocycle, DgRingModel, builtin_space, product_model  # noqa: E402
-from tdk.tduality_core import Pair, Triple, dualize, is_dualizable, validate_triple  # noqa: E402
-from tdk.torus_bundle import BundleModel, build_bundle  # noqa: E402
+from tdk.duality_group import (  # noqa: E402
+    act_on_triple,
+    flip_element,
+    gl_element,
+    shear_element,
+)
+from tdk.serialize import triple_from_doc, triple_to_doc  # noqa: E402
+from tdk.tduality_core import (  # noqa: E402
+    Pair,
+    Triple,
+    dualize,
+    gauge_action,
+    h3_action,
+    is_dualizable,
+    validate_triple,
+)
+from tdk.torus_bundle import BundleModel, ChernVector, build_bundle  # noqa: E402
 
 BASES = (
     ("torus", {"k": 3}),
@@ -132,17 +147,22 @@ def test_every_page_slot_passes_the_containment_check(m):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(bundles())
 def test_every_page_differential_is_well_defined(m):
-    built = 0
     for r, p, q in _slots(m):
-        try:
+        assert reference_well_defined(m.ss_page(r, p, q).d_out)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from([("torus", {"k": 3}), ("heisenberg", {"k": 1}), ("surface", {"genus": 2})]),
+       st.data())
+def test_every_differential_past_the_stable_page_is_zero(base, data):
+    base = builtin_space(*base)
+    m = build_bundle(base, _chern(data.draw, base, data.draw(st.integers(1, 2))))
+    s = m.stable_page
+    for r, p, q in _slots(m):
+        if r > s:
             d_out = m.ss_page(r, p, q).d_out
-        except NotInSubgroupError:
-            # past the stable page with p < 0, dx need not lie in F^{p+r}
-            assert r > m.stable_page and p < 0
-            continue
-        assert reference_well_defined(d_out)
-        built += 1
-    assert built
+            assert not any(d_out.matrix), (r, p, q)
+            assert d_out.source.is_trivial() or d_out.target.is_trivial(), (r, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +220,12 @@ def test_z_lattices_of_one_block_are_one_object():
 # the doubled model
 
 
-def _by_total_scan(base, chern, labels=None):
+def _by_total_scan(base, chern, split=None):
     """The bundle built with its certificate switched off, then certified by the
     total ``DgRingModel.check_d_squared`` with the build's error text."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BundleModel, "_certify", lambda self, certified: None)
-        m = build_bundle(base, chern, labels=labels)
+        mp.setattr(BundleModel, "_certify", lambda self: None)
+        m = BundleModel(base, ChernVector(base, chern), split)
     try:
         DgRingModel.check_d_squared(m)
     except ModelError as err:
@@ -215,8 +235,7 @@ def _by_total_scan(base, chern, labels=None):
 
 def _doubled_by_full_check(side, dual):
     """The doubled model built as any bundle and certified by the total scan."""
-    labels = side.labels + [f"yh{i + 1}" for i in range(dual.n)]
-    return _by_total_scan(side.base, list(side.chern) + list(dual.chern), labels)
+    return _by_total_scan(side.base, list(side.chern) + list(dual.chern), side.n)
 
 
 def _verdict(build):
@@ -356,6 +375,50 @@ def test_doubled_model_refuses_a_base_that_breaks_a_cross_term():
         Triple(side, dual)
     with pytest.raises(ModelError, match=message):
         _doubled_by_full_check(side.bundle, dual.bundle)
+
+
+def _n2_triple():
+    """The dual of a pair over T^3 with two nonzero chern cocycles and a flux in F^2."""
+    T3 = builtin_space("torus", {"k": 3})
+    m = build_bundle(T3, [T3.basis_vector(2, 0), T3.basis_vector(2, 1)])
+    return dualize(Pair(m, Cocycle(3, m.element_vector(2, 2, (0,)))))
+
+
+def _verbs():
+    """Each verb that builds a triple from another, with its doubled-model builds."""
+    T3 = builtin_space("torus", {"k": 3})
+    x1, x2 = T3.basis_vector(1, 0), T3.basis_vector(1, 1)
+    return {
+        "triple_from_doc": (lambda t, doc: triple_from_doc(doc), 1),
+        "h3_action": (lambda t, doc: h3_action(t, Cocycle(3, T3.basis_vector(3, 0))), 0),
+        "gauge_action": (lambda t, doc: gauge_action(t, [x1, x2], [x2, x1]), 0),
+        "flip": (lambda t, doc: act_on_triple(flip_element(2), t), 1),
+        "shear": (lambda t, doc: act_on_triple(shear_element(2, [{1: 1}, {0: -1}]), t), 1),
+        "gl": (lambda t, doc: act_on_triple(gl_element(2, [{0: 1}, {0: 1, 1: 1}]), t), 1),
+    }
+
+
+@pytest.mark.parametrize("verb", sorted(_verbs()))
+def test_each_verb_builds_one_triple_and_at_most_one_doubled_model(monkeypatch, verb):
+    t = _n2_triple()
+    doc = triple_to_doc(t)
+    act, doubled_builds = _verbs()[verb]
+    built = {"triples": 0, "doubled": 0}
+    triple_init, doubled = Triple.__init__, BundleModel.doubled.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built["triples"] += 1
+        triple_init(self, *args, **kwargs)
+
+    def counted_doubled(cls, side, dual):
+        built["doubled"] += 1
+        return doubled(cls, side, dual)
+
+    monkeypatch.setattr(Triple, "__init__", counted_init)
+    monkeypatch.setattr(BundleModel, "doubled", classmethod(counted_doubled))
+    out = act(t, doc)
+    assert built == {"triples": 1, "doubled": doubled_builds}
+    assert validate_triple(out).ok
 
 
 def test_triple_builds_only_the_degrees_of_its_doubled_model_that_it_reads():

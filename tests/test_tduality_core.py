@@ -188,16 +188,6 @@ def test_validation_catches_wrong_dual_side():
     assert not report.ok
 
 
-def test_choice_override_checked():
-    pair = hopf_pair(1, 2)
-    good = dualize(
-        pair, choice={"chern_hat": [scaled(2, S2.basis_vector(2, 0))], "beta": S2.zero_vector(3)}
-    )
-    assert validate_triple(good).ok
-    with pytest.raises(InputError):
-        dualize(pair, choice={"chern_hat": [scaled(3, S2.basis_vector(2, 0))]})
-
-
 # ---------------------------------------------------------------------------
 # double dual
 
@@ -359,14 +349,6 @@ def test_gauge_verbs_refuse_the_same_classes(verb):
     (unclosed,) = [v for v in map(H.basis_vector, [1] * 3, range(3)) if not H.is_closed(1, v)]
     with pytest.raises(InputError, match="gauge classes must be closed"):
         verb(t, [H.zero_vector(1)], [unclosed])
-
-
-@pytest.mark.parametrize("beta", [[], [1, 5, 7]])
-def test_dualize_refuses_a_chosen_beta_of_the_wrong_length(beta):
-    # dim C^3 of T^3 is 1
-    pair = trivial_pair(T3, 1)
-    with pytest.raises(DimensionError, match="^beta has length"):
-        dualize(pair, choice={"chern_hat": [T3.zero_vector(2)], "beta": beta})
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,17 @@ degree-k Euler class complex  Z -> Z -(x k)-> Z -> Z  computed by hand), the
 over T^2 with H^2 = Z^2 + Z/k.
 """
 
+import inspect
 import re
 
 import pytest
 
-from tdk.errors import InputError, ModelError
+from tdk.errors import InputError
 from matrices import array, scaled
 from tdk.exact_linalg import dense_vector, subquotient
 from tdk.serialize import space_to_doc
 from tdk.space_model import Cocycle, DgRingModel, builtin_space, parse_space, product_model
-from tdk.torus_bundle import build_bundle, ChernVector
+from tdk.torus_bundle import BundleModel, ChernVector, build_bundle
 
 S2 = builtin_space("sphere", {"k": 2})
 T2 = builtin_space("torus", {"k": 2})
@@ -46,12 +47,6 @@ def test_chern_vector_guards():
         ChernVector(S2, [])
 
 
-@pytest.mark.parametrize("labels", [[], ["y"], ["y", "y"], ["a", "b", "c"]])
-def test_fiber_labels_are_distinct_one_per_circle(labels):
-    with pytest.raises(InputError, match="distinct, one per circle"):
-        build_bundle(T2, [T2.basis_vector(2, 0)] * 2, labels=labels)
-
-
 def test_fiber_labels_are_primed_off_the_base_labels_and_round_trip():
     # T^2 whose generators carry the fiber's default labels
     base = DgRingModel([["1"], ["y1", "y2"], ["y1y2"]], {}, T2.product)
@@ -67,21 +62,37 @@ def test_fiber_labels_are_primed_off_the_base_labels_and_round_trip():
     assert back.betti() == m.betti()
 
 
-@pytest.mark.parametrize("labels", [[1], [""], ["y", None], [["y"]]])
-def test_fiber_labels_are_nonempty_strings(labels):
-    with pytest.raises(InputError, match="each must be a nonempty str"):
-        build_bundle(builtin_space("point"), [[]] * len(labels), labels=labels)
-
-
-@pytest.mark.parametrize("labels, first, second", [
-    (["x'", "x", "'z", "z"], (0, 0, (0, 3)), (0, 0, (1, 2))),  # y1y4 and y2y3 read x'z
-    (["a", "b", "ab"], (0, 0, (2,)), (0, 0, (0, 1))),  # y3 and y1y2 read ab
+@pytest.mark.parametrize("basis, first, second", [
+    ([["1"], ["x", "x"]], (1, 0, ()), (1, 1, ())),  # two degree-1 elements read x
+    ([["1"], ["x"], ["x"]], (1, 0, ()), (2, 0, ())),  # so do elements of degrees 1 and 2
 ])
-def test_fiber_labels_that_join_to_one_label_are_refused_on_first_read(labels, first, second):
-    m = build_bundle(builtin_space("point"), [[]] * len(labels), labels=labels)
+def test_a_base_that_repeats_a_label_is_refused_on_first_read(basis, first, second):
+    # a base model built directly, not parsed, may repeat a label
+    base = DgRingModel(basis, {}, {})
+    m = build_bundle(base, [base.zero_vector(2)] * 2)
     assert "basis" not in vars(m)  # the build makes no labels
     with pytest.raises(InputError, match=re.escape(f"{first} and {second} share the label")):
         m.basis
+
+
+def test_the_doubled_model_labels_its_two_halves_from_its_split():
+    side = build_bundle(T2, [T2.basis_vector(2, 0), T2.zero_vector(2)])
+    dual = build_bundle(T2, [T2.basis_vector(2, 0)])
+    doubled = BundleModel.doubled(side, dual)
+    assert (side.split, side.labels) == (None, ["y1", "y2"])
+    assert (doubled.split, doubled.labels) == (2, ["y1", "y2", "yh1"])
+    assert doubled.basis[1][:3] == ["y1", "y2", "yh1"]
+    assert doubled.basis[2][:3] == ["y1y2", "y1yh1", "y2yh1"]
+
+
+def test_each_construction_has_one_route():
+    from tdk.tduality_core import Triple, dualize
+
+    assert list(inspect.signature(dualize).parameters) == ["pair"]
+    assert list(inspect.signature(build_bundle).parameters) == ["base", "chern", "check"]
+    defaults = inspect.signature(BundleModel.__init__).parameters.values()
+    assert [p.name for p in defaults if p.default is not p.empty] == ["split"]
+    assert not hasattr(Triple, "with_data")
 
 
 def test_nonclosed_chern_rejected():

@@ -4,9 +4,12 @@ Each value below is built so that it holds by a proof in a docstring of
 ``tdk.tduality_core`` or ``tdk.duality_group``, and is no longer checked at
 run time.  Each is held here to the check it replaced:
 
-- ``dualize`` returns its triple unvalidated: ``validate_triple`` accepts it,
-  on the flux's own normal form and on a ``choice`` of dual chern
-  representatives moved by an antisymmetric shear;
+- ``dualize`` returns its triple unvalidated: ``validate_triple`` accepts it;
+- the shear of ``act_on_triple`` builds one canonical triple with dual chern
+  zhat + B c from the trusted normal form, unvalidated and with no closedness
+  re-check of zhat + B c or of its flux: ``validate_triple`` accepts it, and
+  ``torsor_difference`` to the canonical triple of (zhat + B c, beta) is
+  zero in H^3 of the base;
 - ``_normal_form`` reads zhat and beta off the representative without
   re-testing them: every zhat_i is closed and d beta = -sum_i c_i . zhat_i,
   so ``_pairing_primitive`` finds a primitive (the re-solve that
@@ -38,7 +41,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from tdk import tduality_core  # noqa: E402
 from tdk.cli import run  # noqa: E402
-from tdk.duality_group import act_on_chern, flip_element, generators  # noqa: E402
+from tdk.duality_group import (  # noqa: E402
+    act_on_chern,
+    act_on_triple,
+    flip_element,
+    generators,
+    shear_element,
+)
 from tdk.errors import InputError  # noqa: E402
 from tdk.exact_linalg import _sum_terms, dense_vector, kernel_basis  # noqa: E402
 from tdk.fixtures import PAIR_NAMES, named_pair  # noqa: E402
@@ -51,6 +60,7 @@ from tdk.tduality_core import (  # noqa: E402
     dualize,
     extract_dual_chern,
     is_dualizable,
+    torsor_difference,
     validate_triple,
 )
 from tdk.torus_bundle import build_bundle  # noqa: E402
@@ -86,7 +96,7 @@ def test_dualize_builds_a_triple_that_passes_validation(pair):
     ok, report = is_dualizable(pair)
     if not ok:
         return
-    zhat, beta, _ = _normal_form(pair, report)
+    zhat, beta = _normal_form(pair, report)
     assert_trusted_normal_form(pair, zhat, beta)
     assert extract_dual_chern(pair)[1]["representatives"] == zhat
     assert_valid_dual(dualize(pair), pair, zhat)
@@ -94,20 +104,26 @@ def test_dualize_builds_a_triple_that_passes_validation(pair):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(pairs(), st.data())
-def test_dualize_with_sheared_representatives_builds_a_valid_triple(pair, data):
+def test_a_shear_of_a_dual_builds_the_canonical_triple_of_the_sheared_chern(pair, data):
     ok, report = is_dualizable(pair)
     if not ok:
         return
-    n, chern = pair.bundle.n, pair.bundle.chern
-    zhat, beta, _ = _normal_form(pair, report)
-    # zhat + B c for an antisymmetric B, one weight per shear generator of
-    # ``extract_dual_chern``: the normal form moves by a coboundary
+    n, chern, base = pair.bundle.n, pair.bundle.chern, pair.base
+    zhat, beta = _normal_form(pair, report)
+    # an antisymmetric B (as columns), one weight per shear generator of
+    # ``extract_dual_chern``, and zhat + B c
+    B, zhat_new = [{} for _ in range(n)], [list(z) for z in zhat]
     for i, j in itertools.combinations(range(n), 2):
         b = data.draw(st.integers(-2, 2))
-        zhat[i] = [x + b * y for x, y in zip(zhat[i], chern[j])]
-        zhat[j] = [x - b * y for x, y in zip(zhat[j], chern[i])]
-    assert_trusted_normal_form(pair, zhat, beta)
-    assert_valid_dual(dualize(pair, choice={"chern_hat": zhat, "beta": beta}), pair, zhat)
+        B[j][i], B[i][j] = b, -b
+        zhat_new[i] = [x + b * y for x, y in zip(zhat_new[i], chern[j])]
+        zhat_new[j] = [x - b * y for x, y in zip(zhat_new[j], chern[i])]
+    sheared = act_on_triple(shear_element(n, B), dualize(pair))
+    assert_trusted_normal_form(pair, zhat_new, beta)
+    assert_valid_dual(sheared, pair, zhat_new)
+    canonical = tduality_core._canonical_triple(pair.bundle, zhat_new, beta)
+    delta = torsor_difference(sheared, canonical)
+    assert base.cohomology(3).is_zero(delta.vector)
 
 
 # basis indices of degree 2 on Heisenberg x T^2: 0 = x1x2, 1 = x.x1, 3 = y.x1,
@@ -122,7 +138,7 @@ def test_dualize_builds_a_valid_triple_whose_beta_is_not_closed(chern, chern_hat
     pair = Pair(m, Cocycle(3, m.normal_form_vector(zhat, beta)))
     ok, report = is_dualizable(pair)
     assert ok
-    zhat, beta, _ = _normal_form(pair, report)
+    zhat, beta = _normal_form(pair, report)
     assert_trusted_normal_form(pair, zhat, beta)
     assert_valid_dual(dualize(pair), pair, zhat)
 
@@ -133,14 +149,13 @@ def test_dualize_calls_no_validate_triple(monkeypatch, name):
     ok, report = is_dualizable(pair)
     if not ok:
         return
-    zhat, beta, _ = _normal_form(pair, report)
+    zhat, beta = _normal_form(pair, report)
 
     def refused(t):
         raise AssertionError("dualize validated the triple it built")
 
     monkeypatch.setattr(tduality_core, "validate_triple", refused)
     dualize(pair)
-    dualize(pair, choice={"chern_hat": zhat, "beta": beta})
 
 
 @pytest.mark.parametrize("field", ["flux", "flux_hat"])

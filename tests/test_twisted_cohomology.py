@@ -484,7 +484,8 @@ def test_t_transform_over_cp2_with_w_plus_base_class(c, dims):
     # carries b . b / 2: T has half-integer entries, N . T does not
     m = build_bundle(CP2, [[c]])
     t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
-    t = t.with_data(w=[x + y for x, y in zip(t.w, t.doubled.element_vector(2, 0, ()))])
+    w = [x + y for x, y in zip(t.w, t.doubled.element_vector(2, 0, ()))]
+    t = Triple(t.side, t.dual, w, t.doubled)
     assert validate_triple(t).ok
     tm = assert_matches_reference(t)
     ref = reference_t_blocks(t, tm.source, tm.target)
