@@ -15,8 +15,14 @@ groups, subquotients) is built on top of it.
 Trivial work is skipped where its answer is known.  A matrix whose columns
 hold no entry (an empty matrix, or a zero block of a differential) is not
 eliminated: its Smith form is the zero diagonal with identity U and V,
-which is what the elimination returns for it.  An image with no entry is
-zero in every group, so ``is_zero_hom`` does not reduce it.
+which is what the elimination returns for it.  ``kernel_basis`` of such a
+matrix takes no Smith form at all: its kernel is the identity columns, so
+a zero block of ``BundleModel._kernel_block`` or a zero numerator matrix
+under the page subquotients costs no factorization.  An image with no
+entry is zero in every group, so ``is_zero_hom`` does not reduce it.  The
+calls left on entry-free matrices are ``Subquotient._membership``,
+``FgAbelianGroup._snf`` and ``DgRingModel.d_factor``, which keep the
+factorization they return.
 
 The group layer takes its callers' word where they hold a proof.
 ``subquotient`` does not test that its denominator lies in its numerator,
@@ -435,7 +441,15 @@ def solve(M, b):
 
 
 def kernel_basis(M, rows):
-    """Columns forming a basis of the (saturated) integer kernel lattice of M."""
+    """Columns forming a basis of the (saturated) integer kernel lattice of M.
+
+    A matrix with no entry is not factored: its kernel is all of Z^columns,
+    the identity columns that its Smith form's V would give.
+    """
+    if rows < 0:
+        raise DimensionError(f"a matrix has no {rows} rows")
+    if not any(M):
+        return identity(len(M))
     sf = smith_normal_form(M, rows)
     return sf._V[sf.rank :]
 

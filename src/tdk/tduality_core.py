@@ -102,7 +102,9 @@ class Triple:
     ``w=None`` selects the standard correspondence sum_i y_i yh_i, and
     ``doubled=None`` builds the doubled model of the two bundles.  A caller
     that changes the data of a triple builds a new one with the models it
-    keeps.
+    keeps.  A given ``doubled`` must be the doubled model of the two
+    bundles: over the side's base, split after the side's n circles, with
+    the side's chern cocycles followed by the dual's.
     """
 
     def __init__(self, side: Pair, dual: Pair, w=None, doubled: BundleModel | None = None):
@@ -116,6 +118,12 @@ class Triple:
         self.base = side.base
         if doubled is None:
             doubled = BundleModel.doubled(side.bundle, dual.bundle)
+        elif (
+            doubled.base is not side.bundle.base
+            or doubled.split != self.n
+            or doubled.chern.cocycles != side.bundle.chern.cocycles + dual.bundle.chern.cocycles
+        ):
+            raise InputError("the doubled model is not that of the two bundles")
         self.doubled = doubled
         if w is None:
             w = self.standard_w()

@@ -111,10 +111,6 @@ class ChernVector:
         return self.cocycles[i]
 
 
-def _eps(i, S):
-    return -1 if sum(1 for j in S if j < i) % 2 else 1
-
-
 class BundleModel(DgRingModel):
     """Total-space model of a principal T^n-bundle, filtered by base degree.
 
@@ -123,8 +119,8 @@ class BundleModel(DgRingModel):
     base index, then the fiber monomial; so each filtration step F^p is a
     basis suffix.  The differential is the sparse columns that
     :meth:`_koszul_columns` writes for each degree on its first read, and
-    the product is the Koszul rule (:meth:`_koszul_product`):
-    :meth:`mul_basis` memoises the pairs that ring arithmetic asks for, and
+    the product is the Koszul rule, applied term by term by
+    :meth:`mul_terms` with nothing memoised but the fiber shuffle signs;
     ``product`` tabulates all pairs on each read (serialization, the full
     :meth:`DgRingModel.validate`) and stores them nowhere.  The ring is
     graded-commutative by construction once the base is valid; its Leibniz
@@ -149,21 +145,22 @@ class BundleModel(DgRingModel):
             f"yh{i + 1}" for i in range(self.n - side)
         ]
 
+        monomials = [list(itertools.combinations(range(self.n), q)) for q in range(self.n + 1)]
         self.elements = [  # per total degree: list of (p, a, S)
             [
                 (p, a, S)
-                for p in range(min(k, base.D) + 1)
+                for p in range(max(k - self.n, 0), min(k, base.D) + 1)
                 for a in range(base.dim(p))
-                for S in itertools.combinations(range(self.n), k - p)
+                for S in monomials[k - p]
             ]
             for k in range(base.D + self.n + 1)
         ]
-        self.index = [{e: i for i, e in enumerate(level)} for level in self.elements]
+        self.index = [dict(zip(level, range(len(level)))) for level in self.elements]
         # the state of DgRingModel.__init__ but for the labels and the
         # differential, which ``basis`` and ``d_columns`` build on first read
         self.D = len(self.elements) - 1
         self._dshape, self._dcols, self._product, self.meta = {}, {}, {}, {}
-        self._memo = {}
+        self._shuffles = {}  # (S1, S2) -> shuffle_sign(S1, S2), filled on first use
         self._chern_terms = [{z: x for z, x in enumerate(c) if x} for c in chern]
         self._bz = {}  # (p, a, i) -> b_a . z_i, shared by all degrees
         self._certify()
@@ -238,7 +235,9 @@ class BundleModel(DgRingModel):
         return cols
 
     def _chern_product(self, p, a, i):
-        """b_a . z_i for the base basis element a of degree p, memoised."""
+        """b_a . z_i for the base basis element a of degree p, memoised; {} past the base's top."""
+        if p + 2 > self.base.D:
+            return {}
         bz = self._bz.get((p, a, i))
         if bz is None:
             bz = self._bz[(p, a, i)] = self.base.mul_terms(p, {a: 1}, 2, self._chern_terms[i])
@@ -248,17 +247,24 @@ class BundleModel(DgRingModel):
         """d_k of the total model as sparse columns, by the rule in the module docstring.
 
         The two sums land in base degrees p + 1 and p + 2, so no entry is written twice.
+        S is sorted, so for i at position t of S, eps(i, S) = (-1)^t and S - i
+        is S without its entry t; both are listed once per monomial.
         """
         base = self.base
         rows = self.index[k + 1]
+        removals = {}  # S -> [(i, eps(i, S), S - i)]
         cols = []
         for p, a, S in self.elements[k]:
             col = {rows[(p + 1, a2, S)]: x for a2, x in base.d_columns(p)[a].items()}
             sign = -1 if p % 2 else 1
-            for i in S:
-                rest = tuple(j for j in S if j != i)
+            terms = removals.get(S)
+            if terms is None:
+                terms = removals[S] = [
+                    (i, -1 if t % 2 else 1, S[:t] + S[t + 1:]) for t, i in enumerate(S)
+                ]
+            for i, eps, rest in terms:
                 for a2, x in self._chern_product(p, a, i).items():
-                    col[rows[(p + 2, a2, rest)]] = sign * _eps(i, S) * x
+                    col[rows[(p + 2, a2, rest)]] = sign * eps * x
             cols.append(col)
         return cols
 
@@ -295,44 +301,59 @@ class BundleModel(DgRingModel):
             raise ModelError(f"total model of the bundle is invalid: d(d(x)) != 0 "
                              f"for basis element {x!r} in degree {k}")
 
-    def _koszul_product(self, k1, n1, k2, n2):
-        """Structure constants of basis elements n1 (deg k1) times n2 (deg k2), not memoised.
+    def mul_terms(self, i, u, j, v):
+        """Product of the sparse cochains u (deg i) and v (deg j), by the Koszul rule.
 
-        (b1 (x) y_S1)(b2 (x) y_S2) = (-1)^(|S1| |b2|) shuffle(S1, S2) (b1 b2) (x) y_(S1 u S2).
+        (b1 (x) y_S1)(b2 (x) y_S2) = (-1)^(|S1| |b2|) shuffle(S1, S2) (b1 b2) (x) y_(S1 u S2),
+        term by term: the shuffle of each pair of monomials is looked up in a
+        per-model dict, and the base structure constants of b1 b2 are added
+        at their index in degree i + j.  The sum is that of
+        ``DgRingModel.mul_terms`` over the basis pairs, in the same order.
         """
-        if k1 + k2 > self.D:
+        if i + j > self.D:
             return {}
-        p1, a1, S1 = self.elements[k1][n1]
-        p2, a2, S2 = self.elements[k2][n2]
-        merged, sign = shuffle_sign(S1, S2)
-        if merged is None:
-            return {}
-        if len(S1) % 2 and p2 % 2:
-            sign = -sign
-        level = self.index[k1 + k2]
-        return {
-            level[(p1 + p2, a3, merged)]: sign * x
-            for a3, x in self.base.mul_basis(p1, a1, p2, a2).items()
-        }
+        left, right, level = self.elements[i], self.elements[j], self.index[i + j]
+        base_product, shuffles = self.base.mul_basis, self._shuffles
+        out = {}
+        for a, x in u.items():
+            p1, a1, S1 = left[a]
+            for b, y in v.items():
+                p2, a2, S2 = right[b]
+                shuffle = shuffles.get((S1, S2))
+                if shuffle is None:
+                    shuffle = shuffles[(S1, S2)] = shuffle_sign(S1, S2)
+                merged, sign = shuffle
+                if merged is None:
+                    continue
+                if len(S1) % 2 and p2 % 2:
+                    sign = -sign
+                xy, p = sign * x * y, p1 + p2
+                for a3, z in base_product(p1, a1, p2, a2).items():
+                    c = level[(p, a3, merged)]
+                    out[c] = out.get(c, 0) + xy * z
+        return {c: z for c, z in out.items() if z}
 
     def mul_basis(self, i, a, j, b):
-        """The Koszul product of basis element a (deg i) and b (deg j), memoised."""
-        key = (i, a, j, b)
-        if key not in self._memo:
-            self._memo[key] = self._koszul_product(*key)
-        return self._memo[key]
+        """The Koszul product of basis element a (deg i) and b (deg j)."""
+        return self.mul_terms(i, {a: 1}, j, {b: 1})
 
     @property
     def product(self):
-        """Every nonzero product of two non-unit basis elements, tabulated on each read."""
+        """Every nonzero product of two non-unit basis elements, tabulated on each read.
+
+        A pair whose fiber monomials meet is zero by the Koszul rule; a test
+        on their bitmasks skips it, so only pairs of disjoint monomials reach
+        :meth:`mul_basis` and its shuffle memo.
+        """
+        masks = [[sum(1 << i for i in S) for _, _, S in level] for level in self.elements]
         product = {}
         for k1 in range(self.D + 1):
             for k2 in range(self.D + 1 - k1):
-                for n1 in range(self.dim(k1)):
-                    for n2 in range(self.dim(k2)):
-                        if (k1 == 0 and n1 == 0) or (k2 == 0 and n2 == 0):
+                for n1, mask1 in enumerate(masks[k1]):
+                    for n2, mask2 in enumerate(masks[k2]):
+                        if mask1 & mask2 or (k1 == 0 and n1 == 0) or (k2 == 0 and n2 == 0):
                             continue
-                        table = self._koszul_product(k1, n1, k2, n2)
+                        table = self.mul_basis(k1, n1, k2, n2)
                         if table:
                             product[(k1, n1, k2, n2)] = table
         return product

@@ -242,6 +242,17 @@ def verify_iso(t: Triple) -> IsoReport:
     rank [T . ker D | B], and rank M = dim X + dim Y - dim ker M.  rank D and
     rank B are already known from the twisted dimensions, and scaling T by N
     changes no rank.
+
+    Before the rank, the T block is divided by the gcd g of all its entries,
+    which keeps rank M: multiplying the rows of T and B by 1/g and then the
+    columns of B by g is invertible over Q, and turns [[D, 0], [T, B]] into
+    [[D, 0], [T / g, B]].  On the standard w every entry of N . T is +-N
+    (Hori's formula), so T / g has +-1 entries, which the rank takes as unit
+    pivots with no Smith form.  The division must be one g for the whole
+    block: dividing each column of T by its own content is not a row and
+    column scaling, and can change the rank.  With D = [1 1] and T = [2 1]
+    (B empty), M = [[1, 1], [2, 1]] has rank 2, but [[1, 1], [1, 1]] has
+    rank 1.
     """
     tm = t_transform(t)
     dims_side = tm.source.cohomology_dims()
@@ -251,8 +262,9 @@ def verify_iso(t: Triple) -> IsoReport:
     for par in (0, 1) if chain_ok else ():
         tgt = (par + tm.parity_shift) % 2
         below = tm.source.dims[1 - par]  # rows of D; the rows of T and B follow
+        g = math.gcd(*(x for col in tm.blocks[par] for x in col.values())) or 1
         M = [
-            {**d_col, **{below + r: x for r, x in t_col.items()}}
+            {**d_col, **{below + r: x // g for r, x in t_col.items()}}
             for d_col, t_col in zip(tm.source.D_from[par], tm.blocks[par])
         ] + [{below + r: x for r, x in col.items()} for col in tm.target.D_from[1 - tgt]]
         induced_rank = rational_rank(M) - tm.source.ranks[par] - tm.target.ranks[1 - tgt]

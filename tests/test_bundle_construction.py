@@ -5,6 +5,8 @@ model: its product is the Koszul rule and the only build-time check is the
 d o d = 0 certificate.  Here the full ``validate()`` runs on random bundles
 over small builtin bases, the product table, tabulated on each read, is
 compared with the eager tabulation loop it replaced (``reference_product_table``),
+``mul_terms`` with the sum of that table over the pairs of terms of random
+sparse cochains, on the bundles and their doubled models,
 the sparse differential with the dense entry-by-entry builder it replaced
 (``reference_diff_matrix``), ``betti()`` of the total model is held to the
 subquotient invariants, the spectral-sequence lattices Z_r read off basis
@@ -13,6 +15,8 @@ slices with the dense inclusion products they replaced
 cocycle must be refused.  Two cost guards count the work of one build and
 what serialization leaves on the model.
 """
+
+import random
 
 import pytest
 
@@ -25,7 +29,7 @@ from matrices import array, columns, mat_eq, zeros  # noqa: E402
 from tdk.exact_linalg import kernel_basis  # noqa: E402
 from tdk.serialize import space_to_doc  # noqa: E402
 from tdk.space_model import DgRingModel, builtin_space  # noqa: E402
-from tdk.torus_bundle import ChernVector, build_bundle  # noqa: E402
+from tdk.torus_bundle import BundleModel, ChernVector, build_bundle  # noqa: E402
 
 
 def _shuffle_sign(S, T):
@@ -161,6 +165,54 @@ def test_lazy_product_table_matches_eager_loop(data):
     assert m.product == reference_product_table(m)
 
 
+def reference_mul_terms(m, table, i, u, j, v):
+    """u v as the sum over term pairs of ``reference_product_table``, the unit acting as identity."""
+    out = {}
+    if i + j > m.D:
+        return out
+    for a, x in u.items():
+        for b, y in v.items():
+            if (i, a) == (0, 0):
+                ab = {b: 1}
+            elif (j, b) == (0, 0):
+                ab = {a: 1}
+            else:
+                ab = table.get((i, a, j, b), {})
+            for c, z in ab.items():
+                out[c] = out.get(c, 0) + x * y * z
+    return {c: z for c, z in out.items() if z}
+
+
+def _sparse_cochain(rng, m, k):
+    """Up to three random terms of degree k, with the unit among them at times."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        if m.dim(k):
+            terms[0 if rng.random() < 0.2 else rng.randrange(m.dim(k))] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return terms
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(bundles(), st.integers(0, 2**32 - 1))
+def test_mul_terms_is_the_term_pair_sum_of_the_reference_table(data, seed):
+    base, chern = data
+    rng = random.Random(seed)
+    m = build_bundle(base, chern)
+    models = [m]
+    if m.n <= 2:  # the doubled model has up to 4 circles, so 3-element monomials
+        models.append(BundleModel.doubled(m, build_bundle(base, chern[::-1])))
+    for model in models:
+        table = reference_product_table(model)
+        for _ in range(12):
+            i, j = rng.randint(0, model.D), rng.randint(0, model.D)  # i + j past D at times
+            u, v = _sparse_cochain(rng, model, i), _sparse_cochain(rng, model, j)
+            assert model.mul_terms(i, u, j, v) == reference_mul_terms(model, table, i, u, j, v)
+        for j in range(model.D + 1):  # the unit on either side
+            for b in range(model.dim(j)):
+                assert model.mul_terms(0, {0: 2}, j, {b: 1}) == {b: 2}
+                assert model.mul_terms(j, {b: -1}, 0, {0: 1}) == {b: -1}
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(bundles())
 def test_sparse_differential_matches_dense_reference(data):
@@ -236,11 +288,10 @@ def test_build_computes_each_chern_product_once(monkeypatch, name, params, n):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(bundles())
-def test_serializing_a_total_model_memoises_no_empty_product(data):
+def test_serializing_a_total_model_leaves_no_table_on_it(data):
     base, chern = data
     m = build_bundle(base, chern)
     doc = space_to_doc(m)
     assert "_dense" not in vars(m)  # no dense differential is left on the model
     assert "product" not in vars(m)  # nor a product table
     assert doc == reference_doc(m)
-    assert all(m._memo.values())

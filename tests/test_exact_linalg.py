@@ -214,6 +214,23 @@ def test_kernel_of_sum_map():
     assert array(columns([[1, 1]]), 1).dot(array(K, 2))[0, 0] == 0
 
 
+def test_kernel_of_an_entry_free_matrix_is_the_identity_with_no_smith_form(monkeypatch):
+    from tdk import exact_linalg
+
+    def refused(columns, rows):
+        raise AssertionError("an entry-free matrix was factored")
+
+    for cols, rows in [([], 0), ([], 3), ([{}] * 3, 0), ([{}] * 4, 5)]:
+        want = exact_linalg.smith_normal_form(cols, rows)._V[:]  # what the old path returned
+        monkeypatch.setattr(exact_linalg, "smith_normal_form", refused)
+        assert kernel_basis(cols, rows) == want == identity(len(cols))
+        monkeypatch.undo()
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", refused)
+    for cols in ([], [{}, {}]):
+        with pytest.raises(DimensionError):
+            kernel_basis(cols, -1)
+
+
 def test_cokernel_cyclic():
     for k in [1, 2, 5, 12]:
         G = FgAbelianGroup(1, columns([[k]]))

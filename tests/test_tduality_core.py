@@ -10,6 +10,9 @@ import pytest
 
 from tdk.errors import DimensionError, InputError, NotDualizableError, TripleMismatchError
 from matrices import scaled
+from tdk.duality_group import act_on_triple, generators
+from tdk.fixtures import PAIR_NAMES, named_pair
+from tdk.serialize import triple_from_doc, triple_to_doc
 from tdk.space_model import Cocycle, builtin_space
 from tdk.tduality_core import (
     Pair,
@@ -24,7 +27,7 @@ from tdk.tduality_core import (
     torsor_difference,
     validate_triple,
 )
-from tdk.torus_bundle import build_bundle
+from tdk.torus_bundle import BundleModel, ChernVector, build_bundle
 
 S2 = builtin_space("sphere", {"k": 2})
 S3 = builtin_space("sphere", {"k": 3})
@@ -186,6 +189,29 @@ def test_validation_catches_wrong_dual_side():
     )
     report = validate_triple(wrong)
     assert not report.ok
+
+
+def test_a_triple_refuses_a_doubled_model_of_other_bundles():
+    t = dualize(hopf_pair(1, 2))
+    other = builtin_space("sphere", {"k": 2})
+    foreign = BundleModel.doubled(build_bundle(other, [[5]]), build_bundle(other, [[7]]))
+    same_base = BundleModel.doubled(build_bundle(S2, [[5]]), build_bundle(S2, [[7]]))
+    swapped = BundleModel.doubled(t.dual.bundle, t.side.bundle)
+    for doubled in (foreign, same_base, swapped):
+        with pytest.raises(InputError, match="doubled model is not that of the two bundles"):
+            Triple(t.side, t.dual, t.w, doubled)
+    unsplit = BundleModel(S2, ChernVector(S2, list(t.side.bundle.chern) + list(t.dual.bundle.chern)))
+    with pytest.raises(InputError, match="doubled model is not that of the two bundles"):
+        Triple(t.side, t.dual, t.w, unsplit)
+    assert validate_triple(Triple(t.side, t.dual, t.w, t.doubled)).ok
+
+
+@pytest.mark.parametrize("name", [n for n in PAIR_NAMES if is_dualizable(named_pair(n))[0]])
+def test_every_route_to_a_triple_still_builds(name):
+    t = dualize(named_pair(name))
+    assert validate_triple(triple_from_doc(triple_to_doc(t))).ok
+    for g in generators(t.n):
+        assert validate_triple(act_on_triple(g, t)).ok
 
 
 # ---------------------------------------------------------------------------

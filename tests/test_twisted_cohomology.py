@@ -18,6 +18,8 @@ replaced, on dense matrices.
 
 import functools
 import math
+import random
+import sys
 import time
 from fractions import Fraction
 
@@ -383,6 +385,91 @@ def test_t_transform_is_scale_times_reference_on_fixture_pairs(name):
     assert verify_iso(t) == reference_verify_iso(t)
 
 
+@pytest.mark.parametrize("name", DUALIZABLE)
+def test_verify_iso_ranks_m_with_no_smith_form_on_fixture_duals(monkeypatch, name):
+    from tdk import exact_linalg
+
+    t = dualize(named_pair(name))
+    factored, ranked = [], []
+
+    def counted_snf(columns, rows):
+        factored.append((columns, rows))
+        return smith_normal_form(columns, rows)
+
+    def counted_rank(columns):
+        before = len(factored)
+        rank = rational_rank(columns)
+        if sys._getframe(1).f_code.co_name == "verify_iso":  # a rank of M
+            ranked.append(len(factored) - before)
+        return rank
+
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", counted_snf)
+    monkeypatch.setattr(twisted_cohomology, "rational_rank", counted_rank)
+    assert verify_iso(t).ok
+    assert ranked == [0, 0]
+
+
+def test_verify_iso_ranks_m_as_if_t_were_not_divided(monkeypatch):
+    """Each rank of M equals that of the undivided M, on T blocks with a common factor.
+
+    Source and target are one twisted complex over S^2 with d y1 = d y2 = x.
+    T keeps parity and is 2 times the identity on even cochains, so the even
+    induced map is bijective and ``verify_iso`` goes on to the odd block.
+    There T sends y1 to 4 y1 and y2 to 2 y1 first: M then holds the
+    docstring's counterexample, whose rank a per-column division would
+    drop.  Random odd blocks with a common factor follow.
+    """
+    m = build_bundle(S2, [S2.basis_vector(2, 0)] * 2)
+    t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
+    C = TwistedComplex(m, m.zero_vector(3))
+    assert C.D_from[1][:2] == [{2: 1}, {2: 1}]  # d y1 = d y2 = x
+    rng = random.Random(0)
+    odd_blocks = [[{0: 4}, {0: 2}] + [{}] * (C.dims[1] - 2)] + [
+        [
+            {r: g * x for r in range(2) if (x := rng.randint(-2, 2))}  # rank-deficient T
+            for _ in range(C.dims[1])
+        ]
+        for g in (rng.choice([1, 2, 3, 6]) for _ in range(20))
+    ]
+    ranked = []
+
+    def counted_rank(columns):
+        rank = rational_rank(columns)
+        if sys._getframe(1).f_code.co_name == "verify_iso":  # a rank of M
+            ranked.append(rank)
+        return rank
+
+    monkeypatch.setattr(twisted_cohomology, "rational_rank", counted_rank)
+    monkeypatch.setattr(TMap, "is_chain_map", lambda self: True)  # ranks for any T
+    for odd in odd_blocks:
+        blocks = {0: [{i: 2} for i in range(C.dims[0])], 1: odd}
+        monkeypatch.setattr(twisted_cohomology, "t_transform",
+                            lambda t: TMap(C, C, 0, blocks, 1))
+        ranked.clear()
+        verify_iso(t)
+        want = []
+        for par in (0, 1):
+            below = C.dims[1 - par]
+            M = [
+                {**d_col, **{below + r: x for r, x in t_col.items()}}
+                for d_col, t_col in zip(C.D_from[par], blocks[par])
+            ] + [{below + r: x for r, x in col.items()} for col in C.D_from[1 - par]]
+            want.append(matrix_rank(M))
+        assert ranked == want
+
+
+def test_verify_iso_matches_the_reference_on_h3_acted_triples():
+    acted = 0
+    for name in DUALIZABLE:
+        t = dualize(named_pair(name))
+        for v in t.base.cohomology(3).generator_vectors():  # none over S^2, T^2 or a point
+            moved = h3_action(t, Cocycle(3, [2 * x for x in v]))
+            assert validate_triple(moved).ok
+            assert verify_iso(moved) == reference_verify_iso(moved)
+            acted += 1
+    assert acted == 3
+
+
 def gauge_acted_triple(n, psis, psihats):
     """A gauge action over T^3 on the dual of a zero-flux bundle, by the degree-1
     basis classes of these indices (3 is zero); its w is not the standard one."""
@@ -407,6 +494,16 @@ def test_t_transform_is_scale_times_reference_on_a_gauge_acted_triple(name):
     assert validate_triple(moved).ok
     assert_matches_reference(moved)
     assert verify_iso(moved).ok
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_CASES))
+def test_verify_iso_matches_the_reference_on_gauge_acted_triples(name):
+    moved = gauge_acted_triple(*GAUGE_CASES[name])
+    assert verify_iso(moved) == reference_verify_iso(moved)
+    psis = [[2 * x for x in T3.basis_vector(1, i % 3)] for i in range(moved.n)]
+    psihats = [[2 * x for x in T3.basis_vector(1, (i + 1) % 3)] for i in range(moved.n)]
+    twice = gauge_action(moved, psis, psihats)
+    assert verify_iso(twice) == reference_verify_iso(twice)
 
 
 def test_t_transform_over_a_point_with_8_circles_takes_under_80_ms():
