@@ -101,6 +101,8 @@ class OnnElement(FrozenRecord):
     _fields = ("n", "matrix")
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InputError(f"n is {self.n}, expected a nonnegative integer")
         object.__setattr__(self, "matrix", _columns(self.matrix))
         if len(self.matrix) != 2 * self.n:
             raise InputError(
@@ -224,15 +226,12 @@ def _classify(g: OnnElement):
     n = g.n
     A, C, B, D = g.blocks()  # top-left, top-right, bottom-left, bottom-right
     I = identity(n)
-
-    def is_zero(X):
-        return not any(X)
-
-    if is_zero(A) and is_zero(D) and B == I and C == I:
+    # a block is zero iff none of its columns has an entry
+    if not any(A) and not any(D) and B == I and C == I:
         return ("flip",)
-    if A == I and D == I and is_zero(C):
+    if A == I and D == I and not any(C):
         return ("shear", B)
-    if is_zero(B) and is_zero(C):
+    if not any(B) and not any(C):
         return ("gl", A)
     return None
 
@@ -271,12 +270,17 @@ def act_on_triple(g: OnnElement, t: Triple) -> Triple:
 
 
 def _act_flip(t: Triple) -> Triple:
-    """The sides exchanged and w carried to the new doubled model, negated."""
+    """The sides exchanged and w carried to the new doubled model, negated.
+
+    The two pairs are t's, so they share a base and a fiber dimension, and
+    ``doubled`` is their doubled model in the new order: the triple is
+    built through the proven door.
+    """
     n = t.n
     doubled = BundleModel.doubled(t.dual.bundle, t.side.bundle)
     images = [doubled.element_vector(0, 0, ((i + n) % (2 * n),)) for i in range(2 * n)]
     w_new = _substitute_fiber(t.doubled, doubled, t.w, 2, images)
-    return Triple(t.dual, t.side, [-x for x in w_new], doubled)
+    return Triple._proven(t.dual, t.side, [-x for x in w_new], doubled)
 
 
 def _act_shear(t: Triple, B) -> Triple:
@@ -303,6 +307,15 @@ def _act_shear(t: Triple, B) -> Triple:
 
 
 def _act_gl(t: Triple, G) -> Triple:
+    """The fiber coordinates substituted by G: y = G^{-1} y' and yh = G^T yh'.
+
+    The new chern cocycles are c' = G c and chat' = G^{-T} chat, so
+    d(sum_k (G^{-1})_ik y'_k) = sum_k (G^{-1})_ik c'_k = c_i = d(y_i), and
+    likewise d(sum_k G_ki yh'_k) = chat_i.  Each substitution is then a ring
+    map that commutes with d (see ``gauge_action``): it sends the closed
+    fluxes of t to closed fluxes, so both pairs and the triple, on the
+    doubled model of the two new bundles, are built through the proven doors.
+    """
     base = t.base
     n = t.n
     Ginv = unimodular_inverse(G)
@@ -328,6 +341,5 @@ def _act_gl(t: Triple, G) -> Triple:
     )
     doubled_images = images(doubled, Ginv_rows) + images(doubled, G, n)
     w_new = _substitute_fiber(t.doubled, doubled, t.w, 2, doubled_images)
-    return Triple(
-        Pair(side_new, Cocycle(3, z_new)), Pair(dual_new, Cocycle(3, zh_new)), w_new, doubled
-    )
+    side = Pair._proven(side_new, Cocycle(3, z_new))
+    return Triple._proven(side, Pair._proven(dual_new, Cocycle(3, zh_new)), w_new, doubled)

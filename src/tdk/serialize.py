@@ -8,6 +8,7 @@ decimal strings are accepted on input.  Documents round-trip byte-identically
 from __future__ import annotations
 
 import json
+from math import comb
 
 from .errors import SchemaError, parse_int
 from .space_model import (
@@ -126,8 +127,6 @@ def _bundle_to_fields(bundle):
 
 
 def _bundle_from_fields(doc, truncation=None):
-    from .torus_bundle import build_bundle
-
     for key in ("base", "n", "chern"):
         if key not in doc:
             raise SchemaError(f"bundle document needs a {key!r} field")
@@ -137,11 +136,17 @@ def _bundle_from_fields(doc, truncation=None):
             "bundles need a ring model base; run the cohomology-ring "
             "construction on the complex first"
         )
-    n = parse_int(doc["n"], "n")
-    chern = doc["chern"]
+    return _chern_bundle(base, parse_int(doc["n"], "n"), doc, "chern")
+
+
+def _chern_bundle(base, n, doc, key):
+    """The bundle over ``base`` whose n chern cocycles are listed at ``doc[key]``."""
+    from .torus_bundle import build_bundle
+
+    chern = doc.get(key)
     if not isinstance(chern, list) or len(chern) != n:
-        raise SchemaError(f"'chern' must list {n} cocycle vectors")
-    return build_bundle(base, chern_vectors(chern, base, "chern"))
+        raise SchemaError(f"{key!r} must list {n} cocycle vectors")
+    return build_bundle(base, chern_vectors(chern, base, key))
 
 
 def chern_vectors(vectors, base, what):
@@ -190,25 +195,26 @@ def triple_to_doc(t):
 
 
 def triple_from_doc(doc, truncation=None):
+    """The triple of a document, through the public doors of ``Pair`` and ``Triple``.
+
+    w is read before the triple is built, so its length is that of degree 2
+    of the doubled model, sum_p dim C^p(base) . binom(2n, 2 - p).
+    """
     from .tduality_core import Pair, Triple
-    from .torus_bundle import BundleModel, build_bundle
 
     if not isinstance(doc, dict) or doc.get("format") != "triple":
         raise SchemaError("expected a document with format 'triple'")
     side_bundle = _bundle_from_fields(doc, truncation=truncation)
     base = side_bundle.base
     n = side_bundle.n
-    chern_hat = doc.get("chern_hat")
-    if not isinstance(chern_hat, list) or len(chern_hat) != n:
-        raise SchemaError(f"'chern_hat' must list {n} cocycle vectors")
-    dual_bundle = build_bundle(base, chern_vectors(chern_hat, base, "chern_hat"))
+    dual_bundle = _chern_bundle(base, n, doc, "chern_hat")
     side = Pair(side_bundle, _flux_from_doc(side_bundle, doc, "flux"))
     dual = Pair(dual_bundle, _flux_from_doc(dual_bundle, doc, "flux_hat"))
-    doubled = BundleModel.doubled(side_bundle, dual_bundle)
     w_doc = doc.get("w")
-    if not isinstance(w_doc, list) or len(w_doc) != doubled.dim(2):
-        raise SchemaError(f"'w' must be a degree-2 vector of length {doubled.dim(2)}")
-    return Triple(side, dual, [parse_int(x, "w") for x in w_doc], doubled)
+    size = sum(base.dim(p) * comb(2 * n, 2 - p) for p in range(3))
+    if not isinstance(w_doc, list) or len(w_doc) != size:
+        raise SchemaError(f"'w' must be a degree-2 vector of length {size}")
+    return Triple(side, dual, [parse_int(x, "w") for x in w_doc])
 
 
 def onn_from_doc(doc):
@@ -219,6 +225,8 @@ def onn_from_doc(doc):
     if "n" not in doc or "matrix" not in doc:
         raise SchemaError("group element document needs 'n' and 'matrix'")
     n = parse_int(doc["n"], "n")
+    if n < 0:
+        raise SchemaError(f"expected a nonnegative integer, got {n}", "n")
     mat = doc["matrix"]
     if not isinstance(mat, list) or len(mat) != 2 * n or any(
         not isinstance(r, list) or len(r) != 2 * n for r in mat

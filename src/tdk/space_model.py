@@ -327,9 +327,13 @@ class DgRingModel:
             it on each read, by the rule of its ``mul_basis``) and look no
             non-unit pair up through ``mul_basis``.
 
-        The range check and the commutativity comparisons share one pass
-        over the stored entries; a commutativity failure is raised in its
-        turn, after the unit.
+        The range check, the unit and the commutativity comparisons share
+        one pass over the stored entries; a unit or commutativity failure is
+        raised in its turn.  A missing entry with a unit factor is the
+        identity (``mul_basis``), so only a stored one can break the unit
+        axiom, and the least failing element b of 1 b or b 1 is named.  The
+        ``product`` of a ``BundleModel`` lists no pair with a unit factor:
+        its Koszul rule gives 1 (b (x) y_S) = (1 b) (x) y_S, the base's unit.
 
         A failing scan finishes its phase and raises for the least failing
         triple or pair, taken over the failures and their mirrors: by (b)
@@ -353,6 +357,7 @@ class DgRingModel:
         # nonzero products of non-unit factors
         product = self.product
         skew = []  # graded-commutativity failures, raised after the unit check
+        unit = []  # (j, b) whose stored unit entry is not b, raised after d o d = 0
         right = {}
         for (i, a, j, b), ab in product.items():
             if i < 0 or j < 0 or i + j > D:
@@ -380,19 +385,15 @@ class DgRingModel:
                     if row is None:
                         row = right[(i, a)] = {}
                     row[(j, b)] = ab
+            elif ab != ({b: 1} if i == 0 else {a: 1}):  # 1 b or b 1, with a = 0 in degree 0
+                unit.append((j, b) if i == 0 else (i, a))
         dcols = [self.d_columns(k) for k in range(D + 1)]
         if dcols[0][0]:
             raise ModelError("d(unit) is nonzero")
         self.check_d_squared()
-        # unit acts as identity (explicit entries may not override it)
-        mul_basis = self.mul_basis
-        for j in range(D + 1):
-            for b in range(dims[j]):
-                unit = {b: 1}
-                if mul_basis(0, 0, j, b) != unit or mul_basis(j, b, 0, 0) != unit:
-                    raise ModelError(
-                        f"unit does not act as identity on {self.basis[j][b]!r}"
-                    )
+        if unit:
+            j, b = min(unit)
+            raise ModelError(f"unit does not act as identity on {self.basis[j][b]!r}")
         self._raise_least("graded commutativity", skew)
 
         def right_products(i, u):

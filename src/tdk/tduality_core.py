@@ -24,7 +24,15 @@ of the pairing, d beta = -sum_i c_i . zhat_i.  The flux normal form
 and the expected leading parts of :func:`validate_triple` all rest on this
 identity.
 
-Each triple is built once, from the models its caller holds:
+Each record has two doors.  The public ones, ``Pair(bundle, flux)`` and
+``Triple(side, dual, w=None)``, check everything: a Pair tests its flux
+closed, and a Triple builds the doubled model of its two bundles itself.
+``Pair._proven`` and ``Triple._proven`` take data whose proof their caller
+holds and check nothing; each call names that proof.  Their callers are
+:func:`_canonical_triple` (this docstring's identity), :func:`h3_action`
+and :func:`gauge_action` (chain maps of the side and dual models), and the
+flip and GL actions of ``duality_group`` (isomorphisms of the bundle
+models).  Each triple is built once, from the models its caller holds:
 :func:`dualize` and the shear of ``duality_group`` through
 :func:`_canonical_triple`, and every other construction with the doubled
 model and w that it already has.
@@ -71,9 +79,20 @@ __all__ = [
 
 
 class Pair(FrozenRecord):
-    """A bundle model with a closed degree-3 flux cocycle on its total space."""
+    """A bundle model with a closed degree-3 flux cocycle on its total space.
+
+    ``Pair(bundle, flux)`` checks the degree, the length and that the flux
+    is closed.  :meth:`_proven` checks nothing (module docstring).
+    """
 
     _fields = ("bundle", "flux")
+
+    @classmethod
+    def _proven(cls, bundle, flux):
+        """The pair of a degree-3 flux of the right length that the caller proves closed."""
+        pair = cls.__new__(cls)
+        pair.__dict__.update(bundle=bundle, flux=flux)
+        return pair
 
     def __post_init__(self):
         if self.flux.degree != 3:
@@ -90,49 +109,46 @@ class Pair(FrozenRecord):
     def base(self):
         return self.bundle.base
 
-    def chern_classes(self):
-        return self.bundle.chern_classes()
-
 
 class Triple:
     """Two pairs over one base joined by a correspondence cochain.
 
     The doubled model carries fiber generators y_1..y_n (side) and
     yh_1..yh_n (dual side); ``w`` is a degree-2 cochain there.  Passing
-    ``w=None`` selects the standard correspondence sum_i y_i yh_i, and
-    ``doubled=None`` builds the doubled model of the two bundles.  A caller
-    that changes the data of a triple builds a new one with the models it
-    keeps.  A given ``doubled`` must be the doubled model of the two
-    bundles: over the side's base, split after the side's n circles, with
-    the side's chern cocycles followed by the dual's.
+    ``w=None`` selects the standard correspondence sum_i y_i yh_i.
+    ``Triple(side, dual, w)`` checks that the two sides share a base and a
+    fiber dimension and that w is an integer cochain of the right length,
+    and builds the doubled model of the two bundles.  :meth:`_proven` takes
+    the doubled model from its caller and checks nothing (module
+    docstring).  A caller that changes the data of a triple builds a new
+    one with the models it keeps.
     """
 
-    def __init__(self, side: Pair, dual: Pair, w=None, doubled: BundleModel | None = None):
+    def __init__(self, side: Pair, dual: Pair, w=None):
         if side.base is not dual.base:
             raise TripleMismatchError("the two sides live over different bases")
         if side.bundle.n != dual.bundle.n:
             raise TripleMismatchError("the two sides have different fiber dimensions")
-        self.side = side
-        self.dual = dual
-        self.n = side.bundle.n
-        self.base = side.base
-        if doubled is None:
-            doubled = BundleModel.doubled(side.bundle, dual.bundle)
-        elif (
-            doubled.base is not side.bundle.base
-            or doubled.split != self.n
-            or doubled.chern.cocycles != side.bundle.chern.cocycles + dual.bundle.chern.cocycles
-        ):
-            raise InputError("the doubled model is not that of the two bundles")
-        self.doubled = doubled
-        if w is None:
-            w = self.standard_w()
-        self.w = int_vector(w, "correspondence cochain")
-        if len(self.w) != doubled.dim(2):
+        self._fill(side, dual, w, BundleModel.doubled(side.bundle, dual.bundle))
+        self.w = int_vector(self.w, "correspondence cochain")
+        if len(self.w) != self.doubled.dim(2):
             raise InputError(
                 f"correspondence cochain has length {len(self.w)}, "
-                f"expected {doubled.dim(2)}"
+                f"expected {self.doubled.dim(2)}"
             )
+
+    @classmethod
+    def _proven(cls, side: Pair, dual: Pair, w, doubled: BundleModel):
+        """The triple of two pairs over one base with one fiber dimension, on
+        ``doubled``, their doubled model; w is None or a list of ints of its degree 2."""
+        t = cls.__new__(cls)
+        t._fill(side, dual, w, doubled)
+        return t
+
+    def _fill(self, side, dual, w, doubled):
+        self.side, self.dual, self.doubled = side, dual, doubled
+        self.n, self.base = side.bundle.n, side.base
+        self.w = self.standard_w() if w is None else w
 
     def standard_w(self):
         w = self.doubled.zero_vector(2)
@@ -171,8 +187,11 @@ class Triple:
 
 
 def is_dualizable(pair: Pair):
-    """Flux class lies in the second filtration step; certificate attached."""
-    report = pair.bundle.filtration_report(pair.flux)
+    """Flux class lies in the second filtration step; certificate attached.
+
+    The flux of a Pair is closed, so its report is not re-tested.
+    """
+    report = pair.bundle._filtration_report(pair.flux)
     return report.in_step(2), report
 
 
@@ -282,12 +301,14 @@ def _canonical_triple(m: BundleModel, zhat, beta) -> Triple:
     - w restricts to sum_i y_i yh_i on the fiber;
     - beta witnesses the quadratic relation.
 
-    The triple is valid by construction, so it is returned unvalidated.
+    The triple is valid by construction, so it is returned unvalidated, and
+    both pairs and the triple are built through the proven doors, with the
+    doubled model of ``m`` and the dual bundle.
     """
-    side = Pair(m, Cocycle(3, m.normal_form_vector(zhat, beta)))
+    side = Pair._proven(m, Cocycle(3, m.normal_form_vector(zhat, beta)))
     dual_bundle = build_bundle(m.base, zhat)
-    dual = Pair(dual_bundle, Cocycle(3, dual_bundle.normal_form_vector(m.chern, beta)))
-    return Triple(side, dual)
+    dual = Pair._proven(dual_bundle, Cocycle(3, dual_bundle.normal_form_vector(m.chern, beta)))
+    return Triple._proven(side, dual, None, BundleModel.doubled(m, dual_bundle))
 
 
 def dualize(pair: Pair) -> Triple:
@@ -325,13 +346,14 @@ def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern, beta)
     which is the same for either order of the two lists.  The expected normal
     form sum_i other_chern_i . y_i + beta is closed without a check: the
     chern cocycles of a bundle are checked closed when it is built, and beta
-    solves the pairing (module docstring).
+    solves the pairing (module docstring).  So the difference of the flux
+    of a Pair and that form is closed, and its report is not re-tested.
     """
     if beta is None:
         return False, "no closed cocycle has the required leading part"
     expected = bundle.normal_form_vector(other_chern, beta)
     diff = Cocycle(3, [x - y for x, y in zip(flux.vector, expected)])
-    report = bundle.filtration_report(diff)
+    report = bundle._filtration_report(diff)
     if report.in_step(3):
         return True, "leading part matches"
     return False, f"leading parts differ (difference sits in step {report.p})"
@@ -394,7 +416,12 @@ def _fiber_condition(t: Triple):
 
 
 def h3_action(t: Triple, alpha: Cocycle) -> Triple:
-    """Shift both fluxes by the pullback of a base degree-3 cocycle."""
+    """Shift both fluxes by the pullback of a base degree-3 cocycle.
+
+    alpha is checked closed, and pi* is a chain map, so each shifted flux
+    is closed and each Pair is built through the proven door; the triple
+    keeps t's bundles, so it keeps t's doubled model and w.
+    """
     base = t.base
     if alpha.degree != 3:
         raise InputError("the torsor acts by degree-3 base classes")
@@ -403,21 +430,19 @@ def h3_action(t: Triple, alpha: Cocycle) -> Triple:
         raise InputError("action class is not closed")
 
     def moved(pair):
-        shift = pair.bundle.pullback(3, vec)
-        return Pair(pair.bundle, Cocycle(3, [x + y for x, y in zip(pair.flux.vector, shift)]))
+        flux = [x + y for x, y in zip(pair.flux.vector, pair.bundle.pullback(3, vec))]
+        return Pair._proven(pair.bundle, Cocycle(3, flux))
 
-    return Triple(moved(t.side), moved(t.dual), t.w, t.doubled)
+    return Triple._proven(moved(t.side), moved(t.dual), t.w, t.doubled)
 
 
 def _require_same_bundles(t1: Triple, t2: Triple):
     if t1.base is not t2.base or t1.n != t2.n:
         raise TripleMismatchError("triples live over different bases")
-    for z1, z2 in zip(t1.side.bundle.chern, t2.side.bundle.chern):
-        if any(a != b for a, b in zip(z1, z2)):
-            raise TripleMismatchError("side bundles differ")
-    for z1, z2 in zip(t1.dual.bundle.chern, t2.dual.bundle.chern):
-        if any(a != b for a, b in zip(z1, z2)):
-            raise TripleMismatchError("dual bundles differ")
+    if t1.side.bundle.chern.cocycles != t2.side.bundle.chern.cocycles:
+        raise TripleMismatchError("side bundles differ")
+    if t1.dual.bundle.chern.cocycles != t2.dual.bundle.chern.cocycles:
+        raise TripleMismatchError("dual bundles differ")
 
 
 def torsor_difference(t1: Triple, t2: Triple) -> Cocycle:
@@ -518,14 +543,22 @@ def _gauge_classes(t: Triple, psis, psihats):
 
 
 def gauge_action(t: Triple, psis, psihats) -> Triple:
-    """Apply the bundle automorphisms given by psi, psihat in H^1(B, Z^n)."""
+    """Apply the bundle automorphisms given by psi, psihat in H^1(B, Z^n).
+
+    Each psi_i is checked closed, so y_i -> y_i + pi*(psi_i) extends to a
+    ring map of the model (:func:`_substitute_fiber`) that commutes with d,
+    as it does on generators: d(y_i + pi*(psi_i)) = c_i = d(y_i).
+    So each new flux is closed and each Pair is built through the proven
+    door; the triple keeps t's bundles, so it keeps t's doubled model.
+    """
     psis, psihats = _gauge_classes(t, psis, psihats)
 
     F, Fh, Dm = t.side.bundle, t.dual.bundle, t.doubled
     z_new = _substitute_fiber(F, F, t.side.flux.vector, 3, gauge_images(F, psis))
     zh_new = _substitute_fiber(Fh, Fh, t.dual.flux.vector, 3, gauge_images(Fh, psihats))
     w_new = _substitute_fiber(Dm, Dm, t.w, 2, gauge_images(Dm, psis + psihats))
-    return Triple(Pair(F, Cocycle(3, z_new)), Pair(Fh, Cocycle(3, zh_new)), w_new, Dm)
+    side, dual = Pair._proven(F, Cocycle(3, z_new)), Pair._proven(Fh, Cocycle(3, zh_new))
+    return Triple._proven(side, dual, w_new, Dm)
 
 
 def gauge_shift(t: Triple, psis, psihats) -> Cocycle:

@@ -170,12 +170,15 @@ class BundleModel(DgRingModel):
         """The correspondence space of two bundles over one base: fibers y_1.. then yh_1..
 
         Its chern list is the side's followed by the dual's, split after the
-        side's.  Both halves were certified at their build, so the
-        certificate checks only the cross terms (module docstring).
+        side's, joined without re-testing either.  Both halves were certified
+        at their build, so the certificate checks only the cross terms
+        (module docstring).
         """
         if dual.base is not side.base:
             raise InputError("the two bundles live over different bases")
-        chern = ChernVector(side.base, list(side.chern) + list(dual.chern))
+        chern = ChernVector.__new__(ChernVector)  # each list was checked when it was built
+        chern.base, chern.n = side.base, side.n + dual.n
+        chern.cocycles = side.chern.cocycles + dual.chern.cocycles
         return cls(side.base, chern, split=side.n)
 
     @property
@@ -555,12 +558,17 @@ class BundleModel(DgRingModel):
         built on its first read (:attr:`FiltrationReport.leading`), so a
         caller that reads only the step builds no E_infinity slot.  The
         report refers to this model and the model never to the report,
-        which is why nothing here is memoised.
+        which is why nothing here is memoised.  A caller that holds a proof
+        that z is closed calls :meth:`_filtration_report`, which skips the test.
         """
+        if not self.is_closed(z.degree, z.vector):
+            raise InputError("filtration_report needs a closed cochain")
+        return self._filtration_report(z)
+
+    def _filtration_report(self, z: Cocycle) -> "FiltrationReport":
+        """:meth:`filtration_report` of a cochain z that the caller proves closed."""
         k = z.degree
         vec = list(z.vector)
-        if not self.is_closed(k, vec):
-            raise InputError("filtration_report needs a closed cochain")
         if self.d_factor(k - 1).solve(vec) is not None:  # d_{-1} is the zero map into C^0
             return FiltrationReport(
                 degree=k, is_zero=True, p=None, representative=[0] * len(vec), model=self

@@ -199,15 +199,16 @@ def test_ss_builds_one_differential_per_slot_and_dualizable_none(tmp_path, monke
 def test_dualize_runs_one_filtration_report(tmp_path, monkeypatch, verb, name, expected_code):
     """``dualize`` and ``extensions`` need the filtration report of the flux
     only: a dualized triple is valid by construction and is not validated
-    (``tests/test_trusted_duality.py``)."""
+    (``tests/test_trusted_duality.py``).  Every report, checked or not, runs
+    ``_filtration_report``."""
     calls = []
-    report = BundleModel.filtration_report
+    report = BundleModel._filtration_report
 
     def counted(self, z):
         calls.append(1)
         return report(self, z)
 
-    monkeypatch.setattr(BundleModel, "filtration_report", counted)
+    monkeypatch.setattr(BundleModel, "_filtration_report", counted)
     code, _ = run([verb, "--pair", pair_file(tmp_path, name)])
     assert code == expected_code and len(calls) == 1
 
@@ -540,6 +541,13 @@ def test_malformed_integer_in_document_is_a_located_input_error(case, tmp_path):
     assert code == 2
     assert doc["location"] == location
     assert "ValueError" not in doc["error"]
+
+
+def test_onn_refuses_a_negative_n_by_name(tmp_path):
+    path = write(tmp_path, "negative.json", json.dumps({"n": "-1", "matrix": []}))
+    code, doc = run(["onn", "--check", path])
+    assert code == 2
+    assert doc == {"error": "n: expected a nonnegative integer, got -1", "location": "n"}
 
 
 # each builtin with one parameter that it does not take, beside those it does

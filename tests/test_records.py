@@ -178,5 +178,7 @@ def test_onn_element_keeps_its_checks():
         OnnElement(2, [{0: 1}, {1: 1}])
     with pytest.raises(InputError, match=r"^matrix does not preserve the split form$"):
         OnnElement(1, [{0: 1}, {1: 2}])
+    with pytest.raises(InputError, match=r"^n is -1, expected a nonnegative integer$"):
+        OnnElement(-1, [])
     flip = OnnElement(n=1, matrix=[{1: 1}, {0: 1}])
     assert flip == flip_element(1) and flip.matrix == [{1: 1}, {0: 1}]

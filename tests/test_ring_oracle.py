@@ -305,6 +305,25 @@ def test_leibniz_witness_reached_through_mirror():
     assert verdict(DgRingModel.validate, broken) == message
 
 
+# T^2's ring with entries that have a unit factor stored, and the certificate
+UNIT_ENTRIES = {
+    "identity stored": ({(0, 0, 0, 0): {0: 1}, (0, 0, 1, 1): {1: 1}, (2, 0, 0, 0): {0: 1}}, None),
+    "right unit wrong": ({(0, 0, 1, 1): {1: 1}, (1, 1, 0, 0): {0: 1}}, "'y'"),
+    "least of two": ({(0, 0, 2, 0): {0: 2}, (1, 1, 0, 0): {}}, "'y'"),
+    "unit squared": ({(0, 0, 0, 0): {0: -1}, (1, 0, 0, 0): {1: 1}}, "'1'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_ENTRIES))
+def test_stored_unit_entries_same_certificate(name):
+    entries, element = UNIT_ENTRIES[name]
+    product = {(1, 0, 1, 1): {0: 1}, (1, 1, 1, 0): {0: -1}, **entries}
+    M = DgRingModel([["1"], ["x", "y"], ["v"]], {}, product)
+    message = element and f"unit does not act as identity on {element}"
+    assert verdict(reference_validate, M) == message
+    assert verdict(DgRingModel.validate, M) == message
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(MODELS)), data=st.data())
 def test_mul_matches_reference(name, data):

@@ -392,6 +392,11 @@ CERTIFICATES = {
         lambda: DgRingModel([["1"], ["a"]], {}, {(0, 0, 1, 0): {0: 2}}),
         "unit does not act as identity on 'a'",
     ),
+    # the only wrong entry is b . 1; the stored 1 . b is right
+    "unit_right": (
+        lambda: DgRingModel([["1"], ["a"], ["b"]], {}, {(0, 0, 2, 0): {0: 1}, (2, 0, 0, 0): {}}),
+        "unit does not act as identity on 'b'",
+    ),
     "commutativity": (
         lambda: DgRingModel(
             [["1"], ["x", "y"], ["v"]], {},

@@ -12,7 +12,7 @@ from tdk.errors import DimensionError, InputError, NotDualizableError, TripleMis
 from matrices import scaled
 from tdk.duality_group import act_on_triple, generators
 from tdk.fixtures import PAIR_NAMES, named_pair
-from tdk.serialize import triple_from_doc, triple_to_doc
+from tdk.serialize import pair_from_doc, pair_to_doc, triple_from_doc, triple_to_doc
 from tdk.space_model import Cocycle, builtin_space
 from tdk.tduality_core import (
     Pair,
@@ -27,7 +27,7 @@ from tdk.tduality_core import (
     torsor_difference,
     validate_triple,
 )
-from tdk.torus_bundle import BundleModel, ChernVector, build_bundle
+from tdk.torus_bundle import BundleModel, build_bundle
 
 S2 = builtin_space("sphere", {"k": 2})
 S3 = builtin_space("sphere", {"k": 3})
@@ -161,7 +161,7 @@ def test_point_triple_n1():
 
 def test_tampered_w_fails_validation():
     t = dualize(hopf_pair(1, 2))
-    bad = Triple(t.side, t.dual, scaled(2, t.w), doubled=t.doubled)
+    bad = Triple(t.side, t.dual, scaled(2, t.w))
     report = validate_triple(bad)
     assert not report.ok
     assert not report.items["fiber_condition"][0]
@@ -173,7 +173,7 @@ def test_fiber_condition_holds_modulo_either_factor():
     for S, holds in [((0, 1), True), ((2, 3), True), ((0, 3), False)]:
         w = t.w.copy()
         w[t.doubled.index[2][(0, 0, S)]] += 1  # y1y2, yh1yh2, y1yh2
-        tampered = Triple(t.side, t.dual, w, doubled=t.doubled)
+        tampered = Triple(t.side, t.dual, w)
         assert validate_triple(tampered).items["fiber_condition"][0] is holds
 
 
@@ -191,27 +191,47 @@ def test_validation_catches_wrong_dual_side():
     assert not report.ok
 
 
-def test_a_triple_refuses_a_doubled_model_of_other_bundles():
-    t = dualize(hopf_pair(1, 2))
-    other = builtin_space("sphere", {"k": 2})
-    foreign = BundleModel.doubled(build_bundle(other, [[5]]), build_bundle(other, [[7]]))
-    same_base = BundleModel.doubled(build_bundle(S2, [[5]]), build_bundle(S2, [[7]]))
-    swapped = BundleModel.doubled(t.dual.bundle, t.side.bundle)
-    for doubled in (foreign, same_base, swapped):
-        with pytest.raises(InputError, match="doubled model is not that of the two bundles"):
-            Triple(t.side, t.dual, t.w, doubled)
-    unsplit = BundleModel(S2, ChernVector(S2, list(t.side.bundle.chern) + list(t.dual.bundle.chern)))
-    with pytest.raises(InputError, match="doubled model is not that of the two bundles"):
-        Triple(t.side, t.dual, t.w, unsplit)
-    assert validate_triple(Triple(t.side, t.dual, t.w, t.doubled)).ok
+DUALIZABLE = [n for n in PAIR_NAMES if is_dualizable(named_pair(n))[0]]
 
 
-@pytest.mark.parametrize("name", [n for n in PAIR_NAMES if is_dualizable(named_pair(n))[0]])
+@pytest.mark.parametrize("name", DUALIZABLE)
 def test_every_route_to_a_triple_still_builds(name):
     t = dualize(named_pair(name))
     assert validate_triple(triple_from_doc(triple_to_doc(t))).ok
     for g in generators(t.n):
         assert validate_triple(act_on_triple(g, t)).ok
+
+
+def _count_closedness_tests(monkeypatch):
+    """The degrees of the ``BundleModel.is_closed`` calls made from now on."""
+    calls, is_closed = [], BundleModel.is_closed
+
+    def counted(self, k, vec):
+        calls.append(k)
+        return is_closed(self, k, vec)
+
+    monkeypatch.setattr(BundleModel, "is_closed", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", DUALIZABLE)
+def test_dualize_tests_no_closedness_and_builds_no_dual_d3(monkeypatch, name):
+    pair = named_pair(name)
+    calls = _count_closedness_tests(monkeypatch)
+    t = dualize(pair)
+    assert calls == []
+    assert 3 not in t.dual.bundle._dcols
+
+
+@pytest.mark.parametrize("name", DUALIZABLE)
+def test_documents_test_each_flux_once(monkeypatch, name):
+    pair = named_pair(name)
+    pair_doc, triple_doc = pair_to_doc(pair), triple_to_doc(dualize(pair))
+    calls = _count_closedness_tests(monkeypatch)
+    pair_from_doc(pair_doc)
+    assert calls == [3]
+    triple_from_doc(triple_doc)
+    assert calls == [3, 3, 3]
 
 
 # ---------------------------------------------------------------------------

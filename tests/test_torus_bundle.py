@@ -89,6 +89,7 @@ def test_each_construction_has_one_route():
     from tdk.tduality_core import Triple, dualize
 
     assert list(inspect.signature(dualize).parameters) == ["pair"]
+    assert list(inspect.signature(Triple).parameters) == ["side", "dual", "w"]
     assert list(inspect.signature(build_bundle).parameters) == ["base", "chern", "check"]
     defaults = inspect.signature(BundleModel.__init__).parameters.values()
     assert [p.name for p in defaults if p.default is not p.empty] == ["split"]
@@ -317,9 +318,10 @@ def test_filtration_of_zero_class():
 
 
 def test_filtration_report_rejects_nonclosed():
+    # the check, not a later step, refuses: callers that prove closedness skip it
     m = nilmanifold(1)
     y = m.element_vector(0, 0, (0,))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^filtration_report needs a closed cochain$"):
         m.filtration_report(Cocycle(1, y))
 
 

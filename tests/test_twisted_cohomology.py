@@ -224,7 +224,7 @@ def test_t3_to_nilmanifold_iso():
 def test_corrupted_w_reported_with_reason():
     m = s3_bundle()
     t = dualize(Pair(m, Cocycle(3, m.element_vector(2, 0, (0,)))))
-    bad = Triple(t.side, t.dual, scaled(2, t.w), doubled=t.doubled)
+    bad = Triple(t.side, t.dual, scaled(2, t.w))
     with pytest.raises(InputError):
         t_transform(bad)
 
@@ -582,7 +582,7 @@ def test_t_transform_over_cp2_with_w_plus_base_class(c, dims):
     m = build_bundle(CP2, [[c]])
     t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
     w = [x + y for x, y in zip(t.w, t.doubled.element_vector(2, 0, ()))]
-    t = Triple(t.side, t.dual, w, t.doubled)
+    t = Triple(t.side, t.dual, w)
     assert validate_triple(t).ok
     tm = assert_matches_reference(t)
     ref = reference_t_blocks(t, tm.source, tm.target)
