@@ -9,6 +9,11 @@ reads the total models of three fixture bundles as untrusted ``dgring``
 documents, intact and with one axiom broken per document, so every
 first-failure certificate of model validation is pinned too, and the
 cohomology of two triangulated grids, a Klein bottle (H^2 = Z/2) and a torus.
+The ``t3_vol`` pair is read once more with its T^2 base as a ``dgring``
+document, not a builtin, through ``dualize``, ``check-triple`` and ``tmap``;
+``tmap`` on that triple with w zeroed pins the refusal that names the failed
+triple conditions.  The exit codes of these cases are listed in a manifest of
+their own, ``exit_codes_parsed_base.json``.
 Any change to an exact answer, a normal-form coordinate or the rendering
 shows up here as a byte difference.
 
@@ -37,13 +42,14 @@ from tdk.cli import run
 from tdk.fixtures import PAIR_NAMES, PROJECTIVE_PLANE_6, named_pair, simplicial_doc
 from tdk.serialize import dumps, pair_to_doc, space_to_doc
 from tdk.space_model import (
-    Cocycle, SimplicialComplex, builtin_space, cohomology_ring, parse_space, product_model,
+    Cocycle, DgRingModel, SimplicialComplex, builtin_space, cohomology_ring, parse_space, product_model,
 )
 from tdk.tduality_core import Pair
 from tdk.torus_bundle import build_bundle
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CODES = os.path.join(GOLDEN, "exit_codes.json")
+PARSED_CODES = os.path.join(GOLDEN, "exit_codes_parsed_base.json")
 RING_MODELS = os.path.join(GOLDEN, "ring_models.json")
 SIMPLICIAL = ("boundary-tetrahedron", "torus-7", "projective-plane-6")
 SS_PAGES = (2, 3)
@@ -223,13 +229,42 @@ def cases(directory):
         yield f"cohomology__{name}_total_{kind}", ["cohomology", "--base", path]
 
 
+def dgring_doc(model):
+    """A ring model as a ``dgring`` document, also when it is a builtin."""
+    plain = DgRingModel(model.basis, {k: model.d_columns(k) for k in range(model.D)},
+                        model.product)
+    return space_to_doc(plain)
+
+
+def parsed_base_cases(directory):
+    """Yield (case name, argv) for the ``t3_vol`` pair on its base read as a ``dgring`` document."""
+    pair = named_pair("t3_vol")
+    doc = pair_to_doc(pair)
+    doc["base"] = dgring_doc(pair.base)
+    pair_path = _write(directory, "t3_vol.dgring_base.pair.json", doc)
+    _, triple = run(["dualize", "--pair", pair_path])
+    triple_path = _write(directory, "t3_vol.dgring_base.triple.json", triple)
+    yield "dualize__t3_vol_dgring_base", ["dualize", "--pair", pair_path]
+    yield "check-triple__t3_vol_dgring_base", ["check-triple", "--triple", triple_path]
+    yield "tmap__t3_vol_dgring_base", ["tmap", "--triple", triple_path]
+    triple["w"] = ["0"] * len(triple["w"])
+    zero_w_path = _write(directory, "t3_vol.dgring_base.zero_w.triple.json", triple)
+    yield "tmap__t3_vol_dgring_base_zero_w", ["tmap", "--triple", zero_w_path]
+
+
+# each manifest of exit codes and the cases it lists
+MANIFESTS = ((CODES, cases), (PARSED_CODES, parsed_base_cases))
+
+
 def outputs():
-    """{case name: (exit code, stdout text)} for the whole corpus."""
+    """{manifest: {case name: (exit code, stdout text)}} for the whole corpus."""
     out = {}
     with tempfile.TemporaryDirectory() as directory:
-        for case, argv in cases(directory):
-            code, doc = run(argv)
-            out[case] = (code, dumps(doc) + "\n")
+        for manifest, generate in MANIFESTS:
+            results = out[manifest] = {}
+            for case, argv in generate(directory):
+                code, doc = run(argv)
+                results[case] = (code, dumps(doc) + "\n")
     return out
 
 
@@ -239,25 +274,29 @@ def current():
 
 
 def test_golden_case_list_matches(current):
-    with open(CODES, encoding="utf-8") as handle:
-        expected = json.load(handle)
-    assert sorted(current) == sorted(expected)
-    assert {case: code for case, (code, _) in current.items()} == expected
+    for manifest, results in current.items():
+        with open(manifest, encoding="utf-8") as handle:
+            expected = json.load(handle)
+        assert sorted(results) == sorted(expected)
+        assert {case: code for case, (code, _) in results.items()} == expected
 
 
 def _golden_names():
     # a missing manifest fails test_golden_case_list_matches
-    if not os.path.exists(CODES):
-        return []
-    with open(CODES, encoding="utf-8") as handle:
-        return sorted(json.load(handle))
+    names = []
+    for manifest, _ in MANIFESTS:
+        if os.path.exists(manifest):
+            with open(manifest, encoding="utf-8") as handle:
+                names += json.load(handle)
+    return sorted(names)
 
 
 @pytest.mark.parametrize("case", _golden_names())
 def test_golden_output_byte_identical(current, case):
     with open(os.path.join(GOLDEN, f"{case}.json"), "rb") as handle:
         expected = handle.read()
-    assert current[case][1].encode("utf-8") == expected
+    text = next(results[case][1] for results in current.values() if case in results)
+    assert text.encode("utf-8") == expected
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +380,17 @@ def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
     with open(RING_MODELS, "w", encoding="utf-8") as handle:
         handle.write(ring_records_text())
-    results = outputs()
-    for case, (_, text) in results.items():
-        with open(os.path.join(GOLDEN, f"{case}.json"), "wb") as handle:
-            handle.write(text.encode("utf-8"))
-    with open(CODES, "w", encoding="utf-8") as handle:
-        json.dump({case: code for case, (code, _) in results.items()}, handle,
-                  sort_keys=True, indent=1)
-        handle.write("\n")
-    return len(results)
+    count = 0
+    for manifest, results in outputs().items():
+        for case, (_, text) in results.items():
+            with open(os.path.join(GOLDEN, f"{case}.json"), "wb") as handle:
+                handle.write(text.encode("utf-8"))
+        with open(manifest, "w", encoding="utf-8") as handle:
+            json.dump({case: code for case, (code, _) in results.items()}, handle,
+                      sort_keys=True, indent=1)
+            handle.write("\n")
+        count += len(results)
+    return count
 
 
 if __name__ == "__main__":
