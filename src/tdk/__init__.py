@@ -20,7 +20,7 @@ _MODULES = {
         subquotient""",
     "space_model": """Cocycle DgRingModel SimplicialComplex builtin_space cohomology_ring
         parse_space product_model""",
-    "torus_bundle": "BundleModel ChernVector FiltrationReport SSPage build_bundle",
+    "torus_bundle": "BundleModel FiltrationReport SSPage build_bundle",
     "tduality_core": """ExtensionReport Pair Triple TripleReport dualize extension_report
         extract_dual_chern gauge_action gauge_shift h3_action is_dualizable
         torsor_difference validate_triple""",

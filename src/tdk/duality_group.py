@@ -4,10 +4,15 @@ Elements are 2n x 2n integer matrices, given by their sparse columns like
 every matrix of ``tdk``, preserving the split quadratic form
 q(a_1..a_n, b_1..b_n) = sum_i a_i b_i on Z^{2n}.  Membership is decided by
 the exact matrix criterion (bilinear part plus diagonal), never by attempted
-factorization.  The action on triples is implemented for the generator
-families: the flip exchanging both sides, antisymmetric shears moving the
+factorization.  The action on triples is implemented for three kinds of
+element: the flip exchanging both sides, antisymmetric shears moving the
 dual chern data by B.c, and GL(n,Z) blocks substituting fiber coordinates.
-General words act by composing generator actions.
+A word in these acts by composing their actions.  Every other element is
+refused with ``UnsupportedElementError``, and so are the n factor flips
+that :func:`generators` lists for n >= 2, each of which exchanges e_i and
+ehat_i only: the family generates the group, but not every member of it
+acts, so a word that needs a factor flip does not act on triples.  For
+n = 1 the one factor flip is the flip, and it acts.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .tduality_core import (
     _substitute_fiber,
     _torsor_class,
 )
-from .torus_bundle import BundleModel, build_bundle
+from .torus_bundle import BundleModel, _read_chern
 
 __all__ = [
     "OnnElement",
@@ -137,10 +142,18 @@ def factor_flip_element(n, i) -> OnnElement:
     return OnnElement(n, g)
 
 
+def _block(n, columns, what):
+    """The columns of an n x n block, without stored zeros; an InputError names the block."""
+    columns = [{r: x for r, x in col.items() if x} for col in columns]
+    if len(columns) != n or any(not 0 <= r < n for col in columns for r in col):
+        raise InputError(f"{what} must be {n} x {n}")
+    return columns
+
+
 def shear_element(n, B) -> OnnElement:
     """[[I, 0], [B, I]] for antisymmetric B (columns); sends (c, chat) to (c, chat + B c)."""
-    B = [{r: x for r, x in col.items() if x} for col in B]
-    if len(B) != n or transpose(B, n) != [{r: -x for r, x in col.items()} for col in B]:
+    B = _block(n, B, "shear block")
+    if transpose(B, n) != [{r: -x for r, x in col.items()} for col in B]:
         raise InputError("shear block must be antisymmetric")
     return OnnElement(n, [{j: 1, **{n + r: x for r, x in col.items()}} for j, col in enumerate(B)]
                       + identity(2 * n)[n:])
@@ -148,12 +161,19 @@ def shear_element(n, B) -> OnnElement:
 
 def gl_element(n, G) -> OnnElement:
     """diag(G, G^{-T}) for G in GL(n,Z), given as columns."""
+    G = _block(n, G, "GL block")
     Ginv_T = transpose(unimodular_inverse(G), n)
-    return OnnElement(n, list(G) + [{n + r: x for r, x in col.items()} for col in Ginv_T])
+    return OnnElement(n, G + [{n + r: x for r, x in col.items()} for col in Ginv_T])
 
 
 def generators(n) -> list:
-    """Standard generating family: flips, antisymmetric shears, GL(n,Z) blocks."""
+    """Standard generating family: the flip, the n factor flips, antisymmetric
+    shears and GL(n,Z) blocks.
+
+    For n >= 2 :func:`act_on_triple` refuses the factor flips, as it acts
+    only by the flip, shears and GL blocks (module docstring); for n = 1 the
+    factor flip is the flip.
+    """
     if n < 1:
         raise InputError("n must be at least 1")
     gens = [flip_element(n)]
@@ -192,10 +212,11 @@ def _combine(rows, vectors, length):
 def act_on_chern(g: OnnElement, base, c, chat):
     """Apply g to stacked chern data; the degree-4 pairing is preserved.
 
-    c and chat are length-n lists of degree-2 cocycle vectors on ``base``;
-    a vector of another length, or one that is not closed, is an
-    InputError, as it is for ``ChernVector``.  The pairing is kept as a
-    cochain, not only in H^4, so nothing is solved.
+    c and chat are length-n lists of degree-2 cocycle vectors on ``base``,
+    each read as the chern cocycles of a bundle are: a vector of another
+    length, or one that is not closed, is an InputError that names it
+    ``c`` or ``chat`` (``torus_bundle._read_chern``).  The pairing is kept
+    as a cochain, not only in H^4, so nothing is solved.
     With v = c + chat and v' = g v, sum_i c'_i . chat'_i is
     sum_{j,k} M_jk v_j . v_k, where M = g^T A g is the matrix of ``is_onn``.
     ``is_onn`` proves M_jj = 0 and M_jk + M_kj = [|j - k| = n], and degree-2
@@ -203,18 +224,10 @@ def act_on_chern(g: OnnElement, base, c, chat):
     So the sum is sum_{j < k} (M_jk + M_kj) v_j . v_k = sum_i c_i . chat_i.
     """
     n = g.n
-    c = [int_vector(v, "c") for v in c]
-    chat = [int_vector(v, "chat") for v in chat]
+    c, chat = _read_chern(base, c, "c"), _read_chern(base, chat, "chat")
     if len(c) != n or len(chat) != n:
         raise InputError(f"need {n} chern cocycles on each side")
-    length = base.dim(2)
-    for name, side in (("c", c), ("chat", chat)):
-        for i, v in enumerate(side):
-            if len(v) != length:
-                raise InputError(f"{name} cocycle {i} has length {len(v)}, expected {length}")
-            if not base.is_closed(2, v):
-                raise InputError(f"{name} cocycle {i} is not closed")
-    out = _combine(transpose(g.matrix, 2 * n), c + chat, length)
+    out = _combine(transpose(g.matrix, 2 * n), c + chat, base.dim(2))
     return out[:n], out[n:]
 
 
@@ -252,7 +265,9 @@ def act_on_triple(g: OnnElement, t: Triple) -> Triple:
 
     Supported: the flip (sides exchanged, w transposed), antisymmetric shears
     (dual chern moved by B.c), and GL(n,Z) blocks (fiber substitution).  Any
-    other element raises; compose generator actions instead.
+    other element raises ``UnsupportedElementError``, among them the factor
+    flips that :func:`generators` lists for n >= 2 (module docstring);
+    compose the actions of supported elements instead.
     """
     if g.n != t.n:
         raise InputError("group element size does not match the fiber dimension")
@@ -298,7 +313,7 @@ def _act_shear(t: Triple, B) -> Triple:
     """
     m = t.side.bundle
     beta = _flux_base_part(t)
-    zhat = list(t.dual.bundle.chern)
+    zhat = t.dual.bundle.chern
     t0_fluxes = m.normal_form_vector(zhat, beta), t.dual.bundle.normal_form_vector(m.chern, beta)
     delta = _torsor_class(t, *t0_fluxes, t.standard_w())
     shift = _combine(transpose(B, t.n), m.chern, t.base.dim(2))
@@ -311,10 +326,12 @@ def _act_gl(t: Triple, G) -> Triple:
 
     The new chern cocycles are c' = G c and chat' = G^{-T} chat, so
     d(sum_k (G^{-1})_ik y'_k) = sum_k (G^{-1})_ik c'_k = c_i = d(y_i), and
-    likewise d(sum_k G_ki yh'_k) = chat_i.  Each substitution is then a ring
-    map that commutes with d (see ``gauge_action``): it sends the closed
-    fluxes of t to closed fluxes, so both pairs and the triple, on the
-    doubled model of the two new bundles, are built through the proven doors.
+    likewise d(sum_k G_ki yh'_k) = chat_i.  c' and chat' are integer
+    combinations of the closed chern cocycles of t's bundles, so they are
+    closed.  Each substitution is then a ring map that commutes with d (see
+    ``gauge_action``): it sends the closed fluxes of t to closed fluxes, so
+    both bundles, both pairs and the triple, on the doubled model of the two
+    new bundles, are built through the proven doors.
     """
     base = t.base
     n = t.n
@@ -324,8 +341,8 @@ def _act_gl(t: Triple, G) -> Triple:
     chern_new = _combine(G_rows, t.side.bundle.chern, base.dim(2))
     chern_hat_new = _combine(Ginv, t.dual.bundle.chern, base.dim(2))
 
-    side_new = build_bundle(base, chern_new)
-    dual_new = build_bundle(base, chern_hat_new)
+    side_new = BundleModel._proven(base, chern_new)
+    dual_new = BundleModel._proven(base, chern_hat_new)
     doubled = BundleModel.doubled(side_new, dual_new)
 
     # old fiber generators in the new coordinates: y = G^{-1} y', yh = G^T yh'

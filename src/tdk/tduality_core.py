@@ -24,15 +24,19 @@ of the pairing, d beta = -sum_i c_i . zhat_i.  The flux normal form
 and the expected leading parts of :func:`validate_triple` all rest on this
 identity.
 
-Each record has two doors.  The public ones, ``Pair(bundle, flux)`` and
-``Triple(side, dual, w=None)``, check everything: a Pair tests its flux
-closed, and a Triple builds the doubled model of its two bundles itself.
-``Pair._proven`` and ``Triple._proven`` take data whose proof their caller
-holds and check nothing; each call names that proof.  Their callers are
-:func:`_canonical_triple` (this docstring's identity), :func:`h3_action`
-and :func:`gauge_action` (chain maps of the side and dual models), and the
+Each record has two doors, and so does each bundle.  The public ones,
+``BundleModel(base, chern)`` (or ``build_bundle``), ``Pair(bundle, flux)``
+and ``Triple(side, dual, w=None)``, check everything: a bundle tests its
+chern cocycles closed, a Pair its flux, and a Triple builds the doubled
+model of its two bundles itself.  ``BundleModel._proven``, ``Pair._proven``
+and ``Triple._proven`` take data whose proof their caller holds and test
+no closedness; each call names that proof.  Their callers are
+:func:`_canonical_triple` (this docstring's identity: the dual chern
+cocycles zhat_i of a closed normal form are closed), :func:`h3_action` and
+:func:`gauge_action` (chain maps of the side and dual models), and the
 flip and GL actions of ``duality_group`` (isomorphisms of the bundle
-models).  Each triple is built once, from the models its caller holds:
+models, whose new chern cocycles are integer combinations of closed
+ones).  Each triple is built once, from the models its caller holds:
 :func:`dualize` and the shear of ``duality_group`` through
 :func:`_canonical_triple`, and every other construction with the doubled
 model and w that it already has.
@@ -59,7 +63,7 @@ from .exact_linalg import (
     subquotient,
 )
 from .space_model import Cocycle, _terms
-from .torus_bundle import BundleModel, FiltrationReport, build_bundle
+from .torus_bundle import BundleModel, FiltrationReport
 
 __all__ = [
     "Pair",
@@ -262,7 +266,7 @@ def _dual_chern(pair: Pair, report: FiltrationReport):
     classes = [H2.reduce(z) for z in zhat]
     ambiguity = []
     n = pair.bundle.n
-    cherns = list(pair.bundle.chern)
+    cherns = pair.bundle.chern
     for i in range(n):
         for j in range(i + 1, n):
             shift = [base.zero_vector(2) for _ in range(n)]
@@ -301,12 +305,13 @@ def _canonical_triple(m: BundleModel, zhat, beta) -> Triple:
     - w restricts to sum_i y_i yh_i on the fiber;
     - beta witnesses the quadratic relation.
 
-    The triple is valid by construction, so it is returned unvalidated, and
-    both pairs and the triple are built through the proven doors, with the
-    doubled model of ``m`` and the dual bundle.
+    The triple is valid by construction, so it is returned unvalidated.
+    The dual bundle, whose chern cocycles zhat are closed by the
+    precondition, both pairs and the triple are built through the proven
+    doors, with the doubled model of ``m`` and the dual bundle.
     """
     side = Pair._proven(m, Cocycle(3, m.normal_form_vector(zhat, beta)))
-    dual_bundle = build_bundle(m.base, zhat)
+    dual_bundle = BundleModel._proven(m.base, zhat)
     dual = Pair._proven(dual_bundle, Cocycle(3, dual_bundle.normal_form_vector(m.chern, beta)))
     return Triple._proven(side, dual, None, BundleModel.doubled(m, dual_bundle))
 
@@ -345,9 +350,10 @@ def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern, beta)
     ``beta`` is ``_pairing_primitive(bundle.base, bundle.chern, other_chern)``,
     which is the same for either order of the two lists.  The expected normal
     form sum_i other_chern_i . y_i + beta is closed without a check: the
-    chern cocycles of a bundle are checked closed when it is built, and beta
-    solves the pairing (module docstring).  So the difference of the flux
-    of a Pair and that form is closed, and its report is not re-tested.
+    chern cocycles of a bundle are tested or proven closed when it is built
+    (either door of ``BundleModel``), and beta solves the pairing (module
+    docstring).  So the difference of the flux of a Pair and that form is
+    closed, and its report is not re-tested.
     """
     if beta is None:
         return False, "no closed cocycle has the required leading part"
@@ -368,7 +374,7 @@ def validate_triple(t: Triple) -> TripleReport:
     pairing, as sum_i chat_i . c_i is sum_i c_i . chat_i (module docstring).
     """
     items = {}
-    side_chern, dual_chern = list(t.side.bundle.chern), list(t.dual.bundle.chern)
+    side_chern, dual_chern = t.side.bundle.chern, t.dual.bundle.chern
     side_beta = _pairing_primitive(t.base, side_chern, dual_chern)
     items["side_flux_closed"] = (True, "d z = 0")
     items["dual_flux_closed"] = (True, "d zhat = 0")
@@ -439,9 +445,9 @@ def h3_action(t: Triple, alpha: Cocycle) -> Triple:
 def _require_same_bundles(t1: Triple, t2: Triple):
     if t1.base is not t2.base or t1.n != t2.n:
         raise TripleMismatchError("triples live over different bases")
-    if t1.side.bundle.chern.cocycles != t2.side.bundle.chern.cocycles:
+    if t1.side.bundle.chern != t2.side.bundle.chern:
         raise TripleMismatchError("side bundles differ")
-    if t1.dual.bundle.chern.cocycles != t2.dual.bundle.chern.cocycles:
+    if t1.dual.bundle.chern != t2.dual.bundle.chern:
         raise TripleMismatchError("dual bundles differ")
 
 

@@ -42,11 +42,13 @@ the base alone and raises the scan's ModelError for that x, with no d_k of
 the total model built.
 
 The doubled model has the chern list L + Lhat of two bundles over one base
-that were each certified at build; its ``split`` is the length of L.  The
-terms whose indices lie inside L or inside Lhat are the terms of those two
-builds, so they are skipped, which leaves (C) for i in L and j in Lhat: the
-n^2 cross terms (b.z_i).zhat_j = (b.zhat_j).z_i.  They land in base degree
-p + 4, so only bases of degree 4 or more have any.
+that were each certified at build.  Both lists are closed, so it is built
+through :meth:`BundleModel._proven`, which tests no closedness; its
+``split`` is the length of L.  The terms whose indices lie inside L or
+inside Lhat are the terms of those two builds, so they are skipped, which
+leaves (C) for i in L and j in Lhat: the n^2 cross terms
+(b.z_i).zhat_j = (b.zhat_j).z_i.  They land in base degree p + 4, so only
+bases of degree 4 or more have any.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from .exact_linalg import (
 from .space_model import Cocycle, DgRingModel, memoised, shuffle_sign
 
 __all__ = [
-    "ChernVector",
     "BundleModel",
     "SSPage",
     "FiltrationReport",
@@ -80,35 +81,29 @@ __all__ = [
 ]
 
 
-class ChernVector:
-    """The n degree-2 cocycles on the base that classify the bundle."""
+def _read_chern(base: DgRingModel, cocycles, name="chern"):
+    """The n degree-2 cocycles on ``base`` that classify a bundle, as lists of ints.
 
-    def __init__(self, base: DgRingModel, cocycles):
-        self.base = base
-        self.cocycles = []
-        for i, z in enumerate(cocycles):
-            if isinstance(z, Cocycle):
-                if z.degree != 2:
-                    raise InputError(f"chern cocycle {i} has degree {z.degree}, expected 2")
-                z = z.vector
-            vec = int_vector(z, f"chern cocycle {i}")
-            if len(vec) != base.dim(2):
-                raise InputError(
-                    f"chern cocycle {i} has length {len(vec)}, "
-                    f"expected {base.dim(2)}"
-                )
-            if not base.is_closed(2, vec):
-                raise InputError(f"chern cocycle {i} is not closed")
-            self.cocycles.append(vec)
-        self.n = len(self.cocycles)
-        if self.n < 1:
-            raise InputError("a torus bundle needs at least one fiber circle")
-
-    def __iter__(self):
-        return iter(self.cocycles)
-
-    def __getitem__(self, i):
-        return self.cocycles[i]
+    Each is a :class:`Cocycle` of degree 2 or a sequence of integers of the
+    length of C^2(base), and each is tested closed; at least one is needed.
+    ``name`` starts the message that names a cocycle: ``chern cocycle 1 is
+    not closed``.
+    """
+    out = []
+    for i, z in enumerate(cocycles):
+        if isinstance(z, Cocycle):
+            if z.degree != 2:
+                raise InputError(f"{name} cocycle {i} has degree {z.degree}, expected 2")
+            z = z.vector
+        vec = int_vector(z, f"{name} cocycle {i}")
+        if len(vec) != base.dim(2):
+            raise InputError(f"{name} cocycle {i} has length {len(vec)}, expected {base.dim(2)}")
+        if not base.is_closed(2, vec):
+            raise InputError(f"{name} cocycle {i} is not closed")
+        out.append(vec)
+    if not out:
+        raise InputError("a torus bundle needs at least one fiber circle")
+    return out
 
 
 class BundleModel(DgRingModel):
@@ -124,21 +119,41 @@ class BundleModel(DgRingModel):
     ``product`` tabulates all pairs on each read (serialization, the full
     :meth:`DgRingModel.validate`) and stores them nowhere.  The ring is
     graded-commutative by construction once the base is valid; its Leibniz
-    rule rests on the chern cocycles, which :class:`ChernVector` checks are
-    closed.  The one check at build time is the d o d = 0 certificate of
-    :meth:`_certify`, on base data only, which also catches a base that
-    breaks Leibniz against a chern cocycle.  The fiber circles are labelled
-    y1..yn.  Only :meth:`doubled` passes ``split``, the number of side
-    circles: the circles from there on are labelled yh1.., and the
-    certificate skips the terms of the two halves (module docstring).
+    rule rests on the chern cocycles being closed.  ``chern`` is the list of
+    them, each a list of ints.
+
+    The model has two doors.  ``BundleModel(base, chern)`` reads the chern
+    cocycles through :func:`_read_chern`, which checks each one and tests it
+    closed.  :meth:`_proven` takes lists of ints that its caller proves
+    closed and tests no closedness; its callers are :meth:`doubled`,
+    ``_canonical_triple`` of ``tduality_core`` and ``_act_gl`` of
+    ``duality_group``, and each names its proof.  Both doors run the
+    d o d = 0 certificate of :meth:`_certify`, on base data only, which also
+    catches a base that was never validated and breaks Leibniz against a
+    chern cocycle.  The fiber circles are labelled y1..yn.  Only
+    :meth:`doubled` passes ``split``, the number of side circles: the
+    circles from there on are labelled yh1.., and the certificate skips the
+    terms of the two halves (module docstring).
     """
 
-    def __init__(self, base: DgRingModel, chern: ChernVector, split=None):
-        if chern.base is not base:
-            raise InputError("chern cocycles live in a different base model")
+    def __init__(self, base: DgRingModel, chern):
+        self._build(base, _read_chern(base, chern), None)
+
+    @classmethod
+    def _proven(cls, base: DgRingModel, chern, split=None) -> "BundleModel":
+        """The bundle of chern cocycles, lists of ints on ``base``, that the caller proves closed.
+
+        No closedness is tested.  The d o d = 0 certificate still runs, as
+        it guards a base that was never validated.
+        """
+        m = cls.__new__(cls)
+        m._build(base, chern, split)
+        return m
+
+    def _build(self, base, chern, split):
         self.base = base
         self.chern = chern
-        self.n = chern.n
+        self.n = len(chern)
         self.split = split
         side = self.n if split is None else split
         self.labels = [f"y{i + 1}" for i in range(side)] + [
@@ -170,16 +185,14 @@ class BundleModel(DgRingModel):
         """The correspondence space of two bundles over one base: fibers y_1.. then yh_1..
 
         Its chern list is the side's followed by the dual's, split after the
-        side's, joined without re-testing either.  Both halves were certified
-        at their build, so the certificate checks only the cross terms
-        (module docstring).
+        side's.  Each list is closed, as each bundle came through one of the
+        two doors, so the model is built through the proven one.  Both halves
+        were certified at their build, so the certificate checks only the
+        cross terms (module docstring).
         """
         if dual.base is not side.base:
             raise InputError("the two bundles live over different bases")
-        chern = ChernVector.__new__(ChernVector)  # each list was checked when it was built
-        chern.base, chern.n = side.base, side.n + dual.n
-        chern.cocycles = side.chern.cocycles + dual.chern.cocycles
-        return cls(side.base, chern, split=side.n)
+        return cls._proven(side.base, side.chern + dual.chern, split=side.n)
 
     @property
     def total(self):
@@ -643,13 +656,11 @@ class FiltrationReport(Record):
 def build_bundle(base: DgRingModel, chern, check=None) -> BundleModel:
     """Total-space model from a base model and chern cocycles, fibers labelled y1..yn.
 
-    The chern cocycles are checked closed and the total differential is
-    certified to square to zero by :meth:`BundleModel._certify`, on base data
-    alone, so no d_k of the total model is built; the ring axioms hold by
-    construction.  ``check`` has no effect: every build runs the same
-    certificate.  It is still accepted because ``benchmark/workloads.py``
-    passes it.
+    The public door of :class:`BundleModel`: the chern cocycles are checked
+    closed and the total differential is certified to square to zero by
+    :meth:`BundleModel._certify`, on base data alone, so no d_k of the total
+    model is built; the ring axioms hold by construction.  ``check`` has no
+    effect: every build runs the same certificate.  It is still accepted
+    because ``benchmark/workloads.py`` passes it.
     """
-    if not isinstance(chern, ChernVector):
-        chern = ChernVector(base, chern)
     return BundleModel(base, chern)

@@ -53,6 +53,16 @@ def test_odd_dimension_rejected():
         is_onn(eye(3))
 
 
+def test_shear_element_names_its_block():
+    with pytest.raises(InputError, match="^shear block must be 2 x 2$"):
+        shear_element(2, [{5: 1}, {}])
+
+
+def test_gl_element_names_its_block():
+    with pytest.raises(InputError, match="^GL block must be 2 x 2$"):
+        gl_element(2, [{0: 1}])
+
+
 def test_shear_and_gl_membership():
     B = columns([[0, 1], [-1, 0]])
     assert is_onn(shear_element(2, B).matrix)

@@ -42,7 +42,8 @@ from tdk.cli import run
 from tdk.fixtures import PAIR_NAMES, PROJECTIVE_PLANE_6, named_pair, simplicial_doc
 from tdk.serialize import dumps, pair_to_doc, space_to_doc
 from tdk.space_model import (
-    Cocycle, DgRingModel, SimplicialComplex, builtin_space, cohomology_ring, parse_space, product_model,
+    Cocycle, DgRingModel, SimplicialComplex, builtin_space, cohomology_ring, parse_space,
+    product_model,
 )
 from tdk.tduality_core import Pair
 from tdk.torus_bundle import build_bundle

@@ -59,7 +59,7 @@ from tdk.tduality_core import (  # noqa: E402
     is_dualizable,
     validate_triple,
 )
-from tdk.torus_bundle import BundleModel, ChernVector, build_bundle  # noqa: E402
+from tdk.torus_bundle import BundleModel, build_bundle  # noqa: E402
 
 BASES = (
     ("torus", {"k": 3}),
@@ -225,7 +225,7 @@ def _by_total_scan(base, chern, split=None):
     total ``DgRingModel.check_d_squared`` with the build's error text."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(BundleModel, "_certify", lambda self: None)
-        m = BundleModel(base, ChernVector(base, chern), split)
+        m = BundleModel._proven(base, chern, split)
     try:
         DgRingModel.check_d_squared(m)
     except ModelError as err:

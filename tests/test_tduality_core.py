@@ -13,7 +13,7 @@ from matrices import scaled
 from tdk.duality_group import act_on_triple, generators
 from tdk.fixtures import PAIR_NAMES, named_pair
 from tdk.serialize import pair_from_doc, pair_to_doc, triple_from_doc, triple_to_doc
-from tdk.space_model import Cocycle, builtin_space
+from tdk.space_model import Cocycle, DgRingModel, builtin_space
 from tdk.tduality_core import (
     Pair,
     Triple,
@@ -203,14 +203,15 @@ def test_every_route_to_a_triple_still_builds(name):
 
 
 def _count_closedness_tests(monkeypatch):
-    """The degrees of the ``BundleModel.is_closed`` calls made from now on."""
-    calls, is_closed = [], BundleModel.is_closed
+    """The ``is_closed`` calls made from now on, as (model, degree): the
+    model is "bundle" for a bundle model and "base" for any other."""
+    calls, is_closed = [], DgRingModel.is_closed
 
     def counted(self, k, vec):
-        calls.append(k)
+        calls.append(("bundle" if isinstance(self, BundleModel) else "base", k))
         return is_closed(self, k, vec)
 
-    monkeypatch.setattr(BundleModel, "is_closed", counted)
+    monkeypatch.setattr(DgRingModel, "is_closed", counted)
     return calls
 
 
@@ -221,17 +222,25 @@ def test_dualize_tests_no_closedness_and_builds_no_dual_d3(monkeypatch, name):
     t = dualize(pair)
     assert calls == []
     assert 3 not in t.dual.bundle._dcols
+    for g in generators(t.n):
+        act_on_triple(g, t)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", DUALIZABLE)
 def test_documents_test_each_flux_once(monkeypatch, name):
     pair = named_pair(name)
+    n = pair.bundle.n
     pair_doc, triple_doc = pair_to_doc(pair), triple_to_doc(dualize(pair))
     calls = _count_closedness_tests(monkeypatch)
+    build_bundle(pair.base, list(pair.bundle.chern))
+    assert calls == [("base", 2)] * n
+    calls.clear()
     pair_from_doc(pair_doc)
-    assert calls == [3]
+    assert calls == [("base", 2)] * n + [("bundle", 3)]
+    calls.clear()
     triple_from_doc(triple_doc)
-    assert calls == [3, 3, 3]
+    assert calls == [("base", 2)] * (2 * n) + [("bundle", 3)] * 2
 
 
 # ---------------------------------------------------------------------------

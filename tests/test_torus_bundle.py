@@ -17,7 +17,7 @@ from matrices import array, scaled
 from tdk.exact_linalg import dense_vector, subquotient
 from tdk.serialize import space_to_doc
 from tdk.space_model import Cocycle, DgRingModel, builtin_space, parse_space, product_model
-from tdk.torus_bundle import BundleModel, ChernVector, build_bundle
+from tdk.torus_bundle import BundleModel, build_bundle
 
 S2 = builtin_space("sphere", {"k": 2})
 T2 = builtin_space("torus", {"k": 2})
@@ -40,11 +40,11 @@ def nilmanifold(k):
 
 def test_chern_vector_guards():
     with pytest.raises(InputError):
-        ChernVector(S2, [Cocycle(1, [0])])
+        build_bundle(S2, [Cocycle(1, [0])])
     with pytest.raises(InputError):
-        ChernVector(S2, [[1, 2]])  # wrong length
+        build_bundle(S2, [[1, 2]])  # wrong length
     with pytest.raises(InputError):
-        ChernVector(S2, [])
+        build_bundle(S2, [])
 
 
 def test_fiber_labels_are_primed_off_the_base_labels_and_round_trip():
@@ -91,8 +91,9 @@ def test_each_construction_has_one_route():
     assert list(inspect.signature(dualize).parameters) == ["pair"]
     assert list(inspect.signature(Triple).parameters) == ["side", "dual", "w"]
     assert list(inspect.signature(build_bundle).parameters) == ["base", "chern", "check"]
-    defaults = inspect.signature(BundleModel.__init__).parameters.values()
-    assert [p.name for p in defaults if p.default is not p.empty] == ["split"]
+    assert list(inspect.signature(BundleModel).parameters) == ["base", "chern"]
+    defaults = inspect.signature(BundleModel).parameters.values()
+    assert [p.name for p in defaults if p.default is not p.empty] == []
     assert not hasattr(Triple, "with_data")
 
 
@@ -102,8 +103,8 @@ def test_nonclosed_chern_rejected():
     from tdk.space_model import DgRingModel
 
     M = DgRingModel([["1"], [], ["a"], ["b"]], {2: [[1]]}, {})
-    with pytest.raises(InputError):
-        ChernVector(M, [M.basis_vector(2, 0)])
+    with pytest.raises(InputError, match="^chern cocycle 0 is not closed$"):
+        build_bundle(M, [M.basis_vector(2, 0)])
 
 
 def test_total_model_d_squared_checked():
