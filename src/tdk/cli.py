@@ -105,8 +105,6 @@ def _cmd_cohomology(args):
         }
     else:
         report = {"kind": "dgring", "cohomology": table}
-        if "validity_hypothesis" in space.meta:
-            report["validity_hypothesis"] = space.meta["validity_hypothesis"]
     if args.deg is not None:
         key = str(args.deg)
         report["cohomology"] = {key: report["cohomology"].get(key, _group_entry((0, ())))}
@@ -251,7 +249,7 @@ def _cmd_twisted(args):
     from .twisted_cohomology import twisted_dims
 
     pair = pair_from_doc(_load_json(args.pair, "pair"), truncation=_truncation())
-    even, odd = twisted_dims(pair.bundle, pair.flux.vector)
+    even, odd = twisted_dims(pair)
     return 0, {
         "coefficients": "rational (integral torsion refinements not computed)",
         "even": str(even),

@@ -7,12 +7,14 @@ the exact matrix criterion (bilinear part plus diagonal), never by attempted
 factorization.  The action on triples is implemented for three kinds of
 element: the flip exchanging both sides, antisymmetric shears moving the
 dual chern data by B.c, and GL(n,Z) blocks substituting fiber coordinates.
-A word in these acts by composing their actions.  Every other element is
-refused with ``UnsupportedElementError``, and so are the n factor flips
-that :func:`generators` lists for n >= 2, each of which exchanges e_i and
-ehat_i only: the family generates the group, but not every member of it
-acts, so a word that needs a factor flip does not act on triples.  For
-n = 1 the one factor flip is the flip, and it acts.
+A word in these acts by composing the actions of its letters, one
+``act_on_triple`` after another; the product of its matrices acts only if
+it is itself of one of the three kinds.  Every other element is refused
+with ``UnsupportedElementError``, and so are the n factor flips that
+:func:`generators` lists for n >= 2, each of which exchanges e_i and ehat_i
+only: the family generates the group, but not every member of it acts, so
+a word that needs a factor flip does not act on triples.  For n = 1 the
+one factor flip is the flip, and it acts.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from .errors import FrozenRecord, InputError, UnsupportedElementError
 from .exact_linalg import (
     _sum_terms,
-    compose,
     dense_vector,
     identity,
     int_vector,
@@ -115,11 +116,6 @@ class OnnElement(FrozenRecord):
             )
         if not is_onn(self.matrix):
             raise InputError("matrix does not preserve the split form")
-
-    def compose(self, other: "OnnElement") -> "OnnElement":
-        if self.n != other.n:
-            raise InputError("cannot compose elements of different size")
-        return OnnElement(self.n, compose(self.matrix, other.matrix))
 
     def blocks(self):
         """The n x n blocks (top-left, top-right, bottom-left, bottom-right), as columns."""

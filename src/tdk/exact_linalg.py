@@ -513,9 +513,6 @@ class FgAbelianGroup:
     def nf_length(self):
         return len(self._torsion_pos) + len(self._free_pos)
 
-    def is_trivial(self):
-        return self.nf_length == 0
-
     def zero_nf(self):
         return (0,) * self.nf_length
 
@@ -565,7 +562,7 @@ class GroupHom:
     coordinates.  Precondition, not checked: the map is well defined, that
     is ``matrix`` sends every relation of the source into the span of the
     target's relations.  ``induced_hom`` states what its callers prove for
-    it, and ``compose`` why a composite keeps it.
+    it.
     """
 
     def __init__(self, source, target, matrix):
@@ -577,16 +574,6 @@ class GroupHom:
                 f"hom matrix has {len(self.matrix)} columns, expected {source.ngens}"
             )
         _check_rows(self.matrix, target.ngens, "hom matrix")
-
-    def compose(self, other):
-        """self after other, for ``other.target`` the group ``self.source``.
-
-        Well defined as both maps are: ``other`` sends a relation to a
-        relation of its target, which ``self`` sends to a relation of its own.
-        """
-        if other.target.ngens != self.source.ngens:
-            raise DimensionError("composition dimension mismatch")
-        return GroupHom(other.source, self.target, compose(self.matrix, other.matrix))
 
     def is_zero_hom(self):
         rows = self.target.ngens
@@ -640,13 +627,6 @@ class Subquotient:
 
     def reduce(self, x):
         return self.group.reduce(self.coords(x))
-
-    def contains(self, x):
-        try:
-            self.reduce(x)
-            return True
-        except NotInSubgroupError:
-            return False
 
     def is_zero(self, x):
         return self.reduce(x) == self.group.zero_nf()

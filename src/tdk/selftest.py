@@ -289,11 +289,9 @@ def _check_duality_group():
 
 
 def _check_twisted_isomorphism():
-    s3 = fixtures.hopf_pair(1, 0).bundle
-    _require(twisted_dims(s3, s3.zero_vector(3)) == (1, 1), "twisted H*(S^3, 0) is not (1, 1)")
+    _require(twisted_dims(fixtures.hopf_pair(1, 0)) == (1, 1), "twisted H*(S^3, 0) is not (1, 1)")
     for k in (1, 2):
-        flux = [k * x for x in s3.element_vector(2, 0, (0,))]
-        _require(twisted_dims(s3, flux) == (0, 0),
+        _require(twisted_dims(fixtures.hopf_pair(1, k)) == (0, 0),
                  f"twisted H*(S^3, {k}.gen) is not (0, 0)")
     triples = {name: dualize(pair) for name, pair in _dualizable_pairs().items()}
     for name, t in triples.items():
@@ -312,7 +310,7 @@ def _check_twisted_isomorphism():
     _require(all(x == 0 for x in dual.bundle.chern[0]), "dual of (S^3, 0) is not trivial")
     _require(not dual.bundle.total_cohomology(3).is_zero(dual.flux.vector),
              "dual flux of (S^3, 0) is zero in H^3")
-    _require(twisted_dims(dual.bundle, dual.flux.vector) == (1, 1),
+    _require(twisted_dims(dual) == (1, 1),
              "twisted H* of the dual of (S^3, 0) is not (1, 1)")
     return (f"chain identity entry-exact and isomorphism verified on {len(triples)} "
             "triples; dimension fixtures met")

@@ -26,11 +26,11 @@ identity.
 
 Each record has two doors, and so does each bundle.  The public ones,
 ``BundleModel(base, chern)`` (or ``build_bundle``), ``Pair(bundle, flux)``
-and ``Triple(side, dual, w=None)``, check everything: a bundle tests its
-chern cocycles closed, a Pair its flux, and a Triple builds the doubled
-model of its two bundles itself.  ``BundleModel._proven``, ``Pair._proven``
-and ``Triple._proven`` take data whose proof their caller holds and test
-no closedness; each call names that proof.  Their callers are
+and ``Triple(side, dual, w)``, check everything: a bundle tests its chern
+cocycles closed, a Pair its flux, and a Triple reads its w and builds the
+doubled model of its two bundles itself.  ``BundleModel._proven``,
+``Pair._proven`` and ``Triple._proven`` take data whose proof their caller
+holds and test no closedness; each call names that proof.  Their callers are
 :func:`_canonical_triple` (this docstring's identity: the dual chern
 cocycles zhat_i of a closed normal form are closed), :func:`h3_action` and
 :func:`gauge_action` (chain maps of the side and dual models), and the
@@ -118,28 +118,28 @@ class Triple:
     """Two pairs over one base joined by a correspondence cochain.
 
     The doubled model carries fiber generators y_1..y_n (side) and
-    yh_1..yh_n (dual side); ``w`` is a degree-2 cochain there.  Passing
-    ``w=None`` selects the standard correspondence sum_i y_i yh_i.
+    yh_1..yh_n (dual side); ``w`` is a degree-2 cochain there.
     ``Triple(side, dual, w)`` checks that the two sides share a base and a
     fiber dimension and that w is an integer cochain of the right length,
     and builds the doubled model of the two bundles.  :meth:`_proven` takes
-    the doubled model from its caller and checks nothing (module
-    docstring).  A caller that changes the data of a triple builds a new
-    one with the models it keeps.
+    the doubled model from its caller, checks nothing (module docstring),
+    and reads ``w=None`` as the standard correspondence sum_i y_i yh_i.  A
+    caller that changes the data of a triple builds a new one with the
+    models it keeps.
     """
 
-    def __init__(self, side: Pair, dual: Pair, w=None):
+    def __init__(self, side: Pair, dual: Pair, w):
         if side.base is not dual.base:
             raise TripleMismatchError("the two sides live over different bases")
         if side.bundle.n != dual.bundle.n:
             raise TripleMismatchError("the two sides have different fiber dimensions")
-        self._fill(side, dual, w, BundleModel.doubled(side.bundle, dual.bundle))
-        self.w = int_vector(self.w, "correspondence cochain")
-        if len(self.w) != self.doubled.dim(2):
+        doubled = BundleModel.doubled(side.bundle, dual.bundle)
+        w = int_vector(w, "correspondence cochain")
+        if len(w) != doubled.dim(2):
             raise InputError(
-                f"correspondence cochain has length {len(self.w)}, "
-                f"expected {self.doubled.dim(2)}"
+                f"correspondence cochain has length {len(w)}, expected {doubled.dim(2)}"
             )
+        self._fill(side, dual, w, doubled)
 
     @classmethod
     def _proven(cls, side: Pair, dual: Pair, w, doubled: BundleModel):

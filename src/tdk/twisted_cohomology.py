@@ -1,18 +1,21 @@
 """Rational twisted cohomology and the duality transformation between sides.
 
-The twisted complex of a bundle model with a degree-3 flux z is its cochain
-model over Q, graded by total parity, with differential D = d + (z . ) given
-by left multiplication.  Coefficients are rational only; integral torsion
-refinements are out of scope and flagged in reports.
+The twisted complex of a :class:`~tdk.tduality_core.Pair` (E, z) is the
+cochain model of E over Q, graded by total parity, with differential
+D = d + (z . ) given by left multiplication by the pair's flux.
+Coefficients are rational only; integral torsion refinements are out of
+scope and flagged in reports.
 
 Every matrix here is a list of sparse integer columns {row: coeff}, and
 every rank over Q is their Z-rank, ``len(invariant_factors(columns))``.
 
 D o D = 0 holds without a check, as the bundle model is an associative,
 graded-commutative ring over a validated base: d o d = 0 is certified at
-every bundle build; z is checked closed, so by Leibniz d(z . x) = -z . dx;
-and z . (z . x) = (z . z) . x with z . z = 0, as graded commutativity gives
-2 z . z = 0 on a free Z-module.
+every bundle build; z is closed, being the flux of a Pair, which is tested
+at the public door ``Pair(bundle, flux)`` or proven by the caller of
+``Pair._proven``, so by Leibniz d(z . x) = -z . dx; and z . (z . x) =
+(z . z) . x with z . z = 0, as graded commutativity gives 2 z . z = 0 on a
+free Z-module.  So no closedness is tested here.
 
 The transformation attached to a triple is realized on the doubled model as
 
@@ -44,10 +47,9 @@ import math
 from functools import cached_property
 
 from .errors import InputError, Record
-from .exact_linalg import _sum_terms, compose, int_vector, kernel_basis, matrix_rank
-from .space_model import Cocycle, _terms
-from .tduality_core import Triple, validate_triple
-from .torus_bundle import BundleModel
+from .exact_linalg import _sum_terms, compose, kernel_basis, matrix_rank
+from .space_model import _terms
+from .tduality_core import Pair, Triple, validate_triple
 
 __all__ = [
     "TwistedComplex",
@@ -82,17 +84,16 @@ def rational_kernel(M, rows):
 
 
 class TwistedComplex:
-    """Parity-graded rational complex with D = d + (z . ); ``D_from[par]`` holds D out of par.
+    """Parity-graded rational complex of a pair, D = d + (z . ); ``D_from[par]`` is D out of par.
 
-    z is checked closed, and D o D = 0 then holds by the module docstring's proof.
+    z is the pair's flux: ``Pair(bundle, flux)`` tests it closed, and each
+    caller of ``Pair._proven`` proves it closed.  So D o D = 0 holds by the
+    module docstring's proof, and the flux is not tested again here.
     """
 
-    def __init__(self, bundle: BundleModel, z):
-        self.bundle = bundle
-        z = int_vector(z, "twisting cocycle")
-        if not bundle.is_closed(3, z):
-            raise InputError("twisting cocycle must be closed of degree 3")
-        self.z = z
+    def __init__(self, pair: Pair):
+        self.bundle = bundle = pair.bundle
+        self.z = pair.flux.vector
         self.degrees = {par: list(range(par, bundle.D + 1, 2)) for par in (0, 1)}
         self.offsets, self.dims = {}, {}
         for par, degrees in self.degrees.items():
@@ -127,13 +128,9 @@ class TwistedComplex:
         return (self.dims[0] - r01 - r10, self.dims[1] - r10 - r01)
 
 
-def twisted_dims(m: BundleModel, z):
-    """Q-dimensions (even, odd) of the flux-twisted cohomology."""
-    if isinstance(z, Cocycle):
-        if z.degree != 3:
-            raise InputError("twist has degree 3")
-        z = z.vector
-    return TwistedComplex(m, z).cohomology_dims()
+def twisted_dims(pair: Pair):
+    """Q-dimensions (even, odd) of the cohomology of the pair's total space twisted by its flux."""
+    return TwistedComplex(pair).cohomology_dims()
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +175,7 @@ def t_transform(t: Triple) -> TMap:
         raise InputError(f"transformation needs a valid triple: {report.failures()}")
 
     n = t.n
-    side = TwistedComplex(t.side.bundle, t.side.flux.vector)
-    dual = TwistedComplex(t.dual.bundle, t.dual.flux.vector)
+    side, dual = TwistedComplex(t.side), TwistedComplex(t.dual)
     doubled, dual_index = t.doubled, t.dual.bundle.index
     scale = math.factorial(doubled.D // 2)
     w = _terms(t.w, doubled.dim(2))

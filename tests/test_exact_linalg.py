@@ -321,8 +321,9 @@ def test_hom_kernel_with_torsion_target():
     proj = GroupHom(Z, Z6, columns([[1]]))
     ker = proj.kernel()
     assert ker.invariants() == (1, ())
-    assert ker.contains([6])
-    assert not ker.contains([3])
+    assert ker.reduce([6]) in {(1,), (-1,)}  # 6 generates the kernel 6Z
+    with pytest.raises(NotInSubgroupError):
+        ker.reduce([3])
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +340,7 @@ def test_subquotient_self_is_trivial():
     Z2 = FgAbelianGroup(2)
     M = columns([[1, 2], [3, 4]])
     sq = subquotient(Z2, M, M)
-    assert sq.group.is_trivial()
+    assert sq.group.invariants() == (0, ())
 
 
 def test_subquotient_spec_example():

@@ -184,9 +184,8 @@ def test_validation_catches_wrong_dual_side():
     wrong_dual_bundle = build_bundle(S2, [scaled(5, S2.basis_vector(2, 0))])
     flux = wrong_dual_bundle.zero_vector(3)
     flux[wrong_dual_bundle.index[3][(2, 0, (0,))]] = 1
-    wrong = Triple(
-        t.side, Pair(wrong_dual_bundle, Cocycle(3, flux)), None
-    )
+    # t.w is the standard w, and the doubled model's basis depends only on the base and n
+    wrong = Triple(t.side, Pair(wrong_dual_bundle, Cocycle(3, flux)), t.w)
     report = validate_triple(wrong)
     assert not report.ok
 

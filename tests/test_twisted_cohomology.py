@@ -17,6 +17,7 @@ replaced, on dense matrices.
 """
 
 import functools
+import json
 import math
 import random
 import sys
@@ -28,12 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdk import twisted_cohomology
+from tdk.cli import run
 from tdk.errors import InputError
 import numpy as np
 
 from matrices import array, columns, scaled, vec, zeros
 from tdk.exact_linalg import compose, dense_vector, kernel_basis, matrix_rank, smith_normal_form
 from tdk.fixtures import PAIR_NAMES, named_pair
+from tdk.serialize import pair_to_doc, triple_to_doc
 from tdk.space_model import Cocycle, DgRingModel, builtin_space
 from tdk.tduality_core import (
     Pair,
@@ -55,6 +58,7 @@ from tdk.twisted_cohomology import (
     twisted_dims,
     verify_iso,
 )
+from test_tduality_core import _count_closedness_tests
 
 S2 = builtin_space("sphere", {"k": 2})
 S3 = builtin_space("sphere", {"k": 3})
@@ -69,6 +73,10 @@ def s3_bundle():
 
 def trivial_over(base, n=1):
     return build_bundle(base, [base.zero_vector(2)] * n)
+
+
+def flux_pair(m, flux):
+    return Pair(m, Cocycle(3, flux))
 
 
 # ---------------------------------------------------------------------------
@@ -110,22 +118,22 @@ def test_block_rank_is_rank_d_plus_rank_of_t_on_ker_d_beside_b(data):
 def test_s3_twisted_dims():
     m = s3_bundle()
     gen = m.element_vector(2, 0, (0,))
-    assert twisted_dims(m, m.zero_vector(3)) == (1, 1)
+    assert twisted_dims(flux_pair(m, m.zero_vector(3))) == (1, 1)
     for k in [1, 2, 5, -3]:
-        assert twisted_dims(m, scaled(k, gen)) == (0, 0)
+        assert twisted_dims(flux_pair(m, scaled(k, gen))) == (0, 0)
 
 
 def test_s2xs1_twisted_dims():
     m = trivial_over(S2)
     gen = m.element_vector(2, 0, (0,))
-    assert twisted_dims(m, m.zero_vector(3)) == (2, 2)
-    assert twisted_dims(m, gen) == (1, 1)
+    assert twisted_dims(flux_pair(m, m.zero_vector(3))) == (2, 2)
+    assert twisted_dims(flux_pair(m, gen)) == (1, 1)
 
 
 def test_twisted_complex_requires_closed_degree3():
     m = trivial_over(T2)
-    with pytest.raises(InputError):
-        twisted_dims(m, Cocycle(2, m.zero_vector(2)))
+    with pytest.raises(InputError, match="flux has degree 2, expected 3"):
+        twisted_dims(Pair(m, Cocycle(2, m.zero_vector(2))))
 
 
 def test_twisted_complex_refuses_a_twist_that_is_not_closed():
@@ -134,16 +142,16 @@ def test_twisted_complex_refuses_a_twist_that_is_not_closed():
         m.basis_vector(3, j) for j in range(m.dim(3))
         if not m.is_closed(3, m.basis_vector(3, j))
     )
-    with pytest.raises(InputError, match="twisting cocycle must be closed of degree 3"):
-        twisted_dims(m, z)
+    with pytest.raises(InputError, match="flux cocycle is not closed"):
+        twisted_dims(flux_pair(m, z))
 
 
 def test_lens_space_twisted_dims():
     m = build_bundle(S2, [scaled(2, S2.basis_vector(2, 0))])  # L(2,1)
     gen = m.element_vector(2, 0, (0,))
     # untwisted: rational Betti of L(2,1) = (1,0,0,1)
-    assert twisted_dims(m, m.zero_vector(3)) == (1, 1)
-    assert twisted_dims(m, gen) == (0, 0)
+    assert twisted_dims(flux_pair(m, m.zero_vector(3))) == (1, 1)
+    assert twisted_dims(flux_pair(m, gen)) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +249,7 @@ def test_h3_action_preserves_duality_and_euler_characteristic():
     assert validate_triple(moved).ok
 
     def euler(pair):
-        e, o = twisted_dims(pair.bundle, pair.flux.vector)
+        e, o = twisted_dims(pair)
         return e - o
 
     assert euler(t.side) == euler(moved.side)
@@ -378,6 +386,36 @@ def assert_matches_reference(t):
 DUALIZABLE = [name for name in PAIR_NAMES if is_dualizable(named_pair(name))[0]]
 
 
+# ---------------------------------------------------------------------------
+# each flux is tested closed once, at the door of its Pair
+
+
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_twisted_verb_tests_the_flux_closed_once(monkeypatch, tmp_path, name):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair_to_doc(named_pair(name))), encoding="utf-8")
+    calls = _count_closedness_tests(monkeypatch)
+    assert run(["twisted", "--pair", str(path)])[0] == 0
+    assert calls.count(("bundle", 3)) == 1
+
+
+@pytest.mark.parametrize("name", DUALIZABLE)
+def test_tmap_verb_tests_each_flux_closed_once(monkeypatch, tmp_path, name):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(triple_to_doc(dualize(named_pair(name)))), encoding="utf-8")
+    calls = _count_closedness_tests(monkeypatch)
+    assert run(["tmap", "--triple", str(path)])[0] == 0
+    assert calls.count(("bundle", 3)) == 2
+
+
+@pytest.mark.parametrize("name", DUALIZABLE)
+def test_verify_iso_of_a_dual_tests_no_closedness(monkeypatch, name):
+    pair = named_pair(name)
+    calls = _count_closedness_tests(monkeypatch)
+    assert verify_iso(dualize(pair)).ok
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", DUALIZABLE)
 def test_t_transform_is_scale_times_reference_on_fixture_pairs(name):
     t = dualize(named_pair(name))
@@ -421,7 +459,7 @@ def test_verify_iso_ranks_m_as_if_t_were_not_divided(monkeypatch):
     """
     m = build_bundle(S2, [S2.basis_vector(2, 0)] * 2)
     t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
-    C = TwistedComplex(m, m.zero_vector(3))
+    C = TwistedComplex(flux_pair(m, m.zero_vector(3)))
     assert C.D_from[1][:2] == [{2: 1}, {2: 1}]  # d y1 = d y2 = x
     rng = random.Random(0)
     odd_blocks = [[{0: 4}, {0: 2}] + [{}] * (C.dims[1] - 2)] + [
@@ -644,8 +682,8 @@ def test_zero_map_between_nonzero_twisted_cohomologies_is_not_injective(monkeypa
 
 def test_zero_map_onto_nonzero_twisted_cohomology_is_not_surjective(monkeypatch):
     m = s3_bundle()
-    source = TwistedComplex(m, scaled(2, m.element_vector(2, 0, (0,))))
-    target = TwistedComplex(m, m.zero_vector(3))
+    source = TwistedComplex(flux_pair(m, scaled(2, m.element_vector(2, 0, (0,)))))
+    target = TwistedComplex(flux_pair(m, m.zero_vector(3)))
     zero = _zero_map(source, target, 1)
     monkeypatch.setattr(twisted_cohomology, "t_transform", lambda t: zero)
     t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
