@@ -297,6 +297,85 @@ def test_parse_simplicial_document():
     assert isinstance(K, SimplicialComplex) and K.dim == 2
 
 
+_NOT_AN_INTEGER = "expected an integer (decimal string), got "
+
+# name -> (vertices, facets, (error text, location)); every parse fault of the
+# count and the facets comes before every structural fault, and the
+# negative vertex count sits between the two
+SIMPLICIAL_REFUSALS = {
+    "none-vertex": ("3", [["0", "1"], ["1", None]], (f"facets[1]: {_NOT_AN_INTEGER}None", "facets[1]")),
+    "list-vertex": ("3", [["0", "1"], ["1", ["2"]]], (f"facets[1]: {_NOT_AN_INTEGER}['2']", "facets[1]")),
+    "dict-vertex": ("3", [["0", {"v": "2"}]], (f"facets[0]: {_NOT_AN_INTEGER}{{'v': '2'}}", "facets[0]")),
+    "bool-vertex": ("3", [["0", True]], ("facets[0]: expected an integer, got a boolean", "facets[0]")),
+    "float-vertex": ("3", [["0", 1.0]], (f"facets[0]: {_NOT_AN_INTEGER}1.0", "facets[0]")),
+    "fraction-vertex": ("3", [["0", 1.5]], (f"facets[0]: {_NOT_AN_INTEGER}1.5", "facets[0]")),
+    "letter-vertex": ("3", [["0", "x"]], (f"facets[0]: {_NOT_AN_INTEGER}'x'", "facets[0]")),
+    "empty-string-vertex": ("3", [["0", ""]], (f"facets[0]: {_NOT_AN_INTEGER}''", "facets[0]")),
+    "digit-limit-vertex": (
+        "3", [["0", "1" * 5000]],
+        ("facets[0]: integer of 5000 characters exceeds the digit limit", "facets[0]"),
+    ),
+    "label-over-256-out-of-range": (
+        "10", [["0", "1"], ["1", "300"]],
+        ("facet 1 references a vertex out of range: [1, 300]", None),
+    ),
+    "negative-label": ("3", [["0", "-1"]], ("facet 0 references a vertex out of range: [0, -1]", None)),
+    "repeated-vertex": ("3", [["0", "1"], ["1", "2", "1"]], ("facet 1 has repeated vertices: [1, 2, 1]", None)),
+    "out-of-range": ("3", [["0", "1"], ["1", "3"]], ("facet 1 references a vertex out of range: [1, 3]", None)),
+    "empty-facet": ("3", [["0", "1"], []], ("facet 1 is empty", None)),
+    "above-truncation": ("6", [["0", "1", "2", "3", "4", "5"]], ("facet 0 has dimension 5 > bound 4", None)),
+    "negative-count": ("-1", [["0", "1"]], ("vertex count must be nonnegative", None)),
+    "non-integer-count": ("x", [["0", "1"]], (f"vertices: {_NOT_AN_INTEGER}'x'", "vertices")),
+    "float-count": (2.5, [["0", "1"]], (f"vertices: {_NOT_AN_INTEGER}2.5", "vertices")),
+    "bool-count": (True, [["0"]], ("vertices: expected an integer, got a boolean", "vertices")),
+    "no-facets": ("3", [], ("complex has no facets", None)),
+    "facets-not-a-list": ("3", {"0": ["1"]}, ("'facets' must be a list of vertex lists", None)),
+    "facet-not-a-list": ("3", [["0", "1"], "12"], ("'facets' must be a list of vertex lists", None)),
+    # two faults in one document
+    "parse-fault-after-structural-fault": (
+        "3", [["0", "0"], ["1", "2.0"]], (f"facets[1]: {_NOT_AN_INTEGER}'2.0'", "facets[1]"),
+    ),
+    "negative-count-after-parse-fault": (
+        "-1", [["0", "1"], ["1", "x"]], (f"facets[1]: {_NOT_AN_INTEGER}'x'", "facets[1]"),
+    ),
+    "negative-count-before-structural-fault": ("-1", [["0", "0"]], ("vertex count must be nonnegative", None)),
+    "negative-count-before-no-facets": ("-1", [], ("vertex count must be nonnegative", None)),
+    "count-fault-before-parse-fault": ("x", [["0", "y"]], (f"vertices: {_NOT_AN_INTEGER}'x'", "vertices")),
+    "repeated-before-out-of-range": ("3", [["5", "5", "1"]], ("facet 0 has repeated vertices: [5, 5, 1]", None)),
+    "first-structural-fault-wins": (
+        "6", [["0", "1", "2", "3", "4", "5"], ["1", "1"]], ("facet 0 has dimension 5 > bound 4", None),
+    ),
+    "empty-before-above-truncation": ("6", [[], ["0", "1", "2", "3", "4", "5"]], ("facet 0 is empty", None)),
+    "first-parse-fault-wins": ("3", [["0", "x"], [None, "1"]], (f"facets[0]: {_NOT_AN_INTEGER}'x'", "facets[0]")),
+}
+
+# name -> (vertices, facets, the facets read); off-table spellings read as the plain integer
+SIMPLICIAL_SPELLINGS = {
+    "plus": ("3", [["0", "+1"], ["1", "2"]], [(0, 1), (1, 2)]),
+    "zero-padded": ("3", [["0", "01"], ["1", "2"]], [(0, 1), (1, 2)]),
+    "spaced": ("3", [[" 0", "1 "], ["1", "2"]], [(0, 1), (1, 2)]),
+    "negative-zero": ("3", [["-0", "1"], ["1", "2"]], [(0, 1), (1, 2)]),
+    "json-numbers": (3, [[0, 1], [1, 2]], [(0, 1), (1, 2)]),
+    "labels-over-256": ("300", [["0", "299"], ["299", "257"]], [(0, 299), (257, 299)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMPLICIAL_REFUSALS))
+def test_every_simplicial_refusal_keeps_its_text_location_and_precedence(case):
+    vertices, facets, (text, location) = SIMPLICIAL_REFUSALS[case]
+    with pytest.raises(SchemaError) as err:
+        parse_space({"format": "simplicial", "vertices": vertices, "facets": facets})
+    assert (str(err.value), err.value.location) == (text, location)
+
+
+@pytest.mark.parametrize("case", sorted(SIMPLICIAL_SPELLINGS))
+def test_simplicial_vertex_spellings_read_as_the_plain_integer(case):
+    vertices, facets, read = SIMPLICIAL_SPELLINGS[case]
+    K = parse_space({"format": "simplicial", "vertices": vertices, "facets": facets})
+    assert K.facets == read and type(K.nvertices) is int
+    assert all(type(v) is int for f in K.facets for v in f)
+
+
 def test_parse_torus_dgring_document():
     doc = {
         "format": "dgring",
