@@ -12,6 +12,12 @@ is read as a document integer is (``parse_int``), so ``1_0`` is refused.
 
 ``tdk selftest`` runs the acceptance battery of :mod:`tdk.selftest` and
 reports each check with its wall time in milliseconds.
+
+An argv of the form ``verb (--option value | --flag)*`` with exact option
+strings, as every scripted call writes it, is read from the verb's option
+table without an argparse pass (``_read_flags``); any other argv (help,
+``--opt=value``, abbreviations, a value starting with ``-``, an argument
+error) is read by argparse, so both give the same namespace and messages.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ def _load_json(path, what):
             return json.load(handle)
     except FileNotFoundError:
         raise TdkError(f"{what} file not found: {path}")
+    except OSError as exc:  # a directory, no permission
+        raise TdkError(f"{what} file {path} cannot be read: {exc.strerror}")
     except ValueError as exc:  # not JSON, or a number past the int digit limit
         raise TdkError(f"{what} file {path} is not valid JSON: {exc}")
 
@@ -294,7 +302,9 @@ def _cmd_selftest(args):
 def _build_parser():
     """The argument parser, built on first use and shared by every ``run``.
 
-    Its ``verbs`` attribute maps each verb to that verb's subparser.
+    Its ``verbs`` attribute maps each verb to that verb's subparser, and
+    each subparser's ``flags`` maps its option strings (no ``-h``) to the
+    argparse actions that ``_read_flags`` reads them by.
     """
     parser = argparse.ArgumentParser(
         prog="tdk",
@@ -308,10 +318,9 @@ def _build_parser():
 
     def add(name, help_text, **flags):
         p = parser.verbs[name] = sub.add_parser(name, help=help_text)
-        for flag, kwargs in flags.items():
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--json", action="store_true", help="compact JSON (default)")
-        p.add_argument("--pretty", action="store_true", help="indented rendering")
+        p.flags = {flag: p.add_argument(flag, **kwargs) for flag, kwargs in flags.items()}
+        p.flags["--json"] = p.add_argument("--json", action="store_true", help="compact JSON (default)")
+        p.flags["--pretty"] = p.add_argument("--pretty", action="store_true", help="indented rendering")
         return p
 
     base_flags = {
@@ -366,14 +375,60 @@ _HANDLERS = {
 }
 
 
+def _read_flags(verb, rest):
+    """The namespace that ``verb.parse_known_args(rest)`` gives, or None.
+
+    ``rest`` is read only when it is a sequence of ``--option value`` and
+    ``--flag`` items, each option string one of ``verb.flags`` exactly,
+    each value free of a leading ``-`` and converted by its action's own
+    ``type``, and every required option given; a repeated option keeps its
+    last value, as argparse does.  Any other ``rest`` gives None, and
+    argparse reads it, with its help, abbreviations and usage errors.
+    """
+    values = {}
+    i, end = 0, len(rest)
+    while i < end:
+        action = verb.flags.get(rest[i])
+        if action is None:
+            return None
+        if action.nargs == 0:  # a store_true flag
+            values[action.dest] = action.const
+            i += 1
+            continue
+        if i + 1 == end or rest[i + 1][:1] == "-":
+            return None
+        value = rest[i + 1]
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        values[action.dest] = value
+        i += 2
+    for action in verb.flags.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(**values)
+
+
 def run(argv):
     """Dispatch and return (exit_code, report_document); never raises on bad input.
 
-    When ``argv[0]`` is exactly a verb, the rest goes straight to that
-    verb's subparser, and leftover arguments are refused by the top-level
-    parser as ``parse_args`` refuses them: the same namespace, usage text
-    and exit code, without the top-level pass over argv.  Any other argv
-    (none, ``-h``, an unknown or abbreviated verb) takes the full parse.
+    argv takes one of three paths, each giving the namespace and, on an
+    argument error, the usage text and exit code of ``parse_args``:
+
+    - ``verb (--option value | --flag)*``, with exact option strings, values
+      that the options' types take and do not start with ``-``, and every
+      required option, is read by ``_read_flags`` from the verb's option
+      table, with no argparse pass;
+    - any other argv whose ``argv[0]`` is exactly a verb goes straight to
+      that verb's subparser (``--opt=value``, an abbreviation, ``--p -1``,
+      ``--``, ``-h``, a bad value, a missing one), and leftover arguments
+      are refused by the top-level parser as ``parse_args`` refuses them;
+    - any other argv (none, ``-h``, an unknown or abbreviated verb) takes
+      the full parse.
     """
     parser = _build_parser()
     try:
@@ -381,9 +436,11 @@ def run(argv):
         if verb is None:
             args = parser.parse_args(argv)
         else:
-            args, extras = verb.parse_known_args(argv[1:])
-            if extras:
-                parser.error("unrecognized arguments: " + " ".join(extras))
+            args = _read_flags(verb, argv[1:])
+            if args is None:
+                args, extras = verb.parse_known_args(argv[1:])
+                if extras:
+                    parser.error("unrecognized arguments: " + " ".join(extras))
             args.verb = argv[0]
     except SystemExit as exc:
         # argparse already printed a usage message

@@ -132,12 +132,17 @@ def int_vector(data, where=None):
     Each entry is read by ``operator.index``, so ints and other integer
     types (anything with ``__index__``) pass and floats, strings and
     fractions do not: the InputError names the first entry that is not an
-    integer, at ``where``.
+    integer, at ``where``.  Data that is not a sequence at all (None, an
+    int) is an InputError at ``where`` too.
     """
     try:
         return list(map(operator.index, data))
     except TypeError:
-        i, x = next((i, x) for i, x in enumerate(data) if not hasattr(type(x), "__index__"))
+        try:
+            entries = enumerate(data)
+        except TypeError:
+            raise InputError(f"{data!r} is not a sequence of integers", where) from None
+        i, x = next((i, x) for i, x in entries if not hasattr(type(x), "__index__"))
         raise InputError(f"entry {i} is {x!r}, not an integer", where) from None
 
 

@@ -534,13 +534,41 @@ class DgRingModel:
 # simplicial complexes
 
 
+def _checked_facets(nvertices, rows, max_dim):
+    """The facets of int vertex lists, each as a sorted tuple, in order.
+
+    A negative vertex count is refused first.  Then each facet in turn is
+    refused for a repeated vertex, a vertex out of range, no vertex, or a
+    dimension above ``max_dim``, in that order, naming the facet as given.
+    """
+    if nvertices < 0:
+        raise SchemaError("vertex count must be nonnegative")
+    clean = []
+    for idx, verts in enumerate(rows):
+        face = tuple(sorted(verts))
+        if len(set(face)) != len(face):
+            raise SchemaError(f"facet {idx} has repeated vertices: {verts}")
+        if face and (face[0] < 0 or face[-1] >= nvertices):
+            raise SchemaError(f"facet {idx} references a vertex out of range: {verts}")
+        if not face:
+            raise SchemaError(f"facet {idx} is empty")
+        if len(face) - 1 > max_dim:
+            raise SchemaError(f"facet {idx} has dimension {len(face) - 1} > bound {max_dim}")
+        clean.append(face)
+    return clean
+
+
 class SimplicialComplex:
     """Finite abstract simplicial complex given by its facets.
 
-    The vertex count and the vertices are read by ``operator.index``, so a
-    float or a string is a SchemaError, not truncated or parsed.  The bound
-    ``max_dim`` on facet dimensions is read as a truncation: None is
-    DEFAULT_TRUNCATION, and a float or a string is an InputError.
+    The vertex count and the vertices are read by ``operator.index``, once
+    each, so a float or a string is a SchemaError, not truncated or parsed.
+    The bound ``max_dim`` on facet dimensions is read as a truncation: None
+    is DEFAULT_TRUNCATION, and a float or a string is an InputError.
+    ``parse_space`` has read a document's vertices to ints already and
+    builds through ``_from_ints``, which checks them without reading them
+    again.  Either way a fault in the count or in an earlier facet is
+    refused before a fault in a later one.
 
     The faces are numbered in one pass from the top dimension down.  The
     top-dimensional facets come first, sorted.  Then each k-simplex, in the
@@ -568,29 +596,32 @@ class SimplicialComplex:
     def __init__(self, nvertices, facets, max_dim=DEFAULT_TRUNCATION):
         max_dim = _truncation_bound(max_dim)
         try:
-            self.nvertices = operator.index(nvertices)
+            nvertices = operator.index(nvertices)
         except TypeError:
             raise SchemaError(f"vertex count {nvertices!r} is not an integer") from None
-        if self.nvertices < 0:
-            raise SchemaError("vertex count must be nonnegative")
-        clean = []
+        rows = []
         for idx, f in enumerate(facets):
             try:
-                verts = list(map(operator.index, f))
+                rows.append(list(map(operator.index, f)))
             except TypeError:
+                _checked_facets(nvertices, rows, max_dim)  # an earlier fault comes first
                 raise SchemaError(f"facet {idx} has a vertex that is not an integer: {f}") from None
-            face = tuple(sorted(verts))
-            if len(set(face)) != len(face):
-                raise SchemaError(f"facet {idx} has repeated vertices: {verts}")
-            if face and (face[0] < 0 or face[-1] >= self.nvertices):
-                raise SchemaError(f"facet {idx} references a vertex out of range: {verts}")
-            if not face:
-                raise SchemaError(f"facet {idx} is empty")
-            if len(face) - 1 > max_dim:
-                raise SchemaError(
-                    f"facet {idx} has dimension {len(face) - 1} > bound {max_dim}"
-                )
-            clean.append(face)
+        self._build(nvertices, rows, max_dim)
+
+    @classmethod
+    def _from_ints(cls, nvertices, rows, max_dim):
+        """The complex of an int vertex count and int vertex lists, read by the caller.
+
+        ``max_dim`` is an int bound.  The count and the facets are checked
+        as ``__init__`` checks them, but no vertex is read a second time.
+        """
+        self = cls.__new__(cls)
+        self._build(nvertices, rows, max_dim)
+        return self
+
+    def _build(self, nvertices, rows, max_dim):
+        self.nvertices = nvertices
+        clean = _checked_facets(nvertices, rows, max_dim)
         if not clean:
             raise SchemaError("complex has no facets")
         self.facets = sorted(set(clean))
@@ -726,6 +757,15 @@ def parse_space(document, truncation=None):
     Two schemas are accepted: ``{"format": "simplicial", ...}`` producing a
     :class:`SimplicialComplex` and ``{"format": "dgring", ...}`` producing a
     fully validated :class:`DgRingModel`.  Integers may be decimal strings.
+
+    Each vertex of a simplicial document is read once, to an int, and the
+    complex is checked and built from those ints with no second pass
+    (``SimplicialComplex._from_ints``).  The read is fastest when every
+    label is the canonical decimal string of an integer in -256..256, as in
+    any complex of at most 257 vertices labelled from 0; a facet with
+    another label is read by ``parse_int``.  Every fault of reading (the count, then each facet
+    in order) is raised before a negative count, and that before any
+    fault of a facet's shape.
     """
     truncation = _truncation_bound(truncation)
     if not isinstance(document, dict):
@@ -738,14 +778,33 @@ def parse_space(document, truncation=None):
         facets = document["facets"]
         if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
             raise SchemaError("'facets' must be a list of vertex lists")
-        # one location string per facet, not per vertex
-        facets = [
-            [parse_int(v, at) for v in f] for i, f in enumerate(facets) for at in [f"facets[{i}]"]
-        ]
-        return SimplicialComplex(n, facets, max_dim=truncation)
+        return SimplicialComplex._from_ints(n, _read_facets(facets), truncation)
     if fmt == "dgring":
         return _parse_dgring(document, truncation)
     raise SchemaError(f"unknown space format {fmt!r} (expected 'simplicial' or 'dgring')")
+
+
+def _read_facets(facets):
+    """Each facet's vertices as a list of ints, each vertex read once.
+
+    A facet whose vertices are all canonical spellings of labels in
+    -256..256 (every label of a small complex) is read by lookups in
+    ``_SMALL_INTS``.  A facet with any other vertex, or an unhashable one,
+    is read by ``parse_int`` instead, located at the facet; so the first
+    facet that holds a fault raises, before any facet is checked.
+    """
+    small = _SMALL_INTS.get
+    rows = []
+    for i, f in enumerate(facets):
+        try:
+            verts = list(map(small, f))
+        except TypeError:  # an unhashable vertex
+            verts = [None]
+        if None in verts:
+            at = f"facets[{i}]"
+            verts = [parse_int(v, at) for v in f]
+        rows.append(verts)
+    return rows
 
 
 def _parse_dgring(document, truncation):

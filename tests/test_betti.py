@@ -353,14 +353,14 @@ def test_invariant_verbs_factor_each_differential_once(case, tmp_path, monkeypat
 def test_simplicial_cohomology_builds_no_sorted_view(tmp_path, monkeypatch):
     """``tdk cohomology`` on a complex eliminates its discovery rows, one pass per degree."""
     made = []
-    init = SimplicialComplex.__init__
+    build = SimplicialComplex._build  # both doors, __init__ and _from_ints, build here
 
     def recorded(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+        build(self, *args, **kwargs)
         made.append(self)
 
     read = []
-    monkeypatch.setattr(SimplicialComplex, "__init__", recorded)
+    monkeypatch.setattr(SimplicialComplex, "_build", recorded)
     monkeypatch.setattr(SimplicialComplex, "coboundary_columns", lambda self, k: read.append(k))
     factors = _counted(monkeypatch, "_unit_pivots")
     argv, betti = _verb("klein-grid", tmp_path)

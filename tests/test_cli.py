@@ -1,11 +1,15 @@
 """Command-line driver: exit codes, determinism, robustness on fuzzed input."""
 
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdk.cli import _build_parser, run
+from tdk.cli import _build_parser, _read_flags, run
 from tdk.exact_linalg import GroupHom
 from tdk.fixtures import named_pair, simplicial_doc
 from tdk.selftest import CHECKS
@@ -307,6 +311,16 @@ def _argv_corpus(tmp_path):
         ["selftest", "extra"],
         ["--pretty", "cohomology", *torus],
         ["tmap", "-h"],
+        # forms the flag reader declines, and forms it reads
+        ["ss", *torus, "--chern", chern, "--page", "2", "--p", "-1", "--q", "1"],
+        ["ss", *torus, "--chern", chern, "--page=3"],
+        ["cohomology", *torus, "--deg", "0", "--deg", "1"],
+        ["cohomology", *torus, "--deg", "x"],
+        ["cohomology", "--base"],
+        ["dualize"],
+        ["dualize", "--pretty"],
+        ["cohomology", *torus, "-h"],
+        ["cohomology", *torus, "--json", "--pretty"],
     ]
 
 
@@ -329,6 +343,7 @@ def test_direct_dispatch_matches_the_full_parse(tmp_path, capsys, monkeypatch):
     assert outcomes() == direct
     assert [code for _, code, *_ in direct[:13]] == [0] * 13
     assert all(code in (0, 2) for _, code, *_ in direct[13:])
+    assert [code for _, code, *_ in direct[-9:]] == [0, 0, 0, 2, 2, 2, 2, 0, 0]
 
     def refuse(argv=None, namespace=None):
         raise AssertionError("a verb's argv went through the top-level parse")
@@ -336,6 +351,83 @@ def test_direct_dispatch_matches_the_full_parse(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(parser, "parse_args", refuse)
     assert run(corpus[1])[0] == 0
+
+
+_VALUES = st.one_of(
+    st.sampled_from(["3", "0", "12", "+4", " 2", "1_0", "f.json", '{"k": "2"}', ""]),
+    st.sampled_from(["-1", "x", "-", "--", "-x"]),
+    st.text(alphabet="-=01x ", max_size=3),
+)
+
+
+@st.composite
+def _verb_argv(draw):
+    """A verb and its arguments: options of that verb with values and its
+    flags, and in half the draws also option prefixes, ``=`` forms, help,
+    options without a value and stray values."""
+    verbs = _build_parser().verbs
+    name = draw(st.sampled_from(sorted(verbs)))
+    flags = verbs[name].flags
+    options = st.sampled_from(sorted(flags) + ["-h", "--help"])
+    well_formed = [st.sampled_from(sorted(o for o, a in flags.items() if a.nargs == 0)).map(lambda o: [o])]
+    if any(a.nargs != 0 for a in flags.values()):
+        valued = st.sampled_from(sorted(o for o, a in flags.items() if a.nargs != 0))
+        well_formed.append(st.tuples(valued, _VALUES).map(list))
+    item = st.one_of(*well_formed)
+    if draw(st.booleans()):
+        item = st.one_of(
+            item,
+            options.map(lambda o: [o]),
+            st.tuples(options, st.integers(1, 5)).map(lambda t: [t[0][: -t[1]] or "-"]),
+            st.tuples(options, _VALUES).map(lambda t: [f"{t[0]}={t[1]}"]),
+            _VALUES.map(lambda v: [v]),
+        )
+    items = draw(st.lists(item, max_size=6))
+    return name, [token for part in items for token in part]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_verb_argv())
+def test_the_flag_reader_declines_or_reads_as_argparse(case):
+    name, rest = case
+    verb = _build_parser().verbs[name]
+    read = _read_flags(verb, rest)
+    if read is None:
+        return
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed, extras = verb.parse_known_args(rest)
+    except SystemExit:
+        pytest.fail(f"the flag reader read {rest!r}, which argparse refuses")
+    assert extras == [] and vars(read) == vars(parsed)
+
+
+def test_every_benchmark_argv_form_is_read_without_argparse(tmp_path, monkeypatch):
+    pair = pair_file(tmp_path, "hopf_k2")
+    triple = write(tmp_path, "triple.json", dumps(triple_to_doc(dualize(named_pair("hopf_k2")))))
+    flip = write(tmp_path, "flip.json", json.dumps({"n": "1", "matrix": [["0", "1"], ["1", "0"]]}))
+    chern = write(tmp_path, "chern.json", json.dumps([["1"]]))
+    space = write(tmp_path, "s.json", json.dumps(simplicial_doc("boundary-tetrahedron")))
+    torus = ["--builtin", "torus", "--params", '{"k": "2"}']
+    forms = [
+        ["cohomology", "--base", space],
+        ["bundle", *torus, "--chern", chern],
+        ["ss", *torus, "--chern", chern, "--page", "3"],
+        *([verb, "--pair", pair] for verb in ("dualizable", "dualize", "extensions", "twisted")),
+        *([verb, "--triple", triple] for verb in ("check-triple", "tmap")),
+        ["onn", "--check", flip],
+    ]
+    calls = []
+    for verb in _build_parser().verbs.values():
+        monkeypatch.setattr(verb, "parse_known_args", lambda *a, **k: calls.append(a))
+    assert [run(argv)[0] for argv in forms] == [0] * len(forms)
+    assert calls == []
+
+
+def test_an_unreadable_document_path_is_an_input_error(tmp_path):
+    for argv, what in [(["cohomology", "--base"], "base"), (["dualizable", "--pair"], "pair")]:
+        code, doc = run(argv + [str(tmp_path)])
+        assert (code, doc) == (2, {"error": f"{what} file {tmp_path} cannot be read: Is a directory"})
 
 
 def test_selftest_runs_the_battery():

@@ -20,6 +20,7 @@ from tdk.exact_linalg import (
     GroupHom,
     _unit_pivots,
     identity,
+    int_vector,
     invariant_factors,
     kernel_basis,
     matrix_rank,
@@ -387,6 +388,32 @@ def test_int_vector_reads_ints_and_numpy_integers_exactly():
     assert got == [1, 2] and all(type(x) is int for x in got)
     with pytest.raises(InputError, match=r"^v: entry 1 is 2\.0, not an integer$"):
         int_vector([1, 2.0], "v")
+
+
+def _triple_with_w(w):
+    from tdk.fixtures import named_pair
+    from tdk.tduality_core import Triple, dualize
+
+    t = dualize(named_pair("hopf"))
+    return Triple(t.side, t.dual, w)
+
+
+def _cocycle(vector):
+    from tdk.space_model import Cocycle
+
+    return Cocycle(3, vector)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: int_vector(None), "None is not a sequence of integers"),
+    (lambda: int_vector(5, "v"), "v: 5 is not a sequence of integers"),
+    (lambda: _cocycle(None), "cocycle: None is not a sequence of integers"),
+    (lambda: _triple_with_w(None), "correspondence cochain: None is not a sequence of integers"),
+], ids=["int_vector-none", "int_vector-int", "cocycle-none", "triple-none"])
+def test_data_that_is_not_a_sequence_is_an_input_error(call, text):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == text
 
 
 def test_float_chern_entry_is_refused_not_truncated():

@@ -181,6 +181,11 @@ def test_complex_refuses_non_integer_vertices_instead_of_truncating():
     assert str(err.value) == "facet 1 has a vertex that is not an integer: [0, 1.7, 2]"
     with pytest.raises(SchemaError, match=r"^vertex count 2\.9 is not an integer$"):
         SimplicialComplex(2.9, [[0, 1]])
+    # the count and the facets before a non-integer vertex are refused first
+    with pytest.raises(SchemaError, match=r"^vertex count must be nonnegative$"):
+        SimplicialComplex(-1, [[0, 1.7]])
+    with pytest.raises(SchemaError, match=r"^facet 0 has repeated vertices: \[1, 1\]$"):
+        SimplicialComplex(3, [[1, 1], [0, 1.7]])
 
 
 def test_dgring_model_refuses_non_integer_products_instead_of_truncating():
