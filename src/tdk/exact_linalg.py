@@ -133,17 +133,20 @@ def int_vector(data, where=None):
     types (anything with ``__index__``) pass and floats, strings and
     fractions do not: the InputError names the first entry that is not an
     integer, at ``where``.  Data that is not a sequence at all (None, an
-    int) is an InputError at ``where`` too.
+    int) is an InputError at ``where`` too, and so is an iterator, spent
+    by then, whose entries are not all integers.
     """
     try:
         return list(map(operator.index, data))
     except TypeError:
         try:
-            entries = enumerate(data)
+            spent = iter(data) is data  # an iterator is spent past the entry that failed
         except TypeError:
             raise InputError(f"{data!r} is not a sequence of integers", where) from None
-        i, x = next((i, x) for i, x in entries if not hasattr(type(x), "__index__"))
-        raise InputError(f"entry {i} is {x!r}, not an integer", where) from None
+        for i, x in enumerate(() if spent else data):
+            if not hasattr(type(x), "__index__"):
+                raise InputError(f"entry {i} is {x!r}, not an integer", where) from None
+        raise InputError("an entry is not an integer", where) from None
 
 
 def _sum_terms(pairs):

@@ -407,9 +407,10 @@ def _cocycle(vector):
 @pytest.mark.parametrize("call, text", [
     (lambda: int_vector(None), "None is not a sequence of integers"),
     (lambda: int_vector(5, "v"), "v: 5 is not a sequence of integers"),
+    (lambda: int_vector((x for x in [1, 2.0, 3.0]), "v"), "v: an entry is not an integer"),
     (lambda: _cocycle(None), "cocycle: None is not a sequence of integers"),
     (lambda: _triple_with_w(None), "correspondence cochain: None is not a sequence of integers"),
-], ids=["int_vector-none", "int_vector-int", "cocycle-none", "triple-none"])
+], ids=["int_vector-none", "int_vector-int", "int_vector-iterator", "cocycle-none", "triple-none"])
 def test_data_that_is_not_a_sequence_is_an_input_error(call, text):
     with pytest.raises(InputError) as err:
         call()
