@@ -45,6 +45,10 @@ _TRACER = "the benchmark tracer (benchmark/tracing.py) patches or reads it"
 # function -> why it may be unreached by every program path above
 ALLOWED = {
     "tdk.cli.main": "the console-script entry point; each path calls cli.run directly",
+    "tdk.cli._build_parser": (
+        "built only for argv the flag reader declines (help, abbreviations, = forms, "
+        "--p -1, --, argument errors), which tests/test_cli.py runs"
+    ),
     "tdk.__dir__": "module protocol of the lazy package namespace, called by dir(tdk)",
     "tdk.errors.Record.__repr__": _SHOWN,
     "tdk.exact_linalg.GroupHom.__repr__": _SHOWN,

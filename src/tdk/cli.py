@@ -13,20 +13,24 @@ is read as a document integer is (``parse_int``), so ``1_0`` is refused.
 ``tdk selftest`` runs the acceptance battery of :mod:`tdk.selftest` and
 reports each check with its wall time in milliseconds.
 
-An argv of the form ``verb (--option value | --flag)*`` with exact option
-strings, as every scripted call writes it, is read from the verb's option
-table without an argparse pass (``_read_flags``); any other argv (help,
-``--opt=value``, abbreviations, a value starting with ``-``, an argument
-error) is read by argparse, so both give the same namespace and messages.
+Each verb is listed once, in ``_VERBS``: its handler, its help and its
+options.  An argv takes one of two paths through that table.  The form
+``verb (--option value | --flag)*`` with exact option strings, as every
+scripted call writes it, is read by ``_read_flags`` straight from the table.
+Any other argv (help, ``--opt=value``, abbreviations, a value starting with
+``-``, ``--``, an argument error) goes to the argparse parser that
+``_build_parser`` builds from the same table; both give the same namespace.
+argparse is imported only on that second path, so a scripted call never
+loads it.  ``main`` renders with the ``--pretty`` of the parse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 
 from .errors import NotDualizableError, SchemaError, TdkError, parse_int
 from .serialize import (
@@ -298,14 +302,53 @@ def _cmd_selftest(args):
 # driver
 
 
+_BASE = {
+    "--base": {"metavar": "FILE", "help": "space document (simplicial or dgring)"},
+    "--builtin": {"metavar": "NAME", "help": "builtin space name"},
+    "--params": {"metavar": "JSON", "help": "builtin parameters"},
+}
+_DEG = {"--deg": {"type": int, "metavar": "K"}}
+_CHERN = {"--chern": {"metavar": "FILE"}}
+_PAIR = {"--pair": {"metavar": "FILE", "required": True}}
+_TRIPLE = {"--triple": {"metavar": "FILE", "required": True}}
+_OUTPUT = {
+    "--json": {"action": "store_true", "help": "compact JSON (default)"},
+    "--pretty": {"action": "store_true", "help": "indented rendering"},
+}
+
+# verb -> (handler, help, {option string: add_argument keywords}); each
+# option's dest is the string without its "--", and every verb takes _OUTPUT
+_VERBS = {
+    name: (handler, help_text, {**options, **_OUTPUT})
+    for name, (handler, help_text, options) in {
+        "cohomology": (_cmd_cohomology, "cohomology of a base space", {**_BASE, **_DEG}),
+        "bundle": (_cmd_bundle, "total-space cohomology of a torus bundle",
+                   {**_BASE, **_CHERN, **_DEG}),
+        "ss": (_cmd_ss, "spectral-sequence page of a bundle", {
+            **_BASE, **_CHERN,
+            "--page": {"type": int, "metavar": "R"}, **_DEG,
+            "--p": {"type": int}, "--q": {"type": int},
+        }),
+        "dualizable": (_cmd_dualizable, "decide whether a pair admits a dual", _PAIR),
+        "dualize": (_cmd_dualize, "construct the canonical triple extending a pair", _PAIR),
+        "check-triple": (_cmd_check_triple, "validate every triple condition", _TRIPLE),
+        "extensions": (_cmd_extensions, "existence, dual chern data, and the extension torsor",
+                       _PAIR),
+        "onn": (_cmd_onn, "membership in the integral duality group",
+                {"--check": {"metavar": "FILE", "required": True}}),
+        "twisted": (_cmd_twisted, "rational twisted cohomology dimensions of a pair", _PAIR),
+        "tmap": (_cmd_tmap, "verify the duality transformation on a triple", _TRIPLE),
+        "selftest": (_cmd_selftest, "run the shipped example corpus", {}),
+    }.items()
+}
+
+
 @functools.cache
 def _build_parser():
-    """The argument parser, built on first use and shared by every ``run``.
+    """The argparse parser of ``_VERBS``, built on the first argv that
+    ``_read_flags`` declines and shared by every later one."""
+    import argparse
 
-    Its ``verbs`` attribute maps each verb to that verb's subparser, and
-    each subparser's ``flags`` maps its option strings (no ``-h``) to the
-    argparse actions that ``_read_flags`` reads them by.
-    """
     parser = argparse.ArgumentParser(
         prog="tdk",
         description=(
@@ -314,139 +357,79 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    parser.verbs = {}
-
-    def add(name, help_text, **flags):
-        p = parser.verbs[name] = sub.add_parser(name, help=help_text)
-        p.flags = {flag: p.add_argument(flag, **kwargs) for flag, kwargs in flags.items()}
-        p.flags["--json"] = p.add_argument("--json", action="store_true", help="compact JSON (default)")
-        p.flags["--pretty"] = p.add_argument("--pretty", action="store_true", help="indented rendering")
-        return p
-
-    base_flags = {
-        "--base": {"metavar": "FILE", "help": "space document (simplicial or dgring)"},
-        "--builtin": {"metavar": "NAME", "help": "builtin space name"},
-        "--params": {"metavar": "JSON", "help": "builtin parameters"},
-    }
-    add("cohomology", "cohomology of a base space",
-        **base_flags, **{"--deg": {"type": int, "metavar": "K"}})
-    add("bundle", "total-space cohomology of a torus bundle",
-        **base_flags,
-        **{"--chern": {"metavar": "FILE"}, "--deg": {"type": int, "metavar": "K"}})
-    add("ss", "spectral-sequence page of a bundle",
-        **base_flags,
-        **{
-            "--chern": {"metavar": "FILE"},
-            "--page": {"type": int, "metavar": "R"},
-            "--deg": {"type": int, "metavar": "K"},
-            "--p": {"type": int},
-            "--q": {"type": int},
-        })
-    add("dualizable", "decide whether a pair admits a dual",
-        **{"--pair": {"metavar": "FILE", "required": True}})
-    add("dualize", "construct the canonical triple extending a pair",
-        **{"--pair": {"metavar": "FILE", "required": True}})
-    add("check-triple", "validate every triple condition",
-        **{"--triple": {"metavar": "FILE", "required": True}})
-    add("extensions", "existence, dual chern data, and the extension torsor",
-        **{"--pair": {"metavar": "FILE", "required": True}})
-    add("onn", "membership in the integral duality group",
-        **{"--check": {"metavar": "FILE", "required": True}})
-    add("twisted", "rational twisted cohomology dimensions of a pair",
-        **{"--pair": {"metavar": "FILE", "required": True}})
-    add("tmap", "verify the duality transformation on a triple",
-        **{"--triple": {"metavar": "FILE", "required": True}})
-    add("selftest", "run the shipped example corpus")
+    for name, (_, help_text, options) in _VERBS.items():
+        verb = sub.add_parser(name, help=help_text)
+        for option, kwargs in options.items():
+            verb.add_argument(option, **kwargs)
     return parser
 
 
-_HANDLERS = {
-    "cohomology": _cmd_cohomology,
-    "bundle": _cmd_bundle,
-    "ss": _cmd_ss,
-    "dualizable": _cmd_dualizable,
-    "dualize": _cmd_dualize,
-    "check-triple": _cmd_check_triple,
-    "extensions": _cmd_extensions,
-    "onn": _cmd_onn,
-    "twisted": _cmd_twisted,
-    "tmap": _cmd_tmap,
-    "selftest": _cmd_selftest,
-}
+def _read_flags(name, rest):
+    """The namespace that ``_build_parser().parse_args([name, *rest])`` gives, or None.
 
-
-def _read_flags(verb, rest):
-    """The namespace that ``verb.parse_known_args(rest)`` gives, or None.
-
-    ``rest`` is read only when it is a sequence of ``--option value`` and
-    ``--flag`` items, each option string one of ``verb.flags`` exactly,
-    each value free of a leading ``-`` and converted by its action's own
-    ``type``, and every required option given; a repeated option keeps its
-    last value, as argparse does.  Any other ``rest`` gives None, and
+    ``name`` must be a verb of ``_VERBS`` and ``rest`` a sequence of
+    ``--option value`` and ``--flag`` items, each option string one of the
+    verb's exactly, each value free of a leading ``-`` and converted by its
+    option's ``type``, and every required option given; a repeated option
+    keeps its last value, as argparse does.  Any other argv gives None, and
     argparse reads it, with its help, abbreviations and usage errors.
     """
-    values = {}
+    verb = _VERBS.get(name)
+    if verb is None:
+        return None
+    options = verb[2]
+    values = {"verb": name}
     i, end = 0, len(rest)
     while i < end:
-        action = verb.flags.get(rest[i])
-        if action is None:
+        kwargs = options.get(rest[i])
+        if kwargs is None:
             return None
-        if action.nargs == 0:  # a store_true flag
-            values[action.dest] = action.const
+        if "action" in kwargs:  # a store_true flag
+            values[rest[i][2:]] = True
             i += 1
             continue
         if i + 1 == end or rest[i + 1][:1] == "-":
             return None
         value = rest[i + 1]
-        if action.type is not None:
+        if "type" in kwargs:
             try:
-                value = action.type(value)
+                value = kwargs["type"](value)
             except (TypeError, ValueError):
                 return None
-        values[action.dest] = value
+        values[rest[i][2:]] = value
         i += 2
-    for action in verb.flags.values():
-        if action.dest not in values:
-            if action.required:
+    for option, kwargs in options.items():
+        if option[2:] not in values:
+            if kwargs.get("required"):
                 return None
-            values[action.dest] = action.default
-    return argparse.Namespace(**values)
+            values[option[2:]] = False if "action" in kwargs else None
+    return types.SimpleNamespace(**values)
 
 
-def run(argv):
-    """Dispatch and return (exit_code, report_document); never raises on bad input.
+def _parse(argv):
+    """The namespace of ``argv``, or the (exit code, document) of an argv that does not parse.
 
-    argv takes one of three paths, each giving the namespace and, on an
-    argument error, the usage text and exit code of ``parse_args``:
-
-    - ``verb (--option value | --flag)*``, with exact option strings, values
-      that the options' types take and do not start with ``-``, and every
-      required option, is read by ``_read_flags`` from the verb's option
-      table, with no argparse pass;
-    - any other argv whose ``argv[0]`` is exactly a verb goes straight to
-      that verb's subparser (``--opt=value``, an abbreviation, ``--p -1``,
-      ``--``, ``-h``, a bad value, a missing one), and leftover arguments
-      are refused by the top-level parser as ``parse_args`` refuses them;
-    - any other argv (none, ``-h``, an unknown or abbreviated verb) takes
-      the full parse.
+    ``verb (--option value | --flag)*`` is read by ``_read_flags`` with no
+    argparse; any other argv of strings takes ``parse_args``, which prints
+    the help (exit 0, no document) or a usage error (exit 2).
     """
-    parser = _build_parser()
+    for i, item in enumerate(argv):
+        if not isinstance(item, str):
+            return 2, {"error": f"argv[{i}] is not a string: {item!r}"}
+    args = _read_flags(argv[0], argv[1:]) if argv else None
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse already printed the help or a usage message
+            return (2, {"error": "argument error"}) if exc.code else (0, {})
+    return args
+
+
+def _dispatch(args):
+    """Run the verb of a parsed namespace; (exit code, document)."""
     try:
-        verb = parser.verbs.get(argv[0]) if argv else None
-        if verb is None:
-            args = parser.parse_args(argv)
-        else:
-            args = _read_flags(verb, argv[1:])
-            if args is None:
-                args, extras = verb.parse_known_args(argv[1:])
-                if extras:
-                    parser.error("unrecognized arguments: " + " ".join(extras))
-            args.verb = argv[0]
-    except SystemExit as exc:
-        # argparse already printed a usage message
-        return (2 if exc.code else 0), {"error": "argument error"} if exc.code else {}
-    try:
-        return _HANDLERS[args.verb](args)
+        return _VERBS[args.verb][0](args)
     except TdkError as exc:
         doc = {"error": str(exc)}
         location = getattr(exc, "location", None)
@@ -457,11 +440,34 @@ def run(argv):
         return 2, {"error": f"{type(exc).__name__}: {exc}"}
 
 
+def run(argv):
+    """Dispatch and return (exit_code, report_document); never raises on bad input.
+
+    argv takes one of two paths, which give the same namespace:
+
+    - ``verb (--option value | --flag)*``, with exact option strings, values
+      that the options' types take and do not start with ``-``, and every
+      required option, is read by ``_read_flags`` from ``_VERBS``, with no
+      argparse imported;
+    - any other argv of strings (help, ``--opt=value``, an abbreviation,
+      ``--p -1``, ``--``, an unknown verb, a bad or missing value) goes to
+      ``_build_parser().parse_args``, which imports argparse on first use.
+
+    An argv item that is not a string is refused with exit 2 and its
+    position, before either path.
+    """
+    args = _parse(argv)
+    return args if isinstance(args, tuple) else _dispatch(args)
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    code, doc = run(argv)
+    """The console script: ``run`` on ``argv`` (default ``sys.argv[1:]``), its
+    document printed to stdout, compact or, when the parse read ``--pretty``,
+    indented; returns the exit code."""
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    code, doc = args if isinstance(args, tuple) else _dispatch(args)
     if doc:
-        sys.stdout.write(dumps(doc, pretty="--pretty" in argv) + "\n")
+        sys.stdout.write(dumps(doc, pretty=getattr(args, "pretty", False)) + "\n")
     return code
 
 

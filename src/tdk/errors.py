@@ -58,6 +58,17 @@ class UnsupportedElementError(TdkError):
     """Group element outside the implemented generator families."""
 
 
+def require(value, kind, name):
+    """``value`` when it is a ``kind``; otherwise an InputError that names the argument.
+
+    The doors of the library classes and functions call it, so a caller's
+    wrong argument is reported as an input error, not as an internal fault.
+    """
+    if not isinstance(value, kind):
+        raise InputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def parse_int(x, where):
     """An int from a JSON number or a decimal string; SchemaError at ``where`` otherwise.
 

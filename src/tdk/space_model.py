@@ -21,6 +21,7 @@ from functools import cached_property, wraps
 
 from .errors import (
     _SMALL_INTS, DimensionError, FrozenRecord, InputError, ModelError, SchemaError, parse_int,
+    require,
 )
 from .exact_linalg import (
     _sum_terms,
@@ -522,6 +523,8 @@ class DgRingModel:
 
     def cup_class(self, x: Cocycle, y: Cocycle):
         """Normal form of [x][y] in H^{|x|+|y|}."""
+        require(x, Cocycle, "x")
+        require(y, Cocycle, "y")
         prod = self.mul(x.degree, x.vector, y.degree, y.vector)
         return self.cohomology(x.degree + y.degree).reduce(prod)
 

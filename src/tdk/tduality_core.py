@@ -50,6 +50,7 @@ from .errors import (
     NotDualizableError,
     Record,
     TripleMismatchError,
+    require,
 )
 from .exact_linalg import (
     _sum_terms,
@@ -85,8 +86,9 @@ __all__ = [
 class Pair(FrozenRecord):
     """A bundle model with a closed degree-3 flux cocycle on its total space.
 
-    ``Pair(bundle, flux)`` checks the degree, the length and that the flux
-    is closed.  :meth:`_proven` checks nothing (module docstring).
+    ``Pair(bundle, flux)`` checks that it is given a BundleModel and a
+    Cocycle, the degree, the length and that the flux is closed.
+    :meth:`_proven` checks nothing (module docstring).
     """
 
     _fields = ("bundle", "flux")
@@ -99,7 +101,8 @@ class Pair(FrozenRecord):
         return pair
 
     def __post_init__(self):
-        if self.flux.degree != 3:
+        require(self.bundle, BundleModel, "bundle")
+        if require(self.flux, Cocycle, "flux").degree != 3:
             raise InputError(f"flux has degree {self.flux.degree}, expected 3")
         if len(self.flux.vector) != self.bundle.dim(3):
             raise InputError(
@@ -119,17 +122,17 @@ class Triple:
 
     The doubled model carries fiber generators y_1..y_n (side) and
     yh_1..yh_n (dual side); ``w`` is a degree-2 cochain there.
-    ``Triple(side, dual, w)`` checks that the two sides share a base and a
-    fiber dimension and that w is an integer cochain of the right length,
-    and builds the doubled model of the two bundles.  :meth:`_proven` takes
-    the doubled model from its caller, checks nothing (module docstring),
-    and reads ``w=None`` as the standard correspondence sum_i y_i yh_i.  A
-    caller that changes the data of a triple builds a new one with the
-    models it keeps.
+    ``Triple(side, dual, w)`` checks that the two sides are pairs that share
+    a base and a fiber dimension and that w is an integer cochain of the
+    right length, and builds the doubled model of the two bundles.
+    :meth:`_proven` takes the doubled model from its caller, checks nothing
+    (module docstring), and reads ``w=None`` as the standard correspondence
+    sum_i y_i yh_i.  A caller that changes the data of a triple builds a new
+    one with the models it keeps.
     """
 
     def __init__(self, side: Pair, dual: Pair, w):
-        if side.base is not dual.base:
+        if require(side, Pair, "side").base is not require(dual, Pair, "dual").base:
             raise TripleMismatchError("the two sides live over different bases")
         if side.bundle.n != dual.bundle.n:
             raise TripleMismatchError("the two sides have different fiber dimensions")
@@ -429,7 +432,7 @@ def h3_action(t: Triple, alpha: Cocycle) -> Triple:
     keeps t's bundles, so it keeps t's doubled model and w.
     """
     base = t.base
-    if alpha.degree != 3:
+    if require(alpha, Cocycle, "alpha").degree != 3:
         raise InputError("the torsor acts by degree-3 base classes")
     vec = alpha.vector
     if not base.is_closed(3, vec):
@@ -443,7 +446,7 @@ def h3_action(t: Triple, alpha: Cocycle) -> Triple:
 
 
 def _require_same_bundles(t1: Triple, t2: Triple):
-    if t1.base is not t2.base or t1.n != t2.n:
+    if require(t1, Triple, "t1").base is not require(t2, Triple, "t2").base or t1.n != t2.n:
         raise TripleMismatchError("triples live over different bases")
     if t1.side.bundle.chern != t2.side.bundle.chern:
         raise TripleMismatchError("side bundles differ")
@@ -536,10 +539,18 @@ def gauge_images(m: BundleModel, shifts):
     return images
 
 
+def _vectors(data, name):
+    """An iterator over the vectors of ``data``; an InputError naming ``name`` if there is none."""
+    try:
+        return iter(data)
+    except TypeError:
+        raise InputError(f"{name} must be a sequence of degree-1 cochains, got {data!r}") from None
+
+
 def _gauge_classes(t: Triple, psis, psihats):
     """psi and psihat as integer vectors; each is one closed degree-1 base cocycle per circle."""
-    psis = [int_vector(p, "psi") for p in psis]
-    psihats = [int_vector(p, "psihat") for p in psihats]
+    psis = [int_vector(p, "psi") for p in _vectors(psis, "psis")]
+    psihats = [int_vector(p, "psihat") for p in _vectors(psihats, "psihats")]
     if len(psis) != t.n or len(psihats) != t.n:
         raise InputError("need one degree-1 class per fiber circle on each side")
     for v in psis + psihats:

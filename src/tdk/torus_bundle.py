@@ -57,7 +57,7 @@ import itertools
 from bisect import bisect_left
 from functools import cached_property
 
-from .errors import InputError, ModelError, Record
+from .errors import InputError, ModelError, Record, require
 from .exact_linalg import (
     FgAbelianGroup,
     GroupHom,
@@ -423,7 +423,7 @@ class BundleModel(DgRingModel):
 
     def pullback_to_total(self, coc: Cocycle) -> Cocycle:
         """b -> b (x) y_empty; a ring map and a chain map."""
-        if coc.degree > self.base.D:
+        if require(coc, Cocycle, "coc").degree > self.base.D:
             raise InputError("cocycle degree exceeds the base model")
         return Cocycle(coc.degree, self.pullback(coc.degree, coc.vector))
 
@@ -574,7 +574,7 @@ class BundleModel(DgRingModel):
         which is why nothing here is memoised.  A caller that holds a proof
         that z is closed calls :meth:`_filtration_report`, which skips the test.
         """
-        if not self.is_closed(z.degree, z.vector):
+        if not self.is_closed(require(z, Cocycle, "z").degree, z.vector):
             raise InputError("filtration_report needs a closed cochain")
         return self._filtration_report(z)
 

@@ -6,10 +6,11 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdk.cli import _build_parser, _read_flags, run
+from tdk import cli
+from tdk.cli import _VERBS, _build_parser, _read_flags, main, run
 from tdk.exact_linalg import GroupHom
 from tdk.fixtures import named_pair, simplicial_doc
 from tdk.selftest import CHECKS
@@ -251,9 +252,11 @@ def test_unknown_verb_and_options_rejected(tmp_path):
     assert code == 2
 
 
-def test_shared_parser_after_argument_error(tmp_path, capsys):
+def test_shared_parser_after_argument_error(tmp_path, capsys, monkeypatch):
     # ``run`` reuses one parser; an argument error must leave nothing behind
-    # that changes how later calls of other verbs parse
+    # that changes how later calls of other verbs parse (the flag reader is
+    # turned off, so every call goes through that parser)
+    monkeypatch.setattr(cli, "_read_flags", lambda name, rest: None)
     pair = pair_file(tmp_path, "hopf_k2")
     calls = [
         ["extensions", "--pair", pair],
@@ -325,8 +328,8 @@ def _argv_corpus(tmp_path):
 
 
 def test_direct_dispatch_matches_the_full_parse(tmp_path, capsys, monkeypatch):
-    # ``run`` hands argv[0] == verb straight to the verb's subparser; emptying
-    # the verb map sends every argv through ``_build_parser().parse_args``
+    # ``run`` reads the usual argv forms with ``_read_flags``; turning the
+    # reader off sends every argv through ``_build_parser().parse_args``
     corpus = _argv_corpus(tmp_path)
 
     def outcomes():
@@ -337,9 +340,8 @@ def test_direct_dispatch_matches_the_full_parse(tmp_path, capsys, monkeypatch):
             rows.append((argv, code, dumps(doc), captured.out, captured.err))
         return rows
 
-    parser = _build_parser()
     direct = outcomes()
-    monkeypatch.setattr(parser, "verbs", {})
+    monkeypatch.setattr(cli, "_read_flags", lambda name, rest: None)
     assert outcomes() == direct
     assert [code for _, code, *_ in direct[:13]] == [0] * 13
     assert all(code in (0, 2) for _, code, *_ in direct[13:])
@@ -349,7 +351,7 @@ def test_direct_dispatch_matches_the_full_parse(tmp_path, capsys, monkeypatch):
         raise AssertionError("a verb's argv went through the top-level parse")
 
     monkeypatch.undo()
-    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(_build_parser(), "parse_args", refuse)
     assert run(corpus[1])[0] == 0
 
 
@@ -365,13 +367,12 @@ def _verb_argv(draw):
     """A verb and its arguments: options of that verb with values and its
     flags, and in half the draws also option prefixes, ``=`` forms, help,
     options without a value and stray values."""
-    verbs = _build_parser().verbs
-    name = draw(st.sampled_from(sorted(verbs)))
-    flags = verbs[name].flags
+    name = draw(st.sampled_from(sorted(_VERBS)))
+    flags = _VERBS[name][2]
     options = st.sampled_from(sorted(flags) + ["-h", "--help"])
-    well_formed = [st.sampled_from(sorted(o for o, a in flags.items() if a.nargs == 0)).map(lambda o: [o])]
-    if any(a.nargs != 0 for a in flags.values()):
-        valued = st.sampled_from(sorted(o for o, a in flags.items() if a.nargs != 0))
+    well_formed = [st.sampled_from(sorted(o for o, k in flags.items() if "action" in k)).map(lambda o: [o])]
+    if any("action" not in k for k in flags.values()):
+        valued = st.sampled_from(sorted(o for o, k in flags.items() if "action" not in k))
         well_formed.append(st.tuples(valued, _VALUES).map(list))
     item = st.one_of(*well_formed)
     if draw(st.booleans()):
@@ -390,26 +391,26 @@ def _verb_argv(draw):
 @given(_verb_argv())
 def test_the_flag_reader_declines_or_reads_as_argparse(case):
     name, rest = case
-    verb = _build_parser().verbs[name]
-    read = _read_flags(verb, rest)
+    read = _read_flags(name, rest)
     if read is None:
         return
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            parsed, extras = verb.parse_known_args(rest)
+            parsed, extras = _build_parser().parse_known_args([name, *rest])
     except SystemExit:
         pytest.fail(f"the flag reader read {rest!r}, which argparse refuses")
     assert extras == [] and vars(read) == vars(parsed)
 
 
-def test_every_benchmark_argv_form_is_read_without_argparse(tmp_path, monkeypatch):
+def benchmark_forms(tmp_path):
+    """One argv of each form that the benchmark writes, on documents in ``tmp_path``."""
     pair = pair_file(tmp_path, "hopf_k2")
     triple = write(tmp_path, "triple.json", dumps(triple_to_doc(dualize(named_pair("hopf_k2")))))
     flip = write(tmp_path, "flip.json", json.dumps({"n": "1", "matrix": [["0", "1"], ["1", "0"]]}))
     chern = write(tmp_path, "chern.json", json.dumps([["1"]]))
     space = write(tmp_path, "s.json", json.dumps(simplicial_doc("boundary-tetrahedron")))
     torus = ["--builtin", "torus", "--params", '{"k": "2"}']
-    forms = [
+    return [
         ["cohomology", "--base", space],
         ["bundle", *torus, "--chern", chern],
         ["ss", *torus, "--chern", chern, "--page", "3"],
@@ -417,11 +418,59 @@ def test_every_benchmark_argv_form_is_read_without_argparse(tmp_path, monkeypatc
         *([verb, "--triple", triple] for verb in ("check-triple", "tmap")),
         ["onn", "--check", flip],
     ]
-    calls = []
-    for verb in _build_parser().verbs.values():
-        monkeypatch.setattr(verb, "parse_known_args", lambda *a, **k: calls.append(a))
+
+
+def test_every_benchmark_argv_form_is_read_without_argparse(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("a benchmark argv form built the argparse parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    forms = benchmark_forms(tmp_path)
     assert [run(argv)[0] for argv in forms] == [0] * len(forms)
-    assert calls == []
+
+
+_NOT_STRINGS = st.one_of(st.integers(-3, 3), st.none(), st.binary(max_size=3), st.floats())
+_STRINGS = st.sampled_from(["cohomology", "dualizable", "--builtin", "torus", "--deg", "1", "-h", "--pretty"])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_STRINGS, _NOT_STRINGS), min_size=1, max_size=6).filter(
+    lambda argv: not all(isinstance(item, str) for item in argv)))
+@example([5])
+@example(["cohomology", 5])
+@example(["cohomology", "--deg", 5])
+def test_an_argv_item_that_is_not_a_string_is_refused_by_position(argv):
+    first = next(i for i, item in enumerate(argv) if not isinstance(item, str))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        outcome = run(argv)
+    assert outcome == (2, {"error": f"argv[{first}] is not a string: {argv[first]!r}"})
+    assert (out.getvalue(), err.getvalue()) == ("", "")
+
+
+# ---------------------------------------------------------------------------
+# the console script
+
+
+@pytest.mark.parametrize("flag, indented", [("--pretty", True), ("--pre", True), ("--json", False)])
+def test_main_renders_with_the_pretty_of_the_parse(flag, indented, capsys):
+    argv = ["cohomology", "--builtin", "torus", "--deg", "1", flag]
+    assert main(argv) == 0
+    expected = dumps({"kind": "dgring", "cohomology": {"1": {"rank": "2", "torsion": []}}}, pretty=indented)
+    assert capsys.readouterr() == (expected + "\n", "")
+    assert ("\n" in expected) is indented
+
+
+def test_main_renders_an_argument_error_compact(capsys):
+    assert main(["dualizable", "--pretty"]) == 2
+    out, err = capsys.readouterr()
+    assert out == '{"error":"argument error"}\n'
+    assert "the following arguments are required: --pair" in err
+
+
+def test_main_prints_the_help_and_no_document(capsys):
+    assert main(["-h"]) == 0
+    assert capsys.readouterr() == (_build_parser().format_help(), "")
 
 
 def test_an_unreadable_document_path_is_an_input_error(tmp_path):

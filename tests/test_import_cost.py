@@ -1,11 +1,12 @@
-"""``tdk cohomology`` loads no bundle module.
+"""``tdk cohomology`` loads no bundle module, and no scripted call loads argparse.
 
 ``tdk/__init__.py`` imports its names on first access, and ``serialize``
 imports the bundle layers inside the readers of pairs and triples, so a
 fresh interpreter that runs ``tdk cohomology`` on a simplicial or a
 ``dgring`` document never imports the bundle, T-duality, duality-group or
 twisted-cohomology modules.  The documents are written here, outside that
-interpreter.
+interpreter.  ``tdk.cli`` imports argparse only for an argv that its flag
+reader declines, so the argv forms the benchmark writes never load it.
 """
 
 import json
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from test_cli import benchmark_forms
 from test_golden import grid_doc
 from tdk.serialize import dumps, space_to_doc
 from tdk.space_model import builtin_space
@@ -87,3 +89,22 @@ def test_every_exported_name_resolves_to_its_module():
     assert set(dir(tdk)) >= set(tdk.__all__)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         tdk.no_such_name
+
+
+def test_the_benchmark_argv_forms_load_no_argparse(tmp_path):
+    script = (
+        "import json, sys\n"
+        "from tdk.cli import run\n"
+        "codes = [run(argv)[0] for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'argparse': 'argparse' in sys.modules}))"
+    )
+    forms = benchmark_forms(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(forms)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * len(forms), "argparse": False}

@@ -451,3 +451,25 @@ def test_extension_n1_crosscheck_trivial():
     for pair in [hopf_pair(1, 1), t3_over_t2_pair(1), trivial_pair(T3, 1)]:
         rep = extension_report(pair)
         assert rep.crosscheck_invariants == (0, ())
+
+
+_DOORS = {
+    "Pair flux": (lambda t: Pair(t.side.bundle, [0] * t.side.bundle.dim(3)), "flux must be a Cocycle, got list"),
+    "Pair bundle": (lambda t: Pair([1], t.side.flux), "bundle must be a BundleModel, got list"),
+    "Triple side": (lambda t: Triple([1], t.dual, t.w), "side must be a Pair, got list"),
+    "h3_action": (lambda t: h3_action(t, [0] * t.base.dim(3)), "alpha must be a Cocycle, got list"),
+    "torsor_difference": (lambda t: torsor_difference(t, [1]), "t2 must be a Triple, got list"),
+    "gauge_action": (lambda t: gauge_action(t, 5, 5), "psis must be a sequence of degree-1 cochains, got 5"),
+    "filtration_report": (lambda t: t.side.bundle.filtration_report([0] * t.side.bundle.dim(3)),
+                          "z must be a Cocycle, got list"),
+    "pullback_to_total": (lambda t: t.side.bundle.pullback_to_total([0]), "coc must be a Cocycle, got list"),
+    "cup_class": (lambda t: t.base.cup_class([0], [0]), "x must be a Cocycle, got list"),
+}
+
+
+@pytest.mark.parametrize("door", sorted(_DOORS))
+def test_a_library_door_names_the_argument_of_the_wrong_type(door):
+    call, message = _DOORS[door]
+    with pytest.raises(InputError) as info:
+        call(dualize(named_pair("hopf_k2")))
+    assert str(info.value) == message
