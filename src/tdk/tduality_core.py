@@ -124,7 +124,12 @@ class Triple:
     yh_1..yh_n (dual side); ``w`` is a degree-2 cochain there.
     ``Triple(side, dual, w)`` checks that the two sides are pairs that share
     a base and a fiber dimension and that w is an integer cochain of the
-    right length, and builds the doubled model of the two bundles.
+    right length, and builds the doubled model of the two bundles.  That
+    model builds each degree on its first read (``BundleModel``): the
+    standard w reads degree 2, and :func:`validate_triple` degrees 2 and 3,
+    which is all that any verb reads of it.  On the standard w the
+    transformation of ``twisted_cohomology`` is Hori's formula, which reads
+    none of it.
     :meth:`_proven` takes the doubled model from its caller, checks nothing
     (module docstring), and reads ``w=None`` as the standard correspondence
     sum_i y_i yh_i.  A caller that changes the data of a triple builds a new
@@ -198,7 +203,7 @@ def is_dualizable(pair: Pair):
 
     The flux of a Pair is closed, so its report is not re-tested.
     """
-    report = pair.bundle._filtration_report(pair.flux)
+    report = require(pair, Pair, "pair").bundle._filtration_report(pair.flux)
     return report.in_step(2), report
 
 
@@ -326,7 +331,8 @@ def dualize(pair: Pair) -> Triple:
     (:func:`_normal_form`), whose dual side is the bundle with chern
     cocycles zhat: the triple of :func:`_canonical_triple`.
     """
-    return _canonical_triple(pair.bundle, *_normal_form(pair, is_dualizable(pair)[1]))
+    m = require(pair, Pair, "pair").bundle
+    return _canonical_triple(m, *_normal_form(pair, is_dualizable(pair)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +375,14 @@ def _leading_part_matches(bundle: BundleModel, flux: Cocycle, other_chern, beta)
 
 
 def validate_triple(t: Triple) -> TripleReport:
-    """Itemized exact check of every triple condition; never raises.
+    """Itemized exact check of every triple condition; raises only when t is not a Triple.
 
     Both fluxes are closed without a check: a :class:`Pair` refuses a flux
     that is not closed, and neither a Pair nor its cocycle can be changed
     afterwards.  Both leading parts and the quadratic relation solve one
     pairing, as sum_i chat_i . c_i is sum_i c_i . chat_i (module docstring).
     """
+    require(t, Triple, "t")
     items = {}
     side_chern, dual_chern = t.side.bundle.chern, t.dual.bundle.chern
     side_beta = _pairing_primitive(t.base, side_chern, dual_chern)
@@ -431,7 +438,7 @@ def h3_action(t: Triple, alpha: Cocycle) -> Triple:
     is closed and each Pair is built through the proven door; the triple
     keeps t's bundles, so it keeps t's doubled model and w.
     """
-    base = t.base
+    base = require(t, Triple, "t").base
     if require(alpha, Cocycle, "alpha").degree != 3:
         raise InputError("the torsor acts by degree-3 base classes")
     vec = alpha.vector
@@ -628,7 +635,7 @@ def extension_report(pair: Pair) -> ExtensionReport:
     and ``ker.gens`` spans every such lambda (``GroupHom.kernel``).
     ``tests/test_skipped_work.py`` checks both against reference tests.
     """
-    m = pair.bundle
+    m = require(pair, Pair, "pair").bundle
     base = m.base
     ok, report = is_dualizable(pair)
     dual_chern = None

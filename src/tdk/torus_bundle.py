@@ -12,10 +12,12 @@ decide dualizability downstream.  The basis of each degree is sorted by base
 degree, so F^p is a basis suffix and Z_r is the kernel of one block of d_k:
 the columns of F^p C^k against the rows of C^{k+1} below base degree p + r.
 
-A model builds what it reads on first use and keeps it: each d_k, the basis
-labels, each Z_r block, the Smith form of each d_k and of each filtration
-solve.  So a triple, which reads its doubled model in degrees 1 and 2 only,
-never builds the other degrees of it, and a build itself builds none.
+A model builds what it reads on first use and keeps it: the basis
+elements and index of each degree, each list of fiber monomials, each d_k,
+the basis labels, each Z_r block, the Smith form of each d_k and of each
+filtration solve.  So a triple, which reads its doubled model in degrees 2
+and 3 only, never builds the other degrees of it, and a build itself builds
+none.
 
 The one d o d = 0 certificate, on the base.  Write d = d_B + delta, with d_B
 the base differential on b and delta the sum over i in S.  On x = b (x) y_S,
@@ -54,6 +56,7 @@ bases of degree 4 or more have any.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from functools import cached_property
 
@@ -106,18 +109,44 @@ def _read_chern(base: DgRingModel, cocycles, name="chern"):
     return out
 
 
+class _Levels(dict):
+    """Lists keyed by degree, each made by ``make(k)`` on its first read and kept.
+
+    A read of a made degree is the dict lookup itself, with no Python call;
+    only a miss reaches ``__missing__``.  ``make`` must not refer to the
+    model that holds the levels, so that the model is freed without the
+    cyclic collector.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, k):
+        value = self[k] = self.make(k)
+        return value
+
+
 class BundleModel(DgRingModel):
     """Total-space model of a principal T^n-bundle, filtered by base degree.
 
-    The model is itself a :class:`DgRingModel`.  Its basis in total degree k
-    lists triples (p, a, S) with p + |S| = k, ordered by base degree p, then
-    base index, then the fiber monomial; so each filtration step F^p is a
-    basis suffix.  The differential is the sparse columns that
-    :meth:`_koszul_columns` writes for each degree on its first read, and
-    the product is the Koszul rule, applied term by term by
-    :meth:`mul_terms` with nothing memoised but the fiber shuffle signs;
-    ``product`` tabulates all pairs on each read (serialization, the full
-    :meth:`DgRingModel.validate`) and stores them nowhere.  The ring is
+    The model is itself a :class:`DgRingModel`.  Its basis in total degree k,
+    ``elements[k]``, lists triples (p, a, S) with p + |S| = k, ordered by
+    base degree p, then base index, then the fiber monomial; so each
+    filtration step F^p is a basis suffix.  ``index[k]`` maps each triple to
+    its position.  Both are built for a degree on its first read, as is the
+    list of fiber monomials of each size (:class:`_Levels`): the doubled
+    model has 4^n dim(base) basis elements in all, and a verb reads only a
+    few degrees of it.  ``dim(k)`` is counted at build, as the sum over p of
+    dim C^p(base) . binom(n, k - p), so it builds no degree.  The
+    differential is the sparse columns that :meth:`_koszul_columns` writes
+    for each degree on its first read, and the product is the Koszul rule,
+    applied term by term by :meth:`mul_terms` with nothing memoised but the
+    fiber shuffle signs; ``product`` tabulates all pairs on each read
+    (serialization, the full :meth:`DgRingModel.validate`) and stores them
+    nowhere.  The ring is
     graded-commutative by construction once the base is valid; its Leibniz
     rule rests on the chern cocycles being closed.  ``chern`` is the list of
     them, each a list of ints.
@@ -160,20 +189,27 @@ class BundleModel(DgRingModel):
             f"yh{i + 1}" for i in range(self.n - side)
         ]
 
-        monomials = [list(itertools.combinations(range(self.n), q)) for q in range(self.n + 1)]
-        self.elements = [  # per total degree: list of (p, a, S)
-            [
-                (p, a, S)
-                for p in range(max(k - self.n, 0), min(k, base.D) + 1)
-                for a in range(base.dim(p))
-                for S in monomials[k - p]
-            ]
-            for k in range(base.D + self.n + 1)
-        ]
-        self.index = [dict(zip(level, range(len(level)))) for level in self.elements]
+        n, top, D = self.n, base.D, base.D + self.n
+        dims = [base.dim(p) for p in range(top + 1)]
+        monomials = _Levels(lambda q: list(itertools.combinations(range(n), q)))
+
+        def level(k):  # the (p, a, S) of degree k, sorted
+            if not 0 <= k <= D:
+                raise IndexError(f"degree {k} is outside 0..{D}")
+            return [(p, a, S) for p in range(max(k - n, 0), min(k, top) + 1)
+                    for a in range(dims[p]) for S in monomials[k - p]]
+
+        self.elements = elements = _Levels(level)
+        self.index = _Levels(lambda k: dict(zip(elements[k], range(len(elements[k])))))
+        self._monomials = monomials
+        self._dims = [0] * (D + 1)  # dim C^p(base) . binom(n, q) summed over p + q = k
+        binomials = [math.comb(n, q) for q in range(n + 1)]
+        for p, x in enumerate(dims):
+            for k, c in enumerate(binomials, p):
+                self._dims[k] += x * c
         # the state of DgRingModel.__init__ but for the labels and the
         # differential, which ``basis`` and ``d_columns`` build on first read
-        self.D = len(self.elements) - 1
+        self.D = D
         self._dshape, self._dcols, self._product, self.meta = {}, {}, {}, {}
         self._shuffles = {}  # (S1, S2) -> shuffle_sign(S1, S2), filled on first use
         self._chern_terms = [{z: x for z, x in enumerate(c) if x} for c in chern]
@@ -224,17 +260,18 @@ class BundleModel(DgRingModel):
                 return mono
             return f"{b}.{mono}"
 
-        while not taken.isdisjoint(label(*e) for level in self.elements for e in level if e[2]):
+        levels = [self.elements[k] for k in range(self.D + 1)]
+        while not taken.isdisjoint(label(*e) for level in levels for e in level if e[2]):
             fiber = [y + "'" for y in fiber]
-        basis, seen = [[label(*e) for e in level] for level in self.elements], {}
-        for e, x in zip(itertools.chain(*self.elements), itertools.chain(*basis)):
+        basis, seen = [[label(*e) for e in level] for level in levels], {}
+        for e, x in zip(itertools.chain(*levels), itertools.chain(*basis)):
             if seen.setdefault(x, e) != e:
                 raise InputError(f"basis elements (p, a, S) = {seen[x]} and {e} share the label "
                                  f"{x!r} (fiber labels {self.labels})")
         return basis
 
     def dim(self, k):
-        return len(self.elements[k]) if 0 <= k <= self.D else 0
+        return self._dims[k] if 0 <= k <= self.D else 0
 
     @property
     def diff_shapes(self):
@@ -361,7 +398,8 @@ class BundleModel(DgRingModel):
         on their bitmasks skips it, so only pairs of disjoint monomials reach
         :meth:`mul_basis` and its shuffle memo.
         """
-        masks = [[sum(1 << i for i in S) for _, _, S in level] for level in self.elements]
+        masks = [[sum(1 << i for i in S) for _, _, S in self.elements[k]]
+                 for k in range(self.D + 1)]
         product = {}
         for k1 in range(self.D + 1):
             for k2 in range(self.D + 1 - k1):
@@ -380,7 +418,7 @@ class BundleModel(DgRingModel):
         return self.elements[k] if 0 <= k <= self.D else []
 
     def monomials(self, fdeg):
-        return list(itertools.combinations(range(self.n), fdeg))
+        return self._monomials[fdeg]
 
     def element_vector(self, p, a, S):
         k = p + len(S)

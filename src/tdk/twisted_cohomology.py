@@ -26,9 +26,10 @@ correspondence cochain (nilpotent, so a polynomial), and the fiber
 integration extracts the coefficient of y_1 ^ ... ^ y_n with the sign
 (-1)^(n.|b|) of moving the base factor out front.  With these conventions
 the chain identity  D_dual o T = (-1)^n . T o D_side  holds entry-exactly,
-and T drops total degree by n.  T is linear in omega, so exp(-w) is built
-once, as w^m = w^(m-1) . w, with its terms grouped by side-fiber monomial:
-b . y_S reaches y_1 ... y_n only through the group of the complement of S.
+and T drops total degree by n.  T is linear in omega, so on a w other than
+the standard one (Hori's formula, below) exp(-w) is built once, as
+w^m = w^(m-1) . w, with its terms grouped by side-fiber monomial: b . y_S
+reaches y_1 ... y_n only through the group of the complement of S.
 
 Everything is computed over Z, on sparse cochains.  The m-th term
 (-w)^m / m! of exp(-w) can be nonzero only for 2m <= D, the top degree of
@@ -38,6 +39,29 @@ linear in T, so N . T satisfies it iff T does; and N != 0 scales images
 without changing any rank, so the induced maps on twisted cohomology are
 bijective iff those of T are.  Reports are unchanged: they still state
 rational coefficients, and their dimensions are over Q.
+
+Hori's formula.  Every triple that ``tdk`` builds carries the standard
+correspondence w = sum_i y_i yh_i (Hori 1999, hep-th/9902102; Bouwknegt,
+Evslin & Mathai 2004, hep-th/0306062), and on it T needs no doubled model:
+
+    N . T(b . y_S) = (-1)^e N . b . yh_A,   A = [n] minus S,
+    e = m + m(m-1)/2 + m|S| + inv(A, S) + n p,
+
+with m = |A|, p = |b| and inv(A, S) = #{(a, s) in A x S : a > s}; the
+image is the dual element (p, a, A) in degree p + m.  Proof.  The terms
+u_i = y_i yh_i of w are even and square to zero, so (-w)^m / m! =
+(-1)^m sum_{|I| = m} u_I, with u_I the product of the u_i for i in I.  A
+term u_I . b y_S reaches y_1 ... y_n only if I and S are disjoint and
+cover [n], so only I = A survives.  u_A has base degree 0, so the Koszul
+rule moves b out front with no sign.  Then u_A = (-1)^(m(m-1)/2) y_A yh_A
+(each yh_a passes the y of every later index), y_A yh_A y_S =
+(-1)^(m|S|) y_A y_S yh_A, and y_A y_S = (-1)^inv(A, S) y_1 ... y_n.  So
+the one term is (-1)^(m + m(m-1)/2 + m|S| + inv(A, S)) N . b y_1 ... y_n
+yh_A, and the fiber integral adds (-1)^(n p).  As S runs over the subsets
+of [n], A does too, so N . T is N times a signed permutation of the two
+cochain bases, from degree k = p + |S| to p + n - |S|, of parity k + n.
+``tests/test_twisted_cohomology.py`` compares it with the exp(-w) path,
+entry for entry, on every standard-w triple it builds.
 """
 
 from __future__ import annotations
@@ -46,7 +70,7 @@ import itertools
 import math
 from functools import cached_property
 
-from .errors import InputError, Record
+from .errors import InputError, Record, require
 from .exact_linalg import _sum_terms, compose, kernel_basis, matrix_rank
 from .space_model import _terms
 from .tduality_core import Pair, Triple, validate_triple
@@ -92,7 +116,7 @@ class TwistedComplex:
     """
 
     def __init__(self, pair: Pair):
-        self.bundle = bundle = pair.bundle
+        self.bundle = bundle = require(pair, Pair, "pair").bundle
         self.z = pair.flux.vector
         self.degrees = {par: list(range(par, bundle.D + 1, 2)) for par in (0, 1)}
         self.offsets, self.dims = {}, {}
@@ -163,21 +187,60 @@ class TMap(Record):
 
 
 def t_transform(t: Triple) -> TMap:
-    """The degree -n transformation realized on the doubled model, times N.
+    """The degree -n transformation of a valid triple, times N.
+
+    On the standard w = sum_i y_i yh_i the blocks are written by Hori's
+    formula (:func:`_hori_blocks`), with no product in the doubled model;
+    any other w takes the exp(-w) path (:func:`_exp_blocks`).  Both give
+    N . T for the N of the module docstring, entry for entry.
+    """
+    report = validate_triple(require(t, Triple, "t"))
+    if not report.ok:
+        raise InputError(f"transformation needs a valid triple: {report.failures()}")
+    side, dual = TwistedComplex(t.side), TwistedComplex(t.dual)
+    scale = math.factorial(t.doubled.D // 2)
+    write = _hori_blocks if t.w == t.standard_w() else _exp_blocks
+    blocks = write(t, side, dual, scale)
+    return TMap(source=side, target=dual, parity_shift=t.n % 2, blocks=blocks, scale=scale)
+
+
+def _hori_blocks(t, side, dual, scale):
+    """N . T on the standard w: b . y_S goes to (-1)^e N . b . yh_A, A the complement of S.
+
+    e = m + m(m-1)/2 + m|S| + inv(A, S) + n p, with m = |A| and p = |b|
+    (module docstring).  A, m and the part of e that does not depend on p
+    are worked out once per monomial S.
+    """
+    n, dual_index = t.n, t.dual.bundle.index
+    images = {}  # S -> (A, m, e - n p)
+    blocks = {}
+    for par in (0, 1):
+        offsets = dual.offsets[(par + n) % 2]
+        cols = blocks[par] = []
+        for k in side.degrees[par]:
+            for p, a, S in t.side.bundle.elements[k]:
+                image = images.get(S)
+                if image is None:
+                    A = tuple(i for i in range(n) if i not in S)
+                    m = len(A)
+                    inversions = sum(i > j for i in A for j in S)
+                    image = images[S] = (A, m, m + m * (m - 1) // 2 + m * len(S) + inversions)
+                A, m, e = image
+                x = -scale if (e + n * p) % 2 else scale
+                cols.append({offsets[p + m] + dual_index[p + m][(p, a, A)]: x})
+    return blocks
+
+
+def _exp_blocks(t, side, dual, scale):
+    """N . T on the doubled model, for any w: N . exp(-w) . p*(x), integrated over the fiber.
 
     N . exp(-w) is built once and grouped by side-fiber monomial.  A side
     element b . y_S is multiplied by the group of the complement of S only,
     so each product term integrates to one entry of the dual index, with the
     sign (-1)^(n.p) of its base degree p.
     """
-    report = validate_triple(t)
-    if not report.ok:
-        raise InputError(f"transformation needs a valid triple: {report.failures()}")
-
     n = t.n
-    side, dual = TwistedComplex(t.side), TwistedComplex(t.dual)
     doubled, dual_index = t.doubled, t.dual.bundle.index
-    scale = math.factorial(doubled.D // 2)
     w = _terms(t.w, doubled.dim(2))
     groups = {}  # side-fiber monomial -> {2m: its terms of (-1)^m (N / m!) . w^m}
     power, m = {0: 1}, 0  # w^0, the unit in degree 0
@@ -208,7 +271,7 @@ def t_transform(t: Triple) -> TMap:
                         row = offsets[low] + dual_index[low][(q, b, tuple(j - n for j in M[n:]))]
                         col[row] = -y if n * q % 2 else y
                 cols.append(col)
-    return TMap(source=side, target=dual, parity_shift=n % 2, blocks=blocks, scale=scale)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +291,17 @@ def verify_iso(t: Triple) -> IsoReport:
     The chain identity is checked entry-exactly first; a failure there is
     reported as the reason without attempting rank computations.
 
-    The induced map [x] -> [Tx] out of source parity p has rank
+    When each block of N . T is N times a signed permutation matrix (one
+    entry +-N per column, every target row reached once; on the standard w
+    by Hori's formula, module docstring), the answer is yes with no rank of
+    M: T is invertible over Q and D_dual o T = (-1)^n T o D_side, so
+    D_dual = (-1)^n T D_side T^-1 and T carries the cocycles and the
+    coboundaries of each source parity p onto those of the target parity
+    p + n.  So T is bijective on cohomology, and the dual's dimension in
+    parity p + n is the side's in parity p: only the side's two twisted
+    ranks are computed.
+
+    Otherwise, the induced map [x] -> [Tx] out of source parity p has rank
     rank [T . ker D | B] - rank B, with D = D_side out of p on X and B =
     D_dual into the target parity on Y.  That is rank M - rank D - rank B
     for M = [[D, 0], [T, B]] on X + Y, so no kernel basis is needed, as
@@ -242,18 +315,20 @@ def verify_iso(t: Triple) -> IsoReport:
     Before the rank, the T block is divided by the gcd g of all its entries,
     which keeps rank M: multiplying the rows of T and B by 1/g and then the
     columns of B by g is invertible over Q, and turns [[D, 0], [T, B]] into
-    [[D, 0], [T / g, B]].  On the standard w every entry of N . T is +-N
-    (Hori's formula), so T / g has +-1 entries, which the rank takes as unit
-    pivots with no Smith form.  The division must be one g for the whole
+    [[D, 0], [T / g, B]].  The division must be one g for the whole
     block: dividing each column of T by its own content is not a row and
     column scaling, and can change the rank.  With D = [1 1] and T = [2 1]
     (B empty), M = [[1, 1], [2, 1]] has rank 2, but [[1, 1], [1, 1]] has
     rank 1.
     """
-    tm = t_transform(t)
+    tm = t_transform(require(t, Triple, "t"))
     dims_side = tm.source.cohomology_dims()
-    dims_dual = tm.target.cohomology_dims()
     chain_ok = tm.is_chain_map()
+    if chain_ok and _signed_bijection(tm):
+        shift = tm.parity_shift
+        return IsoReport(ok=True, chain_ok=True, dims_side=dims_side,
+                         dims_dual=(dims_side[shift], dims_side[1 - shift]), reason="")
+    dims_dual = tm.target.cohomology_dims()
     reason = "" if chain_ok else "chain-map identity fails at the cochain level"
     for par in (0, 1) if chain_ok else ():
         tgt = (par + tm.parity_shift) % 2
@@ -272,3 +347,21 @@ def verify_iso(t: Triple) -> IsoReport:
             break
     return IsoReport(ok=not reason, chain_ok=chain_ok, dims_side=dims_side,
                      dims_dual=dims_dual, reason=reason)
+
+
+def _signed_bijection(tm):
+    """Whether each block of N . T is N times a signed permutation matrix.
+
+    That is: as many columns as the target parity has cochains, each with
+    one entry, +-N, and no row reached twice.
+    """
+    for par in (0, 1):
+        block = tm.blocks[par]
+        rows = tm.target.dims[(par + tm.parity_shift) % 2]
+        if len(block) != rows or any(len(col) != 1 for col in block):
+            return False
+        if {abs(x) for col in block for x in col.values()} - {tm.scale}:
+            return False
+        if {r for col in block for r in col} != set(range(rows)):
+            return False
+    return True

@@ -425,8 +425,10 @@ def test_triple_builds_only_the_degrees_of_its_doubled_model_that_it_reads():
     T3 = builtin_space("torus", {"k": 3})
     m = build_bundle(T3, [T3.basis_vector(2, 0), T3.basis_vector(2, 1)])
     t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
+    assert sorted(t.doubled.elements) == sorted(t.doubled.index) == [2]  # w alone
     assert validate_triple(t).ok
     assert sorted(t.doubled._dcols) == [2]  # d_2 for the correspondence equation
+    assert sorted(t.doubled.elements) == sorted(t.doubled.index) == [2, 3]
     assert "basis" not in vars(t.doubled)  # no labels
 
 
@@ -442,6 +444,7 @@ def test_a_build_writes_no_differential_and_no_labels(name, params, n):
     doubled = BundleModel.doubled(m, build_bundle(base, chern))
     for model in (m, doubled):
         assert model._dcols == {}
+        assert model.elements == model.index == {}  # no basis element listed
         assert "basis" not in vars(model)
 
 

@@ -28,6 +28,7 @@ from tdk.tduality_core import (
     validate_triple,
 )
 from tdk.torus_bundle import BundleModel, build_bundle
+from tdk.twisted_cohomology import t_transform, twisted_dims, verify_iso
 
 S2 = builtin_space("sphere", {"k": 2})
 S3 = builtin_space("sphere", {"k": 3})
@@ -473,3 +474,24 @@ def test_a_library_door_names_the_argument_of_the_wrong_type(door):
     with pytest.raises(InputError) as info:
         call(dualize(named_pair("hopf_k2")))
     assert str(info.value) == message
+
+
+_RECORD_DOORS = {  # each public function that takes a Pair or a Triple first
+    "dualize": (dualize, "pair"),
+    "is_dualizable": (is_dualizable, "pair"),
+    "extension_report": (extension_report, "pair"),
+    "twisted_dims": (twisted_dims, "pair"),
+    "validate_triple": (validate_triple, "t"),
+    "verify_iso": (verify_iso, "t"),
+    "t_transform": (t_transform, "t"),
+    "h3_action": (lambda t: h3_action(t, Cocycle(3, [1])), "t"),
+}
+
+
+@pytest.mark.parametrize("door", sorted(_RECORD_DOORS))
+def test_a_door_that_takes_a_record_refuses_a_list(door):
+    call, name = _RECORD_DOORS[door]
+    kind = "Pair" if name == "pair" else "Triple"
+    with pytest.raises(InputError) as info:
+        call([1])
+    assert str(info.value) == f"{name} must be a {kind}, got list"

@@ -5,13 +5,16 @@ the S^3 model kills everything (multiplication H^0 -> H^3 is a rational
 isomorphism), the untwisted S^3 has one class per parity, and S^2 x S^1
 twisted by its degree-3 generator keeps exactly H^2 (even) and H^1 (odd).
 
-``t_transform`` builds N . exp(-w) once over Z, grouped by side-fiber
-monomial, multiplies each side element by the one group that reaches
-y_1 ... y_n, and returns N . T.  Its oracle is ``reference_t_blocks``, which
-walks x, w . x, w . (w . x), ... with dense basis-vector products and
-Fraction coefficients.  ``assert_squares_to_zero`` is the D o D = 0 check
-that TwistedComplex proves instead of running.
-``verify_iso`` reads the rank of each induced map off one block matrix; its
+``t_transform`` returns N . T: on the standard w by Hori's formula, and on
+any other w by building N . exp(-w) once over Z, grouped by side-fiber
+monomial, and multiplying each side element by the one group that reaches
+y_1 ... y_n.  Its oracle is ``reference_t_blocks``, which walks x, w . x,
+w . (w . x), ... with dense basis-vector products and Fraction
+coefficients; on every standard-w triple here, the exp(-w) path is a
+second one.  ``assert_squares_to_zero`` is the D o D = 0 check that
+TwistedComplex proves instead of running.
+``verify_iso`` answers yes on a signed bijection that is a chain map, and
+otherwise reads the rank of each induced map off one block matrix; its
 oracle is ``reference_verify_iso``, a copy of the kernel-based loop it
 replaced, on dense matrices.
 """
@@ -30,11 +33,19 @@ from hypothesis import strategies as st
 
 from tdk import twisted_cohomology
 from tdk.cli import run
-from tdk.errors import InputError
+from tdk.duality_group import act_on_triple, generators
+from tdk.errors import InputError, UnsupportedElementError
 import numpy as np
 
 from matrices import array, columns, scaled, vec, zeros
-from tdk.exact_linalg import compose, dense_vector, kernel_basis, matrix_rank, smith_normal_form
+from tdk.exact_linalg import (
+    compose,
+    dense_vector,
+    kernel_basis,
+    mat_vec,
+    matrix_rank,
+    smith_normal_form,
+)
 from tdk.fixtures import PAIR_NAMES, named_pair
 from tdk.serialize import pair_to_doc, triple_to_doc
 from tdk.space_model import Cocycle, DgRingModel, builtin_space
@@ -423,12 +434,12 @@ def test_t_transform_is_scale_times_reference_on_fixture_pairs(name):
     assert verify_iso(t) == reference_verify_iso(t)
 
 
-@pytest.mark.parametrize("name", DUALIZABLE)
-def test_verify_iso_ranks_m_with_no_smith_form_on_fixture_duals(monkeypatch, name):
+def _count_ranks(monkeypatch):
+    """The Smith forms taken inside each rank of M that ``verify_iso`` takes from now on,
+    and the column lists of every other rank."""
     from tdk import exact_linalg
 
-    t = dualize(named_pair(name))
-    factored, ranked = [], []
+    factored, of_m, others = [], [], []
 
     def counted_snf(columns, rows):
         factored.append((columns, rows))
@@ -438,13 +449,40 @@ def test_verify_iso_ranks_m_with_no_smith_form_on_fixture_duals(monkeypatch, nam
         before = len(factored)
         rank = rational_rank(columns)
         if sys._getframe(1).f_code.co_name == "verify_iso":  # a rank of M
-            ranked.append(len(factored) - before)
+            of_m.append(len(factored) - before)
+        else:
+            others.append(columns)
         return rank
 
     monkeypatch.setattr(exact_linalg, "smith_normal_form", counted_snf)
     monkeypatch.setattr(twisted_cohomology, "rational_rank", counted_rank)
-    assert verify_iso(t).ok
-    assert ranked == [0, 0]
+    return of_m, others
+
+
+@pytest.mark.parametrize("name", DUALIZABLE)
+def test_verify_iso_on_the_standard_w_ranks_only_the_side(monkeypatch, name):
+    """A signed bijection answers yes: no rank of M, no rank of the dual, no
+    doubled-model degree above 3."""
+    t = dualize(named_pair(name))
+    assert t.w == t.standard_w()
+    maps, unwrapped = [], twisted_cohomology.t_transform
+
+    def kept(t):
+        maps.append(unwrapped(t))
+        return maps[-1]
+
+    monkeypatch.setattr(twisted_cohomology, "t_transform", kept)
+    of_m, others = _count_ranks(monkeypatch)
+    report = verify_iso(t)
+    assert report.ok
+    (tm,) = maps
+    assert of_m == []
+    assert [id(cols) for cols in others] == [id(tm.source.D_from[0]), id(tm.source.D_from[1])]
+    assert "ranks" not in vars(tm.target)
+    shift = tm.parity_shift
+    assert report.dims_dual == (report.dims_side[shift], report.dims_side[1 - shift])
+    for built in (t.doubled.elements, t.doubled.index, t.doubled._dcols):
+        assert set(built) <= {0, 1, 2, 3}
 
 
 def test_verify_iso_ranks_m_as_if_t_were_not_divided(monkeypatch):
@@ -544,6 +582,15 @@ def test_verify_iso_matches_the_reference_on_gauge_acted_triples(name):
     assert verify_iso(twice) == reference_verify_iso(twice)
 
 
+@pytest.mark.parametrize("name", sorted(GAUGE_CASES))
+def test_verify_iso_ranks_m_with_no_smith_form_on_gauge_acted_triples(monkeypatch, name):
+    moved = gauge_acted_triple(*GAUGE_CASES[name])
+    assert moved.w != moved.standard_w()
+    of_m, _ = _count_ranks(monkeypatch)
+    assert verify_iso(moved).ok
+    assert of_m == [0, 0]
+
+
 def test_t_transform_over_a_point_with_8_circles_takes_under_80_ms():
     seconds = []
     for _ in range(3):  # the best of three, each on a fresh triple
@@ -556,10 +603,14 @@ def test_t_transform_over_a_point_with_8_circles_takes_under_80_ms():
 
 
 # ---------------------------------------------------------------------------
-# Hori's formula as an oracle: with w = sum_i y_i yh_i, (-w)^m / m! is
-# (-1)^m times the sum over m-element sets I of prod_(i in I) y_i yh_i, so
-# exp(-w) b y_S reaches y_1 ... y_n in exactly one term, from I = S^c.  N . T
-# therefore sends the side element b y_S to +-N b yh_(S^c) and nowhere else.
+# Hori's formula against the exp(-w) path: on the standard w, t_transform
+# writes N . T by Hori's formula, and the exp(-w) path, which serves every
+# other w, is its oracle, entry for entry, on the duals of the fixture pairs
+# and of ``HORI_BUNDLES``, on derandomized draws with n <= 4, and on the
+# images of each under the generators that act on it.  With w = sum_i
+# y_i yh_i, (-w)^m / m! is (-1)^m times the sum over m-element sets I of
+# prod_(i in I) y_i yh_i, so exp(-w) b y_S reaches y_1 ... y_n in exactly one
+# term, from I = S^c: N . T is N times a signed permutation of the bases.
 
 
 SIGMA2 = builtin_space("surface", {"genus": 2})
@@ -591,23 +642,67 @@ def hori_pair(name):
     return Pair(m, Cocycle(3, vec))
 
 
-@pytest.mark.parametrize("name", DUALIZABLE + sorted(HORI_BUNDLES))
-def test_t_transform_follows_horis_formula_for_the_standard_w(name):
-    t = dualize(hori_pair(name))
+def with_generator_images(t):
+    """t and its images under every generator of ``generators(n)`` that acts on it."""
+    out = [t]
+    for g in generators(t.n):
+        try:
+            out.append(act_on_triple(g, t))
+        except UnsupportedElementError:  # the factor flips, for n >= 2
+            pass
+    return out
+
+
+def assert_hori_is_the_exp_path(t):
+    """On the standard w, the blocks of Hori's formula are those of the exp(-w) path, and
+    each is N times a signed permutation matrix: one entry +-N per column, every row once."""
     assert t.w == t.standard_w()
     tm = t_transform(t)
     assert tm.scale == math.factorial(t.doubled.D // 2)
-    n, dual_index = t.n, t.dual.bundle.index
+    assert tm.blocks == twisted_cohomology._exp_blocks(t, tm.source, tm.target, tm.scale)
     for par in (0, 1):
-        offsets = tm.target.offsets[(par + n) % 2]
-        columns_of = iter(tm.blocks[par])
-        for k in tm.source.degrees[par]:
-            for p, a, S in t.side.bundle.elements[k]:
-                rest = tuple(i for i in range(n) if i not in S)
-                deg = p + len(rest)
-                row = offsets[deg] + dual_index[deg][(p, a, rest)]
-                col = next(columns_of)
-                assert list(col) == [row] and abs(col[row]) == tm.scale, (p, a, S)
+        block = tm.blocks[par]
+        assert all(len(col) == 1 for col in block)
+        assert sorted(r for col in block for r in col) == list(
+            range(tm.target.dims[(par + tm.parity_shift) % 2])
+        )
+        assert {abs(x) for col in block for x in col.values()} <= {tm.scale}
+
+
+@pytest.mark.parametrize("name", DUALIZABLE + sorted(HORI_BUNDLES))
+def test_t_transform_follows_horis_formula_for_the_standard_w(name):
+    for t in with_generator_images(dualize(hori_pair(name))):
+        assert_hori_is_the_exp_path(t)
+
+
+@st.composite
+def dualizable_pairs(draw, base):
+    """A pair over ``base`` with n <= 4 (n <= 3 over a base of degree 3) and a closed
+    flux in F^2 C^3, so dualizable: chern cocycles from ker d_2, the flux from ker d_3 on F^2."""
+    n = draw(st.integers(1, 4 if base.D <= 2 else 3))
+    coeff = st.integers(-2, 2)
+
+    def combination(cols, length):
+        return mat_vec(cols, draw(st.lists(coeff, min_size=len(cols), max_size=len(cols))), length)
+
+    cycles = kernel_basis(base.d_columns(2), base.dim(3))
+    m = build_bundle(base, [combination(cycles, base.dim(2)) for _ in range(n)])
+    start = m._step_start(3, 2) if m.D >= 3 else 0
+    d3 = m.d_columns(3)[start:]
+    closed = [{start + r: x for r, x in col.items()} for col in kernel_basis(d3, m.dim(4))]
+    return Pair(m, Cocycle(3, combination(closed, m.dim(3))))
+
+
+HORI_BASES = {"point": PT, "torus2": T2, "torus3": T3, "surface2": SIGMA2, "heisenberg1": HEIS1}
+
+
+@pytest.mark.parametrize("base", sorted(HORI_BASES))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_horis_formula_is_the_exp_path_on_dualize_draws(base, data):
+    pair = data.draw(dualizable_pairs(HORI_BASES[base]))
+    for t in with_generator_images(dualize(pair)):
+        assert_hori_is_the_exp_path(t)
 
 
 CP2 = DgRingModel([["1"], [], ["b"], [], ["b2"]], {}, {(2, 0, 2, 0): {0: 1}})
@@ -678,6 +773,42 @@ def test_zero_map_between_nonzero_twisted_cohomologies_is_not_injective(monkeypa
     assert (report.dims_side, report.dims_dual) == ((1, 1), (1, 1))
     assert not report.ok and report.chain_ok
     assert report.reason == "induced map not injective on parity 0"
+
+
+def test_a_column_with_two_entries_is_not_a_signed_bijection(monkeypatch):
+    """Every entry +-N and every row reached is not enough: over a point with two
+    circles and no flux, D = 0, and T sending y1 and y2 both to y1 + y2 is a chain
+    map that is not injective on odd cohomology."""
+    m = trivial_over(PT, 2)
+    t = dualize(Pair(m, Cocycle(3, m.zero_vector(3))))
+    C = t_transform(t).source
+    assert C.dims == {0: 2, 1: 2} and not any(C.D_from[0] + C.D_from[1])
+    blocks = {0: [{0: 1}, {1: 1}], 1: [{0: 1, 1: 1}, {0: 1, 1: 1}]}
+    monkeypatch.setattr(twisted_cohomology, "t_transform", lambda t: TMap(C, C, 0, blocks, 1))
+    report = verify_iso(t)
+    assert report == reference_verify_iso(t)
+    assert report.reason == "induced map not injective on parity 1"
+
+
+def _bare_complex(even, odd):
+    """A twisted complex with D = 0 and these dimensions, built by hand: no bundle
+    has one with even != odd, as its twisted Euler characteristic is
+    chi(base) . chi(T^n) = 0."""
+    c = TwistedComplex.__new__(TwistedComplex)
+    c.dims = {0: even, 1: odd}
+    c.D_from = {0: [{}] * even, 1: [{}] * odd}
+    return c
+
+
+def test_a_signed_bijection_moves_the_dimensions_by_the_parity_shift(monkeypatch):
+    side, dual = _bare_complex(1, 0), _bare_complex(0, 1)
+    tm = TMap(side, dual, 1, {0: [{0: 1}], 1: []}, 1)
+    monkeypatch.setattr(twisted_cohomology, "t_transform", lambda t: tm)
+    t = dualize(Pair(s3_bundle(), Cocycle(3, s3_bundle().zero_vector(3))))
+    report = verify_iso(t)
+    assert "ranks" not in vars(dual)  # the dual's dimensions are the side's, moved
+    assert (report.dims_side, report.dims_dual) == ((1, 0), (0, 1)) and report.ok
+    assert report == reference_verify_iso(t)
 
 
 def test_zero_map_onto_nonzero_twisted_cohomology_is_not_surjective(monkeypatch):
