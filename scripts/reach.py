@@ -67,11 +67,6 @@ ALLOWED = {
         "the base-model name of a bundle's H^k, kept on the total_cohomology memo "
         "and on one tracer span (benchmark/tracing.py)"
     ),
-    "tdk.twisted_cohomology._exp_blocks": (
-        "the transform on a w other than the standard one, which a tmap document may hold; "
-        "every triple of the paths above carries the standard w, and tests/test_twisted_cohomology.py "
-        "runs it on gauge-acted triples"
-    ),
     "tdk.exact_linalg._view": _TRACER,
     "tdk.exact_linalg.SmithForm.U": _TRACER,
     "tdk.exact_linalg.SmithForm.D": _TRACER,

@@ -19,7 +19,7 @@ one factor flip is the flip, and it acts.
 
 from __future__ import annotations
 
-from .errors import FrozenRecord, InputError, UnsupportedElementError
+from .errors import FrozenRecord, InputError, UnsupportedElementError, require
 from .exact_linalg import (
     _sum_terms,
     dense_vector,
@@ -219,7 +219,7 @@ def act_on_chern(g: OnnElement, base, c, chat):
     cochains of the graded-commutative base commute, v_j . v_k = v_k . v_j.
     So the sum is sum_{j < k} (M_jk + M_kj) v_j . v_k = sum_i c_i . chat_i.
     """
-    n = g.n
+    n = require(g, OnnElement, "g").n
     c, chat = _read_chern(base, c, "c"), _read_chern(base, chat, "chat")
     if len(c) != n or len(chat) != n:
         raise InputError(f"need {n} chern cocycles on each side")
@@ -265,7 +265,7 @@ def act_on_triple(g: OnnElement, t: Triple) -> Triple:
     flips that :func:`generators` lists for n >= 2 (module docstring);
     compose the actions of supported elements instead.
     """
-    if g.n != t.n:
+    if require(g, OnnElement, "g").n != require(t, Triple, "t").n:
         raise InputError("group element size does not match the fiber dimension")
     kind = _classify(g)
     if kind is None:

@@ -70,6 +70,23 @@ which reads only its nonzero entries.  ``solve(M, b)`` is the one-shot form.
 lift check and induced map against one subquotient shares a single
 factorization.
 
+A subquotient im(Z)/im(B) builds its presentation on first read.  Its group
+holds the ambient and the lists Z and B; the relation lattice, the kernel
+of [Z | B | ambient relations] cut to the rows of Z, and that lattice's
+Smith form are built when ``reduce``, ``section`` or ``rels`` is first
+read.  The invariants often need neither.  A Z with no entry gives the
+zero group.  And when the caller proves that the columns of Z are a basis
+of a saturated lattice L of a free ambient Z^N (``cochain_cohomology``,
+``BundleModel._page_subquotient``), the invariants are read off B alone:
+Z^N / L is free, so the exact sequence 0 -> L/im B -> Z^N/im B -> Z^N/L -> 0
+splits, and L/im B has the torsion of Z^N / im B, the factors >= 2 of
+``invariant_factors(B)``, and rank len(Z) - rank B.  The relations' Smith
+diagonal, padded with zeros to len(Z), is then rank B - #torsion ones, the
+torsion and len(Z) - rank B zeros, which is ``invariant_factors(B)``
+followed by zeros; a later ``reduce`` reads the same positions of it.  So a
+page slot on the stable page, whose d_r is zero and whose image has no
+entry, builds no relation lattice at all.
+
 The pivot order is part of the contract, because U and V fix every particular
 solution and every normal-form coordinate that reaches a report: at step t
 the pivot is the first entry of least absolute value in a row-major scan of
@@ -480,7 +497,14 @@ class FgAbelianGroup:
     order, entries taken mod d_i) followed by the free slots.  ``reduce`` maps
     ambient coordinates to normal form, ``section`` picks a representative,
     and reduce(section(x)) == x for every normal form x.
+
+    The group of a subquotient (:meth:`_of_lattice`) builds ``rels`` and
+    their Smith form on first read: ``reduce`` and ``section`` read them,
+    and so does a caller that reads ``rels``.  Its invariants need neither
+    where ``subquotient`` proves that they can be read off B.
     """
+
+    _read_off = False  # set by :meth:`_of_lattice` for a diagonal that B gives
 
     def __init__(self, ngens, rels=None):
         self.ngens = operator.index(ngens)
@@ -489,12 +513,35 @@ class FgAbelianGroup:
         self.rels = [] if rels is None else list(rels)
         _check_rows(self.rels, self.ngens, "relation")
 
+    @classmethod
+    def _of_lattice(cls, amb, Z, B, read_off):
+        """im(Z)/im(B) inside ``amb``, on the columns of Z, with its relations built on first read.
+
+        It holds the ambient and the two lists, nothing of whoever made
+        them.  ``read_off`` is ``subquotient``'s proof that
+        :func:`_read_off_diagonal` gives the relations' padded Smith
+        diagonal; the invariants then read it, unless the Smith form of the
+        relations is built by then.
+        """
+        group = cls.__new__(cls)
+        group.ngens = len(Z)
+        group._lattice = amb, Z, B
+        group._read_off = read_off
+        return group
+
+    @cached_property
+    def rels(self):
+        """The relations of a group of :meth:`_of_lattice`, built on first read (``_relations``)."""
+        return _relations(*self._lattice)
+
     @cached_property
     def _snf(self):
         return smith_normal_form(self.rels, self.ngens)
 
     @cached_property
     def _diag_full(self):
+        if self._read_off and "_snf" not in vars(self):
+            return _read_off_diagonal(*self._lattice)
         d = self._snf.diagonal
         return [d[i] if i < len(d) else 0 for i in range(self.ngens)]
 
@@ -614,7 +661,11 @@ class Subquotient:
     ``gens`` columns are ambient-coordinate generators; ``group`` presents the
     quotient on those generators.  ``reduce`` takes ambient coordinates of a
     member to quotient normal form and is additive, so differences of classes
-    (torsor computations) can be taken in normal form.
+    (torsor computations) can be taken in normal form.  Nothing is factored
+    at construction: the membership matrix [Z | ambient relations] on the
+    first ``coords``, and the group's relations on the first ``reduce`` or
+    ``generator_vectors`` (``subquotient``); ``invariants`` builds neither
+    when ``subquotient`` could read them off B.
     """
 
     def __init__(self, ambient, gens, group):
@@ -672,21 +723,51 @@ def induced_hom(src: Subquotient, tgt: Subquotient, fn) -> GroupHom:
     return GroupHom(src.group, tgt.group, cols)
 
 
-def subquotient(amb, Z, B):
+def _relations(amb, Z, B):
+    """The lattice of every lambda with Z lambda in im(B) plus the relations of ``amb``, as columns."""
+    K = kernel_basis(Z + B + amb.rels, amb.ngens)
+    return _restrict(K, len(Z))
+
+
+def _read_off_diagonal(amb, Z, B):
+    """The Smith diagonal of ``_relations(amb, Z, B)`` padded with zeros to len(Z), read off B.
+
+    Only where ``subquotient`` proves it: len(Z) ones for a Z with no entry,
+    and otherwise the invariant factors of B followed by zeros.
+    """
+    if not any(Z):
+        return [1] * len(Z)
+    factors = invariant_factors(B)
+    return factors + [0] * (len(Z) - len(factors))
+
+
+def subquotient(amb, Z, B, _saturated=False):
     """im(Z)/im(B) inside ``amb``, for Z and B matrices (as columns) on its generators.
 
     Precondition, not checked: im(B) lies in im(Z) plus the relations of
     ``amb``.  The group is presented on the columns of Z, with relations
     the lattice of all coefficient vectors lambda for which Z lambda lies
-    in im(B) plus those relations.  Every caller in ``tdk`` proves the
+    in im(B) plus those relations (``_relations``), built on first read of
+    ``reduce``, ``section`` or ``rels``.  Every caller in ``tdk`` proves the
     precondition in its docstring: ``cochain_cohomology``,
     ``BundleModel._page_subquotient``, ``GroupHom.kernel`` and ``image``,
     and ``tduality_core.extension_report``'s torsor; a zero group has no B.
+
+    The invariants are known without the relations in two cases (module
+    docstring), where the group reads its padded Smith diagonal off B
+    (``_read_off_diagonal``) on the first read of its invariants:
+
+    - a Z with no entry gives the zero group, over any ambient: every lambda
+      is a relation, so the diagonal is len(Z) ones;
+    - ``_saturated`` is the caller's proof that the columns of Z are a basis
+      of a saturated lattice L of Z^ngens, and over a free ambient the
+      diagonal is the invariant factors of B followed by zeros.  Only
+      ``cochain_cohomology`` and ``BundleModel._page_subquotient`` pass it,
+      and each names its proof.
     """
-    MZ = list(Z)
-    a = len(MZ)
-    K = kernel_basis(MZ + list(B) + amb.rels, amb.ngens)
-    return Subquotient(ambient=amb, gens=MZ, group=FgAbelianGroup(a, _restrict(K, a)))
+    Z, B = list(Z), list(B)
+    read_off = not any(Z) or _saturated and not amb.rels
+    return Subquotient(ambient=amb, gens=Z, group=FgAbelianGroup._of_lattice(amb, Z, B, read_off))
 
 
 def _unit_pivots(rows, cleared=()):
@@ -873,8 +954,14 @@ def cochain_cohomology(k, top, dim, d_columns):
     ``cochain_invariants`` too; simplicial complexes have it by construction,
     parsed models by ``DgRingModel.validate`` and bundles by the certificate
     that ``BundleModel`` runs on base data at every build.
+
+    The numerator is saturated, which lets ``subquotient`` read the
+    invariants off d_{k-1} with no relation lattice: ``kernel_basis`` gives
+    a basis of ker d_k, and ker d_k is saturated in the free C^k, as
+    C^k / ker d_k embeds in the free C^{k+1}.
     """
     if not 0 <= k <= top:
         return subquotient(FgAbelianGroup(0), [], [])
     B = d_columns(k - 1) if k >= 1 else []
-    return subquotient(FgAbelianGroup(dim(k)), kernel_basis(d_columns(k), dim(k + 1)), B)
+    Z = kernel_basis(d_columns(k), dim(k + 1))
+    return subquotient(FgAbelianGroup(dim(k)), Z, B, _saturated=True)

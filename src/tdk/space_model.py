@@ -964,6 +964,7 @@ def cohomology_ring(K: SimplicialComplex, truncation=DEFAULT_TRUNCATION):
     validated, as no proof covers it: an unrepresentable torsion product
     structure is rejected rather than silently mangled.
     """
+    require(K, SimplicialComplex, "K")
     truncation = _truncation_bound(truncation)
     if K.cohomology(0).invariants() != (1, ()):
         raise ModelError("cohomology_ring requires a connected complex")
@@ -1051,6 +1052,8 @@ def product_model(A: DgRingModel, B: DgRingModel, truncation=None):
     truncation is a dg ring too.
     ``tests/test_space_model.py`` validates a ladder of products.
     """
+    require(A, DgRingModel, "A")
+    require(B, DgRingModel, "B")
     for M, name in ((A, "first"), (B, "second")):
         for k, (_, torsion) in enumerate(M.betti()):
             if torsion:

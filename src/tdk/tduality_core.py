@@ -556,6 +556,7 @@ def _vectors(data, name):
 
 def _gauge_classes(t: Triple, psis, psihats):
     """psi and psihat as integer vectors; each is one closed degree-1 base cocycle per circle."""
+    require(t, Triple, "t")
     psis = [int_vector(p, "psi") for p in _vectors(psis, "psis")]
     psihats = [int_vector(p, "psihat") for p in _vectors(psihats, "psihats")]
     if len(psis) != t.n or len(psihats) != t.n:
@@ -587,8 +588,8 @@ def gauge_action(t: Triple, psis, psihats) -> Triple:
 
 def gauge_shift(t: Triple, psis, psihats) -> Cocycle:
     """The base class chat . [psi] + c . [psihat] produced by the gauge action."""
-    base = t.base
     psis, psihats = _gauge_classes(t, psis, psihats)
+    base = t.base
     pairs = list(zip(t.dual.bundle.chern, psis)) + list(zip(t.side.bundle.chern, psihats))
     out = _sum_terms(
         (1, base.mul_terms(2, _terms(z, base.dim(2)), 1, _terms(psi, base.dim(1))))

@@ -109,6 +109,38 @@ def _read_chern(base: DgRingModel, cocycles, name="chern"):
     return out
 
 
+def _spells_monomial(text, fiber):
+    """Whether ``text`` is fiber[i1] + fiber[i2] + ... for some i1 < i2 < ..., one term at least."""
+    todo, seen = [(0, 0)], set()  # (position in text, least index of the next term)
+    while todo:
+        pos, low = todo.pop()
+        for i in range(low, len(fiber)):
+            if text.startswith(fiber[i], pos):
+                end = pos + len(fiber[i])
+                if end == len(text):
+                    return True
+                if (end, i + 1) not in seen:
+                    seen.add((end, i + 1))
+                    todo.append((end, i + 1))
+    return False
+
+
+def _meets_fiber(basis, fiber):
+    """Whether a base label is one that these fiber labels write for a (p, a, S) with S nonempty.
+
+    ``basis`` is the base's labels by degree.  Such a label is a fiber
+    monomial, or b.m for the label b of a base element other than (0, 0) and
+    a fiber monomial m; ``BundleModel._label`` writes no other.
+    """
+    others = {x for bs in basis[1:] for x in bs} | set(basis[0][1:])
+    for bs in basis:
+        for x in bs:
+            b, dot, m = x.rpartition(".")  # no fiber label has a dot
+            if _spells_monomial(x, fiber) or dot and b in others and _spells_monomial(m, fiber):
+                return True
+    return False
+
+
 class _Levels(dict):
     """Lists keyed by degree, each made by ``make(k)`` on its first read and kept.
 
@@ -241,15 +273,35 @@ class BundleModel(DgRingModel):
     def basis(self):
         """The labels of each degree: ``b.y1y2``, or the base or fiber part alone.
 
+        Each is written by :attr:`_label`.  A fiber part reads back to one
+        monomial and follows the last dot, so two elements that share a
+        label come from a base that repeats one, and they raise.
+        """
+        label = self._label
+        levels = [self.elements[k] for k in range(self.D + 1)]
+        basis, seen = [[label(*e) for e in level] for level in levels], {}
+        for e, x in zip(itertools.chain(*levels), itertools.chain(*basis)):
+            if seen.setdefault(x, e) != e:
+                raise InputError(f"basis elements (p, a, S) = {seen[x]} and {e} share the label "
+                                 f"{x!r} (fiber labels {self.labels})")
+        return basis
+
+    @cached_property
+    def _label(self):
+        """The label of (p, a, S) in :attr:`basis`, as a function, decided on base labels alone.
+
         While a label with a fiber part repeats a base label, every fiber
         label is primed (``y1`` becomes ``y1'``), as ``product_model`` primes
         its second factor.  Each round lengthens every label with a fiber
-        part and no base label, so the rounds end.  A fiber part reads back
-        to one monomial and follows the last dot, so two elements that still
-        share a label come from a base that repeats one, and they raise.
+        part and no base label, so the rounds end.  Every (p, a, S) is a
+        basis element, so a round primes iff some base label is a fiber
+        monomial (the label of (0, 0, S)) or a base label other than that of
+        (0, 0), a dot and a fiber monomial: :func:`_meets_fiber` asks it of
+        each base label, and no label of the model is written.
         """
         base, fiber = self.base, self.labels
-        taken = {x for bs in base.basis for x in bs}
+        while _meets_fiber(base.basis, fiber):
+            fiber = [y + "'" for y in fiber]
 
         def label(p, a, S):
             b = base.basis[p][a]
@@ -260,15 +312,7 @@ class BundleModel(DgRingModel):
                 return mono
             return f"{b}.{mono}"
 
-        levels = [self.elements[k] for k in range(self.D + 1)]
-        while not taken.isdisjoint(label(*e) for level in levels for e in level if e[2]):
-            fiber = [y + "'" for y in fiber]
-        basis, seen = [[label(*e) for e in level] for level in levels], {}
-        for e, x in zip(itertools.chain(*levels), itertools.chain(*basis)):
-            if seen.setdefault(x, e) != e:
-                raise InputError(f"basis elements (p, a, S) = {seen[x]} and {e} share the label "
-                                 f"{x!r} (fiber labels {self.labels})")
-        return basis
+        return label
 
     def dim(self, k):
         return self._dims[k] if 0 <= k <= self.D else 0
@@ -328,7 +372,8 @@ class BundleModel(DgRingModel):
         the doubled model only the cross terms, whose fiber indices T lie on
         both sides of ``split``.  A failing term of base element a in degree
         p is keyed (p + |T|, p, a, T), and the least key names the element
-        that the total scan names first.
+        that the total scan names first.  Its label is written by
+        :attr:`_label` alone, so a refusal lists no degree of the model.
         """
         base, bz, fiber = self.base, self._chern_product, range(self.n)
         terms = [()] + [(i,) for i in fiber] + list(itertools.combinations(fiber, 2))
@@ -350,7 +395,11 @@ class BundleModel(DgRingModel):
                 failed += [(p + len(T), p, a, T) for T in terms if T and fails(p, a, db, T)]
         if failed:
             k, p, a, T = min(failed)
-            x = self.basis[k][self.index[k][(p, a, T)]]
+            names = [x for bs in base.basis for x in bs]
+            if len(set(names)) == len(names):
+                x = self._label(p, a, T)
+            else:  # a base that repeats a label: ``basis`` raises, as it names the two elements
+                x = self.basis[k][self.index[k][(p, a, T)]]
             raise ModelError(f"total model of the bundle is invalid: d(d(x)) != 0 "
                              f"for basis element {x!r} in degree {k}")
 
@@ -542,6 +591,16 @@ class BundleModel(DgRingModel):
         F^{p+r}, by d o d = 0, which every build certifies.
         ``tests/test_lazy_bundle.py`` checks every slot against a reference
         containment test.
+
+        The numerator is a basis of a saturated lattice of the free C^k, so
+        ``subquotient`` reads the slot's invariants off the boundaries and
+        builds its relations only for a ``reduce`` (``tests/test_lazy_presentation.py``
+        holds both to the relations).  ``z_lattice`` gives either an identity
+        suffix, a basis of the coordinate lattice F^p C^k, or a
+        ``_kernel_block`` kernel: a basis of the kernel lattice of the block,
+        shifted into F^p C^k.  Both are saturated: if m x lies in one for an
+        integer m != 0, then x is zero where m x is, so x lies in F^p C^k,
+        and the block kills x as it kills m x.
         """
         r = min(r, self.stable_page)
         k = p + q
@@ -549,7 +608,8 @@ class BundleModel(DgRingModel):
             return subquotient(FgAbelianGroup(0), [], [])
         inner = self.z_lattice(r - 1, p - r + 1, q + r - 2)
         boundaries = self.z_lattice(r - 1, p + 1, q - 1) + compose(self.d_columns(k - 1), inner)
-        return subquotient(FgAbelianGroup(self.dim(k)), self.z_lattice(r, p, q), boundaries)
+        Z = self.z_lattice(r, p, q)
+        return subquotient(FgAbelianGroup(self.dim(k)), Z, boundaries, _saturated=True)
 
     @memoised
     def ss_page(self, r, p, q):

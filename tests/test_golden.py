@@ -13,7 +13,10 @@ The ``t3_vol`` pair is read once more with its T^2 base as a ``dgring``
 document, not a builtin, through ``dualize``, ``check-triple`` and ``tmap``;
 ``tmap`` on that triple with w zeroed pins the refusal that names the failed
 triple conditions.  The exit codes of these cases are listed in a manifest of
-their own, ``exit_codes_parsed_base.json``.
+their own, ``exit_codes_parsed_base.json``.  One ``tmap`` case reads a
+triple whose w is not the standard one, the ``gauge_action`` image of the
+``t3_vol_k2`` dual by psi = x1 and psihat = x2, so the transform's exp(-w)
+path is pinned too.
 Any change to an exact answer, a normal-form coordinate or the rendering
 shows up here as a byte difference.
 
@@ -40,12 +43,12 @@ import pytest
 
 from tdk.cli import run
 from tdk.fixtures import PAIR_NAMES, PROJECTIVE_PLANE_6, named_pair, simplicial_doc
-from tdk.serialize import dumps, pair_to_doc, space_to_doc
+from tdk.serialize import dumps, pair_to_doc, space_to_doc, triple_to_doc
 from tdk.space_model import (
     Cocycle, DgRingModel, SimplicialComplex, builtin_space, cohomology_ring, parse_space,
     product_model,
 )
-from tdk.tduality_core import Pair
+from tdk.tduality_core import Pair, dualize, gauge_action
 from tdk.torus_bundle import build_bundle
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -187,6 +190,18 @@ def _pair_files(directory, name, pair):
     return pair_path, base_path, ["--base", base_path, "--chern", chern_path]
 
 
+def gauge_triple():
+    """The dual of ``t3_vol_k2`` moved by the gauge action of psi = x1 and psihat = x2."""
+    t = dualize(named_pair("t3_vol_k2"))
+    x1, x2 = (t.base.basis_vector(1, i) for i in range(2))
+    return gauge_action(t, [x1], [x2])
+
+
+def test_the_gauge_case_reads_a_w_other_than_the_standard_one():
+    t = gauge_triple()
+    assert t.w != t.standard_w()
+
+
 def cases(directory):
     """Yield (case name, argv) in a fixed order, writing input files on the way.
 
@@ -212,6 +227,8 @@ def cases(directory):
             triple_path = _write(directory, f"{name}.triple.json", triple)
             yield f"check-triple__{name}", ["check-triple", "--triple", triple_path]
             yield f"tmap__{name}", ["tmap", "--triple", triple_path]
+    gauge_path = _write(directory, "t3_vol_k2.gauge.triple.json", triple_to_doc(gauge_triple()))
+    yield "tmap__t3_vol_k2_gauge", ["tmap", "--triple", gauge_path]
     for name in EXTRA_PAIRS:
         pair_path, _, bundle_args = _pair_files(directory, name, extra_pair(name))
         for r in SS_PAGES:

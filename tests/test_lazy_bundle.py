@@ -40,7 +40,7 @@ import tdk.exact_linalg as exact_linalg  # noqa: E402
 import tdk.space_model as space_model  # noqa: E402
 import tdk.torus_bundle as torus_bundle  # noqa: E402
 from matrices import reference_contains, reference_well_defined  # noqa: E402
-from tdk.errors import ModelError  # noqa: E402
+from tdk.errors import InputError, ModelError  # noqa: E402
 from tdk.exact_linalg import compose, kernel_basis, mat_vec, subquotient  # noqa: E402
 from tdk.space_model import Cocycle, DgRingModel, builtin_space, product_model  # noqa: E402
 from tdk.duality_group import (  # noqa: E402
@@ -125,9 +125,9 @@ def _slots(m):
 def test_every_page_slot_passes_the_containment_check(m):
     built = []  # the (ambient, Z, B) of each subquotient that a slot builds
 
-    def recorded(amb, Z, B):
+    def recorded(amb, Z, B, **proof):
         built.append((amb, Z, B))
-        return subquotient(amb, Z, B)
+        return subquotient(amb, Z, B, **proof)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(torus_bundle, "subquotient", recorded)
@@ -352,13 +352,15 @@ def test_doubled_certificate_on_a_valid_base_of_degree_4():
     assert doubled.d_columns(3) == _doubled_by_full_check(side, dual).d_columns(3)
 
 
-def _cross_breaking_base():
+def _cross_breaking_base(labels=("u", "v", "w")):
     """u, v (deg 2), w (deg 4) with u v = w but v u = 0: graded commutativity fails.
 
     A bundle with one of u, v alone certifies, as nothing meets the broken
     pair; the doubled model has the cross term (1.u).v = w != 0 = (1.v).u.
+    ``labels`` names u, v and w.
     """
-    basis = [["1"], [], ["u", "v"], [], ["w"]]
+    u, v, w = labels
+    basis = [["1"], [], [u, v], [], [w]]
     return DgRingModel(basis, {}, {(2, 0, 2, 1): {0: 1}})
 
 
@@ -375,6 +377,84 @@ def test_doubled_model_refuses_a_base_that_breaks_a_cross_term():
         Triple(side, dual, [])  # refused before w is read
     with pytest.raises(ModelError, match=message):
         _doubled_by_full_check(side.bundle, dual.bundle)
+
+
+def _reference_basis(m):
+    """The labels of every degree of m by listing every element: prime the fiber
+    labels while a label with a fiber part repeats a base label."""
+    base, fiber = m.base, m.labels
+    taken = {x for bs in base.basis for x in bs}
+
+    def label(p, a, S):
+        b = base.basis[p][a]
+        if not S:
+            return b
+        mono = "".join(fiber[i] for i in S)
+        return mono if (p, a) == (0, 0) else f"{b}.{mono}"
+
+    levels = [m.elements[k] for k in range(m.D + 1)]
+    while not taken.isdisjoint(label(*e) for level in levels for e in level if e[2]):
+        fiber = [y + "'" for y in fiber]
+    return [[label(*e) for e in level] for level in levels]
+
+
+# (u, v, w): no priming, a fiber monomial, b.monomial, two rounds, and labels
+# that look like fiber parts but are none: the unit's label, a dot, the wrong order
+PRIMING_LABELS = [
+    ("u", "v", "w"), ("y1", "v", "w"), ("u", "y1yh1", "w"), ("u", "v", "u.yh1"),
+    ("y1", "v", "y1'"), ("1.y1", "v", "w"), ("yh1y1", "v", "w"), ("u", "v", "u.y1.")
+]
+
+
+def _unchecked_doubled(base, n):
+    """The doubled model of chern (u, 0, ...) and (v, 0, ...), built with no certificate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BundleModel, "_certify", lambda self: None)
+        zeros = [[0, 0]] * (n - 1)
+        return BundleModel._proven(base, [[1, 0]] + zeros + [[0, 1]] + zeros, n)
+
+
+@pytest.mark.parametrize("labels", PRIMING_LABELS, ids=str)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_certificate_names_an_element_by_its_listed_label(labels, n):
+    base = _cross_breaking_base(labels)
+    side, dual = (build_bundle(base, [z] + [[0, 0]] * (n - 1)) for z in ([1, 0], [0, 1]))
+    with pytest.raises(ModelError) as info:
+        BundleModel.doubled(side, dual)
+    m = _unchecked_doubled(base, n)
+    want = _reference_basis(m)
+    assert m.basis == want
+    x = want[2][m.index[2][(0, 0, (0, n))]]  # (1 (x) y_1) times v against (1 (x) yh_1) times u
+    assert str(info.value) == ("total model of the bundle is invalid: d(d(x)) != 0 "
+                               f"for basis element {x!r} in degree 2")
+
+
+@pytest.mark.parametrize("name, params, n", [("torus", {"k": 3}, 2), ("surface", {"genus": 2}, 1),
+                                             ("heisenberg", {"k": 1}, 2), ("point", {}, 3)])
+def test_labels_of_a_bundle_over_a_bundle_are_the_listed_ones(name, params, n):
+    base = builtin_space(name, params)
+    inner = build_bundle(base, [base.zero_vector(2)] * n)
+    for m in (inner, build_bundle(inner, [inner.zero_vector(2)]), BundleModel.doubled(inner, inner)):
+        assert m.basis == _reference_basis(m)
+
+
+def test_the_certificate_of_a_base_that_repeats_a_label_raises_the_label_clash():
+    base = _cross_breaking_base(("u", "u", "w"))
+    side, dual = (build_bundle(base, [z]) for z in ([1, 0], [0, 1]))
+    with pytest.raises(InputError, match=r"\(2, 0, \(\)\) and \(2, 1, \(\)\) share the label 'u'"):
+        BundleModel.doubled(side, dual)
+
+
+def test_the_doubled_model_with_eight_circles_a_side_is_refused_without_its_labels():
+    base = _cross_breaking_base()
+    side, dual = (build_bundle(base, [z] + [[0, 0]] * 7) for z in ([1, 0], [0, 1]))
+    seconds = []
+    for _ in range(3):  # the best of three, as a timer would take it
+        start = time.perf_counter()
+        with pytest.raises(ModelError, match="'y1yh1' in degree 2"):
+            BundleModel.doubled(side, dual)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.05
 
 
 def _n2_triple():

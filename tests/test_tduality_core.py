@@ -10,10 +10,10 @@ import pytest
 
 from tdk.errors import DimensionError, InputError, NotDualizableError, TripleMismatchError
 from matrices import scaled
-from tdk.duality_group import act_on_triple, generators
+from tdk.duality_group import act_on_chern, act_on_triple, flip_element, generators
 from tdk.fixtures import PAIR_NAMES, named_pair
 from tdk.serialize import pair_from_doc, pair_to_doc, triple_from_doc, triple_to_doc
-from tdk.space_model import Cocycle, DgRingModel, builtin_space
+from tdk.space_model import Cocycle, DgRingModel, builtin_space, cohomology_ring, product_model
 from tdk.tduality_core import (
     Pair,
     Triple,
@@ -495,3 +495,25 @@ def test_a_door_that_takes_a_record_refuses_a_list(door):
     with pytest.raises(InputError) as info:
         call([1])
     assert str(info.value) == f"{name} must be a {kind}, got list"
+
+
+_FIRST_ARGUMENT_DOORS = {  # door: (call with the wrong value, its name, the class it must be)
+    "cohomology_ring K": (lambda t, x: cohomology_ring(x), "K", "SimplicialComplex"),
+    "product_model A": (lambda t, x: product_model(x, t.base), "A", "DgRingModel"),
+    "product_model B": (lambda t, x: product_model(t.base, x), "B", "DgRingModel"),
+    "gauge_action t": (lambda t, x: gauge_action(x, [[0]], [[0]]), "t", "Triple"),
+    "gauge_shift t": (lambda t, x: gauge_shift(x, [[0]], [[0]]), "t", "Triple"),
+    "act_on_chern g": (lambda t, x: act_on_chern(x, t.base, t.side.bundle.chern, t.dual.bundle.chern),
+                       "g", "OnnElement"),
+    "act_on_triple g": (lambda t, x: act_on_triple(x, t), "g", "OnnElement"),
+    "act_on_triple t": (lambda t, x: act_on_triple(flip_element(1), x), "t", "Triple"),
+}
+
+
+@pytest.mark.parametrize("value", [None, 5, "x", [1], [], {}, 1.5], ids=repr)
+@pytest.mark.parametrize("door", sorted(_FIRST_ARGUMENT_DOORS))
+def test_a_door_names_its_record_argument_of_the_wrong_type(door, value):
+    call, name, kind = _FIRST_ARGUMENT_DOORS[door]
+    with pytest.raises(InputError) as info:
+        call(dualize(named_pair("hopf_k2")), value)
+    assert str(info.value) == f"{name} must be a {kind}, got {type(value).__name__}"
