@@ -18,11 +18,15 @@ eliminated: its Smith form is the zero diagonal with identity U and V,
 which is what the elimination returns for it.  ``kernel_basis`` of such a
 matrix takes no Smith form at all: its kernel is the identity columns, so
 a zero block of ``BundleModel._kernel_block`` or a zero numerator matrix
-under the page subquotients costs no factorization.  An image with no
-entry is zero in every group, so ``is_zero_hom`` does not reduce it.  The
-calls left on entry-free matrices are ``Subquotient._membership``,
-``FgAbelianGroup._snf`` and ``DgRingModel.d_factor``, which keep the
-factorization they return.
+under the page subquotients costs no factorization.  The three callers
+that keep a factorization for later solves and reductions,
+``Subquotient._membership``, ``FgAbelianGroup._snf`` and
+``DgRingModel.d_factor``, take it through ``_factor``, which answers an
+entry-free matrix from its shape alone (:class:`_EntryFree`): a solve
+succeeds iff b = 0, and a group with no relations reduces and sections by
+the identity.  An image with no entry is zero in every group, so
+``is_zero_hom`` does not reduce it, and a map out of a group with no
+generators has the zero kernel, read with no relations of either group.
 
 The group layer takes its callers' word where they hold a proof.
 ``subquotient`` does not test that its denominator lies in its numerator,
@@ -450,6 +454,40 @@ def smith_normal_form(columns, rows):
     return SmithForm((m, n), [A[i].get(i, 0) for i in range(min(m, n))], U, V)
 
 
+class _EntryFree:
+    """The Smith form of a matrix with no entry, read from its shape.
+
+    D is zero and U, V are the identity, as ``smith_normal_form`` returns
+    for it, so M x = b is solved iff b = 0, by x = 0, and a group with no
+    relations reduces and sections by the identity.  It has only what
+    ``_factor``'s callers read: ``solve``, and the diagonal, U's columns and
+    ``Uinv`` that ``FgAbelianGroup`` reads.
+    """
+
+    def __init__(self, rows, columns):
+        self.shape = rows, columns
+        self.diagonal = [0] * min(rows, columns)
+
+    @cached_property
+    def _U_columns(self):
+        return identity(self.shape[0])
+
+    @property
+    def Uinv(self):
+        return self._U_columns
+
+    def solve(self, b):
+        b = int_vector(b)
+        if len(b) != self.shape[0]:
+            raise DimensionError(f"solve: got rhs of length {len(b)}, expected {self.shape[0]}")
+        return None if any(b) else [0] * self.shape[1]
+
+
+def _factor(columns, rows):
+    """``smith_normal_form`` of a matrix with an entry; the :class:`_EntryFree` form of one without."""
+    return smith_normal_form(columns, rows) if any(columns) else _EntryFree(rows, len(columns))
+
+
 def matrix_rank(columns):
     """Rank of the matrix with these sparse columns {row: coeff}, over Z and over Q."""
     return len(invariant_factors(columns))
@@ -536,7 +574,7 @@ class FgAbelianGroup:
 
     @cached_property
     def _snf(self):
-        return smith_normal_form(self.rels, self.ngens)
+        return _factor(self.rels, self.ngens)
 
     @cached_property
     def _diag_full(self):
@@ -639,7 +677,11 @@ class GroupHom:
 
         Its denominator is the source's own relations, which lie in the
         numerator plus the relations of the ambient source by definition.
+        A source with no generators has the zero kernel, read with no
+        relations of either group.
         """
+        if not self.source.ngens:
+            return subquotient(self.source, [], [])
         K = kernel_basis(self.matrix + self.target.rels, self.target.ngens)
         return subquotient(self.source, _restrict(K, self.source.ngens), self.source.rels)
 
@@ -675,7 +717,7 @@ class Subquotient:
 
     @cached_property
     def _membership(self):
-        return smith_normal_form(self.gens + self.ambient.rels, self.ambient.ngens)
+        return _factor(self.gens + self.ambient.rels, self.ambient.ngens)
 
     def coords(self, x):
         """One expression of x over the generators, as ambient-presentation coords."""

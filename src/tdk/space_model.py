@@ -24,12 +24,12 @@ from .errors import (
     require,
 )
 from .exact_linalg import (
+    _factor,
     _sum_terms,
     cochain_cohomology,
     cochain_invariants,
     dense_vector,
     int_vector,
-    smith_normal_form,
     transpose,
 )
 # unused here, but benchmark/tests/test_benchmark.py checks that its tracer patches it
@@ -497,8 +497,11 @@ class DgRingModel:
 
     @memoised
     def d_factor(self, k):
-        """The Smith form of d_k, factored once, for every solve d_k x = b against it."""
-        return smith_normal_form(self.d_columns(k), self.dim(k + 1))
+        """The Smith form of d_k, factored once, for every solve d_k x = b against it.
+
+        A d_k with no entry is not factored (``exact_linalg._factor``).
+        """
+        return _factor(self.d_columns(k), self.dim(k + 1))
 
     @memoised
     def cohomology(self, k):

@@ -633,8 +633,15 @@ def extension_report(pair: Pair) -> ExtensionReport:
     and d(y_i) = pi*(c_i) give pi*(c_i g) = d(y_i pi*(g)), a boundary.  So
     the coordinates lambda of c_i g over the generators of H^3(B) have
     ``pull.matrix`` lambda among the relations of H^3 of the total space,
-    and ``ker.gens`` spans every such lambda (``GroupHom.kernel``).
-    ``tests/test_skipped_work.py`` checks both against reference tests.
+    and ``kernel``, the numerator of ``pull.kernel()``, spans every such
+    lambda (``GroupHom.kernel``).  ``tests/test_skipped_work.py`` checks
+    both against reference tests.
+
+    Where H^3(B) has no generators, as over a base of dimension below 3,
+    the torsor is a subquotient of the zero group, so it is zero; no
+    pullback, H^3 of the total space, H^1(B) generator or cup product is
+    built for it.  The page-3 crosscheck is built as always, so the two
+    groups are still compared.
     """
     m = require(pair, Pair, "pair").bundle
     base = m.base
@@ -645,16 +652,16 @@ def extension_report(pair: Pair) -> ExtensionReport:
         dual_chern, ambiguity = _dual_chern(pair, report)
 
     H3B = base.cohomology(3)
-    pull = induced_hom(H3B, m.total_cohomology(3), lambda v: m.pullback(3, v))
-    ker = pull.kernel()
-
-    H1B = base.cohomology(1)
-    img_cols = []
-    for i in range(m.n):
-        for g in H1B.generator_vectors():
-            img_cols.append(H3B.coords(base.mul(2, m.chern[i], 1, g)))
-    imC = [{i: x for i, x in enumerate(c) if x} for c in img_cols]
-    torsor = subquotient(H3B.group, ker.gens, imC)
+    kernel, imC = [], []
+    if any(H3B.gens):
+        pull = induced_hom(H3B, m.total_cohomology(3), lambda v: m.pullback(3, v))
+        kernel = pull.kernel().gens
+        H1B = base.cohomology(1)
+        for i in range(m.n):
+            for g in H1B.generator_vectors():
+                c = H3B.coords(base.mul(2, m.chern[i], 1, g))
+                imC.append({j: x for j, x in enumerate(c) if x})
+    torsor = subquotient(H3B.group, kernel, imC)
 
     page = m.ss_page(3, 0, 2)
     cross = page.d_out.image()

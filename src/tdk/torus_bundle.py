@@ -616,11 +616,10 @@ class BundleModel(DgRingModel):
         """Slot (p, q) of page r with d_r out of it; d_r into it is
         ``ss_page(r, p - r, q + r - 1).d_out``.
 
-        Below the stable page s, d_r needs no special case for an empty
-        target: for x in Z_r^{p,q}, dx lies in F^{p+r} and d(dx) = 0, so dx
-        is in Z_r^{p+r,q-r+1}, the target's numerator; when that lattice has
-        no generators, dx = 0 and the membership solve returns the empty
-        vector.
+        d_r is the zero map, written with no solve, where the target's
+        numerator has no entry: for x in Z_r^{p,q}, dx lies in F^{p+r} and
+        d(dx) = 0, so dx is in Z_r^{p+r,q-r+1}, the target's numerator, and
+        that lattice is zero, so dx = 0.
 
         d_r is well defined, the precondition of ``GroupHom`` that
         ``induced_hom`` leaves to its caller.  For r < s, d sends the
@@ -634,13 +633,14 @@ class BundleModel(DgRingModel):
         F^p are all of C, so the source's numerator Z_s^p and the part
         Z_{s-1}^{p+1} of its denominator are one lattice, {x : dx in F^{p+s}}.
         ``tests/test_lazy_bundle.py`` checks every slot's d_r against a
-        reference well-definedness test.
+        reference well-definedness test, and below page s against the
+        membership solves of ``induced_hom``.
         """
         if r < 1:
             raise InputError("spectral-sequence pages start at r = 1")
         sq = self._page_subquotient(r, p, q)
         target = self._page_subquotient(r, p + r, q - r + 1)
-        if r >= self.stable_page:
+        if r >= self.stable_page or not any(target.gens):
             d_out = GroupHom(sq.group, target.group, [{}] * sq.group.ngens)
         else:
             d_out = induced_hom(sq, target, lambda v: self.d(p + q, v))

@@ -37,11 +37,18 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import tdk.exact_linalg as exact_linalg  # noqa: E402
-import tdk.space_model as space_model  # noqa: E402
 import tdk.torus_bundle as torus_bundle  # noqa: E402
 from matrices import reference_contains, reference_well_defined  # noqa: E402
 from tdk.errors import InputError, ModelError  # noqa: E402
-from tdk.exact_linalg import compose, kernel_basis, mat_vec, subquotient  # noqa: E402
+from tdk.exact_linalg import (  # noqa: E402
+    compose,
+    dense_vector,
+    induced_hom,
+    kernel_basis,
+    mat_vec,
+    subquotient,
+)
+from tdk.fixtures import PAIR_NAMES, named_pair  # noqa: E402
 from tdk.space_model import Cocycle, DgRingModel, builtin_space, product_model  # noqa: E402
 from tdk.duality_group import (  # noqa: E402
     act_on_triple,
@@ -60,6 +67,7 @@ from tdk.tduality_core import (  # noqa: E402
     validate_triple,
 )
 from tdk.torus_bundle import BundleModel, build_bundle  # noqa: E402
+from test_golden import EXTRA_PAIRS, extra_pair  # noqa: E402
 
 BASES = (
     ("torus", {"k": 3}),
@@ -151,6 +159,43 @@ def test_every_page_differential_is_well_defined(m):
         assert reference_well_defined(m.ss_page(r, p, q).d_out)
 
 
+def _empty_target_slots(m):
+    """Check d_r below the stable page against ``induced_hom``; count the slots with an empty target.
+
+    ``ss_page`` writes d_r as the zero map where the target's numerator has
+    no entry, and factors no membership matrix of that target.  The solve it drops checked that d
+    sends each numerator generator of the source into that numerator, which
+    there means to zero.  Every other slot below the stable page must give
+    the matrix of the reference ``induced_hom``.
+    """
+    checked = 0
+    for r, p, q in _slots(m):
+        if r >= m.stable_page:
+            continue
+        k = p + q
+        source, target = m._page_subquotient(r, p, q), m._page_subquotient(r, p + r, q - r + 1)
+        d_out = m.ss_page(r, p, q).d_out
+        if any(target.gens):
+            assert d_out.matrix == induced_hom(source, target, lambda v: m.d(k, v)).matrix
+            continue
+        for col in source.gens:
+            assert not any(m.d(k, dense_vector(col, m.dim(k)))), (r, p, q)
+        assert not any(d_out.matrix) and "_membership" not in vars(target), (r, p, q)
+        checked += 1
+    return checked
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(bundles())
+def test_a_differential_into_an_empty_numerator_is_zero(m):
+    assert _empty_target_slots(m) > 0
+
+
+@pytest.mark.parametrize("name", PAIR_NAMES + tuple(EXTRA_PAIRS))
+def test_a_differential_into_an_empty_numerator_of_a_fixture_bundle_is_zero(name):
+    assert _empty_target_slots((named_pair(name) if name in PAIR_NAMES else extra_pair(name)).bundle) > 0
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.sampled_from([("torus", {"k": 3}), ("heisenberg", {"k": 1}), ("surface", {"genus": 2})]),
        st.data())
@@ -200,7 +245,7 @@ def test_filtration_report_factors_nothing_twice(monkeypatch):
         calls.append(args)
         return snf(*args)
 
-    for module in (exact_linalg, space_model, torus_bundle):
+    for module in (exact_linalg, torus_bundle):  # d_factor factors through exact_linalg's
         monkeypatch.setattr(module, "smith_normal_form", counted)
     again = m.filtration_report(flux)
     assert calls == []

@@ -12,7 +12,8 @@ docstring).  Each shortcut is held to the relations it skips:
   is that of the relations;
 - a numerator with no entry is the zero group over any ambient; a
   saturated numerator over an ambient with relations, and the images and
-  kernels of homs, are read from their relations;
+  kernels of homs, are read from their relations; the kernel of a map out
+  of a group with no generators reads the relations of neither group;
 - ``tdk ss --page 3`` on surface and T^2 bundles with n <= 2 builds no
   relation lattice, and ``tdk extensions`` on surface pairs builds none for
   a page slot or for the page-3 image.
@@ -110,6 +111,14 @@ def test_images_and_kernels_read_their_invariants_from_their_relations(source, t
     hom = GroupHom(source, target, matrix)
     assert hom.image().invariants() == image
     assert hom.kernel().invariants() == kernel
+
+
+def test_the_kernel_of_a_map_out_of_no_generators_reads_no_relations(relations):
+    source = subquotient(FgAbelianGroup(2), [], []).group
+    target = subquotient(FgAbelianGroup(2), [{0: 1}, {1: 2}], [{0: 3}]).group
+    kernel = GroupHom(source, target, []).kernel()
+    assert kernel.gens == [] and kernel.invariants() == (0, ())
+    assert relations == []
 
 
 # ---------------------------------------------------------------------------

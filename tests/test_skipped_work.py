@@ -24,12 +24,17 @@ in ``tests/test_snf_reuse.py``, and the refusal of a negative truncation in
 ``tests/test_space_model.py``.
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import tdk  # noqa: E402
+import tdk.exact_linalg as exact_linalg  # noqa: E402
 import tdk.tduality_core as tduality_core  # noqa: E402
 from matrices import reference_contains, reference_well_defined  # noqa: E402
 from tdk.cli import run  # noqa: E402
@@ -60,7 +65,7 @@ from tdk.tduality_core import (  # noqa: E402
     is_dualizable,
 )
 from tdk.torus_bundle import BundleModel, build_bundle  # noqa: E402
-from test_golden import GRIDS, SIMPLICIAL, grid_doc  # noqa: E402
+from test_golden import GRIDS, SIMPLICIAL, _pair_files, grid_doc  # noqa: E402
 from test_space_model import BUILTIN_LADDER  # noqa: E402
 
 DUALIZABLE = [name for name in PAIR_NAMES if is_dualizable(named_pair(name))[0]]
@@ -211,8 +216,10 @@ def test_cohomology_passes_the_containment_check_it_skips(model):
 
 
 def _extension_parts(pair):
-    """The report, the torsor's (ambient, Z, B) and the pullback, as ``extension_report`` built them."""
-    seen = {}
+    """The report, the torsor's (ambient, Z, B), the pullback (None when none is built) and
+    the degrees of each total cohomology built, as ``extension_report`` built them."""
+    seen = {"total": []}
+    total_cohomology = BundleModel.total_cohomology
 
     def torsor(amb, Z, B):
         seen["torsor"] = amb, Z, B
@@ -222,15 +229,25 @@ def _extension_parts(pair):
         seen["pull"] = hom = induced_hom(src, tgt, fn)
         return hom
 
+    def total(self, k):
+        seen["total"].append(k)
+        return total_cohomology(self, k)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tduality_core, "subquotient", torsor)
         patch.setattr(tduality_core, "induced_hom", pullback)
+        patch.setattr(BundleModel, "total_cohomology", total)
         report = extension_report(pair)
-    return report, seen["torsor"], seen["pull"]
+    return report, seen["torsor"], seen.get("pull"), seen["total"]
 
 
 def _check_extension_parts(pair):
-    report, (amb, Z, B), pull = _extension_parts(pair)
+    report, (amb, Z, B), pull, total = _extension_parts(pair)
+    if not any(pair.bundle.base.cohomology(3).gens):  # H^3(B) = 0 by degree
+        assert pull is None and 3 not in total
+        assert (Z, B) == ([], [])
+        assert report.torsor_invariants == (0, ())
+        return
     assert reference_well_defined(pull)
     ker = pull.kernel()
     assert amb is ker.ambient is pull.source and Z == ker.gens
@@ -311,3 +328,40 @@ def test_the_dual_pairing_is_the_side_pairing(base_key, n, data):
     assert _pairing_total(base, dual, side) == _pairing_total(base, side, dual)
     assert _pairing_primitive(base, dual, side) == _pairing_primitive(base, side, dual)
 
+
+
+# ---------------------------------------------------------------------------
+# no matrix without an entry is factored
+
+
+@pytest.fixture
+def entry_free(monkeypatch):
+    """The shape of every matrix with no entry that reaches ``smith_normal_form``, by any binding."""
+    seen = []
+    snf = exact_linalg.smith_normal_form
+
+    def recorded(columns, rows):
+        if not any(columns):
+            seen.append((rows, len(columns)))
+        return snf(columns, rows)
+
+    for info in pkgutil.iter_modules(tdk.__path__):
+        module = importlib.import_module(f"tdk.{info.name}")
+        if getattr(module, "smith_normal_form", None) is snf:
+            monkeypatch.setattr(module, "smith_normal_form", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_no_verb_factors_a_matrix_without_an_entry(tmp_path, entry_free, name):
+    pair_path, _, bundle_args = _pair_files(str(tmp_path), name, named_pair(name))
+    argvs = [["bundle", *bundle_args], ["ss", *bundle_args, "--page", "3"]]
+    argvs += [[verb, "--pair", pair_path] for verb in ("dualizable", "extensions", "twisted")]
+    code, triple = run(["dualize", "--pair", pair_path])
+    assert code == (0 if name in DUALIZABLE else 1)
+    if code == 0:
+        triple_path = _write(tmp_path, "triple.json", triple)
+        argvs += [[verb, "--triple", triple_path] for verb in ("check-triple", "tmap")]
+    for argv in argvs:
+        assert run(argv)[0] in (0, 1), argv
+        assert entry_free == [], argv
